@@ -19,6 +19,12 @@ and the probe records why.  Every backend accelerates only what it
 supports — a fused call returning ``None`` sends the caller down the
 packed-Python path, so results (and error behaviour) are identical across
 tiers by construction, which the differential suites assert.
+
+A backend whose ``decodes_store`` attribute is true (native) ignores
+``parsed=``: :class:`~repro.store.QueryEngine` calls it before parsing
+anything and parses only if it declines.  That makes the
+C decoder the first reader of label bits, so it must decline on anything
+the Python parser or query would reject.
 """
 
 from __future__ import annotations

@@ -300,7 +300,11 @@ static inline int64_t hld_dist(const hld_arena_t *a, int64_t u, int64_t v,
     uint32_t t = 0;
     uint64_t eu, ev, nca;
     while (t < n && iu[t] == iv[t]) t++;
-    if (t == 0) {
+    /* Python compares the ids as zero-padded packed words, so past the
+     * shorter label a zero id in the longer one (never encoded below level
+     * 0, so only in corrupt input) would still match: leave that to it */
+    if (t == 0 || (t == n && lu->count != lv->count &&
+                   (lu->count > n ? iu : iv)[n] == 0)) {
         *err = 1;
         return 0;
     }
@@ -561,7 +565,10 @@ static inline int64_t fr_dist(const fr_arena_t *a, const uint8_t *payload,
         if (br_read(&r, (uint32_t)pushed, &segment)) goto bad;
         value = (value << pushed) | segment;
     }
-    ref = a->frag_refs.data[dd + level];
+    /* Python: fragment_distances[fragment_refs[level]], IndexError past
+     * either sequence — the refs live in their own arena, not at dd */
+    if (level >= dom->frag_ref_count) goto bad;
+    ref = a->frag_refs.data[dom->frag_ref_start + level];
     if (ref >= dom->frag_dist_count) goto bad;
     reference = a->frag_dists.data[dom->frag_dist_start + ref];
     if (reference >> MAX_VALUE_BITS) goto bad;

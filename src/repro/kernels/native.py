@@ -19,13 +19,17 @@ Environment knobs:
   pointing it at a corrupt file exercises graceful degradation).
 - ``REPRO_KERNELS_CACHE``: directory for compiled libraries (default: the
   package directory when writable, else a per-user temp directory).
-- ``CC``: the compiler to use (default: ``cc``, then ``gcc``, ``clang``).
+- ``CC``: the compiler command, split shell-style so it may carry flags
+  (``CC="cc -fsanitize=address,undefined"``); default ``cc``, then ``gcc``,
+  ``clang``.  The library name depends only on the source, so give a build
+  with different flags its own ``REPRO_KERNELS_CACHE``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -86,10 +90,12 @@ def _source_digest() -> str:
         return hashlib.sha256(handle.read()).hexdigest()[:16]
 
 
-def _compiler() -> str | None:
+def _compiler() -> list[str] | None:
+    """The compiler command as argv words, or ``None`` when none is on PATH."""
     for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
-            return candidate
+        words = shlex.split(candidate) if candidate else []
+        if words and shutil.which(words[0]):
+            return words
     return None
 
 
@@ -134,7 +140,7 @@ def ensure_built(verbose: bool = False) -> str:
             # builders race benignly
             scratch = path + f".tmp{os.getpid()}"
             command = [
-                compiler,
+                *compiler,
                 "-O2",
                 "-shared",
                 "-fPIC",
@@ -147,7 +153,7 @@ def ensure_built(verbose: bool = False) -> str:
             )
             if result.returncode != 0:
                 raise KernelError(
-                    f"{compiler} failed ({result.returncode}): "
+                    f"{shlex.join(compiler)} failed ({result.returncode}): "
                     f"{result.stderr.strip()[:500]}"
                 )
             os.replace(scratch, path)
@@ -203,6 +209,8 @@ class NativeBackend:
     name = "native"
     #: below this many pairs the per-call marshalling overhead beats the win
     min_batch = 16
+    #: ``batch_query`` decodes labels from the store and ignores ``parsed=``
+    decodes_store = True
 
     def __init__(self, ffi, lib, path: str) -> None:
         self.ffi = ffi
@@ -269,7 +277,11 @@ class NativeBackend:
     # -- fused entry points --------------------------------------------------
 
     def batch_query(self, store, scheme, pairs, parsed=None):
-        """Distances for ``pairs`` straight from the packed store, or ``None``."""
+        """Distances for ``pairs`` straight from the packed store, or ``None``.
+
+        ``parsed`` is accepted for interface parity and ignored: the kernel
+        decodes every label itself (see ``decodes_store``).
+        """
         kind = self._kind(scheme)
         if kind is None or not pairs:
             return None

@@ -36,6 +36,8 @@ class NumpyBackend:
     name = "numpy"
     #: below this many pairs the tableau build beats the vectorisation win
     min_batch = 64
+    #: ``batch_query`` consumes labels the Python tier parsed
+    decodes_store = False
 
     def tier_for(self, scheme, op: str = "batch_query") -> str:
         return "numpy" if type(scheme) is HLDScheme else "python"

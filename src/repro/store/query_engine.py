@@ -3,9 +3,22 @@
 The engine is decoder-only: it sees packed bits, never the tree.  Parsing a
 label (packed word -> label object) dominates CPython query cost, so the
 engine keeps a bounded LRU cache of parsed labels and offers batch entry
-points that parse each distinct endpoint exactly once.
+points that look each distinct endpoint up exactly once.
 
-The batch supply path is zero-string end to end: the store yields
+Batches route **kernel first** when the active kernel backend decodes the
+labels straight from the store (the native tier, for hld-fixed and
+Freedman; see :mod:`repro.kernels`): the C kernel answers without any
+Python parse, and the batch's cold endpoints enter the LRU as an undecoded
+placeholder.  A placeholder is parsed — and upgraded in place — on its
+first Python-side use (:meth:`QueryEngine.parsed_label`, a batch below the
+kernel's ``min_batch``, :meth:`QueryEngine.distance_matrix`); the
+read-only :meth:`QueryEngine.matrix_into` parses it locally.  Only when the
+kernel declines does the batch parse, which raises exactly the Python
+path's errors.  Every other backend keeps the parse-then-query order.  The
+hot-pair cache sits in front of all this: its missing pairs take the same
+route.
+
+The parse supply path is zero-string end to end: the store yields
 ``(node, packed_value, bit_length)`` words (:meth:`LabelStore.label_words`)
 and the scheme's ``parse_many`` turns them into label objects — no
 character-per-bit strings, and for schemes with a word-level parser no
@@ -24,6 +37,16 @@ from repro.store.label_store import LabelStore
 #: second ``in`` lookup (``None`` is not usable — it is a valid label value
 #: only in theory, but the sentinel also guards against that)
 _MISSING = object()
+#: LRU value of a node the native kernel answered for but nothing has
+#: parsed yet: resident (a lookup counts as a hit), decoded on first use
+_UNPARSED = object()
+
+
+def _trim(cache: OrderedDict, size: int) -> None:
+    """Evict the oldest entries of ``cache`` until at most ``size`` remain."""
+    pop = cache.popitem
+    for _ in range(len(cache) - size):
+        pop(last=False)
 
 
 class QueryEngine:
@@ -50,7 +73,8 @@ class QueryEngine:
         self.scheme = scheme if scheme is not None else store.make_scheme()
         self._cache: OrderedDict[int, object] = OrderedDict()
         self._cache_size = cache_size
-        #: parsed-label cache statistics, exposed for benchmarks and tuning
+        #: label cache statistics (resident hits, admitted misses), exposed
+        #: for benchmarks and tuning
         self.cache_hits = 0
         self.cache_misses = 0
         # -- hot-pair response cache (opt-in) ----------------------------
@@ -88,6 +112,8 @@ class QueryEngine:
         if label is not _MISSING:
             cache.move_to_end(node)
             self.cache_hits += 1
+            if label is _UNPARSED:
+                label = cache[node] = self.scheme.parse(self.store.label_bits(node))
             return label
         self.cache_misses += 1
         label = self.scheme.parse(self.store.label_bits(node))
@@ -102,31 +128,50 @@ class QueryEngine:
         Per-node LRU bookkeeping is skipped: every requested node is being
         collected into the returned local dict anyway, so cache hits are
         plain lookups (no recency promotion) and freshly parsed labels are
-        inserted in bulk, with a single eviction sweep at the end.
+        inserted in bulk, with a single eviction sweep at the end.  Resident
+        placeholders count as hits and are parsed in the same call, then
+        upgraded where they sit.
         """
         parsed: dict[int, object] = {}
         cache_get = self._cache.get
         hits = 0
         missing: list[int] = []
+        unparsed: list[int] = []
         for node in dict.fromkeys(nodes):  # C-speed, order-preserving dedup
             label = cache_get(node, _MISSING)
-            if label is not _MISSING:
-                hits += 1
-                parsed[node] = label
-            else:
+            if label is _MISSING:
                 missing.append(node)
+                continue
+            hits += 1
+            if label is _UNPARSED:
+                unparsed.append(node)
+            else:
+                parsed[node] = label
         self.cache_hits += hits
+        self.cache_misses += len(missing)
+        if missing or unparsed:
+            fresh = self.scheme.parse_many(self.store, unparsed + missing)
+            parsed.update(fresh)
+            # placeholders keep their LRU position; misses append in order
+            self._cache.update(fresh)
+            _trim(self._cache, self._cache_size)
+        return parsed
+
+    def _admit(self, nodes: Iterable[int]) -> None:
+        """:meth:`_parse_batch`'s bookkeeping, minus the parse.
+
+        One lookup per distinct node, counted exactly as a parse would
+        count it; the misses enter the LRU as undecoded placeholders, with
+        a single eviction sweep.
+        """
+        cache = self._cache
+        distinct = dict.fromkeys(nodes)
+        missing = [node for node in distinct if node not in cache]
+        self.cache_hits += len(distinct) - len(missing)
         if missing:
             self.cache_misses += len(missing)
-            fresh = self.scheme.parse_many(self.store, missing)
-            parsed.update(fresh)
-            cache = self._cache
-            cache.update(fresh)
-            if len(cache) > self._cache_size:
-                pop = cache.popitem
-                for _ in range(len(cache) - self._cache_size):
-                    pop(last=False)
-        return parsed
+            cache.update(dict.fromkeys(missing, _UNPARSED))
+            _trim(cache, self._cache_size)
 
     # -- queries -------------------------------------------------------------
 
@@ -153,31 +198,46 @@ class QueryEngine:
         return self.query(u, v)
 
     def batch_query(self, pairs: Sequence[tuple[int, int]]) -> list:
-        """Answer many queries, parsing each distinct endpoint once.
+        """Answer many queries, looking each distinct endpoint up once.
 
         With the hot-pair cache enabled, cached pairs are answered without
         touching the label layer at all and only the remaining pairs go
-        through the batched parse.
-
-        Large batches route through the active kernel backend
-        (:mod:`repro.kernels`) when it supports the scheme: the parse/cache
-        bookkeeping above is identical either way (so counters, warming and
-        eviction match the packed-Python path exactly), only the per-pair
-        query loop is fused.  A backend that declines (``None``) falls
-        through to the Python loop.
+        through :meth:`_answer`.
         """
         pairs = list(pairs)
         if not pairs:
             return []
         if self._pair_cache_size:
             return self._batch_query_cached(pairs)
+        return self._answer(pairs)
+
+    def _answer(self, pairs: list[tuple[int, int]]) -> list:
+        """Answers for a non-empty pair list through the kernel backend.
+
+        A batch of at least the backend's ``min_batch`` pairs goes to the
+        fused kernel.  When the backend decodes labels from the store
+        itself (``decodes_store``), the kernel runs first and the endpoints
+        are only admitted (:meth:`_admit`); a backend that consumes parsed
+        labels gets them from :meth:`_parse_batch`.  The hit/miss counts,
+        LRU order and eviction are the same either way.  A backend that
+        declines (``None``) sends the batch down the Python loop, which
+        answers or raises exactly as the packed-Python tier does.
+        """
         us, vs = zip(*pairs)
-        parsed = self._parse_batch(us + vs)
+        nodes = us + vs
         backend = kernels.backend()
-        if len(pairs) >= backend.min_batch:
-            fused = backend.batch_query(self.store, self.scheme, pairs, parsed=parsed)
-            if fused is not None:
-                return fused
+        fused = len(pairs) >= backend.min_batch
+        if fused and getattr(backend, "decodes_store", False):
+            answers = backend.batch_query(self.store, self.scheme, pairs)
+            if answers is not None:
+                self._admit(nodes)
+                return answers
+            fused = False
+        parsed = self._parse_batch(nodes)
+        if fused:
+            answers = backend.batch_query(self.store, self.scheme, pairs, parsed=parsed)
+            if answers is not None:
+                return answers
         query = self.scheme.query
         return [query(parsed[u], parsed[v]) for u, v in pairs]
 
@@ -215,27 +275,10 @@ class QueryEngine:
         self.pair_hits += hits
         if missing:
             self.pair_misses += len(missing)
-            us, vs = zip(*missing)
-            parsed = self._parse_batch(us + vs)
-            backend = kernels.backend()
-            fused = (
-                backend.batch_query(self.store, self.scheme, missing, parsed=parsed)
-                if len(missing) >= backend.min_batch
-                else None
-            )
-            if fused is not None:
-                for key, answer in zip(missing, fused):
-                    answered[key] = answer
-            else:
-                query = self.scheme.query
-                for key in missing:
-                    answered[key] = query(parsed[key[0]], parsed[key[1]])
-            pair_cache.update((key, answered[key]) for key in missing)
-            overflow = len(pair_cache) - self._pair_cache_size
-            if overflow > 0:
-                pop = pair_cache.popitem
-                for _ in range(overflow):
-                    pop(last=False)
+            fresh = dict(zip(missing, self._answer(missing)))
+            answered.update(fresh)
+            pair_cache.update(fresh)
+            _trim(pair_cache, self._pair_cache_size)
         return [answered[key] for key in keys]
 
     def batch_distance(self, pairs: Sequence[tuple[int, int]]) -> list:
@@ -260,7 +303,8 @@ class QueryEngine:
         entirely: inserting them would evict every warm entry without any of
         the parses ever being a cache hit, and later misses on the evicted
         nodes would be counted twice.  Cached labels are still reused
-        (without promotion).
+        (without promotion); resident placeholders count as hits and are
+        parsed locally with the misses.
         """
         targets = list(range(self.store.n)) if nodes is None else list(nodes)
         if len(targets) <= self._cache_size:
@@ -268,24 +312,26 @@ class QueryEngine:
             parsed = [by_node[node] for node in targets]
         else:
             cache_get = self._cache.get
-            seen: set[int] = set()
-            missing: list[int] = []
-            for node in targets:
-                if cache_get(node, _MISSING) is _MISSING and node not in seen:
-                    missing.append(node)
-                    seen.add(node)
-            local: dict[int, object] = {}
-            if missing:
-                self.cache_misses += len(missing)
-                local = self.scheme.parse_many(self.store, missing)
-            parsed = []
+            # ordered sets of the distinct nodes parsed outside the LRU
+            missing: dict[int, None] = {}
+            unparsed: dict[int, None] = {}
+            hits = 0
             for node in targets:
                 label = cache_get(node, _MISSING)
-                if label is not _MISSING:
-                    self.cache_hits += 1
+                if label is _MISSING:
+                    missing[node] = None
                 else:
-                    label = local[node]
-                parsed.append(label)
+                    hits += 1
+                    if label is _UNPARSED:
+                        unparsed[node] = None
+            self.cache_misses += len(missing)
+            local: dict[int, object] = {}
+            if missing or unparsed:
+                local = self.scheme.parse_many(self.store, [*unparsed, *missing])
+            self.cache_hits += hits
+            parsed = [
+                local[node] if node in local else cache_get(node) for node in targets
+            ]
         query = self.scheme.query
         if not assume_symmetric:
             return [[query(a, b) for b in parsed] for a in parsed]
@@ -321,7 +367,8 @@ class QueryEngine:
         to a worker thread through, so unlike :meth:`distance_matrix` it
         **never mutates the engine**: parsed labels come from read-only
         cache lookups (no LRU promotion, no insertion, no counter updates)
-        with misses parsed into a local dict, and the result is appended to
+        with misses and undecoded placeholders parsed into a local dict,
+        and the result is appended to
         ``out`` (or a fresh list) as one flat row-major sequence — exactly
         the shape the wire protocol carries, skipping the row-list build and
         re-flatten.  Safe to run concurrently with event-loop queries on
@@ -350,7 +397,7 @@ class QueryEngine:
         missing: list[int] = []
         for node in dict.fromkeys(targets):
             label = cache_get(node, _MISSING)
-            if label is _MISSING:
+            if label is _MISSING or label is _UNPARSED:
                 missing.append(node)
             else:
                 by_node[node] = label
@@ -392,11 +439,7 @@ class QueryEngine:
         if size < 0:
             raise ValueError("pair cache size must be non-negative")
         self._pair_cache_size = size
-        overflow = len(self._pair_cache) - size
-        if overflow > 0:
-            pop = self._pair_cache.popitem
-            for _ in range(overflow):
-                pop(last=False)
+        _trim(self._pair_cache, size)
 
     def pair_cache_info(self) -> dict:
         """Hit/miss counters and occupancy of the hot-pair response cache."""
@@ -413,10 +456,15 @@ class QueryEngine:
     def cache_info(self) -> dict:
         """Hit/miss counters and current occupancy of the parsed-label cache.
 
-        ``hit_rate`` is the lifetime fraction of lookups served from the
-        cache (0.0 before any lookup) — the steady-state serving signal the
-        network server reports per member and the warm-cache benchmark
-        records.  ``backend`` is the kernel tier answering this engine's
+        A hit is a lookup that found the node *resident* and a miss one that
+        *admitted* it; ``size`` counts resident nodes.  A resident node is a
+        parsed label or, after a kernel-first batch, an undecoded
+        placeholder — the counters are the same on every tier, whichever
+        of the two the cache holds.  ``hit_rate`` is the lifetime fraction
+        of lookups served from the cache (0.0 before any lookup) — the
+        steady-state serving signal the network server reports per member
+        and the warm-cache benchmark records.  ``backend`` is the kernel
+        tier answering this engine's
         batched queries (``native``/``numpy``/``python``; see
         :mod:`repro.kernels`) — per scheme, so an engine whose scheme has no
         native kernel honestly reports ``python`` even when the native tier

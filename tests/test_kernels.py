@@ -13,7 +13,10 @@ which tier answers it.  These tests force each tier through
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import random
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from repro import kernels
 from repro.core.registry import make_scheme_from_spec
 from repro.generators.workloads import make_tree, random_pairs
+from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import LabelStore, QueryEngine, StoreError
 from repro.testing import parent_array_trees
 
@@ -143,6 +147,16 @@ def test_corrupt_native_library_degrades(tmp_path, monkeypatch):
     assert probed["selected"] in ("numpy", "python")
 
 
+def test_cc_may_carry_flags(monkeypatch):
+    """``$CC`` is split shell-style; only its first word is looked up."""
+    from repro.kernels import native
+
+    monkeypatch.setenv("CC", f"'{sys.executable}' -fsanitize=address,undefined")
+    assert native._compiler() == [sys.executable, "-fsanitize=address,undefined"]
+    monkeypatch.setenv("CC", "no-such-compiler-anywhere -O1")
+    assert native._compiler() in (None, ["cc"], ["gcc"], ["clang"])
+
+
 def test_forced_unavailable_tier_degrades_with_note(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS_LIB", str(tmp_path / "nowhere.so"))
     with forced_tier("native"):
@@ -196,21 +210,74 @@ def test_all_specs_identical_across_tiers(tree):
 
 
 def test_cache_counters_identical_across_tiers():
-    """Fused kernels replace only the query loop, never the bookkeeping."""
+    """Fused kernels replace only the query loop, never the bookkeeping.
+
+    The native tier admits cold labels undecoded instead of parsing them,
+    which must leave the resident/admitted counts exactly as parsing does.
+    """
     tree = make_tree("random", 200, seed=47)
-    scheme = make_scheme_from_spec("hld-fixed")
-    store = LabelStore.encode_tree(scheme, tree)
     pairs = random_pairs(tree, 400, seed=53)
-    infos = {}
-    for tier in available_tiers():
-        with forced_tier(tier):
-            engine = QueryEngine(store, scheme=make_scheme_from_spec("hld-fixed"))
-            engine.batch_query(pairs)
-            engine.batch_query(pairs)
-            info = engine.cache_info()
-            assert info.pop("backend") == tier
-            infos[tier] = info
-    assert len({tuple(sorted(info.items())) for info in infos.values()}) == 1
+    for spec in ("hld-fixed", "freedman"):
+        store = LabelStore.encode_tree(make_scheme_from_spec(spec), tree)
+        infos = {}
+        for tier in available_tiers():
+            with forced_tier(tier):
+                assert kernels.backend_name() == tier
+                engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+                engine.batch_query(pairs)
+                engine.batch_query(pairs)
+                info = engine.cache_info()
+                # the numpy tier accelerates hld-fixed only
+                serves = "python" if (spec, tier) == ("freedman", "numpy") else tier
+                assert info.pop("backend") == serves
+                infos[tier] = info
+        assert len({tuple(sorted(info.items())) for info in infos.values()}) == 1, (
+            spec,
+            infos,
+        )
+
+
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_native_batch_skips_the_python_parse(spec, monkeypatch):
+    """Kernel first: cold labels are admitted undecoded, parsed on first use."""
+    if "native" not in available_tiers():
+        pytest.skip("native tier not available in this environment")
+    tree = make_tree("random", 300, seed=79)
+    oracle = TreeDistanceOracle(tree)
+    scheme = make_scheme_from_spec(spec)
+    store = LabelStore.encode_tree(scheme, tree)
+    pairs = random_pairs(tree, 120, seed=83)
+    distinct = {node for pair in pairs for node in pair}
+    with forced_tier("native"):
+        min_batch = kernels.backend().min_batch
+        assert len(pairs) >= min_batch
+        engine = QueryEngine(store, scheme=scheme)
+        with monkeypatch.context() as patch:
+            for name in ("parse", "parse_many"):
+                patch.setattr(
+                    type(scheme), name, lambda *args, name=name: pytest.fail(name)
+                )
+            assert engine.batch_query(pairs) == oracle.batch_distance(pairs)
+        info = engine.cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (0, len(distinct), len(distinct))
+
+        # every Python-side use parses the resident placeholders it meets
+        nodes = sorted(distinct)[:40]
+        flat = [oracle.distance(u, v) for u in nodes for v in nodes]
+        before = engine.cache_info()
+        for symmetric in (True, False):
+            assert engine.matrix_into(nodes, assume_symmetric=symmetric) == flat
+        assert engine.cache_info() == before
+        u, v = pairs[0]
+        assert engine.query(u, v) == oracle.distance(u, v)
+        small = pairs[1:min_batch]
+        assert engine.batch_query(small) == oracle.batch_distance(small)
+        assert engine.distance_matrix(nodes) == oracle.distance_matrix(nodes)
+        # a matrix wider than the cache parses placeholders outside the LRU
+        narrow = QueryEngine(store, scheme=scheme, cache_size=32)
+        assert narrow.batch_query(pairs) == oracle.batch_distance(pairs)
+        assert narrow.distance_matrix(nodes) == oracle.distance_matrix(nodes)
+        assert narrow.cache_info()["size"] == 32
 
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
@@ -258,3 +325,96 @@ def test_describe_and_cache_info_report_active_tier():
             index = DistanceIndex.build(tree, "hld-fixed")
             assert index.describe()["kernel"] == tier
             assert index.engine.cache_info()["backend"] == tier
+
+
+# -- mutated label bits: the C decoder against the Python reference ----------
+
+#: seeded flips per scheme; with the kernel answering before any Python
+#: parse, these labels reach the C decoder first
+MUTATIONS = 400
+
+
+def _flip_bits(store, node, positions):
+    """A copy of ``store`` with bits ``positions`` of ``node``'s label flipped."""
+    view, offsets, lengths = store.buffers()
+    payload = bytearray(view)
+    for bit in positions:
+        at = offsets[node] * 8 + bit
+        payload[at >> 3] ^= 0x80 >> (at & 7)
+    return LabelStore(store.scheme_name, store.scheme_params, lengths, bytes(payload))
+
+
+def _mutated_cases(spec, scheme, tree, seed):
+    """``(store, pairs)`` cases, each with one mutated label in the batch."""
+    rng = random.Random(seed)
+    labels = scheme.encode(tree)
+    store = LabelStore.from_labels(scheme, labels)
+    others = list(range(tree.n))
+    cases = []
+    for _ in range(MUTATIONS):
+        node = rng.randrange(tree.n)
+        length = store.bit_length(node)
+        flips = rng.sample(range(length), min(length, rng.randint(1, 4)))
+        partners = rng.sample(others, 24)
+        pairs = [(node, w) if k % 2 else (w, node) for k, w in enumerate(partners)]
+        cases.append((_flip_bits(store, node, flips), pairs))
+    edited = dict(labels)
+    if spec == "freedman":
+        # a label that lost all but its first fragment ref: Python raises
+        # IndexError at any critical level past 0 where it dominates
+        node = max(labels, key=lambda v: len(labels[v].fragment_refs))
+        edited[node] = dataclasses.replace(
+            labels[node], fragment_refs=labels[node].fragment_refs[:1]
+        )
+    else:
+        # a zero path id below level 0: Python's packed comparison matches
+        # it against the zero padding of any shorter label
+        node = max(labels, key=lambda v: len(labels[v].path_ids))
+        label = labels[node]
+        edited[node] = type(label)(
+            root_distance=label.root_distance,
+            path_ids=[0, 0] + label.path_ids[2:],
+            exits=label.exits,
+            id_width=label.id_width,
+            distance_width=label.distance_width,
+        )
+    pairs = [(node, w) for w in others if w != node]
+    cases.append((LabelStore.from_labels(scheme, edited), pairs))
+    return cases
+
+
+def _outcomes(tier, spec, cases):
+    """Each case's answer list, or the type of the exception it raised."""
+    results = []
+    with forced_tier(tier):
+        assert kernels.backend_name() == tier
+        for store, pairs in cases:
+            engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+            try:
+                results.append(engine.batch_query(pairs))
+            except Exception as error:
+                results.append(type(error))
+    return results
+
+
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_mutated_labels_answer_alike_on_native_and_python(spec):
+    """Corrupt label bits get the Python answer or the Python exception.
+
+    Every batch touches one mutated label and is past the native
+    ``min_batch``, so the C kernel sees it before any Python parse; it must
+    decline wherever the Python parser or query would raise or differ.
+    """
+    if "native" not in available_tiers():
+        pytest.skip("native tier not available in this environment")
+    scheme = make_scheme_from_spec(spec)
+    tree = make_tree("random_binary", 200, seed=71)
+    cases = _mutated_cases(spec, scheme, tree, seed=73)
+    native = _outcomes("native", spec, cases)
+    python = _outcomes("python", spec, cases)
+    diverged = [
+        (index, native[index], python[index])
+        for index in range(len(cases))
+        if native[index] != python[index]
+    ]
+    assert not diverged, f"{len(diverged)} of {len(cases)} diverged: {diverged[:3]}"
