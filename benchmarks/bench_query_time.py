@@ -413,7 +413,7 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--backend",
-        choices=["native", "numpy", "python"],
+        choices=["native", "python"],
         default=None,
         help="force one repro.kernels tier for the whole run "
         "(default: automatic selection; the per-tier kernel section "

@@ -1,5 +1,5 @@
-"""Experiment S-throughput: network serving — micro-batching, shard-per-core
-fleets and the hot-pair response cache.
+"""Experiment S-throughput: network serving — micro-batching and
+shard-per-core fleets.
 
 The server's coalescer turns every event-loop tick's worth of pipelined
 QUERY requests — across all connections — into one ``QueryEngine.batch``
@@ -10,8 +10,7 @@ uniform and Zipf-skewed workloads, against the same server started with
 ``--no-coalesce`` (the naive one-request-per-batch path).  Three further
 sections cover the scale-out features: ``multi_worker`` runs the same
 workload against ``--workers 1/2/4`` fleets (SO_REUSEPORT shard-per-core
-supervisor), ``response_cache`` measures ``--pair-cache`` on the
-Zipf-skewed workload, ``observability`` records the throughput cost of
+supervisor), ``observability`` records the throughput cost of
 request tracing at a 1% sample rate (advisory <= 5% gate — recorded, never
 raising), and ``sharded_catalog`` measures routed vs unrouted loadgen
 against a ``--workers 2 --shard-members`` member-sharded fleet.
@@ -52,15 +51,13 @@ def spawn_server(
     coalesce: bool,
     port: int = 0,
     workers: int = 1,
-    pair_cache: int = 0,
     extra_args: list[str] | None = None,
 ):
     """Start ``repro-labels serve`` on loopback; returns ``(process, host, port)``.
 
     The server picks an ephemeral port (``--port 0``) and we parse the
     actual address from its ready line.  ``workers > 1`` starts the
-    shard-per-core fleet supervisor; ``pair_cache`` enables the hot-pair
-    response cache; ``extra_args`` append verbatim (e.g.
+    shard-per-core fleet supervisor; ``extra_args`` append verbatim (e.g.
     ``["--shard-members"]``).
     """
     command = [
@@ -76,8 +73,6 @@ def spawn_server(
         "--workers",
         str(workers),
     ]
-    if pair_cache:
-        command.extend(["--pair-cache", str(pair_cache)])
     if not coalesce:
         command.append("--no-coalesce")
     if extra_args:
@@ -116,7 +111,7 @@ def shutdown_server(process) -> str:
 def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
              connections: int, window: int, skew: float = 1.1, seed: int = 0,
              warmup: int = 0, repeats: int = 1, workers: int = 1,
-             pair_cache: int = 0, trace_every: int = 0,
+             trace_every: int = 0,
              extra_args: list[str] | None = None,
              members: list[str] | None = None, member_skew: float = 0.0,
              route: bool = False) -> dict:
@@ -130,8 +125,7 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
     consult the fleet's routing table (sharded servers; see ``extra_args``).
     """
     process, host, port = spawn_server(
-        store_path, coalesce=coalesce, workers=workers, pair_cache=pair_cache,
-        extra_args=extra_args,
+        store_path, coalesce=coalesce, workers=workers, extra_args=extra_args,
     )
     try:
         if warmup:
@@ -162,7 +156,6 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
         shutdown = shutdown_server(process)
     server = report["server"]
     index_stats = server.get("index", {})
-    pair_cache = index_stats.get("pair_cache", {})
     row = {
         "qps": report["qps"],
         "seconds": report["seconds"],
@@ -175,7 +168,6 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
         "mean_batch_size": server["mean_batch_size"],
         "flushes": server["flushes"],
         "cache_hit_rate": index_stats.get("cache_hit_rate"),
-        "pair_cache_hit_rate": pair_cache.get("hit_rate") if pair_cache.get("enabled") else None,
         "tracing": report.get("tracing"),
         "shutdown": shutdown,
     }
@@ -306,37 +298,14 @@ def test_traced_loadgen_round_trip(tmp_path):
     assert "batch" in tracing["stages"]
 
 
-def test_response_cache_round_trip(tmp_path):
-    """``--pair-cache`` answers a Zipf workload identically and reports a
-    non-trivial hot-pair hit rate."""
-    tree = make_tree("random", 200, seed=29)
-    DistanceIndex.build(tree, "freedman").save(str(tmp_path / "c.bin"))
-    rows = {}
-    for label, pair_cache in (("off", 0), ("on", 2048)):
-        rows[label] = _measure(
-            str(tmp_path / "c.bin"),
-            coalesce=True,
-            workload="zipf",
-            pairs=500,
-            connections=2,
-            window=32,
-            skew=1.2,
-            pair_cache=pair_cache,
-        )
-    assert rows["off"]["checksum"] == rows["on"]["checksum"]
-    assert rows["on"]["pair_cache_hit_rate"] > 0.1
-    assert rows["off"]["pair_cache_hit_rate"] is None
-
-
 # -- machine-readable runner (BENCH_serve_throughput.json) --------------------
 
 
 def run_perf_json(
     smoke: bool = False, out: str | None = None, quick: bool = False
 ) -> dict:
-    """Measure coalesced-vs-naive serving, multi-worker scaling, the
-    hot-pair response cache and sharded-catalog routing; write the JSON
-    trajectory.
+    """Measure coalesced-vs-naive serving, multi-worker scaling and
+    sharded-catalog routing; write the JSON trajectory.
 
     Three gates (recorded, and asserted when this file runs as a script):
 
@@ -371,7 +340,6 @@ def run_perf_json(
     index = DistanceIndex.build(tree, "freedman")
     workloads_json: dict[str, dict] = {}
     scaling_json: dict = {"cpus": cpus, "workers": {}}
-    cache_json: dict = {}
     with tempfile.TemporaryDirectory() as scratch:
         store_path = os.path.join(scratch, "serve_bench.bin")
         index.save(store_path)
@@ -414,29 +382,6 @@ def run_perf_json(
         base_qps = scaling_json["workers"]["1"]["qps"]
         for row in scaling_json["workers"].values():
             row["speedup_vs_1"] = round(row["qps"] / base_qps, 2)
-
-        # -- hot-pair response cache on a hot Zipf workload ---------------
-        # skew 1.3: the repeated-hot-pair traffic shape the cache exists
-        # for (the flatter skew-1.1 distribution barely repeats pairs)
-        cache_json["skew"] = 1.3
-        for label, pair_cache in (("uncached", 0), ("pair_cache", 4096)):
-            cache_json[label] = _measure(
-                store_path,
-                coalesce=True,
-                workload="zipf",
-                pairs=pairs,
-                connections=connections,
-                window=window,
-                skew=cache_json["skew"],
-                warmup=warmup,
-                repeats=repeats,
-                pair_cache=pair_cache,
-            )
-        if cache_json["uncached"]["checksum"] != cache_json["pair_cache"]["checksum"]:
-            raise AssertionError("response cache changed query answers")
-        cache_json["speedup"] = round(
-            cache_json["pair_cache"]["qps"] / cache_json["uncached"]["qps"], 2
-        )
 
         # -- observability: tracing overhead at a 1% sample rate ----------
         # Same server config, same workload, with and without every-100th
@@ -586,7 +531,6 @@ def run_perf_json(
         "window": window,
         "workloads": workloads_json,
         "multi_worker": dict(scaling_json, gate=scaling_gate),
-        "response_cache": cache_json,
         "observability": obs_json,
         "sharded_catalog": sharded_json,
         "gate": {
@@ -613,10 +557,6 @@ def run_perf_json(
         f"scaling: {scaling_speedup}x with {top_workers} workers on {cpus} "
         f"CPU(s) (required {required_scaling}x, "
         f"enforced={scaling_gate['enforced']}, pass={scaling_gate['pass']})"
-    )
-    print(
-        f"response cache (zipf): {cache_json['speedup']}x, hit rate "
-        f"{cache_json['pair_cache']['pair_cache_hit_rate']}"
     )
     print(
         f"tracing overhead at 1% sampling: {overhead_pct}% "

@@ -50,37 +50,23 @@ class DistanceIndex:
         scheme: str | LabelingScheme = "freedman",
         *,
         cache_size: int = 4096,
-        pair_cache_size: int = 0,
     ) -> "DistanceIndex":
         """Encode ``tree`` and serve it.
 
         ``scheme`` is a spec string such as ``"freedman"``,
         ``"k-distance:k=4"`` or ``"approximate:epsilon=0.1"`` (see
         :func:`repro.core.registry.parse_spec`), or an already-constructed
-        scheme instance.  ``pair_cache_size`` enables the engine's hot-pair
-        response cache (answers served without touching the labels when the
-        same ``{u, v}`` repeats — the serving layer's Zipf workload shape).
+        scheme instance.
         """
         if isinstance(scheme, str):
             scheme = make_scheme_from_spec(scheme)
         store = LabelStore.encode_tree(scheme, tree)
-        return cls(
-            QueryEngine(
-                store,
-                scheme=scheme,
-                cache_size=cache_size,
-                pair_cache_size=pair_cache_size,
-            )
-        )
+        return cls(QueryEngine(store, scheme=scheme, cache_size=cache_size))
 
     @classmethod
-    def from_store(
-        cls, store: LabelStore, *, cache_size: int = 4096, pair_cache_size: int = 0
-    ) -> "DistanceIndex":
+    def from_store(cls, store: LabelStore, *, cache_size: int = 4096) -> "DistanceIndex":
         """Serve an existing packed store (scheme rebuilt from its spec)."""
-        return cls(
-            QueryEngine(store, cache_size=cache_size, pair_cache_size=pair_cache_size)
-        )
+        return cls(QueryEngine(store, cache_size=cache_size))
 
     @classmethod
     def open(
@@ -88,7 +74,6 @@ class DistanceIndex:
         path: str | os.PathLike,
         *,
         cache_size: int = 4096,
-        pair_cache_size: int = 0,
         mmap: bool = False,
     ) -> "DistanceIndex":
         """Open an index saved by :meth:`save` (or any ``LabelStore`` file).
@@ -100,22 +85,12 @@ class DistanceIndex:
         run unchanged — every kernel tier reads straight off the mapping.
         """
         store = LabelStore.open_mmap(path) if mmap else LabelStore.load(path)
-        return cls.from_store(
-            store,
-            cache_size=cache_size,
-            pair_cache_size=pair_cache_size,
-        )
+        return cls.from_store(store, cache_size=cache_size)
 
     @classmethod
-    def from_bytes(
-        cls, data, *, cache_size: int = 4096, pair_cache_size: int = 0
-    ) -> "DistanceIndex":
+    def from_bytes(cls, data, *, cache_size: int = 4096) -> "DistanceIndex":
         """Deserialise an index from :meth:`to_bytes` output."""
-        return cls.from_store(
-            LabelStore.from_bytes(data),
-            cache_size=cache_size,
-            pair_cache_size=pair_cache_size,
-        )
+        return cls.from_store(LabelStore.from_bytes(data), cache_size=cache_size)
 
     # -- persistence ---------------------------------------------------------
 
@@ -192,24 +167,17 @@ class DistanceIndex:
         """Cheap summary (``spec``, ``kind``, ``n``) — no store scans.
 
         This is the single-index twin of :meth:`IndexCatalog.describe`; the
-        network server's INFO message is built from it.  When the hot-pair
-        response cache is enabled its hit rate rides along, so a serving
-        operator can read cache effectiveness from INFO/``describe`` alone.
-        ``kernel`` names the :mod:`repro.kernels` tier answering this
+        network server's INFO message is built from it.  ``kernel`` names the :mod:`repro.kernels` tier answering this
         index's batched queries.
         """
         from repro import kernels
 
-        row = {
+        return {
             "spec": self.spec,
             "kind": self.kind,
             "n": self.n,
             "kernel": kernels.backend().tier_for(self._engine.scheme),
         }
-        pair_cache = self._engine.pair_cache_info()
-        if pair_cache["enabled"]:
-            row["pair_cache"] = pair_cache
-        return row
 
     def stats(self) -> dict:
         """Size and serving statistics of this index."""
@@ -224,7 +192,6 @@ class DistanceIndex:
             "file_bytes": store.file_bytes,
             "mmap": store.mmap_backed,
             "cache": self._engine.cache_info(),
-            "pair_cache": self._engine.pair_cache_info(),
         }
 
     def __len__(self) -> int:

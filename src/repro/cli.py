@@ -29,15 +29,14 @@ The serving workflow puts an index (or a whole catalog) behind a TCP
 endpoint and drives it with synthetic traffic::
 
     repro-labels serve labels.bin --port 7117
-    repro-labels serve forest.cat --port 7117 --workers 4 --pair-cache 8192
+    repro-labels serve forest.cat --port 7117 --workers 4
     repro-labels loadgen --port 7117 --pairs 20000 --workload zipf --skew 1.1
     repro-labels loadgen --port 7117 --workload sibling --family random
 
 ``serve`` answers the :mod:`repro.serve` wire protocol with micro-batched
 query coalescing (``--no-coalesce`` for the naive baseline); ``--workers N``
-pre-forks a shard-per-core fleet sharing the port, ``--max-pending`` bounds
-the per-worker queue (overload is shed with BUSY and clients retry), and
-``--pair-cache`` answers repeated hot pairs straight from a response cache.
+pre-forks a shard-per-core fleet sharing the port, and ``--max-pending``
+bounds the per-worker queue (overload is shed with BUSY and clients retry).
 ``loadgen`` reports client-side throughput and the fleet-merged server
 statistics (latency percentiles from bucket-wise merged histograms).
 
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_options(store_bench)
 
     kernels = commands.add_parser(
-        "kernels", help="probe the native/numpy/python kernel tiers"
+        "kernels", help="probe the native/python kernel tiers"
     )
     kernels.add_argument(
         "--build", action="store_true",
@@ -228,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the file through a read-only memory mapping instead of "
         "reading it into the heap; a pre-forked fleet then shares one "
         "physical copy of the payload via the page cache",
-    )
-    serve.add_argument(
-        "--pair-cache", type=int, default=0,
-        help="hot-pair response cache entries per member (0 disables); "
-        "repeated {u,v} pairs are answered without touching the labels",
     )
     serve.add_argument(
         "--no-coalesce", action="store_true",
@@ -815,7 +809,6 @@ def _serve(args) -> str:
         "coalesce": not args.no_coalesce,
         "max_batch": args.max_batch,
         "max_pending": args.max_pending,
-        "pair_cache": args.pair_cache,
         "slow_ms": args.slow_ms,
         "trace_ring": args.trace_ring,
     }
@@ -1046,14 +1039,10 @@ def _loadgen(args) -> str:
             )
     index_stats = server.get("index")
     if index_stats and index_stats.get("open", True):
-        member_line = (
+        lines.append(
             f"member {index_stats['name']!r}: spec={index_stats['spec']} "
             f"n={index_stats['n']} cache hit rate {index_stats['cache_hit_rate']:.2%}"
         )
-        pair_cache = index_stats.get("pair_cache")
-        if pair_cache and pair_cache.get("enabled"):
-            member_line += f", hot-pair hit rate {pair_cache['hit_rate']:.2%}"
-        lines.append(member_line)
     return "\n".join(lines)
 
 

@@ -1,30 +1,28 @@
-"""Tiered decode/distance kernels: native C → numpy → packed Python.
+"""Tiered decode/distance kernels: native C → packed Python.
 
-The query path's hot loops (``parse_many`` word scans, batched distance,
-matrix fill) have three interchangeable implementations:
+The query path's hot loops (batched distance, matrix fill) have two
+interchangeable implementations:
 
 - **native** — ``_kernels.c`` compiled at build/first-use and loaded via
   cffi (:mod:`repro.kernels.native`); fused decode+distance for hld-fixed
   and Freedman labels straight from ``LabelStore.buffers()``.
-- **numpy** — vectorised hld-fixed queries over Python-parsed labels
-  (:mod:`repro.kernels.numpy_tier`).
 - **python** — the existing packed word-level paths, always available
   (:mod:`repro.kernels.python_tier`).
 
 Availability is probed once per process (quisk-style graceful degradation:
 a tier that fails to build/import is recorded and skipped, never fatal) and
-the best available tier is selected.  ``REPRO_KERNELS=native|numpy|python``
+the best available tier is selected.  ``REPRO_KERNELS=native|python``
 forces a tier; if the forced tier is unavailable the next one down is used
 and the probe records why.  Every backend accelerates only what it
 supports — a fused call returning ``None`` sends the caller down the
 packed-Python path, so results (and error behaviour) are identical across
 tiers by construction, which the differential suites assert.
 
-A backend whose ``decodes_store`` attribute is true (native) ignores
-``parsed=``: :class:`~repro.store.QueryEngine` calls it before parsing
-anything and parses only if it declines.  That makes the
-C decoder the first reader of label bits, so it must decline on anything
-the Python parser or query would reject.
+The native backend decodes the labels itself from the store:
+:class:`~repro.store.QueryEngine` calls it before parsing anything and
+parses only if it declines.  That makes the C decoder the first reader of
+label bits, so it must decline on anything the Python parser or query
+would reject.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import os
 
 ENV_VAR = "REPRO_KERNELS"
-TIER_ORDER = ("native", "numpy", "python")
+TIER_ORDER = ("native", "python")
 
 _state: dict = {"probe": None, "backends": {}}
 
@@ -49,17 +47,6 @@ def _probe_tier(tier: str):
         from repro.kernels.python_tier import PythonBackend
 
         return {"available": True, "detail": "packed word-level paths"}, PythonBackend()
-    if tier == "numpy":
-        try:
-            from repro.kernels.numpy_tier import NumpyBackend
-            import numpy
-
-            return (
-                {"available": True, "detail": f"numpy {numpy.__version__}"},
-                NumpyBackend(),
-            )
-        except Exception as error:
-            return {"available": False, "detail": str(error)}, None
     try:
         from repro.kernels.native import load
 
@@ -133,7 +120,7 @@ def backend():
 
 
 def backend_name() -> str:
-    """Name of the selected tier: ``native``, ``numpy`` or ``python``."""
+    """Name of the selected tier: ``native`` or ``python``."""
     return backend().name
 
 

@@ -162,7 +162,7 @@ static int br_monotone(br_t *r, vec_t *out, uint32_t *count_out) {
     return E_OK;
 }
 
-/* -- generic bulk primitives --------------------------------------------- */
+/* -- bulk varint decode (store index) ----------------------------------- */
 
 /* ``count`` LEB128 varints starting at byte ``start``; mirrors
  * repro.encoding.varint.decode_uvarint including its 64-bit-shift cap. */
@@ -186,30 +186,6 @@ int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
         out[i] = value;
     }
     *end_pos = pos;
-    return E_OK;
-}
-
-/* ``count`` Elias gamma codes starting at bit ``bit_start``. */
-int repro_gamma_many(const uint8_t *buf, uint64_t bit_start, uint64_t bit_end,
-                     uint64_t count, uint64_t *out, uint64_t *end_bit) {
-    br_t r = {buf, bit_start, bit_end};
-    uint64_t i;
-    for (i = 0; i < count; i++) {
-        if (br_gamma(&r, &out[i])) return E_FALLBACK;
-    }
-    *end_bit = r.pos;
-    return E_OK;
-}
-
-/* ``count`` unary codes starting at bit ``bit_start``. */
-int repro_unary_many(const uint8_t *buf, uint64_t bit_start, uint64_t bit_end,
-                     uint64_t count, uint64_t *out, uint64_t *end_bit) {
-    br_t r = {buf, bit_start, bit_end};
-    uint64_t i;
-    for (i = 0; i < count; i++) {
-        if (br_unary(&r, &out[i])) return E_FALLBACK;
-    }
-    *end_bit = r.pos;
     return E_OK;
 }
 

@@ -4,8 +4,8 @@ Loading follows the quisk pattern (SNIPPETS.md Snippet 1): the shared
 library is a pure accelerator, never a dependency.  ``load()`` either
 returns a working :class:`NativeBackend` or raises :class:`KernelError`
 with the reason — missing cffi, no C compiler, a failed build, a corrupt
-or ABI-incompatible library — and the dispatch layer degrades to the numpy
-or packed-Python tier.
+or ABI-incompatible library — and the dispatch layer degrades to the
+packed-Python tier.
 
 The library is compiled at first use (``cc -O2 -shared -fPIC``) into a
 cache directory, named by a hash of the C source so stale builds are never
@@ -43,10 +43,6 @@ _CDEF = """
 int repro_kernels_abi(void);
 int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
                       uint64_t count, uint64_t *out, uint64_t *end_pos);
-int repro_gamma_many(const uint8_t *buf, uint64_t bit_start, uint64_t bit_end,
-                     uint64_t count, uint64_t *out, uint64_t *end_bit);
-int repro_unary_many(const uint8_t *buf, uint64_t bit_start, uint64_t bit_end,
-                     uint64_t count, uint64_t *out, uint64_t *end_bit);
 int repro_hld_batch(const uint8_t *payload, const uint64_t *offs,
                     const uint64_t *lens, int64_t n_total, const int32_t *nodes,
                     int64_t n_nodes, const int32_t *ui, const int32_t *vi,
@@ -209,8 +205,6 @@ class NativeBackend:
     name = "native"
     #: below this many pairs the per-call marshalling overhead beats the win
     min_batch = 16
-    #: ``batch_query`` decodes labels from the store and ignores ``parsed=``
-    decodes_store = True
 
     def __init__(self, ffi, lib, path: str) -> None:
         self.ffi = ffi
@@ -232,7 +226,7 @@ class NativeBackend:
             return "freedman"
         return None
 
-    def tier_for(self, scheme, op: str = "batch_query") -> str:
+    def tier_for(self, scheme) -> str:
         return "native" if self._kind(scheme) else "python"
 
     # -- store marshalling ---------------------------------------------------
@@ -240,11 +234,10 @@ class NativeBackend:
     def _store_arrays(self, store):
         """Per-store C views of payload/offsets/lengths, built once.
 
-        A real :class:`LabelStore` hands out ``array('Q')`` index sequences
-        and a (possibly ``mmap``-backed) payload view — all three are mapped
-        in place with ``ffi.from_buffer``, so the native tier runs straight
-        off the original storage.  Duck-typed stores returning plain lists
-        fall back to a one-time ``ffi.new`` copy.
+        :class:`LabelStore` hands out ``array('Q')`` index sequences and a
+        (possibly ``mmap``-backed) payload view — all three are mapped in
+        place with ``ffi.from_buffer``, so the native tier runs straight off
+        the original storage.
         """
         cached = getattr(store, "_repro_kernel_arrays", None)
         if cached is not None:
@@ -259,29 +252,17 @@ class NativeBackend:
 
         def index_array(sequence):
             if len(sequence):
-                try:
-                    return ffi.from_buffer("uint64_t[]", sequence)
-                except TypeError:
-                    return ffi.new("uint64_t[]", list(sequence))
+                return ffi.from_buffer("uint64_t[]", sequence)
             return ffi.new("uint64_t[]", 1)
 
-        offs = index_array(offsets)
-        lens = index_array(lengths)
-        arrays = (payload, offs, lens, len(lengths))
-        try:
-            store._repro_kernel_arrays = arrays
-        except AttributeError:  # a store type with __slots__: rebuild per call
-            pass
+        arrays = (payload, index_array(offsets), index_array(lengths), len(lengths))
+        store._repro_kernel_arrays = arrays
         return arrays
 
     # -- fused entry points --------------------------------------------------
 
-    def batch_query(self, store, scheme, pairs, parsed=None):
-        """Distances for ``pairs`` straight from the packed store, or ``None``.
-
-        ``parsed`` is accepted for interface parity and ignored: the kernel
-        decodes every label itself (see ``decodes_store``).
-        """
+    def batch_query(self, store, scheme, pairs):
+        """Distances for ``pairs`` straight from the packed store, or ``None``."""
         kind = self._kind(scheme)
         if kind is None or not pairs:
             return None
@@ -313,7 +294,7 @@ class NativeBackend:
             return None
         return ffi.unpack(out, len(pairs))
 
-    def matrix_flat(self, store, scheme, targets, labels=None):
+    def matrix_flat(self, store, scheme, targets):
         """Flat row-major all-pairs matrix over ``targets``, or ``None``."""
         kind = self._kind(scheme)
         size = len(targets)
@@ -379,28 +360,6 @@ class NativeBackend:
         out = ffi.new("uint64_t[]", max(count, 1))
         end = ffi.new("uint64_t*")
         rc = self.lib.repro_varint_many(buf, len(data), start, count, out, end)
-        if rc:
-            return None
-        return ffi.unpack(out, count), int(end[0])
-
-    def gamma_many(self, data, bit_start, bit_end, count):
-        """Decode ``count`` Elias gamma codes; ``(values, end_bit)`` or ``None``."""
-        ffi = self.ffi
-        buf = ffi.from_buffer("uint8_t[]", data) if len(data) else ffi.new("uint8_t[]", 1)
-        out = ffi.new("uint64_t[]", max(count, 1))
-        end = ffi.new("uint64_t*")
-        rc = self.lib.repro_gamma_many(buf, bit_start, bit_end, count, out, end)
-        if rc:
-            return None
-        return ffi.unpack(out, count), int(end[0])
-
-    def unary_many(self, data, bit_start, bit_end, count):
-        """Decode ``count`` unary codes; ``(values, end_bit)`` or ``None``."""
-        ffi = self.ffi
-        buf = ffi.from_buffer("uint8_t[]", data) if len(data) else ffi.new("uint8_t[]", 1)
-        out = ffi.new("uint64_t[]", max(count, 1))
-        end = ffi.new("uint64_t*")
-        rc = self.lib.repro_unary_many(buf, bit_start, bit_end, count, out, end)
         if rc:
             return None
         return ffi.unpack(out, count), int(end[0])

@@ -75,13 +75,13 @@ class PythonBackend:
     #: effectively infinite — the engine never routes through this backend
     min_batch = 1 << 62
 
-    def tier_for(self, scheme, op: str = "batch_query") -> str:
+    def tier_for(self, scheme) -> str:
         return "python"
 
-    def batch_query(self, store, scheme, pairs, parsed=None):
+    def batch_query(self, store, scheme, pairs):
         return None
 
-    def matrix_flat(self, store, scheme, targets, labels=None):
+    def matrix_flat(self, store, scheme, targets):
         return None
 
     def varint_many(self, data, start, count):

@@ -170,12 +170,6 @@ def fleet_registry(merged: dict, *, supervisor: dict | None = None) -> Registry:
                 "repro_label_cache_hit_rate",
                 "Parsed-label LRU hit rate", cache.get("hit_rate", 0.0),
             )
-        pair_cache = index.get("pair_cache")
-        if isinstance(pair_cache, dict) and pair_cache.get("enabled"):
-            registry.gauge(
-                "repro_pair_cache_hit_rate",
-                "Hot-pair response cache hit rate", pair_cache.get("hit_rate", 0.0),
-            )
 
     if merged.get("routing_version"):
         registry.gauge(

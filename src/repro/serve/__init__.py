@@ -13,8 +13,7 @@ the missing network surface on top of the ``LabelStore`` → ``parse_many`` →
   that arrives in one event-loop tick, across all connections, into a
   single ``QueryEngine.batch_query`` call per member and a single response
   write per connection; a bounded pending queue sheds overload with BUSY,
-  MATRIX requests run on a thread executor, and an optional hot-pair
-  response cache answers repeated pairs without touching the labels;
+  and MATRIX requests run on a thread executor;
 * :class:`FleetSupervisor` (:mod:`repro.serve.supervisor`) — shard-per-core
   serving as a *supervised* fleet: N pre-forked workers (one
   :class:`LabelServer` each) sharing one listening address via

@@ -6,7 +6,7 @@ workload (:mod:`repro.generators.workloads` — uniform, Zipf-skewed, or the
 structural ``sibling``/``khop`` shapes), drive the server from several
 pipelined connections, and report client-side throughput next to the
 server's own statistics (coalescer batch sizes, latency percentiles,
-parsed-label and hot-pair cache hit rates).
+parsed-label cache hit rate).
 
 The structural workloads need the tree itself, which the server never
 ships over the wire; ``family``/``tree_seed`` rebuild it locally from the

@@ -213,10 +213,8 @@ def _merge_index_stats(rows: list[dict]) -> dict | None:
     if not open_rows:
         return dict(rows[0]) if rows else None
     merged = dict(open_rows[0])
-    for cache_key in ("cache", "pair_cache"):
-        partials = [row[cache_key] for row in open_rows if cache_key in row]
-        if not partials:
-            continue
+    partials = [row["cache"] for row in open_rows if "cache" in row]
+    if partials:
         hits = sum(p.get("hits", 0) for p in partials)
         misses = sum(p.get("misses", 0) for p in partials)
         lookups = hits + misses
@@ -227,7 +225,6 @@ def _merge_index_stats(rows: list[dict]) -> dict | None:
             hit_rate=round(hits / lookups, 4) if lookups else 0.0,
             size=sum(p.get("size", 0) for p in partials),
         )
-        merged[cache_key] = folded
-        if cache_key == "cache":
-            merged["cache_hit_rate"] = folded["hit_rate"]
+        merged["cache"] = folded
+        merged["cache_hit_rate"] = folded["hit_rate"]
     return merged

@@ -5,8 +5,8 @@ request path in every worker process:
 
 :class:`ServingCore`
     the socket-free serving engine — member resolution, the micro-batching
-    coalescer, bounded-pending backpressure, MATRIX executor offload, the
-    hot-pair response cache wiring and all statistics.  It needs a running
+    coalescer, bounded-pending backpressure, MATRIX executor offload and
+    all statistics.  It needs a running
     event loop but owns no listening socket.
 
 :class:`LabelServer`
@@ -27,17 +27,14 @@ label LRU for every future tick) and the responses are written back with one
 pipelined client the serving cost per query drops to an append, a shared
 batch slot and a shared write.
 
-Three overload/latency features ride on the same structure:
+Two overload/latency features ride on the same structure:
 
 * **backpressure** — the pending-query queue is bounded (``max_pending``);
   beyond it, new QUERY requests are shed immediately with an ``OP_BUSY``
   response instead of growing the queue, and the clients retry with jitter;
 * **MATRIX offload** — matrix requests run on a thread executor through
   :meth:`QueryEngine.matrix_into`, so an n²/2-query matrix no longer stalls
-  the coalescer tick (concurrent offloads are capped; excess gets BUSY);
-* **hot-pair response cache** — with ``pair_cache > 0`` every member's
-  engine keeps an LRU of ``(min(u, v), max(u, v)) -> answer``, so repeated
-  hot pairs skip the label layer entirely; hit rates surface in STATS.
+  the coalescer tick (concurrent offloads are capped; excess gets BUSY).
 
 ``coalesce=False`` keeps the identical code path but flushes after every
 request (a batch of one) — the naive serving baseline that
@@ -104,7 +101,6 @@ class ServingCore:
         max_matrix: int = 1024,
         max_pending: int = 65536,
         max_matrix_inflight: int = 2,
-        pair_cache: int = 0,
         slot: int = 0,
         restarts: int = 0,
         generation: dict | None = None,
@@ -121,21 +117,16 @@ class ServingCore:
             raise ValueError("max_pending must be at least 1")
         if max_matrix_inflight < 1:
             raise ValueError("max_matrix_inflight must be at least 1")
-        if pair_cache < 0:
-            raise ValueError("pair_cache must be non-negative")
         if slow_ms is not None and slow_ms < 0:
             raise ValueError("slow_ms must be non-negative")
         if trace_ring < 1:
             raise ValueError("trace_ring must be at least 1")
         self._catalog: IndexCatalog | None = None
         self._members: dict[str, _Member] = {}
-        self.pair_cache = pair_cache
         if isinstance(target, IndexCatalog):
             self._catalog = target
         elif isinstance(target, DistanceIndex):
             self._members[""] = _Member("", target)
-            if pair_cache:
-                target.engine.enable_pair_cache(pair_cache)
         else:
             raise TypeError(
                 f"target must be a DistanceIndex or IndexCatalog, got {type(target).__name__}"
@@ -226,8 +217,6 @@ class ServingCore:
                     f"catalog member {name!r} failed to open: {error}"
                 ) from error
             member = _Member(name, index)
-            if self.pair_cache:
-                member.index.engine.enable_pair_cache(self.pair_cache)
             self._members[name] = member
         return member
 
@@ -383,15 +372,13 @@ class ServingCore:
                     )
                 payload["index"] = {"name": name, "open": False}
             else:
-                engine = member.index.engine
-                cache = engine.cache_info()
+                cache = member.index.engine.cache_info()
                 payload["index"] = dict(
                     member.index.describe(),
                     name=name,
                     open=True,
                     cache=cache,
                     cache_hit_rate=cache["hit_rate"],
-                    pair_cache=engine.pair_cache_info(),
                 )
         return payload
 

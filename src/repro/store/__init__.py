@@ -23,11 +23,10 @@ paper's model implies (distribute the labels, discard the tree).
     answers distance queries against a store through the unified
     ``scheme.query`` interface, caching parsed labels (LRU) and providing
     ``batch_distance``/``distance_matrix`` fast paths that parse each label
-    once per batch instead of once per query.  Two serving-layer hooks ride
-    on it: an opt-in hot-pair response cache (``pair_cache_size`` /
-    ``enable_pair_cache``) that answers repeated ``{u, v}`` pairs without
-    touching the labels, and the executor-safe ``matrix_into`` flat-matrix
-    path the network server offloads MATRIX requests through.
+    once per batch instead of once per query.  Batches go to the kernel
+    tier first (:mod:`repro.kernels`); the one matrix implementation,
+    ``matrix_into``, is read-only and executor-safe, so the network server
+    offloads MATRIX requests through it.
 
 Binary format (version 1)
 -------------------------

@@ -279,6 +279,12 @@ class LabelStore:
             params = json.loads(bytes(view[pos : pos + params_len]).decode("utf-8"))
             pos += params_len
             n, pos = decode_uvarint(view, pos)
+            if n > len(view) - pos:
+                # every index entry takes at least one byte: refuse before
+                # either decoder sizes anything by ``n``
+                raise ValueError(
+                    f"index claims {n} labels but only {len(view) - pos} bytes follow"
+                )
             bit_lengths = None
             if n >= 256:
                 # bulk index decode through the native kernel tier when it

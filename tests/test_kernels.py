@@ -1,11 +1,11 @@
 """Tier selection, graceful degradation and cross-tier differentials.
 
-The :mod:`repro.kernels` contract is that every tier — native C, numpy,
-packed Python — returns **byte-identical answers** (a fused kernel that
+The :mod:`repro.kernels` contract is that both tiers — native C and
+packed Python — return **byte-identical answers** (a fused kernel that
 cannot honour that declines with ``None`` and the caller falls back), and
-that tier selection degrades gracefully: a missing compiler, a corrupt
-shared library or an absent numpy must never break a query, only change
-which tier answers it.  These tests force each tier through
+that tier selection degrades gracefully: a missing compiler or a corrupt
+shared library must never break a query, only change which tier answers
+it.  These tests force each tier through
 ``REPRO_KERNELS``, sabotage the native library through
 ``REPRO_KERNELS_LIB``, and run hypothesis differentials of
 ``batch_query``/``matrix_into`` across every registered scheme spec.
@@ -23,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro import kernels
+from repro.api import DistanceIndex
 from repro.core.registry import make_scheme_from_spec
+from repro.encoding.varint import encode_uvarint
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
-from repro.store import LabelStore, QueryEngine, StoreError
+from repro.store import STORE_MAGIC, LabelStore, QueryEngine, StoreError
 from repro.testing import parent_array_trees
 
 #: every registered scheme, parameterised where construction needs it
@@ -91,11 +93,14 @@ def test_probe_shape_and_python_floor():
 
 
 def test_unknown_env_value_falls_back_to_automatic():
-    with forced_tier("fortran"):
-        probed = kernels.probe(full=True)
-        assert probed["requested"] is None
-        assert "unknown" in probed["note"]
-        assert probed["selected"] in kernels.TIER_ORDER
+    # ``numpy`` named a tier once; that tier is gone, so the value is now
+    # as unknown as any other and selects automatically
+    for value in ("fortran", "numpy"):
+        with forced_tier(value):
+            probed = kernels.probe(full=True)
+            assert probed["requested"] is None
+            assert "unknown" in probed["note"]
+            assert probed["selected"] in kernels.TIER_ORDER
 
 
 def test_partial_probe_skips_tiers_below_forced_floor():
@@ -104,14 +109,13 @@ def test_partial_probe_skips_tiers_below_forced_floor():
         probed = kernels.probe()
         assert probed["selected"] == "python"
         assert probed["tiers"]["native"]["available"] is None
-        assert probed["tiers"]["numpy"]["available"] is None
         # a later full probe upgrades the cached result
         full = kernels.probe(full=True)
         assert full["tiers"]["python"]["available"] is True
         assert full["selected"] == "python"
 
 
-@pytest.mark.parametrize("tier", ["native", "numpy", "python"])
+@pytest.mark.parametrize("tier", ["native", "python"])
 def test_forcing_each_available_tier_selects_it(tier):
     if tier not in available_tiers():
         pytest.skip(f"{tier} tier not available in this environment")
@@ -134,7 +138,7 @@ def test_missing_native_library_degrades(tmp_path, monkeypatch):
     kernels.reset()
     probed = kernels.probe(full=True)
     assert probed["tiers"]["native"]["available"] is False
-    assert probed["selected"] in ("numpy", "python")
+    assert probed["selected"] == "python"
 
 
 def test_corrupt_native_library_degrades(tmp_path, monkeypatch):
@@ -144,7 +148,7 @@ def test_corrupt_native_library_degrades(tmp_path, monkeypatch):
     kernels.reset()
     probed = kernels.probe(full=True)
     assert probed["tiers"]["native"]["available"] is False
-    assert probed["selected"] in ("numpy", "python")
+    assert probed["selected"] == "python"
 
 
 def test_cc_may_carry_flags(monkeypatch):
@@ -161,7 +165,7 @@ def test_forced_unavailable_tier_degrades_with_note(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS_LIB", str(tmp_path / "nowhere.so"))
     with forced_tier("native"):
         probed = kernels.probe(full=True)
-        assert probed["selected"] in ("numpy", "python")
+        assert probed["selected"] == "python"
         assert "degraded" in probed["note"]
         # queries still answer correctly through the degraded tier
         tree = make_tree("random", 64, seed=3)
@@ -227,9 +231,7 @@ def test_cache_counters_identical_across_tiers():
                 engine.batch_query(pairs)
                 engine.batch_query(pairs)
                 info = engine.cache_info()
-                # the numpy tier accelerates hld-fixed only
-                serves = "python" if (spec, tier) == ("freedman", "numpy") else tier
-                assert info.pop("backend") == serves
+                assert info.pop("backend") == tier
                 infos[tier] = info
         assert len({tuple(sorted(info.items())) for info in infos.values()}) == 1, (
             spec,
@@ -258,6 +260,11 @@ def test_native_batch_skips_the_python_parse(spec, monkeypatch):
                     type(scheme), name, lambda *args, name=name: pytest.fail(name)
                 )
             assert engine.batch_query(pairs) == oracle.batch_distance(pairs)
+            # matrices are kernel first too, and never touch the cache
+            index = DistanceIndex(QueryEngine(store, scheme=scheme))
+            everything = list(range(tree.n))
+            assert index.matrix(raw=True) == oracle.distance_matrix(everything)
+            assert index.engine.cache_info()["misses"] == 0
         info = engine.cache_info()
         assert (info["hits"], info["misses"], info["size"]) == (0, len(distinct), len(distinct))
 
@@ -316,10 +323,29 @@ def test_store_roundtrip_identical_across_tiers():
                 LabelStore.from_bytes(data[: len(data) // 2])
 
 
+def test_impossible_node_count_is_a_store_error_on_every_tier():
+    """A header claiming more labels than bytes remain is refused up front.
+
+    Every index entry takes at least one byte, so n = 2^31 - 1 in a 40-byte
+    file is refused before either index decoder sizes anything by n.
+    """
+    header = (
+        STORE_MAGIC
+        + encode_uvarint(9)
+        + b"hld-fixed"
+        + encode_uvarint(2)
+        + b"{}"
+        + encode_uvarint((1 << 31) - 1)
+    )
+    data = header + bytes(40 - len(header))
+    for tier in available_tiers():
+        with forced_tier(tier):
+            with pytest.raises(StoreError):
+                LabelStore.from_bytes(data)
+
+
 def test_describe_and_cache_info_report_active_tier():
     tree = make_tree("random", 50, seed=67)
-    from repro.api import DistanceIndex
-
     for tier in available_tiers():
         with forced_tier(tier):
             index = DistanceIndex.build(tree, "hld-fixed")

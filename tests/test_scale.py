@@ -57,7 +57,7 @@ ALL_SPECS = [
     "approximate:epsilon=0.5",
 ]
 
-TIERS = ["native", "numpy", "python"]
+TIERS = ["native", "python"]
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,6 @@
 """Tests for the serving scale-out layer: backpressure (BUSY + client
-retry), MATRIX executor offload, the hot-pair response cache, fleet stats
-merging and the shard-per-core supervisor.
+retry), MATRIX executor offload, fleet stats merging and the shard-per-core
+supervisor.
 
 The deterministic overload tests drive a :class:`ServingCore` directly (it
 is socket-free by design); the retry tests run real servers; the supervisor
@@ -21,8 +21,8 @@ import time
 
 import pytest
 
-from repro.api import DistanceIndex, IndexCatalog
-from repro.generators.workloads import make_tree, random_pairs, zipf_pairs
+from repro.api import DistanceIndex
+from repro.generators.workloads import make_tree, random_pairs
 from repro.serve import (
     AsyncLabelClient,
     FleetSupervisor,
@@ -337,81 +337,6 @@ def test_matrix_into_matches_distance_matrix_and_leaves_caches_alone(tree):
     out: list = [None]
     assert engine.matrix_into(nodes, out=out) is out
     assert out[1:] == expected
-
-
-# -- hot-pair response cache --------------------------------------------------
-
-
-def test_engine_pair_cache_symmetric_hits_and_eviction(tree):
-    index = DistanceIndex.build(tree, "freedman", pair_cache_size=2)
-    engine = index.engine
-    a = index.query(3, 42, raw=True)
-    assert engine.pair_misses == 1 and engine.pair_hits == 0
-    assert index.query(42, 3, raw=True) == a  # symmetric key: same entry
-    assert engine.pair_hits == 1
-    index.query(1, 2, raw=True)
-    index.query(5, 6, raw=True)  # evicts (3, 42)
-    index.query(3, 42, raw=True)
-    assert engine.pair_misses == 3 + 1
-    info = engine.pair_cache_info()
-    assert info["enabled"] and info["size"] == 2 and info["max_size"] == 2
-    assert "pair_cache" in engine.cache_info()
-    engine.clear_cache()
-    assert engine.pair_cache_info()["hits"] == 0
-    assert engine.pair_cache_info()["size"] == 0
-
-
-def test_pair_cache_answers_match_uncached(tree):
-    plain = DistanceIndex.build(tree, "freedman")
-    cached = DistanceIndex.build(tree, "freedman", pair_cache_size=64)
-    pairs = zipf_pairs(tree, 500, skew=1.2, seed=13)
-    assert cached.batch(pairs, raw=True) == plain.batch(pairs, raw=True)
-    assert cached.engine.pair_hits > 0  # the zipf hot set repeated
-    for u, v in pairs[:20]:
-        assert cached.query(u, v, raw=True) == plain.query(u, v, raw=True)
-
-
-def test_pair_cache_disabled_by_default(tree):
-    engine = DistanceIndex.build(tree, "freedman").engine
-    engine.query(1, 2)
-    assert engine.pair_cache_info() == {
-        "enabled": False,
-        "hits": 0,
-        "misses": 0,
-        "hit_rate": 0.0,
-        "size": 0,
-        "max_size": 0,
-    }
-    assert "pair_cache" not in engine.cache_info()
-    assert "pair_cache" not in DistanceIndex.build(tree, "freedman").describe()
-
-
-def test_describe_surfaces_pair_cache_hit_rate(tree):
-    index = DistanceIndex.build(tree, "freedman", pair_cache_size=32)
-    index.query(3, 42)
-    index.query(3, 42)
-    row = index.describe()
-    assert row["pair_cache"]["enabled"]
-    assert row["pair_cache"]["hit_rate"] == 0.5
-    assert index.stats()["pair_cache"]["hits"] == 1
-
-
-def test_server_enables_pair_cache_on_lazy_members(tree):
-    catalog = IndexCatalog()
-    catalog.add("exact", DistanceIndex.build(tree, "freedman"))
-    fresh = IndexCatalog.from_bytes(catalog.to_bytes())
-    pairs = zipf_pairs(tree, 400, skew=1.3, seed=17)
-
-    async def handler(server, client, host, port):
-        answers = await client.pipeline(pairs, name="exact", raw=True, window=64)
-        assert answers == catalog.index("exact").batch(pairs, raw=True)
-        stats = await client.stats("exact")
-        pair_cache = stats["index"]["pair_cache"]
-        assert pair_cache["enabled"]
-        assert pair_cache["hits"] > 0
-        assert stats["index"]["pair_cache"]["hit_rate"] > 0.0
-
-    _run(_with_server(fresh, handler, pair_cache=512))
 
 
 # -- fleet stats merging ------------------------------------------------------
