@@ -835,7 +835,7 @@ def _fleet_status(args) -> str:
             clients.append(client)
             info = client.info()
             infos[info["worker"]] = info
-            stats_payloads.append(client.stats(reservoir=True))
+            stats_payloads.append(client.stats(detail=True))
     finally:
         for client in clients:
             client.close()

@@ -22,12 +22,13 @@ the missing network surface on top of the ``LabelStore`` → ``parse_many`` →
   loops raise :class:`FleetCrashLoop`), ``reload()`` rolls a re-encoded
   store through the fleet one drained worker at a time, and SIGTERM
   propagates a drain-then-exit shutdown with fleet-merged statistics;
-* :class:`LabelClient` / :class:`AsyncLabelClient`
-  (:mod:`repro.serve.client`) — blocking and asyncio clients with
-  connection reuse, request pipelining, transparent BUSY
-  retry-with-jitter and reconnect-on-EOF (a dropped worker is a retryable
-  event, not an error), returning the same typed
+* :class:`AsyncLabelClient` (:mod:`repro.serve.client`) — the one
+  client: connection reuse, request pipelining, member routing,
+  transparent BUSY retry-with-jitter and reconnect-on-EOF (a dropped
+  worker is a retryable event, not an error), returning the same typed
   :class:`~repro.api.QueryResult` values as in-process queries;
+  :class:`LabelClient` is its blocking façade (a private event loop, one
+  ``timeout`` deadline per call) for scripts and REPLs;
 * fault injection (:mod:`repro.serve.faults`) — ``REPRO_FAULTS``-driven
   crashes/stalls honored at worker dispatch/accept/start points, plus the
   loadgen's ``chaos`` mode, so the supervision paths are tested instead of

@@ -1,17 +1,22 @@
-"""Clients for the :mod:`repro.serve` wire protocol.
+"""The client for the :mod:`repro.serve` wire protocol.
 
-Two flavours over one protocol:
-
-:class:`LabelClient`
-    blocking sockets, no event loop — scripts, REPLs and tests.  One
-    connection is reused across calls; :meth:`LabelClient.pipeline` keeps a
-    window of QUERY requests in flight so a single connection can saturate
-    the server's micro-batching coalescer.
+One implementation, two ways to call it:
 
 :class:`AsyncLabelClient`
-    asyncio streams with a background reader task; any number of requests
-    may be outstanding concurrently (responses are matched by request id,
-    so coalesced servers may answer out of order).
+    the client: asyncio streams with a background reader task; any number
+    of requests may be outstanding concurrently (responses are matched by
+    request id, so coalesced servers may answer out of order), and
+    :meth:`AsyncLabelClient.pipeline` keeps a window of QUERY requests in
+    flight so a single connection can saturate the server's
+    micro-batching coalescer.
+
+:class:`LabelClient`
+    a blocking façade for scripts, REPLs and tests.  It runs one
+    :class:`AsyncLabelClient` on a private event loop, so routing, BUSY
+    retry, reconnect and pipelining behave exactly as in the async client.
+    ``timeout`` is one deadline per call.  A blocking call cannot run in a
+    thread whose event loop is already running; use
+    :class:`AsyncLabelClient` there.
 
 Both return the same typed :class:`repro.api.QueryResult` values as the
 in-process :class:`DistanceIndex` — the wire carries the result *kind* and
@@ -19,7 +24,7 @@ ratio bound, so exact, k-distance and approximate schemes round-trip with
 their semantics intact.  Pass ``raw=True`` for the native values.
 
 Backpressure: an overloaded server sheds QUERY/MATRIX requests with
-``OP_BUSY`` instead of queueing them.  Both clients retry busy requests
+``OP_BUSY`` instead of queueing them.  The client retries busy requests
 transparently with exponential backoff and full jitter (so a fleet of
 retrying clients does not resynchronise into thundering herds); the retry
 budget is per-request (``busy_retries``) and exhausting it raises
@@ -31,7 +36,8 @@ crash, rolling reload) is a *retryable* event, not an error.  Clients that
 know their remote address reconnect with the same jittered backoff — the
 kernel (or the supervisor's replacement worker) lands the new connection on
 a live worker — and re-issue only the unanswered requests; queries are
-read-only, so the re-send is always safe.  The budget is
+read-only, so the re-send is always safe.  A dropped connection is replaced
+once, however many callers were waiting on it.  The budget is
 ``reconnect_retries`` consecutive failures per call, and the lifetime
 ``reconnects`` counter makes chaos tests' healing visible.
 """
@@ -42,7 +48,7 @@ import asyncio
 import itertools
 import random
 import socket
-import time
+from operator import attrgetter
 
 from repro.api.result import QueryResult
 from repro.serve import protocol
@@ -115,473 +121,6 @@ async def _settle(future) -> None:
         pass
 
 
-class LabelClient:
-    """Blocking client over one reused TCP connection."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float | None = 30.0,
-        busy_retries: int = 8,
-        busy_base_delay: float = 0.002,
-        reconnect_retries: int = 8,
-        route: bool = False,
-        route_retries: int = 3,
-    ) -> None:
-        self._remote = (host, port)
-        self._timeout = timeout
-        self._sock = None
-        self._decoder = protocol.FrameDecoder()
-        self._ids = itertools.count(1)
-        self._unclaimed: dict[int, tuple] = {}
-        self.busy_retries = busy_retries
-        self.busy_base_delay = busy_base_delay
-        self.reconnect_retries = reconnect_retries
-        #: lifetime count of BUSY responses this client retried
-        self.busy_retried = 0
-        #: lifetime count of connections re-established after a drop
-        self.reconnects = 0
-        #: member-aware routing (the ``routing`` feature): with ``route=True``
-        #: the client fetches the fleet's routing table from INFO and pins
-        #: per-member requests straight to the owning shard's direct port,
-        #: applying ``MOVED`` redirect hints when its table goes stale and
-        #: falling back to the shared address when routing cannot help
-        self.route = route
-        self.route_retries = route_retries
-        self.route_redirects = 0  #: lifetime MOVED hints applied
-        self._route_table: dict | None = None
-        self._route_checked = False
-        self._route_pool: dict[tuple[str, int], "LabelClient"] = {}
-        self._route_overrides: dict[str, tuple[str, int]] = {}
-        #: when set, QUERY/BATCH frames carry the route-version suffix — the
-        #: marker that lets a sharded worker answer MOVED instead of serving
-        #: a member it does not own (routed leaf connections set this)
-        self._route_stamp: int | None = None
-        #: trace ids this client stamped on requests (``pipeline`` sampling
-        #: and explicit ``trace_id=`` calls); random base so ids from many
-        #: clients against one fleet don't collide
-        self._trace_ids = itertools.count(random.getrandbits(48))
-        self.traced_ids: list[int] = []
-        self._connect()
-
-    def next_trace_id(self) -> int:
-        """A fresh client-unique trace id (also remembered in ``traced_ids``)."""
-        trace_id = next(self._trace_ids)
-        self.traced_ids.append(trace_id)
-        return trace_id
-
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(self._remote, timeout=self._timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # a dropped connection invalidates everything in flight on it
-        self._decoder = protocol.FrameDecoder()
-        self._unclaimed.clear()
-
-    def _reconnect(self, drops: int) -> None:
-        """Re-establish the connection after drop number ``drops``.
-
-        Retries connection *refusals* too (against a one-worker fleet there
-        is a window where the replacement has not bound yet); the budget is
-        the caller's, this only spends backoff time.
-        """
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - already dead
-                pass
-            self._sock = None
-        attempt = drops
-        while True:
-            time.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
-            try:
-                self._connect()
-            except OSError:
-                attempt += 1
-                if attempt - drops > self.reconnect_retries:
-                    raise
-                continue
-            self.reconnects += 1
-            return
-
-    # -- context management --------------------------------------------------
-
-    def __enter__(self) -> "LabelClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close the connection and any routed leaf connections (idempotent)."""
-        pool, self._route_pool = self._route_pool, {}
-        for leaf in pool.values():
-            leaf.close()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    # -- member-aware routing --------------------------------------------------
-
-    def _ensure_routing(self) -> None:
-        """Fetch the fleet's routing table once (no table ⇒ shared address)."""
-        if self._route_checked:
-            return
-        self._route_checked = True
-        try:
-            self._route_table = self.info().get("routing")
-        except ServerError:  # pragma: no cover - defensive
-            self._route_table = None
-        if self._route_table is not None:
-            self._route_stamp = int(self._route_table.get("version", 0))
-
-    def routing_table(self) -> dict | None:
-        """The routing table this client is working from (fetched lazily)."""
-        self._ensure_routing()
-        return self._route_table
-
-    def _make_leaf(self, host: str, port: int) -> "LabelClient":
-        leaf = LabelClient(
-            host,
-            port,
-            timeout=self._timeout,
-            busy_retries=self.busy_retries,
-            busy_base_delay=self.busy_base_delay,
-            reconnect_retries=self.reconnect_retries,
-        )
-        return leaf
-
-    def _leaf_for(self, name: str) -> "LabelClient | None":
-        """The pooled connection pinned to ``name``'s owning shard."""
-        from repro.serve.routing import member_endpoint
-
-        endpoint = self._route_overrides.get(name)
-        if endpoint is None and self._route_table is not None:
-            endpoint = member_endpoint(self._route_table, name)
-        if endpoint is None:
-            return None
-        leaf = self._route_pool.get(endpoint)
-        if leaf is None:
-            leaf = self._route_pool[endpoint] = self._make_leaf(*endpoint)
-        leaf._route_stamp = self._route_stamp
-        return leaf
-
-    def _apply_moved(self, moved: ServerMoved) -> None:
-        """Adopt a MOVED hint: pin the member, advance the table version."""
-        self.route_redirects += 1
-        self._route_overrides[moved.member] = (moved.host, moved.port)
-        if self._route_stamp is None or moved.version > self._route_stamp:
-            self._route_stamp = moved.version
-
-    def _routed_call(self, name: str, call):
-        """Run ``call(client)`` against ``name``'s owner, following redirects.
-
-        Falls back to the shared address — with an *unstamped* leaf, which a
-        sharded worker always serves in place — when there is no table, no
-        owner endpoint, or the redirect budget is spent (a pathological
-        routing loop must degrade to the legacy path, not fail).
-        """
-        self._ensure_routing()
-        redirects = 0
-        while redirects <= self.route_retries:
-            leaf = self._leaf_for(name)
-            if leaf is None:
-                break
-            try:
-                return call(leaf)
-            except ServerMoved as moved:
-                self._apply_moved(moved)
-                redirects += 1
-        fallback = self._route_pool.get(self._remote)
-        if fallback is None:
-            fallback = self._route_pool[self._remote] = self._make_leaf(*self._remote)
-        fallback._route_stamp = None
-        return call(fallback)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _receive(self, request_id: int):
-        """The response for ``request_id`` (buffering any others seen first)."""
-        while True:
-            claimed = self._unclaimed.pop(request_id, None)
-            if claimed is not None:
-                op, payload = claimed
-                if op == protocol.OP_BUSY:
-                    raise ServerBusy(payload)
-                if op == protocol.OP_ERROR:
-                    raise ServerError(payload)
-                if op == protocol.OP_MOVED:
-                    raise ServerMoved(*payload)
-                return op, payload
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            self._decoder.feed(chunk)
-            for body in self._decoder.frames():
-                op, seen_id, payload = protocol.decode_response(body)
-                self._unclaimed[seen_id] = (op, payload)
-
-    def _roundtrip(self, frame_for_id):
-        """Send one request, retrying with backoff while the server is busy.
-
-        ``frame_for_id`` builds the frame from a request id — every retry
-        uses a fresh id so a late answer to a shed request can never be
-        confused with the retry's answer.  A dropped connection (worker
-        crash, rolling reload) is reconnected and the request re-sent.
-        """
-        attempt = 0
-        drops = 0
-        while True:
-            request_id = next(self._ids)
-            try:
-                self._sock.sendall(frame_for_id(request_id))
-                return self._receive(request_id)
-            except ServerBusy as busy:
-                attempt += 1
-                if attempt > self.busy_retries:
-                    raise
-                self.busy_retried += 1
-                time.sleep(
-                    _backoff_delay(attempt, busy.retry_after_ms, self.busy_base_delay)
-                )
-            except (ConnectionError, OSError):
-                if self._sock is None:  # deliberately closed, not a drop
-                    raise
-                drops += 1
-                if drops > self.reconnect_retries:
-                    raise
-                self._reconnect(drops)
-
-    # -- requests ------------------------------------------------------------
-
-    def query(
-        self, u: int, v: int, *, name: str = "", raw: bool = False,
-        trace_id: int | None = None,
-    ):
-        """One distance query; a :class:`QueryResult` unless ``raw``.
-
-        ``trace_id`` stamps the request with the additive trace field: the
-        server records per-stage spans for it, retrievable via
-        :meth:`trace`.  Old servers ignore the field.
-        """
-        if self.route:
-            return self._routed_call(
-                name, lambda c: c.query(u, v, name=name, raw=raw, trace_id=trace_id)
-            )
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_query(
-                request_id, u, v, name,
-                trace_id=trace_id, route_version=self._route_stamp,
-            )
-        )
-        return _unwrap(payload, raw)[0]
-
-    def batch(
-        self, pairs, *, name: str = "", raw: bool = False,
-        trace_id: int | None = None,
-    ) -> list:
-        """Answer many pairs with a single BATCH request."""
-        pairs = list(pairs)
-        if self.route:
-            return self._routed_call(
-                name, lambda c: c.batch(pairs, name=name, raw=raw, trace_id=trace_id)
-            )
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_batch(
-                request_id, pairs, name,
-                trace_id=trace_id, route_version=self._route_stamp,
-            )
-        )
-        return _unwrap(payload, raw)
-
-    def matrix(self, nodes=None, *, name: str = "", raw: bool = False) -> list[list]:
-        """All pairwise answers over ``nodes`` (default: every node)."""
-        if self.route:
-            return self._routed_call(
-                name, lambda c: c.matrix(nodes, name=name, raw=raw)
-            )
-        if nodes is not None:
-            nodes = list(nodes)
-            size = len(nodes)
-        else:
-            size = self.info()["members"][name]["n"]
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_matrix(request_id, nodes, name)
-        )
-        return _reshape(_unwrap(payload, raw), size)
-
-    def stats(
-        self, name: str = "", *, detail: bool = False, reservoir: bool = False
-    ) -> dict:
-        """Server statistics (plus one member's cache stats when named).
-
-        ``detail=True`` asks for the latency/per-stage histogram snapshots
-        (and the raw reservoir) that fleet merging needs; plain polls should
-        leave it off.  ``reservoir=True`` is the historical alias for the
-        same detail flag.
-        """
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_stats(
-                request_id, name, reservoir=detail or reservoir
-            )
-        )
-        return payload
-
-    def stats_all(self, *, detail: bool = False) -> list[dict]:
-        """STATS from this connection plus every routed leaf connection.
-
-        Fleet-merging consumers (``loadgen``) feed the list straight to
-        :func:`repro.serve.metrics.merge_fleet_stats`, which dedupes rows by
-        ``(slot, pid)`` — the direct connections a routed client holds are
-        how it observes the specific workers it actually queried.
-        """
-        payloads = [self.stats(detail=detail)]
-        for leaf in list(self._route_pool.values()):
-            try:
-                payloads.append(leaf.stats(detail=detail))
-            except (ServerError, ConnectionError, OSError):
-                continue
-        return payloads
-
-    def trace(self, *, limit: int = 32, slow: bool = True) -> dict:
-        """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
-        _, payload = self._roundtrip(
-            lambda request_id: protocol.encode_trace_request(
-                request_id, limit=limit, slow=slow
-            )
-        )
-        return payload
-
-    def info(self) -> dict:
-        """Member listing: ``{"members": {name: {spec, kind, n, open}}}``."""
-        _, payload = self._roundtrip(protocol.encode_info)
-        return payload
-
-    def pipeline(
-        self,
-        pairs,
-        *,
-        name: str = "",
-        raw: bool = False,
-        window: int = 256,
-        trace_every: int = 0,
-    ) -> list:
-        """Issue one QUERY per pair, keeping up to ``window`` in flight.
-
-        This is the traffic shape the server's coalescer is built for: many
-        independent single-pair requests on the wire at once.  Answers come
-        back in ``pairs`` order regardless of the server's completion order.
-        Requests shed with BUSY are re-issued (only those) in later rounds
-        with jittered backoff.
-
-        ``trace_every=N`` stamps every Nth request of the first pass with a
-        fresh trace id (collected in ``traced_ids``); the per-stage spans
-        can be fetched afterwards with :meth:`trace`.  Re-issued requests
-        (BUSY/reconnect rounds) are never traced.
-        """
-        pairs = list(pairs)
-        if self.route:
-            # the whole window goes to one member's owner; on a stale-table
-            # MOVED the full (read-only) window is re-asked at the corrected
-            # endpoint — at most one redirect per member per staleness event
-            return self._routed_call(
-                name,
-                lambda c: c.pipeline(
-                    pairs, name=name, raw=raw, window=window, trace_every=trace_every
-                ),
-            )
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        outcomes: list = [None] * len(pairs)
-        todo = list(range(len(pairs)))
-        attempt = 0
-        drops = 0
-        while todo:
-            sample, trace_every = trace_every, 0  # first pass only
-            try:
-                round_outcomes = self._pipeline_pass(
-                    [pairs[i] for i in todo], name, window, trace_every=sample
-                )
-            except (ConnectionError, OSError):
-                # dropped mid-pass (worker crash / rolling reload): reconnect
-                # and re-issue the unanswered rest — queries are read-only,
-                # so a request answered just before the drop is safe to lose
-                if self._sock is None:
-                    raise
-                drops += 1
-                if drops > self.reconnect_retries:
-                    raise
-                self._reconnect(drops)
-                continue
-            drops = 0
-            busy: list[int] = []
-            for slot, (op, payload) in zip(todo, round_outcomes):
-                if op == protocol.OP_BUSY:
-                    busy.append(slot)
-                elif op == protocol.OP_ERROR:
-                    raise ServerError(payload)
-                elif op == protocol.OP_MOVED:
-                    # stale routing table: the caller (a routed parent)
-                    # re-runs the window against the corrected endpoint
-                    raise ServerMoved(*payload)
-                else:
-                    outcomes[slot] = payload
-            if busy:
-                # the retry budget counts *no-progress* rounds: an
-                # overloaded-but-live server answers a few requests per
-                # round and the pipeline keeps converging, while a server
-                # shedding everything exhausts the budget and raises
-                attempt = attempt + 1 if len(busy) == len(todo) else 0
-                if attempt > self.busy_retries:
-                    raise ServerBusy()
-                self.busy_retried += len(busy)
-                time.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
-            todo = busy
-        return [_unwrap(payload, raw)[0] for payload in outcomes]
-
-    def _pipeline_pass(
-        self, pairs: list, name: str, window: int, trace_every: int = 0
-    ) -> list[tuple]:
-        """One windowed pass over ``pairs``; returns ``(op, payload)`` each."""
-        ids = [next(self._ids) for _ in pairs]
-        results: dict[int, tuple] = {}
-        sent = 0
-        backlog = bytearray()
-        for index, (u, v) in enumerate(pairs):
-            trace_id = (
-                self.next_trace_id()
-                if trace_every and index % trace_every == 0
-                else None
-            )
-            backlog += protocol.encode_query(
-                ids[index], u, v, name,
-                trace_id=trace_id, route_version=self._route_stamp,
-            )
-            sent += 1
-            if sent - len(results) >= window or len(backlog) >= 65536:
-                self._sock.sendall(backlog)
-                backlog = bytearray()
-                while sent - len(results) >= window:
-                    self._drain_into(results)
-        if backlog:
-            self._sock.sendall(backlog)
-        while len(results) < len(pairs):
-            self._drain_into(results)
-        return [results[request_id] for request_id in ids]
-
-    def _drain_into(self, results: dict[int, tuple]) -> None:
-        chunk = self._sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("server closed the connection")
-        self._decoder.feed(chunk)
-        for body in self._decoder.frames():
-            op, request_id, payload = protocol.decode_response(body)
-            results[request_id] = (op, payload)
-
-
 class AsyncLabelClient:
     """Asyncio client; responses are matched to requests by id."""
 
@@ -609,8 +148,11 @@ class AsyncLabelClient:
         self.busy_retries = busy_retries
         self.busy_base_delay = busy_base_delay
         self.reconnect_retries = reconnect_retries
-        #: member-aware routing (see :class:`LabelClient`): per-member
-        #: direct connections, MOVED hint handling, shared-address fallback
+        #: member-aware routing (the ``routing`` feature): with ``route=True``
+        #: the client fetches the fleet's routing table from INFO and pins
+        #: per-member requests straight to the owning shard's direct port,
+        #: applying ``MOVED`` redirect hints when its table goes stale and
+        #: falling back to the shared address when routing cannot help
         self.route = route
         self.route_retries = route_retries
         self.route_redirects = 0
@@ -618,13 +160,20 @@ class AsyncLabelClient:
         self._route_checked = False
         self._route_pool: dict[tuple[str, int], "AsyncLabelClient"] = {}
         self._route_overrides: dict[str, tuple[str, int]] = {}
+        #: when set, QUERY/BATCH frames carry the route-version suffix — the
+        #: marker that lets a sharded worker answer MOVED instead of serving
+        #: a member it does not own (routed leaf connections set this)
         self._route_stamp: int | None = None
         self._route_fetch: asyncio.Future | None = None
         #: lifetime count of BUSY responses this client retried
         self.busy_retried = 0
-        #: lifetime count of connections re-established after a drop
+        #: lifetime count of connections re-established after a drop; it is
+        #: also the current connection's generation (see ``_reconnect``)
         self.reconnects = 0
-        #: trace ids this client stamped on requests (see ``next_trace_id``)
+        self._reconnecting = asyncio.Lock()
+        #: trace ids this client stamped on requests (``pipeline`` sampling
+        #: and explicit ``trace_id=`` calls); random base so ids from many
+        #: clients against one fleet don't collide
         self._trace_ids = itertools.count(random.getrandbits(48))
         self.traced_ids: list[int] = []
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
@@ -658,8 +207,45 @@ class AsyncLabelClient:
         client._remote = (host, port)
         return client
 
-    async def _reconnect(self, drops: int) -> None:
-        """Replace the dropped connection (retrying refusals with backoff)."""
+    async def _reconnect(self, drops: int, generation: int) -> None:
+        """Replace the dropped connection after drop number ``drops``.
+
+        ``generation`` is the ``reconnects`` count the caller saw when it
+        sent on the connection that died.  Concurrent callers queue on one
+        lock: the first replaces the connection, the rest find the
+        generation advanced and simply re-send on the new one.  Connection
+        *refusals* are retried too (against a one-worker fleet there is a
+        window where the replacement has not bound yet); the budget is the
+        caller's, this only spends backoff time.
+        """
+        async with self._reconnecting:
+            if self.reconnects != generation:
+                return
+            await self._hang_up()
+            attempt = drops
+            while True:
+                await asyncio.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
+                try:
+                    self._reader, self._writer = await self._open(*self._remote)
+                except OSError:
+                    attempt += 1
+                    if attempt - drops > self.reconnect_retries:
+                        raise
+                    continue
+                break
+            # in-flight futures were already failed by the dying read loop;
+            # anything still registered belongs to the dead connection
+            for future in self._waiting.values():
+                if not future.done():  # pragma: no cover - defensive
+                    future.set_exception(ConnectionError("connection was replaced"))
+            self._waiting.clear()
+            self._decoder = protocol.FrameDecoder()
+            self._broken = None
+            self.reconnects += 1
+            self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
+
+    async def _hang_up(self) -> None:
+        """Stop the reader task and close the current connection."""
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -670,27 +256,6 @@ class AsyncLabelClient:
             await self._writer.wait_closed()
         except (ConnectionError, OSError):  # pragma: no cover - already dead
             pass
-        attempt = drops
-        while True:
-            await asyncio.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
-            try:
-                self._reader, self._writer = await self._open(*self._remote)
-            except OSError:
-                attempt += 1
-                if attempt - drops > self.reconnect_retries:
-                    raise
-                continue
-            break
-        # in-flight futures were already failed by the dying read loop;
-        # anything still registered belongs to the dead connection
-        for future in self._waiting.values():
-            if not future.done():  # pragma: no cover - defensive
-                future.set_exception(ConnectionError("connection was replaced"))
-        self._waiting.clear()
-        self._decoder = protocol.FrameDecoder()
-        self._broken = None
-        self.reconnects += 1
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     async def close(self) -> None:
         """Cancel the reader task and close the connection (pool included)."""
@@ -698,16 +263,7 @@ class AsyncLabelClient:
         pool, self._route_pool = self._route_pool, {}
         for leaf in pool.values():
             await leaf.close()
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+        await self._hang_up()
 
     async def __aenter__(self) -> "AsyncLabelClient":
         return self
@@ -769,6 +325,7 @@ class AsyncLabelClient:
         attempt = 0
         drops = 0
         while True:
+            generation = self.reconnects
             try:
                 return await self._send(frame_for_id)
             except ServerBusy as busy:
@@ -785,7 +342,7 @@ class AsyncLabelClient:
                 drops += 1
                 if drops > self.reconnect_retries:
                     raise
-                await self._reconnect(drops)
+                await self._reconnect(drops, generation)
 
     # -- member-aware routing --------------------------------------------------
 
@@ -851,8 +408,14 @@ class AsyncLabelClient:
             self._route_stamp = moved.version
 
     async def _routed_call(self, name: str, call):
-        """Run ``await call(client)`` against ``name``'s owner (see
-        :meth:`LabelClient._routed_call` for the redirect/fallback contract)."""
+        """Run ``await call(client)`` against ``name``'s owner, following
+        redirects.
+
+        Falls back to the shared address — with an *unstamped* leaf, which a
+        sharded worker always serves in place — when there is no table, no
+        owner endpoint, or the redirect budget is spent (a pathological
+        routing loop must degrade to the legacy path, not fail).
+        """
         await self._ensure_routing()
         redirects = 0
         while redirects <= self.route_retries:
@@ -934,19 +497,15 @@ class AsyncLabelClient:
         )
         return _reshape(_unwrap(payload, raw), size)
 
-    async def stats(
-        self, name: str = "", *, detail: bool = False, reservoir: bool = False
-    ) -> dict:
+    async def stats(self, name: str = "", *, detail: bool = False) -> dict:
         """Server statistics (plus one member's cache stats when named).
 
         ``detail=True`` asks for the latency/per-stage histogram snapshots
-        (and the raw reservoir) that fleet merging needs; ``reservoir=True``
-        is the historical alias for the same detail flag.
+        (and the raw reservoir) that fleet merging needs; plain polls should
+        leave it off.
         """
         _, payload = await self._request(
-            lambda request_id: protocol.encode_stats(
-                request_id, name, reservoir=detail or reservoir
-            )
+            lambda request_id: protocol.encode_stats(request_id, name, reservoir=detail)
         )
         return payload
 
@@ -1005,9 +564,9 @@ class AsyncLabelClient:
         if window < 1:
             raise ValueError("window must be at least 1")
         if self.route:
-            # the whole (read-only) run re-executes on the corrected
-            # connection after a MOVED, so each member costs at most one
-            # redirect (see LabelClient.pipeline)
+            # the whole window goes to one member's owner; on a stale-table
+            # MOVED the full (read-only) run re-executes on the corrected
+            # connection, so each member costs at most one redirect
             return await self._routed_call(
                 name,
                 lambda c: c.pipeline(
@@ -1022,6 +581,7 @@ class AsyncLabelClient:
         reconnectable = self._remote is not None
         while todo:
             sample, trace_every = trace_every, 0  # first pass only
+            generation = self.reconnects
             try:
                 futures = await self._pipeline_pass(
                     [pairs[i] for i in todo], name, window, trace_every=sample
@@ -1032,7 +592,7 @@ class AsyncLabelClient:
                 drops += 1
                 if drops > self.reconnect_retries:
                     raise error
-                await self._reconnect(drops)
+                await self._reconnect(drops, generation)
                 continue
             busy: list[int] = []
             dropped: list[int] = []
@@ -1062,12 +622,14 @@ class AsyncLabelClient:
                 drops += 1
                 if drops > self.reconnect_retries:
                     raise drop_error
-                await self._reconnect(drops)
+                await self._reconnect(drops, generation)
             else:
                 drops = 0
             if busy:
-                # no-progress rounds spend the retry budget; rounds that
-                # answered anything reset it (see LabelClient.pipeline)
+                # the retry budget counts *no-progress* rounds: an
+                # overloaded-but-live server answers a few requests per
+                # round and the pipeline keeps converging, while a server
+                # shedding everything exhausts the budget and raises
                 attempt = attempt + 1 if len(busy) + len(dropped) == len(todo) else 0
                 if attempt > self.busy_retries:
                     raise ServerBusy()
@@ -1085,17 +647,7 @@ class AsyncLabelClient:
         waiting = self._waiting
         ids = self._ids
         write = self._writer.write
-        # inline the QUERY frame construction: the opcode and name bytes are
-        # loop constants, so each frame is four uvarints and two joins
-        from repro.encoding.varint import encode_uvarint as uvarint
-
-        prefix = bytes([protocol.OP_QUERY])
-        encoded_name = uvarint(len(name.encode("utf-8"))) + name.encode("utf-8")
-        route_suffix = (
-            b"\x02" + uvarint(self._route_stamp)
-            if self._route_stamp is not None
-            else b""
-        )
+        route_stamp = self._route_stamp
         create_future = loop.create_future
         futures: list[asyncio.Future] = []
         backlog = bytearray()
@@ -1112,19 +664,17 @@ class AsyncLabelClient:
                 futures.append(future)
                 continue
             request_id = next(ids)
+            trace_id = (
+                self.next_trace_id()
+                if trace_every and index % trace_every == 0
+                else None
+            )
+            backlog += protocol.encode_query(
+                request_id, u, v, name, trace_id=trace_id, route_version=route_stamp
+            )
             future = create_future()
             waiting[request_id] = future
             futures.append(future)
-            body = (
-                prefix + uvarint(request_id) + encoded_name + uvarint(u) + uvarint(v)
-            )
-            if trace_every and index % trace_every == 0:
-                # the additive trace suffix; sampled requests are rare, so
-                # the two extra concatenations stay off the common path
-                body += b"\x01" + uvarint(self.next_trace_id())
-            body += route_suffix
-            backlog += uvarint(len(body))
-            backlog += body
             if len(backlog) >= 32768:
                 write(bytes(backlog))
                 backlog.clear()
@@ -1144,3 +694,144 @@ class AsyncLabelClient:
         for future in futures[head:]:
             await _settle(future)
         return futures
+
+
+def _refuse_running_loop() -> None:
+    """Refuse a blocking call inside a running event loop, before any
+    coroutine is made (``run_until_complete`` cannot nest)."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return
+    raise RuntimeError(
+        "LabelClient blocks and cannot run inside a running event loop; "
+        "use AsyncLabelClient there"
+    )
+
+
+class LabelClient:
+    """Blocking façade: one :class:`AsyncLabelClient` on a private event loop.
+
+    Every call runs the async client's coroutine to completion under one
+    deadline of ``timeout`` seconds (``None`` waits forever); a call that
+    misses it raises :class:`TimeoutError`.  The keywords mean what they
+    mean on :class:`AsyncLabelClient`.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        timeout: float | None = 30.0,
+        busy_retries: int = 8,
+        busy_base_delay: float = 0.002,
+        reconnect_retries: int = 8,
+        route: bool = False,
+        route_retries: int = 3,
+    ) -> None:
+        self._timeout = timeout
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._core = self._call(
+                AsyncLabelClient.connect,
+                host,
+                port,
+                busy_retries=busy_retries,
+                busy_base_delay=busy_base_delay,
+                reconnect_retries=reconnect_retries,
+                route=route,
+                route_retries=route_retries,
+            )
+        except BaseException:
+            self._loop.close()
+            raise
+
+    def _call(self, method, *args, **kwargs):
+        _refuse_running_loop()
+        try:
+            return self._loop.run_until_complete(
+                asyncio.wait_for(method(*args, **kwargs), self._timeout)
+            )
+        except asyncio.TimeoutError as missed:  # not the builtin before 3.11
+            raise TimeoutError(f"no answer within {self._timeout}s") from missed
+
+    #: lifetime counters of the underlying client (read-only)
+    busy_retried = property(attrgetter("_core.busy_retried"))
+    reconnects = property(attrgetter("_core.reconnects"))
+    route_redirects = property(attrgetter("_core.route_redirects"))
+    traced_ids = property(attrgetter("_core.traced_ids"))
+
+    def __enter__(self) -> "LabelClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the connection (routed ones included), then the loop;
+        idempotent."""
+        if self._loop.is_closed():
+            return
+        try:
+            self._call(self._core.close)
+        finally:
+            self._loop.close()
+
+    def next_trace_id(self) -> int:
+        """A fresh client-unique trace id (also remembered in ``traced_ids``)."""
+        return self._core.next_trace_id()
+
+    def query(
+        self, u: int, v: int, *, name: str = "", raw: bool = False,
+        trace_id: int | None = None,
+    ):
+        """One distance query; see :meth:`AsyncLabelClient.query`."""
+        return self._call(self._core.query, u, v, name=name, raw=raw, trace_id=trace_id)
+
+    def batch(
+        self, pairs, *, name: str = "", raw: bool = False,
+        trace_id: int | None = None,
+    ) -> list:
+        """Answer many pairs with a single BATCH request."""
+        return self._call(self._core.batch, pairs, name=name, raw=raw, trace_id=trace_id)
+
+    def matrix(self, nodes=None, *, name: str = "", raw: bool = False) -> list[list]:
+        """All pairwise answers over ``nodes`` (default: every node)."""
+        return self._call(self._core.matrix, nodes, name=name, raw=raw)
+
+    def pipeline(
+        self,
+        pairs,
+        *,
+        name: str = "",
+        raw: bool = False,
+        window: int = 256,
+        trace_every: int = 0,
+    ) -> list:
+        """One QUERY per pair, up to ``window`` in flight; see
+        :meth:`AsyncLabelClient.pipeline`."""
+        return self._call(
+            self._core.pipeline,
+            pairs, name=name, raw=raw, window=window, trace_every=trace_every,
+        )
+
+    def stats(self, name: str = "", *, detail: bool = False) -> dict:
+        """Server statistics; see :meth:`AsyncLabelClient.stats`."""
+        return self._call(self._core.stats, name, detail=detail)
+
+    def stats_all(self, *, detail: bool = False) -> list[dict]:
+        """STATS from this connection plus every routed leaf connection."""
+        return self._call(self._core.stats_all, detail=detail)
+
+    def trace(self, *, limit: int = 32, slow: bool = True) -> dict:
+        """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
+        return self._call(self._core.trace, limit=limit, slow=slow)
+
+    def info(self) -> dict:
+        """Member listing: ``{"members": {name: {spec, kind, n, open}}}``."""
+        return self._call(self._core.info)
+
+    def routing_table(self) -> dict | None:
+        """The routing table this client is working from (fetched lazily)."""
+        return self._call(self._core.routing_table)

@@ -377,7 +377,7 @@ def run_load(
     (pairs split by Zipf rank weight, ``member_skew=0`` uniform), and
     ``route=True`` lets clients consult the fleet's routing table and pin
     per-member traffic to the owning shard (see
-    :class:`repro.serve.client.LabelClient`).  Fleet STATS are then
+    :class:`repro.serve.client.AsyncLabelClient`).  Fleet STATS are then
     collected from every pooled per-shard connection and merged by
     ``(slot, pid)``, so ``report["restarts_observed"]`` counts workers
     that were replaced mid-run.

@@ -9,7 +9,11 @@ round-trips over the wire with its typed-result semantics intact.
 from __future__ import annotations
 
 import asyncio
+import gc
+import socket
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -316,14 +320,20 @@ def test_bad_query_does_not_poison_coalesced_batch(catalog, tree):
     _run(_with_server(catalog, handler))
 
 
-def test_async_client_reconnects_after_connection_loss(catalog, tree):
+@pytest.mark.parametrize("callers", [1, 16])
+def test_async_client_reconnects_after_connection_loss(catalog, tree, callers):
     async def handler(server, client, host, port):
-        expected = catalog.query("exact", 0, 2)
+        nodes = range(2, 2 + callers)
+        expected = [catalog.query("exact", 0, v) for v in nodes]
         assert await client.query(0, 1, name="exact")  # connection works
         client._writer.close()  # simulate the peer going away
         await asyncio.sleep(0.05)  # let the reader task observe EOF
-        # connect()-built clients know their address: the drop is retryable
-        assert await client.query(0, 2, name="exact") == expected
+        # connect()-built clients know their address: the drop is retryable,
+        # and concurrent callers share one replacement connection
+        answers = await asyncio.gather(
+            *(client.query(0, v, name="exact") for v in nodes)
+        )
+        assert answers == expected
         assert client.reconnects == 1
         assert await client.pipeline([(0, 1)], name="exact")
         assert client.reconnects == 1  # healed connection reused, no churn
@@ -492,3 +502,43 @@ def test_sync_client_round_trip(threaded_server, catalog, tree):
         assert stats["queries"] >= len(pairs)
         with pytest.raises(ServerError):
             client.query(0, 1, name="missing")
+
+
+def test_sync_client_call_deadline():
+    """``timeout`` bounds a whole call: a server that accepts and never
+    answers costs one deadline, not a reconnect per socket timeout."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()  # the kernel completes handshakes; nobody replies
+        client = LabelClient(*listener.getsockname(), timeout=0.2)
+        started = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            client.info()
+        assert time.perf_counter() - started < 1.0
+        client.close()
+        client.close()  # idempotent
+
+
+@pytest.mark.parametrize("step", ["construct", "call"])
+def test_sync_client_refuses_a_running_loop(threaded_server, step):
+    host, port = threaded_server
+    client = LabelClient(host, port) if step == "call" else None
+
+    async def misuse():
+        if client is None:
+            LabelClient(host, port)
+        else:
+            client.info()
+
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="AsyncLabelClient"):
+                asyncio.run(misuse())
+            gc.collect()  # an orphaned coroutine warns when it is collected
+        assert not [w for w in caught if "never awaited" in str(w.message)]
+        if client is not None:
+            assert client.info()["members"]  # still usable outside the loop
+    finally:
+        if client is not None:
+            client.close()

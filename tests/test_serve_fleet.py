@@ -226,7 +226,7 @@ def _probe_merged_stats(host, port, probes=8):
     clients = [LabelClient(host, port) for _ in range(probes)]
     try:
         for client in clients:
-            payloads.append(client.stats(reservoir=True))
+            payloads.append(client.stats(detail=True))
     finally:
         for client in clients:
             client.close()

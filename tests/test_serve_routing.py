@@ -361,16 +361,17 @@ def test_stale_table_pipeline_converges_with_one_redirect(tree, catalog_file):
 
     def run_client(host, port, stale):
         with LabelClient(host, port, route=True) as client:
-            client._route_table = stale
-            client._route_checked = True
-            client._route_stamp = 1
+            core = client._core  # the blocking client's one AsyncLabelClient
+            core._route_table = stale
+            core._route_checked = True
+            core._route_stamp = 1
             answers = client.pipeline(pairs, name=target, raw=True, window=16)
             assert answers == expected
             assert client.route_redirects == 1  # exactly one MOVED absorbed
             # the hint is remembered: a second batch goes direct
             assert client.batch(pairs[:8], name=target, raw=True) == expected[:8]
             assert client.route_redirects == 1
-            assert client._route_stamp == 2  # advanced to the server's version
+            assert core._route_stamp == 2  # advanced to the server's version
 
     asyncio.run(main())
 
@@ -404,7 +405,7 @@ def _slot_stats(host, port, probes=8):
         for _ in range(probes):
             client = LabelClient(host, port)
             clients.append(client)
-            stats = client.stats(reservoir=True)
+            stats = client.stats(detail=True)
             rows[stats.get("slot", 0)] = stats
     finally:
         for client in clients:

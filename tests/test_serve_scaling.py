@@ -110,7 +110,7 @@ def test_stats_reservoir_flag_round_trips():
 
 
 def test_stats_reservoir_is_opt_in(tree, index):
-    """A plain STATS poll stays small; ``reservoir=True`` embeds the raw
+    """A plain STATS poll stays small; ``detail=True`` embeds the raw
     latency samples the fleet-merging consumers need."""
     pairs = random_pairs(tree, 50, seed=1)
 
@@ -119,7 +119,7 @@ def test_stats_reservoir_is_opt_in(tree, index):
         plain = await client.stats()
         assert "reservoir" not in plain["latency_ms"]
         assert plain["latency_ms"]["samples"] == len(pairs)
-        full = await client.stats(reservoir=True)
+        full = await client.stats(detail=True)
         reservoir = full["latency_ms"]["reservoir"]
         assert len(reservoir) == full["latency_ms"]["samples"] == len(pairs)
         assert all(sample >= 0 for sample in reservoir)
