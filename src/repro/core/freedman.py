@@ -24,8 +24,11 @@ Section 3 structure, mirrored here:
    ``rd(u) + rd(v) - 2 rd(NCA)``.
 
 Ablation switches (`use_fragments`, `use_accumulators`, `binarize`) let the
-benchmarks quantify each ingredient's contribution to the label size
-(DESIGN.md, "Ablations").
+benchmarks quantify each ingredient's contribution to the label size (the
+``freedman-no-*`` specs of README "Scheme specs").
+
+Labels are serialised by :meth:`FreedmanLabel.to_bits`, which shifts every
+field into one integer, and parsed by :func:`_parse_word`, its mirror.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from typing import NamedTuple
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.alphabetic import common_codeword_prefix
-from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.bitio import BitError, BitWriter, Bits
 from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
@@ -51,6 +53,52 @@ from repro.trees.tree import RootedTree
 THIN_FACTOR = 256
 
 _EMPTY_BITS = Bits("")
+
+#: Elias gamma code width of every small value: ``gamma(v)`` is ``v + 1``
+#: written in ``_GAMMA_WIDTH[v]`` bits (its leading zeros are the unary part)
+_GAMMA_WIDTH = tuple(2 * (value + 1).bit_length() - 1 for value in range(256))
+
+
+def _gamma_width(value: int) -> int:
+    """Width of the Elias gamma code of ``value`` (any size; checked)."""
+    if value < 0:
+        raise ValueError("Elias gamma encodes non-negative integers only")
+    return 2 * (value + 1).bit_length() - 1
+
+
+def _append_monotone(word: int, values: list[int]) -> int:
+    """Shift one Lemma 2.2 monotone sequence onto ``word``.
+
+    The layout of :class:`MonotoneSequence`: gamma count, gamma low width,
+    the fixed-width low parts, then the high parts as unary differences
+    ``0^d 1``.  Raises ``ValueError`` for a decreasing or negative
+    sequence, as the :class:`MonotoneSequence` constructor does.
+    """
+    count = len(values)
+    word = word << _gamma_width(count) | count + 1
+    if not count:
+        return word
+    last = values[-1]
+    low_width = max(0, last.bit_length() - count.bit_length())
+    word = word << _gamma_width(low_width) | low_width + 1
+    if low_width:
+        mask = (1 << low_width) - 1
+        for value in values:
+            word = word << low_width | value & mask
+    previous = values[0]
+    if previous < 0:
+        if any(b < a for a, b in zip(values, values[1:])):
+            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
+        raise ValueError("MonotoneSequence requires non-negative values")
+    high = 0
+    for value in values:
+        if value < previous:
+            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
+        previous = value
+        step = (value >> low_width) - high
+        high += step
+        word = (word << step + 1) | 1
+    return word
 
 
 class _Entries(NamedTuple):
@@ -99,76 +147,75 @@ class FreedmanLabel:
 
     def to_bits(self) -> Bits:
         """Serialise the label as a self-contained bit string."""
-        writer = BitWriter()
-        encode_delta(writer, self.node_id)
-        encode_delta(writer, self.root_distance)
-        encode_delta(writer, self.domination)
-        encode_gamma(writer, self.light_depth)
-        for word in self.codewords:
-            encode_gamma(writer, len(word))
-            writer.write_bits(word)
+        word = self._sentinel_word()
+        length = word.bit_length() - 1
+        return Bits._pack(word ^ (1 << length), length)
+
+    def _sentinel_word(self) -> int:
+        """The serialised label as one integer behind a leading ``1`` bit.
+
+        The mirror of :func:`_parse_word`: every field (delta/gamma headers,
+        light codewords, the two Lemma 2.2 monotone sequences, entry
+        triples, accumulators) is shifted straight into one integer, with
+        no writer object and no :class:`MonotoneSequence`.  The sentinel
+        bit keeps the leading zeros of the first gamma code, so the label's
+        length is ``word.bit_length() - 1``.  The checks of the generic
+        codec stay: Elias inputs must be non-negative, and each monotone
+        sequence non-decreasing and non-negative.
+        """
+        table = _GAMMA_WIDTH
+        limit = len(table)
+        word = 1
+        for value in (self.node_id, self.root_distance, self.domination):
+            if value < 0:
+                raise ValueError("Elias delta encodes non-negative integers only")
+            shifted = value + 1
+            width = shifted.bit_length() - 1
+            # delta = gamma(width), then the low ``width`` bits of ``shifted``
+            code = table[width] if width < limit else _gamma_width(width)
+            word = ((word << code | width + 1) << width) | (shifted ^ (1 << width))
+        depth = len(self.codewords)
+        code = table[depth] if depth < limit else _gamma_width(depth)
+        word = word << code | depth + 1
+        for bits in self.codewords:
+            count = bits._length
+            code = table[count] if count < limit else _gamma_width(count)
+            word = ((word << code | count + 1) << count) | bits._value
         for weight in self.light_weights:
-            encode_gamma(writer, weight)
-        MonotoneSequence(self.fragment_refs).write(writer)
-        MonotoneSequence(self.fragment_distances).write(writer)
-        for level in range(self.light_depth):
-            writer.write_bit(1 if self.entry_skip[level] else 0)
-            if not self.entry_skip[level]:
-                encode_gamma(writer, len(self.entry_kept[level]))
-                writer.write_bits(self.entry_kept[level])
-                encode_gamma(writer, self.entry_pushed[level])
-        for level in range(self.light_depth):
-            encode_gamma(writer, len(self.accumulators[level]))
-            writer.write_bits(self.accumulators[level])
-        return writer.getvalue()
+            code = table[weight] if 0 <= weight < limit else _gamma_width(weight)
+            word = word << code | weight + 1
+        word = _append_monotone(word, self.fragment_refs)
+        word = _append_monotone(word, self.fragment_distances)
+        entry_skip = self.entry_skip
+        entry_kept = self.entry_kept
+        entry_pushed = self.entry_pushed
+        for level in range(depth):
+            if entry_skip[level]:
+                word = word << 1 | 1
+                continue
+            bits = entry_kept[level]
+            count = bits._length
+            code = table[count] if count < limit else _gamma_width(count)
+            word = ((word << 1 + code | count + 1) << count) | bits._value
+            pushed = entry_pushed[level]
+            code = table[pushed] if 0 <= pushed < limit else _gamma_width(pushed)
+            word = word << code | pushed + 1
+        accumulators = self.accumulators
+        for level in range(depth):
+            bits = accumulators[level]
+            count = bits._length
+            code = table[count] if count < limit else _gamma_width(count)
+            word = ((word << code | count + 1) << count) | bits._value
+        return word
 
     @classmethod
     def from_bits(cls, bits: Bits) -> "FreedmanLabel":
         """Parse a serialised label."""
-        reader = BitReader(bits)
-        node_id = decode_delta(reader)
-        root_distance = decode_delta(reader)
-        domination = decode_delta(reader)
-        depth = decode_gamma(reader)
-        codewords = []
-        for _ in range(depth):
-            length = decode_gamma(reader)
-            codewords.append(reader.read_bits(length))
-        light_weights = [decode_gamma(reader) for _ in range(depth)]
-        fragment_refs = MonotoneSequence.read(reader).to_list()
-        fragment_distances = MonotoneSequence.read(reader).to_list()
-        entry_skip, entry_kept, entry_pushed = [], [], []
-        for _ in range(depth):
-            skip = reader.read_bit() == 1
-            entry_skip.append(skip)
-            if skip:
-                entry_kept.append(Bits(""))
-                entry_pushed.append(0)
-            else:
-                length = decode_gamma(reader)
-                entry_kept.append(reader.read_bits(length))
-                entry_pushed.append(decode_gamma(reader))
-        accumulators = []
-        for _ in range(depth):
-            length = decode_gamma(reader)
-            accumulators.append(reader.read_bits(length))
-        return cls(
-            node_id=node_id,
-            root_distance=root_distance,
-            domination=domination,
-            codewords=codewords,
-            light_weights=light_weights,
-            fragment_refs=fragment_refs,
-            fragment_distances=fragment_distances,
-            entry_skip=entry_skip,
-            entry_kept=entry_kept,
-            entry_pushed=entry_pushed,
-            accumulators=accumulators,
-        )
+        return _parse_word(bits.to_int(), len(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
-        return len(self.to_bits())
+        return self._sentinel_word().bit_length() - 1
 
     def distance_array_bits(self) -> int:
         """Bits of the *modified distance array* (Section 3.2 core term).
@@ -220,13 +267,14 @@ class FreedmanLabel:
 def _parse_word(value: int, total: int) -> FreedmanLabel:
     """Decode one serialised label straight from its packed integer.
 
-    The word-level twin of :meth:`FreedmanLabel.from_bits`: the same field
-    grammar (delta/gamma headers, light codewords, two monotone sequences,
-    entry triples, accumulators) decoded with shifts and masks on the packed
-    word — no :class:`BitReader`, and crucially no
-    :class:`~repro.encoding.monotone.MonotoneSequence` reconstruction (the
-    generic path re-encodes both sequences and builds predecessor structures
-    that a parsed-label consumer never touches).
+    The inverse of :meth:`FreedmanLabel.to_bits` and the only Freedman
+    parser (:meth:`FreedmanLabel.from_bits` calls it): the field grammar
+    (delta/gamma headers, light codewords, two monotone sequences, entry
+    triples, accumulators) decoded with shifts and masks on the packed
+    word — no :class:`BitReader` and no
+    :class:`~repro.encoding.monotone.MonotoneSequence` reconstruction.  A
+    truncated label raises :class:`BitError`; a decreasing monotone
+    sequence raises ``ValueError``, as the C decoder's fallback does.
     """
     rem = total
     pack = Bits._pack
@@ -271,6 +319,9 @@ def _parse_word(value: int, total: int) -> FreedmanLabel:
         count = gamma()
         if count == 0:
             return []
+        if count > rem:
+            # every element ends in a unary ``1``: the count cannot fit
+            raise BitError("bit stream exhausted")
         low_width = gamma()
         if low_width:
             if count * low_width > rem:
@@ -284,6 +335,8 @@ def _parse_word(value: int, total: int) -> FreedmanLabel:
             lows = [0] * count
         values: list[int] = []
         high = 0
+        previous = 0
+        ordered = True
         suffix = value & ((1 << rem) - 1)
         for index in range(count):
             if not suffix:
@@ -292,7 +345,14 @@ def _parse_word(value: int, total: int) -> FreedmanLabel:
             rem -= zeros + 1
             suffix &= (1 << rem) - 1
             high += zeros
-            values.append((high << low_width) | lows[index])
+            item = (high << low_width) | lows[index]
+            if item < previous:
+                ordered = False
+            previous = item
+            values.append(item)
+        if not ordered:
+            # checked once the sequence is read, as MonotoneSequence.read does
+            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
         return values
 
     node_id = delta()
@@ -529,8 +589,17 @@ class FreedmanScheme(DistanceLabelingScheme):
     ) -> FreedmanLabel:
         sequence = collapsed.root_path_sequence(leaf)
         own_path = sequence[-1]
-        codewords = light.codewords_for(leaf)
+        codeword = light.codeword
+        light_edge_weight = collapsed.light_edge_weight
+        skip_row = entries.skip
+        kept_value = entries.kept_value
+        kept_length = entries.kept_length
+        pushed_row = entries.pushed
+        prefix_length = entries.prefix_length
+        accumulator = entries.accumulator
+        pack = Bits._pack
 
+        codewords: list[Bits] = []
         light_weights: list[int] = []
         fragment_refs: list[int] = []
         entry_skip: list[bool] = []
@@ -538,27 +607,23 @@ class FreedmanScheme(DistanceLabelingScheme):
         entry_pushed: list[int] = []
         accumulators: list[Bits] = []
 
-        for level, path in enumerate(sequence[1:]):
-            parent_path = sequence[level]
-            skip = bool(entries.skip[path])
-            prefix = entries.accumulator[parent_path][: entries.prefix_length[path]]
-            if skip:
-                kept = _EMPTY_BITS
-                pushed = 0
-            else:
-                length = entries.kept_length[path]
-                kept = (
-                    Bits.from_int(entries.kept_value[path], length)
-                    if length
-                    else _EMPTY_BITS
-                )
-                pushed = entries.pushed[path]
-            light_weights.append(collapsed.light_edge_weight(path))
+        parent_path = sequence[0]
+        for path in sequence[1:]:
+            codewords.append(codeword(path))
+            light_weights.append(light_edge_weight(path))
             fragment_refs.append(fragment_ref[path])
-            entry_skip.append(skip)
-            entry_kept.append(kept)
-            entry_pushed.append(pushed)
-            accumulators.append(prefix)
+            accumulators.append(accumulator[parent_path][: prefix_length[path]])
+            parent_path = path
+            if skip_row[path]:
+                entry_skip.append(True)
+                entry_kept.append(_EMPTY_BITS)
+                entry_pushed.append(0)
+            else:
+                length = kept_length[path]
+                entry_skip.append(False)
+                # share one empty Bits: in-memory builds hold every label
+                entry_kept.append(pack(kept_value[path], length) if length else _EMPTY_BITS)
+                entry_pushed.append(pushed_row[path])
 
         return FreedmanLabel(
             node_id=original,
@@ -620,7 +685,8 @@ class FreedmanScheme(DistanceLabelingScheme):
         ``MonotoneSequence`` reconstruction (unlike HLD there is no shared
         header to specialise on, so the store's own word supply loop is
         used as-is); ``tests/test_freedman_parse_many.py`` checks this path
-        field-for-field against the generic ``parse`` route.
+        field-for-field against the generic ``parse`` route and the
+        reader-based reference parser.
         """
         return {
             node: _parse_word(value, bits)

@@ -208,7 +208,7 @@ class BitWriter:
     def write_int(self, value: int, width: int) -> None:
         """Append ``value`` as a fixed-width big-endian binary number."""
         if value < 0:
-            raise BitError("Bits.from_int expects a non-negative integer")
+            raise BitError("BitWriter.write_int expects a non-negative integer")
         if width < 0:
             raise BitError("width must be non-negative")
         if value >> width:

@@ -18,7 +18,7 @@ label and parsed back without knowing its length in advance.
 
 from __future__ import annotations
 
-from repro.encoding.bitio import BitReader, BitWriter, Bits
+from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
 from repro.encoding.elias import decode_gamma, encode_gamma
 from repro.succinct.bitvector import BitVector
 from repro.succinct.predecessor import PredecessorStructure
@@ -84,6 +84,9 @@ class MonotoneSequence:
         count = decode_gamma(reader)
         if count == 0:
             return cls([])
+        if count > reader.remaining():
+            # every element ends in a unary ``1``: the count cannot fit
+            raise BitError("bit stream exhausted")
         low_width = decode_gamma(reader)
         lows = [reader.read_int(low_width) if low_width else 0 for _ in range(count)]
         values: list[int] = []

@@ -158,6 +158,8 @@ static int br_monotone(br_t *r, vec_t *out, uint32_t *count_out) {
         high += zeros;
         if (high >> (63 - low_width)) return E_FALLBACK;
         out->data[base + i] |= high << low_width;
+        /* a decreasing sequence is malformed: let Python raise for it */
+        if (i && out->data[base + i] < out->data[base + i - 1]) return E_FALLBACK;
     }
     return E_OK;
 }

@@ -111,11 +111,12 @@ class LightDepthLabeling:
                     self._codeword_length[child] = -1
                     self._codeword_wide[child] = word
 
-    def _codeword_of(self, path: int) -> Bits:
+    def codeword(self, path: int) -> Bits:
+        """Codeword of the light edge into collapsed path ``path``."""
         length = self._codeword_length[path]
         if length < 0:
             return self._codeword_wide[path]
-        return Bits.from_int(self._codeword_value[path], length)
+        return Bits._pack(self._codeword_value[path], length)
 
     @property
     def collapsed(self) -> CollapsedTree:
@@ -125,7 +126,7 @@ class LightDepthLabeling:
     def codewords_for(self, tree_node: int) -> list[Bits]:
         """Per-level codewords identifying ``tree_node``'s collapsed path."""
         sequence = self._collapsed.root_path_sequence(tree_node)
-        return [self._codeword_of(path) for path in sequence[1:]]
+        return [self.codeword(path) for path in sequence[1:]]
 
     def label(self, tree_node: int) -> LightDepthLabel:
         """Build the label of one node."""

@@ -13,10 +13,14 @@ Both operations preserve all pairwise distances between the pendant leaves,
 so a scheme that labels the leaves of the transformed tree labels every node
 of the original tree.
 
-Deviation from the paper (documented in DESIGN.md §3.2): we attach a pendant
-leaf to *every* original node, not only to internal ones.  This guarantees
-that every queried node hangs off its ancestor heavy paths via light edges,
-which the accumulator reconstruction of Property 3.2 relies on.
+Deviation from the paper (Section 2 of arXiv:1608.00212 attaches pendant
+leaves to internal nodes only): we attach a pendant leaf to *every*
+original node.  This guarantees that every queried node hangs off its
+ancestor heavy paths via light edges, which the accumulator reconstruction
+of Property 3.2 relies on.
+
+:func:`prepare_for_leaf_queries` attaches the leaves and binarizes in one
+pass over the original tree, with the dummy chains of :func:`binarize`.
 
 The node maps are compact ``array('i')`` rows rather than dicts (4 bytes
 per node instead of ~100 per dict entry): ``query_node[original]`` indexes
@@ -77,6 +81,32 @@ def attach_leaves(tree: RootedTree, only_internal: bool = False) -> TransformRes
     return TransformResult(transformed, query_node, origin)
 
 
+def _hang_binary(node: int, children, parents: array, next_node: int) -> int:
+    """Hang ``children`` below ``node`` with at most two children per node.
+
+    A node with children ``c1 .. ck`` (k > 2) keeps ``c1`` and delegates the
+    rest to a chain of fresh dummies, each holding one child and the next
+    dummy, the last holding two.  Dummies are numbered from ``next_node``
+    and appended to ``parents`` (so ``len(parents) == next_node`` on entry);
+    the caller gives them 0-weight edges.  Returns the next free node id.
+    """
+    if len(children) <= 2:
+        for child in children:
+            parents[child] = node
+        return next_node
+    parents[children[0]] = node
+    anchor = node
+    for child in children[1:-2]:
+        parents.append(anchor)
+        parents[child] = next_node
+        anchor = next_node
+        next_node += 1
+    parents.append(anchor)
+    parents[children[-2]] = next_node
+    parents[children[-1]] = next_node
+    return next_node + 1
+
+
 def binarize(tree: RootedTree) -> TransformResult:
     """Make every node have at most two children.
 
@@ -86,44 +116,12 @@ def binarize(tree: RootedTree) -> TransformResult:
     """
     n = tree.n
     parents = array("i", [-1]) * n
-    weights = array("q", bytes(8 * n))
-
     next_node = n
-    extra_parents = array("i")
-    extra_weights = array("q")
-
     for node in tree.nodes():
-        children = tree.children(node)
-        if len(children) <= 2:
-            for child in children:
-                parents[child] = node
-                weights[child] = tree.edge_weight(child)
-            continue
-        # first child stays attached to the original node
-        first = children[0]
-        parents[first] = node
-        weights[first] = tree.edge_weight(first)
-        anchor = node
-        remaining = children[1:]
-        # chain of dummies; each dummy holds one child, the last holds two
-        while len(remaining) > 2:
-            dummy = next_node
-            next_node += 1
-            extra_parents.append(anchor)
-            extra_weights.append(0)
-            child = remaining.pop(0)
-            parents[child] = dummy
-            weights[child] = tree.edge_weight(child)
-            anchor = dummy
-        dummy = next_node
-        next_node += 1
-        extra_parents.append(anchor)
-        extra_weights.append(0)
-        for child in remaining:
-            parents[child] = dummy
-            weights[child] = tree.edge_weight(child)
-
-    transformed = RootedTree(parents + extra_parents, weights + extra_weights)
+        next_node = _hang_binary(node, tree.children(node), parents, next_node)
+    weights = array("q", (tree.edge_weight(v) for v in tree.nodes()))
+    weights.extend(array("q", [0]) * (next_node - n))
+    transformed = RootedTree(parents, weights)
     query_node = array("i", range(n))
     origin = array("i", range(n)) + array("i", [-1]) * (next_node - n)
     return TransformResult(transformed, query_node, origin)
@@ -137,14 +135,24 @@ def prepare_for_leaf_queries(
     The result's ``query_node`` maps each original node to a *leaf* of the
     transformed tree, and all leaf-to-leaf distances in the transformed tree
     equal the corresponding original distances.
+
+    With ``binarize_tree`` both steps run in one pass that constructs one
+    :class:`RootedTree`: node ``v``'s pendant leaf is ``n + v`` and hangs
+    last among ``v``'s children, so the node numbering, parents and weights
+    are exactly those of ``binarize(attach_leaves(tree).tree)``.
     """
-    attached = attach_leaves(tree)
     if not binarize_tree:
-        return attached
-    binarized = binarize(attached.tree)
-    bin_query = binarized.query_node
-    query_node = array("i", (bin_query[leaf] for leaf in attached.query_node))
-    origin = array("i", [-1]) * binarized.tree.n
-    for original in range(tree.n):
-        origin[query_node[original]] = original
-    return TransformResult(binarized.tree, query_node, origin)
+        return attach_leaves(tree)
+    n = tree.n
+    parents = array("i", [-1]) * (2 * n)
+    next_node = 2 * n
+    for node in tree.nodes():
+        children = tree.children(node)
+        children.append(n + node)
+        next_node = _hang_binary(node, children, parents, next_node)
+    weights = array("q", (tree.edge_weight(v) for v in tree.nodes()))
+    weights.extend(array("q", [0]) * (next_node - n))
+    query_node = array("i", range(n, 2 * n))
+    origin = array("i", [-1]) * next_node
+    origin[n : 2 * n] = array("i", range(n))
+    return TransformResult(RootedTree(parents, weights), query_node, origin)

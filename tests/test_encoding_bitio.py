@@ -85,6 +85,12 @@ class TestBitWriterReader:
         with pytest.raises(BitError):
             reader.seek(9)
 
+    def test_write_int_rejects_negative_by_name(self):
+        writer = BitWriter()
+        with pytest.raises(BitError, match=r"^BitWriter\.write_int expects a non-negative"):
+            writer.write_int(-1, 4)
+        assert len(writer) == 0
+
     def test_invalid_bit(self):
         writer = BitWriter()
         with pytest.raises(BitError):

@@ -1,0 +1,112 @@
+"""sha256 pins of Freedman encoder output, tree to store bytes.
+
+Each digest is ``LabelStore.from_labels(scheme, scheme.encode(tree))
+.to_bytes()`` for one tree family under the default scheme and under each
+ablation.  The digests were recorded before the encoder was rewritten to
+shift fields into one integer, so any change to the bytes the encoder
+emits (field order, code widths, dummy-chain numbering in the transform)
+fails here even when encoding and parsing still agree with each other.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.core.freedman import FreedmanScheme
+from repro.generators.random_trees import (
+    random_binary_tree,
+    random_caterpillar,
+    random_prufer_tree,
+    random_weighted_tree,
+)
+from repro.generators.structured import path_tree, star_tree
+from repro.store import LabelStore
+from repro.trees.tree import RootedTree
+
+TREES = {
+    "prufer": lambda: random_prufer_tree(300, seed=3),
+    "binary": lambda: random_binary_tree(300, seed=5),
+    "caterpillar": lambda: random_caterpillar(300, seed=7),
+    # one node of degree 49: the longest dummy chain the transform builds
+    "star": lambda: star_tree(50),
+    "path": lambda: path_tree(120),
+    "single": lambda: RootedTree([None]),
+    "weighted": lambda: random_weighted_tree(200, 7, seed=9),
+}
+
+SCHEMES = {
+    "default": {},
+    "no-binarize": {"binarize": False},
+    "no-fragments": {"use_fragments": False},
+    "no-accumulators": {"use_accumulators": False},
+}
+
+DIGESTS = {
+    ("prufer", "default"):
+        "173635fc2a490520d2a7aefca8fd10c57fc9d9cd920fd7177b696f47f05b95cb",
+    ("prufer", "no-binarize"):
+        "c8af8c3623344683c658d4fedb46291794e08f6bba6dd5072ba3f3cb4e84f1e1",
+    ("prufer", "no-fragments"):
+        "ee1dfd43d1e81b73ffb7773d3e59cf6ba1c2fc094abcd4ee641da8203e8d3d37",
+    ("prufer", "no-accumulators"):
+        "b6fb5ef3414fd8e3bc0a537e71a627a585757acd95a0820704cde18bfec510ed",
+    ("binary", "default"):
+        "c34282ac234fb56be0b72f1a55fabf5d2f8f2d1431645fbcd96d86a295559135",
+    ("binary", "no-binarize"):
+        "6780600a665fd010fa17ec26daedc1f877f2f389a84f11c0f1fb338a7f7b8f5f",
+    ("binary", "no-fragments"):
+        "a696861d9442c743e306ad19ec0833ccf0335e3d3762e5c7534694ec3f51e09a",
+    ("binary", "no-accumulators"):
+        "c2f356b598b0c9633b45c63e485c8ac41a118c1f9ed7f613075da61429493102",
+    ("caterpillar", "default"):
+        "7bb2f8e9c8ff75854977c946bb97315a4b087a77d741662edad9177a0584c3b6",
+    ("caterpillar", "no-binarize"):
+        "ceb6ba66316cb4743a554c6791005aff026849ad6088c2f5cba2c80eb6b58d7c",
+    ("caterpillar", "no-fragments"):
+        "5afef18ba2e0159f7c11aac0f4bd36afac979a6bda4e2442081f70bbbb9c1927",
+    ("caterpillar", "no-accumulators"):
+        "b3bb204db1ba7c3eaf161688609f6c92de57c0cdaebca1f141403e54cd5f5b7b",
+    ("star", "default"):
+        "163e50afe95554e84c293ed75852e2945092d5620fcdfe5fac5a1723f5c0055b",
+    ("star", "no-binarize"):
+        "695d8917cb851b44c566260f04667196ffa039e0d86a851d1ce7ec8afd9e2587",
+    ("star", "no-fragments"):
+        "327e1eb9eac647c3b27f416f33e11a37f503a2ce94ab7b995b9f8dc609877d67",
+    ("star", "no-accumulators"):
+        "aef00f2a2d707bf10780ea583091db4649e9b573ec817cfd6421dbd8134a4ef3",
+    ("path", "default"):
+        "fc94947a73eaf278b9e2a9ea4b018e68664f0083ee97ec0b57cb7864fde13bfd",
+    ("path", "no-binarize"):
+        "c4661ea68d1018a426f8930b99d29cbf024a57ec55347c1c08e17b07c79e1955",
+    ("path", "no-fragments"):
+        "f5ba0cdd703a18cc96effd0d01301d135603b4eeef4376888d714a162ca7ae61",
+    ("path", "no-accumulators"):
+        "65d5677c53cedda0daf404b2f2cc519119b81a52799283b33cf3f044392d48c8",
+    ("single", "default"):
+        "0c571a6e7227e3879d48ff678d9b25b96612a6a41c6581847253c30e5c22ddc2",
+    ("single", "no-binarize"):
+        "c23d05d137911342f588a87168f20f41692118625e5733e93990aedcbd1527e2",
+    ("single", "no-fragments"):
+        "9bbd36516ace2a403018405fed887f20a7546f979643545ffdbe5d6160a3697e",
+    ("single", "no-accumulators"):
+        "c02a97a3750721bab34fa13d156107aedf7b43a0a11d29d5e42b2ef1225a6742",
+    ("weighted", "default"):
+        "ae9cd8ab431a076e907ffed344180d74fa87b91b215e68b17e4d909bafea0edd",
+    ("weighted", "no-binarize"):
+        "96eab99f1f7827e125ac1f69215a144bba0b94826553d559f41d2ab6b81f713a",
+    ("weighted", "no-fragments"):
+        "fd316669e104932bcac31a33f69b75f1684a2c615307ecd07c5e96906a5e274e",
+    ("weighted", "no-accumulators"):
+        "c122521e3692b4e636643dd18e83f01dd0928ad31da001da69c15ba880d383c8",
+}
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+@pytest.mark.parametrize("family", sorted(TREES))
+def test_encode_bytes_are_pinned(family, scheme_name):
+    scheme = FreedmanScheme(**SCHEMES[scheme_name])
+    tree = TREES[family]()
+    data = LabelStore.from_labels(scheme, scheme.encode(tree)).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == DIGESTS[(family, scheme_name)]

@@ -3,8 +3,8 @@
 ``FreedmanScheme.parse_many`` decodes labels straight from the store's
 packed words (no ``BitReader``, no ``MonotoneSequence`` reconstruction);
 these tests pin it field-for-field against the generic
-``LabelingScheme.parse_many`` route, which goes through
-``FreedmanLabel.from_bits``.
+``LabelingScheme.parse_many`` route (``FreedmanLabel.from_bits`` per label)
+and against the reader-based reference parser in ``freedman_reference``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from freedman_reference import reference_from_bits
 from repro.core.base import LabelingScheme
 from repro.core.freedman import FreedmanScheme, _parse_word
 from repro.generators.workloads import make_tree, random_pairs
@@ -27,6 +28,8 @@ def _assert_same_labels(scheme: FreedmanScheme, store: LabelStore) -> None:
     assert set(word_level) == set(generic)
     for node in nodes:
         assert word_level[node] == generic[node], f"label of node {node} differs"
+        reference = reference_from_bits(store.label_bits(node))
+        assert word_level[node] == reference, f"label of node {node} differs"
 
 
 @pytest.mark.parametrize("family", ["random", "path", "star", "caterpillar", "broom"])
@@ -63,7 +66,8 @@ def test_parse_word_equals_from_bits_per_label():
     store = LabelStore.encode_tree(scheme, tree)
     for node in range(store.n):
         bits = store.label_bits(node)
-        assert _parse_word(bits.to_int(), len(bits)) == scheme.parse(bits)
+        parsed = _parse_word(bits.to_int(), len(bits))
+        assert parsed == scheme.parse(bits) == reference_from_bits(bits)
 
 
 def test_engine_queries_through_word_parser_match_oracle():

@@ -2,8 +2,16 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
+from repro.generators.random_trees import (
+    random_binary_tree,
+    random_caterpillar,
+    random_prufer_tree,
+    random_weighted_tree,
+)
+from repro.generators.structured import path_tree, star_tree
 from repro.oracles.distance_matrix import DistanceMatrix
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.trees.transform import attach_leaves, binarize, prepare_for_leaf_queries
@@ -74,8 +82,73 @@ class TestBinarize:
                 if u != v:
                     assert matrix.distance(result.query_node[u], result.query_node[v]) == 2
 
+    def test_dummy_chain_layout(self):
+        # children 1..4 of the root: 1 stays, 2 hangs off dummy 5, and the
+        # last dummy 6 (child of 5) holds 3 and 4
+        result = binarize(RootedTree([None, 0, 0, 0, 0]))
+        tree = result.tree
+        assert [tree.parent(v) for v in tree.nodes()] == [None, 0, 5, 6, 6, 0, 5]
+        assert [tree.edge_weight(v) for v in tree.nodes()] == [0, 1, 1, 1, 1, 0, 0]
+        assert list(result.query_node) == [0, 1, 2, 3, 4]
+        assert list(result.origin) == [0, 1, 2, 3, 4, -1, -1]
+
+
+def _tree_fields(tree: RootedTree) -> tuple:
+    nodes = tree.nodes()
+    return (
+        [tree.parent(v) for v in nodes],
+        [tree.edge_weight(v) for v in nodes],
+        [tree.children(v) for v in nodes],
+    )
+
+
+def _assert_equals_composition(tree: RootedTree) -> None:
+    """The one-pass transform equals ``binarize(attach_leaves(tree).tree)``."""
+    attached = attach_leaves(tree)
+    binarized = binarize(attached.tree)
+    query_node = [binarized.query_node[leaf] for leaf in attached.query_node]
+    origin = [-1] * binarized.tree.n
+    for original, leaf in enumerate(query_node):
+        origin[leaf] = original
+
+    result = prepare_for_leaf_queries(tree)
+    assert _tree_fields(result.tree) == _tree_fields(binarized.tree)
+    assert list(result.query_node) == query_node
+    assert list(result.origin) == origin
+    assert result.query_node.typecode == result.origin.typecode == "i"
+
+
+TRANSFORM_FAMILIES = {
+    "prufer": lambda: random_prufer_tree(300, seed=3),
+    "binary": lambda: random_binary_tree(300, seed=5),
+    "caterpillar": lambda: random_caterpillar(300, seed=7),
+    "star": lambda: star_tree(50),
+    "path": lambda: path_tree(120),
+    "single": lambda: RootedTree([None]),
+    "weighted": lambda: random_weighted_tree(200, 7, seed=9),
+}
+
 
 class TestPrepareForLeafQueries:
+    @pytest.mark.parametrize("family", sorted(TRANSFORM_FAMILIES))
+    def test_equals_attach_then_binarize(self, family):
+        _assert_equals_composition(TRANSFORM_FAMILIES[family]())
+
+    def test_equals_attach_then_binarize_structured(self, any_tree):
+        _assert_equals_composition(any_tree)
+
+    @given(weighted_trees(max_nodes=40))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_attach_then_binarize_weighted(self, tree):
+        _assert_equals_composition(tree)
+
+    def test_without_binarization_is_attach_leaves(self, any_tree):
+        result = prepare_for_leaf_queries(any_tree, binarize_tree=False)
+        attached = attach_leaves(any_tree)
+        assert _tree_fields(result.tree) == _tree_fields(attached.tree)
+        assert result.query_node == attached.query_node
+        assert result.origin == attached.origin
+
     @given(weighted_trees(max_nodes=20))
     @settings(max_examples=30, deadline=None)
     def test_distances_preserved(self, tree):
