@@ -23,7 +23,8 @@ the missing network surface on top of the ``LabelStore`` → ``parse_many`` →
   store through the fleet one drained worker at a time, and SIGTERM
   propagates a drain-then-exit shutdown with fleet-merged statistics;
 * :class:`AsyncLabelClient` (:mod:`repro.serve.client`) — the one
-  client: connection reuse, request pipelining, member routing,
+  client: connection reuse, request pipelining (every request frame of
+  one event-loop tick leaves in a single corked write), member routing,
   transparent BUSY retry-with-jitter and reconnect-on-EOF (a dropped
   worker is a retryable event, not an error), returning the same typed
   :class:`~repro.api.QueryResult` values as in-process queries;

@@ -23,6 +23,15 @@ in-process :class:`DistanceIndex` — the wire carries the result *kind* and
 ratio bound, so exact, k-distance and approximate schemes round-trip with
 their semantics intact.  Pass ``raw=True`` for the native values.
 
+Writes: every request frame leaves through one path, a per-connection cork.
+A request appends its frame to the connection's list; the first frame of
+a loop tick schedules one ``loop.call_soon`` flush, which writes the whole
+list with a single ``write``.  Any number of concurrent callers (and a
+whole :meth:`AsyncLabelClient.pipeline` window) thus cost one socket send
+per tick, as the server's answers do, and the bytes on the wire are the
+same frames in request-id order.  A reconnect drops frames corked for the
+dead connection (their requests already failed and are re-issued).
+
 Backpressure: an overloaded server sheds QUERY/MATRIX requests with
 ``OP_BUSY`` instead of queueing them.  The client retries busy requests
 transparently with exponential backoff and full jitter (so a fleet of
@@ -138,6 +147,8 @@ class AsyncLabelClient:
         self._reader = reader
         self._writer = writer
         self._decoder = protocol.FrameDecoder()
+        #: request frames posted this loop tick, written by one ``_uncork``
+        self._corked: list[bytes] = []
         self._ids = itertools.count(1)
         self._waiting: dict[int, asyncio.Future] = {}
         self._broken: Exception | None = None
@@ -234,11 +245,10 @@ class AsyncLabelClient:
                     continue
                 break
             # in-flight futures were already failed by the dying read loop;
-            # anything still registered belongs to the dead connection
-            for future in self._waiting.values():
-                if not future.done():  # pragma: no cover - defensive
-                    future.set_exception(ConnectionError("connection was replaced"))
-            self._waiting.clear()
+            # anything still registered or corked belongs to the dead
+            # connection (a fresh cork list also orphans its pending flush)
+            self._fail_waiting(ConnectionError("connection was replaced"))
+            self._corked = []
             self._decoder = protocol.FrameDecoder()
             self._broken = None
             self.reconnects += 1
@@ -258,8 +268,12 @@ class AsyncLabelClient:
             pass
 
     async def close(self) -> None:
-        """Cancel the reader task and close the connection (pool included)."""
+        """Cancel the reader task and close the connection (pool included).
+
+        Frames still corked are dropped unsent.
+        """
         self._closed = True
+        self._corked = []
         pool, self._route_pool = self._route_pool, {}
         for leaf in pool.values():
             await leaf.close()
@@ -295,11 +309,15 @@ class AsyncLabelClient:
         except asyncio.CancelledError:
             raise
         except Exception as error:  # propagate to every waiter, then stop
-            self._broken = error
-            for future in self._waiting.values():
-                if not future.done():
-                    future.set_exception(error)
-            self._waiting.clear()
+            self._fail_waiting(error)
+
+    def _fail_waiting(self, error: Exception) -> None:
+        """Fail every outstanding request: the connection is unusable."""
+        self._broken = error
+        for future in self._waiting.values():
+            if not future.done():
+                future.set_exception(error)
+        self._waiting.clear()
 
     def _check_open(self) -> None:
         """Fail fast when the reader is gone: nothing would ever resolve a
@@ -307,13 +325,37 @@ class AsyncLabelClient:
         if self._reader_task.done():
             raise self._broken or ConnectionError("client connection is closed")
 
+    def _post(self, frame: bytes) -> None:
+        """Cork ``frame``: the first frame of a tick schedules the flush."""
+        corked = self._corked
+        if not corked:
+            asyncio.get_running_loop().call_soon(self._uncork, corked)
+        corked.append(frame)
+
+    def _uncork(self, corked: list) -> None:
+        """Write one tick's frames in one call (the only request write).
+
+        A flush scheduled for a replaced connection's list does nothing.
+        It never raises out of the loop callback: a closing or failing
+        writer fails the outstanding requests instead.
+        """
+        if corked is not self._corked:
+            return
+        self._corked = []
+        try:
+            if self._writer.is_closing():
+                raise ConnectionError("client connection is closed")
+            self._writer.write(b"".join(corked))
+        except Exception as error:
+            self._fail_waiting(error)
+
     def _send(self, frame_for_id) -> asyncio.Future:
-        """Register a fresh request id, send its frame, return the future."""
+        """Register a fresh request id, post its frame, return the future."""
         self._check_open()
         request_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._waiting[request_id] = future
-        self._writer.write(frame_for_id(request_id))
+        self._post(frame_for_id(request_id))
         return future
 
     async def _request(self, frame_for_id):
@@ -550,9 +592,11 @@ class AsyncLabelClient:
 
         This is the client half of the server's micro-batching story, so it
         is deliberately allocation-light: one future per request (no task),
-        request frames concatenated into few ``write`` calls, and the window
-        enforced by awaiting the oldest outstanding response.  Answers come
-        back in ``pairs`` order regardless of the server's completion order.
+        and the window enforced by awaiting the oldest outstanding response.
+        Frames go out through the same cork as every other request: those
+        posted before each wait leave in one ``write``, and no other write
+        path exists.  Answers come back in ``pairs`` order regardless of
+        the server's completion order.
         Requests shed with BUSY are re-issued (only those) in later rounds
         with jittered backoff.
 
@@ -646,11 +690,10 @@ class AsyncLabelClient:
         loop = asyncio.get_running_loop()
         waiting = self._waiting
         ids = self._ids
-        write = self._writer.write
+        post = self._post
         route_stamp = self._route_stamp
         create_future = loop.create_future
         futures: list[asyncio.Future] = []
-        backlog = bytearray()
         head = 0  # oldest future not yet awaited
         for index, (u, v) in enumerate(pairs):
             if self._reader_task.done():
@@ -669,19 +712,16 @@ class AsyncLabelClient:
                 if trace_every and index % trace_every == 0
                 else None
             )
-            backlog += protocol.encode_query(
-                request_id, u, v, name, trace_id=trace_id, route_version=route_stamp
+            post(
+                protocol.encode_query(
+                    request_id, u, v, name, trace_id=trace_id,
+                    route_version=route_stamp,
+                )
             )
             future = create_future()
             waiting[request_id] = future
             futures.append(future)
-            if len(backlog) >= 32768:
-                write(bytes(backlog))
-                backlog.clear()
             if index + 1 - head >= window:
-                if backlog:
-                    write(bytes(backlog))
-                    backlog.clear()
                 # drain half the window at once: awaiting one future at a
                 # time would degrade to one tiny write per query in steady
                 # state, defeating both ends' batching
@@ -689,8 +729,6 @@ class AsyncLabelClient:
                 while head < release:
                     await _settle(futures[head])
                     head += 1
-        if backlog:
-            write(bytes(backlog))
         for future in futures[head:]:
             await _settle(future)
         return futures

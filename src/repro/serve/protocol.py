@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import struct
 
-from repro.encoding.varint import decode_uvarint, encode_uvarint
+from repro.encoding.varint import _ONE_BYTE, decode_uvarint, encode_uvarint
 
 #: protocol revision carried nowhere on the wire (frames are self-framing);
 #: bumped only when the message grammar changes incompatibly
@@ -65,6 +65,8 @@ OP_TRACE_RESULT = 0x85  #: JSON trace ring / slow-query log
 OP_MOVED = 0xFD  #: redirect hint: another slot owns the member (``routing``)
 OP_BUSY = 0xFE  #: backpressure: the request was shed, retry after a delay
 OP_ERROR = 0xFF  #: request-scoped failure (connection stays usable)
+
+_OP_QUERY_BYTE = bytes([OP_QUERY])
 
 REQUEST_OPS = frozenset({OP_QUERY, OP_BATCH, OP_MATRIX, OP_STATS, OP_INFO, OP_TRACE})
 RESPONSE_OPS = frozenset(
@@ -193,14 +195,25 @@ def encode_query(
     trace_id: int | None = None,
     route_version: int | None = None,
 ) -> bytes:
-    """A framed :data:`OP_QUERY` request (optionally trace-/route-tagged)."""
-    body = bytes([OP_QUERY]) + encode_uvarint(request_id) + _encode_name(name)
-    return encode_frame(
-        body
-        + encode_uvarint(u)
-        + encode_uvarint(v)
-        + _request_suffix(trace_id, route_version)
-    )
+    """A framed :data:`OP_QUERY` request (optionally trace-/route-tagged).
+
+    The hot request encoder, so the body is one join and its length
+    prefix comes from the one-byte table whenever the body is short (it
+    always is, barring a long member name).
+    """
+    uvarint = encode_uvarint
+    if name:
+        encoded = name.encode("utf-8")
+        name_field = uvarint(len(encoded)) + encoded
+    else:
+        name_field = b"\x00"
+    parts = [_OP_QUERY_BYTE, uvarint(request_id), name_field, uvarint(u), uvarint(v)]
+    if trace_id is not None or route_version is not None:
+        parts.append(_request_suffix(trace_id, route_version))
+    body = b"".join(parts)
+    if len(body) < 128:
+        return _ONE_BYTE[len(body)] + body
+    return encode_frame(body)
 
 
 def encode_batch(
@@ -275,6 +288,15 @@ def encode_trace_request(
     return encode_frame(body)
 
 
+def _decode_field(body: bytes, pos: int) -> tuple[str, int]:
+    """A length-prefixed UTF-8 field; refuses a length past the body."""
+    length, pos = decode_uvarint(body, pos)
+    end = pos + length
+    if end > len(body):
+        raise ValueError("truncated length-prefixed field")
+    return body[pos:end].decode("utf-8"), end
+
+
 def _decode_request_suffix(body: bytes, pos: int) -> tuple[int | None, int | None]:
     """The optional tagged suffix fields of a QUERY/BATCH request.
 
@@ -321,11 +343,7 @@ def decode_request(body: bytes):
             limit, pos = decode_uvarint(body, pos)
             include_slow = pos < len(body) and body[pos] == 1
             return op, request_id, "", (limit, include_slow), None, None
-        name_len, pos = decode_uvarint(body, pos)
-        if pos + name_len > len(body):
-            raise ValueError("truncated member name")
-        name = body[pos : pos + name_len].decode("utf-8")
-        pos += name_len
+        name, pos = _decode_field(body, pos)
         if op == OP_STATS:
             detail = pos < len(body) and body[pos] == 1
             return op, request_id, name, True if detail else None, None, None
@@ -512,20 +530,14 @@ def decode_response(body: bytes):
             return op, request_id, retry_after_ms
         if op == OP_MOVED:
             version, pos = decode_uvarint(body, pos)
-            name_len, pos = decode_uvarint(body, pos)
-            name = body[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            host_len, pos = decode_uvarint(body, pos)
-            host = body[pos : pos + host_len].decode("utf-8")
-            pos += host_len
+            name, pos = _decode_field(body, pos)
+            host, pos = _decode_field(body, pos)
             port, pos = decode_uvarint(body, pos)
             return op, request_id, (version, name, host, port)
         if op == OP_ERROR:
-            length, pos = decode_uvarint(body, pos)
-            return op, request_id, body[pos : pos + length].decode("utf-8")
+            return op, request_id, _decode_field(body, pos)[0]
         if op in (OP_STATS_RESULT, OP_INFO_RESULT, OP_TRACE_RESULT):
-            length, pos = decode_uvarint(body, pos)
-            return op, request_id, json.loads(body[pos : pos + length].decode("utf-8"))
+            return op, request_id, json.loads(_decode_field(body, pos)[0])
         kind = body[pos]
         pos += 1
         ratio_bound = None

@@ -176,6 +176,26 @@ def test_protocol_rejects_malformed_input():
         protocol.decode_request(bytes([0x7E, 1]))  # unknown opcode
     with pytest.raises(ProtocolError):
         protocol.decode_response(bytes([protocol.OP_RESULT]))  # truncated
+    # a length field that overruns the frame: never a silently shorter field
+    moved = protocol.encode_moved(3, 2, "member", "127.0.0.1", 7)
+    name_end = moved.index(b"member") + len(b"member")
+    overrun = [
+        protocol.encode_error(7, "boom happened")[1:-5],
+        moved[1 : name_end - 2],  # cut inside the member name
+        moved[1:-6],  # cut inside the host
+    ] + [
+        protocol.encode_json_response(op, 8, {"qps": 1.5})[1:-3]
+        for op in (
+            protocol.OP_STATS_RESULT,
+            protocol.OP_INFO_RESULT,
+            protocol.OP_TRACE_RESULT,
+        )
+    ]
+    for body in overrun:
+        with pytest.raises(ProtocolError, match="truncated"):
+            protocol.decode_response(body)
+    with pytest.raises(ProtocolError, match="truncated"):  # member name overruns
+        protocol.decode_request(protocol.encode_query(7, 3, 42, "member")[1:-4])
     decoder = protocol.FrameDecoder()
     decoder.feed(b"\xff" * 10)  # unterminated varint length prefix
     with pytest.raises(ProtocolError):
@@ -337,6 +357,113 @@ def test_async_client_reconnects_after_connection_loss(catalog, tree, callers):
         assert client.reconnects == 1
         assert await client.pipeline([(0, 1)], name="exact")
         assert client.reconnects == 1  # healed connection reused, no churn
+
+    _run(_with_server(catalog, handler))
+
+
+# -- the client's write cork ---------------------------------------------------
+
+
+def _count_writes(client) -> list[bytes]:
+    """Record every ``write`` on the client's current writer."""
+    writes: list[bytes] = []
+    write = client._writer.write
+
+    def counting(data):
+        writes.append(bytes(data))
+        write(data)
+
+    client._writer.write = counting
+    return writes
+
+
+def test_concurrent_queries_leave_in_one_write(catalog, tree):
+    nodes = range(2, 18)
+    expected = [catalog.query("exact", 0, v) for v in nodes]
+
+    async def handler(server, client, host, port):
+        writes = _count_writes(client)
+        first = next(client._ids) + 1
+        answers = await asyncio.gather(
+            *(client.query(0, v, name="exact") for v in nodes)
+        )
+        assert answers == expected
+        assert writes == [
+            b"".join(
+                protocol.encode_query(first + offset, 0, v, "exact")
+                for offset, v in enumerate(nodes)
+            )
+        ]
+
+    _run(_with_server(catalog, handler))
+
+
+def test_pipeline_bytes_are_the_frames_in_order(catalog, tree):
+    pairs = random_pairs(tree, 200, seed=21)
+
+    async def handler(server, client, host, port):
+        writes = _count_writes(client)
+        first = next(client._ids) + 1
+        answers = await client.pipeline(pairs, name="exact", raw=True, window=32)
+        assert answers == catalog.index("exact").batch(pairs, raw=True)
+        assert b"".join(writes) == b"".join(
+            protocol.encode_query(first + offset, u, v, "exact")
+            for offset, (u, v) in enumerate(pairs)
+        )
+        assert len(writes) <= len(pairs) // 8  # a write per wait, not per frame
+
+    _run(_with_server(catalog, handler))
+
+
+def _quiet_loop() -> list[dict]:
+    """Collect what the running loop would log as callback exceptions."""
+    seen: list[dict] = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: seen.append(context)
+    )
+    return seen
+
+
+def test_connection_dropped_before_the_flush_heals(catalog, tree):
+    """Frames are corked, the connection drops before their flush runs:
+    the flush fails them instead of raising, the callers reconnect once and
+    re-send, and a later query goes out on the new connection."""
+    nodes = range(2, 18)
+    expected = [catalog.query("exact", 0, v) for v in nodes]
+
+    async def handler(server, client, host, port):
+        seen = _quiet_loop()
+        assert await client.query(0, 1, name="exact")
+        dead = client._writer
+        writes = _count_writes(client)
+        callers = [
+            asyncio.ensure_future(client.query(0, v, name="exact")) for v in nodes
+        ]
+        await asyncio.sleep(0)  # every caller corks; the flush queues behind us
+        assert len(client._corked) == len(nodes)
+        dead.close()
+        assert await asyncio.gather(*callers) == expected
+        assert writes == []  # nothing was written to the dropped connection
+        assert client.reconnects == 1
+        assert await client.query(0, 1, name="exact") == catalog.query("exact", 0, 1)
+        assert client.reconnects == 1
+        assert seen == []
+
+    _run(_with_server(catalog, handler))
+
+
+def test_close_with_frames_corked_is_quiet(catalog, tree):
+    async def handler(server, client, host, port):
+        seen = _quiet_loop()
+        writes = _count_writes(client)
+        for v in range(2, 6):
+            client._send(
+                lambda request_id, v=v: protocol.encode_query(request_id, 0, v, "exact")
+            )
+        await client.close()
+        await asyncio.sleep(0.01)  # the orphaned flush has run by now
+        assert writes == []  # corked frames are dropped, not sent
+        assert seen == []
 
     _run(_with_server(catalog, handler))
 
