@@ -782,7 +782,7 @@ def _format_fleet_summary(fleet: dict) -> str:
         f"fleet: {fleet.get('workers', 0)} workers, "
         f"{fleet.get('qps', 0.0):,.0f} q/s lifetime, "
         f"p50 {latency.get('p50', 0.0):.3f}ms p99 {latency.get('p99', 0.0):.3f}ms "
-        f"(reservoir {latency.get('samples', 0)} samples), "
+        f"({latency.get('samples', 0)} samples), "
         f"{fleet.get('restarts', 0)} restart(s), {fleet.get('reloads', 0)} "
         f"reload(s), exit codes {fleet.get('exit_codes')}"
     )

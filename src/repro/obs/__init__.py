@@ -8,9 +8,8 @@ Four small, dependency-free modules that make a running fleet inspectable:
   write), a bounded ring of recent traces and a slow-query log per worker
   (served over ``OP_TRACE`` / ``repro-labels trace``);
 * :mod:`repro.obs.hist` — fixed-boundary log-spaced latency
-  :class:`Histogram` s whose merge is exact bucket-wise addition, so
-  fleet-wide percentiles come from merged counts instead of concatenated
-  reservoirs;
+  :class:`Histogram` s whose merge is exact bucket-wise addition — the
+  only latency record, so fleet-wide percentiles come from merged counts;
 * :mod:`repro.obs.registry` — a minimal typed metric registry (counters,
   gauges, histograms, info labels);
 * :mod:`repro.obs.prom` — the Prometheus text exposition

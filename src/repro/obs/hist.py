@@ -1,13 +1,10 @@
 """Fixed-boundary log-spaced latency histograms.
 
-The serving stack used to estimate latency percentiles from a bounded
-reservoir (``deque(maxlen=4096)``) per worker.  That breaks down exactly
-where a fleet needs it most: merging.  Concatenating reservoirs over-weights
-a recently-restarted worker (its short reservoir holds *every* sample while
-a veteran's holds the last 4096 of millions), and an external scraper has no
-stable series to graph at all.
-
-A :class:`Histogram` fixes both properties:
+These histograms are the serving stack's only latency record: every
+worker keeps one for end-to-end QUERY latency and one per request stage,
+detailed STATS carry their snapshots, and fleet percentiles come from the
+merged buckets.  A :class:`Histogram` has the three properties a fleet
+needs:
 
 * **fixed boundaries** — every worker in a fleet buckets into the *same*
   log-spaced boundaries (factor √2 from 10 µs to ~7.4 s in milliseconds),

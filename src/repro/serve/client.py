@@ -543,11 +543,10 @@ class AsyncLabelClient:
         """Server statistics (plus one member's cache stats when named).
 
         ``detail=True`` asks for the latency/per-stage histogram snapshots
-        (and the raw reservoir) that fleet merging needs; plain polls should
-        leave it off.
+        that fleet merging needs; plain polls should leave it off.
         """
         _, payload = await self._request(
-            lambda request_id: protocol.encode_stats(request_id, name, reservoir=detail)
+            lambda request_id: protocol.encode_stats(request_id, name, detail=detail)
         )
         return payload
 

@@ -219,7 +219,7 @@ async def _run_load_async(
                     pass
         elapsed = max(time.perf_counter() - started, 1e-9)
         # every connection may face a different worker: collect all STATS
-        # payloads and fold them into one fleet view (reservoirs merged).
+        # payloads and fold them into one fleet view (histograms merged).
         # Routed clients additionally poll their per-shard pooled
         # connections, so the merge sees every worker the run touched.
         if route:

@@ -1,44 +1,19 @@
 """Serving metrics shared by the server, the supervisor and the loadgen.
 
-Two concerns live here because every multi-worker consumer needs both:
-
-* :func:`percentile` — the nearest-rank estimator used for raw sample
-  lists (reservoir snapshots, loadgen client-side timings);
-* :func:`merge_fleet_stats` — fold many per-worker STATS payloads into one
-  fleet-wide view.  Counters add, rates recompute from the summed counters,
-  and latency percentiles are recomputed from the **merged histogram
-  buckets** when the payloads carry them (detailed STATS do) — never by
-  averaging per-worker p50/p99, because an average of percentiles is not a
-  percentile (a worker answering 10 queries at 9 ms must not weigh as much
-  as one answering 10 000 at 1 ms).  Bucket merges are also immune to the
-  reservoir-concatenation skew: a restarted worker's short reservoir held
-  *every* one of its samples while a veteran's held only the last 4096 of
-  millions, so concatenation over-weighted the restarted worker.  Payloads
-  without histograms (older workers, synthetic fixtures) still merge via
-  concatenated reservoirs.
+:func:`merge_fleet_stats` folds many per-worker STATS payloads into one
+fleet-wide view.  Counters add, rates recompute from the summed counters,
+and latency percentiles are recomputed from the **merged histogram
+buckets** that detailed STATS carry — never by averaging per-worker
+p50/p99, because an average of percentiles is not a percentile (a worker
+answering 10 queries at 9 ms must not weigh as much as one answering
+10 000 at 1 ms).  Bucket merges weight every worker by its true sample
+count, so a freshly restarted worker contributes exactly its few samples.
+A payload without a histogram contributes no latency samples.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.obs.hist import merge_histogram_dicts
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an unsorted sample list (0 when empty).
-
-    Nearest-rank: the smallest sample with at least ``fraction`` of the set
-    at or below it — rank ``ceil(fraction * n)`` (1-based).  The previous
-    ``int(fraction * n)`` 0-based form was off by one: it returned the
-    element *after* the nearest rank (p50 of ``[1, 2]`` came out as 2) and
-    p0 returned the minimum only by accident of the clamp.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-    return ordered[rank]
+from repro.obs.hist import Histogram, merge_histogram_dicts
 
 
 #: STATS counters that add across workers.  ``restarts`` is per-slot (each
@@ -131,33 +106,21 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
     if versions:
         merged["routing_version"] = max(versions)
 
-    # fleet latency: merge histogram buckets when the payloads carry them
-    # (exact — every worker weighted by its true sample count), otherwise
-    # fall back to concatenating the per-worker reservoirs
+    # fleet latency: merge histogram buckets (exact — every worker weighted
+    # by its true sample count); payloads without one add no samples
     histograms = [
         stats["latency_ms"]["histogram"]
         for stats in workers
         if isinstance(stats.get("latency_ms", {}).get("histogram"), dict)
     ]
-    reservoir: list[float] = []
-    for stats in workers:
-        reservoir.extend(stats.get("latency_ms", {}).get("reservoir", ()))
-    fleet_hist = merge_histogram_dicts(histograms)
-    if fleet_hist is not None:
-        merged["latency_ms"] = {
-            "p50": round(fleet_hist.percentile(0.50), 4),
-            "p99": round(fleet_hist.percentile(0.99), 4),
-            "samples": fleet_hist.total,
-            "histogram": fleet_hist.to_dict(),
-            "reservoir": reservoir,
-        }
-    else:
-        merged["latency_ms"] = {
-            "p50": round(percentile(reservoir, 0.50), 4),
-            "p99": round(percentile(reservoir, 0.99), 4),
-            "samples": len(reservoir),
-            "reservoir": reservoir,
-        }
+    fleet_hist = merge_histogram_dicts(histograms) or Histogram()
+    merged["latency_ms"] = {
+        "p50": round(fleet_hist.percentile(0.50), 4),
+        "p99": round(fleet_hist.percentile(0.99), 4),
+        "samples": fleet_hist.total,
+    }
+    if histograms:
+        merged["latency_ms"]["histogram"] = fleet_hist.to_dict()
 
     # per-stage histograms merge the same way (absent unless detailed STATS)
     stage_names = sorted(

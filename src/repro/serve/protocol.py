@@ -249,19 +249,18 @@ def encode_matrix(request_id: int, nodes=None, name: str = "") -> bytes:
     return encode_frame(b"".join(parts))
 
 
-def encode_stats(request_id: int, name: str = "", *, reservoir: bool = False) -> bytes:
+def encode_stats(request_id: int, name: str = "", *, detail: bool = False) -> bytes:
     """A framed :data:`OP_STATS` request (empty name = server-wide).
 
-    ``reservoir=True`` appends the additive detail flag byte asking the
-    server to embed its full latency detail — historically the raw
-    reservoir, now the per-stage histogram snapshots fleet merges are
-    computed from.  Fleet-merging consumers (loadgen, the supervisor) opt
-    in; a plain STATS poll stays a few hundred bytes.  Servers ignore
-    trailing bytes they do not understand, so this is RSP/1-compatible in
-    both directions.
+    ``detail=True`` appends the additive detail flag byte asking the
+    server to embed its latency and per-stage histogram snapshots, which
+    fleet merges are computed from.  Fleet-merging consumers (loadgen, the
+    supervisor) opt in; a plain STATS poll stays a few hundred bytes.
+    Servers ignore trailing bytes they do not understand, so this is
+    RSP/1-compatible in both directions.
     """
     body = bytes([OP_STATS]) + encode_uvarint(request_id) + _encode_name(name)
-    if reservoir:
+    if detail:
         body += b"\x01"
     return encode_frame(body)
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from collections import deque
 
 from repro import kernels
 from repro.api.catalog import CatalogError, IndexCatalog
@@ -57,11 +56,6 @@ from repro.scale.memory import current_rss_bytes
 from repro.serve import faults, protocol
 from repro.serve.routing import member_endpoint, table_owners
 from repro.store.label_store import StoreError
-
-#: latency samples kept in the raw reservoir embedded in detailed STATS
-#: (kept for wire compatibility and spot debugging; percentiles and fleet
-#: merges come from the fixed-boundary histograms, which never truncate)
-_LATENCY_WINDOW = 4096
 
 
 class _Member:
@@ -176,16 +170,18 @@ class ServingCore:
         self.batch_request_pairs = 0
         self.matrix_requests = 0
         self.matrix_offloaded = 0  #: MATRIX requests run on the executor
-        self.flushes = 0  #: coalescer batch_query calls
-        self.coalesced = 0  #: QUERY answers produced by those calls
+        #: coalescer flushes: one per member batch call, including a
+        #: poisoned call that is then answered pair by pair
+        self.flushes = 0
+        self.coalesced = 0  #: QUERY answers produced by those flushes
         self.errors = 0
         self.busy_rejections = 0  #: requests shed with OP_BUSY
         self.pending_total = 0  #: QUERYs currently queued in the coalescer
         self.connections_total = 0
         self.connections_open = 0
-        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        #: fixed-boundary histograms: exact fleet merges are bucket-wise
-        #: sums, so percentiles survive worker restarts and rolling reloads
+        #: fixed-boundary histograms, the only latency record: exact fleet
+        #: merges are bucket-wise sums, so percentiles survive worker
+        #: restarts and rolling reloads
         self.latency_hist = Histogram()  #: QUERY enqueue -> response written
         self.stage_hist = {stage: Histogram() for stage in STAGES}
         #: bounded ring of recent traces plus the slow-query log
@@ -299,17 +295,16 @@ class ServingCore:
         ``latency_ms`` covers QUERY requests only (enqueue to flush, the
         number a per-query client observes); BATCH/MATRIX requests are
         counted but would skew the per-query percentiles and stay out.
-        Percentiles come from the fixed-boundary latency histogram, so they
-        are quantised to its bucket bounds but never truncated by a window.
-        ``detail`` embeds the histogram snapshots (latency + per-stage) and
-        the raw reservoir (in ms) so fleet consumers — the supervisor's
-        shutdown summary, the metrics endpoint, the loadgen report — can
-        merge latency across workers bucket-wise and report true fleet
-        percentiles; plain monitoring polls leave it off and stay a few
-        hundred bytes.
+        Percentiles come from the fixed-boundary latency histogram (the
+        server's only latency record), so they are quantised to its bucket
+        bounds but never truncated by a window.  ``detail`` embeds the
+        histogram snapshots (latency + per-stage) so fleet consumers — the
+        supervisor's shutdown summary, the metrics endpoint, the loadgen
+        report — can merge latency across workers bucket-wise and report
+        true fleet percentiles; plain monitoring polls leave it off and stay
+        a few hundred bytes.
         """
         elapsed = max(time.monotonic() - self.started_at, 1e-9)
-        samples = list(self._latencies)
         answered = self.queries + self.batch_request_pairs
         payload = {
             "worker": os.getpid(),
@@ -351,9 +346,6 @@ class ServingCore:
             payload["store_generation"] = self.generation.get("generation")
         if detail:
             payload["latency_ms"]["histogram"] = self.latency_hist.to_dict()
-            payload["latency_ms"]["reservoir"] = [
-                round(sample * 1000, 4) for sample in samples
-            ]
             payload["stages"] = {
                 stage: hist.to_dict() for stage, hist in self.stage_hist.items()
             }
@@ -423,13 +415,19 @@ class ServingCore:
         return 1 + self.pending_total // 10000
 
     def _flush(self) -> None:
-        """Answer every pending query with one batch call per member."""
+        """Answer every pending query with one batch call per member.
+
+        A batch call that raises (one out-of-range pair fails the whole
+        call) is retried pair by pair, so only the offending requests get
+        ``OP_ERROR``; the good ones take the same grouping, encode and
+        write path as an unpoisoned flush, which counts once in
+        ``flushes`` either way.
+        """
         self._flush_scheduled = False
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, []
         now = time.monotonic
-        record = self._latencies.append
         latency_hist = self.latency_hist
         queue_hist = self.stage_hist["queue"]
         slow_ms = self.tracer.slow_ms
@@ -439,20 +437,28 @@ class ServingCore:
                 continue
             member.pending = []
             self.pending_total -= len(pending)
-            pairs = [(item[2], item[3]) for item in pending]
             flush_start = now()
             try:
-                answers = member.index.batch(pairs, raw=True)
+                answers = member.index.batch(
+                    [(item[2], item[3]) for item in pending], raw=True
+                )
             except (StoreError, ValueError):
                 # one bad pair must not poison the whole coalesced batch:
-                # fall back to answering each query alone so only the
-                # offending requests receive OP_ERROR
-                self._flush_individually(member, pending)
-                continue
+                # answer each pair alone; only the offenders get OP_ERROR
+                good, answers = [], []
+                for item in pending:
+                    try:
+                        answers.append(member.index.query(item[2], item[3], raw=True))
+                    except (StoreError, ValueError) as error:
+                        self.errors += 1
+                        item[0].send(protocol.encode_error(item[1], str(error)))
+                    else:
+                        good.append(item)
+                pending = good
+            finished = now()
             self.flushes += 1
             self.coalesced += len(pending)
             self.queries += len(pending)
-            finished = now()
             self.stage_hist["batch"].observe((finished - flush_start) * 1000.0)
             # group per connection, then build each connection's response
             # frames in one encode_result_block call and one write
@@ -461,7 +467,6 @@ class ServingCore:
             for item, answer in zip(pending, answers):
                 connection, request_id, u, v, enqueued, trace = item
                 total_ms = (finished - enqueued) * 1000.0
-                record(finished - enqueued)
                 latency_hist.observe(total_ms)
                 queue_hist.observe((flush_start - enqueued) * 1000.0)
                 if slow_ms is not None and total_ms >= slow_ms:
@@ -483,68 +488,61 @@ class ServingCore:
                 bucket.append((request_id, answer))
             kind = member.kind_code
             ratio = member.ratio_bound
-            encode_hist = self.stage_hist["encode"]
-            write_hist = self.stage_hist["write"]
-            conn_times: dict[object, tuple] = {}
+            sent: dict[object, tuple] = {}
             for connection, items in answered.items():
-                encode_start = now()
-                block = protocol.encode_result_block(items, kind, ratio)
-                encode_end = now()
-                connection.send(block)
-                write_end = now()
-                encode_hist.observe((encode_end - encode_start) * 1000.0)
-                write_hist.observe((write_end - encode_end) * 1000.0)
-                if traced:
-                    conn_times[connection] = (encode_start, encode_end, write_end)
+                sent[connection] = self._send_timed(
+                    connection, protocol.encode_result_block, items, kind, ratio
+                )
+            # a traced query reports its connection's shared encode/write
+            # spans: the one block it was answered in is what it waited for
             for trace, connection, u, v, enqueued in traced:
-                encode_start, encode_end, write_end = conn_times[connection]
-                self._record_query_trace(
+                self._record_trace(
+                    "query",
+                    member.name,
                     trace,
-                    member,
-                    u,
-                    v,
-                    enqueued=enqueued,
-                    flush_start=flush_start,
-                    batch_end=finished,
-                    encode_start=encode_start,
-                    encode_end=encode_end,
-                    write_end=write_end,
+                    (
+                        ("queue", enqueued, flush_start),
+                        ("batch", flush_start, finished),
+                        *sent[connection],
+                    ),
+                    u=u,
+                    v=v,
                 )
 
-    def _record_query_trace(
-        self,
-        trace: tuple,
-        member: _Member,
-        u: int,
-        v: int,
-        *,
-        enqueued: float,
-        flush_start: float,
-        batch_end: float,
-        encode_start: float,
-        encode_end: float,
-        write_end: float,
-    ) -> None:
-        """Assemble and record the spans for one traced, coalesced QUERY.
+    def _send_timed(self, connection, encode, *args) -> tuple:
+        """Encode one response with ``encode(*args)`` and write it.
 
-        The encode/write spans are per-connection (the batched response block
-        is built and written once per connection), so a traced query inside a
-        large coalesced flush reports the shared encode/write cost — exactly
-        what that request actually waited for.
+        Observes the encode and write stage histograms and returns their
+        ``(stage, start, end)`` spans for :meth:`_record_trace`.
+        """
+        now = time.monotonic
+        start = now()
+        data = encode(*args)
+        encoded = now()
+        connection.send(data)
+        written = now()
+        self.stage_hist["encode"].observe((encoded - start) * 1000.0)
+        self.stage_hist["write"].observe((written - encoded) * 1000.0)
+        return ("encode", start, encoded), ("write", encoded, written)
+
+    def _record_trace(self, op: str, member: str, trace: tuple, spans, **attrs) -> None:
+        """Record one traced request: its decode span, then ``spans``.
+
+        ``trace`` is ``(trace_id, arrived, decoded)``; ``spans`` are
+        ``(stage, start, end)`` monotonic times in request order, the last
+        ending when the response was written.
         """
         trace_id, arrived, decoded = trace
         record = Trace(
             trace_id,
-            "query",
-            member.name,
-            total_ms=(write_end - arrived) * 1000.0,
-            attrs=self._trace_attrs(u=u, v=v),
+            op,
+            member,
+            total_ms=(spans[-1][2] - arrived) * 1000.0,
+            attrs=self._trace_attrs(**attrs),
         )
         record.add(Span.completed("decode", (decoded - arrived) * 1000.0))
-        record.add(Span.completed("queue", (flush_start - enqueued) * 1000.0))
-        record.add(Span.completed("batch", (batch_end - flush_start) * 1000.0))
-        record.add(Span.completed("encode", (encode_end - encode_start) * 1000.0))
-        record.add(Span.completed("write", (write_end - encode_end) * 1000.0))
+        for stage, start, end in spans:
+            record.add(Span.completed(stage, (end - start) * 1000.0))
         self.tracer.record(record)
 
     def _trace_attrs(self, **extra) -> dict:
@@ -553,62 +551,6 @@ class ServingCore:
             attrs["store_generation"] = self.generation.get("generation")
         attrs.update(extra)
         return attrs
-
-    def _flush_individually(self, member: _Member, pending: list) -> None:
-        """Answer each pending query alone (the poisoned-batch slow path)."""
-        kind = member.kind_code
-        ratio = member.ratio_bound
-        query = member.index.query
-        record = self._latencies.append
-        now = time.monotonic
-        for connection, request_id, u, v, enqueued, trace in pending:
-            start = now()
-            try:
-                answer = query(u, v, raw=True)
-            except (StoreError, ValueError) as error:
-                self.errors += 1
-                connection.send(protocol.encode_error(request_id, str(error)))
-            else:
-                batch_end = now()
-                self.flushes += 1
-                self.coalesced += 1
-                self.queries += 1
-                total = batch_end - enqueued
-                record(total)
-                self.latency_hist.observe(total * 1000.0)
-                self.stage_hist["queue"].observe((start - enqueued) * 1000.0)
-                self.stage_hist["batch"].observe((batch_end - start) * 1000.0)
-                encode_start = now()
-                frame = protocol.encode_result(request_id, kind, (answer,), ratio)
-                encode_end = now()
-                connection.send(frame)
-                write_end = now()
-                self.stage_hist["encode"].observe((encode_end - encode_start) * 1000.0)
-                self.stage_hist["write"].observe((write_end - encode_end) * 1000.0)
-                if self.tracer.slow_ms is not None:
-                    self.tracer.maybe_slow(
-                        total * 1000.0,
-                        {
-                            "op": "query",
-                            "member": member.name,
-                            "u": u,
-                            "v": v,
-                            "trace_id": trace[0] if trace else None,
-                        },
-                    )
-                if trace is not None:
-                    self._record_query_trace(
-                        trace,
-                        member,
-                        u,
-                        v,
-                        enqueued=enqueued,
-                        flush_start=start,
-                        batch_end=batch_end,
-                        encode_start=encode_start,
-                        encode_end=encode_end,
-                        write_end=write_end,
-                    )
 
     # -- MATRIX offload -------------------------------------------------------
 
@@ -671,19 +613,17 @@ class ServingCore:
                 self.batch_requests += 1
                 self.batch_request_pairs += len(payload)
                 self.stage_hist["batch"].observe((batch_end - batch_start) * 1000.0)
-                encode_start = time.monotonic()
-                frame = protocol.encode_result(
-                    request_id, member.kind_code, answers, member.ratio_bound
+                encode, write = self._send_timed(
+                    connection,
+                    protocol.encode_result,
+                    request_id,
+                    member.kind_code,
+                    answers,
+                    member.ratio_bound,
                 )
-                encode_end = time.monotonic()
-                connection.send(frame)
-                write_end = time.monotonic()
-                self.stage_hist["encode"].observe((encode_end - encode_start) * 1000.0)
-                self.stage_hist["write"].observe((write_end - encode_end) * 1000.0)
-                total_ms = (write_end - arrived) * 1000.0
                 if self.tracer.slow_ms is not None:
                     self.tracer.maybe_slow(
-                        total_ms,
+                        (write[2] - arrived) * 1000.0,
                         {
                             "op": "batch",
                             "member": name,
@@ -692,18 +632,13 @@ class ServingCore:
                         },
                     )
                 if trace_id is not None:
-                    record = Trace(
-                        trace_id,
+                    self._record_trace(
                         "batch",
                         name,
-                        total_ms=total_ms,
-                        attrs=self._trace_attrs(pairs=len(payload)),
+                        (trace_id, arrived, decoded),
+                        (("batch", batch_start, batch_end), encode, write),
+                        pairs=len(payload),
                     )
-                    record.add(Span.completed("decode", (decoded - arrived) * 1000.0))
-                    record.add(Span.completed("batch", (batch_end - batch_start) * 1000.0))
-                    record.add(Span.completed("encode", (encode_end - encode_start) * 1000.0))
-                    record.add(Span.completed("write", (write_end - encode_end) * 1000.0))
-                    self.tracer.record(record)
                 return
             if op == protocol.OP_MATRIX:
                 member = self.member(name)

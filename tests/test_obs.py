@@ -6,8 +6,8 @@ endpoint, the slow-query log and the SIGUSR2 profiling hook.
 The acceptance-style tests pin the properties the plane exists for:
 
 * fleet percentiles come from **merged histogram buckets**, so a
-  restart-skewed fleet (short fresh reservoir vs. saturated veteran one)
-  merges without over-weighting the restarted worker;
+  restart-skewed fleet (a fresh worker with few samples vs. a veteran with
+  many) merges without over-weighting the restarted worker;
 * a traced query's spans cover the named request stages and sum to within
   20% of the client-observed latency (made deterministic with an injected
   ``stall`` fault that dominates the timings);
@@ -39,7 +39,7 @@ from repro.obs.registry import Registry
 from repro.obs.trace import STAGES, Span, Trace, TraceRecorder
 from repro.serve import AsyncLabelClient, FleetSupervisor, LabelServer, protocol
 from repro.serve.loadgen import run_load
-from repro.serve.metrics import merge_fleet_stats, percentile
+from repro.serve.metrics import merge_fleet_stats
 
 
 @pytest.fixture(scope="module")
@@ -136,35 +136,19 @@ def test_histogram_bounds_validation():
         Histogram(bounds=(2.0, 1.0))
 
 
-# -- nearest-rank percentile (satellite regression) ---------------------------
-
-
-def test_percentile_nearest_rank_off_by_one_fixed():
-    """p50 of [1, 2] is 1 under nearest-rank; the old ``int(f * n)`` indexing
-    returned 2 (the element *after* the nearest rank)."""
-    assert percentile([1.0, 2.0], 0.5) == 1.0
-    assert percentile([2.0, 1.0], 0.5) == 1.0  # unsorted input
-    assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-    assert percentile([1.0, 2.0, 3.0], 0.0) == 1.0
-    assert percentile([1.0, 2.0, 3.0], 1.0) == 3.0
-    assert percentile([7.0], 0.99) == 7.0
-    assert percentile([], 0.5) == 0.0
-    # nearest rank of p99 over 200 samples is the 198th order statistic
-    samples = [float(i) for i in range(1, 201)]
-    assert percentile(samples, 0.99) == 198.0
+# -- fleet percentile merge ---------------------------------------------------
 
 
 def test_fleet_percentiles_from_merged_histograms_not_reservoirs():
-    """Regression for restart skew: a veteran worker with a saturated
-    reservoir (4096 of its 100k samples) and a freshly restarted worker
-    whose short reservoir holds *every* sample.  Concatenating reservoirs
-    would weight them 4096:64; merged buckets weight them 100_000:64."""
+    """Restart skew: a veteran worker with 100k samples and a freshly
+    restarted worker with 64.  Merged buckets weight them 100_000:64, by
+    their true sample counts."""
     veteran_hist = Histogram()
     veteran_hist.observe_many(1.0, 100_000)
     restarted_hist = Histogram()
     restarted_hist.observe_many(64.0, 64)
 
-    def payload(worker, slot, hist, reservoir):
+    def payload(worker, slot, hist):
         return {
             "worker": worker,
             "slot": slot,
@@ -174,40 +158,26 @@ def test_fleet_percentiles_from_merged_histograms_not_reservoirs():
                 "p99": hist.percentile(0.99),
                 "samples": hist.total,
                 "histogram": hist.to_dict(),
-                "reservoir": reservoir,
             },
         }
 
     merged = merge_fleet_stats(
         [
-            payload(100, 0, veteran_hist, [1.0] * 4096),
-            payload(200, 1, restarted_hist, [64.0] * 64),
+            payload(100, 0, veteran_hist),
+            payload(200, 1, restarted_hist),
         ]
     )
     latency = merged["latency_ms"]
     # every worker is weighted by its true sample count
     assert latency["samples"] == 100_064
     # p50 AND p99 both sit in the veteran's ~1ms bucket (the restarted
-    # worker's 64 samples are ~0.06% of the fleet); the concatenated
-    # reservoir would have put p99 at 64ms.  The histogram answers with the
-    # bucket's upper bound — a <= sqrt(2) quantisation of the true 1.0ms.
+    # worker's 64 samples are ~0.06% of the fleet).  The histogram answers
+    # with the bucket's upper bound — a <= sqrt(2) quantisation of 1.0ms.
     assert latency["p50"] <= 1.0 * math.sqrt(2.0) + 1e-9
     assert latency["p99"] <= 1.0 * math.sqrt(2.0) + 1e-9
-    assert percentile([1.0] * 4096 + [64.0] * 64, 0.99) == 64.0
     # and the merged histogram rides along for downstream consumers
     fleet = Histogram.from_dict(latency["histogram"])
     assert fleet.total == 100_064
-
-
-def test_fleet_merge_falls_back_to_reservoirs_without_histograms():
-    legacy = [
-        {"worker": 1, "latency_ms": {"reservoir": [1.0, 2.0], "samples": 2}},
-        {"worker": 2, "latency_ms": {"reservoir": [3.0], "samples": 1}},
-    ]
-    merged = merge_fleet_stats(legacy)
-    assert merged["latency_ms"]["samples"] == 3
-    assert merged["latency_ms"]["p50"] == 2.0
-    assert "histogram" not in merged["latency_ms"]
 
 
 # -- tracing primitives -------------------------------------------------------

@@ -102,7 +102,7 @@ def test_request_frames_round_trip():
             (protocol.OP_STATS, 14, "y", None, None, None),
         ),
         (
-            protocol.encode_stats(16, "y", reservoir=True),
+            protocol.encode_stats(16, "y", detail=True),
             (protocol.OP_STATS, 16, "y", True, None, None),
         ),
         (protocol.encode_info(15), (protocol.OP_INFO, 15, "", None, None, None)),
@@ -338,6 +338,48 @@ def test_bad_query_does_not_poison_coalesced_batch(catalog, tree):
         assert stats["queries"] == 1
 
     _run(_with_server(catalog, handler))
+
+
+def test_poisoned_flush_traces_and_slow_logs_the_good_query(catalog, tree):
+    """A traced good query coalesced with an out-of-range one: the good
+    query keeps its five query spans and its slow-log entry, and the
+    poisoned flush counts once."""
+
+    async def handler(server, client, host, port):
+        good = client._send(
+            lambda rid: protocol.encode_query(rid, 0, 1, "exact", trace_id=4242)
+        )
+        bad = client._send(
+            lambda rid: protocol.encode_query(rid, 0, tree.n + 7, "exact")
+        )
+        _, payload = await good
+        assert payload[2] == [catalog.query("exact", 0, 1, raw=True)]
+        with pytest.raises(ServerError):
+            await bad
+        snapshot = await client.trace()
+        (trace,) = [t for t in snapshot["traces"] if t["trace_id"] == 4242]
+        assert trace["op"] == "query"
+        assert [span["stage"] for span in trace["spans"]] == [
+            "decode",
+            "queue",
+            "batch",
+            "encode",
+            "write",
+        ]
+        (slow,) = snapshot["slow"]
+        assert (slow["op"], slow["trace_id"], slow["u"], slow["v"]) == (
+            "query",
+            4242,
+            0,
+            1,
+        )
+        stats = await client.stats(detail=True)
+        assert stats["errors"] == 1
+        assert stats["queries"] == 1
+        assert stats["flushes"] == 1
+        assert stats["latency_ms"]["samples"] == 1
+
+    _run(_with_server(catalog, handler, slow_ms=0))
 
 
 @pytest.mark.parametrize("callers", [1, 16])

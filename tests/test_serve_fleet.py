@@ -35,7 +35,8 @@ from repro.serve.faults import (
     parse_faults,
     plan_for,
 )
-from repro.serve.metrics import merge_fleet_stats, percentile
+from repro.obs.hist import Histogram
+from repro.serve.metrics import merge_fleet_stats
 from repro.serve.retry import backoff_delay
 
 
@@ -163,7 +164,11 @@ def test_store_generation_tracks_content(store_file, store_file_b, tmp_path):
 # -- stats merging with heterogeneous payloads ---------------------------------
 
 
-def _stats_payload(worker, *, queries=0, reservoir=(), slot=0, restarts=0, **extra):
+def _stats_payload(worker, *, queries=0, latencies=(), slot=0, restarts=0, **extra):
+    """A detailed-STATS-shaped payload; ``latencies`` holds ``(ms, count)``."""
+    hist = Histogram()
+    for ms, count in latencies:
+        hist.observe_many(ms, count)
     payload = {
         "worker": worker,
         "slot": slot,
@@ -174,30 +179,34 @@ def _stats_payload(worker, *, queries=0, reservoir=(), slot=0, restarts=0, **ext
         "uptime_seconds": extra.pop("uptime_seconds", 5.0),
         "qps": extra.pop("qps", 0.0),
         "latency_ms": {
-            "p50": percentile(list(reservoir), 0.5),
-            "p99": percentile(list(reservoir), 0.99),
-            "samples": len(reservoir),
-            "reservoir": list(reservoir),
+            "p50": hist.percentile(0.5),
+            "p99": hist.percentile(0.99),
+            "samples": hist.total,
+            "histogram": hist.to_dict(),
         },
     }
     payload.update(extra)
     return payload
 
 
-def test_merge_fleet_stats_heterogeneous_reservoirs():
-    """A restarted worker (short reservoir) and a just-born worker (empty
-    payload, no reservoir at all) must merge without skewing percentiles."""
-    veteran = _stats_payload(100, queries=900, reservoir=[1.0] * 90, slot=0)
-    restarted = _stats_payload(200, queries=10, reservoir=[9.0] * 3, slot=1, restarts=2)
+def test_merge_fleet_stats_heterogeneous_histograms():
+    """A restarted worker (few samples) and a just-born worker (empty
+    payload, no histogram at all) must merge without skewing percentiles."""
+    veteran = _stats_payload(100, queries=900, latencies=[(1.0, 90)], slot=0)
+    restarted = _stats_payload(
+        200, queries=10, latencies=[(9.0, 3)], slot=1, restarts=2
+    )
     newborn = {"worker": 300, "slot": 2, "restarts": 1}  # no latency block at all
     merged = merge_fleet_stats([veteran, restarted, newborn])
     assert merged["workers"] == 3
     assert merged["queries"] == 910
     assert merged["restarts"] == 3  # summed across one snapshot per slot
     assert merged["latency_ms"]["samples"] == 93
-    # nearest-rank over the concatenation: the three 9ms samples live in the
-    # tail, so p50 stays at the veteran's 1ms — never an average of p50s
-    assert merged["latency_ms"]["p50"] == 1.0
+    # nearest rank over the merged buckets: the three 9ms samples live in
+    # the tail, so p50 stays in the veteran's 1ms bucket — never an average
+    # of p50s — and p99 lands in the restarted worker's 9ms bucket
+    assert merged["latency_ms"]["p50"] == veteran["latency_ms"]["p50"]
+    assert merged["latency_ms"]["p99"] == restarted["latency_ms"]["p99"]
     rows = {row["slot"]: row for row in merged["per_worker"]}
     assert rows[1]["restarts"] == 2
     assert rows[2]["restarts"] == 1

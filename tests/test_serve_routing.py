@@ -27,6 +27,7 @@ from repro.serve import (
     protocol,
 )
 from repro.serve.client import ServerMoved
+from repro.obs.hist import Histogram
 from repro.serve.metrics import merge_fleet_stats
 from repro.serve.routing import (
     HashRing,
@@ -594,7 +595,12 @@ def _stats_row(slot, pid, queries=10):
         "queries": queries,
         "qps": 1.0,
         "uptime_seconds": 1.0,
-        "latency_ms": {"p50": 1.0, "p99": 2.0, "samples": 0, "reservoir": []},
+        "latency_ms": {
+            "p50": 0.0,
+            "p99": 0.0,
+            "samples": 0,
+            "histogram": Histogram().to_dict(),
+        },
     }
 
 

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.api import DistanceIndex
+from repro.cli import _format_fleet_summary
 from repro.generators.workloads import make_tree, random_pairs
 from repro.serve import (
     AsyncLabelClient,
@@ -32,7 +33,8 @@ from repro.serve import (
     ServingCore,
     protocol,
 )
-from repro.serve.metrics import merge_fleet_stats, percentile
+from repro.obs.hist import Histogram
+from repro.serve.metrics import merge_fleet_stats
 from repro.store import QueryEngine
 
 
@@ -84,9 +86,9 @@ def test_info_advertises_busy_feature(tree, index):
     _run(_with_server(index, handler))
 
 
-def test_stats_reservoir_flag_round_trips():
+def test_stats_detail_flag_round_trips():
     plain = protocol.encode_stats(3, "m")
-    flagged = protocol.encode_stats(4, "m", reservoir=True)
+    flagged = protocol.encode_stats(4, "m", detail=True)
     decoder = protocol.FrameDecoder()
     decoder.feed(plain)
     decoder.feed(flagged)
@@ -109,20 +111,20 @@ def test_stats_reservoir_flag_round_trips():
     )
 
 
-def test_stats_reservoir_is_opt_in(tree, index):
-    """A plain STATS poll stays small; ``detail=True`` embeds the raw
-    latency samples the fleet-merging consumers need."""
+def test_stats_detail_is_opt_in(tree, index):
+    """A plain STATS poll stays small; ``detail=True`` embeds the latency
+    histogram the fleet-merging consumers need, and no raw samples."""
     pairs = random_pairs(tree, 50, seed=1)
 
     async def handler(server, client, host, port):
         await client.pipeline(pairs, raw=True, window=16)
         plain = await client.stats()
-        assert "reservoir" not in plain["latency_ms"]
+        assert "histogram" not in plain["latency_ms"]
         assert plain["latency_ms"]["samples"] == len(pairs)
         full = await client.stats(detail=True)
-        reservoir = full["latency_ms"]["reservoir"]
-        assert len(reservoir) == full["latency_ms"]["samples"] == len(pairs)
-        assert all(sample >= 0 for sample in reservoir)
+        hist = Histogram.from_dict(full["latency_ms"]["histogram"])
+        assert hist.total == full["latency_ms"]["samples"] == len(pairs)
+        assert "reservoir" not in full["latency_ms"]
 
     _run(_with_server(index, handler))
 
@@ -342,19 +344,22 @@ def test_matrix_into_matches_distance_matrix_and_leaves_caches_alone(tree):
 # -- fleet stats merging ------------------------------------------------------
 
 
-def _stats_payload(worker, qps, reservoir, **extra):
+def _stats_payload(worker, qps, ms, count, **extra):
+    """A detailed-STATS-shaped payload of ``count`` queries at ``ms`` each."""
+    hist = Histogram()
+    hist.observe_many(ms, count)
     payload = {
         "worker": worker,
         "uptime_seconds": 1.0,
-        "queries": len(reservoir),
-        "flushes": max(1, len(reservoir) // 4),
-        "coalesced_queries": len(reservoir),
+        "queries": count,
+        "flushes": max(1, count // 4),
+        "coalesced_queries": count,
         "qps": qps,
         "latency_ms": {
-            "p50": percentile(reservoir, 0.5),
-            "p99": percentile(reservoir, 0.99),
-            "samples": len(reservoir),
-            "reservoir": reservoir,
+            "p50": hist.percentile(0.5),
+            "p99": hist.percentile(0.99),
+            "samples": count,
+            "histogram": hist.to_dict(),
         },
         "coalescing": True,
     }
@@ -365,22 +370,44 @@ def _stats_payload(worker, qps, reservoir, **extra):
 def test_merged_percentiles_are_not_averaged_percentiles():
     """1000 fast samples on one worker, 10 slow on another: the fleet p99
     must reflect the distribution (fast), not the average of p99s (50ms)."""
-    fast = _stats_payload(1, 1000.0, [1.0] * 1000)
-    slow = _stats_payload(2, 10.0, [100.0] * 10)
+    fast = _stats_payload(1, 1000.0, 1.0, 1000)
+    slow = _stats_payload(2, 10.0, 100.0, 10)
     merged = merge_fleet_stats([fast, slow])
     assert merged["workers"] == 2
     assert merged["qps"] == 1010.0
     assert merged["latency_ms"]["samples"] == 1010
-    assert merged["latency_ms"]["p99"] == 1.0  # rank 999 of 1010 sorted samples
+    # rank 1000 of 1010 merged samples sits in the fast worker's 1ms bucket
+    fast_bucket = fast["latency_ms"]["p99"]
+    assert fast_bucket < 2.0
+    assert merged["latency_ms"]["p99"] == fast_bucket
     averaged = (fast["latency_ms"]["p99"] + slow["latency_ms"]["p99"]) / 2
-    assert averaged == pytest.approx(50.5)  # the broken estimate this replaces
-    # p50 likewise comes from the merged reservoir
-    assert merged["latency_ms"]["p50"] == 1.0
+    assert averaged > 50.0  # the broken estimate this replaces
+    # p50 likewise comes from the merged buckets
+    assert merged["latency_ms"]["p50"] == fast_bucket
+
+
+def test_fleet_summary_reports_merged_histogram_samples():
+    """The ``fleet:`` line prints the merged histogram's p50/p99 and its
+    sample count (the summed per-worker totals)."""
+    fast = _stats_payload(1, 100.0, 1.0, 100)
+    slow = _stats_payload(2, 10.0, 100.0, 10)
+    merged = merge_fleet_stats([fast, slow])
+    (line,) = [
+        line
+        for line in _format_fleet_summary(merged).splitlines()
+        if line.startswith("fleet:")
+    ]
+    # rank 55 of 110 is a fast sample, rank 109 a slow one
+    p50 = round(fast["latency_ms"]["p50"], 4)
+    p99 = round(slow["latency_ms"]["p99"], 4)
+    assert (merged["latency_ms"]["p50"], merged["latency_ms"]["p99"]) == (p50, p99)
+    assert f"p50 {p50:.3f}ms p99 {p99:.3f}ms (110 samples)," in line
+    assert "reservoir" not in line
 
 
 def test_merge_dedupes_snapshots_by_worker_id():
-    first = _stats_payload(7, 5.0, [1.0, 2.0], busy_rejections=1)
-    second = _stats_payload(7, 9.0, [1.0, 2.0, 3.0], busy_rejections=2)
+    first = _stats_payload(7, 5.0, 1.0, 2, busy_rejections=1)
+    second = _stats_payload(7, 9.0, 2.0, 3, busy_rejections=2)
     merged = merge_fleet_stats([first, second])
     assert merged["workers"] == 1
     assert merged["qps"] == 9.0  # only the latest snapshot per worker counts
@@ -389,13 +416,13 @@ def test_merge_dedupes_snapshots_by_worker_id():
 
 
 def test_merge_folds_member_index_cache_counters():
-    a = _stats_payload(1, 1.0, [1.0])
+    a = _stats_payload(1, 1.0, 1.0, 1)
     a["index"] = {
         "name": "m",
         "open": True,
         "cache": {"hits": 8, "misses": 2, "hit_rate": 0.8, "size": 4, "max_size": 8},
     }
-    b = _stats_payload(2, 1.0, [1.0])
+    b = _stats_payload(2, 1.0, 1.0, 1)
     b["index"] = {"name": "m", "open": False}
     merged = merge_fleet_stats([a, b])
     assert merged["index"]["cache"]["hits"] == 8
