@@ -167,16 +167,15 @@ class DistanceIndex:
         """Cheap summary (``spec``, ``kind``, ``n``) — no store scans.
 
         This is the single-index twin of :meth:`IndexCatalog.describe`; the
-        network server's INFO message is built from it.  ``kernel`` names the :mod:`repro.kernels` tier answering this
-        index's batched queries.
+        network server's INFO message is built from it.  ``kernel`` names the
+        :mod:`repro.kernels` tier answering this index's queries, as
+        :meth:`QueryEngine.cache_info` reports it.
         """
-        from repro import kernels
-
         return {
             "spec": self.spec,
             "kind": self.kind,
             "n": self.n,
-            "kernel": kernels.backend().tier_for(self._engine.scheme),
+            "kernel": self._engine.cache_info()["backend"],
         }
 
     def stats(self) -> dict:

@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-size", type=int, default=4096,
-        help="parsed-label LRU size (store targets; catalogs use the default)",
+        help="decoded-label cache size (store targets; catalogs use the default)",
     )
     serve.add_argument(
         "--mmap", action="store_true",

@@ -18,11 +18,12 @@ supports — a fused call returning ``None`` sends the caller down the
 packed-Python path, so results (and error behaviour) are identical across
 tiers by construction, which the differential suites assert.
 
-The native backend decodes the labels itself from the store:
-:class:`~repro.store.QueryEngine` calls it before parsing anything and
-parses only if it declines.  That makes the C decoder the first reader of
-label bits, so it must decline on anything the Python parser or query
-would reject.
+The native backend owns the decoded labels of the schemes it supports:
+each :class:`~repro.store.QueryEngine` binds one decoded-label arena in C
+(``NativeBackend.arena``), every query crosses to it as one flat buffer
+of pairs, and the engine parses in Python only when the kernel declines.
+That makes the C decoder the first reader of label bits, so it must
+decline on anything the Python parser or query would reject.
 """
 
 from __future__ import annotations

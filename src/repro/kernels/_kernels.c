@@ -12,6 +12,24 @@
  * bug-for-bug complete: it only needs to be *silent* about what it skips
  * and byte-identical on what it accepts.
  *
+ * There is one decoder per scheme family (``hld_decode`` and ``fr_decode``),
+ * reading one label at full width; ``pack`` turns it into one compact,
+ * self-contained record.  Two owners hold records:
+ *
+ * - the **arena** (``repro_arena_*``): one per serving engine, so one per
+ *   store, holding each label decoded once per residency.  Its budget is
+ *   a label count and its policy is FIFO: a batch dedups its endpoints,
+ *   resident ones count as hits (no promotion), the rest are decoded and
+ *   appended in first-seen order (all first endpoints, then all second
+ *   endpoints) as misses, and the oldest entries are trimmed to budget once
+ *   the batch is answered.  If any endpoint is out of range or fails to
+ *   decode, the batch admits nothing and declines.  A mutex guards every
+ *   arena call, since cffi releases the GIL around them;
+ * - the **transient** decode of ``repro_matrix``, which packs its targets
+ *   into private records and frees them on return, so a matrix running on
+ *   a worker thread never touches an arena.  ``repro_checksum`` folds the
+ *   decoder's full-width fields and makes no record at all.
+ *
  * Bit layout contract (matching repro.encoding.bitio): MSB-first within the
  * packed stream; label i starts at bit offset offs[i] * 8 and is lens[i]
  * bits long.  Codes: unary 0^k 1; Elias gamma = unary(zeros) + zeros bits,
@@ -20,71 +38,147 @@
  * low parts, count unary-coded high-part differences.
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 #define E_OK 0
 #define E_FALLBACK 1
 
 /* Arbitrary sanity ceilings: anything above falls back to Python (which
  * handles unbounded integers).  Chosen so every intermediate fits int64
- * with room to spare. */
+ * with room to spare, and so a record can keep bit offsets relative to its
+ * label's start in 32 bits. */
 #define MAX_COUNT (1u << 20)
 #define MAX_VALUE_BITS 56
+#define MAX_LABEL_BITS 0xFFFFFFFFull
 
-#define ABI_VERSION 3
+#define ABI_VERSION 4
+
+#define KIND_HLD 0
+#define KIND_FREEDMAN 1
 
 int repro_kernels_abi(void) { return ABI_VERSION; }
 
 /* -- bit reader ---------------------------------------------------------- */
 
+/* A reader over bits [end - left, end) of a payload.  The upcoming bits sit
+ * MSB-aligned in ``buf`` (``have`` of them valid, zeros below), refilled
+ * with one unaligned load once fewer than 57 remain, so a code is decoded
+ * from a register instead of a load that waits on the previous code. */
 typedef struct {
     const uint8_t *base;
-    uint64_t pos;
-    uint64_t end;
+    uint64_t nbytes; /* payload size: loads never read past it */
+    uint64_t end;    /* absolute bit just past the readable range */
+    uint64_t left;   /* bits between the read position and ``end`` */
+    uint64_t buf;
+    uint32_t have;
 } br_t;
 
-static inline int br_read(br_t *r, uint32_t width, uint64_t *out) {
-    uint64_t pos = r->pos;
-    uint64_t result = 0;
-    uint32_t got = 0;
-    if (width > 63 || pos + width > r->end) return E_FALLBACK;
-    while (got < width) {
-        uint64_t byte_i = pos >> 3;
-        uint32_t bit_i = (uint32_t)(pos & 7);
-        uint32_t avail = 8 - bit_i;
-        uint32_t want = width - got;
-        uint32_t take = want < avail ? want : avail;
-        uint32_t chunk =
-            (uint32_t)(r->base[byte_i] >> (avail - take)) & ((1u << take) - 1u);
-        result = (result << take) | chunk;
-        pos += take;
-        got += take;
+#define BR_POS(r) ((r)->end - (r)->left)
+
+/* The 64 bits starting at byte ``i``, big-endian, zero past the payload. */
+static inline uint64_t br_load(const uint8_t *base, uint64_t nbytes, uint64_t i) {
+    uint64_t w = 0;
+    int k;
+    if (i + 8 <= nbytes) {
+        memcpy(&w, base + i, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+        w = __builtin_bswap64(w);
+#endif
+        return w;
     }
-    r->pos = pos;
-    *out = result;
+    for (k = 0; k < 8; k++) w = (w << 8) | (i + k < nbytes ? base[i + k] : 0u);
+    return w;
+}
+
+static inline void br_init(br_t *r, const uint8_t *base, uint64_t nbytes,
+                           uint64_t pos, uint64_t end) {
+    r->base = base;
+    r->nbytes = nbytes;
+    r->end = end;
+    r->left = end - pos;
+    r->buf = 0;
+    r->have = 0;
+}
+
+/* Afterwards at least 57 bits are buffered. */
+static inline void br_refill(br_t *r) {
+    uint64_t pos = BR_POS(r);
+    r->buf = br_load(r->base, r->nbytes, pos >> 3) << (pos & 7);
+    r->have = 64 - (uint32_t)(pos & 7);
+}
+
+/* Consume ``n <= have`` buffered bits. */
+static inline void br_skip(br_t *r, uint32_t n) {
+    r->buf = n < 64 ? r->buf << n : 0;
+    r->have -= n;
+    r->left -= n;
+}
+
+/* Jump ``n`` bits ahead, past a field that is read later by offset. */
+static inline int br_advance(br_t *r, uint64_t n) {
+    if (n > r->left) return E_FALLBACK;
+    if (n <= r->have) {
+        br_skip(r, (uint32_t)n);
+    } else {
+        r->left -= n;
+        r->buf = 0;
+        r->have = 0;
+    }
+    return E_OK;
+}
+
+static inline int br_read(br_t *r, uint32_t width, uint64_t *out) {
+    uint64_t high;
+    if (width > 63 || width > r->left) return E_FALLBACK;
+    if (width > 57) {
+        if (br_read(r, width - 32, &high) || br_read(r, 32, out)) return E_FALLBACK;
+        *out |= high << 32;
+        return E_OK;
+    }
+    if (r->have < width) br_refill(r);
+    *out = width ? r->buf >> (64 - width) : 0;
+    br_skip(r, width);
     return E_OK;
 }
 
 static inline int br_unary(br_t *r, uint64_t *zeros) {
-    uint64_t pos = r->pos;
     uint64_t count = 0;
-    while (pos < r->end) {
-        uint32_t bit = (r->base[pos >> 3] >> (7 - (pos & 7))) & 1u;
-        pos++;
-        if (bit) {
-            r->pos = pos;
-            *zeros = count;
+    for (;;) {
+        if (!r->buf) br_refill(r);
+        if (r->buf) {
+            uint32_t z = (uint32_t)__builtin_clzll(r->buf);
+            if ((uint64_t)z + 1 > r->left) return E_FALLBACK;
+            br_skip(r, z + 1);
+            *zeros = count + z;
             return E_OK;
         }
-        count++;
+        if (r->have >= r->left) return E_FALLBACK; /* no 1 before the end */
+        count += r->have;
+        br_skip(r, r->have);
     }
-    return E_FALLBACK;
 }
 
+/* Gamma code 0^z 1 rest, value ((1 << z) | rest) - 1: when the whole code
+ * is buffered, its top 2z+1 bits are (1 << z) | rest. */
 static inline int br_gamma(br_t *r, uint64_t *out) {
     uint64_t zeros, rest = 0;
+    int tries;
+    for (tries = 0; tries < 2; tries++) {
+        if (r->buf) {
+            uint32_t size = 2 * (uint32_t)__builtin_clzll(r->buf) + 1;
+            if (size <= r->have) {
+                if (size > r->left) return E_FALLBACK;
+                *out = (r->buf >> (64 - size)) - 1;
+                br_skip(r, size);
+                return E_OK;
+            }
+        }
+        br_refill(r);
+    }
     if (br_unary(r, &zeros)) return E_FALLBACK;
     if (zeros > 62) return E_FALLBACK;
     if (zeros && br_read(r, (uint32_t)zeros, &rest)) return E_FALLBACK;
@@ -118,7 +212,7 @@ static int vec_reserve(vec_t *v, size_t extra) {
     size_t cap;
     uint64_t *grown;
     if (need <= v->cap) return E_OK;
-    cap = v->cap ? v->cap : 256;
+    cap = v->cap ? v->cap : 64;
     while (cap < need) cap *= 2;
     grown = (uint64_t *)realloc(v->data, cap * sizeof(uint64_t));
     if (!grown) return E_FALLBACK;
@@ -191,91 +285,270 @@ int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
     return E_OK;
 }
 
-/* -- hld-fixed ------------------------------------------------------------ */
+/* -- decoding one label -------------------------------------------------- */
 
+/* One Freedman level as the stream holds it, every field at full width. */
 typedef struct {
+    uint64_t cw_val, cw_len, lw, skip, kept_val, kept_len, pushed;
+    uint64_t acc_off, acc_len; /* absolute bit offset and length */
+} fr_level_t;
+
+/* A decoder over one store, and the last label it decoded with every field
+ * at full width — the checksum folds exactly what the stream held, and
+ * ``pack`` turns it into a compact record. */
+typedef struct {
+    int kind;
+    const uint8_t *payload;
+    uint64_t nbytes;
+    const uint64_t *offs;
+    const uint64_t *lens;
+    int64_t n_total;
+    uint32_t id_width;       /* hld: the widths of the first label decoded */
+    uint32_t distance_width; /* in full, which every later label must share */
     uint64_t root_distance;
-    uint32_t count;
-    size_t level_start; /* base index into the shared ids/exits vectors */
-} hld_label_t;
+    uint32_t depth; /* levels: heavy paths (hld) or light depth (freedman) */
+    vec_t ids, exits; /* hld */
+    uint64_t node_id, domination; /* freedman */
+    uint32_t frag_ref_count, frag_dist_count;
+    fr_level_t *levels;
+    size_t capacity; /* of ``levels`` */
+    vec_t frag_refs, frag_dists;
+} dec_t;
 
-typedef struct {
-    hld_label_t *labels;
-    vec_t ids;
-    vec_t exits;
-    uint32_t id_width;
-    uint32_t distance_width;
-} hld_arena_t;
-
-static void hld_arena_free(hld_arena_t *a) {
-    free(a->labels);
-    vec_free(&a->ids);
-    vec_free(&a->exits);
+static void dec_init(dec_t *d, int kind, const uint8_t *payload,
+                     uint64_t nbytes, const uint64_t *offs,
+                     const uint64_t *lens, int64_t n_total) {
+    memset(d, 0, sizeof(*d));
+    d->kind = kind;
+    d->payload = payload;
+    d->nbytes = nbytes;
+    d->offs = offs;
+    d->lens = lens;
+    d->n_total = n_total;
 }
 
-/* Decode the labels of ``nodes`` (slot order) into the arena.  All labels
- * must share one (id_width, distance_width) header — a per-store invariant
- * of the encoder; anything else falls back. */
-static int hld_decode_all(const uint8_t *payload, const uint64_t *offs,
-                          const uint64_t *lens, int64_t n_total,
-                          const int32_t *nodes, int64_t n_nodes,
-                          hld_arena_t *a) {
-    int64_t s;
-    memset(a, 0, sizeof(*a));
-    a->labels = (hld_label_t *)malloc((size_t)n_nodes * sizeof(hld_label_t));
-    if (!a->labels) return E_FALLBACK;
-    for (s = 0; s < n_nodes; s++) {
-        int32_t node = nodes[s];
-        br_t r;
-        uint64_t idw, dw, count, rd;
-        uint32_t level;
-        hld_label_t *lab = &a->labels[s];
-        if (node < 0 || node >= n_total) goto fail;
-        r.base = payload;
-        r.pos = offs[node] * 8;
-        r.end = r.pos + lens[node];
-        if (br_gamma(&r, &idw) || br_gamma(&r, &dw) || br_gamma(&r, &count))
-            goto fail;
-        if (idw == 0 || idw > MAX_VALUE_BITS || dw == 0 || dw > MAX_VALUE_BITS ||
-            count > MAX_COUNT)
-            goto fail;
-        if (s == 0) {
-            a->id_width = (uint32_t)idw;
-            a->distance_width = (uint32_t)dw;
-        } else if (a->id_width != (uint32_t)idw ||
-                   a->distance_width != (uint32_t)dw) {
-            goto fail;
+static void dec_free(dec_t *d) {
+    vec_free(&d->ids);
+    vec_free(&d->exits);
+    free(d->levels);
+    vec_free(&d->frag_refs);
+    vec_free(&d->frag_dists);
+}
+
+/* A reader over ``node``'s label, or 1 when the node or label is out of
+ * the decoder's range. */
+static int dec_reader(const dec_t *d, int64_t node, br_t *r) {
+    uint64_t start, nbits;
+    if (node < 0 || node >= d->n_total) return E_FALLBACK;
+    nbits = d->lens[node];
+    start = d->offs[node] * 8;
+    if (nbits > MAX_LABEL_BITS || start + nbits > d->nbytes * 8) return E_FALLBACK;
+    br_init(r, d->payload, d->nbytes, start, start + nbits);
+    return E_OK;
+}
+
+/* hld-fixed.  The (id_width, distance_width) header must equal the first
+ * label this decoder decoded in full — a per-store invariant of the
+ * encoder; anything else falls back, and Python compares mixed widths
+ * itself. */
+static int hld_decode(dec_t *d, int64_t node) {
+    br_t r;
+    uint64_t idw, dw, count, level;
+    if (dec_reader(d, node, &r)) return E_FALLBACK;
+    if (br_gamma(&r, &idw) || br_gamma(&r, &dw) || br_gamma(&r, &count))
+        return E_FALLBACK;
+    if (idw == 0 || idw > MAX_VALUE_BITS || dw == 0 || dw > MAX_VALUE_BITS ||
+        count > MAX_COUNT)
+        return E_FALLBACK;
+    if (d->id_width && (d->id_width != idw || d->distance_width != dw))
+        return E_FALLBACK;
+    if (br_read(&r, (uint32_t)dw, &d->root_distance)) return E_FALLBACK;
+    d->ids.len = d->exits.len = 0;
+    if (vec_reserve(&d->ids, (size_t)count) || vec_reserve(&d->exits, (size_t)count))
+        return E_FALLBACK;
+    for (level = 0; level < count; level++) {
+        if (br_read(&r, (uint32_t)idw, &d->ids.data[level]) ||
+            br_read(&r, (uint32_t)dw, &d->exits.data[level]))
+            return E_FALLBACK;
+    }
+    d->depth = (uint32_t)count;
+    d->id_width = (uint32_t)idw;
+    d->distance_width = (uint32_t)dw;
+    return E_OK;
+}
+
+/* freedman */
+static int fr_decode(dec_t *d, int64_t node) {
+    br_t r;
+    fr_level_t *lv;
+    uint64_t depth, value;
+    uint32_t level, count;
+    if (dec_reader(d, node, &r)) return E_FALLBACK;
+    d->frag_refs.len = d->frag_dists.len = 0;
+    if (br_delta(&r, &d->node_id)) return E_FALLBACK;
+    if (br_delta(&r, &d->root_distance)) return E_FALLBACK;
+    if (br_delta(&r, &d->domination)) return E_FALLBACK;
+    if (d->root_distance >> MAX_VALUE_BITS) return E_FALLBACK;
+    if (br_gamma(&r, &depth)) return E_FALLBACK;
+    if (depth > MAX_COUNT) return E_FALLBACK;
+    if (depth > d->capacity) {
+        size_t capacity = d->capacity ? d->capacity : 16;
+        while (capacity < depth) capacity *= 2;
+        lv = (fr_level_t *)realloc(d->levels, capacity * sizeof(fr_level_t));
+        if (!lv) return E_FALLBACK;
+        d->levels = lv;
+        d->capacity = capacity;
+    }
+    d->depth = (uint32_t)depth;
+    lv = d->levels;
+    for (level = 0; level < d->depth; level++) {
+        if (br_gamma(&r, &lv[level].cw_len) || lv[level].cw_len > 63) return E_FALLBACK;
+        if (br_read(&r, (uint32_t)lv[level].cw_len, &lv[level].cw_val)) return E_FALLBACK;
+    }
+    for (level = 0; level < d->depth; level++) {
+        if (br_gamma(&r, &value) || value >> MAX_VALUE_BITS) return E_FALLBACK;
+        lv[level].lw = value;
+    }
+    if (br_monotone(&r, &d->frag_refs, &count)) return E_FALLBACK;
+    d->frag_ref_count = count;
+    if (br_monotone(&r, &d->frag_dists, &count)) return E_FALLBACK;
+    d->frag_dist_count = count;
+    for (level = 0; level < d->depth; level++) {
+        uint64_t bit, len = 0, pushed = 0;
+        value = 0;
+        if (br_read(&r, 1, &bit)) return E_FALLBACK;
+        if (!bit) {
+            if (br_gamma(&r, &len) || len > MAX_VALUE_BITS) return E_FALLBACK;
+            if (br_read(&r, (uint32_t)len, &value)) return E_FALLBACK;
+            if (br_gamma(&r, &pushed) || pushed > MAX_VALUE_BITS) return E_FALLBACK;
+            if (len + pushed > MAX_VALUE_BITS) return E_FALLBACK;
         }
-        if (br_read(&r, (uint32_t)dw, &rd)) goto fail;
-        lab->root_distance = rd;
-        lab->count = (uint32_t)count;
-        lab->level_start = a->ids.len;
-        if (vec_reserve(&a->ids, (size_t)count) ||
-            vec_reserve(&a->exits, (size_t)count))
-            goto fail;
-        for (level = 0; level < (uint32_t)count; level++) {
-            uint64_t path_id, exit_distance;
-            if (br_read(&r, (uint32_t)idw, &path_id) ||
-                br_read(&r, (uint32_t)dw, &exit_distance))
-                goto fail;
-            a->ids.data[a->ids.len++] = path_id;
-            a->exits.data[a->exits.len++] = exit_distance;
-        }
+        lv[level].skip = bit;
+        lv[level].kept_len = len;
+        lv[level].kept_val = value;
+        lv[level].pushed = pushed;
+    }
+    for (level = 0; level < d->depth; level++) {
+        if (br_gamma(&r, &lv[level].acc_len)) return E_FALLBACK;
+        lv[level].acc_off = BR_POS(&r);
+        if (br_advance(&r, lv[level].acc_len)) return E_FALLBACK;
     }
     return E_OK;
-fail:
-    hld_arena_free(a);
-    return E_FALLBACK;
 }
 
+static inline int decode(dec_t *d, int64_t node) {
+    return d->kind == KIND_HLD ? hld_decode(d, node) : fr_decode(d, node);
+}
+
+/* -- decoded records ------------------------------------------------------ */
+
+/* The header every decoded label starts with; the family's fields and its
+ * per-level slots follow in the same block. */
+typedef struct rec {
+    struct rec *next;    /* arena FIFO link, oldest first */
+    struct chunk *chunk; /* arena chunk holding the record */
+    uint64_t stamp;      /* arena batch that last looked the label up */
+    int32_t node;
+    uint32_t bytes; /* size of the record */
+} rec_t;
+
+typedef struct {
+    rec_t hdr;
+    uint64_t root_distance;
+    uint64_t count;
+    /* followed by uint64_t ids[count], exits[count] */
+} hld_rec_t;
+
+#define HLD_IDS(l) ((const uint64_t *)((l) + 1))
+#define HLD_EXITS(l) (HLD_IDS(l) + (l)->count)
+
+/* One level of a Freedman record: everything a query reads at its critical
+ * level shares a 32-byte slot, so a query touches about two cache lines per
+ * label (header, then the levels up to the critical one). */
+typedef struct {
+    uint64_t cw;   /* codeword as (1 << length) | bits: one compare */
+    int64_t base;  /* fragment reference minus light weight */
+    uint64_t kept; /* truncated entry bits | pushed << 56 | flags */
+    uint32_t acc_off; /* accumulator offset from the label's start */
+    uint32_t acc_len;
+} fr_lvl_t;
+
+#define FR_VALUE_MASK ((1ull << MAX_VALUE_BITS) - 1)
+#define FR_PUSHED(l) (((l)->kept >> 56) & 63u)
+#define FR_SKIP (1ull << 62)    /* the entry was skipped */
+#define FR_BAD_REF (1ull << 63) /* no usable fragment reference */
+
+typedef struct {
+    rec_t hdr;
+    uint32_t depth;
+    uint64_t node_id, root_distance, domination;
+    uint64_t label_start; /* absolute bit offset of the label */
+    /* followed by fr_lvl_t levels[depth] */
+} fr_rec_t;
+
+#define FR_LEVELS(l) ((const fr_lvl_t *)((l) + 1))
+
+/* Bytes of the record ``pack`` makes from the last decoded label. */
+static size_t packed_size(const dec_t *d) {
+    if (d->kind == KIND_HLD)
+        return sizeof(hld_rec_t) + 2 * (size_t)d->depth * sizeof(uint64_t);
+    return sizeof(fr_rec_t) + (size_t)d->depth * sizeof(fr_lvl_t);
+}
+
+/* Write the last decoded label, ``node``'s, as a record at ``rec`` (its
+ * owner sets the link fields). */
+static void pack(const dec_t *d, int64_t node, rec_t *rec) {
+    size_t level;
+    rec->node = (int32_t)node;
+    rec->bytes = (uint32_t)packed_size(d);
+    if (d->kind == KIND_HLD) {
+        hld_rec_t *lab = (hld_rec_t *)rec;
+        lab->root_distance = d->root_distance;
+        lab->count = d->depth;
+        memcpy(lab + 1, d->ids.data, d->depth * sizeof(uint64_t));
+        memcpy((uint64_t *)(lab + 1) + d->depth, d->exits.data,
+               d->depth * sizeof(uint64_t));
+    } else {
+        fr_rec_t *lab = (fr_rec_t *)rec;
+        fr_lvl_t *out = (fr_lvl_t *)(lab + 1);
+        lab->depth = d->depth;
+        lab->node_id = d->node_id;
+        lab->root_distance = d->root_distance;
+        lab->domination = d->domination;
+        lab->label_start = d->offs[node] * 8;
+        for (level = 0; level < d->depth; level++) {
+            const fr_level_t *lv = &d->levels[level];
+            uint64_t flags = lv->skip ? FR_SKIP : 0;
+            int64_t reference = 0;
+            /* Python: fragment_distances[fragment_refs[level]], IndexError
+             * past either sequence */
+            if (level >= d->frag_ref_count) {
+                flags |= FR_BAD_REF;
+            } else {
+                uint64_t ref = d->frag_refs.data[level];
+                if (ref >= d->frag_dist_count ||
+                    d->frag_dists.data[ref] >> MAX_VALUE_BITS)
+                    flags |= FR_BAD_REF;
+                else
+                    reference = (int64_t)d->frag_dists.data[ref];
+            }
+            out[level].cw = (1ull << lv->cw_len) | lv->cw_val;
+            out[level].base = reference - (int64_t)lv->lw;
+            out[level].kept = lv->kept_val | lv->pushed << 56 | flags;
+            out[level].acc_off = (uint32_t)(lv->acc_off - lab->label_start);
+            out[level].acc_len = (uint32_t)lv->acc_len;
+        }
+    }
+}
+
+/* -- distances ------------------------------------------------------------ */
+
 /* Deepest-common-heavy-path distance; err set on foreign-tree pairs. */
-static inline int64_t hld_dist(const hld_arena_t *a, int64_t u, int64_t v,
-                               int *err) {
-    const hld_label_t *lu = &a->labels[u], *lv = &a->labels[v];
-    const uint64_t *iu = a->ids.data + lu->level_start;
-    const uint64_t *iv = a->ids.data + lv->level_start;
-    uint32_t n = lu->count < lv->count ? lu->count : lv->count;
-    uint32_t t = 0;
+static inline int64_t hld_dist(const rec_t *ru, const rec_t *rv, int *err) {
+    const hld_rec_t *lu = (const hld_rec_t *)ru, *lv = (const hld_rec_t *)rv;
+    const uint64_t *iu = HLD_IDS(lu), *iv = HLD_IDS(lv);
+    uint64_t n = lu->count < lv->count ? lu->count : lv->count;
+    uint64_t t = 0;
     uint64_t eu, ev, nca;
     while (t < n && iu[t] == iv[t]) t++;
     /* Python compares the ids as zero-padded packed words, so past the
@@ -286,237 +559,26 @@ static inline int64_t hld_dist(const hld_arena_t *a, int64_t u, int64_t v,
         *err = 1;
         return 0;
     }
-    eu = a->exits.data[lu->level_start + t - 1];
-    ev = a->exits.data[lv->level_start + t - 1];
+    eu = HLD_EXITS(lu)[t - 1];
+    ev = HLD_EXITS(lv)[t - 1];
     nca = eu < ev ? eu : ev;
     return (int64_t)(lu->root_distance + lv->root_distance) - 2 * (int64_t)nca;
-}
-
-int repro_hld_batch(const uint8_t *payload, const uint64_t *offs,
-                    const uint64_t *lens, int64_t n_total, const int32_t *nodes,
-                    int64_t n_nodes, const int32_t *ui, const int32_t *vi,
-                    int64_t n_pairs, int64_t *out) {
-    hld_arena_t a;
-    int64_t p;
-    int err = 0;
-    if (n_nodes <= 0) return E_FALLBACK;
-    if (hld_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
-        return E_FALLBACK;
-    for (p = 0; p < n_pairs; p++) {
-        int32_t u = ui[p], v = vi[p];
-        if (u < 0 || u >= n_nodes || v < 0 || v >= n_nodes) {
-            err = 1;
-            break;
-        }
-        out[p] = hld_dist(&a, u, v, &err);
-        if (err) break;
-    }
-    hld_arena_free(&a);
-    return err ? E_FALLBACK : E_OK;
-}
-
-int repro_hld_matrix(const uint8_t *payload, const uint64_t *offs,
-                     const uint64_t *lens, int64_t n_total,
-                     const int32_t *nodes, int64_t n_nodes, int64_t *out) {
-    hld_arena_t a;
-    int64_t i, j;
-    int err = 0;
-    if (n_nodes <= 0) return E_FALLBACK;
-    if (hld_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
-        return E_FALLBACK;
-    for (i = 0; i < n_nodes && !err; i++) {
-        out[i * n_nodes + i] = hld_dist(&a, i, i, &err);
-        for (j = i + 1; j < n_nodes && !err; j++) {
-            int64_t d = hld_dist(&a, i, j, &err);
-            out[i * n_nodes + j] = d;
-            out[j * n_nodes + i] = d;
-        }
-    }
-    hld_arena_free(&a);
-    return err ? E_FALLBACK : E_OK;
-}
-
-/* FNV-1a-style fold over the decoded fields, in node order — the Python
- * tiers compute the identical fold over parse_many labels, so equal
- * checksums certify the decoders agree on every field of every label. */
-int repro_hld_checksum(const uint8_t *payload, const uint64_t *offs,
-                       const uint64_t *lens, int64_t n_total,
-                       const int32_t *nodes, int64_t n_nodes, uint64_t *out) {
-    hld_arena_t a;
-    uint64_t h = 1469598103934665603ull;
-    const uint64_t prime = 1099511628211ull;
-    int64_t s;
-    uint32_t level;
-    if (n_nodes <= 0) return E_FALLBACK;
-    if (hld_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
-        return E_FALLBACK;
-    for (s = 0; s < n_nodes; s++) {
-        const hld_label_t *lab = &a.labels[s];
-        h = (h ^ lab->root_distance) * prime;
-        h = (h ^ lab->count) * prime;
-        for (level = 0; level < lab->count; level++) {
-            h = (h ^ a.ids.data[lab->level_start + level]) * prime;
-            h = (h ^ a.exits.data[lab->level_start + level]) * prime;
-        }
-    }
-    hld_arena_free(&a);
-    *out = h;
-    return E_OK;
-}
-
-/* -- freedman ------------------------------------------------------------- */
-
-typedef struct {
-    uint64_t node_id;
-    uint64_t root_distance;
-    uint64_t domination;
-    uint32_t depth;
-    size_t level_start;     /* base into the per-level vectors */
-    size_t frag_ref_start;  /* base into frag_refs */
-    uint32_t frag_ref_count;
-    size_t frag_dist_start; /* base into frag_dists */
-    uint32_t frag_dist_count;
-} fr_label_t;
-
-typedef struct {
-    fr_label_t *labels;
-    vec_t cw_val;    /* per level: codeword bits as an integer */
-    vec_t cw_len;    /* per level: codeword length */
-    vec_t lw;        /* per level: light weight */
-    vec_t skip;      /* per level: entry skipped flag */
-    vec_t kept_val;  /* per level: truncated entry bits */
-    vec_t kept_len;  /* per level: truncated entry length */
-    vec_t pushed;    /* per level: bits pushed to the accumulator */
-    vec_t acc_off;   /* per level: absolute bit offset of the accumulator */
-    vec_t acc_len;   /* per level: accumulator length */
-    vec_t frag_refs;
-    vec_t frag_dists;
-} fr_arena_t;
-
-static void fr_arena_free(fr_arena_t *a) {
-    free(a->labels);
-    vec_free(&a->cw_val);
-    vec_free(&a->cw_len);
-    vec_free(&a->lw);
-    vec_free(&a->skip);
-    vec_free(&a->kept_val);
-    vec_free(&a->kept_len);
-    vec_free(&a->pushed);
-    vec_free(&a->acc_off);
-    vec_free(&a->acc_len);
-    vec_free(&a->frag_refs);
-    vec_free(&a->frag_dists);
-}
-
-static int fr_decode_all(const uint8_t *payload, const uint64_t *offs,
-                         const uint64_t *lens, int64_t n_total,
-                         const int32_t *nodes, int64_t n_nodes,
-                         fr_arena_t *a) {
-    int64_t s;
-    memset(a, 0, sizeof(*a));
-    a->labels = (fr_label_t *)malloc((size_t)n_nodes * sizeof(fr_label_t));
-    if (!a->labels) return E_FALLBACK;
-    for (s = 0; s < n_nodes; s++) {
-        int32_t node = nodes[s];
-        br_t r;
-        uint64_t depth, value;
-        uint32_t level, count;
-        fr_label_t *lab = &a->labels[s];
-        if (node < 0 || node >= n_total) goto fail;
-        r.base = payload;
-        r.pos = offs[node] * 8;
-        r.end = r.pos + lens[node];
-        if (br_delta(&r, &lab->node_id)) goto fail;
-        if (br_delta(&r, &lab->root_distance)) goto fail;
-        if (br_delta(&r, &lab->domination)) goto fail;
-        if (lab->root_distance >> MAX_VALUE_BITS) goto fail;
-        if (br_gamma(&r, &depth)) goto fail;
-        if (depth > MAX_COUNT) goto fail;
-        lab->depth = (uint32_t)depth;
-        lab->level_start = a->cw_val.len;
-        if (vec_reserve(&a->cw_val, (size_t)depth) ||
-            vec_reserve(&a->cw_len, (size_t)depth) ||
-            vec_reserve(&a->lw, (size_t)depth) ||
-            vec_reserve(&a->skip, (size_t)depth) ||
-            vec_reserve(&a->kept_val, (size_t)depth) ||
-            vec_reserve(&a->kept_len, (size_t)depth) ||
-            vec_reserve(&a->pushed, (size_t)depth) ||
-            vec_reserve(&a->acc_off, (size_t)depth) ||
-            vec_reserve(&a->acc_len, (size_t)depth))
-            goto fail;
-        for (level = 0; level < (uint32_t)depth; level++) {
-            uint64_t len;
-            if (br_gamma(&r, &len) || len > 63) goto fail;
-            if (br_read(&r, (uint32_t)len, &value)) goto fail;
-            a->cw_len.data[a->cw_len.len++] = len;
-            a->cw_val.data[a->cw_val.len++] = value;
-        }
-        for (level = 0; level < (uint32_t)depth; level++) {
-            if (br_gamma(&r, &value) || value >> MAX_VALUE_BITS) goto fail;
-            a->lw.data[a->lw.len++] = value;
-        }
-        lab->frag_ref_start = a->frag_refs.len;
-        if (br_monotone(&r, &a->frag_refs, &count)) goto fail;
-        lab->frag_ref_count = count;
-        lab->frag_dist_start = a->frag_dists.len;
-        if (br_monotone(&r, &a->frag_dists, &count)) goto fail;
-        lab->frag_dist_count = count;
-        for (level = 0; level < (uint32_t)depth; level++) {
-            uint64_t bit;
-            br_t *rp = &r;
-            if (rp->pos >= rp->end) goto fail;
-            bit = (rp->base[rp->pos >> 3] >> (7 - (rp->pos & 7))) & 1u;
-            rp->pos++;
-            a->skip.data[a->skip.len++] = bit;
-            if (bit) {
-                a->kept_val.data[a->kept_val.len++] = 0;
-                a->kept_len.data[a->kept_len.len++] = 0;
-                a->pushed.data[a->pushed.len++] = 0;
-            } else {
-                uint64_t len, pushed;
-                if (br_gamma(&r, &len) || len > MAX_VALUE_BITS) goto fail;
-                if (br_read(&r, (uint32_t)len, &value)) goto fail;
-                if (br_gamma(&r, &pushed) || pushed > MAX_VALUE_BITS) goto fail;
-                if (len + pushed > MAX_VALUE_BITS) goto fail;
-                a->kept_len.data[a->kept_len.len++] = len;
-                a->kept_val.data[a->kept_val.len++] = value;
-                a->pushed.data[a->pushed.len++] = pushed;
-            }
-        }
-        for (level = 0; level < (uint32_t)depth; level++) {
-            uint64_t len;
-            if (br_gamma(&r, &len)) goto fail;
-            if (r.pos + len > r.end) goto fail;
-            a->acc_off.data[a->acc_off.len++] = r.pos;
-            a->acc_len.data[a->acc_len.len++] = len;
-            r.pos += len;
-        }
-    }
-    return E_OK;
-fail:
-    fr_arena_free(a);
-    return E_FALLBACK;
 }
 
 /* Lemma 3.1 query: critical level from the light codes, dominating side
  * from the postorder domination numbers, entry reconstructed from the
  * dominating side's truncated bits plus the dominated side's accumulator. */
-static inline int64_t fr_dist(const fr_arena_t *a, const uint8_t *payload,
-                              int64_t u, int64_t v, int *err) {
-    const fr_label_t *lu = &a->labels[u], *lv = &a->labels[v];
-    const fr_label_t *dom, *sub;
-    size_t du, dv, dd, ds;
+static inline int64_t fr_dist(const dec_t *d, const rec_t *ru,
+                              const rec_t *rv, int *err) {
+    const fr_rec_t *lu = (const fr_rec_t *)ru, *lv = (const fr_rec_t *)rv;
+    const fr_rec_t *dom, *sub;
+    const fr_lvl_t *cu = FR_LEVELS(lu), *cv = FR_LEVELS(lv), *at, *sub_at;
     uint32_t n, level;
-    uint64_t value, pushed, ref, reference;
-    int64_t nca;
+    uint64_t value, pushed;
     if (lu->node_id == lv->node_id) return 0;
     n = lu->depth < lv->depth ? lu->depth : lv->depth;
-    du = lu->level_start;
-    dv = lv->level_start;
     level = 0;
-    while (level < n && a->cw_len.data[du + level] == a->cw_len.data[dv + level] &&
-           a->cw_val.data[du + level] == a->cw_val.data[dv + level])
-        level++;
+    while (level < n && cu[level].cw == cv[level].cw) level++;
     if (lu->domination < lv->domination) {
         dom = lu;
         sub = lv;
@@ -525,148 +587,407 @@ static inline int64_t fr_dist(const fr_arena_t *a, const uint8_t *payload,
         sub = lu;
     }
     if (level >= dom->depth || level >= sub->depth) goto bad;
-    dd = dom->level_start;
-    ds = sub->level_start;
-    if (a->skip.data[dd + level]) goto bad;
-    value = a->kept_val.data[dd + level];
-    pushed = a->pushed.data[dd + level];
+    at = &FR_LEVELS(dom)[level];
+    sub_at = &FR_LEVELS(sub)[level];
+    if (at->kept & FR_SKIP) goto bad;
+    value = at->kept & FR_VALUE_MASK;
+    pushed = FR_PUSHED(at);
     if (pushed) {
-        uint64_t start = a->acc_len.data[dd + level];
-        uint64_t sub_len = a->acc_len.data[ds + level];
+        uint64_t start = at->acc_len;
+        uint64_t acc = sub->label_start + sub_at->acc_off;
         uint64_t segment;
         br_t r;
-        if (start + pushed > sub_len) goto bad;
-        if (a->kept_len.data[dd + level] + pushed > MAX_VALUE_BITS) goto bad;
-        r.base = payload;
-        r.pos = a->acc_off.data[ds + level] + start;
-        r.end = a->acc_off.data[ds + level] + sub_len;
+        if (start + pushed > sub_at->acc_len) goto bad;
+        br_init(&r, d->payload, d->nbytes, acc + start, acc + sub_at->acc_len);
         if (br_read(&r, (uint32_t)pushed, &segment)) goto bad;
         value = (value << pushed) | segment;
     }
-    /* Python: fragment_distances[fragment_refs[level]], IndexError past
-     * either sequence — the refs live in their own arena, not at dd */
-    if (level >= dom->frag_ref_count) goto bad;
-    ref = a->frag_refs.data[dom->frag_ref_start + level];
-    if (ref >= dom->frag_dist_count) goto bad;
-    reference = a->frag_dists.data[dom->frag_dist_start + ref];
-    if (reference >> MAX_VALUE_BITS) goto bad;
-    nca = (int64_t)(reference + value) - (int64_t)a->lw.data[dd + level];
-    return (int64_t)(lu->root_distance + lv->root_distance) - 2 * nca;
+    if (at->kept & FR_BAD_REF) goto bad;
+    return (int64_t)(lu->root_distance + lv->root_distance) -
+           2 * (at->base + (int64_t)value);
 bad:
     *err = 1;
     return 0;
 }
 
-int repro_freedman_batch(const uint8_t *payload, const uint64_t *offs,
-                         const uint64_t *lens, int64_t n_total,
-                         const int32_t *nodes, int64_t n_nodes,
-                         const int32_t *ui, const int32_t *vi, int64_t n_pairs,
-                         int64_t *out) {
-    fr_arena_t a;
-    int64_t p;
-    int err = 0;
-    if (n_nodes <= 0) return E_FALLBACK;
-    if (fr_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
-        return E_FALLBACK;
-    for (p = 0; p < n_pairs; p++) {
-        int32_t u = ui[p], v = vi[p];
-        if (u < 0 || u >= n_nodes || v < 0 || v >= n_nodes) {
-            err = 1;
-            break;
-        }
-        out[p] = fr_dist(&a, payload, u, v, &err);
-        if (err) break;
-    }
-    fr_arena_free(&a);
-    return err ? E_FALLBACK : E_OK;
+static inline int64_t dist(const dec_t *d, const rec_t *u, const rec_t *v,
+                           int *err) {
+    return d->kind == KIND_HLD ? hld_dist(u, v, err) : fr_dist(d, u, v, err);
 }
 
-int repro_freedman_matrix(const uint8_t *payload, const uint64_t *offs,
-                          const uint64_t *lens, int64_t n_total,
-                          const int32_t *nodes, int64_t n_nodes, int64_t *out) {
-    fr_arena_t a;
+/* -- the arena ------------------------------------------------------------ */
+
+/* Arena records are carved from chunks mapped straight from the system.
+ * FIFO eviction empties the oldest chunk first; one emptied chunk is kept
+ * for the next allocation and any other is unmapped, so a steady arena
+ * maps nothing new, and evicted labels and a freed arena hand their memory
+ * back instead of leaving holes in the heap. */
+#define CHUNK_BYTES ((size_t)64 * 1024)
+
+typedef struct chunk {
+    struct chunk *next; /* the next newer chunk */
+    size_t size;        /* bytes mapped */
+    size_t used;        /* bytes handed out, this header included */
+    uint64_t live;      /* records not yet released */
+} chunk_t;
+
+typedef struct repro_arena {
+    dec_t dec;
+    int64_t budget;         /* resident labels kept after each batch */
+    rec_t **slot;           /* per node: its resident record or NULL */
+    rec_t *head, *tail;     /* resident records, oldest first */
+    chunk_t *oldest, *newest;
+    chunk_t *spare; /* an emptied chunk, reused before mapping another */
+    uint64_t resident;
+    uint64_t bytes; /* record bytes of the resident labels */
+    uint64_t hits, misses, decodes, epoch;
+    pthread_mutex_t lock;
+} repro_arena;
+
+repro_arena *repro_arena_new(int kind, const uint8_t *payload, uint64_t nbytes,
+                             const uint64_t *offs, const uint64_t *lens,
+                             int64_t n_total, int64_t budget) {
+    repro_arena *a;
+    if ((kind != KIND_HLD && kind != KIND_FREEDMAN) || n_total < 0 ||
+        n_total >= ((int64_t)1 << 31) || budget < 1)
+        return NULL;
+    a = (repro_arena *)calloc(1, sizeof(*a));
+    if (!a) return NULL;
+    a->slot = (rec_t **)calloc(n_total ? (size_t)n_total : 1, sizeof(rec_t *));
+    if (!a->slot || pthread_mutex_init(&a->lock, NULL)) {
+        free(a->slot);
+        free(a);
+        return NULL;
+    }
+    dec_init(&a->dec, kind, payload, nbytes, offs, lens, n_total);
+    a->budget = budget;
+    return a;
+}
+
+void repro_arena_free(repro_arena *a) {
+    chunk_t *c, *next;
+    if (!a) return;
+    for (c = a->oldest; c; c = next) {
+        next = c->next;
+        munmap(c, c->size);
+    }
+    if (a->spare) munmap(a->spare, a->spare->size);
+    dec_free(&a->dec);
+    free(a->slot);
+    pthread_mutex_destroy(&a->lock);
+    free(a);
+}
+
+/* Room for the last decoded label in the newest chunk, or NULL. */
+static rec_t *arena_alloc(repro_arena *a) {
+    size_t bytes = (packed_size(&a->dec) + 7) & ~(size_t)7;
+    chunk_t *c = a->newest;
+    rec_t *rec;
+    if (!c || c->size - c->used < bytes) {
+        size_t size = sizeof(chunk_t) + bytes;
+        if (size < CHUNK_BYTES) size = CHUNK_BYTES;
+        if (a->spare && a->spare->size >= size) {
+            c = a->spare;
+            a->spare = NULL;
+        } else {
+            void *mem = mmap(NULL, size, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (mem == MAP_FAILED) return NULL;
+            c = (chunk_t *)mem;
+            c->size = size;
+        }
+        c->next = NULL;
+        c->used = sizeof(chunk_t);
+        c->live = 0;
+        if (a->newest)
+            a->newest->next = c;
+        else
+            a->oldest = c;
+        a->newest = c;
+    }
+    rec = (rec_t *)((char *)c + c->used);
+    c->used += bytes;
+    c->live++;
+    rec->chunk = c;
+    return rec;
+}
+
+/* Forget a resident record; unmap the chunks this leaves empty. */
+static void arena_release(repro_arena *a, rec_t *rec) {
+    chunk_t *c = rec->chunk;
+    a->slot[rec->node] = NULL;
+    a->resident--;
+    a->bytes -= rec->bytes;
+    if (--c->live) return;
+    while (a->oldest != a->newest && a->oldest->live == 0) {
+        chunk_t *empty = a->oldest;
+        a->oldest = empty->next;
+        if (!a->spare && empty->size == CHUNK_BYTES)
+            a->spare = empty;
+        else
+            munmap(empty, empty->size);
+    }
+}
+
+/* Drop the resident records after ``keep`` (NULL: all of them). */
+static void arena_drop_after(repro_arena *a, rec_t *keep) {
+    rec_t *rec = keep ? keep->next : a->head;
+    a->tail = keep;
+    if (keep)
+        keep->next = NULL;
+    else
+        a->head = NULL;
+    while (rec) {
+        rec_t *next = rec->next;
+        arena_release(a, rec);
+        rec = next;
+    }
+}
+
+static void arena_trim(repro_arena *a) {
+    while (a->resident > (uint64_t)a->budget) {
+        rec_t *oldest = a->head;
+        a->head = oldest->next;
+        if (!a->head) a->tail = NULL;
+        arena_release(a, oldest);
+    }
+}
+
+static int cmp_i64(const void *x, const void *y) {
+    int64_t a = *(const int64_t *)x, b = *(const int64_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* Count a batch that admits nothing: each distinct endpoint is a hit when
+ * resident, else a miss (out-of-range endpoints included), as Python
+ * counts a batch whose parse raises. */
+static void arena_count_only(repro_arena *a, const int64_t *pairs,
+                             int64_t n_pairs) {
+    size_t total = 2 * (size_t)n_pairs, i;
+    int64_t *sorted = (int64_t *)malloc(total * sizeof(int64_t));
+    if (!sorted) return;
+    memcpy(sorted, pairs, total * sizeof(int64_t));
+    qsort(sorted, total, sizeof(int64_t), cmp_i64);
+    for (i = 0; i < total; i++) {
+        int64_t node = sorted[i];
+        if (i && node == sorted[i - 1]) continue;
+        if (node >= 0 && node < a->dec.n_total && a->slot[node])
+            a->hits++;
+        else
+            a->misses++;
+    }
+    free(sorted);
+}
+
+/* Answer ``n_pairs`` flat (u, v) pairs into ``out``.  Returns 1 — admitting
+ * nothing — when an endpoint is out of range or fails to decode, and 1 —
+ * keeping the admitted labels — when a pair's distance is not computable
+ * here; the caller then answers (or raises) on the Python path.  The
+ * buffers are untyped so Python can pass ``bytes`` without a cast; they
+ * hold native, 8-byte-aligned int64 values. */
+int repro_arena_batch(repro_arena *a, const void *pair_buf, int64_t n_pairs,
+                      void *out_buf) {
+    const int64_t *pairs = (const int64_t *)pair_buf;
+    int64_t *out = (int64_t *)out_buf;
+    rec_t *saved_tail;
+    uint64_t saved_hits, saved_misses, epoch;
+    int64_t p;
+    int half, err = 0;
+    if (n_pairs <= 0) return E_FALLBACK;
+    pthread_mutex_lock(&a->lock);
+    saved_tail = a->tail;
+    saved_hits = a->hits;
+    saved_misses = a->misses;
+    epoch = ++a->epoch;
+    /* first endpoints, then second endpoints: Python's ``us + vs`` order */
+    for (half = 0; half < 2; half++) {
+        for (p = 0; p < n_pairs; p++) {
+            int64_t node = pairs[2 * p + half];
+            rec_t *rec;
+            if (node < 0 || node >= a->dec.n_total) goto admit_nothing;
+            rec = a->slot[node];
+            if (rec) {
+                if (rec->stamp != epoch) {
+                    rec->stamp = epoch;
+                    a->hits++;
+                }
+                continue;
+            }
+            if (decode(&a->dec, node)) goto admit_nothing;
+            rec = arena_alloc(a);
+            if (!rec) goto admit_nothing;
+            pack(&a->dec, node, rec);
+            a->decodes++;
+            rec->next = NULL;
+            rec->stamp = epoch;
+            rec->node = node;
+            if (a->tail)
+                a->tail->next = rec;
+            else
+                a->head = rec;
+            a->tail = rec;
+            a->slot[node] = rec;
+            a->resident++;
+            a->bytes += rec->bytes;
+            a->misses++;
+        }
+    }
+    for (p = 0; p < n_pairs && !err; p++)
+        out[p] = dist(&a->dec, a->slot[pairs[2 * p]], a->slot[pairs[2 * p + 1]],
+                      &err);
+    arena_trim(a);
+    pthread_mutex_unlock(&a->lock);
+    return err ? E_FALLBACK : E_OK;
+admit_nothing:
+    arena_drop_after(a, saved_tail);
+    a->hits = saved_hits;
+    a->misses = saved_misses;
+    arena_count_only(a, pairs, n_pairs);
+    pthread_mutex_unlock(&a->lock);
+    return E_FALLBACK;
+}
+
+/* One pair: a batch of one, returning its answer, or INT64_MIN when the
+ * batch declines (every answer is below 2^59 in magnitude: both root
+ * distances and the nearest-common-ancestor term stay under 2^57). */
+int64_t repro_arena_pair(repro_arena *a, int64_t u, int64_t v) {
+    int64_t pair[2], out;
+    pair[0] = u;
+    pair[1] = v;
+    return repro_arena_batch(a, pair, 1, &out) ? INT64_MIN : out;
+}
+
+/* hits, misses, resident labels, resident bytes, lifetime decodes */
+void repro_arena_stats(repro_arena *a, uint64_t *out) {
+    pthread_mutex_lock(&a->lock);
+    out[0] = a->hits;
+    out[1] = a->misses;
+    out[2] = a->resident;
+    out[3] = a->bytes;
+    out[4] = a->decodes;
+    pthread_mutex_unlock(&a->lock);
+}
+
+/* -- transient decodes: matrices and checksums ---------------------------- */
+
+static void free_recs(rec_t **recs, int64_t count) {
+    int64_t i;
+    for (i = 0; i < count; i++) free(recs[i]);
+    free(recs);
+}
+
+/* Decode ``nodes`` into privately allocated records (NULL on any failure). */
+static rec_t **decode_many(dec_t *d, const int64_t *nodes, int64_t n_nodes) {
+    rec_t **recs;
+    int64_t i;
+    if (n_nodes <= 0) return NULL;
+    recs = (rec_t **)calloc((size_t)n_nodes, sizeof(rec_t *));
+    if (!recs) return NULL;
+    for (i = 0; i < n_nodes; i++) {
+        if (decode(d, nodes[i]) || !(recs[i] = (rec_t *)malloc(packed_size(d)))) {
+            free_recs(recs, i);
+            return NULL;
+        }
+        pack(d, nodes[i], recs[i]);
+    }
+    return recs;
+}
+
+int repro_matrix(int kind, const uint8_t *payload, uint64_t nbytes,
+                 const uint64_t *offs, const uint64_t *lens, int64_t n_total,
+                 const int64_t *nodes, int64_t n_nodes, int64_t *out) {
+    dec_t d;
+    rec_t **recs;
     int64_t i, j;
     int err = 0;
-    if (n_nodes <= 0) return E_FALLBACK;
-    if (fr_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
+    dec_init(&d, kind, payload, nbytes, offs, lens, n_total);
+    recs = decode_many(&d, nodes, n_nodes);
+    if (!recs) {
+        dec_free(&d);
         return E_FALLBACK;
+    }
     for (i = 0; i < n_nodes && !err; i++) {
-        out[i * n_nodes + i] = fr_dist(&a, payload, i, i, &err);
+        out[i * n_nodes + i] = dist(&d, recs[i], recs[i], &err);
         for (j = i + 1; j < n_nodes && !err; j++) {
-            int64_t d = fr_dist(&a, payload, i, j, &err);
-            out[i * n_nodes + j] = d;
-            out[j * n_nodes + i] = d;
+            int64_t value = dist(&d, recs[i], recs[j], &err);
+            out[i * n_nodes + j] = value;
+            out[j * n_nodes + i] = value;
         }
     }
-    fr_arena_free(&a);
+    free_recs(recs, n_nodes);
+    dec_free(&d);
     return err ? E_FALLBACK : E_OK;
 }
 
-/* Same field fold as repro_hld_checksum, over the Freedman grammar.  The
- * accumulators are folded as (length, low 64 value bits) — the only fields
- * a >64-bit value can reach. */
-int repro_freedman_checksum(const uint8_t *payload, const uint64_t *offs,
-                            const uint64_t *lens, int64_t n_total,
-                            const int32_t *nodes, int64_t n_nodes,
-                            uint64_t *out) {
-    fr_arena_t a;
+#define FOLD(h, x) ((h) = ((h) ^ (uint64_t)(x)) * 1099511628211ull)
+
+/* The low 64 bits of the ``len``-bit field ending at bit ``end``. */
+static int low_bits(const dec_t *d, uint64_t end, uint64_t len, uint64_t *out) {
+    br_t r;
+    uint64_t high;
+    if (len < 64) {
+        br_init(&r, d->payload, d->nbytes, end - len, end);
+        return br_read(&r, (uint32_t)len, out);
+    }
+    br_init(&r, d->payload, d->nbytes, end - 64, end);
+    if (br_read(&r, 32, &high) || br_read(&r, 32, out)) return E_FALLBACK;
+    *out |= high << 32;
+    return E_OK;
+}
+
+/* FNV-1a-style fold over every decoded field of ``nodes``, in order — the
+ * Python tiers compute the identical fold over parse_many labels, so equal
+ * checksums certify the decoders agree on every field of every label.
+ * Freedman accumulators are folded as (length, low 64 value bits). */
+int repro_checksum(int kind, const uint8_t *payload, uint64_t nbytes,
+                   const uint64_t *offs, const uint64_t *lens, int64_t n_total,
+                   const int64_t *nodes, int64_t n_nodes, uint64_t *out) {
+    dec_t d;
     uint64_t h = 1469598103934665603ull;
-    const uint64_t prime = 1099511628211ull;
     int64_t s;
-    uint32_t i;
+    int rc = E_OK;
     if (n_nodes <= 0) return E_FALLBACK;
-    if (fr_decode_all(payload, offs, lens, n_total, nodes, n_nodes, &a))
-        return E_FALLBACK;
-    for (s = 0; s < n_nodes; s++) {
-        const fr_label_t *lab = &a.labels[s];
-        size_t base = lab->level_start;
-        h = (h ^ lab->node_id) * prime;
-        h = (h ^ lab->root_distance) * prime;
-        h = (h ^ lab->domination) * prime;
-        h = (h ^ lab->depth) * prime;
-        for (i = 0; i < lab->depth; i++) {
-            h = (h ^ a.cw_len.data[base + i]) * prime;
-            h = (h ^ a.cw_val.data[base + i]) * prime;
-            h = (h ^ a.lw.data[base + i]) * prime;
-            h = (h ^ a.skip.data[base + i]) * prime;
-            h = (h ^ a.kept_len.data[base + i]) * prime;
-            h = (h ^ a.kept_val.data[base + i]) * prime;
-            h = (h ^ a.pushed.data[base + i]) * prime;
+    dec_init(&d, kind, payload, nbytes, offs, lens, n_total);
+    for (s = 0; s < n_nodes && rc == E_OK; s++) {
+        uint64_t i;
+        if (decode(&d, nodes[s])) {
+            rc = E_FALLBACK;
+            break;
         }
-        for (i = 0; i < lab->frag_ref_count; i++)
-            h = (h ^ a.frag_refs.data[lab->frag_ref_start + i]) * prime;
-        for (i = 0; i < lab->frag_dist_count; i++)
-            h = (h ^ a.frag_dists.data[lab->frag_dist_start + i]) * prime;
-        for (i = 0; i < lab->depth; i++) {
-            uint64_t len = a.acc_len.data[base + i];
-            uint64_t low = 0;
-            br_t r;
-            r.base = payload;
-            r.end = a.acc_off.data[base + i] + len;
-            if (len > 63) {
-                r.pos = r.end - 64;
-                /* low 64 bits = last 64 bits of the accumulator stream */
-                {
-                    uint64_t hi, lo;
-                    r.pos = r.end - 64;
-                    if (br_read(&r, 32, &hi) || br_read(&r, 32, &lo)) {
-                        fr_arena_free(&a);
-                        return E_FALLBACK;
-                    }
-                    low = (hi << 32) | lo;
-                }
-            } else if (len) {
-                r.pos = r.end - len;
-                if (br_read(&r, (uint32_t)len, &low)) {
-                    fr_arena_free(&a);
-                    return E_FALLBACK;
-                }
+        if (kind == KIND_HLD) {
+            FOLD(h, d.root_distance);
+            FOLD(h, d.depth);
+            for (i = 0; i < d.depth; i++) {
+                FOLD(h, d.ids.data[i]);
+                FOLD(h, d.exits.data[i]);
             }
-            h = (h ^ len) * prime;
-            h = (h ^ low) * prime;
+            continue;
+        }
+        FOLD(h, d.node_id);
+        FOLD(h, d.root_distance);
+        FOLD(h, d.domination);
+        FOLD(h, d.depth);
+        for (i = 0; i < d.depth; i++) {
+            const fr_level_t *lv = &d.levels[i];
+            FOLD(h, lv->cw_len);
+            FOLD(h, lv->cw_val);
+            FOLD(h, lv->lw);
+            FOLD(h, lv->skip);
+            FOLD(h, lv->kept_len);
+            FOLD(h, lv->kept_val);
+            FOLD(h, lv->pushed);
+        }
+        for (i = 0; i < d.frag_ref_count; i++) FOLD(h, d.frag_refs.data[i]);
+        for (i = 0; i < d.frag_dist_count; i++) FOLD(h, d.frag_dists.data[i]);
+        for (i = 0; i < d.depth && rc == E_OK; i++) {
+            uint64_t len = d.levels[i].acc_len, low = 0;
+            if (len && low_bits(&d, d.levels[i].acc_off + len, len, &low))
+                rc = E_FALLBACK;
+            FOLD(h, len);
+            FOLD(h, low);
         }
     }
-    fr_arena_free(&a);
-    *out = h;
-    return E_OK;
+    dec_free(&d);
+    if (rc == E_OK) *out = h;
+    return rc;
 }

@@ -34,38 +34,42 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from array import array
+from itertools import chain
+from struct import error as StructError, pack
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _CDEF = """
 int repro_kernels_abi(void);
 int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
                       uint64_t count, uint64_t *out, uint64_t *end_pos);
-int repro_hld_batch(const uint8_t *payload, const uint64_t *offs,
-                    const uint64_t *lens, int64_t n_total, const int32_t *nodes,
-                    int64_t n_nodes, const int32_t *ui, const int32_t *vi,
-                    int64_t n_pairs, int64_t *out);
-int repro_hld_matrix(const uint8_t *payload, const uint64_t *offs,
-                     const uint64_t *lens, int64_t n_total,
-                     const int32_t *nodes, int64_t n_nodes, int64_t *out);
-int repro_hld_checksum(const uint8_t *payload, const uint64_t *offs,
-                       const uint64_t *lens, int64_t n_total,
-                       const int32_t *nodes, int64_t n_nodes, uint64_t *out);
-int repro_freedman_batch(const uint8_t *payload, const uint64_t *offs,
-                         const uint64_t *lens, int64_t n_total,
-                         const int32_t *nodes, int64_t n_nodes,
-                         const int32_t *ui, const int32_t *vi, int64_t n_pairs,
-                         int64_t *out);
-int repro_freedman_matrix(const uint8_t *payload, const uint64_t *offs,
-                          const uint64_t *lens, int64_t n_total,
-                          const int32_t *nodes, int64_t n_nodes, int64_t *out);
-int repro_freedman_checksum(const uint8_t *payload, const uint64_t *offs,
-                            const uint64_t *lens, int64_t n_total,
-                            const int32_t *nodes, int64_t n_nodes,
-                            uint64_t *out);
+typedef struct repro_arena repro_arena;
+repro_arena *repro_arena_new(int kind, const uint8_t *payload, uint64_t nbytes,
+                             const uint64_t *offs, const uint64_t *lens,
+                             int64_t n_total, int64_t budget);
+void repro_arena_free(repro_arena *arena);
+int repro_arena_batch(repro_arena *arena, const void *pairs, int64_t n_pairs,
+                      void *out);
+int64_t repro_arena_pair(repro_arena *arena, int64_t u, int64_t v);
+void repro_arena_stats(repro_arena *arena, uint64_t *out);
+int repro_matrix(int kind, const uint8_t *payload, uint64_t nbytes,
+                 const uint64_t *offs, const uint64_t *lens, int64_t n_total,
+                 const int64_t *nodes, int64_t n_nodes, int64_t *out);
+int repro_checksum(int kind, const uint8_t *payload, uint64_t nbytes,
+                   const uint64_t *offs, const uint64_t *lens, int64_t n_total,
+                   const int64_t *nodes, int64_t n_nodes, uint64_t *out);
 """
+
+#: ``repro_arena_pair``'s answer when it declines: INT64_MIN, which no
+#: answer reaches
+_DECLINED = -(1 << 63)
+
+#: the ``kind`` argument of the C entry points
+_KIND_HLD = 0
+_KIND_FREEDMAN = 1
 
 #: guard against absurd matrices: m*m int64 results; above this the Python
 #: path is just as memory-bound and the fused fill buys nothing
@@ -196,15 +200,15 @@ def load():
 class NativeBackend:
     """Fused C kernels over ``LabelStore.buffers()`` data.
 
-    Every public method returns ``None`` for anything the C side does not
-    support (scheme family, value ranges, corrupt streams) — the caller
-    falls back to the packed-Python path, which reproduces the reference
-    behaviour exactly, exceptions included.
+    Queries run through a per-engine decoded-label arena (:meth:`arena`),
+    matrices and checksums through a transient decode.  Every entry point
+    returns ``None`` for anything the C side does not support (scheme
+    family, value ranges, corrupt streams) — the caller falls back to the
+    packed-Python path, which reproduces the reference behaviour exactly,
+    exceptions included.
     """
 
     name = "native"
-    #: below this many pairs the per-call marshalling overhead beats the win
-    min_batch = 16
 
     def __init__(self, ffi, lib, path: str) -> None:
         self.ffi = ffi
@@ -214,25 +218,25 @@ class NativeBackend:
     # -- scheme dispatch -----------------------------------------------------
 
     @staticmethod
-    def _kind(scheme) -> str | None:
+    def _kind(scheme) -> int | None:
         # exact type checks: a subclass may override ``distance``/``query``
         # semantics, which the C side knows nothing about
         from repro.core.freedman import FreedmanScheme
         from repro.core.hld import HLDScheme
 
         if type(scheme) is HLDScheme:
-            return "hld"
+            return _KIND_HLD
         if type(scheme) is FreedmanScheme:
-            return "freedman"
+            return _KIND_FREEDMAN
         return None
 
     def tier_for(self, scheme) -> str:
-        return "native" if self._kind(scheme) else "python"
+        return "python" if self._kind(scheme) is None else "native"
 
     # -- store marshalling ---------------------------------------------------
 
-    def _store_arrays(self, store):
-        """Per-store C views of payload/offsets/lengths, built once.
+    def _store_args(self, store) -> tuple:
+        """``(payload, payload bytes, offsets, lengths, n)`` C views, built once.
 
         :class:`LabelStore` hands out ``array('Q')`` index sequences and a
         (possibly ``mmap``-backed) payload view — all three are mapped in
@@ -244,81 +248,102 @@ class NativeBackend:
             return cached
         view, offsets, lengths = store.buffers()
         ffi = self.ffi
-        payload = (
-            ffi.from_buffer("uint8_t[]", view)
-            if len(view)
-            else ffi.new("uint8_t[]", 1)
-        )
 
-        def index_array(sequence):
+        def c_view(ctype, sequence):
             if len(sequence):
-                return ffi.from_buffer("uint64_t[]", sequence)
-            return ffi.new("uint64_t[]", 1)
+                return ffi.from_buffer(ctype + "[]", sequence)
+            return ffi.new(ctype + "[]", 1)
 
-        arrays = (payload, index_array(offsets), index_array(lengths), len(lengths))
+        arrays = (
+            c_view("uint8_t", view),
+            len(view),
+            c_view("uint64_t", offsets),
+            c_view("uint64_t", lengths),
+            len(lengths),
+        )
         store._repro_kernel_arrays = arrays
         return arrays
 
-    # -- fused entry points --------------------------------------------------
+    # -- queries through an arena ----------------------------------------------
 
-    def batch_query(self, store, scheme, pairs):
-        """Distances for ``pairs`` straight from the packed store, or ``None``."""
+    def arena(self, store, scheme, budget: int):
+        """A decoded-label arena over ``store`` holding ``budget`` labels.
+
+        ``None`` when the scheme has no C decoder or the arena cannot be
+        allocated; the engine then parses in Python.  The arena is freed
+        when the returned handle is collected.
+        """
         kind = self._kind(scheme)
-        if kind is None or not pairs:
+        if kind is None:
             return None
-        n_total = store.n
-        if n_total >= 1 << 31:
+        arena = self.lib.repro_arena_new(kind, *self._store_args(store), budget)
+        if arena == self.ffi.NULL:
             return None
-        slots: dict[int, int] = {}
-        nodes: list[int] = []
-        for pair in pairs:
-            for node in pair:
-                if node not in slots:
-                    if not isinstance(node, int) or not 0 <= node < n_total:
-                        return None
-                    slots[node] = len(nodes)
-                    nodes.append(node)
-        payload, offs, lens, _ = self._store_arrays(store)
-        ffi = self.ffi
-        node_arr = ffi.new("int32_t[]", nodes)
-        ui = ffi.new("int32_t[]", [slots[u] for u, _ in pairs])
-        vi = ffi.new("int32_t[]", [slots[v] for _, v in pairs])
-        out = ffi.new("int64_t[]", len(pairs))
-        fn = (
-            self.lib.repro_hld_batch if kind == "hld" else self.lib.repro_freedman_batch
-        )
-        rc = fn(
-            payload, offs, lens, n_total, node_arr, len(nodes), ui, vi, len(pairs), out
-        )
-        if rc:
+        return self.ffi.gc(arena, self.lib.repro_arena_free)
+
+    def batch_query(self, arena, pairs):
+        """Distances for the ``(u, v)`` sequence ``pairs`` through ``arena``.
+
+        The pairs cross as one flat native ``int64`` buffer; C range-checks
+        and dedups the endpoints, counts them against the arena and writes
+        the answers into an output buffer.  ``None`` when the kernel
+        declines, including for anything that is not a sequence of integer
+        pairs.
+        """
+        count = len(pairs)
+        try:
+            flat = pack(f"{2 * count}q", *chain.from_iterable(pairs))
+        except (StructError, TypeError):
             return None
-        return ffi.unpack(out, len(pairs))
+        out = array("q", bytes(8 * count))
+        if self.lib.repro_arena_batch(arena, flat, count, self.ffi.from_buffer(out)):
+            return None
+        return out.tolist()
+
+    def pair_query(self, arena, u, v):
+        """One pair's distance through ``arena`` (a batch of one), or ``None``."""
+        try:
+            answer = self.lib.repro_arena_pair(arena, u, v)
+        except (TypeError, OverflowError):
+            return None
+        return None if answer == _DECLINED else answer
+
+    def arena_stats(self, arena) -> tuple[int, int, int, int, int]:
+        """``(hits, misses, resident labels, resident bytes, decodes)``."""
+        out = self.ffi.new("uint64_t[5]")
+        self.lib.repro_arena_stats(arena, out)
+        return tuple(out)
+
+    # -- transient decodes ---------------------------------------------------
+
+    def _nodes(self, nodes):
+        """``nodes`` as a C ``int64`` view, or ``None`` for non-integers."""
+        try:
+            flat = array("q", nodes)
+        except (TypeError, OverflowError):
+            return None
+        return self.ffi.from_buffer("int64_t[]", flat) if flat else None
 
     def matrix_flat(self, store, scheme, targets):
-        """Flat row-major all-pairs matrix over ``targets``, or ``None``."""
+        """Flat row-major all-pairs matrix over ``targets``, or ``None``.
+
+        Decodes the targets privately: the arena is never touched, so this
+        is safe on a worker thread.
+        """
         kind = self._kind(scheme)
         size = len(targets)
-        if kind is None or size == 0 or size > _MAX_MATRIX_SIDE:
+        if kind is None or size > _MAX_MATRIX_SIDE:
             return None
-        n_total = store.n
-        if n_total >= 1 << 31:
+        nodes = self._nodes(targets)
+        if nodes is None:
             return None
-        for node in targets:
-            if not isinstance(node, int) or not 0 <= node < n_total:
-                return None
-        payload, offs, lens, _ = self._store_arrays(store)
-        ffi = self.ffi
-        node_arr = ffi.new("int32_t[]", list(targets))
-        out = ffi.new("int64_t[]", size * size)
-        fn = (
-            self.lib.repro_hld_matrix
-            if kind == "hld"
-            else self.lib.repro_freedman_matrix
-        )
-        rc = fn(payload, offs, lens, n_total, node_arr, size, out)
-        if rc:
+        out = array("q", bytes(8 * size * size))
+        if self.lib.repro_matrix(
+            kind, *self._store_args(store), nodes, size,
+            self.ffi.from_buffer("int64_t[]", out),
+        ):
             return None
-        return ffi.unpack(out, size * size)
+        return out.tolist()
 
     def parse_checksum(self, store, scheme, nodes):
         """Field fold over the decoded labels of ``nodes``, or ``None``.
@@ -327,25 +352,13 @@ class NativeBackend:
         equal checksums certify the C decoder read every field identically.
         """
         kind = self._kind(scheme)
-        if kind is None or not nodes:
+        c_nodes = None if kind is None else self._nodes(nodes)
+        if c_nodes is None:
             return None
-        n_total = store.n
-        if n_total >= 1 << 31:
-            return None
-        for node in nodes:
-            if not isinstance(node, int) or not 0 <= node < n_total:
-                return None
-        payload, offs, lens, _ = self._store_arrays(store)
-        ffi = self.ffi
-        node_arr = ffi.new("int32_t[]", list(nodes))
-        out = ffi.new("uint64_t*")
-        fn = (
-            self.lib.repro_hld_checksum
-            if kind == "hld"
-            else self.lib.repro_freedman_checksum
-        )
-        rc = fn(payload, offs, lens, n_total, node_arr, len(nodes), out)
-        if rc:
+        out = self.ffi.new("uint64_t*")
+        if self.lib.repro_checksum(
+            kind, *self._store_args(store), c_nodes, len(nodes), out
+        ):
             return None
         return int(out[0])
 

@@ -72,13 +72,15 @@ class PythonBackend:
     """The packed-Python floor: fused entry points decline, callers fall back."""
 
     name = "python"
-    #: effectively infinite — the engine never routes through this backend
-    min_batch = 1 << 62
 
     def tier_for(self, scheme) -> str:
         return "python"
 
-    def batch_query(self, store, scheme, pairs):
+    def arena(self, store, scheme, budget):
+        """No decoded-label arena: the engine keeps parsed labels itself."""
+        return None
+
+    def batch_query(self, arena, pairs):
         return None
 
     def matrix_flat(self, store, scheme, targets):

@@ -168,7 +168,7 @@ def fleet_registry(merged: dict, *, supervisor: dict | None = None) -> Registry:
         if isinstance(cache, dict):
             registry.gauge(
                 "repro_label_cache_hit_rate",
-                "Parsed-label LRU hit rate", cache.get("hit_rate", 0.0),
+                "Decoded-label cache hit rate", cache.get("hit_rate", 0.0),
             )
 
     if merged.get("routing_version"):

@@ -171,7 +171,7 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
 
 
 def _merge_index_stats(rows: list[dict]) -> dict | None:
-    """Fold per-worker member-index stats (cache counters add)."""
+    """Fold per-worker member-index stats (cache counters and arenas add)."""
     open_rows = [row for row in rows if row.get("open")]
     if not open_rows:
         return dict(rows[0]) if rows else None
@@ -188,6 +188,12 @@ def _merge_index_stats(rows: list[dict]) -> dict | None:
             hit_rate=round(hits / lookups, 4) if lookups else 0.0,
             size=sum(p.get("size", 0) for p in partials),
         )
+        arenas = [p["arena"] for p in partials if p.get("arena")]
+        if arenas:
+            folded["arena"] = {
+                key: sum(arena.get(key, 0) for arena in arenas)
+                for key in ("bytes", "decodes")
+            }
         merged["cache"] = folded
         merged["cache_hit_rate"] = folded["hit_rate"]
     return merged

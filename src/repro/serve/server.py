@@ -21,8 +21,8 @@ per-member pending list and the flush is scheduled with ``loop.call_soon``,
 which runs *after* every ``data_received`` callback of the current event-loop
 tick — so all queries that arrived in this tick, across every connection,
 are answered by **one** :meth:`QueryEngine.batch_query` call per member.
-That call parses each distinct endpoint once (warming the engine's parsed-
-label LRU for every future tick) and the responses are written back with one
+That call decodes each distinct endpoint once (warming the engine's label
+cache for every future tick) and the responses are written back with one
 ``transport.write`` per connection instead of one per request.  Under a
 pipelined client the serving cost per query drops to an append, a shared
 batch slot and a shared write.

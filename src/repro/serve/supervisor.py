@@ -292,7 +292,7 @@ class FleetSupervisor:
     ``path`` is a store (RLS1) or catalog (RLC1) file — workers re-open it
     independently, so the target must be a file, not a live object.  The
     remaining keyword arguments are per-worker :class:`ServingCore`
-    configuration plus ``cache_size`` for the parsed-label LRU,
+    configuration plus ``cache_size`` for the decoded-label cache,
     ``drain_seconds`` for the worker shutdown drain, and
     ``restart_policy`` — the :class:`~repro.serve.retry.RestartPolicy`
     governing restart-on-crash (``None`` uses the defaults).

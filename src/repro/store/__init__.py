@@ -21,10 +21,11 @@ paper's model implies (distribute the labels, discard the tree).
 
 :class:`QueryEngine`
     answers distance queries against a store through the unified
-    ``scheme.query`` interface, caching parsed labels (LRU) and providing
-    ``batch_distance``/``distance_matrix`` fast paths that parse each label
-    once per batch instead of once per query.  Batches go to the kernel
-    tier first (:mod:`repro.kernels`); the one matrix implementation,
+    ``scheme.query`` interface, keeping each decoded label for reuse in a
+    bounded FIFO cache — a C arena on native schemes, parsed label objects
+    otherwise — and providing ``batch_distance``/``distance_matrix`` paths
+    that decode each label once per batch.  Queries go to the kernel tier
+    first (:mod:`repro.kernels`); the one matrix implementation,
     ``matrix_into``, is read-only and executor-safe, so the network server
     offloads MATRIX requests through it.
 

@@ -1,23 +1,29 @@
 """Query serving on top of a :class:`repro.store.LabelStore`.
 
-The engine is decoder-only: it sees packed bits, never the tree.  Parsing a
-label (packed word -> label object) dominates CPython query cost, so the
-engine keeps a bounded LRU cache of parsed labels and offers batch entry
-points that look each distinct endpoint up exactly once.
+The engine is decoder-only: it sees packed bits, never the tree.  Decoding
+a label dominates query cost, so decoded labels are kept in a cache of
+``cache_size`` labels with one policy: a batch looks each distinct endpoint
+up once, a resident label is a hit (never promoted), misses are admitted in
+first-seen order, and the oldest entries are trimmed to budget after the
+batch.  A single query is a batch of one pair.  The cache is held by:
 
-Every batch goes **kernel first**: a batch of at least the backend's
-``min_batch`` pairs is handed to the kernel backend, which decodes the
-labels straight from the store (the native tier, for hld-fixed and
-Freedman; see :mod:`repro.kernels`).  When it answers, the batch's cold
-endpoints enter the LRU as an undecoded placeholder, parsed — and upgraded
-in place — on their first Python-side use (:meth:`QueryEngine.parsed_label`
-or a batch the kernel did not answer).  Only a declined batch is parsed,
-which raises exactly the Python path's errors.
+- a decoded-label arena in C, one per engine, on the native tier
+  (hld-fixed and Freedman; see :mod:`repro.kernels`).  Every query
+  crosses to C as one flat buffer of pairs; C counts, decodes, admits,
+  answers and trims, and Python keeps no per-label state.  A batch the
+  kernel declines (a corrupt or out-of-range label) is parsed locally, and
+  the Python query answers or raises exactly as the python tier does;
+- an ``OrderedDict`` of label objects from the scheme's ``parse_many``
+  otherwise (``REPRO_KERNELS=python``, or a scheme with no C decoder).
+
+Lookups count the same on both, so :meth:`QueryEngine.cache_info` reports
+the same hits and misses on every tier.
 
 There is one matrix implementation, :meth:`QueryEngine.matrix_into`: kernel
-first, then read-only cache lookups with misses parsed locally, so a matrix
-never mutates the engine (nor warms its cache);
-:meth:`QueryEngine.distance_matrix` only cuts its flat result into rows.
+first, with a private decode that never touches the arena, then read-only
+cache lookups with misses parsed locally, so a matrix never mutates the
+engine (nor warms its cache); :meth:`QueryEngine.distance_matrix` only cuts
+its flat result into rows.
 
 The parse supply path is zero-string end to end: the store yields
 ``(node, packed_value, bit_length)`` words (:meth:`LabelStore.label_words`)
@@ -28,6 +34,7 @@ intermediate :class:`~repro.encoding.bitio.Bits` either.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
@@ -35,19 +42,8 @@ from repro import kernels
 from repro.store.label_store import LabelStore
 
 #: cache-miss sentinel: one ``dict.get`` resolves hit-or-miss without a
-#: second ``in`` lookup (``None`` is not usable — it is a valid label value
-#: only in theory, but the sentinel also guards against that)
+#: second ``in`` lookup
 _MISSING = object()
-#: LRU value of a node the native kernel answered for but nothing has
-#: parsed yet: resident (a lookup counts as a hit), decoded on first use
-_UNPARSED = object()
-
-
-def _trim(cache: OrderedDict, size: int) -> None:
-    """Evict the oldest entries of ``cache`` until at most ``size`` remain."""
-    pop = cache.popitem
-    for _ in range(len(cache) - size):
-        pop(last=False)
 
 
 class QueryEngine:
@@ -69,12 +65,14 @@ class QueryEngine:
             raise ValueError("cache_size must be at least 1")
         self.store = store
         self.scheme = scheme if scheme is not None else store.make_scheme()
+        #: parsed labels, when no native arena holds them (see :meth:`_bind`)
         self._cache: OrderedDict[int, object] = OrderedDict()
         self._cache_size = cache_size
-        #: label cache statistics (resident hits, admitted misses), exposed
-        #: for benchmarks and tuning
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._hits = 0
+        self._misses = 0
+        #: ``(kernel backend, native arena or None)``, bound at first use
+        self._bound: tuple | None = None
+        self._bind_lock = threading.Lock()
 
     @classmethod
     def from_labels(cls, scheme, labels: dict[int, object], **kwargs) -> "QueryEngine":
@@ -91,81 +89,62 @@ class QueryEngine:
         """Number of queryable nodes."""
         return self.store.n
 
+    def _bind(self) -> tuple:
+        """Bind the selected backend and its arena over the store, if any."""
+        with self._bind_lock:
+            if self._bound is None:
+                backend = kernels.backend()
+                arena = backend.arena(self.store, self.scheme, self._cache_size)
+                self._bound = (backend, arena)
+            return self._bound
+
     # -- label parsing -------------------------------------------------------
 
     def parsed_label(self, node: int):
-        """The parsed label of ``node``, LRU-cached."""
-        cache = self._cache
-        label = cache.get(node, _MISSING)
-        if label is not _MISSING:
-            cache.move_to_end(node)
-            self.cache_hits += 1
-            if label is _UNPARSED:
-                label = cache[node] = self.scheme.parse(self.store.label_bits(node))
-            return label
-        self.cache_misses += 1
-        label = self.scheme.parse(self.store.label_bits(node))
-        cache[node] = label
-        if len(cache) > self._cache_size:
-            cache.popitem(last=False)
-        return label
+        """The parsed label of ``node``, counted and admitted as a lookup."""
+        backend, arena = self._bound or self._bind()
+        if arena is None:
+            return self._parse_batch((node,))[node]
+        backend.pair_query(arena, node, node)
+        return self.scheme.parse_many(self.store, (node,))[node]
 
     def _parse_batch(self, nodes: Iterable[int]) -> dict[int, object]:
-        """Parse each distinct node once, reusing (and warming) the cache.
+        """Parse each distinct node once, reusing (and filling) the cache.
 
-        Per-node LRU bookkeeping is skipped: every requested node is being
-        collected into the returned local dict anyway, so cache hits are
-        plain lookups (no recency promotion) and freshly parsed labels are
-        inserted in bulk, with a single eviction sweep at the end.  Resident
-        placeholders count as hits and are parsed in the same call, then
-        upgraded where they sit.
+        Hits are plain lookups (no promotion); the misses are parsed in one
+        ``parse_many`` call and appended in first-seen order, with a single
+        eviction sweep at the end.  A parse that raises admits nothing.
         """
         parsed: dict[int, object] = {}
-        cache_get = self._cache.get
-        hits = 0
+        cache = self._cache
+        cache_get = cache.get
         missing: list[int] = []
-        unparsed: list[int] = []
         for node in dict.fromkeys(nodes):  # C-speed, order-preserving dedup
             label = cache_get(node, _MISSING)
             if label is _MISSING:
                 missing.append(node)
-                continue
-            hits += 1
-            if label is _UNPARSED:
-                unparsed.append(node)
             else:
                 parsed[node] = label
-        self.cache_hits += hits
-        self.cache_misses += len(missing)
-        if missing or unparsed:
-            fresh = self.scheme.parse_many(self.store, unparsed + missing)
-            parsed.update(fresh)
-            # placeholders keep their LRU position; misses append in order
-            self._cache.update(fresh)
-            _trim(self._cache, self._cache_size)
-        return parsed
-
-    def _admit(self, nodes: Iterable[int]) -> None:
-        """:meth:`_parse_batch`'s bookkeeping, minus the parse.
-
-        One lookup per distinct node, counted exactly as a parse would
-        count it; the misses enter the LRU as undecoded placeholders, with
-        a single eviction sweep.
-        """
-        cache = self._cache
-        distinct = dict.fromkeys(nodes)
-        missing = [node for node in distinct if node not in cache]
-        self.cache_hits += len(distinct) - len(missing)
+        self._hits += len(parsed)
+        self._misses += len(missing)
         if missing:
-            self.cache_misses += len(missing)
-            cache.update(dict.fromkeys(missing, _UNPARSED))
-            _trim(cache, self._cache_size)
+            fresh = self.scheme.parse_many(self.store, missing)
+            parsed.update(fresh)
+            cache.update(fresh)
+            for _ in range(len(cache) - self._cache_size):
+                cache.popitem(last=False)
+        return parsed
 
     # -- queries -------------------------------------------------------------
 
     def query(self, u: int, v: int):
-        """One query; result semantics follow ``scheme.kind``."""
-        return self.scheme.query(self.parsed_label(u), self.parsed_label(v))
+        """One query (a batch of one pair); semantics follow ``scheme.kind``."""
+        backend, arena = self._bound or self._bind()
+        if arena is not None:
+            answer = backend.pair_query(arena, u, v)
+            if answer is not None:
+                return answer
+        return self._answer_in_python(((u, v),), arena)[0]
 
     def distance(self, u: int, v: int):
         """Alias of :meth:`query` for the common exact-scheme case."""
@@ -174,25 +153,29 @@ class QueryEngine:
     def batch_query(self, pairs: Sequence[tuple[int, int]]) -> list:
         """Answer many queries, looking each distinct endpoint up once.
 
-        A batch of at least the backend's ``min_batch`` pairs goes to the
-        kernel first; if it answers, the endpoints are only admitted
-        (:meth:`_admit`).  Otherwise the batch is parsed
-        (:meth:`_parse_batch`) and answered by the Python loop, which
-        answers or raises exactly as the packed-Python tier does.  The
-        hit/miss counts, LRU order and eviction are the same either way.
+        With a native arena the kernel answers the whole batch; if it
+        declines, the arena has already counted the batch, which
+        :meth:`_answer_in_python` then answers or raises on.
         """
         pairs = list(pairs)
         if not pairs:
             return []
+        backend, arena = self._bound or self._bind()
+        if arena is not None:
+            answers = backend.batch_query(arena, pairs)
+            if answers is not None:
+                return answers
+        return self._answer_in_python(pairs, arena)
+
+    def _answer_in_python(self, pairs, arena) -> list:
+        """Answer (or raise) over parsed labels, as the python tier does; an
+        arena has counted the batch already, so its labels parse locally."""
         us, vs = zip(*pairs)
         nodes = us + vs
-        backend = kernels.backend()
-        if len(pairs) >= backend.min_batch:
-            answers = backend.batch_query(self.store, self.scheme, pairs)
-            if answers is not None:
-                self._admit(nodes)
-                return answers
-        parsed = self._parse_batch(nodes)
+        if arena is None:
+            parsed = self._parse_batch(nodes)
+        else:
+            parsed = self.scheme.parse_many(self.store, list(dict.fromkeys(nodes)))
         query = self.scheme.query
         return [query(parsed[u], parsed[v]) for u, v in pairs]
 
@@ -225,10 +208,10 @@ class QueryEngine:
 
         This is the engine's one matrix implementation, and the entry point
         the network server offloads MATRIX requests to a worker thread
-        through, so it **never mutates the engine**: the kernel reads only
-        the immutable store; failing that, parsed labels come from
-        read-only cache lookups (no LRU promotion, no insertion, no counter
-        updates) with misses and undecoded placeholders parsed into a local
+        through, so it **never mutates the engine**: the kernel decodes
+        its targets privately from the immutable store, never through the
+        arena; failing that, parsed labels come from read-only cache lookups
+        (no insertion, no counter updates) with misses parsed into a local
         dict.  The result is appended to ``out`` (or a fresh list) as one
         flat row-major sequence — exactly the shape the wire protocol
         carries.  Safe to run concurrently with event-loop queries on
@@ -257,7 +240,7 @@ class QueryEngine:
         missing: list[int] = []
         for node in dict.fromkeys(targets):
             label = cache_get(node, _MISSING)
-            if label is _MISSING or label is _UNPARSED:
+            if label is _MISSING:
                 missing.append(node)
             else:
                 by_node[node] = label
@@ -288,33 +271,43 @@ class QueryEngine:
     # -- cache management ----------------------------------------------------
 
     def cache_info(self) -> dict:
-        """Hit/miss counters and current occupancy of the parsed-label cache.
+        """Hit/miss counters and current occupancy of the decoded-label cache.
 
         A hit is a lookup that found the node *resident* and a miss one that
-        *admitted* it; ``size`` counts resident nodes.  A resident node is a
-        parsed label or, after a kernel-first batch, an undecoded
-        placeholder — the counters are the same on every tier, whichever
-        of the two the cache holds.  ``hit_rate`` is the lifetime fraction
-        of lookups served from the cache (0.0 before any lookup) — the
-        steady-state serving signal the network server reports per member
-        and the warm-cache benchmark records.  ``backend`` is the kernel
-        tier answering this engine's batched queries (``native``/``python``;
-        see :mod:`repro.kernels`) — per scheme, so an engine whose scheme has
-        no native kernel honestly reports ``python`` even when the native
-        tier is loaded.
+        *admitted* it; ``size`` counts resident labels, whoever holds them.
+        ``hit_rate`` is the lifetime fraction of lookups served from the
+        cache (0.0 before any lookup) — the steady-state serving signal the
+        network server reports per member.  ``backend`` is the kernel tier
+        answering this engine's queries (``native``/``python``; see
+        :mod:`repro.kernels`) — per scheme, so an engine whose scheme has no
+        native kernel reports ``python`` even when the native tier is
+        loaded.  ``arena`` is the native arena's resident ``bytes`` and
+        lifetime ``decodes``, or ``None`` on the python tier.
         """
-        lookups = self.cache_hits + self.cache_misses
+        backend, arena = self._bound or self._bind()
+        if arena is None:
+            hits, misses, size = self._hits, self._misses, len(self._cache)
+            arena_info = None
+        else:
+            hits, misses, size, nbytes, decodes = backend.arena_stats(arena)
+            arena_info = {"bytes": nbytes, "decodes": decodes}
+        lookups = hits + misses
         return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "hit_rate": round(self.cache_hits / lookups, 4) if lookups else 0.0,
-            "size": len(self._cache),
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
+            "size": size,
             "max_size": self._cache_size,
-            "backend": kernels.backend().tier_for(self.scheme),
+            "backend": "python" if arena is None else "native",
+            "arena": arena_info,
         }
 
+    #: lifetime lookups that found their label resident / admitted it
+    cache_hits = property(lambda self: self.cache_info()["hits"])
+    cache_misses = property(lambda self: self.cache_info()["misses"])
+
     def clear_cache(self) -> None:
-        """Drop all parsed labels (counters included)."""
+        """Drop every decoded label (freeing a native arena) and the counters."""
         self._cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._hits = self._misses = 0
+        self._bound = None

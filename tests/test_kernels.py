@@ -17,6 +17,7 @@ import dataclasses
 import os
 import random
 import sys
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -185,7 +186,7 @@ def _answers_under(tier, store, spec, pairs, nodes):
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
 def test_fused_tiers_match_python_on_large_batches(spec):
-    """Batches past every ``min_batch`` so the fused kernels really engage."""
+    """Large batches with duplicate and self pairs, on every tier."""
     tree = make_tree("random", 300, seed=41)
     scheme = make_scheme_from_spec(spec)
     store = LabelStore.encode_tree(scheme, tree)
@@ -213,11 +214,14 @@ def test_all_specs_identical_across_tiers(tree):
             )
 
 
-def test_cache_counters_identical_across_tiers():
-    """Fused kernels replace only the query loop, never the bookkeeping.
+@pytest.mark.parametrize("cache_size", [4096, 32])
+def test_cache_counters_identical_across_tiers(cache_size):
+    """The native arena counts, admits and evicts as the Python cache does.
 
-    The native tier admits cold labels undecoded instead of parsing them,
-    which must leave the resident/admitted counts exactly as parsing does.
+    The arena keeps decoded labels in C instead of parsed objects in
+    Python, which must leave the resident/admitted counts exactly as
+    parsing does — with a small cache, in the same admission order; only
+    the native tier reports arena bytes and decodes.
     """
     tree = make_tree("random", 200, seed=47)
     pairs = random_pairs(tree, 400, seed=53)
@@ -227,11 +231,19 @@ def test_cache_counters_identical_across_tiers():
         for tier in available_tiers():
             with forced_tier(tier):
                 assert kernels.backend_name() == tier
-                engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+                engine = QueryEngine(
+                    store, scheme=make_scheme_from_spec(spec), cache_size=cache_size
+                )
                 engine.batch_query(pairs)
-                engine.batch_query(pairs)
+                for start in range(0, len(pairs), 50):
+                    engine.batch_query(pairs[start : start + 50])
                 info = engine.cache_info()
                 assert info.pop("backend") == tier
+                arena = info.pop("arena")
+                if tier == "python":
+                    assert arena is None
+                else:
+                    assert arena["decodes"] == info["misses"] and arena["bytes"] > 0
                 infos[tier] = info
         assert len({tuple(sorted(info.items())) for info in infos.values()}) == 1, (
             spec,
@@ -241,7 +253,7 @@ def test_cache_counters_identical_across_tiers():
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
 def test_native_batch_skips_the_python_parse(spec, monkeypatch):
-    """Kernel first: cold labels are admitted undecoded, parsed on first use."""
+    """Kernel first: the arena decodes each cold label once, Python parses none."""
     if "native" not in available_tiers():
         pytest.skip("native tier not available in this environment")
     tree = make_tree("random", 300, seed=79)
@@ -251,8 +263,6 @@ def test_native_batch_skips_the_python_parse(spec, monkeypatch):
     pairs = random_pairs(tree, 120, seed=83)
     distinct = {node for pair in pairs for node in pair}
     with forced_tier("native"):
-        min_batch = kernels.backend().min_batch
-        assert len(pairs) >= min_batch
         engine = QueryEngine(store, scheme=scheme)
         with monkeypatch.context() as patch:
             for name in ("parse", "parse_many"):
@@ -260,31 +270,86 @@ def test_native_batch_skips_the_python_parse(spec, monkeypatch):
                     type(scheme), name, lambda *args, name=name: pytest.fail(name)
                 )
             assert engine.batch_query(pairs) == oracle.batch_distance(pairs)
-            # matrices are kernel first too, and never touch the cache
+            # single queries and small batches take the same kernel path
+            u, v = pairs[0]
+            assert engine.query(u, v) == oracle.distance(u, v)
+            small = pairs[1:4]
+            assert engine.batch_query(small) == oracle.batch_distance(small)
+            # matrices are kernel first too, and never touch the arena
             index = DistanceIndex(QueryEngine(store, scheme=scheme))
             everything = list(range(tree.n))
             assert index.matrix(raw=True) == oracle.distance_matrix(everything)
             assert index.engine.cache_info()["misses"] == 0
         info = engine.cache_info()
-        assert (info["hits"], info["misses"], info["size"]) == (0, len(distinct), len(distinct))
+        rehits = len({u, v}) + len({node for pair in small for node in pair})
+        assert (info["hits"], info["misses"], info["size"]) == (
+            rehits,
+            len(distinct),
+            len(distinct),
+        )
+        assert info["arena"]["decodes"] == len(distinct)  # once per residency
 
-        # every Python-side use parses the resident placeholders it meets
+        # the Python matrix path parses locally and leaves the arena alone
         nodes = sorted(distinct)[:40]
         flat = [oracle.distance(u, v) for u in nodes for v in nodes]
         before = engine.cache_info()
         for symmetric in (True, False):
             assert engine.matrix_into(nodes, assume_symmetric=symmetric) == flat
         assert engine.cache_info() == before
-        u, v = pairs[0]
-        assert engine.query(u, v) == oracle.distance(u, v)
-        small = pairs[1:min_batch]
-        assert engine.batch_query(small) == oracle.batch_distance(small)
         assert engine.distance_matrix(nodes) == oracle.distance_matrix(nodes)
-        # a matrix wider than the cache parses placeholders outside the LRU
+        # a narrow arena evicts down to its budget and re-decodes on return
         narrow = QueryEngine(store, scheme=scheme, cache_size=32)
-        assert narrow.batch_query(pairs) == oracle.batch_distance(pairs)
-        assert narrow.distance_matrix(nodes) == oracle.distance_matrix(nodes)
-        assert narrow.cache_info()["size"] == 32
+        for _ in range(2):
+            assert narrow.batch_query(pairs) == oracle.batch_distance(pairs)
+        info = narrow.cache_info()
+        assert info["size"] == 32
+        assert info["arena"]["decodes"] == info["misses"] > len(distinct)
+        # clear_cache frees the arena and zeroes the counters
+        engine.clear_cache()
+        info = engine.cache_info()
+        assert (info["hits"], info["misses"], info["size"], info["arena"]) == (
+            0,
+            0,
+            0,
+            {"bytes": 0, "decodes": 0},
+        )
+
+
+def _truncated(store, node, bits):
+    """A copy of ``store`` in which ``node``'s label keeps its first ``bits``."""
+    view, offsets, lengths = store.buffers()
+    payload = bytearray()
+    bit_lengths = []
+    for other in range(store.n):
+        length = bits if other == node else lengths[other]
+        label = bytearray(view[offsets[other] : offsets[other] + (length + 7) // 8])
+        if length % 8:
+            label[-1] &= 0xFF << (8 - length % 8) & 0xFF
+        payload += label
+        bit_lengths.append(length)
+    return LabelStore(store.scheme_name, store.scheme_params, bit_lengths, bytes(payload))
+
+
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_batch_with_an_undecodable_label_admits_nothing(spec):
+    """Its lookups count, but no label of it is admitted, on every tier.
+
+    The arena decodes the batch's misses in order, so the labels decoded
+    before the truncated one must be dropped again, as the Python cache
+    admits nothing when ``parse_many`` raises.
+    """
+    tree = make_tree("random", 60, seed=97)
+    store = _truncated(LabelStore.encode_tree(make_scheme_from_spec(spec), tree), 7, 3)
+    for tier in available_tiers():
+        with forced_tier(tier):
+            engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
+            with pytest.raises(Exception):
+                engine.batch_query([(1, 2), (3, 7)])
+            info = engine.cache_info()
+            assert (info["hits"], info["misses"], info["size"]) == (0, 4, 0), tier
+            engine.batch_query([(1, 2)])
+            info = engine.cache_info()
+            assert (info["hits"], info["misses"], info["size"]) == (0, 6, 2), tier
 
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
@@ -371,7 +436,8 @@ def _flip_bits(store, node, positions):
 
 
 def _mutated_cases(spec, scheme, tree, seed):
-    """``(store, pairs)`` cases, each with one mutated label in the batch."""
+    """``(store, node, pairs)`` cases: ``node``'s label is mutated in ``store``
+    and every pair touches it."""
     rng = random.Random(seed)
     labels = scheme.encode(tree)
     store = LabelStore.from_labels(scheme, labels)
@@ -383,7 +449,7 @@ def _mutated_cases(spec, scheme, tree, seed):
         flips = rng.sample(range(length), min(length, rng.randint(1, 4)))
         partners = rng.sample(others, 24)
         pairs = [(node, w) if k % 2 else (w, node) for k, w in enumerate(partners)]
-        cases.append((_flip_bits(store, node, flips), pairs))
+        cases.append((_flip_bits(store, node, flips), node, pairs))
     edited = dict(labels)
     if spec == "freedman":
         # a label that lost all but its first fragment ref: Python raises
@@ -405,7 +471,7 @@ def _mutated_cases(spec, scheme, tree, seed):
             distance_width=label.distance_width,
         )
     pairs = [(node, w) for w in others if w != node]
-    cases.append((LabelStore.from_labels(scheme, edited), pairs))
+    cases.append((LabelStore.from_labels(scheme, edited), node, pairs))
     return cases
 
 
@@ -414,7 +480,7 @@ def _outcomes(tier, spec, cases):
     results = []
     with forced_tier(tier):
         assert kernels.backend_name() == tier
-        for store, pairs in cases:
+        for store, _, pairs in cases:
             engine = QueryEngine(store, scheme=make_scheme_from_spec(spec))
             try:
                 results.append(engine.batch_query(pairs))
@@ -427,9 +493,9 @@ def _outcomes(tier, spec, cases):
 def test_mutated_labels_answer_alike_on_native_and_python(spec):
     """Corrupt label bits get the Python answer or the Python exception.
 
-    Every batch touches one mutated label and is past the native
-    ``min_batch``, so the C kernel sees it before any Python parse; it must
-    decline wherever the Python parser or query would raise or differ.
+    Every batch touches one mutated label, and the C kernel sees it before
+    any Python parse; it must decline wherever the Python parser or query
+    would raise or differ.
     """
     if "native" not in available_tiers():
         pytest.skip("native tier not available in this environment")
@@ -444,3 +510,135 @@ def test_mutated_labels_answer_alike_on_native_and_python(spec):
         if native[index] != python[index]
     ]
     assert not diverged, f"{len(diverged)} of {len(cases)} diverged: {diverged[:3]}"
+
+
+def _one_store(clean, cases):
+    """``clean``'s labels as nodes ``0..n-1``, then each case's mutated label
+    as node ``n + i``, with the case's pairs moved onto it."""
+    view, _, bit_lengths = clean.buffers()
+    payload = bytearray(view)
+    bit_lengths = list(bit_lengths)
+    moved = []
+    for index, (store, node, pairs) in enumerate(cases):
+        view, offsets, lengths = store.buffers()
+        start = offsets[node]
+        payload += view[start : start + (lengths[node] + 7) // 8]
+        bit_lengths.append(lengths[node])
+        extra = clean.n + index
+        moved.append(
+            (extra, [(extra if u == node else u, extra if v == node else v) for u, v in pairs])
+        )
+    store = LabelStore(clean.scheme_name, clean.scheme_params, bit_lengths, bytes(payload))
+    return store, moved
+
+
+def _long_lived_steps(tier, spec, store, steps):
+    """Every step's outcome and counters, all through one engine."""
+    results = []
+    with forced_tier(tier):
+        assert kernels.backend_name() == tier
+        engine = QueryEngine(store, scheme=make_scheme_from_spec(spec), cache_size=32)
+        for pairs in steps:
+            try:
+                outcome = engine.batch_query(pairs)
+            except Exception as error:
+                outcome = type(error)
+            info = engine.cache_info()
+            assert info["size"] <= 32
+            results.append((outcome, info["hits"] + info["misses"], info["misses"]))
+    return results
+
+
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_mutated_labels_answer_alike_through_one_long_lived_engine(spec):
+    """The mutation differential through one engine per tier, with eviction.
+
+    All mutated cases and clean batches run through a single 32-label
+    engine, so the arena admits, evicts and declines across hundreds of
+    batches.  Each step's answers (or exception type) and lookup count
+    equal the Python tier's, and a label that does not decode is never
+    admitted: looking it up again is a miss.  (Residency itself may differ:
+    the C decoder also declines labels Python parses, such as an hld-fixed
+    label whose widths differ from the store's.)
+    """
+    if "native" not in available_tiers():
+        pytest.skip("native tier not available in this environment")
+    scheme = make_scheme_from_spec(spec)
+    tree = make_tree("random_binary", 200, seed=71)
+    cases = _mutated_cases(spec, scheme, tree, seed=73)
+    store, moved = _one_store(LabelStore.encode_tree(scheme, tree), cases)
+    steps = []
+    undecodable = []
+    for index, (extra, pairs) in enumerate(moved):
+        steps.append(random_pairs(tree, 24, seed=index))
+        steps.append(pairs)
+        try:
+            scheme.parse_many(store, [extra])
+        except Exception:
+            undecodable.append(len(steps))
+        steps.append([(extra, extra)])
+    native = _long_lived_steps("native", spec, store, steps)
+    python = _long_lived_steps("python", spec, store, steps)
+    diverged = [
+        (index, native[index][:2], python[index][:2])
+        for index in range(len(steps))
+        if native[index][:2] != python[index][:2]
+    ]
+    assert not diverged, f"{len(diverged)} of {len(steps)} diverged: {diverged[:3]}"
+    assert undecodable, "no mutation made a label undecodable"
+    for probe in undecodable:  # the re-lookup right after the failed batch
+        assert native[probe][2] == native[probe - 1][2] + 1, probe
+
+
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_arena_is_safe_under_concurrent_batches_and_matrices(spec):
+    """Two threads batch through one arena while a third fills matrices.
+
+    cffi releases the GIL around every C call, so only the arena's lock
+    keeps admission and eviction consistent; the matrix decodes privately.
+    """
+    if "native" not in available_tiers():
+        pytest.skip("native tier not available in this environment")
+    tree = make_tree("random", 400, seed=89)
+    oracle = TreeDistanceOracle(tree)
+    batches = [random_pairs(tree, 64, seed=seed) for seed in range(40)]
+    expected = [oracle.batch_distance(pairs) for pairs in batches]
+    nodes = list(range(0, tree.n, 9))
+    matrix = [oracle.distance(u, v) for u in nodes for v in nodes]
+    with forced_tier("native"):
+        index = DistanceIndex.build(tree, spec, cache_size=48)
+        failures: list = []
+
+        def batcher(offset: int) -> None:
+            for round_ in range(5):
+                for k in range(len(batches)):
+                    at = (k + offset) % len(batches)
+                    if index.batch(batches[at], raw=True) != expected[at]:
+                        failures.append(("batch", offset, round_, at))
+
+        def matrices() -> None:
+            for round_ in range(10):
+                if index.engine.matrix_into(nodes) != matrix:
+                    failures.append(("matrix", round_))
+
+        threads = [
+            threading.Thread(target=batcher, args=(0,)),
+            threading.Thread(target=batcher, args=(len(batches) // 2,)),
+            threading.Thread(target=matrices),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        info = index.engine.cache_info()
+        lookups = 2 * 5 * sum(len({n for pair in pairs for n in pair}) for pairs in batches)
+        assert info["hits"] + info["misses"] == lookups
+        assert info["arena"]["decodes"] == info["misses"]
+        assert info["size"] <= 48

@@ -256,6 +256,13 @@ def test_matrix_and_info_and_stats(catalog, tree):
         assert stats["matrix_requests"] == 1
         assert stats["index"]["spec"] == "freedman"
         assert 0.0 <= stats["index"]["cache_hit_rate"] <= 1.0
+        # a query decodes into the member's arena (native tier only)
+        await client.query(0, 5, name="exact")
+        cache = (await client.stats("exact"))["index"]["cache"]
+        if cache["backend"] == "native":
+            assert cache["arena"]["decodes"] >= 2 and cache["arena"]["bytes"] > 0
+        else:
+            assert cache["arena"] is None
 
     _run(_with_server(catalog, handler))
 

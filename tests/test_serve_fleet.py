@@ -213,6 +213,35 @@ def test_merge_fleet_stats_heterogeneous_histograms():
     assert rows[0]["uptime_seconds"] == 5.0
 
 
+def test_merge_fleet_stats_folds_index_caches():
+    """Cache counters and native arena sizes add across workers."""
+
+    def index(hits, misses, arena):
+        cache = {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": 0.0,
+            "size": misses,
+            "max_size": 4096,
+            "backend": "python" if arena is None else "native",
+            "arena": arena,
+        }
+        return {"open": True, "spec": "freedman", "cache": cache}
+
+    merged = merge_fleet_stats(
+        [
+            _stats_payload(1, index=index(3, 1, {"bytes": 100, "decodes": 1})),
+            _stats_payload(2, index=index(5, 3, {"bytes": 300, "decodes": 4})),
+        ]
+    )
+    cache = merged["index"]["cache"]
+    assert (cache["hits"], cache["misses"], cache["size"]) == (8, 4, 4)
+    assert cache["hit_rate"] == merged["index"]["cache_hit_rate"] == round(8 / 12, 4)
+    assert cache["arena"] == {"bytes": 400, "decodes": 5}
+    python_tier = merge_fleet_stats([_stats_payload(1, index=index(1, 1, None))])
+    assert python_tier["index"]["cache"]["arena"] is None
+
+
 def test_merge_fleet_stats_generation_visibility():
     same = [
         _stats_payload(1, store_generation="aaaa"),

@@ -195,13 +195,15 @@ class TestQueryEngine:
         engine.parsed_label(9)  # most recent entry is still cached
         assert engine.cache_hits == 1
         engine.clear_cache()
+        backend = kernels.backend().tier_for(engine.scheme)
         assert engine.cache_info() == {
             "hits": 0,
             "misses": 0,
             "hit_rate": 0.0,
             "size": 0,
             "max_size": 4,
-            "backend": kernels.backend().tier_for(engine.scheme),
+            "backend": backend,
+            "arena": {"bytes": 0, "decodes": 0} if backend == "native" else None,
         }
 
     def test_distance_matrix_matches_oracle(self):
