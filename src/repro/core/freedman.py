@@ -27,20 +27,28 @@ Ablation switches (`use_fragments`, `use_accumulators`, `binarize`) let the
 benchmarks quantify each ingredient's contribution to the label size (the
 ``freedman-no-*`` specs of README "Scheme specs").
 
-Labels are serialised by :meth:`FreedmanLabel.to_bits`, which shifts every
-field into one integer, and parsed by :func:`_parse_word`, its mirror.
+Encoding is word-level.  :meth:`FreedmanScheme.encode_stream` computes the
+shared structure once as integer rows indexed by collapsed path id (light
+codewords, light-edge weights, fragment refs, each hanging subtree's entry
+already serialised, one accumulator per parent path), then shifts each
+label straight into one integer in a single walk of its collapsed root
+path.  The label it yields is *lazy*: it holds only that word, which
+:meth:`FreedmanLabel.to_bits` packs as it is, and the first read of a field
+parses the word with :func:`_parse_word` and drops it.  A label built from
+fields (or read once) is serialised by :meth:`FreedmanLabel._sentinel_word`,
+the mirror of :func:`_parse_word`.  ``tests/freedman_reference.py`` keeps
+the field-by-field encoder and codec the differential tests compare with.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.alphabetic import common_codeword_prefix
-from repro.encoding.bitio import BitError, BitWriter, Bits
+from repro.encoding.bitio import BitError, Bits
 from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
@@ -51,8 +59,6 @@ from repro.trees.tree import RootedTree
 #: a hanging subtree is *thin* when it is at most 1/2^8 of the subtree rooted
 #: at its branch node (Lemma 3.4)
 THIN_FACTOR = 256
-
-_EMPTY_BITS = Bits("")
 
 #: Elias gamma code width of every small value: ``gamma(v)`` is ``v + 1``
 #: written in ``_GAMMA_WIDTH[v]`` bits (its leading zeros are the unary part)
@@ -101,29 +107,14 @@ def _append_monotone(word: int, values: list[int]) -> int:
     return word
 
 
-class _Entries(NamedTuple):
-    """Packed Section 3.2 entry rows, indexed by collapsed path id.
-
-    ``accumulator[p]`` is the *full* accumulator of parent path ``p``; a
-    child's prefix (what its dominating siblings pushed before its turn) is
-    ``accumulator[parent][:prefix_length[child]]``.
-    """
-
-    skip: bytearray
-    kept_value: array
-    kept_length: array
-    pushed: array
-    prefix_length: array
-    accumulator: list
-
-
 @dataclass
 class FreedmanLabel:
     """Label of one (original) node.
 
     All per-level lists are indexed by the light-edge index ``0 .. L-1``
     where ``L`` is the light depth of the node's pendant leaf in the
-    transformed tree.
+    transformed tree.  A label the encoder yields is only its word until
+    the first read (or assignment) of a field parses it and drops it.
     """
 
     node_id: int
@@ -137,6 +128,36 @@ class FreedmanLabel:
     entry_kept: list[Bits]
     entry_pushed: list[int]
     accumulators: list[Bits] = field(default_factory=list)
+
+    #: the serialised label behind a leading ``1`` bit while no field has
+    #: been read (an instance attribute then); ``None`` once it holds fields
+    _word = None
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: the fields of a
+        # label that is still its word, or was until another thread's
+        # first read replaced it
+        if name in _FIELD_NAMES:
+            self._fields_from_word()
+            state = self.__dict__
+            if name in state:
+                return state[name]
+        raise AttributeError(name)
+
+    def __setattr__(self, name: str, value) -> None:
+        if "_word" in self.__dict__:
+            self._fields_from_word()
+        object.__setattr__(self, name, value)
+
+    def _fields_from_word(self) -> None:
+        """Replace the word, if still held, by its fields (fields first, so a
+        reader in another thread always finds one of the two)."""
+        state = self.__dict__
+        word = state.get("_word")
+        if word is not None:
+            length = word.bit_length() - 1
+            state.update(_parse_word(word ^ (1 << length), length).__dict__)
+            state.pop("_word", None)
 
     @property
     def light_depth(self) -> int:
@@ -154,15 +175,19 @@ class FreedmanLabel:
     def _sentinel_word(self) -> int:
         """The serialised label as one integer behind a leading ``1`` bit.
 
-        The mirror of :func:`_parse_word`: every field (delta/gamma headers,
-        light codewords, the two Lemma 2.2 monotone sequences, entry
-        triples, accumulators) is shifted straight into one integer, with
-        no writer object and no :class:`MonotoneSequence`.  The sentinel
-        bit keeps the leading zeros of the first gamma code, so the label's
-        length is ``word.bit_length() - 1``.  The checks of the generic
-        codec stay: Elias inputs must be non-negative, and each monotone
-        sequence non-decreasing and non-negative.
+        The encoder's word while the label holds one; otherwise the mirror
+        of :func:`_parse_word`: every field (delta/gamma headers, light
+        codewords, the two Lemma 2.2 monotone sequences, entry triples,
+        accumulators) is shifted straight into one integer, with no writer
+        object and no :class:`MonotoneSequence`.  The sentinel bit keeps
+        the leading zeros of the first gamma code, so the label's length is
+        ``word.bit_length() - 1``.  The checks of the generic codec stay:
+        Elias inputs must be non-negative, and each monotone sequence
+        non-decreasing and non-negative.
         """
+        word = self._word
+        if word is not None:
+            return word
         table = _GAMMA_WIDTH
         limit = len(table)
         word = 1
@@ -231,37 +256,26 @@ class FreedmanLabel:
         return kept + accumulated
 
     def field_breakdown(self) -> dict[str, int]:
-        """Bits used by each label component (diagnostics for EXPERIMENTS.md)."""
+        """Bits used by each label component."""
         from repro.encoding.elias import delta_length, gamma_length
 
-        codeword_bits = sum(len(word) for word in self.codewords)
-        codeword_headers = sum(gamma_length(len(word)) for word in self.codewords)
-        kept = sum(len(bits) for bits in self.entry_kept)
-        accumulated = sum(len(bits) for bits in self.accumulators)
-        fragments = (
-            MonotoneSequence(self.fragment_refs).bit_length()
-            + MonotoneSequence(self.fragment_distances).bit_length()
-        )
-        return {
-            "identity": delta_length(self.node_id)
-            + delta_length(self.root_distance)
-            + delta_length(self.domination),
-            "light_code": codeword_bits + codeword_headers,
-            "light_weights": sum(gamma_length(w) for w in self.light_weights),
-            "fragments": fragments,
-            "truncated_distances": kept,
-            "accumulators": accumulated,
-            "entry_headers": self.bit_length()
-            - delta_length(self.node_id)
-            - delta_length(self.root_distance)
-            - delta_length(self.domination)
-            - codeword_bits
-            - codeword_headers
-            - sum(gamma_length(w) for w in self.light_weights)
-            - fragments
-            - kept
-            - accumulated,
+        identity = (self.node_id, self.root_distance, self.domination)
+        parts = {
+            "identity": sum(map(delta_length, identity)),
+            "light_code": sum(len(word) + gamma_length(len(word)) for word in self.codewords),
+            "light_weights": sum(map(gamma_length, self.light_weights)),
+            "fragments": MonotoneSequence(self.fragment_refs).bit_length()
+            + MonotoneSequence(self.fragment_distances).bit_length(),
+            "truncated_distances": sum(len(bits) for bits in self.entry_kept),
+            "accumulators": sum(len(bits) for bits in self.accumulators),
         }
+        parts["entry_headers"] = self.bit_length() - sum(parts.values())
+        return parts
+
+
+_FIELD_NAMES = frozenset(item.name for item in fields(FreedmanLabel))
+
+_new_label = object.__new__
 
 
 def _parse_word(value: int, total: int) -> FreedmanLabel:
@@ -380,7 +394,9 @@ def _parse_word(value: int, total: int) -> FreedmanLabel:
             entry_kept.append(gamma_bits())
             entry_pushed.append(gamma())
     accumulators = [gamma_bits() for _ in range(depth)]
-    return FreedmanLabel(
+    # filled in place: the constructor routes fields through ``__setattr__``
+    label = _new_label(FreedmanLabel)
+    label.__dict__.update(
         node_id=node_id,
         root_distance=root_distance,
         domination=domination,
@@ -393,6 +409,7 @@ def _parse_word(value: int, total: int) -> FreedmanLabel:
         entry_pushed=entry_pushed,
         accumulators=accumulators,
     )
+    return label
 
 
 class FreedmanScheme(DistanceLabelingScheme):
@@ -427,10 +444,10 @@ class FreedmanScheme(DistanceLabelingScheme):
     def encode_stream(self, tree: RootedTree):
         """Yield each original node's label in node order, one at a time.
 
-        All of Section 3's shared structure (transform, decomposition,
-        collapsed tree, light codes, fragments, entries) is computed once;
-        each label is then an independent :meth:`_assemble_label` over the
-        node's pendant leaf, so a streaming consumer
+        Section 3's shared structure is computed once, as integer rows
+        indexed by collapsed path id; each label is then shifted straight
+        into its word (in :meth:`FreedmanLabel.to_bits` order) in one walk
+        of its collapsed root path, so a streaming consumer
         (:mod:`repro.scale.build`) never materialises the full label dict.
         """
         transform = prepare_for_leaf_queries(tree, binarize_tree=self._binarize)
@@ -438,24 +455,65 @@ class FreedmanScheme(DistanceLabelingScheme):
         decomposition = HeavyPathDecomposition(working, variant="paper")
         collapsed = CollapsedTree(decomposition)
         light = LightDepthLabeling(working, collapsed)
-
-        boundaries, fragment_ref, entry_value = self._compute_fragments(
-            working, collapsed
+        codeword_value = light.codeword_value
+        codeword_length = light.codeword_length
+        boundaries, fragment_ref, entry_value = self._compute_fragments(working, collapsed)
+        entry_segment, entry_width, prefix_length, accumulator = self._compute_entries(
+            working, collapsed, entry_value
         )
-        entries = self._compute_entries(working, collapsed, entry_value)
+        del entry_value
+        # the gamma code of the light-edge weight into every path
+        heads = map(collapsed.head, range(len(collapsed)))
+        weight_code = array("Q", (working.edge_weight(head) + 1 for head in heads))
+        weight_width = array("B", (2 * code.bit_length() - 1 for code in weight_code))
 
+        table = _GAMMA_WIDTH
+        limit = len(table)
         query_node = transform.query_node
+        root_path_sequence = collapsed.root_path_sequence
+        root_distance = working.root_distance
+        domination_number = collapsed.domination_number
         for original in range(tree.n):
-            yield self._assemble_label(
-                original,
-                query_node[original],
-                working,
-                collapsed,
-                light,
-                boundaries,
-                fragment_ref,
-                entries,
-            )
+            leaf = query_node[original]
+            sequence = root_path_sequence(leaf)
+            own_path = sequence[-1]
+            word = 1
+            for value in (original, root_distance(leaf), domination_number(own_path)):
+                # Elias delta: gamma(width), then the low ``width`` bits
+                shifted = value + 1
+                width = shifted.bit_length() - 1
+                word = ((word << table[width] | width + 1) << width) | (shifted ^ (1 << width))
+            depth = len(sequence) - 1
+            word = word << table[depth] | depth + 1
+            # codewords go straight onto the word; the later field groups
+            # collect behind their own leading ``1`` bit
+            weights = entries = acc = 1
+            refs = []
+            parent = sequence[0]
+            for path in sequence[1:]:
+                length = codeword_length[path]
+                word = ((word << table[length] | length + 1) << length) | codeword_value[path]
+                weights = weights << weight_width[path] | weight_code[path]
+                refs.append(fragment_ref[path])
+                entries = entries << entry_width[path] | entry_segment[path]
+                length = prefix_length[path]
+                if length:
+                    value, total = accumulator[parent]
+                    code = table[length] if length < limit else _gamma_width(length)
+                    acc = ((acc << code | length + 1) << length) | value >> total - length
+                else:
+                    acc = acc << 1 | 1
+                parent = path
+            width = weights.bit_length() - 1
+            word = word << width | weights ^ 1 << width
+            word = _append_monotone(word, refs)
+            word = _append_monotone(word, boundaries[own_path])
+            for group in (entries, acc):
+                width = group.bit_length() - 1
+                word = word << width | group ^ 1 << width
+            label = _new_label(FreedmanLabel)
+            label.__dict__["_word"] = word
+            yield label
 
     def _compute_fragments(
         self, working: RootedTree, collapsed: CollapsedTree
@@ -506,21 +564,24 @@ class FreedmanScheme(DistanceLabelingScheme):
         working: RootedTree,
         collapsed: CollapsedTree,
         entry_value,
-    ) -> "_Entries":
-        """Per hanging subtree: (skip, kept bits, pushed count, accumulator prefix).
+    ) -> tuple:
+        """Per hanging subtree: its serialised entry and accumulator prefix.
 
-        Stored as packed per-path rows plus one *full* accumulator per
-        parent path; a child's prefix is the accumulator's first
-        ``prefix_length`` bits, sliced on demand during label assembly
-        instead of materialising a ``Bits`` snapshot per sibling.
+        Rows indexed by collapsed path id.  ``segment``/``width`` is the
+        entry as serialised: the bit ``1`` for the skipped exceptional
+        child, else a ``0`` bit, the gamma-coded kept length, the kept bits
+        and the gamma-coded pushed count (an ``array('Q')``, or a list once
+        some entry is wider than 64 bits).  ``accumulator`` maps a parent
+        path that received pushed bits to its *full* accumulator
+        ``(value, length)``; a child's prefix (what its dominating siblings
+        pushed before its turn) is its top ``prefix_length[child]`` bits.
         """
         path_count = len(collapsed)
-        skip = bytearray(path_count)
-        kept_value = array("q", bytes(8 * path_count))
-        kept_length = array("h", bytes(2 * path_count))
-        pushed_row = array("i", bytes(4 * path_count))
+        segment = array("Q", bytes(8 * path_count))
+        # a skipped entry is the single bit 1
+        width = array("B", [1]) * path_count
         prefix_length = array("i", bytes(4 * path_count))
-        accumulator: list = [None] * path_count
+        accumulator: dict = {}
         total_pushed = 0
         fat = 0
         thin = 0
@@ -530,13 +591,13 @@ class FreedmanScheme(DistanceLabelingScheme):
             children = collapsed.children(parent_path)
             if not children:
                 continue
-            accumulated = BitWriter()
+            accumulated = 0
             accumulated_bits = 0
             last_index = len(children) - 1
             for index, child in enumerate(children):
                 prefix_length[child] = accumulated_bits
                 if index == last_index:
-                    skip[child] = 1
+                    segment[child] = 1
                     skipped += 1
                     continue
                 value = entry_value[child]
@@ -557,14 +618,21 @@ class FreedmanScheme(DistanceLabelingScheme):
                     )
                     length = min(full_bits, int(math.ceil(slack)) + 1)
                 pushed = full_bits - length
-                kept_value[child] = value >> pushed
-                kept_length[child] = length
-                pushed_row[child] = pushed
+                # flag bit 0, gamma(length), the kept bits, gamma(pushed)
+                pushed_width = _GAMMA_WIDTH[pushed]
+                bits = 1 + _GAMMA_WIDTH[length] + length + pushed_width
+                if bits > 64 and not isinstance(segment, list):
+                    segment = segment.tolist()
+                segment[child] = (
+                    ((length + 1) << length | value >> pushed) << pushed_width
+                ) | pushed + 1
+                width[child] = bits
                 if pushed:
-                    accumulated.write_int(value & ((1 << pushed) - 1), pushed)
+                    accumulated = accumulated << pushed | value & ((1 << pushed) - 1)
                     accumulated_bits += pushed
                     total_pushed += pushed
-            accumulator[parent_path] = accumulated.getvalue()
+            if accumulated_bits:
+                accumulator[parent_path] = (accumulated, accumulated_bits)
 
         self.encoding_stats = {
             "pushed_bits": total_pushed,
@@ -572,72 +640,7 @@ class FreedmanScheme(DistanceLabelingScheme):
             "thin_subtrees": thin,
             "skipped_entries": skipped,
         }
-        return _Entries(
-            skip, kept_value, kept_length, pushed_row, prefix_length, accumulator
-        )
-
-    def _assemble_label(
-        self,
-        original: int,
-        leaf: int,
-        working: RootedTree,
-        collapsed: CollapsedTree,
-        light: LightDepthLabeling,
-        boundaries: list,
-        fragment_ref,
-        entries: _Entries,
-    ) -> FreedmanLabel:
-        sequence = collapsed.root_path_sequence(leaf)
-        own_path = sequence[-1]
-        codeword = light.codeword
-        light_edge_weight = collapsed.light_edge_weight
-        skip_row = entries.skip
-        kept_value = entries.kept_value
-        kept_length = entries.kept_length
-        pushed_row = entries.pushed
-        prefix_length = entries.prefix_length
-        accumulator = entries.accumulator
-        pack = Bits._pack
-
-        codewords: list[Bits] = []
-        light_weights: list[int] = []
-        fragment_refs: list[int] = []
-        entry_skip: list[bool] = []
-        entry_kept: list[Bits] = []
-        entry_pushed: list[int] = []
-        accumulators: list[Bits] = []
-
-        parent_path = sequence[0]
-        for path in sequence[1:]:
-            codewords.append(codeword(path))
-            light_weights.append(light_edge_weight(path))
-            fragment_refs.append(fragment_ref[path])
-            accumulators.append(accumulator[parent_path][: prefix_length[path]])
-            parent_path = path
-            if skip_row[path]:
-                entry_skip.append(True)
-                entry_kept.append(_EMPTY_BITS)
-                entry_pushed.append(0)
-            else:
-                length = kept_length[path]
-                entry_skip.append(False)
-                # share one empty Bits: in-memory builds hold every label
-                entry_kept.append(pack(kept_value[path], length) if length else _EMPTY_BITS)
-                entry_pushed.append(pushed_row[path])
-
-        return FreedmanLabel(
-            node_id=original,
-            root_distance=working.root_distance(leaf),
-            domination=collapsed.domination_number(own_path),
-            codewords=codewords,
-            light_weights=light_weights,
-            fragment_refs=fragment_refs,
-            fragment_distances=list(boundaries[own_path]),
-            entry_skip=entry_skip,
-            entry_kept=entry_kept,
-            entry_pushed=entry_pushed,
-            accumulators=accumulators,
-        )
+        return segment, width, prefix_length, accumulator
 
     # -- decoding ------------------------------------------------------------
 

@@ -27,8 +27,9 @@ class SizeWeightedCode:
     """
 
     def __init__(self, weights: list[int]) -> None:
+        #: ``(value, length)`` of each codeword, in child order
+        self.words: list[tuple[int, int]] = []
         if not weights:
-            self._codewords: list[Bits] = []
             return
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
@@ -36,7 +37,7 @@ class SizeWeightedCode:
         lengths = [max(1, (total + w - 1) // w - 1).bit_length() + 1 for w in weights]
         # canonical code assignment: process in order of increasing length
         order = sorted(range(len(weights)), key=lambda i: (lengths[i], i))
-        codewords: list[Bits | None] = [None] * len(weights)
+        words: list = [None] * len(weights)
         code = 0
         previous_length = lengths[order[0]]
         for position, index in enumerate(order):
@@ -45,25 +46,25 @@ class SizeWeightedCode:
                 code = (code + 1) << (length - previous_length)
             if code >= (1 << length):
                 raise ValueError("Kraft inequality violated; weights inconsistent")
-            codewords[index] = Bits.from_int(code, length)
+            words[index] = (code, length)
             previous_length = length
-        self._codewords = [cw for cw in codewords if cw is not None]
+        self.words = words
 
     def __len__(self) -> int:
-        return len(self._codewords)
+        return len(self.words)
 
     def codeword(self, index: int) -> Bits:
         """Codeword of the ``index``-th child."""
-        return self._codewords[index]
+        return Bits._pack(*self.words[index])
 
     @property
     def codewords(self) -> list[Bits]:
         """All codewords, in child order."""
-        return list(self._codewords)
+        return [Bits._pack(value, length) for value, length in self.words]
 
     def total_length(self, index: int) -> int:
         """Length in bits of the ``index``-th codeword."""
-        return len(self._codewords[index])
+        return self.words[index][1]
 
 
 def codeword_length_bound(total: int, weight: int) -> int:

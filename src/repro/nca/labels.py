@@ -84,13 +84,12 @@ class LightDepthLabeling:
             collapsed = CollapsedTree(HeavyPathDecomposition(tree))
         self._tree = tree
         self._collapsed = collapsed
-        # codewords packed as (value, bit length) array rows indexed by
-        # collapsed path id — 10 bytes per path instead of a dict entry and
-        # a Bits object each (codewords are O(log n) bits, far under the 63
-        # the value word holds; anything longer falls back to a side dict)
-        self._codeword_value = array("q", bytes(8 * len(collapsed)))
-        self._codeword_length = array("h", bytes(2 * len(collapsed)))
-        self._codeword_wide: dict[int, Bits] = {}
+        #: every path's light codeword as ``(value, bit length)`` array rows
+        #: indexed by collapsed path id — 10 bytes per path instead of a
+        #: dict entry and a Bits object each (a codeword is at most 32 bits
+        #: long for the under-2^31-node trees :class:`RootedTree` holds)
+        self.codeword_value = array("q", bytes(8 * len(collapsed)))
+        self.codeword_length = array("h", bytes(2 * len(collapsed)))
         self._build_codes()
 
     def _build_codes(self) -> None:
@@ -101,22 +100,13 @@ class LightDepthLabeling:
             if not children:
                 continue
             weights = [tree.subtree_size(collapsed.head(child)) for child in children]
-            code = SizeWeightedCode(weights)
-            for index, child in enumerate(children):
-                word = code.codeword(index)
-                if len(word) < 64:
-                    self._codeword_value[child] = word.to_int()
-                    self._codeword_length[child] = len(word)
-                else:
-                    self._codeword_length[child] = -1
-                    self._codeword_wide[child] = word
+            for child, (value, length) in zip(children, SizeWeightedCode(weights).words):
+                self.codeword_value[child] = value
+                self.codeword_length[child] = length
 
     def codeword(self, path: int) -> Bits:
         """Codeword of the light edge into collapsed path ``path``."""
-        length = self._codeword_length[path]
-        if length < 0:
-            return self._codeword_wide[path]
-        return Bits._pack(self._codeword_value[path], length)
+        return Bits._pack(self.codeword_value[path], self.codeword_length[path])
 
     @property
     def collapsed(self) -> CollapsedTree:

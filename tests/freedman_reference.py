@@ -1,20 +1,133 @@
-"""Reference codec for Freedman labels: the field-by-field reader/writer form.
+"""Reference encoder and codec for Freedman labels, in the object-building form.
 
-``FreedmanLabel.to_bits`` shifts every field into one integer and
-``FreedmanLabel.from_bits`` decodes with shifts and masks on that integer.
-This module keeps the straightforward codec they replaced — a
-:class:`BitWriter`/:class:`BitReader` pass that goes through the Elias
-helpers and builds a :class:`MonotoneSequence` per fragment array — so the
-differential tests can hold the word-level codec to it, bit for bit and
-exception type for exception type.
+``FreedmanScheme.encode_stream`` shifts each label straight into one
+integer from per-path rows, ``FreedmanLabel.to_bits`` shifts the fields of
+a label into one integer, and ``FreedmanLabel.from_bits`` decodes with
+shifts and masks on that integer.  This module keeps the straightforward
+forms they replaced, so the differential tests can hold the word-level
+code to them, bit for bit and exception type for exception type:
+
+* :func:`reference_encode` builds every label field by field — a
+  :class:`Bits` per codeword, kept entry and accumulator slice — from the
+  scheme's shared Section 3 structure;
+* :func:`reference_to_bits` / :func:`reference_from_bits` are a
+  :class:`BitWriter`/:class:`BitReader` pass that goes through the Elias
+  helpers and builds a :class:`MonotoneSequence` per fragment array.
 """
 
 from __future__ import annotations
 
-from repro.core.freedman import FreedmanLabel
+import math
+
+from repro.core.freedman import THIN_FACTOR, FreedmanLabel, FreedmanScheme
 from repro.encoding.bitio import BitReader, BitWriter, Bits
 from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
 from repro.encoding.monotone import MonotoneSequence
+from repro.nca.labels import LightDepthLabeling
+from repro.trees.collapsed import CollapsedTree
+from repro.trees.heavy_path import HeavyPathDecomposition
+from repro.trees.transform import prepare_for_leaf_queries
+from repro.trees.tree import RootedTree
+
+
+def reference_encode(
+    scheme: FreedmanScheme, tree: RootedTree
+) -> tuple[dict[int, FreedmanLabel], dict[str, int]]:
+    """Every node's label built field by field, and the encoding statistics.
+
+    Shares the transform, the decomposition, the light codes and
+    ``scheme._compute_fragments`` with the scheme; the entries, the
+    accumulators and the label assembly are computed here independently.
+    """
+    params = scheme.params()
+    transform = prepare_for_leaf_queries(tree, binarize_tree=params["binarize"])
+    working = transform.tree
+    collapsed = CollapsedTree(HeavyPathDecomposition(working, variant="paper"))
+    light = LightDepthLabeling(working, collapsed)
+    boundaries, fragment_ref, entry_value = scheme._compute_fragments(working, collapsed)
+    entries, accumulator, stats = _reference_entries(
+        params["use_accumulators"], working, collapsed, entry_value
+    )
+    labels = {}
+    for original in range(tree.n):
+        leaf = transform.query_node[original]
+        sequence = collapsed.root_path_sequence(leaf)
+        own_path = sequence[-1]
+        codewords, light_weights, fragment_refs = [], [], []
+        entry_skip, entry_kept, entry_pushed, accumulators = [], [], [], []
+        for parent_path, path in zip(sequence, sequence[1:]):
+            codewords.append(light.codeword(path))
+            light_weights.append(collapsed.light_edge_weight(path))
+            fragment_refs.append(fragment_ref[path])
+            skip, kept, pushed, prefix_length = entries[path]
+            entry_skip.append(skip)
+            entry_kept.append(kept)
+            entry_pushed.append(pushed)
+            accumulators.append(accumulator[parent_path][:prefix_length])
+        labels[original] = FreedmanLabel(
+            node_id=original,
+            root_distance=working.root_distance(leaf),
+            domination=collapsed.domination_number(own_path),
+            codewords=codewords,
+            light_weights=light_weights,
+            fragment_refs=fragment_refs,
+            fragment_distances=list(boundaries[own_path]),
+            entry_skip=entry_skip,
+            entry_kept=entry_kept,
+            entry_pushed=entry_pushed,
+            accumulators=accumulators,
+        )
+    return labels, stats
+
+
+def _reference_entries(use_accumulators, working, collapsed, entry_value):
+    """Per hanging subtree: (skip, kept bits, pushed count, accumulator prefix length).
+
+    Returns those per-path tuples, the full accumulator of every parent
+    path as :class:`Bits`, and the statistics ``encode`` records.
+    """
+    entries = {}
+    accumulator = {}
+    total_pushed = fat = thin = skipped = 0
+    for parent_path in range(len(collapsed)):
+        children = collapsed.children(parent_path)
+        if not children:
+            continue
+        accumulated = BitWriter()
+        for index, child in enumerate(children):
+            prefix_length = len(accumulated)
+            if index == len(children) - 1:
+                entries[child] = (True, Bits(""), 0, prefix_length)
+                skipped += 1
+                continue
+            value = entry_value[child]
+            full_bits = value.bit_length()
+            hanging_size = working.subtree_size(collapsed.head(child))
+            branch_size = working.subtree_size(collapsed.branch_node(child))
+            is_thin = hanging_size * THIN_FACTOR <= branch_size
+            if is_thin or not use_accumulators:
+                length = full_bits
+                thin += 1 if is_thin else 0
+            else:
+                fat += 1
+                slack = 0.5 * math.log2(branch_size / hanging_size) * math.log2(
+                    max(branch_size, 2)
+                )
+                length = min(full_bits, int(math.ceil(slack)) + 1)
+            pushed = full_bits - length
+            kept = Bits.from_int(value >> pushed, length)
+            entries[child] = (False, kept, pushed, prefix_length)
+            if pushed:
+                accumulated.write_int(value & ((1 << pushed) - 1), pushed)
+                total_pushed += pushed
+        accumulator[parent_path] = accumulated.getvalue()
+    stats = {
+        "pushed_bits": total_pushed,
+        "fat_subtrees": fat,
+        "thin_subtrees": thin,
+        "skipped_entries": skipped,
+    }
+    return entries, accumulator, stats
 
 
 def reference_to_bits(label: FreedmanLabel) -> Bits:

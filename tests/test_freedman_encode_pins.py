@@ -6,6 +6,9 @@ ablation.  The digests were recorded before the encoder was rewritten to
 shift fields into one integer, so any change to the bytes the encoder
 emits (field order, code widths, dummy-chain numbering in the transform)
 fails here even when encoding and parsing still agree with each other.
+The ``hm`` digests were recorded before the encoder began to shift each
+label into its word straight from per-path rows; that tree is the only
+one here whose fat subtrees push bits into accumulators.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from repro.generators.random_trees import (
     random_weighted_tree,
 )
 from repro.generators.structured import path_tree, star_tree
+from repro.lowerbounds.hm_trees import (
+    build_hm_tree,
+    hm_parameter_count,
+    subdivide_to_unweighted,
+)
 from repro.store import LabelStore
 from repro.trees.tree import RootedTree
 
@@ -34,6 +42,10 @@ TREES = {
     "path": lambda: path_tree(120),
     "single": lambda: RootedTree([None]),
     "weighted": lambda: random_weighted_tree(200, 7, seed=9),
+    # the adversarial (h, M) family, subdivided: 745 nodes, 16 pushed bits
+    "hm": lambda: subdivide_to_unweighted(
+        build_hm_tree(5, 16, [8] * hm_parameter_count(5)).tree
+    )[0],
 }
 
 SCHEMES = {
@@ -100,6 +112,14 @@ DIGESTS = {
         "fd316669e104932bcac31a33f69b75f1684a2c615307ecd07c5e96906a5e274e",
     ("weighted", "no-accumulators"):
         "c122521e3692b4e636643dd18e83f01dd0928ad31da001da69c15ba880d383c8",
+    ("hm", "default"):
+        "9166273f1ed04ab0b62e9259ba671d79eec3061006649d507e8d1bb29fda7b41",
+    ("hm", "no-binarize"):
+        "29fc7f9d5cb7d7994ac5289951548a6ce064e6d5f9dd97fd6976c8d9137b7da3",
+    ("hm", "no-fragments"):
+        "e83005a38bf2db86dd5b16fd3036e6fd27ccaab394127e268a0472017a0b048f",
+    ("hm", "no-accumulators"):
+        "73fcfe5a81730a3ed3a9bdc03ace6fdcd2e391e165813576472859325d446c59",
 }
 
 
@@ -110,3 +130,12 @@ def test_encode_bytes_are_pinned(family, scheme_name):
     tree = TREES[family]()
     data = LabelStore.from_labels(scheme, scheme.encode(tree)).to_bytes()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[(family, scheme_name)]
+
+
+@pytest.mark.parametrize("scheme_name", ["default", "no-binarize", "no-fragments"])
+def test_hm_tree_pushes_accumulator_bits(scheme_name):
+    """The ``hm`` pins cover the accumulator prefixes: bits really are pushed."""
+    scheme = FreedmanScheme(**SCHEMES[scheme_name])
+    labels = scheme.encode(TREES["hm"]())
+    assert scheme.encoding_stats["pushed_bits"] > 0
+    assert any(len(bits) for label in labels.values() for bits in label.accumulators)
