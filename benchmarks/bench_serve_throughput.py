@@ -36,7 +36,7 @@ import subprocess
 import sys
 import tempfile
 
-import perf_common  # the src/ path shim plus shared timing helpers  # noqa: F401
+import perf_common  # the src/ path shim, REPO_ROOT and write_json
 
 from repro.api import DistanceIndex, IndexCatalog
 from repro.generators.workloads import make_tree
@@ -120,7 +120,7 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
     The warmup pass parses every touched label into the engine's LRU before
     the timed runs, so both modes are measured at the steady state the
     server actually serves from (cold-start cost is the store's concern and
-    is gated separately in ``BENCH_query_time.json``).  ``members`` spreads
+    is measured by perfbench's ``query-cold`` workload).  ``members`` spreads
     the workload over catalog members and ``route=True`` lets the loadgen
     consult the fleet's routing table (sharded servers; see ``extra_args``).
     """

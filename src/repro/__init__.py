@@ -25,13 +25,7 @@ Research surface (stable, but secondary to :mod:`repro.api`):
 * the packed-store internals in :mod:`repro.store` (wrapped by
   :class:`DistanceIndex`; ``repro-labels encode`` / ``query`` / ``catalog``
   on the command line).
-
-Importing ``LabelStore`` / ``QueryEngine`` from the top level is deprecated;
-use :class:`repro.api.DistanceIndex` (or :mod:`repro.store` directly in
-measurement code).
 """
-
-import warnings
 
 from repro.api import (
     DistanceIndex,
@@ -69,27 +63,6 @@ from repro.trees import RootedTree, tree_from_edges, tree_from_parents
 
 __version__ = "1.1.0"
 
-#: pre-façade names kept importable as thin deprecation shims
-_DEPRECATED = {
-    "LabelStore": ("repro.store", "repro.api.DistanceIndex"),
-    "QueryEngine": ("repro.store", "repro.api.DistanceIndex"),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module, replacement = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name} from 'repro' is deprecated; use {replacement} "
-            f"(or {module}.{name} in internal/measurement code)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
 
 __all__ = [
     # canonical API (repro.api)
@@ -119,9 +92,6 @@ __all__ = [
     "LevelAncestorScheme",
     "make_scheme",
     "make_any_scheme",
-    # deprecated shims (emit DeprecationWarning on access)
-    "LabelStore",
-    "QueryEngine",
     # tree generators
     "random_prufer_tree",
     "path_tree",

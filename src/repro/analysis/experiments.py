@@ -1,4 +1,4 @@
-"""Experiment drivers, one per row of the DESIGN.md per-experiment index.
+"""Experiment drivers, one per table or figure of the paper.
 
 Each function returns a list of flat row dictionaries; the benchmarks wrap
 them in pytest-benchmark fixtures, the CLI prints them with
@@ -15,7 +15,6 @@ from repro.analysis.label_stats import (
     measure_approximate_scheme,
     measure_bounded_scheme,
     measure_scheme,
-    measure_store_throughput,
 )
 from repro.core.freedman import FreedmanScheme
 from repro.core.kdistance import KDistanceScheme
@@ -142,34 +141,6 @@ def run_table1_approx(
             measurement = measure_approximate_scheme(scheme, tree, pairs, family, oracle)
             row = measurement.as_row()
             row["paper_bound"] = round(approx_bound_bits(n, eps), 1)
-            rows.append(row)
-    return rows
-
-
-def run_store_throughput(
-    sizes: list[int] | None = None,
-    schemes=DEFAULT_EXACT_SCHEMES,
-    family: str = "random",
-    queries: int = 2000,
-    seed: int = 0,
-) -> list[dict]:
-    """Experiment Q-store: batched engine queries vs per-pair bit parsing.
-
-    Every row compares ``QueryEngine.batch_query`` (parse each label once
-    per batch) against ``scheme.query_from_bits`` (parse per query) on the
-    same packed :class:`repro.store.LabelStore`.
-    """
-    sizes = sizes or [1024]
-    rows: list[dict] = []
-    for n in sizes:
-        tree = make_tree(family, n, seed)
-        pairs = random_pairs(tree, queries, seed)
-        for entry in schemes:
-            row = measure_store_throughput(_make(entry), tree, pairs)
-            row["family"] = family
-            row["single_qps"] = round(row["single_qps"], 1)
-            row["batch_qps"] = round(row["batch_qps"], 1)
-            row["speedup"] = round(row["speedup"], 2)
             rows.append(row)
     return rows
 

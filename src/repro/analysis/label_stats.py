@@ -179,43 +179,3 @@ def measure_approximate_scheme(
     )
     measurement.extra["worst_ratio"] = round(worst["ratio"], 4)
     return measurement
-
-
-def measure_store_throughput(
-    scheme,
-    tree: RootedTree,
-    pairs: list[tuple[int, int]],
-) -> dict:
-    """Compare per-pair ``query_from_bits`` against a batched façade run.
-
-    Returns a row with both throughputs and the speedup; used by the
-    ``bench_query_time`` benchmark and the CLI ``query`` command.
-    ``scheme`` is a spec string or a live scheme instance.
-    """
-    from repro.api import DistanceIndex
-
-    index = DistanceIndex.build(tree, scheme)
-    scheme, store = index.scheme, index.store
-
-    start = time.perf_counter()
-    single = [
-        scheme.query_from_bits(store.label_bits(u), store.label_bits(v))
-        for u, v in pairs
-    ]
-    single_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = index.batch(pairs, raw=True)
-    batch_seconds = time.perf_counter() - start
-
-    if single != batched:
-        raise AssertionError("batched answers disagree with per-pair answers")
-    return {
-        "scheme": index.spec,
-        "n": tree.n,
-        "pairs": len(pairs),
-        "single_qps": len(pairs) / single_seconds if single_seconds else float("inf"),
-        "batch_qps": len(pairs) / batch_seconds if batch_seconds else float("inf"),
-        "speedup": single_seconds / batch_seconds if batch_seconds else float("inf"),
-        "store_bytes": store.file_bytes,
-    }

@@ -47,14 +47,13 @@ The observability plane rides on the same endpoint::
     repro-labels loadgen --port 7117 --trace-every 100   # per-stage breakdown
     repro-labels trace --port 7117              # recent traces + slow log
 
-The experiment commands mirror the index of DESIGN.md so every table and
-figure of the paper can be regenerated from the shell::
+The experiment commands regenerate every table and figure of the paper
+from the shell::
 
     repro-labels table1-exact --sizes 256 1024 4096
     repro-labels table1-kdistance | table1-approx
     repro-labels fig1 | fig2 | fig4 | fig5
     repro-labels demo --family random --n 1000
-    repro-labels store-bench
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from repro.analysis.experiments import (
     run_fig2_hm_trees,
     run_fig4_universal_tree,
     run_fig5_regular_trees,
-    run_store_throughput,
     run_table1_approx,
     run_table1_exact,
     run_table1_kdistance,
@@ -171,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     cat_query.add_argument("catalog")
     cat_query.add_argument("--name", required=True, help="member index to query")
     _add_query_options(cat_query)
-
-    store_bench = commands.add_parser(
-        "store-bench", help="batched vs per-pair query throughput"
-    )
-    _add_size_options(store_bench)
 
     kernels = commands.add_parser(
         "kernels", help="probe the native/python kernel tiers"
@@ -1099,8 +1092,6 @@ def main(argv: list[str] | None = None) -> int:
             message = error.args[0] if error.args else error
             print(f"error: {message}", file=sys.stderr)
             return 2
-    elif args.command == "store-bench":
-        rows = run_store_throughput(args.sizes, queries=args.queries, seed=args.seed)
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {args.command!r}")
 

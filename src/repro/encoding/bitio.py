@@ -11,9 +11,9 @@ bits, and the printable ``'0'``/``'1'`` view is still available through
 :attr:`Bits.data` for diagnostics and tests.
 
 The previous character-per-bit implementation is preserved verbatim in
-:mod:`repro.encoding.bitio_reference`; the differential test suite
-(``tests/test_bitio_packed.py``) checks the two against each other, and the
-benchmark runners use it as the recorded pre-packing baseline.
+``tests/bitio_reference.py``: ``tests/test_bitio_packed.py`` checks the two
+against each other, and ``tests/test_speed_gates.py`` measures the packed
+store against the pre-packing pipeline built on it.
 """
 
 from __future__ import annotations

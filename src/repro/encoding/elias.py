@@ -11,7 +11,7 @@ Both codes here encode *non-negative* integers by internally shifting by one
 
 from __future__ import annotations
 
-from repro.encoding.bitio import BitReader, BitWriter, Bits
+from repro.encoding.bitio import BitReader, BitWriter
 
 
 def encode_gamma(writer: BitWriter, value: int) -> None:
@@ -66,17 +66,3 @@ def delta_length(value: int) -> int:
         raise ValueError("Elias delta encodes non-negative integers only")
     width = (value + 1).bit_length()
     return gamma_length(width - 1) + (width - 1)
-
-
-def encode_gamma_bits(value: int) -> Bits:
-    """Return the Elias gamma code of ``value`` as a :class:`Bits`."""
-    writer = BitWriter()
-    encode_gamma(writer, value)
-    return writer.getvalue()
-
-
-def encode_delta_bits(value: int) -> Bits:
-    """Return the Elias delta code of ``value`` as a :class:`Bits`."""
-    writer = BitWriter()
-    encode_delta(writer, value)
-    return writer.getvalue()

@@ -3,25 +3,20 @@
 A non-decreasing sequence of ``s`` integers from ``[0, M]`` is stored in
 ``O(s * max(1, log(M/s)))`` bits by splitting every value into a low part
 (fixed width) and a high part (encoded as unary differences, one ``1`` per
-element).  The encoding supports
-
-1. random access to the ``k``-th element,
-2. successor queries (position of the first element ``>= x``),
-3. longest common suffix of two specified prefixes,
-
-exactly the three operations the paper's labels need (distance arrays,
-significant-ancestor height sequences, 2-approximation tables).
+element).
 
 The encoding is self-delimiting so that it can be embedded inside a larger
-label and parsed back without knowing its length in advance.
+label and parsed back without knowing its length in advance.  Decoding
+yields the whole sequence, which then offers random access to the ``k``-th
+element.  Lemma 2.2's other two operations (constant-time successor and
+the common suffix of two prefixes) are not provided: every query path in
+this library reads a sequence to a list and works on that.
 """
 
 from __future__ import annotations
 
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
 from repro.encoding.elias import decode_gamma, encode_gamma
-from repro.succinct.bitvector import BitVector
-from repro.succinct.predecessor import PredecessorStructure
 
 
 class MonotoneSequence:
@@ -34,7 +29,6 @@ class MonotoneSequence:
             raise ValueError("MonotoneSequence requires non-negative values")
         self._values = list(values)
         self._bits = self._encode(self._values)
-        self._predecessor = PredecessorStructure(self._values)
 
     # -- encoding ------------------------------------------------------
 
@@ -110,52 +104,12 @@ class MonotoneSequence:
         return iter(self._values)
 
     def __getitem__(self, index: int) -> int:
-        """Operation (1) of Lemma 2.2: random access."""
+        """Random access to the ``index``-th element."""
         return self._values[index]
 
     def to_list(self) -> list[int]:
         """The decoded sequence as a plain list."""
         return list(self._values)
-
-    def successor_position(self, query: int) -> int | None:
-        """Operation (2) of Lemma 2.2.
-
-        Return the index of the first element ``>= query`` or ``None`` when
-        every element is smaller.
-        """
-        value = self._predecessor.successor(query)
-        if value is None:
-            return None
-        # first occurrence of the successor value
-        lo, hi = 0, len(self._values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._values[mid] >= value:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def common_suffix_of_prefixes(
-        self, other: "MonotoneSequence", self_prefix: int, other_prefix: int
-    ) -> int:
-        """Operation (3) of Lemma 2.2.
-
-        Length of the longest common suffix of ``self[:self_prefix]`` and
-        ``other[:other_prefix]``.
-        """
-        if not 0 <= self_prefix <= len(self._values):
-            raise IndexError("self_prefix out of range")
-        if not 0 <= other_prefix <= len(other._values):
-            raise IndexError("other_prefix out of range")
-        length = 0
-        i = self_prefix - 1
-        j = other_prefix - 1
-        while i >= 0 and j >= 0 and self._values[i] == other._values[j]:
-            length += 1
-            i -= 1
-            j -= 1
-        return length
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonotoneSequence):
@@ -164,35 +118,3 @@ class MonotoneSequence:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"MonotoneSequence({self._values!r})"
-
-
-class UnaryBitVectorView:
-    """Rank/select view over the high-part bit vector of a sequence.
-
-    This mirrors how Lemma 2.2's proof recovers the quotients ``y_i`` with a
-    select structure: the position of the ``i``-th one, minus ``i``, equals
-    ``y_i``.  It is exposed separately so tests can exercise the structure
-    the proof describes.
-    """
-
-    def __init__(self, values: list[int], low_width: int | None = None) -> None:
-        if low_width is None:
-            low_width = MonotoneSequence._low_width(sorted(values))
-        self._low_width = low_width
-        writer = BitWriter()
-        previous_high = 0
-        for value in values:
-            high = value >> low_width
-            writer.write_unary(high - previous_high)
-            previous_high = high
-        self._vector = BitVector(writer.getvalue())
-
-    @property
-    def vector(self) -> BitVector:
-        """The underlying bit vector."""
-        return self._vector
-
-    def high_value(self, index: int) -> int:
-        """Recover ``values[index] >> low_width`` via select."""
-        position = self._vector.select1(index + 1)
-        return position - index

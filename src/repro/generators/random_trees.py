@@ -7,7 +7,6 @@ experiments are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from repro.trees.tree import RootedTree
 
@@ -107,11 +106,3 @@ def random_weighted_tree(
     for node in tree.nodes():
         ordered[node] = weights[node] if node != tree.root else 0
     return tree.reweighted(ordered)
-
-
-def random_tree_family(
-    sizes: Sequence[int], seed: int | random.Random | None = 0
-) -> list[RootedTree]:
-    """One uniformly random tree per requested size."""
-    rng = _rng(seed)
-    return [random_prufer_tree(size, rng) for size in sizes]

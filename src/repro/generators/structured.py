@@ -88,12 +88,3 @@ def spider_tree(n: int, legs: int = 3) -> RootedTree:
         last_on_leg[leg] = node
         leg = (leg + 1) % legs
     return RootedTree(parents)
-
-
-def binary_caterpillar(n: int) -> RootedTree:
-    """A binary caterpillar: spine with a single pendant leaf per spine node.
-
-    This is a worst case for schemes that store one entry per light edge on
-    a long heavy path.
-    """
-    return caterpillar_tree(n, legs_per_node=1)

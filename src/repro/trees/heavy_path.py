@@ -130,11 +130,6 @@ class HeavyPathDecomposition:
         heavy = self._heavy_child[node]
         return None if heavy < 0 else heavy
 
-    def is_heavy_edge(self, child: int) -> bool:
-        """Whether the edge from ``child`` to its parent is heavy."""
-        parent = self._tree.parent(child)
-        return parent is not None and self._heavy_child[parent] == child
-
     def is_light_edge(self, child: int) -> bool:
         """Whether the edge from ``child`` to its parent is light."""
         parent = self._tree.parent(child)

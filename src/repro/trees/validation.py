@@ -2,7 +2,7 @@
 
 These checks back the property tests: heavy paths must partition the tree,
 light depths are bounded by ``log2 n``, the collapsed tree's height is
-bounded by ``log2 n``, and the Section 2 transform preserves distances.
+bounded by ``log2 n``, and heavy paths follow the half-size rule.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
-from repro.trees.tree import RootedTree
 
 
 def check_partition_into_paths(decomposition: HeavyPathDecomposition) -> None:
@@ -67,21 +66,3 @@ def check_heavy_path_rule(decomposition: HeavyPathDecomposition) -> None:
                 raise AssertionError(
                     "heavy path stopped although a half-size child exists"
                 )
-
-
-def check_transform_preserves_distances(
-    original: RootedTree,
-    transformed: RootedTree,
-    query_node,
-    sample_pairs: list[tuple[int, int]],
-    distance_fn,
-) -> None:
-    """Distances between query nodes must equal original distances."""
-    for u, v in sample_pairs:
-        original_distance = distance_fn(original, u, v)
-        transformed_distance = distance_fn(transformed, query_node[u], query_node[v])
-        if original_distance != transformed_distance:
-            raise AssertionError(
-                f"transform changed distance between {u} and {v}: "
-                f"{original_distance} != {transformed_distance}"
-            )

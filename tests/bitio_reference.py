@@ -9,22 +9,24 @@ unchanged against either backend).
 
 It exists for two reasons:
 
-* the differential test suite (``tests/test_bitio_packed.py``) checks every
-  operation of the packed :mod:`repro.encoding.bitio` against this
-  implementation, and
-* the benchmark runners (``benchmarks/bench_query_time.py``,
-  ``benchmarks/bench_encode_time.py``) measure it as the recorded pre-PR
-  baseline, so the speedup of the word-packed layer stays an empirical
-  number rather than a claim.
+* ``tests/test_bitio_packed.py`` checks every operation of the packed
+  :mod:`repro.encoding.bitio` against this implementation, and
+* the reference HLD pipeline at the bottom — the pre-packing
+  string-backed pack/parse/serve path, rebuilt on this layer — is the
+  baseline ``tests/test_speed_gates.py`` measures the packed store against,
+  so the speedup of the word-packed layer stays an empirical number rather
+  than a claim.
 
-Nothing in the library imports this module on a hot path.
+Import it from the tests as ``import bitio_reference as ref``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.encoding.bitio import BitError
+from repro.encoding.elias import decode_gamma, encode_gamma
 
 
 @dataclass(frozen=True)
@@ -211,3 +213,105 @@ class BitReader:
         if self._pos >= len(self._data):
             raise BitError("bit stream exhausted")
         return 1 if self._data[self._pos] == "1" else 0
+
+
+# -- the pre-packing HLD pipeline (string-backed bit layer) -------------------
+
+
+def reference_pack_hld(labels) -> tuple[list[int], bytes]:
+    """``LabelStore.from_labels`` as the string-backed code performed it.
+
+    Serialises every HLD label through the reference writer (character
+    chunks, ``format`` based ``write_int``) and packs via the string
+    ``to_bytes`` — the exact pre-rewrite work per label.
+    """
+    bit_lengths: list[int] = []
+    chunks: list[bytes] = []
+    for node in range(len(labels)):
+        label = labels[node]
+        writer = BitWriter()
+        encode_gamma(writer, label.id_width)
+        encode_gamma(writer, label.distance_width)
+        path_ids = label.path_ids
+        exits = label.exits
+        encode_gamma(writer, len(path_ids))
+        writer.write_int(label.root_distance, label.distance_width)
+        for path_id, exit_distance in zip(path_ids, exits):
+            writer.write_int(path_id, label.id_width)
+            writer.write_int(exit_distance, label.distance_width)
+        bits = writer.getvalue()
+        bit_lengths.append(len(bits))
+        chunks.append(bits.to_bytes())
+    return bit_lengths, b"".join(chunks)
+
+
+@dataclass
+class _ReferenceHLDLabel:
+    """The pre-packing parsed label: a plain dataclass with list fields."""
+
+    root_distance: int
+    path_ids: list[int]
+    exits: list[int]
+    id_width: int
+    distance_width: int
+
+
+def _reference_parse_hld(store, node) -> _ReferenceHLDLabel:
+    """One label through the string round-trip and the character reader."""
+    reader = BitReader(Bits.from_bytes(store.raw(node), store.bit_length(node)))
+    id_width = decode_gamma(reader)
+    distance_width = decode_gamma(reader)
+    count = decode_gamma(reader)
+    root_distance = reader.read_int(distance_width)
+    path_ids = []
+    exits = []
+    for _ in range(count):
+        path_ids.append(reader.read_int(id_width))
+        exits.append(reader.read_int(distance_width))
+    return _ReferenceHLDLabel(root_distance, path_ids, exits, id_width, distance_width)
+
+
+def _reference_distance(label_u, label_v) -> int:
+    """The pre-packing decoder: walk the two id lists until they diverge."""
+    deepest_common = -1
+    for index, (a, b) in enumerate(zip(label_u.path_ids, label_v.path_ids)):
+        if a != b:
+            break
+        deepest_common = index
+    if deepest_common < 0:
+        raise ValueError("labels do not come from the same tree")
+    nca_distance = min(label_u.exits[deepest_common], label_v.exits[deepest_common])
+    return label_u.root_distance + label_v.root_distance - 2 * nca_distance
+
+
+def _reference_query(label_u, label_v) -> int:
+    """The pre-packing ``LabelingScheme.query`` indirection over distance."""
+    return _reference_distance(label_u, label_v)
+
+
+def reference_batch_query_hld(store, pairs, cache_size: int = 4096) -> list[int]:
+    """``QueryEngine.batch_query`` as the pre-packing engine executed it.
+
+    Per-node LRU bookkeeping (membership test, ``move_to_end``, insert,
+    eviction check), two string-reader parses per distinct endpoint and the
+    ``query -> distance`` call chain, exactly like the old
+    ``parsed_label`` / ``_parse_batch`` / ``batch_query`` trio.
+    """
+    cache: OrderedDict[int, _ReferenceHLDLabel] = OrderedDict()
+
+    def parsed_label(node: int):
+        if node in cache:
+            cache.move_to_end(node)
+            return cache[node]
+        label = _reference_parse_hld(store, node)
+        cache[node] = label
+        if len(cache) > cache_size:
+            cache.popitem(last=False)
+        return label
+
+    parsed: dict[int, _ReferenceHLDLabel] = {}
+    for node in (node for pair in pairs for node in pair):
+        if node not in parsed:
+            parsed[node] = parsed_label(node)
+    query = _reference_query
+    return [query(parsed[u], parsed[v]) for u, v in pairs]

@@ -2,7 +2,7 @@
 
 The word-packed :mod:`repro.encoding.bitio` must be observationally
 identical to the original character-per-bit implementation preserved in
-:mod:`repro.encoding.bitio_reference`.  Hypothesis drives both through the
+``tests/bitio_reference.py``.  Hypothesis drives both through the
 same operations — value semantics, slicing, concatenation, byte packing,
 writer/reader op sequences and the Elias codes — and every divergence is a
 bug.  A second group asserts that stores saved by the pre-packing code still
@@ -19,7 +19,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.encoding import bitio_reference as ref
+import bitio_reference as ref
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
 from repro.encoding.elias import (
     decode_delta,

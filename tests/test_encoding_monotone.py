@@ -1,10 +1,10 @@
 """Tests for the Lemma 2.2 monotone sequence encoder."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from repro.encoding.bitio import BitReader, BitWriter
-from repro.encoding.monotone import MonotoneSequence, UnaryBitVectorView
+from repro.encoding.bitio import BitError, BitReader, BitWriter
+from repro.encoding.monotone import MonotoneSequence
 
 from repro.testing import monotone_sequences
 
@@ -29,27 +29,60 @@ class TestMonotoneSequence:
         assert sequence[2] == 3
         assert sequence[5] == 20
 
-    def test_successor(self):
-        sequence = MonotoneSequence([1, 4, 4, 9, 30])
-        assert sequence.successor_position(0) == 0
-        assert sequence.successor_position(1) == 0
-        assert sequence.successor_position(2) == 1
-        assert sequence.successor_position(4) == 1
-        assert sequence.successor_position(10) == 4
-        assert sequence.successor_position(31) is None
-
-    def test_common_suffix_of_prefixes(self):
-        a = MonotoneSequence([1, 2, 3, 5, 8])
-        b = MonotoneSequence([0, 2, 3, 5, 9])
-        # prefixes [1,2,3,5] and [0,2,3,5] share the suffix [2,3,5]
-        assert a.common_suffix_of_prefixes(b, 4, 4) == 3
-        # full prefixes end with 8 vs 9: no common suffix
-        assert a.common_suffix_of_prefixes(b, 5, 5) == 0
-
-    def test_common_suffix_bounds_checked(self):
-        a = MonotoneSequence([1, 2])
+    def test_access_out_of_range_raises(self):
+        sequence = MonotoneSequence([2, 5])
+        assert sequence[-1] == 5
         with pytest.raises(IndexError):
-            a.common_suffix_of_prefixes(a, 3, 1)
+            sequence[2]
+        with pytest.raises(IndexError):
+            MonotoneSequence([])[0]
+
+    @given(monotone_sequences())
+    def test_random_access_matches_list(self, values):
+        sequence = MonotoneSequence(values)
+        assert len(sequence) == len(values)
+        assert list(sequence) == values
+        for index in range(-len(values), len(values)):
+            assert sequence[index] == values[index]
+
+    def test_constructor_and_to_list_copy(self):
+        values = [1, 2, 3]
+        sequence = MonotoneSequence(values)
+        values.append(4)
+        assert sequence.to_list() == [1, 2, 3]
+        sequence.to_list().append(9)
+        assert len(sequence) == 3
+
+    def test_equality(self):
+        assert MonotoneSequence([1, 2]) == MonotoneSequence([1, 2])
+        assert MonotoneSequence([1, 2]) != MonotoneSequence([1, 3])
+        assert MonotoneSequence([1, 2]) != [1, 2]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[2**40], [0] * 50, [0, 2**63], [7] * 3 + [2**20]],
+        ids=["one-wide", "all-zero", "huge-gap", "plateau-then-jump"],
+    )
+    def test_extreme_values_round_trip(self, values):
+        sequence = MonotoneSequence(values)
+        assert MonotoneSequence.from_bits(sequence.bits).to_list() == values
+
+    @given(monotone_sequences())
+    def test_write_appends_exactly_the_encoding(self, values):
+        sequence = MonotoneSequence(values)
+        writer = BitWriter()
+        writer.write_bits("101")
+        sequence.write(writer)
+        assert writer.getvalue().data == "101" + sequence.bits.data
+        assert sequence.bit_length() == len(sequence.bits)
+
+    @given(monotone_sequences(max_length=12, max_value=200))
+    def test_truncated_encoding_raises(self, values):
+        """No strict prefix of an encoding parses: the format is self-delimiting."""
+        data = MonotoneSequence(values).bits.data
+        for cut in range(len(data)):
+            with pytest.raises(BitError):
+                MonotoneSequence.read(BitReader(data[:cut]))
 
     @given(monotone_sequences())
     def test_round_trip_property(self, values):
@@ -67,13 +100,6 @@ class TestMonotoneSequence:
         assert MonotoneSequence.read(reader).to_list() == values
         assert reader.read_bits(5).data == "10110"
 
-    @given(monotone_sequences(), st.integers(min_value=0, max_value=600))
-    def test_successor_property(self, values, query):
-        sequence = MonotoneSequence(values)
-        position = sequence.successor_position(query)
-        expected = next((i for i, v in enumerate(values) if v >= query), None)
-        assert position == expected
-
     @given(monotone_sequences(max_length=30, max_value=100))
     def test_size_bound(self, values):
         """Size stays O(s * max(1, log(M/s))) with a modest constant."""
@@ -84,11 +110,3 @@ class TestMonotoneSequence:
 
         per_element = max(1.0, math.log2(max(maximum, 1) / s + 1) + 1)
         assert sequence.bit_length() <= 6 * s * per_element + 32
-
-
-class TestUnaryBitVectorView:
-    def test_high_values_recovered_by_select(self):
-        values = [0, 3, 9, 9, 31]
-        view = UnaryBitVectorView(values, low_width=1)
-        for index, value in enumerate(values):
-            assert view.high_value(index) == value >> 1

@@ -5,8 +5,6 @@ addition or removal must touch this file too, keeping changes to the public
 surface deliberate.
 """
 
-import warnings
-
 import pytest
 
 import repro
@@ -68,22 +66,10 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
-    def test_deprecated_shims_warn_but_work(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            store_cls = repro.LabelStore
-            engine_cls = repro.QueryEngine
-        from repro.store import LabelStore, QueryEngine
-
-        assert store_cls is LabelStore and engine_cls is QueryEngine
-        assert all(
-            issubclass(entry.category, DeprecationWarning) for entry in caught
-        )
-        assert len(caught) >= 2
-
-    def test_unknown_attribute_raises(self):
+    @pytest.mark.parametrize("name", ["no_such_name", "LabelStore", "QueryEngine"])
+    def test_unknown_attribute_raises(self, name):
         with pytest.raises(AttributeError):
-            repro.no_such_name
+            getattr(repro, name)
 
     def test_builders_exported(self):
         tree = tree_from_parents([None, 0, 0])

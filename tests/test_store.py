@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.analysis.label_stats import measure_store_throughput
 from repro.core.approximate import ApproximateScheme
 from repro.core.freedman import FreedmanScheme
 from repro.core.kdistance import KDistanceScheme
@@ -265,11 +264,6 @@ class TestQueryEngine:
         store = LabelStore.encode_tree(FreedmanScheme(), make_tree("path", 4))
         with pytest.raises(ValueError):
             QueryEngine(store, cache_size=0)
-
-    def test_throughput_measurement_consistency(self):
-        tree = make_tree("random", 64, seed=4)
-        row = measure_store_throughput(FreedmanScheme(), tree, random_pairs(tree, 50, 1))
-        assert row["pairs"] == 50 and row["speedup"] > 0
 
 
 class TestBatchAgainstOracleHypothesis:
