@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, encode_delta
+from repro.encoding.elias import encode_delta
 from repro.trees.tree import RootedTree
 
 
@@ -36,10 +36,14 @@ class AdjacencyLabel:
         return writer.getvalue()
 
     @classmethod
+    def read(cls, reader: BitReader) -> "AdjacencyLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        return cls(reader.read_delta(), reader.read_delta())
+
+    @classmethod
     def from_bits(cls, bits: Bits) -> "AdjacencyLabel":
         """Parse a serialised label."""
-        reader = BitReader(bits)
-        return cls(decode_delta(reader), decode_delta(reader))
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""

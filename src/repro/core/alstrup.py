@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.alphabetic import common_codeword_prefix
-from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.bitio import BitReader, BitWriter, Bits
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -76,18 +76,21 @@ class AlstrupLabel:
         return writer.getvalue()
 
     @classmethod
+    def read(cls, reader: BitReader) -> "AlstrupLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        gamma = reader.read_gamma
+        delta = reader.read_delta
+        root_distance = delta()
+        depth = gamma()
+        codewords = [reader.read_prefixed_bits() for _ in range(depth)]
+        offsets = [delta() for _ in range(depth + 1)]
+        light_weights = [gamma() for _ in range(depth)]
+        return cls(root_distance, codewords, offsets, light_weights)
+
+    @classmethod
     def from_bits(cls, bits: Bits) -> "AlstrupLabel":
         """Parse a serialised label."""
-        reader = BitReader(bits)
-        root_distance = decode_delta(reader)
-        depth = decode_gamma(reader)
-        codewords = []
-        for _ in range(depth):
-            length = decode_gamma(reader)
-            codewords.append(reader.read_bits(length))
-        offsets = [decode_delta(reader) for _ in range(depth + 1)]
-        light_weights = [decode_gamma(reader) for _ in range(depth)]
-        return cls(root_distance, codewords, offsets, light_weights)
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
@@ -100,64 +103,11 @@ class AlstrupLabel:
         return sum(delta_length(offset) for offset in self.offsets)
 
 
-def _parse_word(value: int, total: int) -> AlstrupLabel:
-    """Decode one serialised label straight from its packed integer.
-
-    The word-level twin of :meth:`AlstrupLabel.from_bits`: the same field
-    grammar (delta root distance, gamma light depth, per-level codewords,
-    delta offsets, gamma light weights) decoded with shifts and masks on
-    the packed word — no :class:`BitReader` and no intermediate
-    :class:`Bits` except the codewords the label keeps anyway.  Same
-    inline-gamma arithmetic as the Freedman and HLD word parsers.
-    """
-    rem = total
-    pack = Bits._pack
-
-    def gamma() -> int:
-        # single-call gamma: the code's value is the top ``zeros + 1`` bits
-        # starting at the leading one
-        nonlocal rem
-        suffix = value & ((1 << rem) - 1)
-        if not suffix:
-            raise BitError("bit stream exhausted")
-        significant = suffix.bit_length()
-        width = rem - significant + 1  # zeros + 1
-        if width > significant:
-            raise BitError("bit stream exhausted")
-        rem -= 2 * width - 1
-        return (suffix >> (significant - width)) - 1
-
-    def delta() -> int:
-        nonlocal rem
-        width = gamma() + 1
-        if width == 1:
-            return 0
-        if width - 1 > rem:
-            raise BitError("bit stream exhausted")
-        rem -= width - 1
-        return ((1 << (width - 1)) | ((value >> rem) & ((1 << (width - 1)) - 1))) - 1
-
-    def gamma_bits() -> Bits:
-        # gamma-coded length followed by that many payload bits
-        nonlocal rem
-        count = gamma()
-        if count > rem:
-            raise BitError("bit stream exhausted")
-        rem -= count
-        return pack((value >> rem) & ((1 << count) - 1), count)
-
-    root_distance = delta()
-    depth = gamma()
-    codewords = [gamma_bits() for _ in range(depth)]
-    offsets = [delta() for _ in range(depth + 1)]
-    light_weights = [gamma() for _ in range(depth)]
-    return AlstrupLabel(root_distance, codewords, offsets, light_weights)
-
-
 class AlstrupScheme(DistanceLabelingScheme):
     """The 1/2 log² n + O(log n log log n) scheme of [8]."""
 
     name = "alstrup"
+    label_type = AlstrupLabel
 
     def __init__(self, variant: str = "paper") -> None:
         self._variant = variant
@@ -195,21 +145,3 @@ class AlstrupScheme(DistanceLabelingScheme):
         exit_v = label_v.exit_distance(common)
         nca_distance = min(exit_u, exit_v)
         return label_u.root_distance + label_v.root_distance - 2 * nca_distance
-
-    def parse(self, bits: Bits) -> AlstrupLabel:
-        return AlstrupLabel.from_bits(bits)
-
-    def parse_many(self, store, nodes) -> dict[int, AlstrupLabel]:
-        """Word-level bulk parse: packed store words straight into labels.
-
-        Each ``label_words`` word is decoded by :func:`_parse_word` with no
-        reader objects and no intermediate :class:`Bits` (like Freedman
-        there is no shared header to specialise on, so the store's own word
-        supply loop is used as-is); ``tests/test_alstrup_parse_many.py``
-        checks this path field-for-field against the generic ``parse``
-        route.
-        """
-        return {
-            node: _parse_word(value, bits)
-            for node, value, bits in store.label_words(nodes)
-        }

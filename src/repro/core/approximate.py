@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.core.base import ApproximateDistanceLabelingScheme
 from repro.encoding.alphabetic import common_codeword_prefix
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
@@ -84,27 +84,28 @@ class ApproximateLabel:
         return writer.getvalue()
 
     @classmethod
-    def from_bits(cls, bits: Bits) -> "ApproximateLabel":
-        """Parse a serialised label."""
-        reader = BitReader(bits)
-        preorder = decode_delta(reader)
-        subtree_size = decode_delta(reader)
-        root_distance = decode_delta(reader)
-        domination = decode_delta(reader)
-        count = decode_gamma(reader)
-        codewords = []
-        for _ in range(count):
-            length = decode_gamma(reader)
-            codewords.append(reader.read_bits(length))
-        exponents = MonotoneSequence.read(reader).to_list()
+    def read(cls, reader: BitReader) -> "ApproximateLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        delta = reader.read_delta
+        preorder = delta()
+        subtree_size = delta()
+        root_distance = delta()
+        domination = delta()
+        count = reader.read_gamma()
+        codewords = [reader.read_prefixed_bits() for _ in range(count)]
         return cls(
             preorder=preorder,
             subtree_size=subtree_size,
             root_distance=root_distance,
             domination=domination,
             codewords=codewords,
-            exponents=exponents,
+            exponents=reader.read_monotone(),
         )
+
+    @classmethod
+    def from_bits(cls, bits: Bits) -> "ApproximateLabel":
+        """Parse a serialised label."""
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
@@ -115,6 +116,7 @@ class ApproximateScheme(ApproximateDistanceLabelingScheme):
     """(1+eps)-approximate distance labels of size O(log(1/eps) log n)."""
 
     name = "approximate"
+    label_type = ApproximateLabel
 
     def __init__(self, epsilon: float) -> None:
         super().__init__(epsilon)
@@ -170,6 +172,3 @@ class ApproximateScheme(ApproximateDistanceLabelingScheme):
         return (
             other.root_distance - dominating.root_distance + 2.0 * approximation
         )
-
-    def parse(self, bits: Bits) -> ApproximateLabel:
-        return ApproximateLabel.from_bits(bits)

@@ -16,8 +16,16 @@ A labeling scheme has two halves:
 Keeping the decoder free of tree access is the entire point of a labeling
 scheme, so the base class makes the separation explicit: ``encode`` returns
 plain label objects, every label serialises to a bit string through
-``to_bits``/``from_bits``, and ``query_from_bits`` re-parses the labels
-before answering, proving that no hidden state leaks from the encoder.
+``to_bits``, and ``query_from_bits`` re-parses the labels before answering,
+proving that no hidden state leaks from the encoder.
+
+Every label class has exactly one parser, ``read(reader)``, over the field
+decoders of :class:`~repro.encoding.bitio.BitReader` (Elias gamma/delta,
+length-prefixed bits, Lemma 2.2 monotone sequences).  A scheme names its
+label class in ``label_type``; the base class's :meth:`LabelingScheme.parse`
+(one bit string) and :meth:`LabelingScheme.parse_many` (the store's packed
+words) both end in that ``read``, so a label parses, and a malformed one
+fails, the same way on every path.
 
 All three scheme families — exact, k-distance (bounded) and
 (1+eps)-approximate — share the :class:`LabelingScheme` base, whose
@@ -39,7 +47,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Protocol, runtime_checkable
 
-from repro.encoding.bitio import Bits
+from repro.encoding.bitio import BitReader, Bits
 from repro.trees.tree import RootedTree
 
 
@@ -65,29 +73,30 @@ class LabelingScheme(ABC):
     #: query semantics: ``"exact"``, ``"bounded"`` or ``"approximate"``
     kind: str = "exact"
 
+    #: the label class; its ``read(reader)`` classmethod is the one parser
+    label_type: type
+
     @abstractmethod
     def encode(self, tree: RootedTree) -> dict[int, LabelProtocol]:
         """Assign a label to every node of ``tree``."""
 
-    @abstractmethod
     def parse(self, bits: Bits) -> LabelProtocol:
         """Parse a label from its serialised bits."""
+        return self.label_type.read(BitReader(bits))
 
     def parse_many(self, store, nodes) -> dict[int, LabelProtocol]:
         """Parse many stored labels at once (the store-serving supply path).
 
         ``store`` is any object with a ``label_words(nodes)`` iterator
         yielding ``(node, packed_value, bit_length)`` — in practice a
-        :class:`repro.store.LabelStore`.  The default implementation wraps
-        each packed word in a :class:`Bits` and calls :meth:`parse`; schemes
-        with a word-level fast parser override this to skip the wrapper
-        (overrides may additionally use ``store.buffers()`` when present,
-        falling back to ``label_words`` so duck-typed stores keep working).
+        :class:`repro.store.LabelStore`.  Each word becomes a reader with
+        no intermediate :class:`Bits` and goes through the same ``read``
+        as :meth:`parse`.
         """
-        from_int = Bits.from_int
-        parse = self.parse
+        read = self.label_type.read
+        reader = BitReader.from_word
         return {
-            node: parse(from_int(value, bits))
+            node: read(reader(value, bits))
             for node, value, bits in store.label_words(nodes)
         }
 
@@ -161,10 +170,6 @@ class DistanceLabelingScheme(LabelingScheme):
         """Unified query interface: the exact distance."""
         return self.distance(label_u, label_v)
 
-    def distance_from_bits(self, bits_u: Bits, bits_v: Bits) -> int:
-        """Answer a query from serialised labels only."""
-        return self.distance(self.parse(bits_u), self.parse(bits_v))
-
 
 class BoundedDistanceLabelingScheme(LabelingScheme):
     """Base class for k-distance schemes (Section 4).
@@ -194,10 +199,6 @@ class BoundedDistanceLabelingScheme(LabelingScheme):
     def params(self) -> dict:
         return {"k": self.k}
 
-    def bounded_distance_from_bits(self, bits_u: Bits, bits_v: Bits) -> int | None:
-        """Answer a query from serialised labels only."""
-        return self.bounded_distance(self.parse(bits_u), self.parse(bits_v))
-
 
 class ApproximateDistanceLabelingScheme(LabelingScheme):
     """Base class for (1+eps)-approximate schemes (Section 5)."""
@@ -222,7 +223,3 @@ class ApproximateDistanceLabelingScheme(LabelingScheme):
 
     def params(self) -> dict:
         return {"epsilon": self.epsilon}
-
-    def approximate_distance_from_bits(self, bits_u: Bits, bits_v: Bits) -> int:
-        """Answer a query from serialised labels only."""
-        return self.approximate_distance(self.parse(bits_u), self.parse(bits_v))

@@ -34,10 +34,11 @@ already serialised, one accumulator per parent path), then shifts each
 label straight into one integer in a single walk of its collapsed root
 path.  The label it yields is *lazy*: it holds only that word, which
 :meth:`FreedmanLabel.to_bits` packs as it is, and the first read of a field
-parses the word with :func:`_parse_word` and drops it.  A label built from
-fields (or read once) is serialised by :meth:`FreedmanLabel._sentinel_word`,
-the mirror of :func:`_parse_word`.  ``tests/freedman_reference.py`` keeps
-the field-by-field encoder and codec the differential tests compare with.
+parses the word with :meth:`FreedmanLabel.read` (the one parser) and drops
+it.  A label built from fields (or read once) is serialised by
+:meth:`FreedmanLabel._sentinel_word`, the mirror of ``read``.
+``tests/freedman_reference.py`` keeps the field-by-field encoder and codec
+the differential tests compare with.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.alphabetic import common_codeword_prefix
-from repro.encoding.bitio import BitError, Bits
+from repro.encoding.bitio import BitReader, Bits
 from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
@@ -155,8 +156,9 @@ class FreedmanLabel:
         state = self.__dict__
         word = state.get("_word")
         if word is not None:
-            length = word.bit_length() - 1
-            state.update(_parse_word(word ^ (1 << length), length).__dict__)
+            # the reader never looks above ``length``: the sentinel stays
+            reader = BitReader.from_word(word, word.bit_length() - 1)
+            state.update(FreedmanLabel.read(reader).__dict__)
             state.pop("_word", None)
 
     @property
@@ -176,7 +178,7 @@ class FreedmanLabel:
         """The serialised label as one integer behind a leading ``1`` bit.
 
         The encoder's word while the label holds one; otherwise the mirror
-        of :func:`_parse_word`: every field (delta/gamma headers, light
+        of :meth:`read`: every field (delta/gamma headers, light
         codewords, the two Lemma 2.2 monotone sequences, entry triples,
         accumulators) is shifted straight into one integer, with no writer
         object and no :class:`MonotoneSequence`.  The sentinel bit keeps
@@ -234,9 +236,63 @@ class FreedmanLabel:
         return word
 
     @classmethod
+    def read(cls, reader: BitReader) -> "FreedmanLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`).
+
+        The field grammar: three delta-coded integers, the gamma-coded
+        light depth, per level a length-prefixed codeword and a gamma light
+        weight, the two Lemma 2.2 monotone sequences (read straight to
+        lists), per level an entry (a skip bit, or the kept bits and a
+        gamma pushed count), then per level an accumulator.  A truncated
+        label raises :class:`BitError`; a decreasing monotone sequence
+        raises ``ValueError``, as the C decoder's fallback does.
+        """
+        delta = reader.read_delta
+        gamma = reader.read_gamma
+        prefixed = reader.read_prefixed_bits
+        node_id = delta()
+        root_distance = delta()
+        domination = delta()
+        depth = gamma()
+        codewords = [prefixed() for _ in range(depth)]
+        light_weights = [gamma() for _ in range(depth)]
+        fragment_refs = reader.read_monotone()
+        fragment_distances = reader.read_monotone()
+        entry_skip: list[bool] = []
+        entry_kept: list[Bits] = []
+        entry_pushed: list[int] = []
+        read_bit = reader.read_bit
+        for _ in range(depth):
+            if read_bit():
+                entry_skip.append(True)
+                entry_kept.append(_EMPTY)
+                entry_pushed.append(0)
+            else:
+                entry_skip.append(False)
+                entry_kept.append(prefixed())
+                entry_pushed.append(gamma())
+        accumulators = [prefixed() for _ in range(depth)]
+        # filled in place: the constructor routes fields through ``__setattr__``
+        label = _new_label(cls)
+        label.__dict__.update(
+            node_id=node_id,
+            root_distance=root_distance,
+            domination=domination,
+            codewords=codewords,
+            light_weights=light_weights,
+            fragment_refs=fragment_refs,
+            fragment_distances=fragment_distances,
+            entry_skip=entry_skip,
+            entry_kept=entry_kept,
+            entry_pushed=entry_pushed,
+            accumulators=accumulators,
+        )
+        return label
+
+    @classmethod
     def from_bits(cls, bits: Bits) -> "FreedmanLabel":
         """Parse a serialised label."""
-        return _parse_word(bits.to_int(), len(bits))
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
@@ -277,145 +333,14 @@ _FIELD_NAMES = frozenset(item.name for item in fields(FreedmanLabel))
 
 _new_label = object.__new__
 
-
-def _parse_word(value: int, total: int) -> FreedmanLabel:
-    """Decode one serialised label straight from its packed integer.
-
-    The inverse of :meth:`FreedmanLabel.to_bits` and the only Freedman
-    parser (:meth:`FreedmanLabel.from_bits` calls it): the field grammar
-    (delta/gamma headers, light codewords, two monotone sequences, entry
-    triples, accumulators) decoded with shifts and masks on the packed
-    word — no :class:`BitReader` and no
-    :class:`~repro.encoding.monotone.MonotoneSequence` reconstruction.  A
-    truncated label raises :class:`BitError`; a decreasing monotone
-    sequence raises ``ValueError``, as the C decoder's fallback does.
-    """
-    rem = total
-    pack = Bits._pack
-
-    def gamma() -> int:
-        # single-call gamma: the code's value is the top ``zeros + 1`` bits
-        # starting at the leading one (same arithmetic as the HLD parser)
-        nonlocal rem
-        suffix = value & ((1 << rem) - 1)
-        if not suffix:
-            raise BitError("bit stream exhausted")
-        significant = suffix.bit_length()
-        width = rem - significant + 1  # zeros + 1
-        if width > significant:
-            raise BitError("bit stream exhausted")
-        rem -= 2 * width - 1
-        return (suffix >> (significant - width)) - 1
-
-    def delta() -> int:
-        nonlocal rem
-        width = gamma() + 1
-        if width == 1:
-            return 0
-        if width - 1 > rem:
-            raise BitError("bit stream exhausted")
-        rem -= width - 1
-        return ((1 << (width - 1)) | ((value >> rem) & ((1 << (width - 1)) - 1))) - 1
-
-    def gamma_bits() -> Bits:
-        # gamma-coded length followed by that many payload bits
-        nonlocal rem
-        count = gamma()
-        if count > rem:
-            raise BitError("bit stream exhausted")
-        rem -= count
-        return pack((value >> rem) & ((1 << count) - 1), count)
-
-    def monotone_values() -> list[int]:
-        # the value list of one MonotoneSequence (Lemma 2.2 layout: count,
-        # low width, packed low parts, unary-coded high-part differences)
-        nonlocal rem
-        count = gamma()
-        if count == 0:
-            return []
-        if count > rem:
-            # every element ends in a unary ``1``: the count cannot fit
-            raise BitError("bit stream exhausted")
-        low_width = gamma()
-        if low_width:
-            if count * low_width > rem:
-                raise BitError("bit stream exhausted")
-            lows = []
-            mask = (1 << low_width) - 1
-            for _ in range(count):
-                rem -= low_width
-                lows.append((value >> rem) & mask)
-        else:
-            lows = [0] * count
-        values: list[int] = []
-        high = 0
-        previous = 0
-        ordered = True
-        suffix = value & ((1 << rem) - 1)
-        for index in range(count):
-            if not suffix:
-                raise BitError("bit stream exhausted")
-            zeros = rem - suffix.bit_length()
-            rem -= zeros + 1
-            suffix &= (1 << rem) - 1
-            high += zeros
-            item = (high << low_width) | lows[index]
-            if item < previous:
-                ordered = False
-            previous = item
-            values.append(item)
-        if not ordered:
-            # checked once the sequence is read, as MonotoneSequence.read does
-            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
-        return values
-
-    node_id = delta()
-    root_distance = delta()
-    domination = delta()
-    depth = gamma()
-    codewords = [gamma_bits() for _ in range(depth)]
-    light_weights = [gamma() for _ in range(depth)]
-    fragment_refs = monotone_values()
-    fragment_distances = monotone_values()
-    entry_skip: list[bool] = []
-    entry_kept: list[Bits] = []
-    entry_pushed: list[int] = []
-    empty = pack(0, 0)
-    for _ in range(depth):
-        if not rem:
-            raise BitError("bit stream exhausted")
-        rem -= 1
-        if (value >> rem) & 1:
-            entry_skip.append(True)
-            entry_kept.append(empty)
-            entry_pushed.append(0)
-        else:
-            entry_skip.append(False)
-            entry_kept.append(gamma_bits())
-            entry_pushed.append(gamma())
-    accumulators = [gamma_bits() for _ in range(depth)]
-    # filled in place: the constructor routes fields through ``__setattr__``
-    label = _new_label(FreedmanLabel)
-    label.__dict__.update(
-        node_id=node_id,
-        root_distance=root_distance,
-        domination=domination,
-        codewords=codewords,
-        light_weights=light_weights,
-        fragment_refs=fragment_refs,
-        fragment_distances=fragment_distances,
-        entry_skip=entry_skip,
-        entry_kept=entry_kept,
-        entry_pushed=entry_pushed,
-        accumulators=accumulators,
-    )
-    return label
+_EMPTY = Bits._pack(0, 0)
 
 
 class FreedmanScheme(DistanceLabelingScheme):
     """The 1/4 log² n + o(log² n) exact distance labeling scheme."""
 
     name = "freedman"
+    label_type = FreedmanLabel
 
     def __init__(
         self,
@@ -676,22 +601,3 @@ class FreedmanScheme(DistanceLabelingScheme):
         return (
             label_u.root_distance + label_v.root_distance - 2 * nca_distance
         )
-
-    def parse(self, bits: Bits) -> FreedmanLabel:
-        return FreedmanLabel.from_bits(bits)
-
-    def parse_many(self, store, nodes) -> dict[int, FreedmanLabel]:
-        """Word-level bulk parse: packed store words straight into labels.
-
-        Each ``label_words`` word is decoded by :func:`_parse_word` with no
-        reader objects, no intermediate :class:`Bits` and no
-        ``MonotoneSequence`` reconstruction (unlike HLD there is no shared
-        header to specialise on, so the store's own word supply loop is
-        used as-is); ``tests/test_freedman_parse_many.py`` checks this path
-        field-for-field against the generic ``parse`` route and the
-        reader-based reference parser.
-        """
-        return {
-            node: _parse_word(value, bits)
-            for node, value, bits in store.label_words(nodes)
-        }

@@ -18,15 +18,15 @@ Because the fields are fixed-width, a parsed label keeps them *packed*: the
 path identifiers live in one integer (level 0 at the least significant
 field) and the exits in another.  The decoder finds the deepest common
 heavy path with one XOR and one lowest-set-bit instead of walking two
-Python lists, and the parser extracts fields with shifts from the stored
-words — the serialised format is unchanged.
+Python lists, and :meth:`HLDLabel.read` reads all level pairs as one
+integer and splits it with shifts.
 """
 
 from __future__ import annotations
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_gamma, encode_gamma
+from repro.encoding.elias import encode_gamma
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
@@ -79,28 +79,6 @@ class HLDLabel:
             packed |= exit_distance << (level * distance_width)
         self._sig = sig
         self._exits_packed = packed
-
-    @classmethod
-    def _from_packed(
-        cls,
-        root_distance: int,
-        count: int,
-        sig: int,
-        exits_packed: int,
-        id_width: int,
-        distance_width: int,
-    ) -> "HLDLabel":
-        """Parser-side constructor: fields stay packed, lists are lazy."""
-        self = object.__new__(cls)
-        self.root_distance = root_distance
-        self.id_width = id_width
-        self.distance_width = distance_width
-        self._count = count
-        self._sig = sig
-        self._exits_packed = exits_packed
-        self._path_ids = None
-        self._exits = None
-        return self
 
     @property
     def path_ids(self) -> list[int]:
@@ -164,70 +142,61 @@ class HLDLabel:
         return writer.getvalue()
 
     @classmethod
+    def read(cls, reader: BitReader) -> "HLDLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`).
+
+        Three gamma codes (``id_width``, ``distance_width``, level count),
+        then the root distance and the fixed-width ``(path id, exit)``
+        pairs, all read as one integer and repacked level 0 lowest.
+        """
+        gamma = reader.read_gamma
+        id_width = gamma()
+        distance_width = gamma()
+        count = gamma()
+        pair_width = id_width + distance_width
+        if count and not pair_width:
+            # levels of no bits: nothing bounds ``count`` by the label size
+            raise BitError("zero-width label levels")
+        shift = count * pair_width
+        tail = reader.read_int(distance_width + shift)
+        root_distance = tail >> shift
+        id_mask = (1 << id_width) - 1
+        distance_mask = (1 << distance_width) - 1
+        sig = exits_packed = id_shift = distance_shift = 0
+        for _ in range(count):
+            shift -= pair_width
+            pair = tail >> shift
+            sig |= ((pair >> distance_width) & id_mask) << id_shift
+            exits_packed |= (pair & distance_mask) << distance_shift
+            id_shift += id_width
+            distance_shift += distance_width
+        # fields stay packed; the lists are unpacked on demand
+        label = object.__new__(cls)
+        label.root_distance = root_distance
+        label.id_width = id_width
+        label.distance_width = distance_width
+        label._count = count
+        label._sig = sig
+        label._exits_packed = exits_packed
+        label._path_ids = None
+        label._exits = None
+        return label
+
+    @classmethod
     def from_bits(cls, bits: Bits) -> "HLDLabel":
-        """Parse a serialised label (word-at-a-time, no reader object)."""
-        return _parse_word(bits.to_int(), len(bits))
+        """Parse a serialised label."""
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
         return len(self.to_bits())
 
 
-def _parse_word(value: int, total: int) -> HLDLabel:
-    """Decode one serialised label from its packed integer.
-
-    Straight-line gamma decoding (suffix ``bit_length`` finds the unary run)
-    followed by shift/mask extraction of the fixed-width field pairs; this is
-    the innermost loop of store serving, kept free of reader objects and
-    intermediate :class:`Bits`.
-    """
-    # header: three gamma codes (id_width, distance_width, count).  This is
-    # the cold fallback parser — the hot loop in ``HLDScheme.parse_many``
-    # inlines the same arithmetic once, behind its header fast path.
-    rem = total
-    suffix = value if total else 0  # Bits guarantees value < 2**total
-    header = [0, 0, 0]
-    for index in range(3):
-        if not suffix:
-            raise BitError("bit stream exhausted")
-        significant = suffix.bit_length()
-        width = rem - significant + 1  # zeros + 1
-        if width > significant:
-            raise BitError("bit stream exhausted")
-        header[index] = (suffix >> (significant - width)) - 1
-        rem -= 2 * width - 1
-        suffix &= (1 << rem) - 1
-    id_width, distance_width, count = header
-
-    pair_width = id_width + distance_width
-    tail_bits = distance_width + count * pair_width
-    if tail_bits > rem:
-        raise BitError("bit stream exhausted")
-    tail = (value >> (rem - tail_bits)) & ((1 << tail_bits) - 1)
-    root_distance = tail >> (tail_bits - distance_width)
-    id_mask = (1 << id_width) - 1
-    distance_mask = (1 << distance_width) - 1
-    sig = 0
-    exits_packed = 0
-    shift = tail_bits - distance_width  # start of the per-level pairs
-    id_shift = 0
-    distance_shift = 0
-    for _ in range(count):
-        shift -= pair_width
-        pair = tail >> shift
-        sig |= ((pair >> distance_width) & id_mask) << id_shift
-        exits_packed |= (pair & distance_mask) << distance_shift
-        id_shift += id_width
-        distance_shift += distance_width
-    return HLDLabel._from_packed(
-        root_distance, count, sig, exits_packed, id_width, distance_width
-    )
-
-
 class HLDScheme(DistanceLabelingScheme):
     """Fixed-width heavy-path labels (the unoptimised Section 3.1 framework)."""
 
     name = "hld-fixed"
+    label_type = HLDLabel
 
     def __init__(self, variant: str = "paper") -> None:
         self._variant = variant
@@ -318,104 +287,3 @@ class HLDScheme(DistanceLabelingScheme):
             raise ValueError("labels do not come from the same tree")
         nca_distance = min(label_u.exits[deepest_common], label_v.exits[deepest_common])
         return label_u.root_distance + label_v.root_distance - 2 * nca_distance
-
-    def parse(self, bits: Bits) -> HLDLabel:
-        return HLDLabel.from_bits(bits)
-
-    def parse_many(self, store, nodes) -> dict[int, HLDLabel]:
-        """Word-level bulk parse: packed store words straight into labels.
-
-        All labels of one store share the same ``(id_width, distance_width)``
-        header, so its gamma-coded bit pattern is recognised with a single
-        shift-and-compare and the remaining fields are extracted inline;
-        labels whose header differs (foreign or corrupt input) fall back to
-        the general parser.
-        """
-        buffers = getattr(store, "buffers", None)
-        if buffers is None:
-            # duck-typed store exposing only the documented ``label_words``
-            # protocol: still word-level, one parser call per label
-            return {
-                node: _parse_word(value, bits)
-                for node, value, bits in store.label_words(nodes)
-            }
-        out: dict[int, HLDLabel] = {}
-        header_pattern = -1
-        header_len = 0
-        id_width = distance_width = pair_width = 0
-        id_mask = distance_mask = 0
-        view, offsets, lengths = buffers()
-        total_nodes = len(lengths)
-        from_bytes = int.from_bytes
-        new_label = object.__new__
-        label_type = HLDLabel
-        for node in nodes:
-            if not 0 <= node < total_nodes:
-                from repro.store.label_store import StoreError
-
-                raise StoreError(f"node {node} out of range [0, {total_nodes})")
-            bits = lengths[node]
-            if bits:
-                start = offsets[node]
-                byte_count = (bits + 7) >> 3
-                value = from_bytes(
-                    view[start : start + byte_count], "big"
-                ) >> ((byte_count << 3) - bits)
-            else:
-                value = 0
-            if header_pattern < 0 or (
-                bits <= header_len or (value >> (bits - header_len)) != header_pattern
-            ):
-                label = _parse_word(value, bits)
-                out[node] = label
-                id_width = label.id_width
-                distance_width = label.distance_width
-                width_id = (id_width + 1).bit_length()
-                width_distance = (distance_width + 1).bit_length()
-                header_len = (2 * width_id - 1) + (2 * width_distance - 1)
-                header_pattern = ((id_width + 1) << (2 * width_distance - 1)) | (
-                    distance_width + 1
-                )
-                pair_width = id_width + distance_width
-                id_mask = (1 << id_width) - 1
-                distance_mask = (1 << distance_width) - 1
-                continue
-            # gamma(count) right after the recognised header
-            rem = bits - header_len
-            suffix = value & ((1 << rem) - 1)
-            if not suffix:
-                raise BitError("bit stream exhausted")
-            significant = suffix.bit_length()
-            width = rem - significant + 1
-            if width > significant:
-                raise BitError("bit stream exhausted")
-            count = (suffix >> (significant - width)) - 1
-            rem -= 2 * width - 1
-            tail_bits = distance_width + count * pair_width
-            if tail_bits > rem:
-                raise BitError("bit stream exhausted")
-            tail = (value >> (rem - tail_bits)) & ((1 << tail_bits) - 1)
-            root_distance = tail >> (tail_bits - distance_width)
-            sig = 0
-            exits_packed = 0
-            shift = tail_bits - distance_width
-            id_shift = 0
-            distance_shift = 0
-            for _ in range(count):
-                shift -= pair_width
-                pair = tail >> shift
-                sig |= ((pair >> distance_width) & id_mask) << id_shift
-                exits_packed |= (pair & distance_mask) << distance_shift
-                id_shift += id_width
-                distance_shift += distance_width
-            label = new_label(label_type)
-            label.root_distance = root_distance
-            label.id_width = id_width
-            label.distance_width = distance_width
-            label._count = count
-            label._sig = sig
-            label._exits_packed = exits_packed
-            label._path_ids = None
-            label._exits = None
-            out[node] = label
-        return out

@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 from repro.core.base import BoundedDistanceLabelingScheme
-from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.bitio import BitReader, BitWriter, Bits
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.encoding.monotone import MonotoneSequence
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
@@ -142,24 +142,25 @@ class KDistanceLabel:
         return writer.getvalue()
 
     @classmethod
-    def from_bits(cls, bits: Bits) -> "KDistanceLabel":
-        """Parse a serialised label."""
-        reader = BitReader(bits)
-        pre = decode_delta(reader)
-        light_depth = decode_gamma(reader)
+    def read(cls, reader: BitReader) -> "KDistanceLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        gamma = reader.read_gamma
+        monotone = reader.read_monotone
+        pre = reader.read_delta()
+        light_depth = gamma()
         has_extension = reader.read_bit() == 1
         compact = reader.read_bit() == 1
-        heights = MonotoneSequence.read(reader).to_list()
-        child_heights = MonotoneSequence.read(reader).to_list()
-        distances = MonotoneSequence.read(reader).to_list()
-        alpha = decode_delta(reader)
+        heights = monotone()
+        child_heights = monotone()
+        distances = monotone()
+        alpha = reader.read_delta()
         position_mod = 0
         forward: list[int] = []
         backward: list[int] = []
         if compact:
-            position_mod = decode_gamma(reader)
-            forward = MonotoneSequence.read(reader).to_list()
-            backward = MonotoneSequence.read(reader).to_list()
+            position_mod = gamma()
+            forward = monotone()
+            backward = monotone()
         return cls(
             pre=pre,
             light_depth=light_depth,
@@ -174,120 +175,21 @@ class KDistanceLabel:
             backward=backward,
         )
 
+    @classmethod
+    def from_bits(cls, bits: Bits) -> "KDistanceLabel":
+        """Parse a serialised label."""
+        return cls.read(BitReader(bits))
+
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
         return len(self.to_bits())
-
-
-def _parse_word(value: int, total: int) -> KDistanceLabel:
-    """Decode one serialised label straight from its packed integer.
-
-    The word-level twin of :meth:`KDistanceLabel.from_bits`: the same field
-    grammar (delta preorder, gamma light depth, two flag bits, three
-    monotone sequences, delta alpha, and the compact-regime Lemma 4.5
-    tables) decoded with shifts and masks on the packed word — no
-    :class:`BitReader` and no :class:`~repro.encoding.monotone.
-    MonotoneSequence` reconstruction.  Same inline-gamma arithmetic as the
-    HLD/Freedman/Alstrup word parsers.
-    """
-    rem = total
-
-    def gamma() -> int:
-        # single-call gamma: the code's value is the top ``zeros + 1`` bits
-        # starting at the leading one
-        nonlocal rem
-        suffix = value & ((1 << rem) - 1)
-        if not suffix:
-            raise BitError("bit stream exhausted")
-        significant = suffix.bit_length()
-        width = rem - significant + 1  # zeros + 1
-        if width > significant:
-            raise BitError("bit stream exhausted")
-        rem -= 2 * width - 1
-        return (suffix >> (significant - width)) - 1
-
-    def delta() -> int:
-        nonlocal rem
-        width = gamma() + 1
-        if width == 1:
-            return 0
-        if width - 1 > rem:
-            raise BitError("bit stream exhausted")
-        rem -= width - 1
-        return ((1 << (width - 1)) | ((value >> rem) & ((1 << (width - 1)) - 1))) - 1
-
-    def flag() -> bool:
-        nonlocal rem
-        if not rem:
-            raise BitError("bit stream exhausted")
-        rem -= 1
-        return bool((value >> rem) & 1)
-
-    def monotone_values() -> list[int]:
-        # the value list of one MonotoneSequence (Lemma 2.2 layout: count,
-        # low width, packed low parts, unary-coded high-part differences)
-        nonlocal rem
-        count = gamma()
-        if count == 0:
-            return []
-        low_width = gamma()
-        if low_width:
-            if count * low_width > rem:
-                raise BitError("bit stream exhausted")
-            lows = []
-            mask = (1 << low_width) - 1
-            for _ in range(count):
-                rem -= low_width
-                lows.append((value >> rem) & mask)
-        else:
-            lows = [0] * count
-        values: list[int] = []
-        high = 0
-        suffix = value & ((1 << rem) - 1)
-        for index in range(count):
-            if not suffix:
-                raise BitError("bit stream exhausted")
-            zeros = rem - suffix.bit_length()
-            rem -= zeros + 1
-            suffix &= (1 << rem) - 1
-            high += zeros
-            values.append((high << low_width) | lows[index])
-        return values
-
-    pre = delta()
-    light_depth = gamma()
-    has_extension = flag()
-    compact = flag()
-    heights = monotone_values()
-    child_heights = monotone_values()
-    distances = monotone_values()
-    alpha = delta()
-    position_mod = 0
-    forward: list[int] = []
-    backward: list[int] = []
-    if compact:
-        position_mod = gamma()
-        forward = monotone_values()
-        backward = monotone_values()
-    return KDistanceLabel(
-        pre=pre,
-        light_depth=light_depth,
-        heights=heights,
-        child_heights=child_heights,
-        distances=distances,
-        has_extension=has_extension,
-        alpha=alpha,
-        compact=compact,
-        position_mod=position_mod,
-        forward=forward,
-        backward=backward,
-    )
 
 
 class KDistanceScheme(BoundedDistanceLabelingScheme):
     """The Section 4.3 k-distance labeling scheme."""
 
     name = "k-distance"
+    label_type = KDistanceLabel
 
     def __init__(self, k: int, mode: str = AUTO) -> None:
         super().__init__(k)
@@ -566,21 +468,3 @@ class KDistanceScheme(BoundedDistanceLabelingScheme):
         if lower.forward[step - 1] == direct and higher.backward[step - 1] == direct:
             return step
         return None
-
-    def parse(self, bits: Bits) -> KDistanceLabel:
-        return KDistanceLabel.from_bits(bits)
-
-    def parse_many(self, store, nodes) -> dict[int, KDistanceLabel]:
-        """Word-level bulk parse: packed store words straight into labels.
-
-        Each ``label_words`` word is decoded by :func:`_parse_word` with no
-        reader objects and no intermediate :class:`Bits` (like Freedman and
-        Alstrup there is no shared header to specialise on, so the store's
-        own word supply loop is used as-is);
-        ``tests/test_kdistance_parse_many.py`` checks this path
-        field-for-field against the generic ``parse`` route.
-        """
-        return {
-            node: _parse_word(value, bits)
-            for node, value, bits in store.label_words(nodes)
-        }

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -69,17 +69,18 @@ class LevelAncestorLabel:
         return writer.getvalue()
 
     @classmethod
+    def read(cls, reader: BitReader) -> "LevelAncestorLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        depth = reader.read_delta()
+        count = reader.read_gamma()
+        codewords = tuple(reader.read_prefixed_bits() for _ in range(count))
+        offsets = tuple(reader.read_delta() for _ in range(count + 1))
+        return cls(depth, codewords, offsets)
+
+    @classmethod
     def from_bits(cls, bits: Bits) -> "LevelAncestorLabel":
         """Parse a serialised label."""
-        reader = BitReader(bits)
-        depth = decode_delta(reader)
-        count = decode_gamma(reader)
-        codewords = []
-        for _ in range(count):
-            length = decode_gamma(reader)
-            codewords.append(reader.read_bits(length))
-        offsets = tuple(decode_delta(reader) for _ in range(count + 1))
-        return cls(depth, tuple(codewords), offsets)
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""

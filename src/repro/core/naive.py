@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.trees.tree import RootedTree
 
 
@@ -37,15 +37,19 @@ class NaiveLabel:
         return writer.getvalue()
 
     @classmethod
-    def from_bits(cls, bits: Bits) -> "NaiveLabel":
-        """Parse a serialised label."""
-        reader = BitReader(bits)
-        count = decode_gamma(reader)
+    def read(cls, reader: BitReader) -> "NaiveLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        count = reader.read_gamma()
         ancestors, distances = [], []
         for _ in range(count):
-            ancestors.append(decode_delta(reader))
-            distances.append(decode_delta(reader))
+            ancestors.append(reader.read_delta())
+            distances.append(reader.read_delta())
         return cls(ancestors, distances)
+
+    @classmethod
+    def from_bits(cls, bits: Bits) -> "NaiveLabel":
+        """Parse a serialised label."""
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
@@ -56,6 +60,7 @@ class NaiveListScheme(DistanceLabelingScheme):
     """Store the full ancestor list in every label."""
 
     name = "naive-list"
+    label_type = NaiveLabel
 
     def encode(self, tree: RootedTree) -> dict[int, NaiveLabel]:
         labels = {}
@@ -77,6 +82,3 @@ class NaiveListScheme(DistanceLabelingScheme):
         if nca_distance is None:
             raise ValueError("labels do not come from the same tree")
         return label_u.distances[0] + label_v.distances[0] - 2 * nca_distance
-
-    def parse(self, bits: Bits) -> NaiveLabel:
-        return NaiveLabel.from_bits(bits)

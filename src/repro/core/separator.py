@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.base import DistanceLabelingScheme
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.trees.tree import RootedTree
 
 
@@ -40,15 +40,19 @@ class SeparatorLabel:
         return writer.getvalue()
 
     @classmethod
-    def from_bits(cls, bits: Bits) -> "SeparatorLabel":
-        """Parse a serialised label."""
-        reader = BitReader(bits)
-        count = decode_gamma(reader)
+    def read(cls, reader: BitReader) -> "SeparatorLabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        count = reader.read_gamma()
         centroids, distances = [], []
         for _ in range(count):
-            centroids.append(decode_delta(reader))
-            distances.append(decode_delta(reader))
+            centroids.append(reader.read_delta())
+            distances.append(reader.read_delta())
         return cls(centroids, distances)
+
+    @classmethod
+    def from_bits(cls, bits: Bits) -> "SeparatorLabel":
+        """Parse a serialised label."""
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
@@ -59,6 +63,7 @@ class SeparatorScheme(DistanceLabelingScheme):
     """Centroid-decomposition labels with O(log n) levels."""
 
     name = "separator"
+    label_type = SeparatorLabel
 
     def encode(self, tree: RootedTree) -> dict[int, SeparatorLabel]:
         adjacency = self._adjacency(tree)
@@ -172,6 +177,3 @@ class SeparatorScheme(DistanceLabelingScheme):
         if best is None:
             raise ValueError("labels do not come from the same tree")
         return best
-
-    def parse(self, bits: Bits) -> SeparatorLabel:
-        return SeparatorLabel.from_bits(bits)

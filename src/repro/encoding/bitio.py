@@ -236,25 +236,50 @@ class BitWriter:
 
 
 class BitReader:
-    """Sequential reader over a :class:`Bits` value (word-at-a-time)."""
+    """Sequential reader over one packed integer: the one label decoder.
 
-    __slots__ = ("_value", "_length", "_pos")
+    A reader is the label's integer, its bit length and the count of
+    unread bits (``_rem``); the unread bits are the low ``_rem`` bits of
+    the integer, so every read is a shift and a mask.  Besides the raw
+    reads (a bit, a fixed-width field, a unary run) it decodes the
+    self-delimiting fields every label in the paper is built from (Section
+    2, "Encoding integers"): Elias gamma and delta codes, gamma-length-
+    prefixed bit strings and Lemma 2.2 monotone sequences.  Each label
+    class parses itself with one ``read(reader)`` over these methods, and
+    no other copy of the arithmetic exists.
+
+    Malformed input raises :class:`BitError` (a code that runs past the
+    end) or ``ValueError`` (a decreasing monotone sequence); a count is
+    checked against the unread bits before anything is allocated for it.
+    """
+
+    __slots__ = ("_value", "_length", "_rem")
 
     def __init__(self, bits: "Bits | str") -> None:
         if not isinstance(bits, Bits):
             bits = Bits(bits)
         self._value = bits._value
-        self._length = bits._length
-        self._pos = 0
+        self._length = self._rem = bits._length
+
+    @classmethod
+    def from_word(cls, value: int, length: int) -> "BitReader":
+        """A reader over the ``length``-bit string whose integer is ``value``.
+
+        The entry point of the store's word supply
+        (:meth:`repro.store.LabelStore.label_words`): no :class:`Bits` is
+        built.  Bits of ``value`` above ``length`` are never read, so a
+        word may keep a sentinel bit in front of the label.
+        """
+        if length < 0:
+            raise BitError("bit_length must be non-negative")
+        self = object.__new__(cls)
+        self._value = value
+        self._length = self._rem = length
+        return self
 
     @classmethod
     def from_bytes(cls, data, bit_length: int) -> "BitReader":
-        """Build a reader straight from packed bytes (or a ``memoryview``).
-
-        This is the zero-copy entry point of the store serving pipeline: the
-        stored label bytes become the reader's integer directly, with no
-        intermediate :class:`Bits` (let alone a character string).
-        """
+        """Build a reader straight from packed bytes (or a ``memoryview``)."""
         if bit_length < 0:
             raise BitError("bit_length must be non-negative")
         count = (bit_length + 7) // 8
@@ -262,61 +287,51 @@ class BitReader:
             raise BitError(
                 f"need {count} bytes for {bit_length} bits, got {len(data)}"
             )
-        self = object.__new__(cls)
-        self._value = (
-            int.from_bytes(data[:count], "big") >> (count * 8 - bit_length)
-            if bit_length
-            else 0
-        )
-        self._length = bit_length
-        self._pos = 0
-        return self
+        value = int.from_bytes(data[:count], "big") >> (count * 8 - bit_length)
+        return cls.from_word(value, bit_length)
 
     @property
     def position(self) -> int:
         """Current read offset in bits."""
-        return self._pos
+        return self._length - self._rem
 
     def seek(self, position: int) -> None:
         """Move the read cursor to an absolute bit offset."""
         if not 0 <= position <= self._length:
             raise BitError(f"seek position {position} out of range")
-        self._pos = position
+        self._rem = self._length - position
 
     def remaining(self) -> int:
         """Number of unread bits."""
-        return self._length - self._pos
+        return self._rem
 
     def read_bit(self) -> int:
         """Read a single bit."""
-        pos = self._pos
-        if pos >= self._length:
+        rem = self._rem - 1
+        if rem < 0:
             raise BitError("bit stream exhausted")
-        self._pos = pos + 1
-        return (self._value >> (self._length - pos - 1)) & 1
+        self._rem = rem
+        return (self._value >> rem) & 1
 
     def read_bits(self, count: int) -> Bits:
         """Read ``count`` bits as a :class:`Bits` value."""
         if count < 0:
             raise BitError("count must be non-negative")
-        pos = self._pos
-        if pos + count > self._length:
+        rem = self._rem - count
+        if rem < 0:
             raise BitError("bit stream exhausted")
-        self._pos = pos + count
-        return Bits._pack(
-            (self._value >> (self._length - pos - count)) & ((1 << count) - 1),
-            count,
-        )
+        self._rem = rem
+        return Bits._pack((self._value >> rem) & ((1 << count) - 1), count)
 
     def read_int(self, width: int) -> int:
         """Read a fixed-width big-endian binary number."""
         if width < 0:
             raise BitError("count must be non-negative")
-        pos = self._pos
-        if pos + width > self._length:
+        rem = self._rem - width
+        if rem < 0:
             raise BitError("bit stream exhausted")
-        self._pos = pos + width
-        return (self._value >> (self._length - pos - width)) & ((1 << width) - 1)
+        self._rem = rem
+        return (self._value >> rem) & ((1 << width) - 1)
 
     def read_unary(self) -> int:
         """Read a unary code ``0^k 1`` and return ``k`` (the zero count).
@@ -324,18 +339,97 @@ class BitReader:
         The run length is found with a single ``bit_length`` call on the
         unread suffix instead of a bit-by-bit loop.
         """
-        rem = self._length - self._pos
-        if rem <= 0:
+        rem = self._rem
+        significant = (self._value & ((1 << rem) - 1)).bit_length()
+        if not significant:
             raise BitError("bit stream exhausted")
-        suffix = self._value & ((1 << rem) - 1)
-        if not suffix:
-            raise BitError("bit stream exhausted")
-        zeros = rem - suffix.bit_length()
-        self._pos += zeros + 1
-        return zeros
+        self._rem = significant - 1
+        return rem - significant
 
     def peek_bit(self) -> int:
         """Look at the next bit without consuming it."""
-        if self._pos >= self._length:
+        rem = self._rem - 1
+        if rem < 0:
             raise BitError("bit stream exhausted")
-        return (self._value >> (self._length - self._pos - 1)) & 1
+        return (self._value >> rem) & 1
+
+    # -- self-delimiting fields ----------------------------------------------
+
+    def read_gamma(self) -> int:
+        """Read one Elias gamma code (``0^z 1 rest``, value ``1 rest`` - 1).
+
+        One ``bit_length`` on the unread suffix finds the unary run; the
+        code's value is then the ``z + 1`` bits from its leading one.
+        """
+        rem = self._rem
+        suffix = self._value & ((1 << rem) - 1)
+        significant = suffix.bit_length()
+        # the ``z`` zeros must be followed by at least ``z + 1`` bits
+        rem = 2 * significant - rem - 1
+        if not significant or rem < 0:
+            raise BitError("bit stream exhausted")
+        self._rem = rem
+        return (suffix >> rem) - 1
+
+    def read_delta(self) -> int:
+        """Read one Elias delta code: gamma(width), then ``width`` low bits."""
+        width = self.read_gamma()
+        if not width:
+            return 0
+        rem = self._rem - width
+        if rem < 0:
+            raise BitError("bit stream exhausted")
+        self._rem = rem
+        return ((1 << width) | ((self._value >> rem) & ((1 << width) - 1))) - 1
+
+    def read_prefixed_bits(self) -> Bits:
+        """Read a gamma-coded length followed by that many payload bits."""
+        return self.read_bits(self.read_gamma())
+
+    def read_monotone(self) -> list[int]:
+        """Read one Lemma 2.2 monotone sequence as a plain list.
+
+        The layout of :class:`~repro.encoding.monotone.MonotoneSequence`:
+        gamma count, gamma low width, the fixed-width low parts, then the
+        high parts as unary differences.  A decreasing sequence raises
+        ``ValueError`` once the whole sequence is read, so a truncated one
+        raises :class:`BitError` first, as the constructor check would.
+        """
+        count = self.read_gamma()
+        if not count:
+            return []
+        if count > self._rem:
+            # every element ends in a unary ``1``: the count cannot fit
+            raise BitError("bit stream exhausted")
+        low_width = self.read_gamma()
+        value = self._value
+        rem = self._rem
+        if low_width:
+            top = rem - low_width
+            rem -= count * low_width
+            if rem < 0:
+                raise BitError("bit stream exhausted")
+            mask = (1 << low_width) - 1
+            lows = [(value >> shift) & mask for shift in range(top, rem - 1, -low_width)]
+        else:
+            lows = [0] * count
+        suffix = value & ((1 << rem) - 1)
+        values = []
+        high = previous = 0
+        ordered = True
+        for low in lows:
+            significant = suffix.bit_length()
+            if not significant:
+                raise BitError("bit stream exhausted")
+            high += rem - significant
+            rem = significant - 1
+            suffix ^= 1 << rem
+            item = (high << low_width) | low
+            if item < previous:
+                ordered = False
+            previous = item
+            values.append(item)
+        self._rem = rem
+        if not ordered:
+            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
+        return values

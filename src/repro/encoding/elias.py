@@ -6,12 +6,14 @@ self-delimiting ("Encoding integers", Section 2): a non-negative integer
 is detectable without knowing its length in advance.
 
 Both codes here encode *non-negative* integers by internally shifting by one
-(classic Elias codes are defined for positive integers only).
+(classic Elias codes are defined for positive integers only).  Decoding is
+:class:`~repro.encoding.bitio.BitReader`'s: ``read_gamma`` and
+``read_delta``.
 """
 
 from __future__ import annotations
 
-from repro.encoding.bitio import BitReader, BitWriter
+from repro.encoding.bitio import BitWriter
 
 
 def encode_gamma(writer: BitWriter, value: int) -> None:
@@ -24,13 +26,6 @@ def encode_gamma(writer: BitWriter, value: int) -> None:
     # width `2*width - 1` emits the `width - 1` leading zeros of the unary
     # prefix and the binary part in a single shift.
     writer.write_int(shifted, 2 * width - 1)
-
-
-def decode_gamma(reader: BitReader) -> int:
-    """Read one Elias gamma code and return the encoded value."""
-    zeros = reader.read_unary()
-    rest = reader.read_int(zeros) if zeros else 0
-    return ((1 << zeros) | rest) - 1
 
 
 def gamma_length(value: int) -> int:
@@ -49,15 +44,6 @@ def encode_delta(writer: BitWriter, value: int) -> None:
     encode_gamma(writer, width - 1)
     if width > 1:
         writer.write_int(shifted - (1 << (width - 1)), width - 1)
-
-
-def decode_delta(reader: BitReader) -> int:
-    """Read one Elias delta code and return the encoded value."""
-    width = decode_gamma(reader) + 1
-    if width == 1:
-        return 0
-    rest = reader.read_int(width - 1)
-    return ((1 << (width - 1)) | rest) - 1
 
 
 def delta_length(value: int) -> int:

@@ -6,17 +6,19 @@ A non-decreasing sequence of ``s`` integers from ``[0, M]`` is stored in
 element).
 
 The encoding is self-delimiting so that it can be embedded inside a larger
-label and parsed back without knowing its length in advance.  Decoding
-yields the whole sequence, which then offers random access to the ``k``-th
-element.  Lemma 2.2's other two operations (constant-time successor and
-the common suffix of two prefixes) are not provided: every query path in
-this library reads a sequence to a list and works on that.
+label and parsed back without knowing its length in advance.  It is decoded
+by :meth:`~repro.encoding.bitio.BitReader.read_monotone`, which label
+parsers call directly for a plain list; :meth:`MonotoneSequence.read` wraps
+the same list, which then offers random access to the ``k``-th element.
+Lemma 2.2's other two operations (constant-time successor and the common
+suffix of two prefixes) are not provided: every query path in this library
+reads a sequence to a list and works on that.
 """
 
 from __future__ import annotations
 
-from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_gamma, encode_gamma
+from repro.encoding.bitio import BitReader, BitWriter, Bits
+from repro.encoding.elias import encode_gamma
 
 
 class MonotoneSequence:
@@ -74,21 +76,9 @@ class MonotoneSequence:
 
     @classmethod
     def read(cls, reader: BitReader) -> "MonotoneSequence":
-        """Parse an encoding produced by :meth:`write` / :attr:`bits`."""
-        count = decode_gamma(reader)
-        if count == 0:
-            return cls([])
-        if count > reader.remaining():
-            # every element ends in a unary ``1``: the count cannot fit
-            raise BitError("bit stream exhausted")
-        low_width = decode_gamma(reader)
-        lows = [reader.read_int(low_width) if low_width else 0 for _ in range(count)]
-        values: list[int] = []
-        high = 0
-        for index in range(count):
-            high += reader.read_unary()
-            values.append((high << low_width) | lows[index])
-        return cls(values)
+        """Parse an encoding produced by :meth:`write` / :attr:`bits`
+        (decoded by :meth:`BitReader.read_monotone`)."""
+        return cls(reader.read_monotone())
 
     @classmethod
     def from_bits(cls, bits: Bits) -> "MonotoneSequence":

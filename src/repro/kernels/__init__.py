@@ -6,8 +6,10 @@ interchangeable implementations:
 - **native** — ``_kernels.c`` compiled at build/first-use and loaded via
   cffi (:mod:`repro.kernels.native`); fused decode+distance for hld-fixed
   and Freedman labels straight from ``LabelStore.buffers()``.
-- **python** — the existing packed word-level paths, always available
-  (:mod:`repro.kernels.python_tier`).
+- **python** — the packed-Python paths, always available
+  (:mod:`repro.kernels.python_tier`): ``scheme.parse_many``, which reads
+  every label through its class's one ``read`` on a
+  :class:`~repro.encoding.bitio.BitReader`, then ``scheme.query``.
 
 Availability is probed once per process (quisk-style graceful degradation:
 a tier that fails to build/import is recorded and skipped, never fatal) and
@@ -23,7 +25,9 @@ each :class:`~repro.store.QueryEngine` binds one decoded-label arena in C
 (``NativeBackend.arena``), every query crosses to it as one flat buffer
 of pairs, and the engine parses in Python only when the kernel declines.
 That makes the C decoder the first reader of label bits, so it must
-decline on anything the Python parser or query would reject.
+decline on anything the Python parser or query would reject; a declined
+label then meets the same Python ``read`` on every tier
+(``tests/test_malformed_labels.py``).
 """
 
 from __future__ import annotations

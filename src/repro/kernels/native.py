@@ -348,8 +348,9 @@ class NativeBackend:
     def parse_checksum(self, store, scheme, nodes):
         """Field fold over the decoded labels of ``nodes``, or ``None``.
 
-        Matches :func:`repro.kernels.python_tier.fold_checksum` bit for bit;
-        equal checksums certify the C decoder read every field identically.
+        ``tests/test_kernels.py`` folds the same fields over
+        ``scheme.parse_many``; equal checksums certify that the C decoder
+        read every field as the Python parser does.
         """
         kind = self._kind(scheme)
         c_nodes = None if kind is None else self._nodes(nodes)

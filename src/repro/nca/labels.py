@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.encoding.alphabetic import SizeWeightedCode, common_codeword_prefix
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
@@ -54,13 +54,9 @@ class LightDepthLabel:
     @classmethod
     def read(cls, reader: BitReader) -> "LightDepthLabel":
         """Parse a label previously produced by :meth:`write`."""
-        light_depth = decode_gamma(reader)
-        codewords = []
-        for _ in range(light_depth):
-            length = decode_gamma(reader)
-            codewords.append(reader.read_bits(length))
-        domination = decode_delta(reader)
-        return cls(light_depth, codewords, domination)
+        light_depth = reader.read_gamma()
+        codewords = [reader.read_prefixed_bits() for _ in range(light_depth)]
+        return cls(light_depth, codewords, reader.read_delta())
 
     @classmethod
     def from_bits(cls, bits: Bits) -> "LightDepthLabel":

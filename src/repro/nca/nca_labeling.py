@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -62,16 +62,17 @@ class NCALabel:
         return writer.getvalue()
 
     @classmethod
+    def read(cls, reader: BitReader) -> "NCALabel":
+        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        count = reader.read_gamma()
+        codewords = [reader.read_prefixed_bits() for _ in range(count)]
+        exits = [reader.read_delta() for _ in range(count + 1)]
+        return cls(codewords, exits)
+
+    @classmethod
     def from_bits(cls, bits: Bits) -> "NCALabel":
         """Parse a serialised label."""
-        reader = BitReader(bits)
-        count = decode_gamma(reader)
-        codewords = []
-        for _ in range(count):
-            length = decode_gamma(reader)
-            codewords.append(reader.read_bits(length))
-        exits = [decode_delta(reader) for _ in range(count + 1)]
-        return cls(codewords, exits)
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""

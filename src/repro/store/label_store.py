@@ -139,8 +139,8 @@ class LabelStore:
 
         This is the innermost supply loop of batched serving: each label's
         bytes are turned into one big integer (the representation
-        :class:`~repro.encoding.bitio.BitReader` and the word-level parsers
-        consume) with no intermediate objects at all.
+        :meth:`~repro.encoding.bitio.BitReader.from_word` reads, in
+        ``scheme.parse_many``) with no intermediate objects at all.
         """
         view = self._view
         offsets = self._offsets
@@ -165,9 +165,8 @@ class LabelStore:
         """The raw packed representation: ``(view, byte_offsets, bit_lengths)``.
 
         Label ``i`` occupies ``view[byte_offsets[i]:byte_offsets[i + 1]]``
-        and is ``bit_lengths[i]`` bits long.  Word-level bulk parsers
-        (``scheme.parse_many`` overrides) read labels straight from these
-        buffers; everything is read-only.  The index sequences are
+        and is ``bit_lengths[i]`` bits long.  The native kernel tier reads
+        labels straight from these buffers; everything is read-only.  The index sequences are
         ``array('Q')`` values — indexable like lists, and buffer-protocol
         objects the native kernel tier maps without copying.
         """

@@ -27,9 +27,11 @@ its flat result into rows.
 
 The parse supply path is zero-string end to end: the store yields
 ``(node, packed_value, bit_length)`` words (:meth:`LabelStore.label_words`)
-and the scheme's ``parse_many`` turns them into label objects — no
-character-per-bit strings, and for schemes with a word-level parser no
-intermediate :class:`~repro.encoding.bitio.Bits` either.
+and the scheme's ``parse_many`` reads each through a
+:class:`~repro.encoding.bitio.BitReader` with its label class's one
+``read`` parser — no character-per-bit strings and no intermediate
+:class:`~repro.encoding.bitio.Bits`.  ``scheme.parse`` ends in the same
+``read``, so a malformed label raises the same error here as anywhere.
 """
 
 from __future__ import annotations

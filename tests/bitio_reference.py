@@ -3,14 +3,22 @@
 This is the original ``repro.encoding.bitio`` implementation, kept verbatim
 (plus the few newer entry points — ``write_zeros``, ``write_unary``,
 ``read_unary``, ``BitReader.from_bytes`` — implemented here in the same
-string style so the shared codec functions in :mod:`repro.encoding.elias`,
+string style so the encoders of :mod:`repro.encoding.elias`,
 :mod:`repro.encoding.varint` and :mod:`repro.encoding.monotone` run
-unchanged against either backend).
+unchanged against either backend).  The field decoders —
+:func:`decode_gamma`, :func:`decode_delta`, :func:`decode_prefixed_bits`
+and :func:`decode_monotone` — are written here a second time, a unary run
+and a binary field at a time on the character reader, and import nothing
+from :mod:`repro.encoding`: they are the independent check of
+``BitReader.read_gamma`` and its siblings, the one decode layer every
+label parser in ``src/`` runs on.
 
-It exists for two reasons:
+It exists for three reasons:
 
 * ``tests/test_bitio_packed.py`` checks every operation of the packed
-  :mod:`repro.encoding.bitio` against this implementation, and
+  :mod:`repro.encoding.bitio` against this implementation,
+* the reference label parsers (``freedman_reference``,
+  ``label_reference``) decode on it, and
 * the reference HLD pipeline at the bottom — the pre-packing
   string-backed pack/parse/serve path, rebuilt on this layer — is the
   baseline ``tests/test_speed_gates.py`` measures the packed store against,
@@ -26,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.encoding.bitio import BitError
-from repro.encoding.elias import decode_gamma, encode_gamma
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,58 @@ class BitReader:
         if self._pos >= len(self._data):
             raise BitError("bit stream exhausted")
         return 1 if self._data[self._pos] == "1" else 0
+
+
+# -- self-delimiting fields, one unary run and binary field at a time ---------
+
+
+def encode_gamma(writer: BitWriter, value: int) -> None:
+    """Elias gamma of ``value >= 0``: ``value + 1`` behind its zero prefix."""
+    if value < 0:
+        raise ValueError("Elias gamma encodes non-negative integers only")
+    shifted = value + 1
+    writer.write_int(shifted, 2 * shifted.bit_length() - 1)
+
+
+def decode_gamma(reader: BitReader) -> int:
+    """Elias gamma: ``z`` zeros, a one, then ``z`` more bits."""
+    zeros = reader.read_unary()
+    rest = reader.read_int(zeros) if zeros else 0
+    return ((1 << zeros) | rest) - 1
+
+
+def decode_delta(reader: BitReader) -> int:
+    """Elias delta: gamma(width), then the low ``width`` bits of ``value + 1``."""
+    width = decode_gamma(reader)
+    if not width:
+        return 0
+    return ((1 << width) | reader.read_int(width)) - 1
+
+
+def decode_prefixed_bits(reader: BitReader) -> Bits:
+    """A gamma-coded length, then that many bits."""
+    return reader.read_bits(decode_gamma(reader))
+
+
+def decode_monotone(reader: BitReader) -> list[int]:
+    """A Lemma 2.2 monotone sequence: gamma count, gamma low width, the
+    low parts, then the high parts as unary differences."""
+    count = decode_gamma(reader)
+    if not count:
+        return []
+    if count > reader.remaining():
+        # every element ends in a unary ``1``
+        raise BitError("bit stream exhausted")
+    low_width = decode_gamma(reader)
+    lows = [reader.read_int(low_width) for _ in range(count)]
+    values = []
+    high = 0
+    for low in lows:
+        high += reader.read_unary()
+        values.append((high << low_width) | low)
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise ValueError("MonotoneSequence requires a non-decreasing sequence")
+    return values
 
 
 # -- the pre-packing HLD pipeline (string-backed bit layer) -------------------

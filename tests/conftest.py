@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
-The hypothesis strategies live in :mod:`repro.testing`; import them from
-there (``from repro.testing import parent_array_trees``) rather than from
+The hypothesis strategies live in ``tests/strategies.py``; import them from
+there (``from strategies import parent_array_trees``) rather than from
 this conftest, so they resolve identically under any pytest rootdir.
 """
 
@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest
 
 from repro.generators.random_trees import random_prufer_tree
-from repro.testing import STRUCTURED_FAMILIES
+from strategies import STRUCTURED_FAMILIES
 from repro.trees.tree import RootedTree
 
 

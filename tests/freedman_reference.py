@@ -2,26 +2,30 @@
 
 ``FreedmanScheme.encode_stream`` shifts each label straight into one
 integer from per-path rows, ``FreedmanLabel.to_bits`` shifts the fields of
-a label into one integer, and ``FreedmanLabel.from_bits`` decodes with
-shifts and masks on that integer.  This module keeps the straightforward
-forms they replaced, so the differential tests can hold the word-level
-code to them, bit for bit and exception type for exception type:
+a label into one integer, and ``FreedmanLabel.read`` decodes it with the
+shared field decoders of ``BitReader``.  This module keeps straightforward
+forms of all three, so the differential tests can hold the word-level code
+to them, bit for bit and exception type for exception type:
 
 * :func:`reference_encode` builds every label field by field — a
   :class:`Bits` per codeword, kept entry and accumulator slice — from the
   scheme's shared Section 3 structure;
-* :func:`reference_to_bits` / :func:`reference_from_bits` are a
-  :class:`BitWriter`/:class:`BitReader` pass that goes through the Elias
-  helpers and builds a :class:`MonotoneSequence` per fragment array.
+* :func:`reference_to_bits` is a :class:`BitWriter` pass that goes
+  through the Elias helpers and builds a :class:`MonotoneSequence` per
+  fragment array;
+* :func:`reference_from_bits` parses on the string-backed reader of
+  :mod:`bitio_reference`, with its bit-by-bit field decoders, so the
+  one decode layer of ``src/`` is not checked against itself.
 """
 
 from __future__ import annotations
 
 import math
 
+import bitio_reference as ref
 from repro.core.freedman import THIN_FACTOR, FreedmanLabel, FreedmanScheme
-from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import decode_delta, decode_gamma, encode_delta, encode_gamma
+from repro.encoding.bitio import BitWriter, Bits
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
@@ -157,19 +161,24 @@ def reference_to_bits(label: FreedmanLabel) -> Bits:
 
 
 def reference_from_bits(bits: Bits) -> FreedmanLabel:
-    """Parse a serialised label field by field through a :class:`BitReader`."""
-    reader = BitReader(bits)
-    node_id = decode_delta(reader)
-    root_distance = decode_delta(reader)
-    domination = decode_delta(reader)
-    depth = decode_gamma(reader)
-    codewords = []
-    for _ in range(depth):
-        length = decode_gamma(reader)
-        codewords.append(reader.read_bits(length))
-    light_weights = [decode_gamma(reader) for _ in range(depth)]
-    fragment_refs = MonotoneSequence.read(reader).to_list()
-    fragment_distances = MonotoneSequence.read(reader).to_list()
+    """Parse a serialised label field by field on the string-backed reader.
+
+    Every field goes through the bit-by-bit decoders of
+    :mod:`bitio_reference`, none through :mod:`repro.encoding`.
+    """
+    reader = ref.BitReader(bits.data)
+
+    def prefixed() -> Bits:
+        return Bits(ref.decode_prefixed_bits(reader).data)
+
+    node_id = ref.decode_delta(reader)
+    root_distance = ref.decode_delta(reader)
+    domination = ref.decode_delta(reader)
+    depth = ref.decode_gamma(reader)
+    codewords = [prefixed() for _ in range(depth)]
+    light_weights = [ref.decode_gamma(reader) for _ in range(depth)]
+    fragment_refs = ref.decode_monotone(reader)
+    fragment_distances = ref.decode_monotone(reader)
     entry_skip, entry_kept, entry_pushed = [], [], []
     for _ in range(depth):
         skip = reader.read_bit() == 1
@@ -178,13 +187,9 @@ def reference_from_bits(bits: Bits) -> FreedmanLabel:
             entry_kept.append(Bits(""))
             entry_pushed.append(0)
         else:
-            length = decode_gamma(reader)
-            entry_kept.append(reader.read_bits(length))
-            entry_pushed.append(decode_gamma(reader))
-    accumulators = []
-    for _ in range(depth):
-        length = decode_gamma(reader)
-        accumulators.append(reader.read_bits(length))
+            entry_kept.append(prefixed())
+            entry_pushed.append(ref.decode_gamma(reader))
+    accumulators = [prefixed() for _ in range(depth)]
     return FreedmanLabel(
         node_id=node_id,
         root_distance=root_distance,

@@ -1,13 +1,13 @@
 """Shared hypothesis strategies and representative trees for the test suite.
 
-The strategies used to live in ``tests/conftest.py`` and were imported with
-``from conftest import ...``, which breaks as soon as pytest's rootdir puts a
-different ``conftest`` module first on ``sys.path`` (the benchmark harness has
-its own).  They are ordinary library code, so they live here as a proper
-importable module: ``from repro.testing import parent_array_trees``.
+The strategies are not imported from ``tests/conftest.py`` (``from conftest
+import ...`` breaks as soon as pytest's rootdir puts a different
+``conftest`` module first on ``sys.path``); they live in this plain
+module beside the tests, like ``bitio_reference`` and
+``freedman_reference``: ``from strategies import parent_array_trees``.
 
-Importing this module requires ``hypothesis``; the rest of the library does
-not, so the dependency stays test-only.
+Importing this module requires ``hypothesis``, which no runtime path of the
+library needs.
 """
 
 from __future__ import annotations

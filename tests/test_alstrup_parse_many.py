@@ -1,11 +1,11 @@
-"""Differential tests for the Alstrup word-level ``parse_many`` override.
+"""Differential tests for Alstrup ``parse_many`` on the store's words.
 
-``AlstrupScheme.parse_many`` decodes labels straight from the store's
-packed words (no ``BitReader``, no intermediate ``Bits`` beyond the
-codewords the label keeps); these tests pin it field-for-field against the
-generic ``LabelingScheme.parse_many`` route, which goes through
-``AlstrupLabel.from_bits`` — the same contract
-``tests/test_freedman_parse_many.py`` enforces for the Freedman decoder.
+``LabelingScheme.parse_many`` turns each packed store word into a
+``BitReader`` and parses it with ``AlstrupLabel.read``, the one Alstrup
+parser.  These tests pin it field-for-field against ``scheme.parse`` and
+against ``label_reference.alstrup_from_bits``, which decodes on the
+string-backed reader of ``bitio_reference`` — the same contract
+``tests/test_freedman_parse_many.py`` enforces for Freedman labels.
 """
 
 from __future__ import annotations
@@ -13,21 +13,22 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.alstrup import AlstrupScheme, _parse_word
-from repro.core.base import LabelingScheme
+from label_reference import alstrup_from_bits
+from repro.core.alstrup import AlstrupScheme
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import LabelStore, QueryEngine
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 def _assert_same_labels(scheme: AlstrupScheme, store: LabelStore) -> None:
     nodes = list(range(store.n))
     word_level = scheme.parse_many(store, nodes)
-    generic = LabelingScheme.parse_many(scheme, store, nodes)
-    assert set(word_level) == set(generic)
+    assert list(word_level) == nodes
     for node in nodes:
-        assert word_level[node] == generic[node], f"label of node {node} differs"
+        bits = store.label_bits(node)
+        assert word_level[node] == scheme.parse(bits), f"label of node {node} differs"
+        assert word_level[node] == alstrup_from_bits(bits), f"label of node {node} differs"
 
 
 @pytest.mark.parametrize("family", ["random", "path", "star", "caterpillar", "broom"])
@@ -44,13 +45,13 @@ def test_word_level_matches_generic_on_random_trees(tree):
     _assert_same_labels(scheme, LabelStore.encode_tree(scheme, tree))
 
 
-def test_parse_word_equals_from_bits_per_label():
+def test_parse_equals_reference_per_label():
     tree = make_tree("random", 60, seed=19)
     scheme = AlstrupScheme()
     store = LabelStore.encode_tree(scheme, tree)
     for node in range(store.n):
         bits = store.label_bits(node)
-        assert _parse_word(bits.to_int(), len(bits)) == scheme.parse(bits)
+        assert scheme.parse(bits) == alstrup_from_bits(bits)
 
 
 def test_engine_queries_through_word_parser_match_oracle():
@@ -63,7 +64,7 @@ def test_engine_queries_through_word_parser_match_oracle():
 
 
 def test_word_level_used_by_duck_typed_stores():
-    """A store exposing only ``label_words`` still gets the word decoder."""
+    """A store exposing only ``label_words`` still gets the word path."""
 
     class WordsOnlyStore:
         def __init__(self, store: LabelStore) -> None:

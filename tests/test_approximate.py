@@ -11,7 +11,7 @@ from repro.core.approximate import ApproximateLabel, ApproximateScheme, rounded_
 from repro.generators.workloads import make_tree
 from repro.oracles.exact_oracle import TreeDistanceOracle
 
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 EPSILONS = [1.0, 0.5, 0.25, 0.1, 0.05]
 
@@ -80,7 +80,7 @@ class TestApproximateScheme:
         rng = random.Random(1)
         for _ in range(100):
             u, v = rng.randrange(tree.n), rng.randrange(tree.n)
-            answer = scheme.approximate_distance_from_bits(
+            answer = scheme.query_from_bits(
                 labels[u].to_bits(), labels[v].to_bits()
             )
             exact = oracle.distance(u, v)

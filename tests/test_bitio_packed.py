@@ -21,15 +21,10 @@ from hypothesis import given, strategies as st
 
 import bitio_reference as ref
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import (
-    decode_delta,
-    decode_gamma,
-    encode_delta,
-    encode_gamma,
-)
+from repro.encoding.elias import encode_delta, encode_gamma
 from repro.encoding.monotone import MonotoneSequence
 from repro.encoding.varint import decode_unary, encode_unary
-from repro.testing import monotone_sequences
+from strategies import monotone_sequences
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -228,7 +223,7 @@ class TestCodecsDifferential:
         packed = packed_writer.getvalue()
         assert packed.data == reference_writer.getvalue().data
         reader = BitReader(packed)
-        assert [decode_gamma(reader) for _ in values] == values
+        assert [reader.read_gamma() for _ in values] == values
 
     @given(st.lists(small_ints, max_size=20))
     def test_delta_bitstream_identical(self, values):
@@ -240,7 +235,7 @@ class TestCodecsDifferential:
         packed = packed_writer.getvalue()
         assert packed.data == reference_writer.getvalue().data
         reader = BitReader(packed)
-        assert [decode_delta(reader) for _ in values] == values
+        assert [reader.read_delta() for _ in values] == values
 
     @given(st.lists(st.integers(min_value=0, max_value=300), max_size=12))
     def test_unary_bitstream_identical(self, values):
@@ -259,6 +254,78 @@ class TestCodecsDifferential:
         sequence = MonotoneSequence(values)
         restored = MonotoneSequence.from_bits(sequence.bits)
         assert restored.to_list() == values
+
+
+#: the reader's field decoders and their bit-by-bit reference twins
+FIELD_DECODERS = {
+    "gamma": (BitReader.read_gamma, ref.decode_gamma),
+    "delta": (BitReader.read_delta, ref.decode_delta),
+    "prefixed": (
+        lambda reader: reader.read_prefixed_bits().data,
+        lambda reader: ref.decode_prefixed_bits(reader).data,
+    ),
+    "monotone": (BitReader.read_monotone, ref.decode_monotone),
+    "bit": (BitReader.read_bit, ref.BitReader.read_bit),
+}
+
+encoded_fields = st.one_of(
+    st.tuples(st.just("gamma"), small_ints),
+    st.tuples(st.just("delta"), small_ints),
+    st.tuples(st.just("prefixed"), bit_strings),
+    st.tuples(st.just("monotone"), monotone_sequences()),
+    st.tuples(st.just("bit"), st.integers(min_value=0, max_value=1)),
+)
+
+
+def _write_field(writer: BitWriter, kind: str, value) -> None:
+    if kind == "gamma":
+        encode_gamma(writer, value)
+    elif kind == "delta":
+        encode_delta(writer, value)
+    elif kind == "prefixed":
+        encode_gamma(writer, len(value))
+        writer.write_bits(value)
+    elif kind == "monotone":
+        MonotoneSequence(value).write(writer)
+    else:
+        writer.write_bit(value)
+
+
+def _assert_decoders_agree(data: str, kinds) -> None:
+    """Equal values and cursors up to the first failure, then one error type."""
+    packed = BitReader(Bits(data))
+    reference = ref.BitReader(data)
+    for kind in kinds:
+        ours, theirs = FIELD_DECODERS[kind]
+        try:
+            expected = theirs(reference)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                ours(packed)
+            assert type(raised.value) is type(error), kind
+            return
+        assert ours(packed) == expected, kind
+        assert packed.position == reference.position, kind
+
+
+class TestFieldDecodersDifferential:
+    """``BitReader``'s field decoders, the one decode layer of every label
+    parser, against the string-backed decoders of ``bitio_reference``."""
+
+    @given(st.lists(encoded_fields, max_size=8), st.data())
+    def test_encoded_fields_and_their_truncations(self, items, draw):
+        writer = BitWriter()
+        for kind, value in items:
+            _write_field(writer, kind, value)
+        data = writer.getvalue().data
+        kinds = [kind for kind, _ in items]
+        _assert_decoders_agree(data, kinds)
+        cut = draw.draw(st.integers(min_value=0, max_value=len(data)))
+        _assert_decoders_agree(data[:cut], kinds)
+
+    @given(bit_strings, st.lists(st.sampled_from(sorted(FIELD_DECODERS)), max_size=10))
+    def test_arbitrary_bits(self, data, kinds):
+        _assert_decoders_agree(data, kinds)
 
 
 class TestLegacyStoreCompatibility:

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.encoding.bitio import BitReader, BitWriter
-from repro.encoding.elias import (
-    decode_delta,
-    decode_gamma,
-    delta_length,
-    encode_delta,
-    encode_gamma,
-    gamma_length,
-)
+from repro.encoding.elias import delta_length, encode_delta, encode_gamma, gamma_length
 from repro.encoding.varint import (
     bounded_width,
     decode_bounded,
@@ -26,7 +19,7 @@ class TestGamma:
     def test_round_trip(self, value):
         writer = BitWriter()
         encode_gamma(writer, value)
-        assert decode_gamma(BitReader(writer.getvalue())) == value
+        assert BitReader(writer.getvalue()).read_gamma() == value
 
     def test_length_matches_encoding(self):
         for value in range(0, 300):
@@ -46,7 +39,7 @@ class TestGamma:
         for value in values:
             encode_gamma(writer, value)
         reader = BitReader(writer.getvalue())
-        assert [decode_gamma(reader) for _ in values] == values
+        assert [reader.read_gamma() for _ in values] == values
         assert reader.remaining() == 0
 
 
@@ -55,7 +48,7 @@ class TestDelta:
     def test_round_trip(self, value):
         writer = BitWriter()
         encode_delta(writer, value)
-        assert decode_delta(BitReader(writer.getvalue())) == value
+        assert BitReader(writer.getvalue()).read_delta() == value
 
     def test_length_matches_encoding(self):
         for value in range(0, 300):
@@ -72,7 +65,7 @@ class TestDelta:
         for value in values:
             encode_delta(writer, value)
         reader = BitReader(writer.getvalue())
-        assert [decode_delta(reader) for _ in values] == values
+        assert [reader.read_delta() for _ in values] == values
 
 
 class TestUnaryAndBounded:

@@ -6,7 +6,7 @@ from hypothesis import given
 from repro.encoding.bitio import BitError, BitReader, BitWriter
 from repro.encoding.monotone import MonotoneSequence
 
-from repro.testing import monotone_sequences
+from strategies import monotone_sequences
 
 
 class TestMonotoneSequence:

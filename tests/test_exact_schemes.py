@@ -18,7 +18,7 @@ from repro.core.separator import SeparatorScheme
 from repro.generators.workloads import make_tree
 from repro.oracles.exact_oracle import TreeDistanceOracle
 
-from repro.testing import parent_array_trees, weighted_trees
+from strategies import parent_array_trees, weighted_trees
 
 ALL_EXACT_SCHEMES = [
     NaiveListScheme,
@@ -83,7 +83,7 @@ class TestExactSchemes:
         rng = random.Random(2)
         for _ in range(80):
             u, v = rng.randrange(tree.n), rng.randrange(tree.n)
-            assert exact_scheme.distance_from_bits(bits[u], bits[v]) == oracle.distance(u, v)
+            assert exact_scheme.query_from_bits(bits[u], bits[v]) == oracle.distance(u, v)
 
     def test_label_size_helpers(self, exact_scheme, medium_random_tree):
         labels = exact_scheme.encode(medium_random_tree)

@@ -1,8 +1,9 @@
-"""The word-level Freedman codec against the reader/writer reference codec.
+"""The word-level Freedman codec against the field-by-field reference codec.
 
 ``FreedmanLabel.to_bits`` shifts a whole label into one integer and
-``FreedmanLabel.from_bits`` is ``_parse_word``; ``tests/freedman_reference``
-keeps the field-by-field ``BitWriter``/``BitReader`` codec.  On valid labels
+``FreedmanLabel.from_bits`` is ``FreedmanLabel.read`` on a ``BitReader``;
+``tests/freedman_reference`` keeps a ``BitWriter`` encoder and a parser on
+the string-backed reader of ``bitio_reference``.  On valid labels
 the two must produce the same bits and the same parsed label; on invalid
 fields, truncated bits and flipped bits they must end the same way: the
 same label, or an exception of the same type.
@@ -20,7 +21,7 @@ from freedman_reference import reference_from_bits, reference_to_bits
 from repro.core.freedman import FreedmanLabel, FreedmanScheme
 from repro.encoding.bitio import Bits
 from repro.generators.random_trees import random_prufer_tree
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 # mostly small values, some past the codec's 256-entry gamma table and
 # past 64 bits
@@ -140,8 +141,8 @@ def test_flipped_tree_labels_reject_a_decreasing_sequence():
     """Single-bit flips of real labels: same label or same exception type.
 
     Some flips leave a fragment sequence that decodes completely but
-    decreases; the word parser rejects those with ``ValueError`` just as
-    the reference's ``MonotoneSequence`` does.
+    decreases; ``FreedmanLabel.read`` rejects those with ``ValueError``
+    just as the reference parser does.
     """
     scheme = FreedmanScheme()
     labels = scheme.encode(random_prufer_tree(300, seed=3))

@@ -1,10 +1,11 @@
-"""Differential tests for the Freedman word-level ``parse_many`` override.
+"""Differential tests for Freedman ``parse_many`` on the store's words.
 
-``FreedmanScheme.parse_many`` decodes labels straight from the store's
-packed words (no ``BitReader``, no ``MonotoneSequence`` reconstruction);
-these tests pin it field-for-field against the generic
-``LabelingScheme.parse_many`` route (``FreedmanLabel.from_bits`` per label)
-and against the reader-based reference parser in ``freedman_reference``.
+``LabelingScheme.parse_many`` turns each packed store word into a
+``BitReader`` and parses it with ``FreedmanLabel.read``, the one Freedman
+parser.  These tests pin it field-for-field against ``scheme.parse`` (the
+same ``read`` from a :class:`Bits`) and against the reference parser in
+``freedman_reference``, which decodes on the string-backed reader of
+``bitio_reference`` and shares no decode code with ``src/``.
 """
 
 from __future__ import annotations
@@ -13,23 +14,21 @@ import pytest
 from hypothesis import given, settings
 
 from freedman_reference import reference_from_bits
-from repro.core.base import LabelingScheme
-from repro.core.freedman import FreedmanScheme, _parse_word
+from repro.core.freedman import FreedmanScheme
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import LabelStore, QueryEngine
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 def _assert_same_labels(scheme: FreedmanScheme, store: LabelStore) -> None:
     nodes = list(range(store.n))
     word_level = scheme.parse_many(store, nodes)
-    generic = LabelingScheme.parse_many(scheme, store, nodes)
-    assert set(word_level) == set(generic)
+    assert list(word_level) == nodes
     for node in nodes:
-        assert word_level[node] == generic[node], f"label of node {node} differs"
-        reference = reference_from_bits(store.label_bits(node))
-        assert word_level[node] == reference, f"label of node {node} differs"
+        bits = store.label_bits(node)
+        assert word_level[node] == scheme.parse(bits), f"label of node {node} differs"
+        assert word_level[node] == reference_from_bits(bits), f"label of node {node} differs"
 
 
 @pytest.mark.parametrize("family", ["random", "path", "star", "caterpillar", "broom"])
@@ -60,14 +59,13 @@ def test_word_level_matches_generic_on_random_trees(tree):
     _assert_same_labels(scheme, LabelStore.encode_tree(scheme, tree))
 
 
-def test_parse_word_equals_from_bits_per_label():
+def test_parse_equals_reference_per_label():
     tree = make_tree("random", 60, seed=19)
     scheme = FreedmanScheme()
     store = LabelStore.encode_tree(scheme, tree)
     for node in range(store.n):
         bits = store.label_bits(node)
-        parsed = _parse_word(bits.to_int(), len(bits))
-        assert parsed == scheme.parse(bits) == reference_from_bits(bits)
+        assert scheme.parse(bits) == reference_from_bits(bits)
 
 
 def test_engine_queries_through_word_parser_match_oracle():
@@ -80,7 +78,7 @@ def test_engine_queries_through_word_parser_match_oracle():
 
 
 def test_word_level_used_by_duck_typed_stores():
-    """A store exposing only ``label_words`` still gets the word decoder."""
+    """A store exposing only ``label_words`` still gets the word path."""
 
     class WordsOnlyStore:
         def __init__(self, store: LabelStore) -> None:

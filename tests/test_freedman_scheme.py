@@ -11,7 +11,7 @@ from repro.core.freedman import FreedmanLabel, FreedmanScheme
 from repro.generators.workloads import make_tree
 from repro.oracles.exact_oracle import TreeDistanceOracle
 
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 class TestLabelStructure:

@@ -21,7 +21,6 @@ from dataclasses import fields
 import pytest
 
 from freedman_reference import reference_encode, reference_to_bits
-from repro.core import freedman
 from repro.core.freedman import FreedmanLabel, FreedmanScheme
 from repro.encoding.elias import gamma_length
 from repro.generators.random_trees import random_prufer_tree, random_weighted_tree
@@ -77,15 +76,15 @@ def test_wide_tree_has_entries_wider_than_a_word():
 
 @pytest.fixture
 def parse_calls(monkeypatch):
-    """Every call of the word parser, recorded."""
+    """Every call of the label parser, recorded (by label length)."""
     calls = []
-    original = freedman._parse_word
+    original = FreedmanLabel.read.__func__
 
-    def counting(value, total):
-        calls.append(total)
-        return original(value, total)
+    def counting(cls, reader):
+        calls.append(reader.remaining())
+        return original(cls, reader)
 
-    monkeypatch.setattr(freedman, "_parse_word", counting)
+    monkeypatch.setattr(FreedmanLabel, "read", classmethod(counting))
     return calls
 
 

@@ -21,7 +21,7 @@ from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
 
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 def expected_answer(oracle, u, v, k):
@@ -126,7 +126,7 @@ class TestSchemeBasics:
         oracle = TreeDistanceOracle(tree)
         labels = scheme.encode(tree)
         for u, v in [(0, 1), (0, 49), (10, 12), (3, 3)]:
-            assert scheme.bounded_distance_from_bits(
+            assert scheme.query_from_bits(
                 labels[u].to_bits(), labels[v].to_bits()
             ) == expected_answer(oracle, u, v, 5)
 

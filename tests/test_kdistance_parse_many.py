@@ -1,13 +1,14 @@
-"""Differential tests for the k-distance word-level ``parse_many`` override.
+"""Differential tests for k-distance ``parse_many`` on the store's words.
 
-``KDistanceScheme.parse_many`` decodes labels straight from the store's
-packed words (no ``BitReader``, no intermediate ``MonotoneSequence``
-objects); these tests pin it field-for-field against the generic
-``LabelingScheme.parse_many`` route, which goes through
-``KDistanceLabel.from_bits`` — the same contract
-``tests/test_freedman_parse_many.py`` and ``tests/test_alstrup_parse_many.py``
-enforce for the other word decoders.  Both the compact (``k < log n``,
-Lemma 4.5 tables present) and simple regimes are exercised.
+``LabelingScheme.parse_many`` turns each packed store word into a
+``BitReader`` and parses it with ``KDistanceLabel.read``, the one
+k-distance parser.  These tests pin it field-for-field against
+``scheme.parse`` and against ``label_reference.kdistance_from_bits``, which
+decodes on the string-backed reader of ``bitio_reference`` — the same
+contract ``tests/test_freedman_parse_many.py`` and
+``tests/test_alstrup_parse_many.py`` enforce for the other label formats.
+Both the compact (``k < log n``, Lemma 4.5 tables present) and simple
+regimes are exercised.
 """
 
 from __future__ import annotations
@@ -15,21 +16,22 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.base import LabelingScheme
-from repro.core.kdistance import KDistanceScheme, _parse_word
+from label_reference import kdistance_from_bits
+from repro.core.kdistance import KDistanceScheme
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import LabelStore, QueryEngine
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 def _assert_same_labels(scheme: KDistanceScheme, store: LabelStore) -> None:
     nodes = list(range(store.n))
     word_level = scheme.parse_many(store, nodes)
-    generic = LabelingScheme.parse_many(scheme, store, nodes)
-    assert set(word_level) == set(generic)
+    assert list(word_level) == nodes
     for node in nodes:
-        assert word_level[node] == generic[node], f"label of node {node} differs"
+        bits = store.label_bits(node)
+        assert word_level[node] == scheme.parse(bits), f"label of node {node} differs"
+        assert word_level[node] == kdistance_from_bits(bits), f"label of node {node} differs"
 
 
 @pytest.mark.parametrize("family", ["random", "path", "star", "caterpillar", "broom"])
@@ -50,13 +52,13 @@ def test_word_level_matches_generic_on_random_trees(tree):
 
 
 @pytest.mark.parametrize("mode", ["compact", "simple"])
-def test_parse_word_equals_from_bits_per_label(mode):
+def test_parse_equals_reference_per_label(mode):
     tree = make_tree("random", 60, seed=19)
     scheme = KDistanceScheme(4, mode=mode)
     store = LabelStore.encode_tree(scheme, tree)
     for node in range(store.n):
         bits = store.label_bits(node)
-        assert _parse_word(bits.to_int(), len(bits)) == scheme.parse(bits)
+        assert scheme.parse(bits) == kdistance_from_bits(bits)
 
 
 def test_engine_queries_through_word_parser_match_oracle():
@@ -72,7 +74,7 @@ def test_engine_queries_through_word_parser_match_oracle():
 
 
 def test_word_level_used_by_duck_typed_stores():
-    """A store exposing only ``label_words`` still gets the word decoder."""
+    """A store exposing only ``label_words`` still gets the word path."""
 
     class WordsOnlyStore:
         def __init__(self, store: LabelStore) -> None:

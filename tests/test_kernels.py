@@ -30,7 +30,7 @@ from repro.encoding.varint import encode_uvarint
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import STORE_MAGIC, LabelStore, QueryEngine, StoreError
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 #: every registered scheme, parameterised where construction needs it
 ALL_SPECS = [
@@ -352,20 +352,64 @@ def test_batch_with_an_undecodable_label_admits_nothing(spec):
             assert (info["hits"], info["misses"], info["size"]) == (0, 6, 2), tier
 
 
+_MASK64 = (1 << 64) - 1
+_FNV_OFFSET = 1469598103934665603
+_FNV_PRIME = 1099511628211
+
+
+def _fold_checksum(spec: str, labels) -> int:
+    """FNV-1a-style fold over every decoded field of ``labels`` (in order).
+
+    The C side computes the identical fold over its own decode
+    (``repro_checksum``, reached through ``NativeBackend.parse_checksum``),
+    so an equal checksum certifies that the C decoder and ``scheme.read``
+    read every field of the stream identically.
+    """
+    h = _FNV_OFFSET
+
+    def fold(value: int) -> None:
+        nonlocal h
+        h = ((h ^ value) * _FNV_PRIME) & _MASK64
+
+    for label in labels:
+        if spec == "hld-fixed":
+            fold(label.root_distance)
+            fold(label._count)
+            for path_id, exit_distance in zip(label.path_ids, label.exits):
+                fold(path_id)
+                fold(exit_distance)
+            continue
+        for value in (label.node_id, label.root_distance, label.domination):
+            fold(value)
+        fold(label.light_depth)
+        for level in range(label.light_depth):
+            fold(len(label.codewords[level]))
+            fold(label.codewords[level].to_int())
+            fold(label.light_weights[level])
+            fold(int(label.entry_skip[level]))
+            fold(len(label.entry_kept[level]))
+            fold(label.entry_kept[level].to_int())
+            fold(label.entry_pushed[level])
+        for value in label.fragment_refs + label.fragment_distances:
+            fold(value)
+        for accumulator in label.accumulators:
+            fold(len(accumulator))
+            fold(accumulator.to_int() & _MASK64)
+    return h
+
+
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
 def test_parse_checksums_agree_across_tiers(spec):
-    """Every tier's decoder reads the exact same fields from the stream."""
+    """The C decoder reads the exact same fields as ``scheme.parse_many``."""
     tree = make_tree("random", 150, seed=59)
     scheme = make_scheme_from_spec(spec)
     store = LabelStore.encode_tree(scheme, tree)
     nodes = list(range(store.n))
-    checksums = {}
-    for tier in available_tiers():
-        backend = kernels.get_backend(tier)
-        checksum = backend.parse_checksum(store, scheme, nodes)
-        if checksum is not None:
-            checksums[tier] = checksum
-    assert "python" in checksums
+    parsed = scheme.parse_many(store, nodes)
+    checksums = {"python": _fold_checksum(spec, [parsed[node] for node in nodes])}
+    native = kernels.get_backend("native")
+    if native is not None:
+        checksums["native"] = native.parse_checksum(store, scheme, nodes)
     assert len(set(checksums.values())) == 1, checksums
 
 

@@ -12,7 +12,7 @@ from repro.generators.workloads import make_tree
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.trees.tree import RootedTree
 
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 class TestLevelAncestorScheme:

@@ -11,7 +11,7 @@ from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
 
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 def naive_lca(tree: RootedTree, u: int, v: int) -> int:

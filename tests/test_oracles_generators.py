@@ -37,7 +37,7 @@ from repro.oracles.distance_matrix import DistanceMatrix
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.trees.tree import RootedTree
 
-from repro.testing import weighted_trees
+from strategies import weighted_trees
 
 
 class TestDistanceMatrix:

@@ -16,7 +16,7 @@ from repro.encoding.varint import decode_uvarint, encode_uvarint
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import STORE_MAGIC, LabelStore, QueryEngine, StoreError
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 # every registered scheme as a (factory, kind) pair: the full exact registry
 # (ablation aliases included) plus one bounded and one approximate instance

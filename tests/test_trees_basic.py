@@ -6,7 +6,7 @@ from hypothesis import given
 from repro.trees.builder import tree_from_edges, tree_from_parents
 from repro.trees.tree import RootedTree, TreeError
 
-from repro.testing import parent_array_trees, weighted_trees
+from strategies import parent_array_trees, weighted_trees
 
 
 class TestConstruction:

@@ -15,7 +15,7 @@ from repro.trees.validation import (
     check_partition_into_paths,
 )
 
-from repro.testing import parent_array_trees
+from strategies import parent_array_trees
 
 
 class TestHeavyPathDecomposition:

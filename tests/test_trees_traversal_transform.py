@@ -18,7 +18,7 @@ from repro.trees.transform import attach_leaves, binarize, prepare_for_leaf_quer
 from repro.trees.traversal import bfs_order, euler_tour, leaves_in_preorder, nodes_by_depth
 from repro.trees.tree import RootedTree
 
-from repro.testing import parent_array_trees, weighted_trees
+from strategies import parent_array_trees, weighted_trees
 
 
 class TestTraversals:
