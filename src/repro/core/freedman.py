@@ -82,12 +82,14 @@ def _append_monotone(word: int, values: list[int]) -> int:
     sequence, as the :class:`MonotoneSequence` constructor does.
     """
     count = len(values)
-    word = word << _gamma_width(count) | count + 1
+    code = _GAMMA_WIDTH[count] if count < 256 else _gamma_width(count)
+    word = word << code | count + 1
     if not count:
         return word
     last = values[-1]
     low_width = max(0, last.bit_length() - count.bit_length())
-    word = word << _gamma_width(low_width) | low_width + 1
+    code = _GAMMA_WIDTH[low_width] if low_width < 256 else _gamma_width(low_width)
+    word = word << code | low_width + 1
     if low_width:
         mask = (1 << low_width) - 1
         for value in values:
@@ -382,28 +384,38 @@ class FreedmanScheme(DistanceLabelingScheme):
         light = LightDepthLabeling(working, collapsed)
         codeword_value = light.codeword_value
         codeword_length = light.codeword_length
-        boundaries, fragment_ref, entry_value = self._compute_fragments(working, collapsed)
+        head_distance = array("q", map(working._root_distance.__getitem__, collapsed._head))
+        boundaries, fragment_ref, entry_value = self._compute_fragments(
+            working, collapsed, head_distance
+        )
         entry_segment, entry_width, prefix_length, accumulator = self._compute_entries(
             working, collapsed, entry_value
         )
         del entry_value
         # the gamma code of the light-edge weight into every path
-        heads = map(collapsed.head, range(len(collapsed)))
-        weight_code = array("Q", (working.edge_weight(head) + 1 for head in heads))
+        light_weights = map(working._weights.__getitem__, collapsed._head)
+        weight_code = array("Q", map((1).__add__, light_weights))
         weight_width = array("B", (2 * code.bit_length() - 1 for code in weight_code))
 
         table = _GAMMA_WIDTH
         limit = len(table)
         query_node = transform.query_node
-        root_path_sequence = collapsed.root_path_sequence
-        root_distance = working.root_distance
-        domination_number = collapsed.domination_number
+        path_of = decomposition._path_of
+        collapsed_parent = collapsed._parent
+        root_distance = working._root_distance
+        domination_number = collapsed._postorder_number
         for original in range(tree.n):
             leaf = query_node[original]
-            sequence = root_path_sequence(leaf)
-            own_path = sequence[-1]
+            own_path = path_of[leaf]
+            # the collapsed root path, root first
+            sequence = [own_path]
+            path = collapsed_parent[own_path]
+            while path >= 0:
+                sequence.append(path)
+                path = collapsed_parent[path]
+            sequence.reverse()
             word = 1
-            for value in (original, root_distance(leaf), domination_number(own_path)):
+            for value in (original, root_distance[leaf], domination_number[own_path]):
                 # Elias delta: gamma(width), then the low ``width`` bits
                 shifted = value + 1
                 width = shifted.bit_length() - 1
@@ -432,7 +444,15 @@ class FreedmanScheme(DistanceLabelingScheme):
             width = weights.bit_length() - 1
             word = word << width | weights ^ 1 << width
             word = _append_monotone(word, refs)
-            word = _append_monotone(word, boundaries[own_path])
+            distances = boundaries[own_path]
+            if distances is None:
+                # a path without children: its parent's boundaries, then
+                # its own head distance once per boundary it added
+                distances = boundaries[sequence[-2]]
+                added = fragment_ref[own_path] + 1 - len(distances)
+                if added:
+                    distances += (head_distance[own_path],) * added
+            word = _append_monotone(word, distances)
             for group in (entries, acc):
                 width = group.bit_length() - 1
                 word = word << width | group ^ 1 << width
@@ -441,7 +461,7 @@ class FreedmanScheme(DistanceLabelingScheme):
             yield label
 
     def _compute_fragments(
-        self, working: RootedTree, collapsed: CollapsedTree
+        self, working: RootedTree, collapsed: CollapsedTree, head_distance: "array"
     ) -> tuple[list, "array", "array"]:
         """Fragment boundaries along every collapsed root path (Section 3.3).
 
@@ -449,7 +469,13 @@ class FreedmanScheme(DistanceLabelingScheme):
         (widely shared) boundary tuples, ``fragment_ref`` and
         ``entry_value`` are packed arrays — a dict entry per path costs an
         order of magnitude more, which the 10⁷-node streaming builds of
-        :mod:`repro.scale` cannot afford.
+        :mod:`repro.scale` cannot afford.  A path's boundaries are its
+        parent's, extended by its own head distance while its head's
+        subtree is small enough; only the root path and paths with
+        children keep their tuple (``None`` elsewhere): a childless path's
+        is rebuilt from its parent's and ``fragment_ref`` when its label is
+        emitted, so one per pendant leaf is never held at once.
+        ``head_distance`` is the root distance of every path's head.
         """
         n = working.n
         block = max(1, math.ceil(math.sqrt(max(1.0, math.log2(max(n, 2))))))
@@ -458,30 +484,35 @@ class FreedmanScheme(DistanceLabelingScheme):
         boundaries: list = [None] * path_count
         fragment_ref = array("i", bytes(4 * path_count))
         entry_value = array("q", bytes(8 * path_count))
+        parent_row = collapsed._parent
+        child_start = collapsed._child_start
+        head_size = array("i", map(working._subtree_size.__getitem__, collapsed._head))
+        use_fragments = self._use_fragments
 
         root_path = collapsed.root
-        boundaries[root_path] = (working.root_distance(collapsed.head(root_path)),)
-
-        order = [root_path]
-        stack = list(collapsed.children(root_path))
-        while stack:
-            path = stack.pop()
-            order.append(path)
-            stack.extend(collapsed.children(path))
-
-        for path in order[1:]:
-            parent = collapsed.parent(path)
-            assert parent is not None
-            blist = boundaries[parent]
-            head = collapsed.head(path)
-            head_distance = working.root_distance(head)
-            head_size = working.subtree_size(head)
-            if self._use_fragments:
-                while head_size * (2 ** (len(blist) * block)) <= n:
-                    blist = blist + (head_distance,)
-            boundaries[path] = blist
-            fragment_ref[path] = len(blist) - 1
-            entry_value[path] = head_distance - blist[-1]
+        boundaries[root_path] = (head_distance[root_path],)
+        # a parent path's id is below its children's (the decomposition
+        # numbers a path after the walk of its parent path pushed its head),
+        # so id order is top-down
+        for path in range(path_count):
+            if path == root_path:
+                continue
+            blist = boundaries[parent_row[path]]
+            count = len(blist)
+            if use_fragments:
+                size = head_size[path]
+                while size << count * block <= n:
+                    count += 1
+            fragment_ref[path] = count - 1
+            added = count - len(blist)
+            has_children = child_start[path] != child_start[path + 1]
+            if not added:
+                entry_value[path] = head_distance[path] - blist[-1]
+            elif has_children:
+                # the entry is 0: the head is its own last boundary
+                blist += (head_distance[path],) * added
+            if has_children:
+                boundaries[path] = blist
         return boundaries, fragment_ref, entry_value
 
     def _compute_entries(
@@ -511,29 +542,26 @@ class FreedmanScheme(DistanceLabelingScheme):
         fat = 0
         thin = 0
         skipped = 0
+        start, data = collapsed._child_start, collapsed._child_data
+        heads, branches = collapsed._head, collapsed._branch_node
+        size = working._subtree_size
+        use_accumulators = self._use_accumulators
 
         for parent_path in range(path_count):
-            children = collapsed.children(parent_path)
-            if not children:
+            first, last = start[parent_path], start[parent_path + 1] - 1
+            if last < first:
                 continue
             accumulated = 0
             accumulated_bits = 0
-            last_index = len(children) - 1
-            for index, child in enumerate(children):
+            for index in range(first, last):
+                child = data[index]
                 prefix_length[child] = accumulated_bits
-                if index == last_index:
-                    segment[child] = 1
-                    skipped += 1
-                    continue
                 value = entry_value[child]
                 full_bits = value.bit_length()
-                head = collapsed.head(child)
-                branch = collapsed.branch_node(child)
-                assert branch is not None
-                hanging_size = working.subtree_size(head)
-                branch_size = working.subtree_size(branch)
+                hanging_size = size[heads[child]]
+                branch_size = size[branches[child]]
                 is_thin = hanging_size * THIN_FACTOR <= branch_size
-                if is_thin or not self._use_accumulators:
+                if is_thin or not use_accumulators:
                     length = full_bits
                     thin += 1 if is_thin else 0
                 else:
@@ -556,6 +584,11 @@ class FreedmanScheme(DistanceLabelingScheme):
                     accumulated = accumulated << pushed | value & ((1 << pushed) - 1)
                     accumulated_bits += pushed
                     total_pushed += pushed
+            # the last (exceptional) child's entry is skipped
+            child = data[last]
+            prefix_length[child] = accumulated_bits
+            segment[child] = 1
+            skipped += 1
             if accumulated_bits:
                 accumulator[parent_path] = (accumulated, accumulated_bits)
 

@@ -24,7 +24,6 @@ from repro.encoding.elias import (
     gamma_length,
     delta_length,
 )
-from repro.encoding.varint import decode_unary, encode_unary
 from repro.encoding.monotone import MonotoneSequence
 from repro.encoding.alphabetic import SizeWeightedCode
 
@@ -36,8 +35,6 @@ __all__ = [
     "encode_delta",
     "gamma_length",
     "delta_length",
-    "encode_unary",
-    "decode_unary",
     "MonotoneSequence",
     "SizeWeightedCode",
 ]

@@ -34,21 +34,8 @@ class SizeWeightedCode:
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         total = sum(weights)
-        lengths = [max(1, (total + w - 1) // w - 1).bit_length() + 1 for w in weights]
-        # canonical code assignment: process in order of increasing length
-        order = sorted(range(len(weights)), key=lambda i: (lengths[i], i))
-        words: list = [None] * len(weights)
-        code = 0
-        previous_length = lengths[order[0]]
-        for position, index in enumerate(order):
-            length = lengths[index]
-            if position > 0:
-                code = (code + 1) << (length - previous_length)
-            if code >= (1 << length):
-                raise ValueError("Kraft inequality violated; weights inconsistent")
-            words[index] = (code, length)
-            previous_length = length
-        self.words = words
+        lengths = [codeword_length_bound(total, weight) for weight in weights]
+        self.words = list(zip(canonical_code_values(lengths), lengths))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -68,8 +55,29 @@ class SizeWeightedCode:
 
 
 def codeword_length_bound(total: int, weight: int) -> int:
-    """Upper bound on the codeword length used for a child of ``weight``."""
+    """Length of the codeword of a child of ``weight`` out of ``total``."""
     return max(1, (total + weight - 1) // weight - 1).bit_length() + 1
+
+
+def canonical_code_values(lengths: list[int]) -> list[int]:
+    """Values of the canonical prefix-free code with the given lengths.
+
+    Codewords are assigned in order of increasing length, ties in item
+    order: the first is 0 and each next one is the previous value plus
+    one, shifted left by the growth in length.  Raises ``ValueError`` if
+    the lengths break the Kraft inequality.
+    """
+    values = [0] * len(lengths)
+    code = -1
+    previous_length = 0
+    for index in sorted(range(len(lengths)), key=lengths.__getitem__):
+        length = lengths[index]
+        code = (code + 1) << (length - previous_length)
+        if code >> length:
+            raise ValueError("Kraft inequality violated; weights inconsistent")
+        values[index] = code
+        previous_length = length
+    return values
 
 
 def path_identifier(codewords: list[Bits]) -> Bits:

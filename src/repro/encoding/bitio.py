@@ -277,29 +277,10 @@ class BitReader:
         self._length = self._rem = length
         return self
 
-    @classmethod
-    def from_bytes(cls, data, bit_length: int) -> "BitReader":
-        """Build a reader straight from packed bytes (or a ``memoryview``)."""
-        if bit_length < 0:
-            raise BitError("bit_length must be non-negative")
-        count = (bit_length + 7) // 8
-        if len(data) < count:
-            raise BitError(
-                f"need {count} bytes for {bit_length} bits, got {len(data)}"
-            )
-        value = int.from_bytes(data[:count], "big") >> (count * 8 - bit_length)
-        return cls.from_word(value, bit_length)
-
     @property
     def position(self) -> int:
         """Current read offset in bits."""
         return self._length - self._rem
-
-    def seek(self, position: int) -> None:
-        """Move the read cursor to an absolute bit offset."""
-        if not 0 <= position <= self._length:
-            raise BitError(f"seek position {position} out of range")
-        self._rem = self._length - position
 
     def remaining(self) -> int:
         """Number of unread bits."""
@@ -345,13 +326,6 @@ class BitReader:
             raise BitError("bit stream exhausted")
         self._rem = significant - 1
         return rem - significant
-
-    def peek_bit(self) -> int:
-        """Look at the next bit without consuming it."""
-        rem = self._rem - 1
-        if rem < 0:
-            raise BitError("bit stream exhausted")
-        return (self._value >> rem) & 1
 
     # -- self-delimiting fields ----------------------------------------------
 

@@ -1,50 +1,13 @@
-"""Small auxiliary integer codes: unary, bounded binary and byte varints.
-
-The unary code ``0^x 1`` is used by Lemma 2.2 to encode the quotient
-sequence, and bounded binary codes ("write x using exactly ceil(log2 M)
-bits") are used whenever a field has a known universe.
+"""Byte varints: the framing code of the store format and the wire protocol.
 
 The byte-level LEB128 varint (``encode_uvarint``/``decode_uvarint``) is the
-framing code of the :mod:`repro.store` binary format: unlike the bit codes
-above it keeps every field byte-aligned so stored labels can be sliced
-zero-copy with :class:`memoryview`.
+framing code of the :mod:`repro.store` binary format and of RSP/1: unlike
+the bit codes of :mod:`repro.encoding.elias` it keeps every field
+byte-aligned so stored labels can be sliced zero-copy with
+:class:`memoryview`.
 """
 
 from __future__ import annotations
-
-from repro.encoding.bitio import BitReader, BitWriter
-
-
-def encode_unary(writer: BitWriter, value: int) -> None:
-    """Append ``value`` zeros followed by a terminating one."""
-    if value < 0:
-        raise ValueError("unary code encodes non-negative integers only")
-    writer.write_unary(value)
-
-
-def decode_unary(reader: BitReader) -> int:
-    """Read a unary code and return the number of leading zeros."""
-    return reader.read_unary()
-
-
-def bounded_width(universe: int) -> int:
-    """Width in bits needed to store any value in ``[0, universe]``."""
-    if universe < 0:
-        raise ValueError("universe must be non-negative")
-    return max(1, universe.bit_length())
-
-
-def encode_bounded(writer: BitWriter, value: int, universe: int) -> None:
-    """Append ``value`` using ``bounded_width(universe)`` bits."""
-    if not 0 <= value <= universe:
-        raise ValueError(f"value {value} outside universe [0, {universe}]")
-    writer.write_int(value, bounded_width(universe))
-
-
-def decode_bounded(reader: BitReader, universe: int) -> int:
-    """Read a value written by :func:`encode_bounded`."""
-    return reader.read_int(bounded_width(universe))
-
 
 #: all 128 one-byte codes, precomputed: the wire protocol encodes several
 #: small fields (opcount, name length, frame length) per message

@@ -21,7 +21,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from repro.encoding.alphabetic import SizeWeightedCode, common_codeword_prefix
+from repro.encoding.alphabetic import (
+    canonical_code_values,
+    codeword_length_bound,
+    common_codeword_prefix,
+)
 from repro.encoding.bitio import BitReader, BitWriter, Bits
 from repro.encoding.elias import encode_delta, encode_gamma
 from repro.trees.collapsed import CollapsedTree
@@ -89,16 +93,32 @@ class LightDepthLabeling:
         self._build_codes()
 
     def _build_codes(self) -> None:
+        """The light code of every collapsed node's children, from rows.
+
+        Each child path is weighted by its head's subtree size, out of the
+        total of its siblings: the nodes of the parent path's head subtree
+        that are not on the parent path.  Children, heads and sizes are
+        read straight from the collapsed tree's CSR and the tree's rows.
+        """
         collapsed = self._collapsed
-        tree = self._tree
+        size = self._tree._subtree_size
+        heads = collapsed._head
+        start, data = collapsed._child_start, collapsed._child_data
+        path_start = collapsed.decomposition._path_start
+        codeword_value, codeword_length = self.codeword_value, self.codeword_length
         for node in range(len(collapsed)):
-            children = collapsed.children(node)
-            if not children:
+            first, end = start[node], start[node + 1]
+            if first == end:
                 continue
-            weights = [tree.subtree_size(collapsed.head(child)) for child in children]
-            for child, (value, length) in zip(children, SizeWeightedCode(weights).words):
-                self.codeword_value[child] = value
-                self.codeword_length[child] = length
+            total = size[heads[node]] - (path_start[node + 1] - path_start[node])
+            children = data[first:end]
+            lengths = [
+                codeword_length_bound(total, weight)
+                for weight in map(size.__getitem__, map(heads.__getitem__, children))
+            ]
+            for child, value, length in zip(children, canonical_code_values(lengths), lengths):
+                codeword_value[child] = value
+                codeword_length[child] = length
 
     def codeword(self, path: int) -> Bits:
         """Codeword of the light edge into collapsed path ``path``."""

@@ -17,9 +17,11 @@ all the distance-array machinery of Section 3:
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
+from operator import add, mul
 
 from repro.trees.heavy_path import HeavyPathDecomposition
-from repro.trees.tree import RootedTree
+from repro.trees.tree import RootedTree, csr_starts
 
 
 class CollapsedTree:
@@ -33,90 +35,67 @@ class CollapsedTree:
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
+        """Every row from the decomposition's rows, with no per-path calls.
+
+        Siblings come from one stable sort of the paths on a key made of
+        rows — parent path, then the branch node's position on it, then
+        the head's subtree size — so a parent's children are contiguous
+        and ordered top-to-bottom, largest (exceptional) last, ties by id.
+        """
         hpd = self._hpd
         tree = self._tree
         path_count = hpd.path_count()
-        zeros = bytes(4 * path_count)
-
+        path_of, position = hpd._path_of, hpd._position
+        size = tree._subtree_size
         # like RootedTree, everything is array('i') rows with -1 sentinels
-        # and a CSR children adjacency — a few dozen bytes per heavy path
-        # instead of nested Python lists
-        self._parent = array("i", zeros)
-        self._branch_node = array("i", zeros)
-        counts = array("i", bytes(4 * (path_count + 1)))
+        # and a CSR children adjacency — 32 bytes per heavy path instead of
+        # nested Python lists
+        heads = array("i", map(hpd._path_data.__getitem__, hpd._path_start[:-1]))
+        self._head = heads
+        self._root_path = root_path = path_of[tree.root]
+        branch = array("i", map(tree._parents.__getitem__, heads))
+        parent = array("i", map(path_of.__getitem__, branch))
+        parent[root_path] = -1
+        self._branch_node = branch
+        self._parent = parent
 
-        for path_id in range(path_count):
-            head = hpd.head(path_id)
-            branch = tree.parent(head)
-            if branch is None:
-                self._root_path = path_id
-                self._parent[path_id] = -1
-                self._branch_node[path_id] = -1
-                continue
-            parent_path = hpd.path_of(branch)
-            self._parent[path_id] = parent_path
-            self._branch_node[path_id] = branch
-            counts[parent_path + 1] += 1
-
-        for path_id in range(path_count):
-            counts[path_id + 1] += counts[path_id]
-        self._child_start = counts
-        child_data = array("i", zeros[: 4 * (path_count - 1)])
-        cursor = array("i", counts[:path_count])
-        for path_id in range(path_count):
-            parent_path = self._parent[path_id]
-            if parent_path >= 0:
-                child_data[cursor[parent_path]] = path_id
-                cursor[parent_path] += 1
-
-        # order children: branch position on the parent path ascending,
-        # then subtree size ascending (largest / exceptional last), then id
-        for path_id in range(path_count):
-            row = slice(counts[path_id], counts[path_id + 1])
-            siblings = child_data[row].tolist()
-            if len(siblings) > 1:
-                siblings.sort(
-                    key=lambda child: (
-                        hpd.position_on_path(self._branch_node[child]),
-                        tree.subtree_size(hpd.head(child)),
-                        child,
-                    )
-                )
-                child_data[row] = array("i", siblings)
+        # one sort key per path: (parent path, branch position, head size)
+        # in mixed radix n + 1; the root path's parent is -1, so its key is
+        # negative and it sorts first
+        radix = tree.n + 1
+        outer = map(mul, parent, repeat(radix * radix))
+        middle = map(mul, map(position.__getitem__, branch), repeat(radix))
+        key = list(map(add, map(add, outer, middle), map(size.__getitem__, heads)))
+        child_data = array("i", sorted(range(path_count), key=key.__getitem__))
+        del key
+        del child_data[0]
         self._child_data = child_data
+        self._child_start = counts = csr_starts(parent)
 
-        self._child_index = array("i", zeros)
-        for path_id in range(path_count):
-            for index in range(counts[path_id], counts[path_id + 1]):
-                self._child_index[child_data[index]] = index - counts[path_id]
+        self._child_index = child_index = array("i", bytes(4 * path_count))
+        for index, child in enumerate(child_data):
+            child_index[child] = index - counts[parent[child]]
 
-        self._depth = array("i", zeros)
-        preorder = array("i", zeros)
-        pre_cursor = 0
-        stack = [self._root_path]
-        while stack:
-            node = stack.pop()
-            preorder[pre_cursor] = node
-            pre_cursor += 1
-            for index in range(counts[node], counts[node + 1]):
-                child = child_data[index]
-                self._depth[child] = self._depth[node] + 1
-                stack.append(child)
-        self._preorder = preorder
+        # a collapsed node's depth is the light depth of its heavy path
+        self._depth = array("i", map(hpd._light_depth.__getitem__, heads))
 
         # postorder (domination) numbering; ~node encodes the exit visit
-        self._postorder_number = array("i", zeros)
+        self._postorder_number = postorder_number = array("i", bytes(4 * path_count))
         counter = 0
-        stack2 = [self._root_path]
-        while stack2:
-            node = stack2.pop()
+        stack = [root_path]
+        pop = stack.pop
+        push = stack.append
+        # children reversed, so one slice pushes them for a left-to-right visit
+        reversed_data = child_data[::-1]
+        last = len(child_data)
+        while stack:
+            node = pop()
             if node < 0:
-                self._postorder_number[~node] = counter
+                postorder_number[~node] = counter
                 counter += 1
                 continue
-            stack2.append(~node)
-            for index in range(counts[node + 1] - 1, counts[node] - 1, -1):
-                stack2.append(child_data[index])
+            push(~node)
+            stack.extend(reversed_data[last - counts[node + 1] : last - counts[node]])
 
     # -- accessors ---------------------------------------------------------
 
@@ -160,11 +139,11 @@ class CollapsedTree:
 
     def head(self, collapsed_node: int) -> int:
         """Head (in T) of the heavy path behind a collapsed node."""
-        return self._hpd.head(collapsed_node)
+        return self._head[collapsed_node]
 
     def light_edge_weight(self, collapsed_node: int) -> int:
         """Weight of the light edge connecting this path to its parent path."""
-        return self._tree.edge_weight(self._hpd.head(collapsed_node))
+        return self._tree.edge_weight(self._head[collapsed_node])
 
     def depth(self, collapsed_node: int) -> int:
         """Depth of a collapsed node (= light depth of its heavy path)."""

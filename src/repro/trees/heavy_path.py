@@ -31,8 +31,10 @@ class HeavyPathDecomposition:
         self._tree = tree
         self._variant = variant
         # per-node rows are array('i') and paths are CSR (flat node array
-        # plus per-path start offsets): 20 bytes/node total, which matters
-        # at the 10^7-node scale of repro.scale
+        # plus per-path start offsets): 20 bytes/node plus 4 per path, 23.4
+        # bytes/node under tracemalloc for the transform of a 10^5-node
+        # Pruefer tree (0.58 paths per node), which matters at the
+        # 10^7-node scale of repro.scale
         zeros = bytes(4 * tree.n)
         self._path_of = array("i", zeros)
         self._position = array("i", zeros)
@@ -44,44 +46,67 @@ class HeavyPathDecomposition:
 
     # -- construction -----------------------------------------------------
 
-    def _select_heavy_child(self, node: int, decomposition_size: int) -> int | None:
-        children = self._tree.children(node)
-        if not children:
-            return None
-        if self._variant == PAPER_VARIANT:
-            threshold = decomposition_size / 2
-            for child in children:
-                if self._tree.subtree_size(child) >= threshold:
-                    return child
-            return None
-        # classic: largest child, ties broken by node id for determinism
-        return max(children, key=lambda c: (self._tree.subtree_size(c), -c))
-
     def _decompose(self) -> None:
+        """Walk every heavy path down from its head, straight on the tree's rows.
+
+        Paths are numbered in the order their heads leave a stack that
+        receives each path's light children in child order, path by path
+        from the head down.  The paper variant's heavy child is the first
+        child ``c`` with ``2 * size(c) >= size(head)`` (there is at most
+        one); the classic variant's is the largest child, ties to the
+        smaller id.  A head's light depth is its parent's plus one.
+        """
         tree = self._tree
+        parents = tree._parents
+        start, data, size = tree._child_start, tree._child_data, tree._subtree_size
+        path_of, position = self._path_of, self._position
+        heavy_child, light_depth = self._heavy_child, self._light_depth
         path_data = self._path_data
-        path_start = self._path_start
-        # stack holds (subtree root, light depth of that subtree root)
-        stack: list[tuple[int, int]] = [(tree.root, 0)]
+        append = path_data.append
+        path_starts = self._path_start.append
+        paper = self._variant == PAPER_VARIANT
+        stack = [tree.root]
+        pop = stack.pop
+        push = stack.append
+        path_id = 0
         while stack:
-            start, light_depth = stack.pop()
-            decomposition_size = tree.subtree_size(start)
-            path_id = len(path_start) - 1
-            position = 0
-            node: int | None = start
-            while node is not None:
-                path_data.append(node)
-                self._path_of[node] = path_id
-                self._position[node] = position
-                self._light_depth[node] = light_depth
-                heavy = self._select_heavy_child(node, decomposition_size)
-                self._heavy_child[node] = -1 if heavy is None else heavy
-                for child in tree.children(node):
-                    if child != heavy:
-                        stack.append((child, light_depth + 1))
+            node = pop()
+            parent = parents[node]
+            depth = light_depth[parent] + 1 if parent >= 0 else 0
+            # a child is heavy in the paper variant when 2 * size >= this
+            threshold = size[node]
+            offset = 0
+            while True:
+                append(node)
+                path_of[node] = path_id
+                position[node] = offset
+                light_depth[node] = depth
+                first, end = start[node], start[node + 1]
+                heavy = -1
+                if paper:
+                    for index in range(first, end):
+                        child = data[index]
+                        if heavy < 0 and 2 * size[child] >= threshold:
+                            heavy = child
+                        else:
+                            push(child)
+                elif first != end:
+                    best = -1
+                    for index in range(first, end):
+                        child = data[index]
+                        if size[child] > best or size[child] == best and child < heavy:
+                            best = size[child]
+                            heavy = child
+                    for index in range(first, end):
+                        if data[index] != heavy:
+                            push(data[index])
+                heavy_child[node] = heavy
+                if heavy < 0:
+                    break
                 node = heavy
-                position += 1
-            path_start.append(len(path_data))
+                offset += 1
+            path_id += 1
+            path_starts(len(path_data))
 
     # -- accessors ---------------------------------------------------------
 

@@ -58,53 +58,66 @@ def attach_leaves(tree: RootedTree, only_internal: bool = False) -> TransformRes
     """Attach a 0-weight pendant leaf to (internal or all) nodes.
 
     Returns a transform whose ``query_node`` maps every original node to its
-    pendant leaf (or to itself if no leaf was attached).
+    pendant leaf (or to itself if no leaf was attached); ``origin`` is its
+    inverse.
     """
     n = tree.n
-    parents = array("i", (-1 if tree.parent(v) is None else tree.parent(v) for v in tree.nodes()))
-    weights = array("q", (tree.edge_weight(v) for v in tree.nodes()))
+    start = tree._child_start
+    if only_internal:
+        hosts = array("i", (v for v in range(n) if start[v + 1] != start[v]))
+    else:
+        hosts = array("i", range(n))
+    parents = tree._parents + hosts
+    weights = tree._weights + array("q", bytes(8 * len(hosts)))
     query_node = array("i", range(n))
-
-    next_node = n
-    for node in tree.nodes():
-        if only_internal and tree.is_leaf(node):
-            continue
-        parents.append(node)
-        weights.append(0)
-        query_node[node] = next_node
-        next_node += 1
-
-    transformed = RootedTree(parents, weights)
-    origin = array("i", bytes(4 * next_node))
-    for node in range(n, next_node):
-        origin[node] = -1
-    return TransformResult(transformed, query_node, origin)
+    origin = array("i", range(n)) + array("i", [-1]) * len(hosts)
+    for pendant, host in enumerate(hosts, n):
+        query_node[host] = pendant
+        origin[pendant] = host
+        origin[host] = -1
+    return TransformResult(RootedTree(parents, weights), query_node, origin)
 
 
-def _hang_binary(node: int, children, parents: array, next_node: int) -> int:
-    """Hang ``children`` below ``node`` with at most two children per node.
+def _binarized_parents(tree: RootedTree, pendant: bool) -> array:
+    """Parent row of ``tree`` with every node's children hung binary.
 
-    A node with children ``c1 .. ck`` (k > 2) keeps ``c1`` and delegates the
-    rest to a chain of fresh dummies, each holding one child and the next
-    dummy, the last holding two.  Dummies are numbered from ``next_node``
-    and appended to ``parents`` (so ``len(parents) == next_node`` on entry);
-    the caller gives them 0-weight edges.  Returns the next free node id.
+    With ``pendant`` node ``v`` first gains the 0-weight pendant leaf
+    ``n + v`` as its last child.  A node whose children ``c1 .. cm``
+    number more than two keeps ``c1`` and delegates the rest to a chain of
+    ``m - 2`` fresh dummies: the first dummy hangs from the node and each
+    next one from the one before; ``c2 .. c(m-1)`` hang one per dummy and
+    ``cm`` joins ``c(m-1)`` on the last.  Dummies are numbered in node
+    order after the nodes (and pendant leaves) and are the returned row's
+    tail.  The children are read straight from the CSR rows; only nodes
+    with three or more children are touched.
     """
-    if len(children) <= 2:
-        for child in children:
-            parents[child] = node
-        return next_node
-    parents[children[0]] = node
-    anchor = node
-    for child in children[1:-2]:
-        parents.append(anchor)
-        parents[child] = next_node
-        anchor = next_node
-        next_node += 1
-    parents.append(anchor)
-    parents[children[-2]] = next_node
-    parents[children[-1]] = next_node
-    return next_node + 1
+    n = tree.n
+    start, data = tree._child_start, tree._child_data
+    parents = array("i", tree._parents)
+    if pendant:
+        parents.extend(range(n))
+    next_node = len(parents)
+    for node in range(n):
+        first, end = start[node], start[node + 1]
+        count = end - first + pendant
+        if count <= 2:
+            continue
+        # dummies next_node .. last: the first hangs from the node, each
+        # next one from the one before
+        last = next_node + count - 3
+        parents.append(node)
+        parents.extend(range(next_node, last))
+        moved = data[first + 1 : end] if pendant else data[first + 1 : end - 1]
+        for dummy, child in zip(range(next_node, last + 1), moved):
+            parents[child] = dummy
+        parents[n + node if pendant else data[end - 1]] = last
+        next_node = last + 1
+    return parents
+
+
+def _with_dummy_weights(tree: RootedTree, parents: array) -> array:
+    """The tree's edge weights, then 0 for every node it does not have."""
+    return tree._weights + array("q", bytes(8 * (len(parents) - tree.n)))
 
 
 def binarize(tree: RootedTree) -> TransformResult:
@@ -115,15 +128,10 @@ def binarize(tree: RootedTree) -> TransformResult:
     all original pairwise distances are preserved.
     """
     n = tree.n
-    parents = array("i", [-1]) * n
-    next_node = n
-    for node in tree.nodes():
-        next_node = _hang_binary(node, tree.children(node), parents, next_node)
-    weights = array("q", (tree.edge_weight(v) for v in tree.nodes()))
-    weights.extend(array("q", [0]) * (next_node - n))
-    transformed = RootedTree(parents, weights)
+    parents = _binarized_parents(tree, pendant=False)
+    transformed = RootedTree(parents, _with_dummy_weights(tree, parents))
     query_node = array("i", range(n))
-    origin = array("i", range(n)) + array("i", [-1]) * (next_node - n)
+    origin = array("i", range(n)) + array("i", [-1]) * (len(parents) - n)
     return TransformResult(transformed, query_node, origin)
 
 
@@ -144,15 +152,9 @@ def prepare_for_leaf_queries(
     if not binarize_tree:
         return attach_leaves(tree)
     n = tree.n
-    parents = array("i", [-1]) * (2 * n)
-    next_node = 2 * n
-    for node in tree.nodes():
-        children = tree.children(node)
-        children.append(n + node)
-        next_node = _hang_binary(node, children, parents, next_node)
-    weights = array("q", (tree.edge_weight(v) for v in tree.nodes()))
-    weights.extend(array("q", [0]) * (next_node - n))
+    parents = _binarized_parents(tree, pendant=True)
+    transformed = RootedTree(parents, _with_dummy_weights(tree, parents))
     query_node = array("i", range(n, 2 * n))
-    origin = array("i", [-1]) * next_node
+    origin = array("i", [-1]) * len(parents)
     origin[n : 2 * n] = array("i", range(n))
-    return TransformResult(RootedTree(parents, weights), query_node, origin)
+    return TransformResult(transformed, query_node, origin)

@@ -11,20 +11,48 @@ Storage is compact: every node-valued quantity lives in an ``array('i')``
 node ids fit ``int32`` up to the 2·10⁹-node mark, far past the 10⁸ ceiling
 of :mod:`repro.scale`), weighted quantities (edge weights, root distances)
 in an ``array('q')``, and the children adjacency is CSR — one flat child
-array plus per-node start offsets.  That keeps a tree near ~52 bytes/node,
-which is what makes the 10⁷–10⁸-node instances of the external-memory
-pipeline hold in RAM at all; the accessor API is unchanged and none of
-this is visible to callers.
+array plus per-node start offsets.  That keeps a tree at 52 bytes/node
+(53.6 under ``tracemalloc`` for the 2.4·10⁵-node transform of a 10⁵-node
+Prüfer tree), which is what makes the 10⁷–10⁸-node instances of the
+external-memory pipeline hold in RAM at all; the accessor API is unchanged
+and none of this is visible to callers.
+
+Construction works on those rows directly, never through the accessors:
+the CSR comes from one stable sort of the node ids by parent, and one
+preorder pass sets every order and per-node quantity (see
+:meth:`RootedTree._compute_orders`).  While it runs, the sort's list of
+node ids and its keys (Python ints) briefly lift the footprint to about
+100 bytes/node (same measurement).  The rows are read directly by the
+rest of the shared tree layer (:mod:`repro.trees.heavy_path`,
+:mod:`repro.trees.collapsed`, :mod:`repro.trees.transform`, the light
+codes) and by the Freedman encoder; nothing writes them after
+construction.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, islice, repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 
 class TreeError(ValueError):
     """Raised when tree construction input is inconsistent."""
+
+
+def csr_starts(parent_row: array) -> array:
+    """CSR start offsets of a parent row (``-1`` marks the one root).
+
+    Entry ``v`` is the number of non-root nodes whose parent is below
+    ``v``, so the children of ``v`` occupy ``[start[v], start[v + 1])`` of
+    the nodes sorted stably by parent, root excluded.
+    """
+    counts = [0] * (len(parent_row) + 1)
+    for parent in parent_row:
+        counts[parent + 1] += 1
+    counts[0] = 0  # the root's
+    return array("i", accumulate(counts))
 
 
 class RootedTree:
@@ -38,113 +66,104 @@ class RootedTree:
         n = len(parents)
         if n == 0:
             raise TreeError("a tree must contain at least one node")
-        # -1 encodes "no parent" internally; accessors translate to None
-        parent_row = array("i", (-1 if p is None or p < 0 else p for p in parents))
-        roots = [v for v in range(n) if parent_row[v] < 0]
-        if len(roots) != 1:
-            raise TreeError(f"expected exactly one root, found {len(roots)}")
-        self._root = roots[0]
+        # -1 encodes "no parent" internally (``None`` and any negative
+        # parent in the input); accessors translate to None
+        try:
+            parent_row = array("i", parents)
+        except (TypeError, OverflowError):
+            parent_row = array("i", (-1 if p is None or p < 0 else p for p in parents))
+        else:
+            if min(parent_row) < -1:
+                parent_row = array("i", map(max, parent_row, repeat(-1)))
+        roots = parent_row.count(-1)
+        if roots != 1:
+            raise TreeError(f"expected exactly one root, found {roots}")
+        self._root = root = parent_row.index(-1)
         self._parents = parent_row
         if weights is None:
             self._weights = array("q", [1]) * n
-            self._weights[self._root] = 0
         else:
             if len(weights) != n:
                 raise TreeError("weights must have one entry per node")
             self._weights = array("q", weights)
-            if any(w < 0 for w in self._weights):
+            if min(self._weights) < 0:
                 raise TreeError("edge weights must be non-negative")
-            self._weights[self._root] = 0
-        for v in range(n):
-            if self._parents[v] >= n:
-                raise TreeError(f"parent of node {v} out of range: {self._parents[v]}")
+        self._weights[root] = 0
+        if max(parent_row) >= n:
+            v = next(v for v in range(n) if parent_row[v] >= n)
+            raise TreeError(f"parent of node {v} out of range: {parent_row[v]}")
 
-        # children in CSR form, construction order == ascending child id
-        counts = array("i", bytes(4 * (n + 1)))
-        for v in range(n):
-            p = parent_row[v]
-            if p >= 0:
-                counts[p + 1] += 1
-        for v in range(n):
-            counts[v + 1] += counts[v]
-        self._child_start = counts
-        data = array("i", bytes(4 * (n - 1))) if n > 1 else array("i")
-        cursor = array("i", counts[:n])
-        for v in range(n):
-            p = parent_row[v]
-            if p >= 0:
-                data[cursor[p]] = v
-                cursor[p] += 1
+        # children in CSR form from one stable sort by parent: each node's
+        # children are contiguous and ascending by id, and the root (parent
+        # -1) sorts first, ahead of every child
+        data = array("i", sorted(range(n), key=parent_row.__getitem__))
+        del data[0]
         self._child_data = data
-
-        self._validate_acyclic()
+        self._child_start = csr_starts(parent_row)
         self._compute_orders()
 
     # -- construction helpers -------------------------------------------
 
-    def _validate_acyclic(self) -> None:
-        n = len(self._parents)
-        seen = bytearray(n)
-        seen[self._root] = 1
-        stack = [self._root]
-        visited = 1
-        start, data = self._child_start, self._child_data
-        while stack:
-            node = stack.pop()
-            for child in data[start[node] : start[node + 1]]:
-                if seen[child]:
-                    raise TreeError("parent array contains a cycle")
-                seen[child] = 1
-                visited += 1
-                stack.append(child)
-        if visited != n:
-            raise TreeError("parent array is disconnected")
-
     def _compute_orders(self) -> None:
+        """Every order and per-node quantity from one preorder pass.
+
+        The pass visits children in CSR order.  Depth, root distance and
+        the preorder index are set from the parent as each node is
+        visited; subtree sizes are summed bottom-up over the reversed
+        preorder; and the postorder index is ``pre + size - 1 - depth``
+        (the nodes before a node in preorder are its ``depth`` ancestors
+        and the nodes that finish before it).  With exactly one root, every
+        node has one parent and is reached at most once; a node the pass
+        does not reach has a parent chain that runs into a cycle.
+        """
         n = len(self._parents)
         zeros = bytes(4 * n)
+        parents, weights = self._parents, self._weights
+        start = self._child_start
+        # children reversed, so one slice pushes them for a left-to-right visit
+        last = n - 1
+        reversed_data = self._child_data[::-1]
         preorder = array("i", zeros)
-        postorder = array("i", zeros)
+        pre_index = array("i", zeros)
         depth = array("i", zeros)
         root_distance = array("q", bytes(8 * n))
-        subtree_size = array("i", [1]) * n
-        start, data, weights = self._child_start, self._child_data, self._weights
-
-        pre_cursor = post_cursor = 0
-        stack: list[int] = [self._root]
-        # non-negative entry = enter the node, ~entry = exit it
+        cursor = 0
+        stack = [self._root]
+        pop = stack.pop
+        push = stack.extend
         while stack:
-            node = stack.pop()
-            if node < 0:
-                node = ~node
-                postorder[post_cursor] = node
-                post_cursor += 1
-                for child in data[start[node] : start[node + 1]]:
-                    subtree_size[node] += subtree_size[child]
-                continue
-            preorder[pre_cursor] = node
-            pre_cursor += 1
-            stack.append(~node)
-            base = depth[node]
-            distance = root_distance[node]
-            for index in range(start[node + 1] - 1, start[node] - 1, -1):
-                child = data[index]
-                depth[child] = base + 1
-                root_distance[child] = distance + weights[child]
-                stack.append(child)
+            node = pop()
+            preorder[cursor] = node
+            pre_index[node] = cursor
+            cursor += 1
+            parent = parents[node]
+            if parent >= 0:
+                depth[node] = depth[parent] + 1
+                root_distance[node] = root_distance[parent] + weights[node]
+            first, end = start[node], start[node + 1]
+            if first != end:
+                push(reversed_data[last - end : last - first])
+        if cursor != n:
+            raise TreeError(
+                f"parent array is disconnected: {n - cursor} node(s) unreachable "
+                "from the root (their parent pointers run into a cycle)"
+            )
+
+        subtree_size = array("i", [1]) * n
+        for node in islice(reversed(preorder), last):
+            subtree_size[parents[node]] += subtree_size[node]
+        post_index = array(
+            "i", map(sub, map(add, pre_index, subtree_size), map((1).__add__, depth))
+        )
+        postorder = array("i", zeros)
+        for node in range(n):
+            postorder[post_index[node]] = node
 
         self._preorder = preorder
         self._postorder = postorder
         self._depth = depth
         self._root_distance = root_distance
         self._subtree_size = subtree_size
-
-        pre_index = array("i", zeros)
-        for index in range(n):
-            pre_index[preorder[index]] = index
-        post_index = array("i", zeros)
-        for index in range(n):
-            post_index[postorder[index]] = index
         self._pre_index = pre_index
         self._post_index = post_index
 

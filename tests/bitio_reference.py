@@ -245,7 +245,10 @@ def decode_delta(reader: BitReader) -> int:
     width = decode_gamma(reader)
     if not width:
         return 0
-    return ((1 << width) | reader.read_int(width)) - 1
+    # the bits first: a corrupt width runs past the stream (BitError)
+    # before ``1 << width`` could exhaust memory
+    low = reader.read_int(width)
+    return ((1 << width) | low) - 1
 
 
 def decode_prefixed_bits(reader: BitReader) -> Bits:

@@ -39,16 +39,19 @@ def reference_encode(
 ) -> tuple[dict[int, FreedmanLabel], dict[str, int]]:
     """Every node's label built field by field, and the encoding statistics.
 
-    Shares the transform, the decomposition, the light codes and
-    ``scheme._compute_fragments`` with the scheme; the entries, the
-    accumulators and the label assembly are computed here independently.
+    Shares the transform, the decomposition and the light codes with the
+    scheme (``tree_reference`` checks those row by row); the fragments, the
+    entries, the accumulators and the label assembly are computed here
+    independently.
     """
     params = scheme.params()
     transform = prepare_for_leaf_queries(tree, binarize_tree=params["binarize"])
     working = transform.tree
     collapsed = CollapsedTree(HeavyPathDecomposition(working, variant="paper"))
     light = LightDepthLabeling(working, collapsed)
-    boundaries, fragment_ref, entry_value = scheme._compute_fragments(working, collapsed)
+    boundaries, fragment_ref, entry_value = _reference_fragments(
+        params["use_fragments"], working, collapsed
+    )
     entries, accumulator, stats = _reference_entries(
         params["use_accumulators"], working, collapsed, entry_value
     )
@@ -82,6 +85,34 @@ def reference_encode(
             accumulators=accumulators,
         )
     return labels, stats
+
+
+def _reference_fragments(use_fragments, working, collapsed):
+    """Per path: its full boundary tuple, its fragment ref and its entry value."""
+    n = working.n
+    block = max(1, math.ceil(math.sqrt(max(1.0, math.log2(max(n, 2))))))
+    boundaries = {}
+    fragment_ref = {}
+    entry_value = {}
+    root_path = collapsed.root
+    boundaries[root_path] = (working.root_distance(collapsed.head(root_path)),)
+    order = [root_path]
+    stack = list(collapsed.children(root_path))
+    while stack:
+        path = stack.pop()
+        order.append(path)
+        stack.extend(collapsed.children(path))
+    for path in order[1:]:
+        blist = boundaries[collapsed.parent(path)]
+        head = collapsed.head(path)
+        head_distance = working.root_distance(head)
+        if use_fragments:
+            while working.subtree_size(head) * (2 ** (len(blist) * block)) <= n:
+                blist = blist + (head_distance,)
+        boundaries[path] = blist
+        fragment_ref[path] = len(blist) - 1
+        entry_value[path] = head_distance - blist[-1]
+    return boundaries, fragment_ref, entry_value
 
 
 def _reference_entries(use_accumulators, working, collapsed, entry_value):

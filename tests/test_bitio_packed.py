@@ -23,7 +23,7 @@ import bitio_reference as ref
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
 from repro.encoding.elias import encode_delta, encode_gamma
 from repro.encoding.monotone import MonotoneSequence
-from repro.encoding.varint import decode_unary, encode_unary
+from bitio_extras import decode_unary, encode_unary, peek_bit, reader_from_bytes, seek
 from strategies import monotone_sequences
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -160,7 +160,7 @@ class TestWriterReaderDifferential:
             )
             if op == "seek":
                 position = draw.draw(st.integers(min_value=0, max_value=len(data)))
-                packed_reader.seek(position)
+                seek(packed_reader, position)
                 reference_reader.seek(position)
                 continue
             count = draw.draw(st.integers(min_value=0, max_value=12))
@@ -186,9 +186,9 @@ class TestWriterReaderDifferential:
                     elif op == "unary":
                         packed_reader.read_unary()
                     else:
-                        packed_reader.peek_bit()
+                        peek_bit(packed_reader)
                 # a failed read must leave both cursors in agreement
-                packed_reader.seek(reference_reader.position)
+                seek(packed_reader, reference_reader.position)
                 continue
             if op == "bit":
                 assert packed_reader.read_bit() == expected
@@ -199,13 +199,13 @@ class TestWriterReaderDifferential:
             elif op == "unary":
                 assert packed_reader.read_unary() == expected
             else:
-                assert packed_reader.peek_bit() == expected
+                assert peek_bit(packed_reader) == expected
             assert packed_reader.position == reference_reader.position
 
     @given(bit_strings)
     def test_reader_from_bytes_matches_wrapping(self, data):
         payload = Bits(data).to_bytes()
-        direct = BitReader.from_bytes(memoryview(payload), len(data))
+        direct = reader_from_bytes(memoryview(payload), len(data))
         wrapped = BitReader(Bits.from_bytes(payload, len(data)))
         assert direct.remaining() == wrapped.remaining() == len(data)
         for _ in range(len(data)):

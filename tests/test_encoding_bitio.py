@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
 
+from bitio_extras import peek_bit, seek
+
 
 class TestBits:
     def test_empty(self):
@@ -79,11 +81,11 @@ class TestBitWriterReader:
 
     def test_reader_seek_and_peek(self):
         reader = BitReader(Bits("1100"))
-        assert reader.peek_bit() == 1
-        reader.seek(2)
+        assert peek_bit(reader) == 1
+        seek(reader, 2)
         assert reader.read_bits(2).data == "00"
         with pytest.raises(BitError):
-            reader.seek(9)
+            seek(reader, 9)
 
     def test_write_int_rejects_negative_by_name(self):
         writer = BitWriter()

@@ -5,13 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.elias import delta_length, encode_delta, encode_gamma, gamma_length
-from repro.encoding.varint import (
-    bounded_width,
-    decode_bounded,
-    decode_unary,
-    encode_bounded,
-    encode_unary,
-)
+
+from bitio_extras import bounded_width, decode_bounded, decode_unary, encode_bounded, encode_unary
 
 
 class TestGamma:
