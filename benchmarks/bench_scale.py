@@ -1,20 +1,19 @@
-"""Beyond-RAM scale benchmark: streaming build vs in-memory, mmap vs heap.
+"""Beyond-RAM scale benchmark: the store file writer at 10⁷ nodes, mmap vs heap.
 
 ``python benchmarks/bench_scale.py`` emits ``BENCH_scale.json`` at the repo
-root with three measured claims behind :mod:`repro.scale`:
+root with the measured claims behind :func:`repro.store.write_store`:
 
-* the streaming builder (`build_store_streaming`) labels 10⁷-node trees
-  byte-identically to ``LabelStore.to_bytes()`` while peaking at a fraction
-  of the in-memory builder's RSS (required ratio recorded in the JSON),
+* the file writer labels 10⁷-node trees with the payload streamed through a
+  temp file (build time, peak RSS and bytes per node are recorded),
 * an mmap-opened store answers warm queries within 1.25x of the heap-loaded
   store at n = 10⁶ (plus the cold-cache number for the page-in story),
-* ``--gate``: at n = 10⁵ an address-space cap chosen *between* the two
-  builders' measured peaks kills the in-memory build with ``MemoryError``
-  while the streaming build finishes under it and stays byte-identical —
-  the CI assertion that the pipeline, not the machine, is what shrank.
+* ``--gate``: at n = 10⁵ the writer finishes under a fixed address-space
+  cap (``GATE_CAP_BYTES``) and its file is byte-identical to the uncapped
+  build and answers like the exact oracle — the CI assertion that the
+  writer's footprint stays below a set budget.
 
 Every build runs in a fresh child process (``--child``) so ``ru_maxrss`` is
-a clean per-pipeline high-water mark: a forked child *inherits* the parent's
+a clean per-build high-water mark: a forked child *inherits* the parent's
 resident pages in its accounting, so the parent keeps its own footprint to a
 few MiB and never touches a tree.  Trees are generated once per size by a
 ``gen-tree`` child and cached as packed int64 parent arrays.
@@ -50,9 +49,13 @@ BUILD_SCHEMES = ("hld-fixed", "freedman")
 QUERY_SCHEME = "freedman"
 QUERY_PAIRS = 20_000
 
-#: acceptance thresholds recorded next to the measurements
-REQUIRED_RSS_RATIO = 0.25
+#: acceptance threshold recorded next to the measurements
 REQUIRED_QUERY_SLOWDOWN = 1.25
+
+#: the gate's fixed address-space cap; the n = 10⁵ Freedman build peaks at
+#: 68.3 MiB of VM (2-CPU x86-64 Linux, CPython 3.11), so growth of more
+#: than 16.7 MiB in the writer's footprint fails the gate
+GATE_CAP_BYTES = 85 << 20
 
 
 # -- child processes ---------------------------------------------------------
@@ -99,26 +102,26 @@ def _child_gen_tree(args) -> dict:
 
 def _child_build(args) -> dict:
     from repro.core.registry import make_any_scheme
-    from repro.scale.build import build_store_in_memory, build_store_streaming
-    from repro.scale.memory import cap_address_space
+    from repro.scale.memory import cap_address_space, peak_rss_bytes
+    from repro.store import write_store
 
     if args.cap_bytes:
         cap_address_space(args.cap_bytes)
     try:
         tree = _load_tree(args.tree_file)
         scheme = make_any_scheme(args.scheme)
-        if args.pipeline == "streaming":
-            stats = build_store_streaming(
-                scheme, tree, args.out, run_bytes=args.run_mib << 20
-            )
-        else:
-            stats = build_store_in_memory(scheme, tree, args.out)
+        started = time.perf_counter()
+        written = write_store(scheme, tree, args.out)
     except MemoryError:
-        return {"ok": False, "error": "MemoryError", "pipeline": args.pipeline}
-    stats["ok"] = True
-    stats["pipeline"] = args.pipeline
-    stats["vm_peak_bytes"] = _vm_peak_bytes()
-    return stats
+        return {"ok": False, "error": "MemoryError"}
+    return {
+        "ok": True,
+        "n": tree.n,
+        "file_bytes": written,
+        "seconds": round(time.perf_counter() - started, 3),
+        "peak_rss_bytes": peak_rss_bytes(),
+        "vm_peak_bytes": _vm_peak_bytes(),
+    }
 
 
 def _child_query(args) -> dict:
@@ -208,49 +211,34 @@ def _ensure_tree(work_dir: str, n: int) -> str:
     return tree_file
 
 
-def _build_pair(work_dir: str, tree_file: str, scheme: str, n: int) -> dict:
-    """Streaming + in-memory builds of one scheme, with the identity check."""
-    result: dict = {"n": n}
-    paths = {}
-    for pipeline in ("streaming", "memory"):
-        out = os.path.join(work_dir, f"{scheme}_{pipeline}_{n}.rls")
-        paths[pipeline] = out
-        print(f"  {scheme} {pipeline} build at n={n:,} ...", flush=True)
-        stats = _run_child(
-            [
-                "build",
-                "--pipeline", pipeline,
-                "--scheme", scheme,
-                "--tree-file", tree_file,
-                "--out", out,
-            ]
-        )
-        if not stats.get("ok"):
-            raise RuntimeError(f"{scheme} {pipeline} build failed: {stats}")
-        peak_mib = stats["peak_rss_bytes"] / (1 << 20)
-        print(
-            f"    peak rss {peak_mib:,.1f} MiB  "
-            f"{stats['seconds']}s  {stats['file_bytes']:,} bytes",
-            flush=True,
-        )
-        result[pipeline] = {
-            "seconds": stats["seconds"],
-            "peak_rss_bytes": stats["peak_rss_bytes"],
-            "file_bytes": stats["file_bytes"],
-            "runs_spilled": stats.get("runs_spilled", 0),
-        }
-    result["byte_identical"] = _sha256(paths["streaming"]) == _sha256(paths["memory"])
-    result["rss_ratio"] = round(
-        result["streaming"]["peak_rss_bytes"] / result["memory"]["peak_rss_bytes"], 4
+def _build(tree_file: str, scheme: str, out: str, cap_bytes: int = 0) -> dict:
+    """One ``write_store`` build in a fresh child; its stats dict."""
+    child = ["build", "--scheme", scheme, "--tree-file", tree_file, "--out", out]
+    if cap_bytes:
+        child += ["--cap-bytes", str(cap_bytes)]
+    return _run_child(child)
+
+
+def _build_section(work_dir: str, tree_file: str, scheme: str, n: int) -> dict:
+    """Time, peak RSS and size of one scheme's file build."""
+    out = os.path.join(work_dir, f"{scheme}_{n}.rls")
+    print(f"  {scheme} build at n={n:,} ...", flush=True)
+    stats = _build(tree_file, scheme, out)
+    if not stats.get("ok"):
+        raise RuntimeError(f"{scheme} build failed: {stats}")
+    print(
+        f"    peak rss {stats['peak_rss_bytes'] / (1 << 20):,.1f} MiB  "
+        f"{stats['seconds']}s  {stats['file_bytes']:,} bytes",
+        flush=True,
     )
-    result["required_rss_ratio"] = REQUIRED_RSS_RATIO
-    result["rss_ratio_ok"] = result["rss_ratio"] <= REQUIRED_RSS_RATIO
-    result["bytes_per_node"] = round(
-        result["streaming"]["file_bytes"] / n, 2
-    )
-    os.unlink(paths["memory"])
-    result["store_path"] = paths["streaming"]
-    return result
+    return {
+        "n": n,
+        "seconds": stats["seconds"],
+        "peak_rss_bytes": stats["peak_rss_bytes"],
+        "file_bytes": stats["file_bytes"],
+        "bytes_per_node": round(stats["file_bytes"] / n, 2),
+        "store_path": out,
+    }
 
 
 def _query_section(work_dir: str, n: int, store_path: str | None) -> dict:
@@ -259,15 +247,7 @@ def _query_section(work_dir: str, n: int, store_path: str | None) -> dict:
     if store_path is None:
         out = os.path.join(work_dir, f"{QUERY_SCHEME}_query_{n}.rls")
         print(f"  building query store ({QUERY_SCHEME}, n={n:,}) ...", flush=True)
-        stats = _run_child(
-            [
-                "build",
-                "--pipeline", "streaming",
-                "--scheme", QUERY_SCHEME,
-                "--tree-file", tree_file,
-                "--out", out,
-            ]
-        )
+        stats = _build(tree_file, QUERY_SCHEME, out)
         if not stats.get("ok"):
             raise RuntimeError(f"query store build failed: {stats}")
         store_path = out
@@ -303,85 +283,33 @@ def _query_section(work_dir: str, n: int, store_path: str | None) -> dict:
 
 
 def _gate_section(work_dir: str) -> dict:
-    """The CI assertion: a cap the in-memory builder cannot satisfy.
+    """The CI assertion: the writer builds n = 10⁵ under a fixed cap.
 
-    The cap is picked *between* the two pipelines' measured peak address
-    spaces at n = 10⁵, so the outcome is a property of the pipelines and
-    not of a hard-coded byte count.
+    The cap is a constant, so the gate fails only when the writer's own
+    address space grows past it, never because another pipeline shrank.
     """
     n = GATE_N
     tree_file = _ensure_tree(work_dir, n)
-    uncapped = {}
-    shas = {}
-    for pipeline in ("streaming", "memory"):
-        out = os.path.join(work_dir, f"gate_{pipeline}_{n}.rls")
-        stats = _run_child(
-            [
-                "build",
-                "--pipeline", pipeline,
-                "--scheme", QUERY_SCHEME,
-                "--tree-file", tree_file,
-                "--out", out,
-            ]
-        )
-        if not stats.get("ok"):
-            raise RuntimeError(f"gate uncapped {pipeline} build failed: {stats}")
-        uncapped[pipeline] = stats
-        shas[pipeline] = _sha256(out)
-        print(
-            f"  uncapped {pipeline:9s}: vm peak "
-            f"{stats['vm_peak_bytes'] / (1 << 20):,.1f} MiB",
-            flush=True,
-        )
-    if shas["streaming"] != shas["memory"]:
-        raise RuntimeError("gate: streaming and in-memory artefacts differ")
-
-    vm_s = uncapped["streaming"]["vm_peak_bytes"]
-    vm_m = uncapped["memory"]["vm_peak_bytes"]
-    if vm_s >= vm_m:
-        raise RuntimeError(
-            f"gate: streaming vm peak {vm_s} not below in-memory {vm_m}"
-        )
-    cap = (vm_s + vm_m) // 2
-    print(f"  address-space cap: {cap / (1 << 20):,.1f} MiB", flush=True)
-
-    capped_memory = _run_child(
-        [
-            "build",
-            "--pipeline", "memory",
-            "--scheme", QUERY_SCHEME,
-            "--tree-file", tree_file,
-            "--out", os.path.join(work_dir, f"gate_capped_memory_{n}.rls"),
-            "--cap-bytes", str(cap),
-        ]
-    )
-    memory_died = (
-        not capped_memory.get("ok")
-        and capped_memory.get("error") == "MemoryError"
-    )
-    print(f"  capped in-memory: {capped_memory}", flush=True)
-
-    capped_out = os.path.join(work_dir, f"gate_capped_streaming_{n}.rls")
-    capped_streaming = _run_child(
-        [
-            "build",
-            "--pipeline", "streaming",
-            "--scheme", QUERY_SCHEME,
-            "--tree-file", tree_file,
-            "--out", capped_out,
-            "--cap-bytes", str(cap),
-        ]
-    )
-    streaming_ok = bool(capped_streaming.get("ok"))
-    streaming_identical = streaming_ok and _sha256(capped_out) == shas["streaming"]
+    out = os.path.join(work_dir, f"gate_{n}.rls")
+    uncapped = _build(tree_file, QUERY_SCHEME, out)
+    if not uncapped.get("ok"):
+        raise RuntimeError(f"gate uncapped build failed: {uncapped}")
+    sha = _sha256(out)
+    vm_peak = uncapped["vm_peak_bytes"]
     print(
-        f"  capped streaming: ok={streaming_ok} "
-        f"byte_identical={streaming_identical}",
+        f"  uncapped: vm peak {vm_peak / (1 << 20):,.1f} MiB; "
+        f"address-space cap: {GATE_CAP_BYTES / (1 << 20):,.1f} MiB",
         flush=True,
     )
 
+    capped_out = os.path.join(work_dir, f"gate_capped_{n}.rls")
+    capped = _build(tree_file, QUERY_SCHEME, capped_out, GATE_CAP_BYTES)
+    completed = bool(capped.get("ok"))
+    identical = completed and _sha256(capped_out) == sha
+    print(f"  capped: ok={completed} byte_identical={identical}", flush=True)
+
     check = {"ok": False, "error": "not run"}
-    if streaming_ok:
+    if completed:
         check = _run_child(
             [
                 "query-check",
@@ -392,16 +320,15 @@ def _gate_section(work_dir: str) -> dict:
         )
         print(f"  mmap query smoke vs oracle: {check}", flush=True)
 
-    passed = memory_died and streaming_ok and streaming_identical and check.get("ok", False)
+    passed = completed and identical and check.get("ok", False)
     return {
         "n": n,
         "scheme": QUERY_SCHEME,
-        "cap_bytes": cap,
-        "streaming_vm_peak_bytes": vm_s,
-        "memory_vm_peak_bytes": vm_m,
-        "capped_memory_failed_with_memoryerror": memory_died,
-        "capped_streaming_completed": streaming_ok,
-        "capped_streaming_byte_identical": streaming_identical,
+        "cap_bytes": GATE_CAP_BYTES,
+        "vm_peak_bytes": vm_peak,
+        "capped_vm_peak_bytes": capped.get("vm_peak_bytes"),
+        "capped_completed": completed,
+        "capped_byte_identical": identical,
         "mmap_query_smoke_ok": bool(check.get("ok", False)),
         "passed": passed,
     }
@@ -423,14 +350,12 @@ def main() -> int:
 
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--n", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--pipeline", help=argparse.SUPPRESS)
     parser.add_argument("--scheme", help=argparse.SUPPRESS)
     parser.add_argument("--tree-file", help=argparse.SUPPRESS)
     parser.add_argument("--store", help=argparse.SUPPRESS)
     parser.add_argument("--pairs", type=int, default=QUERY_PAIRS, help=argparse.SUPPRESS)
     parser.add_argument("--mmap", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--cap-bytes", type=int, default=0, help=argparse.SUPPRESS)
-    parser.add_argument("--run-mib", type=int, default=32, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child:
@@ -468,7 +393,7 @@ def main() -> int:
         tree_file = _ensure_tree(args.work_dir, build_n)
         for scheme in BUILD_SCHEMES:
             print(f"build section: {scheme}", flush=True)
-            builds[scheme] = _build_pair(args.work_dir, tree_file, scheme, build_n)
+            builds[scheme] = _build_section(args.work_dir, tree_file, scheme, build_n)
 
         print("query section:", flush=True)
         query_store = None

@@ -6,7 +6,7 @@ Run with::
 
 The walkthrough mirrors the command-line workflow::
 
-    repro-labels encode --scheme freedman --family random --n 2000 --out labels.bin
+    repro-labels build --scheme freedman --family random --n 2000 --out labels.bin
     repro-labels query labels.bin --pairs 1000
     repro-labels catalog add forest.cat --name exact --scheme freedman --n 2000
 """

@@ -23,7 +23,7 @@ Research surface (stable, but secondary to :mod:`repro.api`):
 * the lower-bound instance families in :mod:`repro.lowerbounds`;
 * the measurement harness in :mod:`repro.analysis`;
 * the packed-store internals in :mod:`repro.store` (wrapped by
-  :class:`DistanceIndex`; ``repro-labels encode`` / ``query`` / ``catalog``
+  :class:`DistanceIndex`; ``repro-labels build`` / ``query`` / ``catalog``
   on the command line).
 """
 

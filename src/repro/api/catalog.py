@@ -36,6 +36,7 @@ import os
 
 from repro.api.index import DistanceIndex
 from repro.encoding.varint import decode_uvarint, encode_uvarint
+from repro.store.label_store import StoreError, read_header
 
 #: magic prefix of a serialised catalog, "Repro Label Catalog v1"
 CATALOG_MAGIC = b"RLC1"
@@ -43,36 +44,6 @@ CATALOG_MAGIC = b"RLC1"
 #: prefix bytes read to describe a closed member; covers the LabelStore
 #: header through the node count for any realistic scheme-params JSON
 _HEADER_PEEK_BYTES = 4096
-
-
-def _peek_store_header(prefix) -> tuple[str, dict, int]:
-    """``(scheme_name, scheme_params, n)`` from the head of a store blob.
-
-    Raises ``CatalogError`` for a wrong magic and ``ValueError`` when the
-    prefix is too short to hold the header (caller retries with more bytes).
-    """
-    import json
-
-    from repro.store.label_store import STORE_MAGIC
-
-    prefix = bytes(prefix)
-    if prefix[: len(STORE_MAGIC)] != STORE_MAGIC:
-        raise CatalogError(
-            f"catalog member is not a label store (expected magic {STORE_MAGIC!r})"
-        )
-    pos = len(STORE_MAGIC)
-    name_len, pos = decode_uvarint(prefix, pos)
-    if pos + name_len > len(prefix):
-        raise ValueError("header extends past prefix")
-    scheme_name = prefix[pos : pos + name_len].decode("utf-8")
-    pos += name_len
-    params_len, pos = decode_uvarint(prefix, pos)
-    if pos + params_len > len(prefix):
-        raise ValueError("header extends past prefix")
-    params = json.loads(prefix[pos : pos + params_len].decode("utf-8"))
-    pos += params_len
-    n, pos = decode_uvarint(prefix, pos)
-    return scheme_name, params, n
 
 
 class CatalogError(ValueError):
@@ -217,13 +188,13 @@ class IndexCatalog:
                 )
                 continue
             try:
-                scheme_name, params, n = _peek_store_header(
+                scheme_name, params, n, _ = read_header(
                     member.read_prefix(_HEADER_PEEK_BYTES)
                 )
-            except ValueError:
+            except StoreError:
                 # header larger than the peek window (huge params JSON):
                 # fall back to the full blob
-                scheme_name, params, n = _peek_store_header(member.read())
+                scheme_name, params, n, _ = read_header(member.read())
             cls = SCHEME_CLASSES.get(scheme_name)
             rows.append(
                 {

@@ -1,13 +1,12 @@
 """Command-line interface: ``repro-labels <command>``.
 
-The store workflow is built on the :mod:`repro.api` façade: ``encode``
-builds a :class:`~repro.api.DistanceIndex` and saves it, ``query`` opens
-one and answers from labels alone, and ``catalog`` packs many named
-indexes into one :class:`~repro.api.IndexCatalog` file and routes queries
-by name::
+The store workflow is built on the :mod:`repro.api` façade: ``build``
+encodes a tree straight to a distance-index file, ``query`` opens one and
+answers from labels alone, and ``catalog`` packs many named indexes into
+one :class:`~repro.api.IndexCatalog` file and routes queries by name::
 
-    repro-labels encode --scheme freedman --family random --n 1000 --out labels.bin
-    repro-labels encode --scheme k-distance:k=6 --out kd.bin
+    repro-labels build --scheme freedman --family random --n 1000 --out labels.bin
+    repro-labels build --scheme k-distance:k=6 --out kd.bin
     repro-labels query labels.bin --pairs 1000          # random batched queries
     repro-labels query labels.bin --u 17 --v 1234       # one pair
     repro-labels catalog add forest.cat --name core --scheme freedman --n 500
@@ -15,14 +14,15 @@ by name::
     repro-labels catalog list forest.cat
     repro-labels catalog query forest.cat --name core --u 3 --v 42
 
-``--scheme`` takes a spec string (``repro-labels encode --list`` prints the
+``--scheme`` takes a spec string (``repro-labels build --list`` prints the
 registered names); parameters ride in the spec (``approximate:epsilon=0.1``)
 or through the legacy ``--k`` / ``--epsilon`` flags.
 
-Beyond-RAM trees are built with the external-memory pipeline and served
-straight off a read-only memory mapping (:mod:`repro.scale`)::
+``build`` never holds the payload in memory
+(:func:`repro.store.write_store`), so beyond-RAM trees take the same
+command, and are served straight off a read-only memory mapping::
 
-    repro-labels build --scheme freedman --n 10000000 --streaming --out big.bin
+    repro-labels build --scheme freedman --n 10000000 --progress --out big.bin
     repro-labels serve big.bin --mmap --workers 4
 
 The serving workflow puts an index (or a whole catalog) behind a TCP
@@ -133,20 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo = commands.add_parser("demo", help="encode one tree and answer queries")
     _add_tree_options(demo)
 
-    encode = commands.add_parser(
-        "encode", help="encode a tree into a distance-index file"
-    )
-    _add_scheme_options(encode)
-    _add_tree_options(encode)
-    encode.add_argument("--out", default="labels.bin")
-    encode.add_argument(
-        "--list", action="store_true", help="list registered schemes and exit"
-    )
-
     query = commands.add_parser(
         "query", help="answer distance queries from an index file"
     )
-    query.add_argument("store", help="file written by the encode command")
+    query.add_argument("store", help="file written by the build command")
     _add_query_options(query)
 
     catalog = commands.add_parser(
@@ -180,24 +170,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     build = commands.add_parser(
-        "build",
-        help="build a store file, optionally via the external-memory pipeline",
+        "build", help="encode a tree into a distance-index file"
     )
     _add_scheme_options(build)
     _add_tree_options(build)
     build.add_argument("--out", default="labels.bin")
     build.add_argument(
-        "--streaming", action="store_true",
-        help="stream labels to disk in fixed-size runs instead of "
-        "materialising the whole store in memory (byte-identical output)",
-    )
-    build.add_argument(
-        "--run-mib", type=int, default=32,
-        help="streaming run buffer in MiB (spill threshold)",
+        "--list", action="store_true", help="list registered schemes and exit"
     )
     build.add_argument(
         "--progress", action="store_true",
-        help="print a progress line every ~5%% of nodes (streaming only)",
+        help="print a progress line every ~5%% of nodes",
     )
 
     serve = commands.add_parser(
@@ -407,16 +390,6 @@ def _demo(family: str, n: int, seed: int) -> str:
     return "\n".join(lines)
 
 
-def _build_index(args):
-    """One (tree, DistanceIndex) pair from the shared scheme/tree options."""
-    from repro.api import DistanceIndex
-    from repro.generators.workloads import make_tree
-
-    spec = _resolve_scheme(args)
-    tree = make_tree(args.family, args.n, args.seed)
-    return spec, tree, DistanceIndex.build(tree, spec)
-
-
 def _kernels(args) -> str:
     """Probe diagnostics for the tiered decode/distance kernels."""
     from repro import kernels
@@ -442,62 +415,36 @@ def _kernels(args) -> str:
     return "\n".join(lines)
 
 
-def _encode(args) -> str:
-    from repro.core.registry import ALL_SCHEME_NAMES
+def _build(args) -> str:
+    """The ``build`` command: encode a tree straight to a store file."""
+    import time
+
+    from repro.core.registry import ALL_SCHEME_NAMES, make_scheme_from_spec
+    from repro.generators.workloads import make_tree
+    from repro.scale.memory import peak_rss_bytes
+    from repro.store import write_store
 
     if args.list:
         return "registered schemes: " + " ".join(ALL_SCHEME_NAMES)
 
-    spec, tree, index = _build_index(args)
-    written = index.save(args.out)
-    stats = index.stats()
-    return (
-        f"encoded family={args.family} n={tree.n} with scheme={stats['spec']}\n"
-        f"wrote {args.out}: {written} bytes "
-        f"(payload {stats['payload_bytes']} bytes, "
-        f"labels {stats['total_label_bits']} bits, "
-        f"max label {stats['max_label_bits']} bits)"
-    )
-
-
-def _build(args) -> str:
-    """The ``build`` command: in-memory or streaming store construction."""
-    from repro.core.registry import make_any_scheme, parse_spec
-    from repro.generators.workloads import make_tree
-    from repro.scale import build_store_in_memory, build_store_streaming
-
     spec = _resolve_scheme(args)
-    name, params = parse_spec(spec)
-    scheme = make_any_scheme(name, **params)
+    scheme = make_scheme_from_spec(spec)
     tree = make_tree(args.family, args.n, args.seed)
+    progress = None
+    if args.progress:
+        step = max(1, tree.n // 20)
 
-    if args.streaming:
-        progress = None
-        if args.progress:
-            step = max(1, tree.n // 20)
+        def progress(done: int, total: int) -> None:
+            if done % step < 65536 or done == total:
+                print(f"  encoded {done}/{total} labels", flush=True)
 
-            def progress(done: int, total: int) -> None:
-                if done % step < 65536 or done == total:
-                    print(f"  encoded {done}/{total} labels", flush=True)
-
-        stats = build_store_streaming(
-            scheme,
-            tree,
-            args.out,
-            run_bytes=args.run_mib << 20,
-            progress=progress,
-        )
-        pipeline = f"streaming ({stats['runs_spilled']} run(s) spilled)"
-    else:
-        stats = build_store_in_memory(scheme, tree, args.out)
-        pipeline = "in-memory"
-    peak_mib = stats["peak_rss_bytes"] / (1 << 20)
+    started = time.perf_counter()
+    written = write_store(scheme, tree, args.out, progress=progress)
+    seconds = time.perf_counter() - started
     return (
-        f"built family={args.family} n={stats['n']} scheme={spec} [{pipeline}]\n"
-        f"wrote {args.out}: {stats['file_bytes']} bytes "
-        f"(payload {stats['payload_bytes']} bytes, "
-        f"{8 * stats['payload_bytes'] / stats['n']:.1f} bits/node) "
-        f"in {stats['seconds']:.2f}s, peak rss {peak_mib:.1f} MiB"
+        f"built family={args.family} n={tree.n} scheme={spec}\n"
+        f"wrote {args.out}: {written} bytes ({written / tree.n:.1f} bytes/node) "
+        f"in {seconds:.2f}s, peak rss {peak_rss_bytes() / (1 << 20):.1f} MiB"
     )
 
 
@@ -564,7 +511,8 @@ def _query(args) -> str:
 def _catalog(args) -> str:
     import os
 
-    from repro.api import IndexCatalog
+    from repro.api import DistanceIndex, IndexCatalog
+    from repro.generators.workloads import make_tree
 
     if args.action == "add":
         catalog = (
@@ -572,7 +520,8 @@ def _catalog(args) -> str:
             if os.path.exists(args.catalog)
             else IndexCatalog()
         )
-        spec, tree, index = _build_index(args)
+        tree = make_tree(args.family, args.n, args.seed)
+        index = DistanceIndex.build(tree, _resolve_scheme(args))
         catalog.add(args.name, index)
         written = catalog.save(args.catalog)
         return (
@@ -1061,14 +1010,13 @@ def main(argv: list[str] | None = None) -> int:
         print(_demo(args.family, args.n, args.seed))
         return 0
     elif args.command in (
-        "encode", "build", "query", "catalog", "serve", "loadgen",
+        "build", "query", "catalog", "serve", "loadgen",
         "fleet-status", "trace", "kernels",
     ):
         from repro.api import CatalogError, SpecError
         from repro.store import StoreError
 
         handlers = {
-            "encode": _encode,
             "build": _build,
             "query": _query,
             "catalog": _catalog,

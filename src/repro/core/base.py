@@ -103,13 +103,14 @@ class LabelingScheme(ABC):
     def encode_stream(self, tree: RootedTree):
         """Yield each node's label in node order (``0 .. n-1``).
 
-        The supply side of the external-memory build pipeline
-        (:mod:`repro.scale.build`): a consumer that serialises and discards
-        each label as it arrives never holds more than one label (plus the
-        scheme's shared precompute) in memory.  The default materialises
-        :meth:`encode` — correct for every scheme but no cheaper; schemes
-        whose encoder is "shared precompute, then an independent per-node
-        assembly" (HLD, Freedman) override this to stream for real.
+        The supply side of every store build
+        (:func:`repro.store.label_store.pack_labels`): a consumer that
+        serialises and discards each label as it arrives never holds more
+        than one label (plus the scheme's shared precompute) in memory.
+        The default materialises :meth:`encode` — correct for every scheme
+        but no cheaper; schemes whose encoder is "shared precompute, then
+        an independent per-node assembly" (HLD, Freedman) override this to
+        stream for real.
         """
         labels = self.encode(tree)
         for node in range(len(labels)):

@@ -374,8 +374,9 @@ class FreedmanScheme(DistanceLabelingScheme):
         Section 3's shared structure is computed once, as integer rows
         indexed by collapsed path id; each label is then shifted straight
         into its word (in :meth:`FreedmanLabel.to_bits` order) in one walk
-        of its collapsed root path, so a streaming consumer
-        (:mod:`repro.scale.build`) never materialises the full label dict.
+        of its collapsed root path, so the store's payload loop
+        (:func:`repro.store.label_store.pack_labels`) never materialises the
+        full label dict.
         """
         transform = prepare_for_leaf_queries(tree, binarize_tree=self._binarize)
         working = transform.tree

@@ -218,9 +218,9 @@ class HLDScheme(DistanceLabelingScheme):
         """Yield each node's label in node order, one at a time.
 
         The decomposition/collapsed-tree precompute is shared; each label
-        is an independent assembly over the node's root-path sequence, so a
-        streaming consumer (:mod:`repro.scale.build`) holds one label at a
-        time instead of the whole ``dict``.
+        is an independent assembly over the node's root-path sequence, so
+        the store's payload loop (:func:`repro.store.label_store.pack_labels`)
+        holds one label at a time instead of the whole ``dict``.
         """
         decomposition = HeavyPathDecomposition(tree, variant=self._variant)
         collapsed = CollapsedTree(decomposition)

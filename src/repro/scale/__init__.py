@@ -1,43 +1,21 @@
-"""Beyond-RAM scale: external-memory building and memory accounting.
+"""Beyond-RAM scale: memory accounting for the build and serve paths.
 
-This subsystem is the build-side complement of the store layer's mmap
-support.  Together they close the loop for trees that dwarf main memory:
+The store layer does the work at scale: :func:`repro.store.write_store`
+encodes a tree straight to the on-disk :class:`~repro.store.LabelStore`
+format with the payload streamed through a temp file (``repro-labels
+build``), and :meth:`repro.store.LabelStore.open_mmap` /
+``DistanceIndex.open(path, mmap=True)`` / ``repro-labels serve --mmap``
+query the file through a read-only mapping, so the resident cost is
+page-cache occupancy shared across every worker of a pre-forked fleet.
 
-* **build** (:mod:`repro.scale.build`): :func:`build_store_streaming`
-  encodes a tree straight to the on-disk :class:`~repro.store.LabelStore`
-  format — one label in flight, fixed-size packed runs spilled to temp
-  files, then a header + run merge — byte-identical to
-  ``LabelStore.encode_tree(...).save(path)`` at a fraction of the RSS.
-  Exposed on the CLI as ``repro-labels build --streaming``.
-* **serve** (:meth:`repro.store.LabelStore.open_mmap`,
-  ``DistanceIndex.open(path, mmap=True)``, ``repro-labels serve --mmap``):
-  the resulting file is queried through a read-only mapping, so the
-  resident cost is page-cache occupancy shared across every worker of a
-  pre-forked fleet.
-* **memory** (:mod:`repro.scale.memory`): the RSS probes behind the
-  builder's self-check and the serve layer's STATS, plus the
-  address-space cap the CI scale gate uses to prove (not just measure)
-  the streaming builder's footprint.
-
-``benchmarks/bench_scale.py`` records the whole story — build time, peak
-RSS vs the in-memory baseline, bytes per node, and cold-vs-warm mmap query
-throughput — into ``BENCH_scale.json``.
+This package keeps the measuring side (:mod:`repro.scale.memory`): the RSS
+probes behind the build report and the serve layer's STATS, plus the
+address-space cap under which ``benchmarks/bench_scale.py --gate`` proves
+the file writer's footprint.  That benchmark records build time, peak RSS,
+bytes per node, and cold-vs-warm mmap query throughput into
+``BENCH_scale.json``.
 """
 
-from repro.scale.build import (
-    DEFAULT_RUN_BYTES,
-    build_store_in_memory,
-    build_store_streaming,
-    write_store_header,
-)
 from repro.scale.memory import cap_address_space, current_rss_bytes, peak_rss_bytes
 
-__all__ = [
-    "DEFAULT_RUN_BYTES",
-    "build_store_in_memory",
-    "build_store_streaming",
-    "write_store_header",
-    "cap_address_space",
-    "current_rss_bytes",
-    "peak_rss_bytes",
-]
+__all__ = ["cap_address_space", "current_rss_bytes", "peak_rss_bytes"]

@@ -1,16 +1,16 @@
 """Process-memory accounting for the beyond-RAM serving and build paths.
 
-Three small primitives, shared by the streaming builder's peak-RSS
-self-check, the serve layer's STATS payload (resident bytes next to the
+Three small primitives, shared by the ``build`` command's peak-RSS
+report, the serve layer's STATS payload (resident bytes next to the
 payload size shows whether an mmap-backed worker is actually serving from
-page cache) and the CI scale gate (an address-space cap the in-memory
-builder cannot satisfy):
+page cache) and the CI scale gate (a fixed address-space cap the file
+writer must build under):
 
 * :func:`current_rss_bytes` — the process's resident set right now;
 * :func:`peak_rss_bytes` — the high-water mark since process start;
 * :func:`cap_address_space` — ``resource.setrlimit(RLIMIT_AS, ...)``,
-  the knob the scale smoke test uses to *prove* the streaming builder
-  needs less memory instead of merely measuring it.
+  the knob the scale gate uses to *prove* the file writer's footprint
+  instead of merely measuring it.
 
 Everything degrades to ``0`` / no-op on platforms without ``/proc`` or
 ``resource`` rather than failing — memory numbers are diagnostics, never
@@ -57,10 +57,10 @@ def cap_address_space(limit_bytes: int) -> bool:
     """Hard-cap this process's virtual address space; ``True`` on success.
 
     Allocations beyond the cap raise ``MemoryError`` (or ``mmap`` failures),
-    which is exactly the behaviour the scale smoke gate relies on: under a
-    cap sized well below the payload, the in-memory builder dies while the
-    streaming builder — whose working set is one run buffer plus the
-    bit-length index — completes.  Read-only ``mmap`` of a large store file
+    which is exactly the behaviour the scale gate relies on: under a fixed
+    cap the file writer (:func:`repro.store.write_store`), whose working
+    set is the scheme's precompute, one label and the bit-length index,
+    must still complete.  Read-only ``mmap`` of a large store file
     still counts against ``RLIMIT_AS``, so the cap must leave room for the
     mapping itself (page-cache residency is not the same as address space).
     """

@@ -67,14 +67,14 @@ materialising the file in anonymous memory.
 
 ``LabelStore.open_mmap(path)`` / ``DistanceIndex.open(path, mmap=True)``
 serve straight from such a mapping (``LabelStore.from_bytes`` accepts any
-buffer object without an upfront copy); ``repro.scale.build`` writes this
-exact layout streamingly for trees whose label sets exceed RAM.  The
-catalog container (``repro.api.IndexCatalog``) stores members
-back-to-back, so each member's store is itself a zero-copy sub-view of
-one mapped file.
+buffer object without an upfront copy); :func:`write_store` writes this
+exact layout with the payload streamed through a temp file, for trees
+whose label sets exceed RAM.  The catalog container
+(``repro.api.IndexCatalog``) stores members back-to-back, so each member's
+store is itself a zero-copy sub-view of one mapped file.
 """
 
-from repro.store.label_store import STORE_MAGIC, LabelStore, StoreError
+from repro.store.label_store import STORE_MAGIC, LabelStore, StoreError, write_store
 from repro.store.query_engine import QueryEngine
 
-__all__ = ["LabelStore", "QueryEngine", "StoreError", "STORE_MAGIC"]
+__all__ = ["LabelStore", "QueryEngine", "StoreError", "STORE_MAGIC", "write_store"]

@@ -1,6 +1,10 @@
 """The packed label store: one buffer, an offset index, save/load.
 
 See the package docstring of :mod:`repro.store` for the binary format.
+This module holds the one copy of each job on it: :func:`write_header`
+serialises the header and index, :func:`read_header` parses them,
+:func:`pack_labels` is the payload loop, and :func:`write_store` encodes a
+tree straight to a file.
 
 A store never copies the payload it is handed: ``__init__`` wraps any
 buffer-protocol object (``bytes``, ``bytearray``, ``memoryview``,
@@ -14,8 +18,11 @@ object each), which is what keeps a 10⁷-label index affordable.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import shutil
+import tempfile
 from array import array
 
 from repro.encoding.bitio import Bits
@@ -23,6 +30,15 @@ from repro.encoding.varint import decode_uvarint, encode_uvarint
 
 #: magic prefix of a serialised store, "Repro Label Store v1"
 STORE_MAGIC = b"RLS1"
+
+#: varints joined per write while emitting the bit-length index
+_VARINT_BATCH = 1 << 16
+
+#: labels packed between two ``progress`` calls of :func:`pack_labels`
+_PROGRESS_EVERY = 1 << 16
+
+#: buffer of the payload temp file and of its copy into the store file
+_COPY_CHUNK = 1 << 20
 
 
 class StoreError(ValueError):
@@ -35,6 +51,117 @@ def _as_byte_view(payload) -> memoryview:
     if view.format != "B" or view.ndim != 1:
         view = view.cast("B")
     return view.toreadonly()
+
+
+class _ByteCounter:
+    """A write target that keeps nothing: ``write`` returns the size alone."""
+
+    write = staticmethod(len)
+
+
+def write_header(handle, name: str, params: dict, bit_lengths) -> int:
+    """Write the RLS1 header and varint index to ``handle``; returns the bytes.
+
+    The one serialiser of everything before the payload.  The index is
+    joined and written in batches of varints, so a 10⁷-label index never
+    exists as one ``bytes`` object.
+    """
+    name_bytes = name.encode("utf-8")
+    params_bytes = json.dumps(params, sort_keys=True).encode("utf-8")
+    written = handle.write(
+        b"".join(
+            (
+                STORE_MAGIC,
+                encode_uvarint(len(name_bytes)),
+                name_bytes,
+                encode_uvarint(len(params_bytes)),
+                params_bytes,
+                encode_uvarint(len(bit_lengths)),
+            )
+        )
+    )
+    for start in range(0, len(bit_lengths), _VARINT_BATCH):
+        batch = bit_lengths[start : start + _VARINT_BATCH]
+        written += handle.write(b"".join(map(encode_uvarint, batch)))
+    return written
+
+
+def read_header(view) -> tuple[str, dict, int, int]:
+    """``(scheme_name, scheme_params, n, pos)`` from the head of a store image.
+
+    The one parser of the header; ``pos`` is the offset of the first
+    bit-length varint.  Every field is checked against the end of ``view``,
+    and any malformation raises :class:`StoreError`.
+    """
+    if bytes(view[: len(STORE_MAGIC)]) != STORE_MAGIC:
+        raise StoreError(f"not a label store (expected magic {STORE_MAGIC!r})")
+    pos = len(STORE_MAGIC)
+    try:
+        fields = []
+        for _ in range(2):
+            size, pos = decode_uvarint(view, pos)
+            if size > len(view) - pos:
+                raise ValueError("header field runs past the end of the buffer")
+            fields.append(bytes(view[pos : pos + size]).decode("utf-8"))
+            pos += size
+        name, params = fields[0], json.loads(fields[1])
+        if not isinstance(params, dict):
+            raise ValueError(
+                f"scheme params must be a JSON object, not {type(params).__name__}"
+            )
+        n, pos = decode_uvarint(view, pos)
+    except ValueError as error:
+        raise StoreError(f"corrupt store header: {error}") from error
+    return name, params, n, pos
+
+
+def pack_labels(labels, n: int, write, progress=None) -> array:
+    """Serialise ``n`` labels in node order; returns their bit lengths.
+
+    The one payload loop: each label's packed bytes go to ``write`` as it
+    arrives and only its length is kept, in an ``array('Q')`` (8 bytes per
+    node).  ``progress(done, n)`` is called every 65536 labels and once at
+    the end.
+    """
+    lengths = array("Q")
+    append = lengths.append
+    for label in labels:
+        bits = label.to_bits()
+        append(len(bits))
+        write(bits.to_bytes())
+        if progress is not None and not len(lengths) % _PROGRESS_EVERY:
+            progress(len(lengths), n)
+    if len(lengths) != n:
+        raise StoreError(f"packed {len(lengths)} labels for a {n}-node tree")
+    if progress is not None:
+        progress(n, n)
+    return lengths
+
+
+def write_store(scheme, tree, path: str | os.PathLike, *, progress=None) -> int:
+    """Encode ``tree`` with ``scheme`` straight to the store file at ``path``.
+
+    The one file writer.  Labels stream from ``scheme.encode_stream``
+    through :func:`pack_labels` into a buffered temp file beside ``path``;
+    then the header is written and the payload appended.  Memory holds the
+    scheme's shared precompute, one label and the length index, never the
+    payload, and the file is byte-identical to
+    ``LabelStore.encode_tree(scheme, tree).save(path)``.  ``progress`` is
+    passed to :func:`pack_labels`.  Returns the number of bytes written.
+    """
+    path = os.fspath(path)
+    with tempfile.TemporaryFile(
+        dir=os.path.dirname(path) or ".", buffering=_COPY_CHUNK
+    ) as payload:
+        lengths = pack_labels(
+            scheme.encode_stream(tree), tree.n, payload.write, progress
+        )
+        payload_bytes = payload.tell()
+        payload.seek(0)
+        with open(path, "wb") as out:
+            written = write_header(out, scheme.name, scheme.params(), lengths)
+            shutil.copyfileobj(payload, out, _COPY_CHUNK)
+    return written + payload_bytes
 
 
 class LabelStore:
@@ -86,23 +213,22 @@ class LabelStore:
         n = len(labels)
         if set(labels) != set(range(n)):
             raise StoreError("labels must be keyed by the nodes 0..n-1")
-        bit_lengths: list[int] = []
-        chunks: list[bytes] = []
-        for node in range(n):
-            bits = labels[node].to_bits()
-            bit_lengths.append(len(bits))
-            chunks.append(bits.to_bytes())
-        return cls(
-            scheme_name=scheme.name,
-            scheme_params=scheme.params(),
-            bit_lengths=bit_lengths,
-            payload=b"".join(chunks),
-        )
+        return cls._pack(scheme, map(labels.__getitem__, range(n)), n)
 
     @classmethod
     def encode_tree(cls, scheme, tree) -> "LabelStore":
-        """Encode ``tree`` with ``scheme`` and pack the result."""
-        return cls.from_labels(scheme, scheme.encode(tree))
+        """Encode ``tree`` with ``scheme`` and pack the result.
+
+        Labels stream from ``scheme.encode_stream`` into the payload one at
+        a time; no label dict is built.
+        """
+        return cls._pack(scheme, scheme.encode_stream(tree), tree.n)
+
+    @classmethod
+    def _pack(cls, scheme, labels, n: int) -> "LabelStore":
+        payload = bytearray()
+        lengths = pack_labels(labels, n, payload.extend)
+        return cls(scheme.name, scheme.params(), lengths, payload)
 
     # -- lookups -------------------------------------------------------------
 
@@ -181,7 +307,14 @@ class LabelStore:
         """Rebuild the scheme that produced this store (registry lookup)."""
         from repro.core.registry import make_any_scheme
 
-        return make_any_scheme(self.scheme_name, **self.scheme_params)
+        try:
+            return make_any_scheme(self.scheme_name, **self.scheme_params)
+        except (KeyError, ValueError, TypeError) as error:
+            message = error.args[0] if error.args else error
+            raise StoreError(
+                f"store names scheme {self.scheme_name!r} with params "
+                f"{self.scheme_params}: {message}"
+            ) from error
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._bit_lengths):
@@ -218,41 +351,29 @@ class LabelStore:
     def file_bytes(self) -> int:
         """Size of the serialised store, header and index included.
 
-        Computed arithmetically — no serialisation happens here.
+        The header is counted through a sink that stores nothing, so no
+        serialisation is kept.
         """
-        name = self.scheme_name.encode("utf-8")
-        params = json.dumps(self.scheme_params, sort_keys=True).encode("utf-8")
         return (
-            len(STORE_MAGIC)
-            + len(encode_uvarint(len(name)))
-            + len(name)
-            + len(encode_uvarint(len(params)))
-            + len(params)
-            + len(encode_uvarint(self.n))
-            + sum(len(encode_uvarint(bits)) for bits in self._bit_lengths)
+            write_header(
+                _ByteCounter, self.scheme_name, self.scheme_params, self._bit_lengths
+            )
             + self._view.nbytes
         )
 
     # -- persistence ---------------------------------------------------------
 
-    def header_bytes(self) -> bytes:
-        """The serialised header + varint index (everything before the payload)."""
-        name = self.scheme_name.encode("utf-8")
-        params = json.dumps(self.scheme_params, sort_keys=True).encode("utf-8")
-        parts = [
-            STORE_MAGIC,
-            encode_uvarint(len(name)),
-            name,
-            encode_uvarint(len(params)),
-            params,
-            encode_uvarint(self.n),
-        ]
-        parts.extend(encode_uvarint(bits) for bits in self._bit_lengths)
-        return b"".join(parts)
+    def _write(self, handle) -> int:
+        """Header, index and payload to ``handle``; returns the bytes."""
+        return write_header(
+            handle, self.scheme_name, self.scheme_params, self._bit_lengths
+        ) + handle.write(self._view)
 
     def to_bytes(self) -> bytes:
         """Serialise the store (see the format in the package docstring)."""
-        return self.header_bytes() + bytes(self._view)
+        buffer = io.BytesIO()
+        self._write(buffer)
+        return buffer.getvalue()
 
     @classmethod
     def from_bytes(cls, data) -> "LabelStore":
@@ -265,19 +386,8 @@ class LabelStore:
         file both take.
         """
         view = _as_byte_view(data)
-        if bytes(view[: len(STORE_MAGIC)]) != STORE_MAGIC:
-            raise StoreError(
-                f"not a label store (expected magic {STORE_MAGIC!r})"
-            )
-        pos = len(STORE_MAGIC)
+        name, params, n, pos = read_header(view)
         try:
-            name_len, pos = decode_uvarint(view, pos)
-            name = bytes(view[pos : pos + name_len]).decode("utf-8")
-            pos += name_len
-            params_len, pos = decode_uvarint(view, pos)
-            params = json.loads(bytes(view[pos : pos + params_len]).decode("utf-8"))
-            pos += params_len
-            n, pos = decode_uvarint(view, pos)
             if n > len(view) - pos:
                 # every index entry takes at least one byte: refuse before
                 # either decoder sizes anything by ``n``
@@ -307,11 +417,8 @@ class LabelStore:
 
     def save(self, path: str | os.PathLike) -> int:
         """Write the store to ``path``; returns the number of bytes written."""
-        header = self.header_bytes()
         with open(path, "wb") as handle:
-            handle.write(header)
-            handle.write(self._view)
-        return len(header) + self._view.nbytes
+            return self._write(handle)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "LabelStore":

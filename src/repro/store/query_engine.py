@@ -76,16 +76,6 @@ class QueryEngine:
         self._bound: tuple | None = None
         self._bind_lock = threading.Lock()
 
-    @classmethod
-    def from_labels(cls, scheme, labels: dict[int, object], **kwargs) -> "QueryEngine":
-        """Pack ``labels`` into a fresh store and serve it."""
-        return cls(LabelStore.from_labels(scheme, labels), scheme=scheme, **kwargs)
-
-    @classmethod
-    def encode_tree(cls, scheme, tree, **kwargs) -> "QueryEngine":
-        """Encode ``tree``, pack the labels and serve them."""
-        return cls(LabelStore.encode_tree(scheme, tree), scheme=scheme, **kwargs)
-
     @property
     def n(self) -> int:
         """Number of queryable nodes."""

@@ -141,3 +141,29 @@ class TestCLI:
     def test_other_commands_run(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("spec, bound", [("freedman", None), ("k-distance:k=6", 6)])
+    def test_build_command_writes_the_index_bytes(self, capsys, tmp_path, spec, bound):
+        from repro.api import DistanceIndex
+        from repro.oracles.exact_oracle import TreeDistanceOracle
+
+        path = tmp_path / "labels.bin"
+        argv = ["build", "--scheme", spec, "--n", "250", "--seed", "4", "--out", str(path)]
+        assert main(argv) == 0
+        assert f"wrote {path}:" in capsys.readouterr().out
+        tree = make_tree("random", 250, seed=4)
+        assert path.read_bytes() == DistanceIndex.build(tree, spec).to_bytes()
+        oracle = TreeDistanceOracle(tree)
+        pairs = random_pairs(tree, 300, seed=9)
+        expected = [oracle.distance(u, v) for u, v in pairs]
+        if bound is not None:
+            expected = [d if d <= bound else None for d in expected]
+        assert DistanceIndex.open(path).batch(pairs, raw=True) == expected
+
+    def test_build_list_names_every_scheme(self, capsys):
+        from repro.core.registry import ALL_SCHEME_NAMES
+
+        assert main(["build", "--list"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("registered schemes:")
+        assert output.split(":", 1)[1].split() == list(ALL_SCHEME_NAMES)

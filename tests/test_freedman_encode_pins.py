@@ -2,7 +2,7 @@
 
 Each digest is ``LabelStore.from_labels(scheme, scheme.encode(tree))
 .to_bytes()`` for one tree family under the default scheme and under each
-ablation.  The digests were recorded before the encoder was rewritten to
+ablation, and also the file :func:`repro.store.write_store` writes.  The digests were recorded before the encoder was rewritten to
 shift fields into one integer, so any change to the bytes the encoder
 emits (field order, code widths, dummy-chain numbering in the transform)
 fails here even when encoding and parsing still agree with each other.
@@ -30,7 +30,7 @@ from repro.lowerbounds.hm_trees import (
     hm_parameter_count,
     subdivide_to_unweighted,
 )
-from repro.store import LabelStore
+from repro.store import LabelStore, write_store
 from repro.trees.tree import RootedTree
 
 TREES = {
@@ -125,11 +125,16 @@ DIGESTS = {
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 @pytest.mark.parametrize("family", sorted(TREES))
-def test_encode_bytes_are_pinned(family, scheme_name):
+def test_encode_bytes_are_pinned(family, scheme_name, tmp_path):
     scheme = FreedmanScheme(**SCHEMES[scheme_name])
     tree = TREES[family]()
-    data = LabelStore.from_labels(scheme, scheme.encode(tree)).to_bytes()
-    assert hashlib.sha256(data).hexdigest() == DIGESTS[(family, scheme_name)]
+    path = tmp_path / "store.bin"
+    write_store(scheme, tree, path)
+    for data in (
+        LabelStore.from_labels(scheme, scheme.encode(tree)).to_bytes(),
+        path.read_bytes(),
+    ):
+        assert hashlib.sha256(data).hexdigest() == DIGESTS[(family, scheme_name)]
 
 
 @pytest.mark.parametrize("scheme_name", ["default", "no-binarize", "no-fragments"])

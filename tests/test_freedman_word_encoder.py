@@ -24,8 +24,7 @@ from freedman_reference import reference_encode, reference_to_bits
 from repro.core.freedman import FreedmanLabel, FreedmanScheme
 from repro.encoding.elias import gamma_length
 from repro.generators.random_trees import random_prufer_tree, random_weighted_tree
-from repro.scale.build import build_store_streaming
-from repro.store import LabelStore
+from repro.store import LabelStore, write_store
 from test_freedman_encode_pins import SCHEMES, TREES
 
 #: edge weights near 2^55: some serialised entries are wider than 64 bits
@@ -175,7 +174,7 @@ def test_pickle_and_copies(make, duplicate):
 def test_streaming_build_never_parses(parse_calls, tmp_path):
     tree = TREES["hm"]()
     path = tmp_path / "hm.rls"
-    build_store_streaming(FreedmanScheme(), tree, path)
+    write_store(FreedmanScheme(), tree, path)
     assert parse_calls == []
     assert path.read_bytes() == LabelStore.encode_tree(FreedmanScheme(), tree).to_bytes()
 

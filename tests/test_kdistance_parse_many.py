@@ -64,7 +64,7 @@ def test_parse_equals_reference_per_label(mode):
 def test_engine_queries_through_word_parser_match_oracle():
     tree = make_tree("random", 300, seed=29)
     scheme = KDistanceScheme(5)
-    engine = QueryEngine.encode_tree(scheme, tree)
+    engine = QueryEngine(LabelStore.encode_tree(scheme, tree), scheme=scheme)
     oracle = TreeDistanceOracle(tree)
     pairs = random_pairs(tree, 600, seed=31)
     expected = [

@@ -170,7 +170,8 @@ def test_forced_unavailable_tier_degrades_with_note(tmp_path, monkeypatch):
         assert "degraded" in probed["note"]
         # queries still answer correctly through the degraded tier
         tree = make_tree("random", 64, seed=3)
-        engine = QueryEngine.encode_tree(make_scheme_from_spec("hld-fixed"), tree)
+        scheme = make_scheme_from_spec("hld-fixed")
+        engine = QueryEngine(LabelStore.encode_tree(scheme, tree), scheme=scheme)
         assert engine.query(0, 63) == engine.batch_query([(0, 63)])[0]
 
 

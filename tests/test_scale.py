@@ -1,4 +1,4 @@
-"""Beyond-RAM scale: mmap-backed stores and the external-memory builder.
+"""Beyond-RAM scale: mmap-backed stores and the store file writer.
 
 Two differential contracts are pinned here:
 
@@ -7,9 +7,10 @@ Two differential contracts are pinned here:
   ``batch_query``/``matrix_into`` answers under every kernel tier, for
   every registered scheme spec, and for catalog members opened as
   zero-copy sub-views of one mapped container;
-* the streaming builder (:mod:`repro.scale.build`) writes **byte-identical**
-  files to ``LabelStore.encode_tree(...).save(...)`` while spilling packed
-  runs to disk, including against the legacy fixtures in ``tests/data``.
+* the file writer (:func:`repro.store.write_store`), ``DistanceIndex.save``
+  and the ``build`` command write **byte-identical** files for every
+  registered scheme spec, the writer with its payload streamed through a
+  temp file.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ from repro.generators.workloads import (
     uniform_pairs,
 )
 from repro.oracles.exact_oracle import TreeDistanceOracle
-from repro.scale import (
-    build_store_in_memory,
-    build_store_streaming,
-    current_rss_bytes,
-    peak_rss_bytes,
-)
-from repro.store import LabelStore, QueryEngine, StoreError
+from repro.scale import current_rss_bytes, peak_rss_bytes
+from repro.store import LabelStore, QueryEngine, StoreError, write_store
+from repro.store import label_store
 from repro.store.query_engine import QueryEngine as _QE  # noqa: F401 - re-export check
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -220,38 +217,37 @@ class TestDistanceIndexMmap:
 
 
 class TestStreamingBuild:
-    """The external-memory pipeline writes the exact in-memory bytes."""
+    """The file writer, ``DistanceIndex.save`` and the CLI agree byte for byte."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_byte_identical_to_in_memory(self, tmp_path, spec):
-        tree = make_tree("random", 300, seed=21)
-        scheme = make_scheme_from_spec(spec)
-        path = tmp_path / "streamed.bin"
-        # a tiny run buffer forces several spills even at n=300
-        stats = build_store_streaming(scheme, tree, path, run_bytes=1 << 16)
-        reference = LabelStore.encode_tree(make_scheme_from_spec(spec), tree)
-        assert path.read_bytes() == reference.to_bytes()
-        assert stats["n"] == tree.n
-        assert stats["file_bytes"] == path.stat().st_size
+        from repro.api import DistanceIndex
+        from repro.cli import main
 
-    def test_spills_runs_and_reports(self, tmp_path):
+        tree = make_tree("random", 300, seed=21)
+        written = write_store(make_scheme_from_spec(spec), tree, tmp_path / "w.bin")
+        index = DistanceIndex.build(tree, spec)
+        index.save(tmp_path / "saved.bin")
+        argv = ["build", "--scheme", spec, "--n", "300", "--seed", "21"]
+        assert main(argv + ["--out", str(tmp_path / "cli.bin")]) == 0
+        expected = index.to_bytes()
+        assert written == len(expected)
+        for name in ("w.bin", "saved.bin", "cli.bin"):
+            assert (tmp_path / name).read_bytes() == expected
+
+    def test_reports_progress_and_leaves_no_temp_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(label_store, "_PROGRESS_EVERY", 500)
         tree = make_tree("random", 5000, seed=1)
-        scheme = make_scheme_from_spec("freedman")
         path = tmp_path / "streamed.bin"
         seen = []
-        stats = build_store_streaming(
-            scheme,
+        write_store(
+            make_scheme_from_spec("freedman"),
             tree,
             path,
-            run_bytes=1 << 16,
             progress=lambda done, total: seen.append((done, total)),
-            progress_every=500,
         )
-        assert stats["runs_spilled"] >= 1
         assert seen[0] == (500, 5000) and seen[-1] == (5000, 5000)
-        # no spill temp files survive the build
-        leftovers = [p for p in os.listdir(tmp_path) if p != "streamed.bin"]
-        assert leftovers == []
+        assert os.listdir(tmp_path) == ["streamed.bin"]
         mapped = LabelStore.open_mmap(path)
         oracle = TreeDistanceOracle(tree)
         pairs = uniform_pairs(tree, 100, seed=3)
@@ -259,20 +255,14 @@ class TestStreamingBuild:
             oracle.distance(u, v) for u, v in pairs
         ]
 
-    def test_in_memory_baseline_matches(self, tmp_path):
-        tree = make_tree("random", 150, seed=8)
-        streamed, baseline = tmp_path / "a.bin", tmp_path / "b.bin"
-        build_store_streaming(make_scheme_from_spec("freedman"), tree, streamed)
-        build_store_in_memory(make_scheme_from_spec("freedman"), tree, baseline)
-        assert streamed.read_bytes() == baseline.read_bytes()
-
-    def test_rejects_tiny_run_buffer(self, tmp_path):
-        tree = make_tree("random", 10, seed=0)
-        with pytest.raises(ValueError):
-            build_store_streaming(
-                make_scheme_from_spec("freedman"), tree, tmp_path / "x.bin",
-                run_bytes=1024,
-            )
+    def test_short_label_stream_writes_nothing(self, tmp_path):
+        scheme = make_scheme_from_spec("freedman")
+        tree = make_tree("random", 40, seed=2)
+        labels = list(scheme.encode_stream(tree))[:-1]
+        scheme.encode_stream = lambda _tree: iter(labels)
+        with pytest.raises(StoreError, match="39 labels for a 40-node tree"):
+            write_store(scheme, tree, tmp_path / "short.bin")
+        assert os.listdir(tmp_path) == []
 
 
 class TestEncodeStream:

@@ -35,7 +35,6 @@ from repro.serve import (
 )
 from repro.obs.hist import Histogram
 from repro.serve.metrics import merge_fleet_stats
-from repro.store import QueryEngine
 
 
 @pytest.fixture(scope="module")
@@ -322,9 +321,7 @@ def test_concurrent_matrix_beyond_inflight_cap_gets_busy(tree, index):
 
 
 def test_matrix_into_matches_distance_matrix_and_leaves_caches_alone(tree):
-    engine = QueryEngine.encode_tree(
-        DistanceIndex.build(tree, "freedman").scheme, tree
-    )
+    engine = DistanceIndex.build(tree, "freedman").engine
     nodes = [3, 1, 4, 1, 5, 9, 2, 6]
     expected = [value for row in engine.distance_matrix(nodes) for value in row]
     before = engine.cache_info()

@@ -16,6 +16,7 @@ from repro.encoding.varint import decode_uvarint, encode_uvarint
 from repro.generators.workloads import make_tree, random_pairs
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import STORE_MAGIC, LabelStore, QueryEngine, StoreError
+from repro.store.label_store import read_header
 from strategies import parent_array_trees
 
 # every registered scheme as a (factory, kind) pair: the full exact registry
@@ -25,6 +26,11 @@ ALL_REGISTERED = [
     ("k-distance", lambda: KDistanceScheme(4), "bounded"),
     ("approximate", lambda: ApproximateScheme(0.5), "approximate"),
 ]
+
+
+def _encoded_engine(scheme, tree, **kwargs):
+    """A query engine over ``tree`` freshly encoded with ``scheme``."""
+    return QueryEngine(LabelStore.encode_tree(scheme, tree), scheme=scheme, **kwargs)
 
 
 def expected_answer(kind, scheme, exact):
@@ -164,6 +170,48 @@ class TestLabelStoreErrors:
         with pytest.raises(KeyError):
             make_any_scheme("no-such-scheme")
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [("no-such-scheme", {}), ("k-distance", {"k": -1}), ("freedman", {"q": 1})],
+    )
+    def test_bad_scheme_in_header_is_a_store_error(self, name, params):
+        store = LabelStore(name, params, [], b"")
+        with pytest.raises(StoreError):
+            store.make_scheme()
+
+    def test_params_must_be_a_json_object(self):
+        blob = LabelStore("freedman", {}, [], b"").to_bytes()
+        assert read_header(blob) == ("freedman", {}, 0, len(blob))
+        assert blob.endswith(b"{}\x00")
+        with pytest.raises(StoreError, match="JSON object"):
+            LabelStore.from_bytes(blob[:-3] + b"[]\x00")
+
+    @pytest.mark.parametrize(
+        "spec", ["freedman", "k-distance:k=3", "approximate:epsilon=0.5"]
+    )
+    def test_every_scheme_byte_flip_is_typed(self, spec):
+        """Each single-bit flip of the name and params fields (their length
+        varints included) opens cleanly or raises ``StoreError``."""
+        from repro.api import DistanceIndex
+
+        tree = make_tree("random", 300, seed=3)
+        blob = DistanceIndex.build(tree, spec).to_bytes()
+        _, _, n, pos = read_header(blob)
+        end = pos - len(encode_uvarint(n))
+        outcomes = {"opened": 0, "StoreError": 0}
+        for index in range(len(STORE_MAGIC), end):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[index] ^= 1 << bit
+                try:
+                    DistanceIndex.from_bytes(bytes(flipped))
+                except StoreError:
+                    outcomes["StoreError"] += 1
+                else:
+                    outcomes["opened"] += 1
+        assert sum(outcomes.values()) == 8 * (end - len(STORE_MAGIC))
+        assert outcomes["StoreError"] > 0
+
     def test_alias_rejects_params(self):
         with pytest.raises(ValueError):
             make_any_scheme("freedman-no-fragments", k=3)
@@ -172,13 +220,13 @@ class TestLabelStoreErrors:
 class TestQueryEngine:
     def test_batch_matches_single(self):
         tree = make_tree("random", 120, seed=9)
-        engine = QueryEngine.encode_tree(FreedmanScheme(), tree)
+        engine = _encoded_engine(FreedmanScheme(), tree)
         pairs = random_pairs(tree, 150, seed=1)
         assert engine.batch_distance(pairs) == [engine.query(u, v) for u, v in pairs]
 
     def test_batch_parses_each_label_once(self):
         tree = make_tree("random", 50, seed=3)
-        engine = QueryEngine.encode_tree(FreedmanScheme(), tree, cache_size=4096)
+        engine = _encoded_engine(FreedmanScheme(), tree, cache_size=4096)
         pairs = random_pairs(tree, 300, seed=2)
         engine.batch_query(pairs)
         distinct = {node for pair in pairs for node in pair}
@@ -186,7 +234,7 @@ class TestQueryEngine:
 
     def test_lru_eviction(self):
         tree = make_tree("path", 40)
-        engine = QueryEngine.encode_tree(FreedmanScheme(), tree, cache_size=4)
+        engine = _encoded_engine(FreedmanScheme(), tree, cache_size=4)
         for node in range(10):
             engine.parsed_label(node)
         info = engine.cache_info()
@@ -208,7 +256,7 @@ class TestQueryEngine:
     def test_distance_matrix_matches_oracle(self):
         tree = make_tree("random", 40, seed=6)
         oracle = TreeDistanceOracle(tree)
-        engine = QueryEngine.encode_tree(FreedmanScheme(), tree)
+        engine = _encoded_engine(FreedmanScheme(), tree)
         assert engine.distance_matrix() == oracle.distance_matrix()
         nodes = [3, 17, 0, 29]
         assert engine.distance_matrix(nodes) == oracle.distance_matrix(nodes)
@@ -217,7 +265,7 @@ class TestQueryEngine:
         """A matrix reads the cache but never changes it, whatever its size."""
         tree = make_tree("random", 40, seed=6)
         oracle = TreeDistanceOracle(tree)
-        engine = QueryEngine.encode_tree(FreedmanScheme(), tree, cache_size=8)
+        engine = _encoded_engine(FreedmanScheme(), tree, cache_size=8)
 
         for node in range(8):  # warm the cache to capacity
             engine.parsed_label(node)
@@ -237,7 +285,7 @@ class TestQueryEngine:
         monkeypatch.setenv(kernels.ENV_VAR, "python")
         kernels.reset()
         try:
-            engine = QueryEngine.encode_tree(FreedmanScheme(), tree, cache_size=2)
+            engine = _encoded_engine(FreedmanScheme(), tree, cache_size=2)
             requested: list[int] = []
             parse_many = FreedmanScheme.parse_many
 
@@ -273,7 +321,7 @@ class TestBatchAgainstOracleHypothesis:
     @given(parent_array_trees(max_nodes=24))
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_exact_schemes(self, name, tree):
-        engine = QueryEngine.encode_tree(SCHEMES[name](), tree)
+        engine = _encoded_engine(SCHEMES[name](), tree)
         oracle = TreeDistanceOracle(tree)
         pairs = [(u, v) for u in tree.nodes() for v in tree.nodes()]
         assert engine.batch_distance(pairs) == oracle.batch_distance(pairs)
@@ -281,7 +329,7 @@ class TestBatchAgainstOracleHypothesis:
     @settings(max_examples=25, deadline=None)
     @given(parent_array_trees(max_nodes=20), st.integers(min_value=1, max_value=6))
     def test_bounded_scheme(self, tree, k):
-        engine = QueryEngine.encode_tree(KDistanceScheme(k), tree)
+        engine = _encoded_engine(KDistanceScheme(k), tree)
         oracle = TreeDistanceOracle(tree)
         pairs = [(u, v) for u in tree.nodes() for v in tree.nodes()]
         expected = [d if d <= k else None for d in oracle.batch_distance(pairs)]
@@ -291,7 +339,7 @@ class TestBatchAgainstOracleHypothesis:
     @given(parent_array_trees(max_nodes=20))
     def test_approximate_scheme(self, tree):
         epsilon = 0.5
-        engine = QueryEngine.encode_tree(ApproximateScheme(epsilon), tree)
+        engine = _encoded_engine(ApproximateScheme(epsilon), tree)
         oracle = TreeDistanceOracle(tree)
         pairs = [(u, v) for u in tree.nodes() for v in tree.nodes()]
         for (u, v), answer in zip(pairs, engine.batch_query(pairs)):
