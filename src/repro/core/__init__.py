@@ -25,7 +25,7 @@ from repro.core.base import (
     ApproximateDistanceLabelingScheme,
     BoundedDistanceLabelingScheme,
     DistanceLabelingScheme,
-    LabelProtocol,
+    Label,
     LabelingScheme,
 )
 from repro.core.naive import NaiveListScheme
@@ -57,7 +57,7 @@ __all__ = [
     "DistanceLabelingScheme",
     "BoundedDistanceLabelingScheme",
     "ApproximateDistanceLabelingScheme",
-    "LabelProtocol",
+    "Label",
     "NaiveListScheme",
     "SeparatorScheme",
     "HLDScheme",

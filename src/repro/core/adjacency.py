@@ -16,38 +16,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.base import Label
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta
 from repro.trees.tree import RootedTree
 
 
 @dataclass(frozen=True)
-class AdjacencyLabel:
+class AdjacencyLabel(Label):
     """Own identifier plus parent identifier (roots repeat their own id)."""
 
     identifier: int
     parent_identifier: int
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_delta(writer, self.identifier)
-        encode_delta(writer, self.parent_identifier)
-        return writer.getvalue()
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_delta(self.identifier)
+        writer.write_delta(self.parent_identifier)
 
     @classmethod
     def read(cls, reader: BitReader) -> "AdjacencyLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         return cls(reader.read_delta(), reader.read_delta())
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "AdjacencyLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class AdjacencyScheme:

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.base import DistanceLabelingScheme
+from repro.core.base import DistanceLabelingScheme, Label
 from repro.encoding.alphabetic import common_codeword_prefix
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -35,7 +34,7 @@ from repro.trees.tree import RootedTree
 
 
 @dataclass
-class AlstrupLabel:
+class AlstrupLabel(Label):
     """Variable-width heavy-path label.
 
     ``offsets[i]`` is the weighted distance from the head of the i-th heavy
@@ -61,23 +60,20 @@ class AlstrupLabel:
             total += self.offsets[index] + self.light_weights[index]
         return total + self.offsets[level]
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_delta(writer, self.root_distance)
-        encode_gamma(writer, len(self.codewords))
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_delta(self.root_distance)
+        writer.write_gamma(len(self.codewords))
         for word in self.codewords:
-            encode_gamma(writer, len(word))
-            writer.write_bits(word)
+            writer.write_prefixed_bits(word)
         for offset in self.offsets:
-            encode_delta(writer, offset)
+            writer.write_delta(offset)
         for weight in self.light_weights:
-            encode_gamma(writer, weight)
-        return writer.getvalue()
+            writer.write_gamma(weight)
 
     @classmethod
     def read(cls, reader: BitReader) -> "AlstrupLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         gamma = reader.read_gamma
         delta = reader.read_delta
         root_distance = delta()
@@ -87,20 +83,12 @@ class AlstrupLabel:
         light_weights = [gamma() for _ in range(depth)]
         return cls(root_distance, codewords, offsets, light_weights)
 
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "AlstrupLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
-
     def distance_array_bits(self) -> int:
         """Bits of the distance array D(u) (the 1/2 log² n core term)."""
-        from repro.encoding.elias import delta_length
-
-        return sum(delta_length(offset) for offset in self.offsets)
+        writer = BitWriter()
+        for offset in self.offsets:
+            writer.write_delta(offset)
+        return len(writer)
 
 
 class AlstrupScheme(DistanceLabelingScheme):

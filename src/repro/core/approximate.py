@@ -22,11 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.base import ApproximateDistanceLabelingScheme
+from repro.core.base import ApproximateDistanceLabelingScheme, Label
 from repro.encoding.alphabetic import common_codeword_prefix
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
-from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -46,7 +44,7 @@ def rounded_exponent(distance: int, base: float) -> int:
 
 
 @dataclass
-class ApproximateLabel:
+class ApproximateLabel(Label):
     """Label of one node for (1+eps)-approximate queries."""
 
     preorder: int
@@ -69,23 +67,20 @@ class ApproximateLabel:
             < self.preorder + self.subtree_size
         )
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_delta(writer, self.preorder)
-        encode_delta(writer, self.subtree_size)
-        encode_delta(writer, self.root_distance)
-        encode_delta(writer, self.domination)
-        encode_gamma(writer, len(self.codewords))
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_delta(self.preorder)
+        writer.write_delta(self.subtree_size)
+        writer.write_delta(self.root_distance)
+        writer.write_delta(self.domination)
+        writer.write_gamma(len(self.codewords))
         for word in self.codewords:
-            encode_gamma(writer, len(word))
-            writer.write_bits(word)
-        MonotoneSequence(self.exponents).write(writer)
-        return writer.getvalue()
+            writer.write_prefixed_bits(word)
+        writer.write_monotone(self.exponents)
 
     @classmethod
     def read(cls, reader: BitReader) -> "ApproximateLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         delta = reader.read_delta
         preorder = delta()
         subtree_size = delta()
@@ -101,15 +96,6 @@ class ApproximateLabel:
             codewords=codewords,
             exponents=reader.read_monotone(),
         )
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "ApproximateLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class ApproximateScheme(ApproximateDistanceLabelingScheme):

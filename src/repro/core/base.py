@@ -19,13 +19,18 @@ plain label objects, every label serialises to a bit string through
 ``to_bits``, and ``query_from_bits`` re-parses the labels before answering,
 proving that no hidden state leaks from the encoder.
 
-Every label class has exactly one parser, ``read(reader)``, over the field
-decoders of :class:`~repro.encoding.bitio.BitReader` (Elias gamma/delta,
-length-prefixed bits, Lemma 2.2 monotone sequences).  A scheme names its
-label class in ``label_type``; the base class's :meth:`LabelingScheme.parse`
-(one bit string) and :meth:`LabelingScheme.parse_many` (the store's packed
-words) both end in that ``read``, so a label parses, and a malformed one
-fails, the same way on every path.
+Every label class derives from :class:`Label` and has exactly one
+serialiser, ``write(writer)``, over the field encoders of
+:class:`~repro.encoding.bitio.BitWriter`, and one parser,
+``read(reader)``, over the field decoders of
+:class:`~repro.encoding.bitio.BitReader` (Elias gamma/delta,
+length-prefixed bits, Lemma 2.2 monotone sequences); ``to_bits``,
+``from_bits`` and ``bit_length`` are defined once, on :class:`Label`.
+A scheme names its label class in ``label_type``; the base class's
+:meth:`LabelingScheme.parse` (one bit string) and
+:meth:`LabelingScheme.parse_many` (the store's packed words) both end in
+that ``read``, so a label parses, and a malformed one fails, the same way
+on every path.
 
 All three scheme families — exact, k-distance (bounded) and
 (1+eps)-approximate — share the :class:`LabelingScheme` base, whose
@@ -45,23 +50,41 @@ equivalent scheme; together with ``name`` it forms the persistence spec that
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Protocol, runtime_checkable
 
-from repro.encoding.bitio import BitReader, Bits
+from repro.encoding.bitio import BitReader, BitWriter, Bits
 from repro.trees.tree import RootedTree
 
 
-@runtime_checkable
-class LabelProtocol(Protocol):
-    """Minimal protocol every label object satisfies."""
+class Label:
+    """Base of every label class: one ``write``, one ``read``.
+
+    A label class defines exactly two (de)serialisation methods:
+    ``write(writer)``, which appends its fields to a
+    :class:`~repro.encoding.bitio.BitWriter`, and the classmethod
+    ``read(reader)``, its inverse over a
+    :class:`~repro.encoding.bitio.BitReader`.  Everything else is derived
+    here once.  The empty ``__slots__`` lets a slotted label class stay
+    slot-only.
+    """
+
+    __slots__ = ()
 
     def to_bits(self) -> Bits:
         """Serialise the label to a self-contained bit string."""
-        ...
+        writer = BitWriter()
+        self.write(writer)
+        return writer.getvalue()
+
+    @classmethod
+    def from_bits(cls, bits: Bits):
+        """Parse a serialised label."""
+        return cls.read(BitReader(bits))
 
     def bit_length(self) -> int:
         """Size of the serialised label in bits."""
-        ...
+        writer = BitWriter()
+        self.write(writer)
+        return len(writer)
 
 
 class LabelingScheme(ABC):
@@ -77,14 +100,14 @@ class LabelingScheme(ABC):
     label_type: type
 
     @abstractmethod
-    def encode(self, tree: RootedTree) -> dict[int, LabelProtocol]:
+    def encode(self, tree: RootedTree) -> dict[int, Label]:
         """Assign a label to every node of ``tree``."""
 
-    def parse(self, bits: Bits) -> LabelProtocol:
+    def parse(self, bits: Bits) -> Label:
         """Parse a label from its serialised bits."""
         return self.label_type.read(BitReader(bits))
 
-    def parse_many(self, store, nodes) -> dict[int, LabelProtocol]:
+    def parse_many(self, store, nodes) -> dict[int, Label]:
         """Parse many stored labels at once (the store-serving supply path).
 
         ``store`` is any object with a ``label_words(nodes)`` iterator
@@ -117,7 +140,7 @@ class LabelingScheme(ABC):
             yield labels[node]
 
     @abstractmethod
-    def query(self, label_u: LabelProtocol, label_v: LabelProtocol):
+    def query(self, label_u: Label, label_v: Label):
         """Answer one query from two parsed labels (family-specific value)."""
 
     def query_from_bits(self, bits_u: Bits, bits_v: Bits):
@@ -136,23 +159,23 @@ class LabelingScheme(ABC):
     # -- measurement helpers ------------------------------------------------
 
     @staticmethod
-    def label_sizes(labels: dict[int, LabelProtocol]) -> list[int]:
+    def label_sizes(labels: dict[int, Label]) -> list[int]:
         """Bit lengths of all labels."""
         return [label.bit_length() for label in labels.values()]
 
     @classmethod
-    def max_label_bits(cls, labels: dict[int, LabelProtocol]) -> int:
+    def max_label_bits(cls, labels: dict[int, Label]) -> int:
         """Maximum label size in bits (the quantity the paper bounds)."""
         return max(cls.label_sizes(labels))
 
     @classmethod
-    def average_label_bits(cls, labels: dict[int, LabelProtocol]) -> float:
+    def average_label_bits(cls, labels: dict[int, Label]) -> float:
         """Average label size in bits."""
         sizes = cls.label_sizes(labels)
         return sum(sizes) / len(sizes)
 
     @classmethod
-    def total_label_bits(cls, labels: dict[int, LabelProtocol]) -> int:
+    def total_label_bits(cls, labels: dict[int, Label]) -> int:
         """Total size of all labels in bits (the honest space measure)."""
         return sum(cls.label_sizes(labels))
 
@@ -164,10 +187,10 @@ class DistanceLabelingScheme(LabelingScheme):
     kind = "exact"
 
     @abstractmethod
-    def distance(self, label_u: LabelProtocol, label_v: LabelProtocol) -> int:
+    def distance(self, label_u: Label, label_v: Label) -> int:
         """Exact distance computed from two labels."""
 
-    def query(self, label_u: LabelProtocol, label_v: LabelProtocol) -> int:
+    def query(self, label_u: Label, label_v: Label) -> int:
         """Unified query interface: the exact distance."""
         return self.distance(label_u, label_v)
 
@@ -189,11 +212,11 @@ class BoundedDistanceLabelingScheme(LabelingScheme):
 
     @abstractmethod
     def bounded_distance(
-        self, label_u: LabelProtocol, label_v: LabelProtocol
+        self, label_u: Label, label_v: Label
     ) -> int | None:
         """Distance if it is at most ``k``; ``None`` otherwise."""
 
-    def query(self, label_u: LabelProtocol, label_v: LabelProtocol) -> int | None:
+    def query(self, label_u: Label, label_v: Label) -> int | None:
         """Unified query interface: the bounded distance."""
         return self.bounded_distance(label_u, label_v)
 
@@ -214,11 +237,11 @@ class ApproximateDistanceLabelingScheme(LabelingScheme):
 
     @abstractmethod
     def approximate_distance(
-        self, label_u: LabelProtocol, label_v: LabelProtocol
+        self, label_u: Label, label_v: Label
     ) -> int:
         """A value in ``[d(u, v), (1 + eps) * d(u, v)]``."""
 
-    def query(self, label_u: LabelProtocol, label_v: LabelProtocol):
+    def query(self, label_u: Label, label_v: Label):
         """Unified query interface: the (1+eps)-approximate distance."""
         return self.approximate_distance(label_u, label_v)
 

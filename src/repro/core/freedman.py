@@ -36,7 +36,10 @@ path.  The label it yields is *lazy*: it holds only that word, which
 :meth:`FreedmanLabel.to_bits` packs as it is, and the first read of a field
 parses the word with :meth:`FreedmanLabel.read` (the one parser) and drops
 it.  A label built from fields (or read once) is serialised by
-:meth:`FreedmanLabel._sentinel_word`, the mirror of ``read``.
+:meth:`FreedmanLabel.write`, the mirror of ``read``, on the one
+:class:`~repro.encoding.bitio.BitWriter`; the encoder shifts its two
+monotone sequences with the writer's own
+:func:`~repro.encoding.bitio.append_monotone`.
 ``tests/freedman_reference.py`` keeps the field-by-field encoder and codec
 the differential tests compare with.
 """
@@ -47,10 +50,9 @@ import math
 from array import array
 from dataclasses import dataclass, field, fields
 
-from repro.core.base import DistanceLabelingScheme
+from repro.core.base import DistanceLabelingScheme, Label
 from repro.encoding.alphabetic import common_codeword_prefix
-from repro.encoding.bitio import BitReader, Bits
-from repro.encoding.monotone import MonotoneSequence
+from repro.encoding.bitio import GAMMA_WIDTH, BitReader, BitWriter, Bits, append_monotone
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -61,57 +63,8 @@ from repro.trees.tree import RootedTree
 #: at its branch node (Lemma 3.4)
 THIN_FACTOR = 256
 
-#: Elias gamma code width of every small value: ``gamma(v)`` is ``v + 1``
-#: written in ``_GAMMA_WIDTH[v]`` bits (its leading zeros are the unary part)
-_GAMMA_WIDTH = tuple(2 * (value + 1).bit_length() - 1 for value in range(256))
-
-
-def _gamma_width(value: int) -> int:
-    """Width of the Elias gamma code of ``value`` (any size; checked)."""
-    if value < 0:
-        raise ValueError("Elias gamma encodes non-negative integers only")
-    return 2 * (value + 1).bit_length() - 1
-
-
-def _append_monotone(word: int, values: list[int]) -> int:
-    """Shift one Lemma 2.2 monotone sequence onto ``word``.
-
-    The layout of :class:`MonotoneSequence`: gamma count, gamma low width,
-    the fixed-width low parts, then the high parts as unary differences
-    ``0^d 1``.  Raises ``ValueError`` for a decreasing or negative
-    sequence, as the :class:`MonotoneSequence` constructor does.
-    """
-    count = len(values)
-    code = _GAMMA_WIDTH[count] if count < 256 else _gamma_width(count)
-    word = word << code | count + 1
-    if not count:
-        return word
-    last = values[-1]
-    low_width = max(0, last.bit_length() - count.bit_length())
-    code = _GAMMA_WIDTH[low_width] if low_width < 256 else _gamma_width(low_width)
-    word = word << code | low_width + 1
-    if low_width:
-        mask = (1 << low_width) - 1
-        for value in values:
-            word = word << low_width | value & mask
-    previous = values[0]
-    if previous < 0:
-        if any(b < a for a, b in zip(values, values[1:])):
-            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
-        raise ValueError("MonotoneSequence requires non-negative values")
-    high = 0
-    for value in values:
-        if value < previous:
-            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
-        previous = value
-        step = (value >> low_width) - high
-        high += step
-        word = (word << step + 1) | 1
-    return word
-
-
 @dataclass
-class FreedmanLabel:
+class FreedmanLabel(Label):
     """Label of one (original) node.
 
     All per-level lists are indexed by the light-edge index ``0 .. L-1``
@@ -171,75 +124,59 @@ class FreedmanLabel:
     # -- serialisation ------------------------------------------------------
 
     def to_bits(self) -> Bits:
-        """Serialise the label as a self-contained bit string."""
-        word = self._sentinel_word()
+        """Serialise the label: the encoder's word as it is while the label
+        holds one, else through :meth:`write`."""
+        word = self._word
+        if word is None:
+            return super().to_bits()
         length = word.bit_length() - 1
         return Bits._pack(word ^ (1 << length), length)
 
-    def _sentinel_word(self) -> int:
-        """The serialised label as one integer behind a leading ``1`` bit.
-
-        The encoder's word while the label holds one; otherwise the mirror
-        of :meth:`read`: every field (delta/gamma headers, light
-        codewords, the two Lemma 2.2 monotone sequences, entry triples,
-        accumulators) is shifted straight into one integer, with no writer
-        object and no :class:`MonotoneSequence`.  The sentinel bit keeps
-        the leading zeros of the first gamma code, so the label's length is
-        ``word.bit_length() - 1``.  The checks of the generic codec stay:
-        Elias inputs must be non-negative, and each monotone sequence
-        non-decreasing and non-negative.
-        """
+    def bit_length(self) -> int:
+        """Size of the serialised label in bits (no writer for a word)."""
         word = self._word
-        if word is not None:
-            return word
-        table = _GAMMA_WIDTH
-        limit = len(table)
-        word = 1
-        for value in (self.node_id, self.root_distance, self.domination):
-            if value < 0:
-                raise ValueError("Elias delta encodes non-negative integers only")
-            shifted = value + 1
-            width = shifted.bit_length() - 1
-            # delta = gamma(width), then the low ``width`` bits of ``shifted``
-            code = table[width] if width < limit else _gamma_width(width)
-            word = ((word << code | width + 1) << width) | (shifted ^ (1 << width))
+        if word is None:
+            return super().bit_length()
+        return word.bit_length() - 1
+
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``: the mirror of :meth:`read`.
+
+        Elias inputs must be non-negative, and each monotone sequence
+        non-decreasing and non-negative; the writer raises ``ValueError``
+        otherwise.
+        """
+        delta = writer.write_delta
+        gamma = writer.write_gamma
+        prefixed = writer.write_prefixed_bits
+        delta(self.node_id)
+        delta(self.root_distance)
+        delta(self.domination)
         depth = len(self.codewords)
-        code = table[depth] if depth < limit else _gamma_width(depth)
-        word = word << code | depth + 1
+        gamma(depth)
         for bits in self.codewords:
-            count = bits._length
-            code = table[count] if count < limit else _gamma_width(count)
-            word = ((word << code | count + 1) << count) | bits._value
+            prefixed(bits)
         for weight in self.light_weights:
-            code = table[weight] if 0 <= weight < limit else _gamma_width(weight)
-            word = word << code | weight + 1
-        word = _append_monotone(word, self.fragment_refs)
-        word = _append_monotone(word, self.fragment_distances)
+            gamma(weight)
+        writer.write_monotone(self.fragment_refs)
+        writer.write_monotone(self.fragment_distances)
         entry_skip = self.entry_skip
         entry_kept = self.entry_kept
         entry_pushed = self.entry_pushed
         for level in range(depth):
             if entry_skip[level]:
-                word = word << 1 | 1
-                continue
-            bits = entry_kept[level]
-            count = bits._length
-            code = table[count] if count < limit else _gamma_width(count)
-            word = ((word << 1 + code | count + 1) << count) | bits._value
-            pushed = entry_pushed[level]
-            code = table[pushed] if 0 <= pushed < limit else _gamma_width(pushed)
-            word = word << code | pushed + 1
+                writer.write_bit(1)
+            else:
+                writer.write_bit(0)
+                prefixed(entry_kept[level])
+                gamma(entry_pushed[level])
         accumulators = self.accumulators
         for level in range(depth):
-            bits = accumulators[level]
-            count = bits._length
-            code = table[count] if count < limit else _gamma_width(count)
-            word = ((word << code | count + 1) << count) | bits._value
-        return word
+            prefixed(accumulators[level])
 
     @classmethod
     def read(cls, reader: BitReader) -> "FreedmanLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`).
+        """Parse one serialised label (the inverse of :meth:`write`).
 
         The field grammar: three delta-coded integers, the gamma-coded
         light depth, per level a length-prefixed codeword and a gamma light
@@ -291,15 +228,6 @@ class FreedmanLabel:
         )
         return label
 
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "FreedmanLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return self._sentinel_word().bit_length() - 1
-
     def distance_array_bits(self) -> int:
         """Bits of the *modified distance array* (Section 3.2 core term).
 
@@ -314,16 +242,21 @@ class FreedmanLabel:
         return kept + accumulated
 
     def field_breakdown(self) -> dict[str, int]:
-        """Bits used by each label component."""
-        from repro.encoding.elias import delta_length, gamma_length
+        """Bits used by each label component, measured on the writer."""
+
+        def size(write, values) -> int:
+            writer = BitWriter()
+            for value in values:
+                write(writer, value)
+            return len(writer)
 
         identity = (self.node_id, self.root_distance, self.domination)
+        fragments = (self.fragment_refs, self.fragment_distances)
         parts = {
-            "identity": sum(map(delta_length, identity)),
-            "light_code": sum(len(word) + gamma_length(len(word)) for word in self.codewords),
-            "light_weights": sum(map(gamma_length, self.light_weights)),
-            "fragments": MonotoneSequence(self.fragment_refs).bit_length()
-            + MonotoneSequence(self.fragment_distances).bit_length(),
+            "identity": size(BitWriter.write_delta, identity),
+            "light_code": size(BitWriter.write_prefixed_bits, self.codewords),
+            "light_weights": size(BitWriter.write_gamma, self.light_weights),
+            "fragments": size(BitWriter.write_monotone, fragments),
             "truncated_distances": sum(len(bits) for bits in self.entry_kept),
             "accumulators": sum(len(bits) for bits in self.accumulators),
         }
@@ -373,7 +306,7 @@ class FreedmanScheme(DistanceLabelingScheme):
 
         Section 3's shared structure is computed once, as integer rows
         indexed by collapsed path id; each label is then shifted straight
-        into its word (in :meth:`FreedmanLabel.to_bits` order) in one walk
+        into its word (in :meth:`FreedmanLabel.write` order) in one walk
         of its collapsed root path, so the store's payload loop
         (:func:`repro.store.label_store.pack_labels`) never materialises the
         full label dict.
@@ -398,7 +331,7 @@ class FreedmanScheme(DistanceLabelingScheme):
         weight_code = array("Q", map((1).__add__, light_weights))
         weight_width = array("B", (2 * code.bit_length() - 1 for code in weight_code))
 
-        table = _GAMMA_WIDTH
+        table = GAMMA_WIDTH
         limit = len(table)
         query_node = transform.query_node
         path_of = decomposition._path_of
@@ -437,14 +370,14 @@ class FreedmanScheme(DistanceLabelingScheme):
                 length = prefix_length[path]
                 if length:
                     value, total = accumulator[parent]
-                    code = table[length] if length < limit else _gamma_width(length)
+                    code = table[length] if length < limit else 2 * (length + 1).bit_length() - 1
                     acc = ((acc << code | length + 1) << length) | value >> total - length
                 else:
                     acc = acc << 1 | 1
                 parent = path
             width = weights.bit_length() - 1
             word = word << width | weights ^ 1 << width
-            word = _append_monotone(word, refs)
+            word = append_monotone(word, refs)
             distances = boundaries[own_path]
             if distances is None:
                 # a path without children: its parent's boundaries, then
@@ -453,7 +386,7 @@ class FreedmanScheme(DistanceLabelingScheme):
                 added = fragment_ref[own_path] + 1 - len(distances)
                 if added:
                     distances += (head_distance[own_path],) * added
-            word = _append_monotone(word, distances)
+            word = append_monotone(word, distances)
             for group in (entries, acc):
                 width = group.bit_length() - 1
                 word = word << width | group ^ 1 << width
@@ -573,8 +506,8 @@ class FreedmanScheme(DistanceLabelingScheme):
                     length = min(full_bits, int(math.ceil(slack)) + 1)
                 pushed = full_bits - length
                 # flag bit 0, gamma(length), the kept bits, gamma(pushed)
-                pushed_width = _GAMMA_WIDTH[pushed]
-                bits = 1 + _GAMMA_WIDTH[length] + length + pushed_width
+                pushed_width = GAMMA_WIDTH[pushed]
+                bits = 1 + GAMMA_WIDTH[length] + length + pushed_width
                 if bits > 64 and not isinstance(segment, list):
                     segment = segment.tolist()
                 segment[child] = (

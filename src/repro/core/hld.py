@@ -24,15 +24,14 @@ integer and splits it with shifts.
 
 from __future__ import annotations
 
-from repro.core.base import DistanceLabelingScheme
-from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_gamma
+from repro.core.base import DistanceLabelingScheme, Label
+from repro.encoding.bitio import BitError, BitReader, BitWriter
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
 
 
-class HLDLabel:
+class HLDLabel(Label):
     """Fixed-width heavy-path label.
 
     ``path_ids``/``exits`` are exposed as lists (level 0 first) for
@@ -121,12 +120,11 @@ class HLDLabel:
             f"id_width={self.id_width}, distance_width={self.distance_width})"
         )
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_gamma(writer, self.id_width)
-        encode_gamma(writer, self.distance_width)
-        encode_gamma(writer, self._count)
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_gamma(self.id_width)
+        writer.write_gamma(self.distance_width)
+        writer.write_gamma(self._count)
         writer.write_int(self.root_distance, self.distance_width)
         # emit the packed fields level by level, root (level 0) first
         id_width, distance_width = self.id_width, self.distance_width
@@ -139,11 +137,10 @@ class HLDLabel:
                 (exits_packed >> (level * distance_width)) & distance_mask,
                 distance_width,
             )
-        return writer.getvalue()
 
     @classmethod
     def read(cls, reader: BitReader) -> "HLDLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`).
+        """Parse one serialised label (the inverse of :meth:`write`).
 
         Three gamma codes (``id_width``, ``distance_width``, level count),
         then the root distance and the fixed-width ``(path id, exit)``
@@ -181,15 +178,6 @@ class HLDLabel:
         label._path_ids = None
         label._exits = None
         return label
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "HLDLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class HLDScheme(DistanceLabelingScheme):

@@ -33,10 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.base import BoundedDistanceLabelingScheme
-from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
-from repro.encoding.monotone import MonotoneSequence
+from repro.core.base import BoundedDistanceLabelingScheme, Label
+from repro.encoding.bitio import BitReader, BitWriter
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
 
@@ -72,7 +70,7 @@ def floor_log2(value: int) -> int:
 
 
 @dataclass
-class KDistanceLabel:
+class KDistanceLabel(Label):
     """Label of one node for k-distance queries."""
 
     pre: int
@@ -124,26 +122,24 @@ class KDistanceLabel:
 
     # -- serialisation -------------------------------------------------------
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_delta(writer, self.pre)
-        encode_gamma(writer, self.light_depth)
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_delta(self.pre)
+        writer.write_gamma(self.light_depth)
         writer.write_bit(1 if self.has_extension else 0)
         writer.write_bit(1 if self.compact else 0)
-        MonotoneSequence(self.heights).write(writer)
-        MonotoneSequence(self.child_heights).write(writer)
-        MonotoneSequence(self.distances).write(writer)
-        encode_delta(writer, self.alpha)
+        writer.write_monotone(self.heights)
+        writer.write_monotone(self.child_heights)
+        writer.write_monotone(self.distances)
+        writer.write_delta(self.alpha)
         if self.compact:
-            encode_gamma(writer, self.position_mod)
-            MonotoneSequence(self.forward).write(writer)
-            MonotoneSequence(self.backward).write(writer)
-        return writer.getvalue()
+            writer.write_gamma(self.position_mod)
+            writer.write_monotone(self.forward)
+            writer.write_monotone(self.backward)
 
     @classmethod
     def read(cls, reader: BitReader) -> "KDistanceLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         gamma = reader.read_gamma
         monotone = reader.read_monotone
         pre = reader.read_delta()
@@ -174,15 +170,6 @@ class KDistanceLabel:
             forward=forward,
             backward=backward,
         )
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "KDistanceLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class KDistanceScheme(BoundedDistanceLabelingScheme):

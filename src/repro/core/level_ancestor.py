@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.base import Label
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -30,7 +30,7 @@ from repro.trees.tree import RootedTree
 
 
 @dataclass(frozen=True)
-class LevelAncestorLabel:
+class LevelAncestorLabel(Label):
     """Hierarchical position description: offsets along heavy paths and
     codewords of the light edges taken between them.
 
@@ -56,35 +56,23 @@ class LevelAncestorLabel:
         """Hashable identity (labels are unique per node)."""
         return (self.codewords, self.offsets)
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_delta(writer, self.depth)
-        encode_gamma(writer, len(self.codewords))
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_delta(self.depth)
+        writer.write_gamma(len(self.codewords))
         for word in self.codewords:
-            encode_gamma(writer, len(word))
-            writer.write_bits(word)
+            writer.write_prefixed_bits(word)
         for offset in self.offsets:
-            encode_delta(writer, offset)
-        return writer.getvalue()
+            writer.write_delta(offset)
 
     @classmethod
     def read(cls, reader: BitReader) -> "LevelAncestorLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         depth = reader.read_delta()
         count = reader.read_gamma()
         codewords = tuple(reader.read_prefixed_bits() for _ in range(count))
         offsets = tuple(reader.read_delta() for _ in range(count + 1))
         return cls(depth, codewords, offsets)
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "LevelAncestorLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class LevelAncestorScheme:

@@ -14,46 +14,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.base import DistanceLabelingScheme
-from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
+from repro.core.base import DistanceLabelingScheme, Label
+from repro.encoding.bitio import BitReader, BitWriter
 from repro.trees.tree import RootedTree
 
 
 @dataclass
-class NaiveLabel:
+class NaiveLabel(Label):
     """Ancestor list with root distances, deepest first."""
 
     ancestors: list[int]
     distances: list[int]
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_gamma(writer, len(self.ancestors))
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_gamma(len(self.ancestors))
         for node, distance in zip(self.ancestors, self.distances):
-            encode_delta(writer, node)
-            encode_delta(writer, distance)
-        return writer.getvalue()
+            writer.write_delta(node)
+            writer.write_delta(distance)
 
     @classmethod
     def read(cls, reader: BitReader) -> "NaiveLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         count = reader.read_gamma()
         ancestors, distances = [], []
         for _ in range(count):
             ancestors.append(reader.read_delta())
             distances.append(reader.read_delta())
         return cls(ancestors, distances)
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "NaiveLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class NaiveListScheme(DistanceLabelingScheme):

@@ -17,46 +17,34 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.base import DistanceLabelingScheme
-from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
+from repro.core.base import DistanceLabelingScheme, Label
+from repro.encoding.bitio import BitReader, BitWriter
 from repro.trees.tree import RootedTree
 
 
 @dataclass
-class SeparatorLabel:
+class SeparatorLabel(Label):
     """(centroid, distance-to-centroid) pairs from the top level down."""
 
     centroids: list[int]
     distances: list[int]
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_gamma(writer, len(self.centroids))
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_gamma(len(self.centroids))
         for centroid, distance in zip(self.centroids, self.distances):
-            encode_delta(writer, centroid)
-            encode_delta(writer, distance)
-        return writer.getvalue()
+            writer.write_delta(centroid)
+            writer.write_delta(distance)
 
     @classmethod
     def read(cls, reader: BitReader) -> "SeparatorLabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         count = reader.read_gamma()
         centroids, distances = [], []
         for _ in range(count):
             centroids.append(reader.read_delta())
             distances.append(reader.read_delta())
         return cls(centroids, distances)
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "SeparatorLabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class SeparatorScheme(DistanceLabelingScheme):

@@ -10,6 +10,13 @@ counts operations.  All size accounting (``len(bits)``) remains exact in
 bits, and the printable ``'0'``/``'1'`` view is still available through
 :attr:`Bits.data` for diagnostics and tests.
 
+There is one writer and one reader.  :class:`BitWriter` holds the only
+copy of the encode arithmetic of the paper's self-delimiting fields
+(Section 2, "Encoding integers": Elias gamma and delta codes,
+length-prefixed bit strings, Lemma 2.2 monotone sequences) and
+:class:`BitReader` the only copy of their decode arithmetic; every label
+class's ``write``/``read`` pair runs on them.
+
 The previous character-per-bit implementation is preserved verbatim in
 ``tests/bitio_reference.py``: ``tests/test_bitio_packed.py`` checks the two
 against each other, and ``tests/test_speed_gates.py`` measures the packed
@@ -174,36 +181,88 @@ _ZERO = Bits._pack(0, 1)
 _ONE = Bits._pack(1, 1)
 
 
-class BitWriter:
-    """Accumulates bits into a single integer and produces a :class:`Bits`."""
+#: width of the Elias gamma code of every small value: ``gamma(v)`` is
+#: ``v + 1`` written in ``GAMMA_WIDTH[v]`` bits (its leading zeros are the
+#: unary part)
+GAMMA_WIDTH = tuple(2 * (value + 1).bit_length() - 1 for value in range(256))
 
-    __slots__ = ("_value", "_length")
+
+def append_monotone(word: int, values: list[int]) -> int:
+    """Shift one Lemma 2.2 monotone sequence onto ``word``; return the word.
+
+    The one copy of the encoder (:meth:`BitWriter.write_monotone` and the
+    Freedman label encoder both call it): gamma count, gamma low width,
+    the fixed-width low parts, then the high parts as unary differences
+    ``0^d 1``.  Raises ``ValueError`` for a decreasing or negative
+    sequence, before any unary run longer than the last element's high
+    part is built.
+    """
+    count = len(values)
+    code = GAMMA_WIDTH[count] if count < 256 else 2 * (count + 1).bit_length() - 1
+    word = word << code | count + 1
+    if not count:
+        return word
+    last = values[-1]
+    low_width = max(0, last.bit_length() - count.bit_length())
+    code = GAMMA_WIDTH[low_width] if low_width < 256 else 2 * (low_width + 1).bit_length() - 1
+    word = word << code | low_width + 1
+    if low_width:
+        mask = (1 << low_width) - 1
+        for value in values:
+            word = word << low_width | value & mask
+    previous = values[0]
+    if previous < 0:
+        raise ValueError("a monotone sequence must be non-negative")
+    high = 0
+    for value in values:
+        # above ``last`` means a drop further on: rejected before its high
+        # part, whose unary run could be arbitrarily long, is shifted in
+        if not previous <= value <= last:
+            raise ValueError("a monotone sequence must be non-decreasing")
+        previous = value
+        step = (value >> low_width) - high
+        high += step
+        word = (word << step + 1) | 1
+    return word
+
+
+class BitWriter:
+    """Accumulates bits into one integer: the one label encoder.
+
+    The mirror of :class:`BitReader`.  The bits written so far sit behind
+    a leading sentinel ``1`` bit in a single integer (``_word``), so every
+    write is one shift and one OR, and the length is
+    ``_word.bit_length() - 1``.  Besides the raw writes (a bit, a bit
+    string, a fixed-width field, a zero run, a unary code) it encodes the
+    self-delimiting fields every label is built from: Elias gamma and
+    delta codes, gamma-length-prefixed bit strings and Lemma 2.2 monotone
+    sequences.  Each label class serialises itself with one
+    ``write(writer)`` over these methods, and no other copy of the
+    arithmetic exists.
+
+    A rejected write (a negative code, a decreasing sequence, a value too
+    wide for its field) raises before the writer changes.
+    """
+
+    __slots__ = ("_word",)
 
     def __init__(self) -> None:
-        self._value = 0
-        self._length = 0
+        self._word = 1
 
     def __len__(self) -> int:
-        return self._length
+        return self._word.bit_length() - 1
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit (0 or 1)."""
         if bit not in (0, 1):
             raise BitError(f"bit must be 0 or 1, got {bit!r}")
-        self._value = (self._value << 1) | (1 if bit else 0)
-        self._length += 1
+        self._word = self._word << 1 | (1 if bit else 0)
 
     def write_bits(self, bits: "Bits | str") -> None:
         """Append an existing bit string."""
-        if isinstance(bits, Bits):
-            self._value = (self._value << bits._length) | bits._value
-            self._length += bits._length
-            return
-        length = len(bits)
-        if length and (set(bits) - {"0", "1"}):
-            raise BitError(f"invalid characters in bit string: {bits!r}")
-        self._value = (self._value << length) | (int(bits, 2) if length else 0)
-        self._length += length
+        if not isinstance(bits, Bits):
+            bits = Bits(bits)
+        self._word = self._word << bits._length | bits._value
 
     def write_int(self, value: int, width: int) -> None:
         """Append ``value`` as a fixed-width big-endian binary number."""
@@ -213,26 +272,61 @@ class BitWriter:
             raise BitError("width must be non-negative")
         if value >> width:
             raise BitError(f"value {value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._length += width
+        self._word = self._word << width | value
 
     def write_zeros(self, count: int) -> None:
         """Append a run of ``count`` zero bits (one shift, no loop)."""
         if count < 0:
             raise BitError("count must be non-negative")
-        self._value <<= count
-        self._length += count
+        self._word <<= count
 
     def write_unary(self, value: int) -> None:
         """Append the unary code ``0^value 1`` (one shift, no loop)."""
         if value < 0:
             raise BitError("unary code encodes non-negative integers only")
-        self._value = (self._value << (value + 1)) | 1
-        self._length += value + 1
+        self._word = self._word << value + 1 | 1
+
+    # -- self-delimiting fields ----------------------------------------------
+
+    def write_gamma(self, value: int) -> None:
+        """Append the Elias gamma code of ``value >= 0``.
+
+        ``value + 1`` has ``z + 1`` significant bits; written in
+        ``2z + 1`` bits it carries its own ``z`` leading zeros, the unary
+        part, so the whole code is one shift.
+        """
+        if value < 0:
+            raise ValueError("Elias gamma encodes non-negative integers only")
+        value += 1
+        self._word = self._word << 2 * value.bit_length() - 1 | value
+
+    def write_delta(self, value: int) -> None:
+        """Append the Elias delta code of ``value >= 0``: gamma(width), then
+        the ``width`` bits of ``value + 1`` below its leading one."""
+        if value < 0:
+            raise ValueError("Elias delta encodes non-negative integers only")
+        value += 1
+        width = value.bit_length() - 1
+        code = width + 1
+        word = self._word << 2 * code.bit_length() - 1 | code
+        self._word = word << width | value ^ 1 << width
+
+    def write_prefixed_bits(self, bits: Bits) -> None:
+        """Append a gamma-coded length followed by the bits themselves."""
+        count = bits._length
+        code = count + 1
+        word = self._word << 2 * code.bit_length() - 1 | code
+        self._word = word << count | bits._value
+
+    def write_monotone(self, values: list[int]) -> None:
+        """Append one Lemma 2.2 monotone sequence (see :func:`append_monotone`)."""
+        self._word = append_monotone(self._word, values)
 
     def getvalue(self) -> Bits:
         """Return everything written so far as a single :class:`Bits`."""
-        return Bits._pack(self._value, self._length)
+        word = self._word
+        length = word.bit_length() - 1
+        return Bits._pack(word ^ 1 << length, length)
 
 
 class BitReader:
@@ -363,11 +457,11 @@ class BitReader:
     def read_monotone(self) -> list[int]:
         """Read one Lemma 2.2 monotone sequence as a plain list.
 
-        The layout of :class:`~repro.encoding.monotone.MonotoneSequence`:
-        gamma count, gamma low width, the fixed-width low parts, then the
-        high parts as unary differences.  A decreasing sequence raises
-        ``ValueError`` once the whole sequence is read, so a truncated one
-        raises :class:`BitError` first, as the constructor check would.
+        The layout :meth:`BitWriter.write_monotone` writes: gamma count,
+        gamma low width, the fixed-width low parts, then the high parts as
+        unary differences.  A decreasing sequence raises ``ValueError``
+        once the whole sequence is read, so a truncated one raises
+        :class:`BitError` first.
         """
         count = self.read_gamma()
         if not count:
@@ -405,5 +499,5 @@ class BitReader:
             values.append(item)
         self._rem = rem
         if not ordered:
-            raise ValueError("MonotoneSequence requires a non-decreasing sequence")
+            raise ValueError("a monotone sequence must be non-decreasing")
         return values

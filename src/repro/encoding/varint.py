@@ -2,9 +2,9 @@
 
 The byte-level LEB128 varint (``encode_uvarint``/``decode_uvarint``) is the
 framing code of the :mod:`repro.store` binary format and of RSP/1: unlike
-the bit codes of :mod:`repro.encoding.elias` it keeps every field
-byte-aligned so stored labels can be sliced zero-copy with
-:class:`memoryview`.
+the bit codes of :class:`~repro.encoding.bitio.BitWriter` (Elias gamma and
+delta) it keeps every field byte-aligned so stored labels can be sliced
+zero-copy with :class:`memoryview`.
 """
 
 from __future__ import annotations

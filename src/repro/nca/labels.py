@@ -21,55 +21,39 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
+from repro.core.base import Label
 from repro.encoding.alphabetic import (
     canonical_code_values,
     codeword_length_bound,
     common_codeword_prefix,
 )
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
 
 
 @dataclass
-class LightDepthLabel:
+class LightDepthLabel(Label):
     """Per-node label supporting light-depth-of-NCA and domination queries."""
 
     light_depth: int
     codewords: list[Bits]
     domination: int
 
-    def to_bits(self) -> Bits:
-        """Serialise the label as a self-delimiting bit string."""
-        writer = BitWriter()
-        self.write(writer)
-        return writer.getvalue()
-
     def write(self, writer: BitWriter) -> None:
-        """Append the label to an existing writer."""
-        encode_gamma(writer, self.light_depth)
+        """Append the label to ``writer``."""
+        writer.write_gamma(self.light_depth)
         for word in self.codewords:
-            encode_gamma(writer, len(word))
-            writer.write_bits(word)
-        encode_delta(writer, self.domination)
+            writer.write_prefixed_bits(word)
+        writer.write_delta(self.domination)
 
     @classmethod
     def read(cls, reader: BitReader) -> "LightDepthLabel":
-        """Parse a label previously produced by :meth:`write`."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         light_depth = reader.read_gamma()
         codewords = [reader.read_prefixed_bits() for _ in range(light_depth)]
         return cls(light_depth, codewords, reader.read_delta())
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "LightDepthLabel":
-        """Parse a standalone label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
 
 class LightDepthLabeling:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.base import Label
 from repro.encoding.bitio import BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -28,7 +28,7 @@ from repro.trees.tree import RootedTree
 
 
 @dataclass
-class NCALabel:
+class NCALabel(Label):
     """Hierarchical description of a node's position.
 
     ``codewords[i]`` identifies the light child taken at level ``i``;
@@ -50,33 +50,21 @@ class NCALabel:
         """Weighted distance from the root."""
         return self.exit_distances[-1]
 
-    def to_bits(self) -> Bits:
-        """Serialise the label."""
-        writer = BitWriter()
-        encode_gamma(writer, len(self.codewords))
+    def write(self, writer: BitWriter) -> None:
+        """Append the label to ``writer``."""
+        writer.write_gamma(len(self.codewords))
         for word in self.codewords:
-            encode_gamma(writer, len(word))
-            writer.write_bits(word)
+            writer.write_prefixed_bits(word)
         for value in self.exit_distances:
-            encode_delta(writer, value)
-        return writer.getvalue()
+            writer.write_delta(value)
 
     @classmethod
     def read(cls, reader: BitReader) -> "NCALabel":
-        """Parse one serialised label (the inverse of :meth:`to_bits`)."""
+        """Parse one serialised label (the inverse of :meth:`write`)."""
         count = reader.read_gamma()
         codewords = [reader.read_prefixed_bits() for _ in range(count)]
         exits = [reader.read_delta() for _ in range(count + 1)]
         return cls(codewords, exits)
-
-    @classmethod
-    def from_bits(cls, bits: Bits) -> "NCALabel":
-        """Parse a serialised label."""
-        return cls.read(BitReader(bits))
-
-    def bit_length(self) -> int:
-        """Size of the serialised label in bits."""
-        return len(self.to_bits())
 
     def key(self) -> tuple:
         """Hashable identity of the label (labels are unique per node)."""

@@ -24,6 +24,7 @@ import os
 import shutil
 import tempfile
 from array import array
+from functools import cached_property
 
 from repro.encoding.bitio import Bits
 from repro.encoding.varint import decode_uvarint, encode_uvarint
@@ -347,12 +348,13 @@ class LabelStore:
             and isinstance(self._backing.obj, mmap.mmap)
         )
 
-    @property
+    @cached_property
     def file_bytes(self) -> int:
         """Size of the serialised store, header and index included.
 
-        The header is counted through a sink that stores nothing, so no
-        serialisation is kept.
+        The header is counted once, through a sink that stores nothing (so
+        no serialisation is kept); the store is immutable, so later calls
+        reuse the count.
         """
         return (
             write_header(

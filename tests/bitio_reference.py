@@ -3,15 +3,17 @@
 This is the original ``repro.encoding.bitio`` implementation, kept verbatim
 (plus the few newer entry points — ``write_zeros``, ``write_unary``,
 ``read_unary``, ``BitReader.from_bytes`` — implemented here in the same
-string style so the encoders of :mod:`repro.encoding.elias`,
-:mod:`repro.encoding.varint` and :mod:`repro.encoding.monotone` run
-unchanged against either backend).  The field decoders —
+string style).  The field codecs are written here a second time, a unary
+run and a binary field at a time on the character writer and reader, and
+import nothing from :mod:`repro.encoding`: the encoders
+:func:`encode_gamma`, :func:`encode_delta` and :func:`encode_monotone`
+are the independent check of ``BitWriter.write_gamma`` and its siblings,
+the one encode layer every label's ``write`` runs on, and the decoders
 :func:`decode_gamma`, :func:`decode_delta`, :func:`decode_prefixed_bits`
-and :func:`decode_monotone` — are written here a second time, a unary run
-and a binary field at a time on the character reader, and import nothing
-from :mod:`repro.encoding`: they are the independent check of
-``BitReader.read_gamma`` and its siblings, the one decode layer every
-label parser in ``src/`` runs on.
+and :func:`decode_monotone` that of ``BitReader.read_gamma`` and its
+siblings, the one decode layer every label's ``read`` runs on.  The
+encoders keep the messages and exception types of the encoders the
+library used before the writer held them.
 
 It exists for three reasons:
 
@@ -231,6 +233,46 @@ def encode_gamma(writer: BitWriter, value: int) -> None:
         raise ValueError("Elias gamma encodes non-negative integers only")
     shifted = value + 1
     writer.write_int(shifted, 2 * shifted.bit_length() - 1)
+
+
+def gamma_length(value: int) -> int:
+    """Number of bits :func:`encode_gamma` writes for ``value``."""
+    writer = BitWriter()
+    encode_gamma(writer, value)
+    return len(writer)
+
+
+def encode_delta(writer: BitWriter, value: int) -> None:
+    """Elias delta of ``value >= 0``: gamma(width), then the low ``width``
+    bits of ``value + 1``."""
+    if value < 0:
+        raise ValueError("Elias delta encodes non-negative integers only")
+    shifted = value + 1
+    width = shifted.bit_length() - 1
+    encode_gamma(writer, width)
+    if width:
+        writer.write_int(shifted - (1 << width), width)
+
+
+def encode_monotone(writer: BitWriter, values: list[int]) -> None:
+    """A Lemma 2.2 monotone sequence: gamma count, gamma low width, the
+    low parts, then the high parts as unary differences."""
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise ValueError("MonotoneSequence requires a non-decreasing sequence")
+    if any(value < 0 for value in values):
+        raise ValueError("MonotoneSequence requires non-negative values")
+    encode_gamma(writer, len(values))
+    if not values:
+        return
+    low_width = max(0, values[-1].bit_length() - len(values).bit_length())
+    encode_gamma(writer, low_width)
+    for value in values:
+        writer.write_int(value & ((1 << low_width) - 1), low_width)
+    previous_high = 0
+    for value in values:
+        high = value >> low_width
+        writer.write_unary(high - previous_high)
+        previous_high = high
 
 
 def decode_gamma(reader: BitReader) -> int:

@@ -1,21 +1,23 @@
 """Reference encoder and codec for Freedman labels, in the object-building form.
 
 ``FreedmanScheme.encode_stream`` shifts each label straight into one
-integer from per-path rows, ``FreedmanLabel.to_bits`` shifts the fields of
-a label into one integer, and ``FreedmanLabel.read`` decodes it with the
-shared field decoders of ``BitReader``.  This module keeps straightforward
+integer from per-path rows, ``FreedmanLabel.write`` writes the fields of
+a label with the field encoders of ``BitWriter``, and
+``FreedmanLabel.read`` decodes it with the field decoders of
+``BitReader``.  This module keeps straightforward
 forms of all three, so the differential tests can hold the word-level code
 to them, bit for bit and exception type for exception type:
 
 * :func:`reference_encode` builds every label field by field — a
   :class:`Bits` per codeword, kept entry and accumulator slice — from the
   scheme's shared Section 3 structure;
-* :func:`reference_to_bits` is a :class:`BitWriter` pass that goes
-  through the Elias helpers and builds a :class:`MonotoneSequence` per
-  fragment array;
+* :func:`reference_to_bits` writes on the string-backed writer of
+  :mod:`bitio_reference`, with its field-by-field encoders;
 * :func:`reference_from_bits` parses on the string-backed reader of
-  :mod:`bitio_reference`, with its bit-by-bit field decoders, so the
-  one decode layer of ``src/`` is not checked against itself.
+  :mod:`bitio_reference`, with its bit-by-bit field decoders,
+
+so neither the one encode layer nor the one decode layer of ``src/`` is
+checked against itself.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 import bitio_reference as ref
 from repro.core.freedman import THIN_FACTOR, FreedmanLabel, FreedmanScheme
 from repro.encoding.bitio import BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
-from repro.encoding.monotone import MonotoneSequence
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -166,29 +166,33 @@ def _reference_entries(use_accumulators, working, collapsed, entry_value):
 
 
 def reference_to_bits(label: FreedmanLabel) -> Bits:
-    """Serialise ``label`` field by field through a :class:`BitWriter`."""
-    writer = BitWriter()
-    encode_delta(writer, label.node_id)
-    encode_delta(writer, label.root_distance)
-    encode_delta(writer, label.domination)
-    encode_gamma(writer, label.light_depth)
+    """Serialise ``label`` field by field on the string-backed writer.
+
+    Every field goes through the encoders of :mod:`bitio_reference`, none
+    through :mod:`repro.encoding`.
+    """
+    writer = ref.BitWriter()
+    ref.encode_delta(writer, label.node_id)
+    ref.encode_delta(writer, label.root_distance)
+    ref.encode_delta(writer, label.domination)
+    ref.encode_gamma(writer, label.light_depth)
     for word in label.codewords:
-        encode_gamma(writer, len(word))
-        writer.write_bits(word)
+        ref.encode_gamma(writer, len(word))
+        writer.write_bits(word.data)
     for weight in label.light_weights:
-        encode_gamma(writer, weight)
-    MonotoneSequence(label.fragment_refs).write(writer)
-    MonotoneSequence(label.fragment_distances).write(writer)
+        ref.encode_gamma(writer, weight)
+    ref.encode_monotone(writer, label.fragment_refs)
+    ref.encode_monotone(writer, label.fragment_distances)
     for level in range(label.light_depth):
         writer.write_bit(1 if label.entry_skip[level] else 0)
         if not label.entry_skip[level]:
-            encode_gamma(writer, len(label.entry_kept[level]))
-            writer.write_bits(label.entry_kept[level])
-            encode_gamma(writer, label.entry_pushed[level])
+            ref.encode_gamma(writer, len(label.entry_kept[level]))
+            writer.write_bits(label.entry_kept[level].data)
+            ref.encode_gamma(writer, label.entry_pushed[level])
     for level in range(label.light_depth):
-        encode_gamma(writer, len(label.accumulators[level]))
-        writer.write_bits(label.accumulators[level])
-    return writer.getvalue()
+        ref.encode_gamma(writer, len(label.accumulators[level]))
+        writer.write_bits(label.accumulators[level].data)
+    return Bits(writer.getvalue().data)
 
 
 def reference_from_bits(bits: Bits) -> FreedmanLabel:

@@ -21,8 +21,6 @@ from hypothesis import given, strategies as st
 
 import bitio_reference as ref
 from repro.encoding.bitio import BitError, BitReader, BitWriter, Bits
-from repro.encoding.elias import encode_delta, encode_gamma
-from repro.encoding.monotone import MonotoneSequence
 from bitio_extras import decode_unary, encode_unary, peek_bit, reader_from_bytes, seek
 from strategies import monotone_sequences
 
@@ -218,8 +216,8 @@ class TestCodecsDifferential:
         packed_writer = BitWriter()
         reference_writer = ref.BitWriter()
         for value in values:
-            encode_gamma(packed_writer, value)
-            encode_gamma(reference_writer, value)
+            packed_writer.write_gamma(value)
+            ref.encode_gamma(reference_writer, value)
         packed = packed_writer.getvalue()
         assert packed.data == reference_writer.getvalue().data
         reader = BitReader(packed)
@@ -230,8 +228,8 @@ class TestCodecsDifferential:
         packed_writer = BitWriter()
         reference_writer = ref.BitWriter()
         for value in values:
-            encode_delta(packed_writer, value)
-            encode_delta(reference_writer, value)
+            packed_writer.write_delta(value)
+            ref.encode_delta(reference_writer, value)
         packed = packed_writer.getvalue()
         assert packed.data == reference_writer.getvalue().data
         reader = BitReader(packed)
@@ -250,10 +248,14 @@ class TestCodecsDifferential:
         assert [decode_unary(reader) for _ in values] == values
 
     @given(monotone_sequences())
-    def test_monotone_encoding_round_trip(self, values):
-        sequence = MonotoneSequence(values)
-        restored = MonotoneSequence.from_bits(sequence.bits)
-        assert restored.to_list() == values
+    def test_monotone_bitstream_identical(self, values):
+        packed_writer = BitWriter()
+        reference_writer = ref.BitWriter()
+        packed_writer.write_monotone(values)
+        ref.encode_monotone(reference_writer, values)
+        packed = packed_writer.getvalue()
+        assert packed.data == reference_writer.getvalue().data
+        assert BitReader(packed).read_monotone() == values
 
 
 #: the reader's field decoders and their bit-by-bit reference twins
@@ -279,14 +281,14 @@ encoded_fields = st.one_of(
 
 def _write_field(writer: BitWriter, kind: str, value) -> None:
     if kind == "gamma":
-        encode_gamma(writer, value)
+        ref.encode_gamma(writer, value)
     elif kind == "delta":
-        encode_delta(writer, value)
+        ref.encode_delta(writer, value)
     elif kind == "prefixed":
-        encode_gamma(writer, len(value))
+        ref.encode_gamma(writer, len(value))
         writer.write_bits(value)
     elif kind == "monotone":
-        MonotoneSequence(value).write(writer)
+        ref.encode_monotone(writer, value)
     else:
         writer.write_bit(value)
 

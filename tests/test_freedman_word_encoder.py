@@ -20,9 +20,9 @@ from dataclasses import fields
 
 import pytest
 
+from bitio_reference import gamma_length
 from freedman_reference import reference_encode, reference_to_bits
 from repro.core.freedman import FreedmanLabel, FreedmanScheme
-from repro.encoding.elias import gamma_length
 from repro.generators.random_trees import random_prufer_tree, random_weighted_tree
 from repro.store import LabelStore, write_store
 from test_freedman_encode_pins import SCHEMES, TREES

@@ -119,6 +119,23 @@ class TestLabelStoreRoundTrip:
         )
         assert store.file_bytes > store.payload_bytes  # header + index
 
+    @pytest.mark.parametrize("name,factory,kind", ALL_REGISTERED)
+    def test_file_bytes_counts_the_header_once(self, monkeypatch, name, factory, kind):
+        from repro.store import label_store
+
+        store = LabelStore.encode_tree(factory(), make_tree("random", 80, seed=11))
+        calls = []
+        write_header = label_store.write_header
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return write_header(*args)
+
+        monkeypatch.setattr(label_store, "write_header", counting)
+        sizes = {store.file_bytes for _ in range(5)}
+        assert len(calls) <= 1
+        assert sizes == {len(store.to_bytes())}
+
     def test_raw_is_zero_copy(self):
         scheme = FreedmanScheme()
         store = LabelStore.encode_tree(scheme, make_tree("random", 30, seed=5))
