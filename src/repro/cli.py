@@ -575,9 +575,11 @@ def _serve_single(args, server_config: dict) -> str:
     )
 
     def render_metrics() -> str:
-        from repro.obs.prom import fleet_registry, render
+        from repro.obs.prom import render
+        from repro.serve.metrics import merge_fleet_stats
 
-        return render(fleet_registry(server.stats(detail=True)))
+        # merged like a fleet of one, so both serve modes export the same series
+        return render(merge_fleet_stats([server.stats(detail=True)]))
 
     async def run() -> None:
         host, port = await server.start(args.host, args.port)

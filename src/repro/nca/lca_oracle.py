@@ -7,8 +7,36 @@ and the tests use it as ground truth.
 
 from __future__ import annotations
 
-from repro.trees.traversal import euler_tour
 from repro.trees.tree import RootedTree
+
+
+def euler_tour(tree: RootedTree) -> tuple[list[int], list[int], list[int]]:
+    """Euler tour of the tree.
+
+    Returns ``(tour, depths, first_occurrence)`` where ``tour`` lists nodes in
+    the order they are visited (each internal node appears once per child
+    visit plus once), ``depths`` gives the depth of each tour entry and
+    ``first_occurrence[v]`` is the index of the first appearance of ``v``.
+    This is the classical input to the sparse-table LCA oracle.  The walk is
+    iterative, so deep trees never hit CPython's recursion limit.
+    """
+    tour: list[int] = []
+    depths: list[int] = []
+    first: list[int] = [-1] * tree.n
+
+    stack: list[tuple[int, int, int]] = [(tree.root, 0, 0)]
+    # each stack frame: (node, depth, index of next child to expand)
+    while stack:
+        node, depth, child_index = stack.pop()
+        tour.append(node)
+        depths.append(depth)
+        if first[node] == -1:
+            first[node] = len(tour) - 1
+        children = tree.children(node)
+        if child_index < len(children):
+            stack.append((node, depth, child_index + 1))
+            stack.append((children[child_index], depth + 1, 0))
+    return tour, depths, first
 
 
 class LCAOracle:

@@ -2,20 +2,19 @@
 
 Four small, dependency-free modules that make a running fleet inspectable:
 
-* :mod:`repro.obs.trace` — request tracing: :class:`Span` /
-  :func:`start_span` monotonic timings over the request path (frame decode
-  → coalescer queue wait → kernel batch → result encode → transport
-  write), a bounded ring of recent traces and a slow-query log per worker
-  (served over ``OP_TRACE`` / ``repro-labels trace``);
+* :mod:`repro.obs.trace` — request tracing: :class:`Span` monotonic
+  timings over the request path (frame decode → coalescer queue wait →
+  kernel batch → result encode → transport write), a bounded ring of
+  recent traces and a slow-query log per worker (served over
+  ``OP_TRACE`` / ``repro-labels trace``);
 * :mod:`repro.obs.hist` — fixed-boundary log-spaced latency
   :class:`Histogram` s whose merge is exact bucket-wise addition — the
   only latency record, so fleet-wide percentiles come from merged counts;
-* :mod:`repro.obs.registry` — a minimal typed metric registry (counters,
-  gauges, histograms, info labels);
-* :mod:`repro.obs.prom` — the Prometheus text exposition
-  (:func:`~repro.obs.prom.render`), the fleet's ``repro_``-prefixed metric
-  surface (:func:`~repro.obs.prom.fleet_registry`) and the stdlib
-  ``/metrics`` HTTP endpoint (:class:`~repro.obs.prom.MetricsServer`,
+* :mod:`repro.obs.prom` — the fleet's ``repro_``-prefixed Prometheus text
+  exposition (:func:`~repro.obs.prom.render`, written from a fleet-merged
+  STATS payload and the one series table
+  :data:`repro.serve.metrics.SERIES`) and the stdlib ``/metrics`` HTTP
+  endpoint (:class:`~repro.obs.prom.MetricsServer`,
   ``serve --metrics-port``);
 * :mod:`repro.obs.profile` — the opt-in ``REPRO_PROFILE`` / SIGUSR2
   cProfile window for a live worker.
@@ -28,24 +27,19 @@ allocates only for requests that carry a trace id.
 from __future__ import annotations
 
 from repro.obs.hist import DEFAULT_BOUNDS_MS, Histogram, merge_histogram_dicts
-from repro.obs.prom import MetricsServer, fleet_registry, render
+from repro.obs.prom import MetricsServer, render
 from repro.obs.profile import install_profile_hook
-from repro.obs.registry import MetricFamily, Registry
-from repro.obs.trace import STAGES, Span, Trace, TraceRecorder, start_span
+from repro.obs.trace import STAGES, Span, Trace, TraceRecorder
 
 __all__ = [
     "DEFAULT_BOUNDS_MS",
     "Histogram",
     "merge_histogram_dicts",
-    "MetricFamily",
-    "Registry",
     "MetricsServer",
-    "fleet_registry",
     "render",
     "install_profile_hook",
     "STAGES",
     "Span",
     "Trace",
     "TraceRecorder",
-    "start_span",
 ]

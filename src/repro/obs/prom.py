@@ -3,18 +3,16 @@
 Two halves:
 
 :func:`render`
-    serialise a :class:`repro.obs.registry.Registry` into the Prometheus
-    text exposition format (version 0.0.4): ``# HELP`` / ``# TYPE`` lines,
-    escaped labels, histograms expanded into cumulative (hence monotone)
-    ``_bucket{le="..."}`` series plus ``_sum`` / ``_count``.
-
-:func:`fleet_registry`
-    the serving fleet's metric surface: build a registry snapshot from a
-    fleet-merged STATS payload (:func:`repro.serve.metrics.merge_fleet_stats`)
-    plus optional supervisor control-plane state.  Every series is prefixed
-    ``repro_``; the store generation and kernel tier travel as info labels,
-    latency as fleet-merged histograms, and per-slot liveness/restarts as
-    labelled gauges.
+    the serving fleet's metric surface as Prometheus text (version 0.0.4):
+    written straight from a fleet-merged STATS payload
+    (:func:`repro.serve.metrics.merge_fleet_stats`) plus optional
+    supervisor control-plane state.  The plain series come from the one
+    table :data:`repro.serve.metrics.SERIES`; the store generation and
+    kernel tier travel as info labels (a constant-1 gauge), latency as
+    fleet-merged histograms expanded into cumulative (hence monotone)
+    ``_bucket{le="..."}`` series plus ``_sum`` / ``_count``, and per-slot
+    liveness/restarts as labelled gauges.  Every series is prefixed
+    ``repro_``.
 
 :class:`MetricsServer`
     a tiny ``http.server`` endpoint (``serve --metrics-port``) that calls a
@@ -29,7 +27,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.hist import Histogram, merge_histogram_dicts
-from repro.obs.registry import MetricFamily, Registry
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -56,75 +53,41 @@ def _labels(labels: dict) -> str:
     return "{" + inner + "}"
 
 
-def _render_family(family: MetricFamily, out: list[str]) -> None:
-    if family.help:
-        out.append(f"# HELP {family.name} {_escape(family.help)}")
-    # info metrics are the conventional constant-1 gauge
-    kind = "gauge" if family.kind == "info" else family.kind
-    out.append(f"# TYPE {family.name} {kind}")
-    if family.kind != "histogram":
-        for labels, value in family.samples:
-            out.append(f"{family.name}{_labels(labels)} {_fmt(value)}")
+def _family(out: list[str], name: str, kind: str, help_text: str, samples) -> None:
+    """One metric family; ``samples`` are ``(labels, value)`` pairs, where a
+    histogram family's value is a :class:`Histogram`.  No samples, no family."""
+    if not samples:
         return
-    for labels, hist in family.samples:
-        assert isinstance(hist, Histogram)
-        cumulative = hist.cumulative()
-        for bound, count in zip(hist.bounds, cumulative):
-            bucket = dict(labels, le=_fmt(bound))
-            out.append(f"{family.name}_bucket{_labels(bucket)} {count}")
-        inf = dict(labels, le="+Inf")
-        out.append(f"{family.name}_bucket{_labels(inf)} {cumulative[-1]}")
-        out.append(f"{family.name}_sum{_labels(labels)} {_fmt(hist.sum)}")
-        out.append(f"{family.name}_count{_labels(labels)} {hist.total}")
+    out.append(f"# HELP {name} {_escape(help_text)}")
+    out.append(f"# TYPE {name} {kind}")
+    for labels, value in samples:
+        if kind != "histogram":
+            out.append(f"{name}{_labels(labels)} {_fmt(value)}")
+            continue
+        cumulative = value.cumulative()
+        for bound, count in zip(value.bounds, cumulative):
+            out.append(f"{name}_bucket{_labels(dict(labels, le=_fmt(bound)))} {count}")
+        out.append(f"{name}_bucket{_labels(dict(labels, le='+Inf'))} {cumulative[-1]}")
+        out.append(f"{name}_sum{_labels(labels)} {_fmt(value.sum)}")
+        out.append(f"{name}_count{_labels(labels)} {value.total}")
 
 
-def render(registry: Registry) -> str:
-    """The full text exposition for ``registry`` (trailing newline included)."""
-    out: list[str] = []
-    for family in registry.collect():
-        _render_family(family, out)
-    return "\n".join(out) + "\n"
-
-
-#: fleet counters exported 1:1 from the merged STATS payload
-_COUNTERS = (
-    ("queries", "repro_queries_total", "Individual QUERY answers sent"),
-    ("batch_requests", "repro_batch_requests_total", "OP_BATCH requests served"),
-    ("batch_request_pairs", "repro_batch_pairs_total", "Pairs answered inside OP_BATCH requests"),
-    ("matrix_requests", "repro_matrix_requests_total", "OP_MATRIX requests served"),
-    ("flushes", "repro_coalescer_flushes_total", "Coalescer batch_query calls"),
-    ("coalesced_queries", "repro_coalesced_queries_total", "QUERY answers produced by coalesced flushes"),
-    ("errors", "repro_errors_total", "Request-scoped OP_ERROR responses"),
-    ("busy_rejections", "repro_busy_rejections_total", "Requests shed with OP_BUSY backpressure"),
-    ("connections_total", "repro_connections_total", "Client connections accepted"),
-    ("restarts", "repro_worker_restarts_total", "Worker processes restarted after a crash"),
-    ("misroutes", "repro_misroutes_total", "Member requests served by a non-owning shard (legacy clients)"),
-    ("moved_redirects", "repro_moved_redirects_total", "OP_MOVED redirects sent to routed clients"),
-)
-
-_GAUGES = (
-    ("connections_open", "repro_connections_open", "Client connections currently open"),
-    ("pending", "repro_pending_queries", "QUERYs queued in the coalescers right now"),
-    ("workers", "repro_workers", "Distinct workers merged into this scrape"),
-    ("rss_bytes", "repro_rss_bytes", "Resident set size summed over workers (mmap-served payload pages are shared)"),
-    ("qps", "repro_queries_per_second", "Lifetime answered-query rate summed over workers"),
-    ("uptime_seconds", "repro_uptime_seconds", "Oldest worker uptime"),
-)
-
-
-def fleet_registry(merged: dict, *, supervisor: dict | None = None) -> Registry:
-    """The ``repro_``-prefixed metric snapshot for one fleet-merged STATS view.
+def render(merged: dict, *, supervisor: dict | None = None) -> str:
+    """The ``repro_``-prefixed text exposition of one fleet-merged STATS view.
 
     ``merged`` is a :func:`repro.serve.metrics.merge_fleet_stats` payload
-    (a single worker's STATS dict also works — it merges with itself);
-    ``supervisor`` optionally adds control-plane series (reloads, per-slot
-    liveness) from :meth:`FleetSupervisor.fleet_status`.
+    (a single-process server merges its own one payload); ``supervisor``
+    optionally adds control-plane series (reloads, per-slot liveness) from
+    :meth:`FleetSupervisor.fleet_status`.  The text ends in a newline.
     """
-    registry = Registry()
-    for key, name, help_text in _COUNTERS:
-        registry.counter(name, help_text, merged.get(key, 0))
-    for key, name, help_text in _GAUGES:
-        registry.gauge(name, help_text, merged.get(key, 0))
+    # imported per call so that loading repro.obs never loads the serve package
+    from repro.serve.metrics import SERIES
+
+    out: list[str] = []
+    for series in SERIES:
+        if series.metric is not None:
+            _family(out, series.metric, series.kind, series.help,
+                    [({}, merged.get(series.key, 0))])
 
     generation = merged.get("store_generation")
     if supervisor is not None and supervisor.get("generation"):
@@ -133,86 +96,62 @@ def fleet_registry(merged: dict, *, supervisor: dict | None = None) -> Registry:
         labels = {"generation": generation}
         if supervisor is not None and supervisor.get("path"):
             labels["path"] = supervisor["path"]
-        registry.info(
-            "repro_store_info", "Served store generation (content hash)", **labels
-        )
+        _family(out, "repro_store_info", "gauge",
+                "Served store generation (content hash)", [(labels, 1)])
     if merged.get("kernel"):
-        registry.info(
-            "repro_kernel_info", "Active decode/distance kernel tier",
-            tier=merged["kernel"],
-        )
+        _family(out, "repro_kernel_info", "gauge",
+                "Active decode/distance kernel tier", [({"tier": merged["kernel"]}, 1)])
 
     latency = merged.get("latency_ms", {})
     if isinstance(latency.get("histogram"), dict):
-        registry.histogram(
-            "repro_request_latency_ms",
-            "QUERY latency (coalescer enqueue to response write), milliseconds",
-            Histogram.from_dict(latency["histogram"]),
-        )
+        _family(out, "repro_request_latency_ms", "histogram",
+                "QUERY latency (coalescer enqueue to response write), milliseconds",
+                [({}, Histogram.from_dict(latency["histogram"]))])
+    stages = []
     for stage, payload in sorted(merged.get("stages", {}).items()):
         try:
             hist = merge_histogram_dicts([payload])
         except (KeyError, ValueError, TypeError):  # pragma: no cover - defensive
             continue
         if hist is not None:
-            registry.histogram(
-                "repro_request_stage_ms",
-                "Per-stage request-path durations, milliseconds",
-                hist,
-                stage=stage,
-            )
+            stages.append(({"stage": stage}, hist))
+    _family(out, "repro_request_stage_ms", "histogram",
+            "Per-stage request-path durations, milliseconds", stages)
 
     index = merged.get("index")
     if isinstance(index, dict) and index.get("open", True):
         cache = index.get("cache")
         if isinstance(cache, dict):
-            registry.gauge(
-                "repro_label_cache_hit_rate",
-                "Decoded-label cache hit rate", cache.get("hit_rate", 0.0),
-            )
+            _family(out, "repro_label_cache_hit_rate", "gauge",
+                    "Decoded-label cache hit rate", [({}, cache.get("hit_rate", 0.0))])
 
+    routing_help = "Newest routing-table version any worker reports"
     if merged.get("routing_version"):
-        registry.gauge(
-            "repro_routing_table_version",
-            "Newest routing-table version any worker reports",
-            merged["routing_version"],
-        )
+        _family(out, "repro_routing_table_version", "gauge", routing_help,
+                [({}, merged["routing_version"])])
 
-    for row in merged.get("per_worker", ()):
-        slot = str(row.get("slot", 0))
-        registry.gauge(
-            "repro_worker_queries", "QUERY answers per worker slot",
-            row.get("queries", 0), slot=slot,
-        )
-        registry.gauge(
-            "repro_worker_restarts", "Restart count per worker slot",
-            row.get("restarts", 0), slot=slot,
-        )
-        if "members_assigned" in row:
-            registry.gauge(
-                "repro_worker_members",
-                "Catalog members assigned to the worker slot",
-                len(row["members_assigned"]), slot=slot,
-            )
+    rows = [(str(row.get("slot", 0)), row) for row in merged.get("per_worker", ())]
+    _family(out, "repro_worker_queries", "gauge", "QUERY answers per worker slot",
+            [({"slot": slot}, row.get("queries", 0)) for slot, row in rows])
+    _family(out, "repro_worker_restarts", "gauge", "Restart count per worker slot",
+            [({"slot": slot}, row.get("restarts", 0)) for slot, row in rows])
+    _family(out, "repro_worker_members", "gauge",
+            "Catalog members assigned to the worker slot",
+            [({"slot": slot}, len(row["members_assigned"]))
+             for slot, row in rows if "members_assigned" in row])
 
     if supervisor is not None:
-        registry.counter(
-            "repro_fleet_reloads_total", "Completed rolling reloads",
-            supervisor.get("reloads", 0),
-        )
+        _family(out, "repro_fleet_reloads_total", "counter", "Completed rolling reloads",
+                [({}, supervisor.get("reloads", 0))])
         routing = supervisor.get("routing")
         if routing and not merged.get("routing_version"):
-            registry.gauge(
-                "repro_routing_table_version",
-                "Newest routing-table version any worker reports",
-                routing.get("version", 0),
-            )
-        for slot_row in supervisor.get("slots", ()):
-            registry.gauge(
-                "repro_worker_up", "1 while the slot's worker process is alive",
-                1 if slot_row.get("alive") else 0, slot=str(slot_row.get("slot", 0)),
-            )
-    return registry
+            _family(out, "repro_routing_table_version", "gauge", routing_help,
+                    [({}, routing.get("version", 0))])
+        _family(out, "repro_worker_up", "gauge",
+                "1 while the slot's worker process is alive",
+                [({"slot": str(row.get("slot", 0))}, 1 if row.get("alive") else 0)
+                 for row in supervisor.get("slots", ())])
+    return "\n".join(out) + "\n"
 
 
 class MetricsServer:

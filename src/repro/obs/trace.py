@@ -9,8 +9,8 @@ one request's path through the server:
 
 The pieces:
 
-:class:`Span` / :func:`start_span`
-    the timing primitive.  ``with start_span("batch") as span: ...`` or
+:class:`Span`
+    the timing primitive.  ``with Span("batch") as span: ...`` or
     explicit :meth:`Span.finish`; ``span.ms`` is the duration.  Completed
     spans can also be built directly from a measured duration
     (:meth:`Span.completed`) — the server's hot path captures raw
@@ -83,11 +83,6 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"Span({self.name!r}, {self.ms:.3f}ms)"
-
-
-def start_span(name: str) -> Span:
-    """Start timing a named span now."""
-    return Span(name)
 
 
 class Trace:

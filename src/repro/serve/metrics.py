@@ -1,4 +1,13 @@
-"""Serving metrics shared by the server, the supervisor and the loadgen.
+"""The serving metrics table and the fleet merge built on it.
+
+:data:`SERIES` is the one place that names a serving series.  Each row
+gives a STATS key, how the fleet merge folds it across workers (``sum`` or
+``max``), the :class:`~repro.serve.server.ServingCore` attribute that holds
+it (``None`` for a value computed when the payload is built) and, when it
+is exported, its Prometheus name, type and help text.  The worker's STATS
+payload, :func:`merge_fleet_stats` and :func:`repro.obs.prom.render` all
+read it, so a new counter reaches STATS, the fleet view and ``/metrics``
+through one row here plus its increment.
 
 :func:`merge_fleet_stats` folds many per-worker STATS payloads into one
 fleet-wide view.  Counters add, rates recompute from the summed counters,
@@ -13,29 +22,72 @@ A payload without a histogram contributes no latency samples.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from repro.obs.hist import Histogram, merge_histogram_dicts
 
 
-#: STATS counters that add across workers.  ``restarts`` is per-slot (each
-#: incarnation reports how many times its slot was restarted), so the sum
-#: over one snapshot per slot is the fleet's total restart count.
-_SUMMED_COUNTERS = (
-    "queries",
-    "batch_requests",
-    "batch_request_pairs",
-    "matrix_requests",
-    "matrix_offloaded",
-    "flushes",
-    "coalesced_queries",
-    "errors",
-    "busy_rejections",
-    "pending",
-    "connections_open",
-    "connections_total",
-    "restarts",
-    "rss_bytes",
-    "misroutes",
-    "moved_redirects",
+class Series(NamedTuple):
+    """One serving series: STATS key, fleet merge, source and export."""
+
+    key: str
+    #: folds the per-worker values (``sum`` or ``max``); ``None`` when the
+    #: merge derives the value itself
+    merge: Callable | None
+    #: the ServingCore attribute STATS reads; ``None`` when computed
+    attr: str | None
+    metric: str | None = None  #: Prometheus name; ``None`` = not exported
+    kind: str | None = None  #: ``counter`` or ``gauge``
+    help: str = ""
+
+
+#: every plain serving series, in exposition order.  ``restarts`` is
+#: per-slot (each incarnation reports how many times its slot was
+#: restarted), so the sum over one snapshot per slot is the fleet's total.
+SERIES: tuple[Series, ...] = (
+    Series("queries", sum, "queries",
+           "repro_queries_total", "counter", "Individual QUERY answers sent"),
+    Series("batch_requests", sum, "batch_requests",
+           "repro_batch_requests_total", "counter", "OP_BATCH requests served"),
+    Series("batch_request_pairs", sum, "batch_request_pairs",
+           "repro_batch_pairs_total", "counter", "Pairs answered inside OP_BATCH requests"),
+    Series("matrix_requests", sum, "matrix_requests",
+           "repro_matrix_requests_total", "counter", "OP_MATRIX requests served"),
+    Series("flushes", sum, "flushes",
+           "repro_coalescer_flushes_total", "counter", "Coalescer batch_query calls"),
+    Series("coalesced_queries", sum, "coalesced",
+           "repro_coalesced_queries_total", "counter",
+           "QUERY answers produced by coalesced flushes"),
+    Series("errors", sum, "errors",
+           "repro_errors_total", "counter", "Request-scoped OP_ERROR responses"),
+    Series("busy_rejections", sum, "busy_rejections",
+           "repro_busy_rejections_total", "counter", "Requests shed with OP_BUSY backpressure"),
+    Series("connections_total", sum, "connections_total",
+           "repro_connections_total", "counter", "Client connections accepted"),
+    Series("restarts", sum, "restarts",
+           "repro_worker_restarts_total", "counter", "Worker processes restarted after a crash"),
+    Series("misroutes", sum, "misroutes",
+           "repro_misroutes_total", "counter",
+           "Member requests served by a non-owning shard (legacy clients)"),
+    Series("moved_redirects", sum, "moved_redirects",
+           "repro_moved_redirects_total", "counter", "OP_MOVED redirects sent to routed clients"),
+    Series("connections_open", sum, "connections_open",
+           "repro_connections_open", "gauge", "Client connections currently open"),
+    Series("pending", sum, "pending_total",
+           "repro_pending_queries", "gauge", "QUERYs queued in the coalescers right now"),
+    Series("workers", None, None,
+           "repro_workers", "gauge", "Distinct workers merged into this scrape"),
+    Series("rss_bytes", sum, None,
+           "repro_rss_bytes", "gauge",
+           "Resident set size summed over workers (mmap-served payload pages are shared)"),
+    Series("qps", sum, None,
+           "repro_queries_per_second", "gauge",
+           "Lifetime answered-query rate summed over workers"),
+    Series("uptime_seconds", max, None,
+           "repro_uptime_seconds", "gauge", "Oldest worker uptime"),
+    Series("matrix_offloaded", sum, "matrix_offloaded"),
+    Series("matrix_inflight", sum, "matrix_inflight"),
+    Series("max_pending", max, "max_pending"),
 )
 
 
@@ -47,12 +99,18 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
     incarnation is kept.  De-duplicating by pid alone would conflate a
     restarted slot's old and new incarnations when both snapshots are in
     the list (a supervisor re-fork mid-run); keying by slot alone would
-    drop the dead incarnation's counters.  The result mirrors the
-    per-worker payload shape — the same keys a single-process consumer
-    reads — plus ``workers`` (distinct snapshot count), ``slots``
-    (distinct slot count) and ``restarts_observed`` (snapshots beyond one
-    per slot — i.e. how many worker replacements the collection itself
-    witnessed), and ``per_worker`` (one compact row per snapshot).
+    drop the dead incarnation's counters.
+
+    The result keeps every key of a worker's STATS payload but these:
+    ``worker`` and ``slot`` identify a snapshot and ``members_open`` and
+    ``members_assigned`` are per-worker state, so they go to
+    ``per_worker`` (one compact row per snapshot); ``traces`` is the
+    worker's own trace-ring state and is dropped.  ``routing_version``,
+    ``kernel``, ``store_generation``, ``stages`` and ``index`` appear only
+    when some worker reports them.  Added on top: ``workers`` (distinct
+    snapshot count), ``slots`` (distinct slot count) and
+    ``restarts_observed`` (snapshots beyond one per slot — i.e. how many
+    worker replacements the collection itself witnessed).
     """
     by_worker: dict[object, dict] = {}
     for stats in stats_list:
@@ -67,12 +125,11 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
         "slots": len(slots),
         "restarts_observed": len(workers) - len(slots),
     }
-    for key in _SUMMED_COUNTERS:
-        merged[key] = sum(stats.get(key, 0) for stats in workers)
-    merged["qps"] = round(sum(stats.get("qps", 0.0) for stats in workers), 1)
-    merged["uptime_seconds"] = max(stats.get("uptime_seconds", 0.0) for stats in workers)
+    for series in SERIES:
+        if series.merge is not None:
+            merged[series.key] = series.merge(stats.get(series.key, 0) for stats in workers)
+    merged["qps"] = round(merged["qps"], 1)
     merged["coalescing"] = all(stats.get("coalescing", True) for stats in workers)
-    merged["max_pending"] = max(stats.get("max_pending", 0) for stats in workers)
     merged["mean_batch_size"] = (
         round(merged["coalesced_queries"] / merged["flushes"], 2)
         if merged["flushes"]

@@ -54,6 +54,7 @@ from repro.obs.hist import Histogram
 from repro.obs.trace import STAGES, Span, Trace, TraceRecorder
 from repro.scale.memory import current_rss_bytes
 from repro.serve import faults, protocol
+from repro.serve.metrics import SERIES
 from repro.serve.routing import member_endpoint, table_owners
 from repro.store.label_store import StoreError
 
@@ -137,7 +138,7 @@ class ServingCore:
         self.max_matrix_inflight = max_matrix_inflight
         self._flush_scheduled = False
         self._dirty: list[_Member] = []
-        self._matrix_inflight = 0
+        self.matrix_inflight = 0  #: MATRIX requests on the executor right now
         #: supervision metadata: which fleet slot this worker occupies, how
         #: many times that slot has been restarted, and the generation
         #: (content hash + path) of the served store file — all reported in
@@ -302,30 +303,16 @@ class ServingCore:
         supervisor's shutdown summary, the metrics endpoint, the loadgen
         report — can merge latency across workers bucket-wise and report
         true fleet percentiles; plain monitoring polls leave it off and stay
-        a few hundred bytes.
+        a few hundred bytes.  The plain counters are the rows of
+        :data:`repro.serve.metrics.SERIES` that name an attribute here.
         """
         elapsed = max(time.monotonic() - self.started_at, 1e-9)
         answered = self.queries + self.batch_request_pairs
         payload = {
             "worker": os.getpid(),
             "slot": self.slot,
-            "restarts": self.restarts,
             "uptime_seconds": round(elapsed, 3),
-            "queries": self.queries,
-            "batch_requests": self.batch_requests,
-            "batch_request_pairs": self.batch_request_pairs,
-            "matrix_requests": self.matrix_requests,
-            "matrix_offloaded": self.matrix_offloaded,
-            "matrix_inflight": self._matrix_inflight,
-            "flushes": self.flushes,
-            "coalesced_queries": self.coalesced,
             "mean_batch_size": round(self.coalesced / self.flushes, 2) if self.flushes else 0.0,
-            "errors": self.errors,
-            "busy_rejections": self.busy_rejections,
-            "pending": self.pending_total,
-            "max_pending": self.max_pending,
-            "connections_open": self.connections_open,
-            "connections_total": self.connections_total,
             "qps": round(answered / elapsed, 1),
             "rss_bytes": current_rss_bytes(),
             "kernel": kernels.backend_name(),
@@ -335,11 +322,12 @@ class ServingCore:
                 "samples": self.latency_hist.total,
             },
             "coalescing": self.coalesce,
-            "misroutes": self.misroutes,
-            "moved_redirects": self.moved_redirects,
             "routing_version": self.routing_version,
             "members_open": sorted(self._members),
         }
+        for series in SERIES:
+            if series.attr is not None:
+                payload[series.key] = getattr(self, series.attr)
         if self._assigned is not None:
             payload["members_assigned"] = sorted(self._assigned)
         if self.generation is not None:
@@ -571,7 +559,7 @@ class ServingCore:
             self.errors += 1
             connection.send(protocol.encode_error(request_id, str(error)))
         finally:
-            self._matrix_inflight -= 1
+            self.matrix_inflight -= 1
 
     # -- request dispatch ------------------------------------------------------
 
@@ -648,13 +636,13 @@ class ServingCore:
                         f"matrix over {size} nodes exceeds the server's limit "
                         f"of {self.max_matrix}; request fewer nodes per message"
                     )
-                if self._matrix_inflight >= self.max_matrix_inflight:
+                if self.matrix_inflight >= self.max_matrix_inflight:
                     self.busy_rejections += 1
                     connection.send(
                         protocol.encode_busy(request_id, self._retry_hint_ms())
                     )
                     return
-                self._matrix_inflight += 1
+                self.matrix_inflight += 1
                 asyncio.get_running_loop().create_task(
                     self._run_matrix(member, connection, request_id, payload)
                 )
@@ -700,7 +688,7 @@ class ServingCore:
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while self.pending_total or self._matrix_inflight:
+        while self.pending_total or self.matrix_inflight:
             if loop.time() >= deadline:
                 return False
             await asyncio.sleep(0.005)

@@ -742,14 +742,14 @@ class FleetSupervisor:
 
     def render_metrics(self) -> str:
         """The Prometheus text exposition for one live fleet scrape."""
-        from repro.obs.prom import fleet_registry, render
+        from repro.obs.prom import render
 
         stats = self.scrape_stats()
         merged = merge_fleet_stats(stats) if stats else {"workers": 0}
         # the supervisor's restart counter is authoritative: a scrape can
         # miss a worker mid-replacement, per-slot sums cannot exceed it
         merged["restarts"] = self.total_restarts
-        return render(fleet_registry(merged, supervisor=self.fleet_status()))
+        return render(merged, supervisor=self.fleet_status())
 
     def start_metrics(self, port: int, host: str = "127.0.0.1") -> tuple[str, int]:
         """Expose :meth:`render_metrics` on an HTTP endpoint (daemon thread)."""

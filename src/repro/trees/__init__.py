@@ -8,9 +8,9 @@ whose queries touch only leaves, and the lower-bound instance families.
 This package provides:
 
 * :class:`~repro.trees.tree.RootedTree` — an immutable rooted tree with
-  optional non-negative integer edge weights,
+  optional non-negative integer edge weights, its depths, subtree sizes
+  and preorder/postorder orders,
 * builders from parent arrays, edge lists and networkx graphs,
-* iterative traversals (preorder, postorder, Euler tour, BFS),
 * the Section 2 transform (leaf attachment + binarization),
 * the heavy path decomposition in the paper's ``>= |T|/2`` variant and the
   classical largest-child variant,

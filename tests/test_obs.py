@@ -24,7 +24,10 @@ import asyncio
 import math
 import os
 import pstats
+import re
 import signal
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -34,8 +37,7 @@ from repro.api import DistanceIndex
 from repro.generators.workloads import make_tree, random_pairs
 from repro.obs.hist import DEFAULT_BOUNDS_MS, Histogram, merge_histogram_dicts
 from repro.obs.profile import install_profile_hook, parse_profile_spec, profile_path
-from repro.obs.prom import MetricsServer, fleet_registry, render
-from repro.obs.registry import Registry
+from repro.obs.prom import MetricsServer, render
 from repro.obs.trace import STAGES, Span, Trace, TraceRecorder
 from repro.serve import AsyncLabelClient, FleetSupervisor, LabelServer, protocol
 from repro.serve.loadgen import run_load
@@ -344,16 +346,18 @@ def test_detailed_stats_carry_stage_histograms(index, tree):
 
 
 def test_render_exposition_well_formed():
-    registry = Registry()
-    registry.counter("repro_queries_total", "Answers", 42)
-    registry.gauge("repro_workers", "Workers", 2)
-    registry.info("repro_store_info", "Store", generation='a"b\\c')
     hist = Histogram(bounds=(1.0, 2.0))
     hist.observe(0.5)
     hist.observe(1.5)
     hist.observe(99.0)
-    registry.histogram("repro_request_latency_ms", "Latency", hist)
-    text = render(registry)
+    text = render(
+        {
+            "queries": 42,
+            "workers": 2,
+            "store_generation": 'a"b\\c',
+            "latency_ms": {"histogram": hist.to_dict()},
+        }
+    )
     lines = text.strip().split("\n")
     assert "# TYPE repro_queries_total counter" in lines
     assert "repro_queries_total 42" in lines
@@ -375,7 +379,7 @@ def test_fleet_registry_exports_expected_series(index, tree):
 
     stats = _run(_with_server(index, handler))
     stats.setdefault("store_generation", "cafe1234")
-    text = render(fleet_registry(merge_fleet_stats([stats])))
+    text = render(merge_fleet_stats([stats]))
     assert "repro_queries_total 25" in text
     assert 'repro_store_info{generation="cafe1234"} 1' in text
     assert "repro_kernel_info{tier=" in text
@@ -466,6 +470,41 @@ def test_fleet_metrics_endpoint_under_load(store_file, tree):
         urllib.request.urlopen(
             f"http://{metrics_host}:{metrics_port}/metrics", timeout=2
         )
+
+
+def test_single_process_metrics_match_a_one_worker_fleet(store_file):
+    """``serve --metrics-port`` without ``--workers`` exports the fleet's
+    series for its one worker: ``repro_workers 1`` and the per-slot rows."""
+    pairs = 120
+    environment = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, environment.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", store_file,
+         "--port", "0", "--metrics-port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=environment,
+    )
+    try:
+        serving = re.search(r"serving .* on ([0-9.]+):(\d+) \[", process.stdout.readline())
+        metrics = re.search(r"metrics on (http://\S+)", process.stdout.readline())
+        assert serving and metrics, "server failed to start"
+        report = run_load(serving.group(1), int(serving.group(2)), pairs=pairs, window=16)
+        assert report["pairs"] == pairs
+        with urllib.request.urlopen(metrics.group(1)) as response:
+            samples = _parse_samples(response.read().decode("utf-8"))
+    finally:
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=30)
+    assert process.returncode == 0, output
+    assert samples["repro_workers"] == 1
+    assert samples["repro_queries_total"] == pairs
+    assert samples['repro_worker_queries{slot="0"}'] == pairs
+    assert samples['repro_worker_restarts{slot="0"}'] == 0
 
 
 # -- profiling hook -----------------------------------------------------------

@@ -367,11 +367,12 @@ def _stats_payload(worker, qps, ms, count, **extra):
 def test_merged_percentiles_are_not_averaged_percentiles():
     """1000 fast samples on one worker, 10 slow on another: the fleet p99
     must reflect the distribution (fast), not the average of p99s (50ms)."""
-    fast = _stats_payload(1, 1000.0, 1.0, 1000)
-    slow = _stats_payload(2, 10.0, 100.0, 10)
+    fast = _stats_payload(1, 1000.0, 1.0, 1000, matrix_inflight=2)
+    slow = _stats_payload(2, 10.0, 100.0, 10, matrix_inflight=1)
     merged = merge_fleet_stats([fast, slow])
     assert merged["workers"] == 2
     assert merged["qps"] == 1010.0
+    assert merged["matrix_inflight"] == 3
     assert merged["latency_ms"]["samples"] == 1010
     # rank 1000 of 1010 merged samples sits in the fast worker's 1ms bucket
     fast_bucket = fast["latency_ms"]["p99"]
@@ -403,13 +404,32 @@ def test_fleet_summary_reports_merged_histogram_samples():
 
 
 def test_merge_dedupes_snapshots_by_worker_id():
-    first = _stats_payload(7, 5.0, 1.0, 2, busy_rejections=1)
-    second = _stats_payload(7, 9.0, 2.0, 3, busy_rejections=2)
+    first = _stats_payload(7, 5.0, 1.0, 2, busy_rejections=1, matrix_inflight=4)
+    second = _stats_payload(7, 9.0, 2.0, 3, busy_rejections=2, matrix_inflight=1)
     merged = merge_fleet_stats([first, second])
     assert merged["workers"] == 1
     assert merged["qps"] == 9.0  # only the latest snapshot per worker counts
     assert merged["busy_rejections"] == 2
+    assert merged["matrix_inflight"] == 1
     assert merged["latency_ms"]["samples"] == 3
+
+
+def test_merge_keeps_every_worker_key_but_identity_and_per_worker_state(index):
+    """The merged view carries every key of a worker's detailed STATS;
+    only ``worker``/``slot``/``members_open``/``members_assigned`` (moved to
+    ``per_worker``) and ``traces`` (dropped) are left out, plus a
+    ``routing_version`` of 0 (unsharded: no table to report)."""
+    core = ServingCore(index, generation={"generation": "cafe1234"}, assigned_members=[""])
+    worker = core.stats(detail=True)
+    left_out = {"worker", "slot", "members_open", "members_assigned", "traces"}
+    assert set(worker) - set(merge_fleet_stats([worker])) == left_out | {"routing_version"}
+    worker["routing_version"] = 3
+    merged = merge_fleet_stats([worker])
+    assert set(worker) - set(merged) == left_out
+    (row,) = merged["per_worker"]
+    assert (row["worker"], row["slot"]) == (worker["worker"], worker["slot"])
+    assert row["members_open"] == worker["members_open"]
+    assert row["members_assigned"] == worker["members_assigned"]
 
 
 def test_merge_folds_member_index_cache_counters():

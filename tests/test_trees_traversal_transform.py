@@ -1,6 +1,12 @@
-"""Tests for traversals and the Section 2 transform."""
+"""Tests for traversal orders and the Section 2 transform.
+
+The traversal tests check :class:`RootedTree`'s own orders and levels
+(children, depth, height, leaves) and the Euler tour behind
+:class:`repro.nca.lca_oracle.LCAOracle`.
+"""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +18,10 @@ from repro.generators.random_trees import (
     random_weighted_tree,
 )
 from repro.generators.structured import path_tree, star_tree
+from repro.nca.lca_oracle import euler_tour
 from repro.oracles.distance_matrix import DistanceMatrix
 from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.trees.transform import attach_leaves, binarize, prepare_for_leaf_queries
-from repro.trees.traversal import bfs_order, euler_tour, leaves_in_preorder, nodes_by_depth
 from repro.trees.tree import RootedTree
 
 from strategies import parent_array_trees, weighted_trees
@@ -23,9 +29,15 @@ from strategies import parent_array_trees, weighted_trees
 
 class TestTraversals:
     def test_bfs_order(self, any_tree):
-        order = bfs_order(any_tree)
+        # a breadth-first walk over children() reaches every node once, at
+        # non-decreasing depth()
+        order = []
+        queue = deque([any_tree.root])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            queue.extend(any_tree.children(node))
         assert sorted(order) == list(any_tree.nodes())
-        # depths are non-decreasing along a BFS
         depths = [any_tree.depth(node) for node in order]
         assert depths == sorted(depths)
 
@@ -39,14 +51,19 @@ class TestTraversals:
             assert tour[first[node]] == node
 
     def test_leaves_in_preorder(self, any_tree):
-        leaves = list(leaves_in_preorder(any_tree))
+        leaves = any_tree.leaves()
         assert leaves == [v for v in any_tree.preorder() if any_tree.is_leaf(v)]
 
     def test_nodes_by_depth(self, any_tree):
-        groups = nodes_by_depth(any_tree)
-        assert sum(len(group) for group in groups.values()) == any_tree.n
+        groups: dict[int, list[int]] = {}
+        for node in any_tree.nodes():
+            groups.setdefault(any_tree.depth(node), []).append(node)
+        assert sorted(groups) == list(range(any_tree.height() + 1))
+        assert groups[0] == [any_tree.root]
         for depth, nodes in groups.items():
-            assert all(any_tree.depth(node) == depth for node in nodes)
+            for node in nodes:
+                if depth:
+                    assert any_tree.depth(any_tree.parent(node)) == depth - 1
 
 
 class TestAttachLeaves:
