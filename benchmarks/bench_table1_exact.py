@@ -3,8 +3,8 @@
 For every exact scheme the benchmark measures encoding time and records the
 maximum/average label size in bits next to the paper's reference curves
 (1/4 log² n for the paper's scheme, 1/2 log² n for Alstrup et al., the
-1/4 log² n − O(log n) lower bound).  The headline comparison — who is
-smaller, by what factor — is summarised in EXPERIMENTS.md.
+1/4 log² n − O(log n) lower bound); README "Benchmarks and CI" says how
+the benchmarks run.
 """
 
 from __future__ import annotations

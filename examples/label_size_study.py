@@ -2,7 +2,8 @@
 
 Sweeps the exact, k-distance and approximate schemes over tree sizes and
 prints measured label sizes next to the bound formulas from the paper —
-the same numbers EXPERIMENTS.md records.
+the same drivers the ``bench_table1_*`` benchmarks run (README
+"Benchmarks and CI").
 
 Run with::
 

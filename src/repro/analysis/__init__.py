@@ -1,8 +1,8 @@
 """Measurement harness: label sizes, query latency, experiment drivers.
 
 The functions here are shared between the pytest-benchmark harnesses in
-``benchmarks/``, the CLI (``repro-labels``) and the numbers recorded in
-EXPERIMENTS.md, so that every reported figure comes from one code path.
+``benchmarks/`` (README "Benchmarks and CI"), the CLI (``repro-labels``)
+and the examples, so that every reported figure comes from one code path.
 """
 
 from repro.analysis.label_stats import LabelMeasurement, measure_scheme

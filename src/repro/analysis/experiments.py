@@ -1,9 +1,8 @@
 """Experiment drivers, one per table or figure of the paper.
 
 Each function returns a list of flat row dictionaries; the benchmarks wrap
-them in pytest-benchmark fixtures, the CLI prints them with
-:func:`repro.analysis.reporting.format_table`, and EXPERIMENTS.md records a
-reference run.
+them in pytest-benchmark fixtures (README "Benchmarks and CI") and the
+CLI prints them with :func:`repro.analysis.reporting.format_table`.
 """
 
 from __future__ import annotations

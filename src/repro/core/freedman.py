@@ -30,9 +30,14 @@ benchmarks quantify each ingredient's contribution to the label size (the
 Encoding is word-level.  :meth:`FreedmanScheme.encode_stream` computes the
 shared structure once as integer rows indexed by collapsed path id (light
 codewords, light-edge weights, fragment refs, each hanging subtree's entry
-already serialised, one accumulator per parent path), then shifts each
-label straight into one integer in a single walk of its collapsed root
-path.  The label it yields is *lazy*: it holds only that word, which
+already serialised, one accumulator per parent path).  From them it builds,
+top-down, the field groups of every collapsed path with children: one per
+field that holds a value per level (codewords, light-edge weights, entries,
+accumulator prefixes, and the code of the fragment refs, memoised per
+distinct sequence).  Every label's own path is childless and hangs off such
+a path, so each label is shifted straight into one integer from its parent
+path's groups plus one level, with no walk of its collapsed root path.
+The label it yields is *lazy*: it holds only that word, which
 :meth:`FreedmanLabel.to_bits` packs as it is, and the first read of a field
 parses the word with :meth:`FreedmanLabel.read` (the one parser) and drops
 it.  A label built from fields (or read once) is serialised by
@@ -305,11 +310,16 @@ class FreedmanScheme(DistanceLabelingScheme):
         """Yield each original node's label in node order, one at a time.
 
         Section 3's shared structure is computed once, as integer rows
-        indexed by collapsed path id; each label is then shifted straight
-        into its word (in :meth:`FreedmanLabel.write` order) in one walk
-        of its collapsed root path, so the store's payload loop
-        (:func:`repro.store.label_store.pack_labels`) never materialises the
-        full label dict.
+        indexed by collapsed path id.  Every label's levels are those of its
+        own collapsed path's parent plus one, so the field groups (light
+        codewords, light-edge weights, the code of the fragment refs,
+        entries and accumulator prefixes, each behind a leading ``1`` bit)
+        are built once per collapsed path with children, top-down.  A label
+        is then its three identity fields, its parent path's groups each
+        extended by its own path's level, and the fragment distances,
+        shifted into its word in :meth:`FreedmanLabel.write` order; the
+        store's payload loop (:func:`repro.store.label_store.pack_labels`)
+        never materialises the full label dict.
         """
         transform = prepare_for_leaf_queries(tree, binarize_tree=self._binarize)
         working = transform.tree
@@ -331,61 +341,94 @@ class FreedmanScheme(DistanceLabelingScheme):
         weight_code = array("Q", map((1).__add__, light_weights))
         weight_width = array("B", (2 * code.bit_length() - 1 for code in weight_code))
 
-        table = GAMMA_WIDTH
-        limit = len(table)
+        # only these rows are read from here on: dropping the trees behind
+        # them keeps the generator from holding them for the whole stream
         query_node = transform.query_node
         path_of = decomposition._path_of
-        collapsed_parent = collapsed._parent
         root_distance = working._root_distance
+        collapsed_parent = collapsed._parent
+        child_start = collapsed._child_start
         domination_number = collapsed._postorder_number
+        root_path = collapsed.root
+        del transform, working, decomposition, collapsed, light
+
+        table = GAMMA_WIDTH
+        limit = len(table)
+        # the monotone code of each distinct fragment refs sequence, behind
+        # a leading ``1`` bit: its sequence, and the code one ref longer
+        no_refs = append_monotone(1, ())
+        refs_sequence = {no_refs: ()}
+        refs_extended: dict = {}
+
+        def extend(state: tuple, path: int) -> tuple:
+            """The field groups of ``path``: its parent path's ``state``
+            plus one level."""
+            depth, codewords, weights, refs, entries, acc = state
+            length = codeword_length[path]
+            codeword = (length + 1) << length | codeword_value[path]
+            codewords = codewords << table[length] + length | codeword
+            weights = weights << weight_width[path] | weight_code[path]
+            ref = fragment_ref[path]
+            extended = refs_extended.get((refs, ref))
+            if extended is None:
+                sequence = refs_sequence[refs] + (ref,)
+                extended = refs_extended[refs, ref] = append_monotone(1, sequence)
+                refs_sequence[extended] = sequence
+            refs = extended
+            entries = entries << entry_width[path] | entry_segment[path]
+            length = prefix_length[path]
+            if length:
+                value, total = accumulator[collapsed_parent[path]]
+                code = table[length] if length < limit else 2 * (length + 1).bit_length() - 1
+                acc = ((acc << code | length + 1) << length) | value >> total - length
+            else:
+                acc = acc << 1 | 1
+            return depth + 1, codewords, weights, refs, entries, acc
+
+        # held only for the root path and paths with children: a label's
+        # own path is childless (its pendant leaf is its own path, or the
+        # tail of a two-node path whose head is an original leaf), so its
+        # groups are built when it is emitted; a parent path's id is below
+        # its children's, so id order is top-down
+        path_count = len(collapsed_parent)
+        states: list = [None] * path_count
+        states[root_path] = (0, 1, 1, no_refs, 1, 1)
+        # few paths differ in their weight and accumulator groups: one
+        # shared object per value
+        share = {}.setdefault
+        for path in range(path_count):
+            if path != root_path and child_start[path] != child_start[path + 1]:
+                depth, codewords, weights, refs, entries, acc = extend(
+                    states[collapsed_parent[path]], path
+                )
+                weights = share(weights, weights)
+                states[path] = depth, codewords, weights, refs, entries, share(acc, acc)
+
         for original in range(tree.n):
             leaf = query_node[original]
             own_path = path_of[leaf]
-            # the collapsed root path, root first
-            sequence = [own_path]
-            path = collapsed_parent[own_path]
-            while path >= 0:
-                sequence.append(path)
-                path = collapsed_parent[path]
-            sequence.reverse()
             word = 1
             for value in (original, root_distance[leaf], domination_number[own_path]):
                 # Elias delta: gamma(width), then the low ``width`` bits
                 shifted = value + 1
                 width = shifted.bit_length() - 1
                 word = ((word << table[width] | width + 1) << width) | (shifted ^ (1 << width))
-            depth = len(sequence) - 1
-            word = word << table[depth] | depth + 1
-            # codewords go straight onto the word; the later field groups
-            # collect behind their own leading ``1`` bit
-            weights = entries = acc = 1
-            refs = []
-            parent = sequence[0]
-            for path in sequence[1:]:
-                length = codeword_length[path]
-                word = ((word << table[length] | length + 1) << length) | codeword_value[path]
-                weights = weights << weight_width[path] | weight_code[path]
-                refs.append(fragment_ref[path])
-                entries = entries << entry_width[path] | entry_segment[path]
-                length = prefix_length[path]
-                if length:
-                    value, total = accumulator[parent]
-                    code = table[length] if length < limit else 2 * (length + 1).bit_length() - 1
-                    acc = ((acc << code | length + 1) << length) | value >> total - length
-                else:
-                    acc = acc << 1 | 1
-                parent = path
-            width = weights.bit_length() - 1
-            word = word << width | weights ^ 1 << width
-            word = append_monotone(word, refs)
+            state = states[own_path]
             distances = boundaries[own_path]
-            if distances is None:
+            if state is None:
+                parent = collapsed_parent[own_path]
+                state = extend(states[parent], own_path)
                 # a path without children: its parent's boundaries, then
                 # its own head distance once per boundary it added
-                distances = boundaries[sequence[-2]]
+                distances = boundaries[parent]
                 added = fragment_ref[own_path] + 1 - len(distances)
                 if added:
                     distances += (head_distance[own_path],) * added
+            depth, codewords, weights, refs, entries, acc = state
+            word = word << table[depth] | depth + 1
+            for group in (codewords, weights, refs):
+                width = group.bit_length() - 1
+                word = word << width | group ^ 1 << width
             word = append_monotone(word, distances)
             for group in (entries, acc):
                 width = group.bit_length() - 1

@@ -8,7 +8,9 @@ emits (field order, code widths, dummy-chain numbering in the transform)
 fails here even when encoding and parsing still agree with each other.
 The ``hm`` digests were recorded before the encoder began to shift each
 label into its word straight from per-path rows; that tree is the only
-one here whose fat subtrees push bits into accumulators.
+one here whose fat subtrees push bits into accumulators.  The ``two``,
+``three`` and ``LARGE`` digests were recorded before the encoder began to
+build each label from its parent path's shared field groups.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ TREES = {
     "star": lambda: star_tree(50),
     "path": lambda: path_tree(120),
     "single": lambda: RootedTree([None]),
+    # the smallest trees with a light edge: a root path with one child path
+    "two": lambda: RootedTree([None, 0]),
+    "three": lambda: RootedTree([None, 0, 0]),
     "weighted": lambda: random_weighted_tree(200, 7, seed=9),
     # the adversarial (h, M) family, subdivided: 745 nodes, 16 pushed bits
     "hm": lambda: subdivide_to_unweighted(
@@ -104,6 +109,22 @@ DIGESTS = {
         "9bbd36516ace2a403018405fed887f20a7546f979643545ffdbe5d6160a3697e",
     ("single", "no-accumulators"):
         "c02a97a3750721bab34fa13d156107aedf7b43a0a11d29d5e42b2ef1225a6742",
+    ("two", "default"):
+        "40442de09afa00e67ea009e9371c75847ef52f03a975a49b98c7e73599968c53",
+    ("two", "no-binarize"):
+        "2c641d43f1f84a0d9e11d8cd7a07f88cb64dde5a6ce95c6149627329c013c11d",
+    ("two", "no-fragments"):
+        "0d301b7f656360114f5af5d6665cd495bffe5e983385f2cdaa22ff5ad4d2aa4d",
+    ("two", "no-accumulators"):
+        "058aa9786b5f28a296ca11191f93d877fa5e4f669db660fe5ba0e806d04e5de8",
+    ("three", "default"):
+        "8c6d7ae0a4b7a63b68bb3af8fdb9f516c720539ebfffb6322dda4fde8c1be6d3",
+    ("three", "no-binarize"):
+        "bf53b5f598848c447741871d20413b74fe2c4ca588cb9a15b15e2780c79a898d",
+    ("three", "no-fragments"):
+        "49eb6ab39a7738070899d54d43ca0f96c503e7996b7a594df524aecdd6150240",
+    ("three", "no-accumulators"):
+        "1b5bdb07c0ea398d6619c3ce834976932e7de4286e65625105cd5e14cf0d9ca1",
     ("weighted", "default"):
         "ae9cd8ab431a076e907ffed344180d74fa87b91b215e68b17e4d909bafea0edd",
     ("weighted", "no-binarize"):
@@ -122,19 +143,38 @@ DIGESTS = {
         "73fcfe5a81730a3ed3a9bdc03ace6fdcd2e391e165813576472859325d446c59",
 }
 
+#: an unweighted tree large enough that some labels add no fragment boundary
+#: of their own (no tree in ``TREES`` but ``weighted`` has one); pinned only
+#: under the two ablations that change its collapsed tree
+LARGE = lambda: random_prufer_tree(10_000, seed=1)  # noqa: E731
+
+LARGE_DIGESTS = {
+    "default": "eb706e1674d81a9c34a857d6f72c6e3750610836d899098f0ae7c4ff64bb6a2d",
+    "no-binarize": "7776038aac9e6603e19a6ed1a7caab7fd6566ff3d8a0f70a816159f786cd6f72",
+}
+
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 @pytest.mark.parametrize("family", sorted(TREES))
 def test_encode_bytes_are_pinned(family, scheme_name, tmp_path):
     scheme = FreedmanScheme(**SCHEMES[scheme_name])
-    tree = TREES[family]()
+    _assert_pinned(scheme, TREES[family](), tmp_path, DIGESTS[(family, scheme_name)])
+
+
+@pytest.mark.parametrize("scheme_name", sorted(LARGE_DIGESTS))
+def test_large_prufer_bytes_are_pinned(scheme_name, tmp_path):
+    scheme = FreedmanScheme(**SCHEMES[scheme_name])
+    _assert_pinned(scheme, LARGE(), tmp_path, LARGE_DIGESTS[scheme_name])
+
+
+def _assert_pinned(scheme, tree, tmp_path, digest):
     path = tmp_path / "store.bin"
     write_store(scheme, tree, path)
     for data in (
         LabelStore.from_labels(scheme, scheme.encode(tree)).to_bytes(),
         path.read_bytes(),
     ):
-        assert hashlib.sha256(data).hexdigest() == DIGESTS[(family, scheme_name)]
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("scheme_name", ["default", "no-binarize", "no-fragments"])

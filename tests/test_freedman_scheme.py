@@ -201,10 +201,10 @@ class TestCorrectnessEdgeCases:
 class TestSizeBehaviour:
     def test_push_machinery_fires_on_adversarial_family(self):
         """On random trees at practical sizes the Slack Lemma budget almost
-        always exceeds the entry length, so entries are stored in full (this
-        is recorded in EXPERIMENTS.md).  On the (h, M) lower-bound family the
-        budget is tight and bits are pushed; without fragments the effect
-        also shows on balanced binary trees."""
+        always exceeds the entry length, so entries are stored in full.  On
+        the (h, M) lower-bound family the budget is tight and bits are
+        pushed; without fragments the effect also shows on balanced binary
+        trees."""
         from repro.lowerbounds.hm_trees import (
             build_hm_tree,
             hm_parameter_count,

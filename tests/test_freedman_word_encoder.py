@@ -4,9 +4,12 @@
 integer from per-path rows and yields a label that holds only that word;
 ``tests/freedman_reference.reference_encode`` builds the same labels field
 by field.  The two must agree field for field and bit for bit on every pin
-tree under every ablation, and the lazy label must keep its contract: it
-serialises without parsing, parses once on the first field access, and
-compares, prints, pickles and copies the same whether or not it was read.
+tree under every ablation, and on a 10⁴-node Prüfer tree under
+``default`` and ``no-binarize``.  The encoder's premise, that every query
+leaf's collapsed path is childless, must hold on the same trees.  The lazy
+label must keep its contract: it serialises without parsing, parses once
+on the first field access, and compares, prints, pickles and copies the
+same whether or not it was read.
 """
 
 from __future__ import annotations
@@ -25,18 +28,23 @@ from freedman_reference import reference_encode, reference_to_bits
 from repro.core.freedman import FreedmanLabel, FreedmanScheme
 from repro.generators.random_trees import random_prufer_tree, random_weighted_tree
 from repro.store import LabelStore, write_store
-from test_freedman_encode_pins import SCHEMES, TREES
+from repro.trees.collapsed import CollapsedTree
+from repro.trees.heavy_path import HeavyPathDecomposition
+from repro.trees.transform import prepare_for_leaf_queries
+from test_freedman_encode_pins import LARGE, LARGE_DIGESTS, SCHEMES, TREES
 
 #: edge weights near 2^55: some serialised entries are wider than 64 bits
 WIDE = lambda: random_weighted_tree(60, 1 << 55, seed=11)  # noqa: E731
 
-CASES = [(family, name) for family in sorted(TREES) for name in sorted(SCHEMES)] + [
-    ("wide", name) for name in sorted(SCHEMES)
-]
+CASES = (
+    [(family, name) for family in sorted(TREES) for name in sorted(SCHEMES)]
+    + [("wide", name) for name in sorted(SCHEMES)]
+    + [("large", name) for name in sorted(LARGE_DIGESTS)]
+)
 
 
 def _tree(family):
-    return WIDE() if family == "wide" else TREES[family]()
+    return {**TREES, "wide": WIDE, "large": LARGE}[family]()
 
 
 @pytest.mark.parametrize("family,scheme_name", CASES)
@@ -56,6 +64,41 @@ def test_encoder_matches_reference_encoder(family, scheme_name):
                 node,
                 item.name,
             )
+
+
+@pytest.mark.parametrize("family,scheme_name", CASES)
+def test_query_leaf_paths_are_childless(family, scheme_name):
+    """The encoder keeps field groups only for the root path and paths
+    with children, and builds each label's from its own path's parent: so
+    every query leaf's collapsed path must be childless, and below the root
+    path unless the tree is a single node.  (A pendant leaf joins a heavy
+    path only when the path's head has a subtree of at most two nodes: an
+    original leaf and its pendant leaf.)"""
+    tree = _tree(family)
+    binarize = FreedmanScheme(**SCHEMES[scheme_name]).params()["binarize"]
+    transform = prepare_for_leaf_queries(tree, binarize_tree=binarize)
+    decomposition = HeavyPathDecomposition(transform.tree, variant="paper")
+    collapsed = CollapsedTree(decomposition)
+    for original in range(tree.n):
+        own_path = decomposition.path_of(transform.query_node[original])
+        assert collapsed.children(own_path) == [], (original, own_path)
+        assert (collapsed.parent(own_path) is None) == (tree.n == 1), (original, own_path)
+
+
+def _adds_no_boundary(label) -> bool:
+    """Whether the label's own path keeps its parent path's last fragment
+    boundary (the root path's ref is 0)."""
+    refs = [0, *label.fragment_refs]
+    return len(refs) > 1 and refs[-1] == refs[-2]
+
+
+@pytest.mark.parametrize("scheme_name", sorted(LARGE_DIGESTS))
+def test_large_tree_has_labels_that_add_no_boundary(scheme_name):
+    """The ``large`` cases reach the encoder's branch that reuses the parent
+    path's boundaries as they are, thousands of times; of the smaller
+    unweighted pin trees only ``three`` reaches it, with two labels."""
+    labels = FreedmanScheme(**SCHEMES[scheme_name]).encode(LARGE())
+    assert any(map(_adds_no_boundary, labels.values()))
 
 
 def test_wide_tree_has_entries_wider_than_a_word():
