@@ -27,20 +27,26 @@ Ablation switches (`use_fragments`, `use_accumulators`, `binarize`) let the
 benchmarks quantify each ingredient's contribution to the label size (the
 ``freedman-no-*`` specs of README "Scheme specs").
 
-Encoding is word-level.  :meth:`FreedmanScheme.encode_stream` computes the
-shared structure once as integer rows indexed by collapsed path id (light
-codewords, light-edge weights, fragment refs, each hanging subtree's entry
-already serialised, one accumulator per parent path).  From them it builds,
-top-down, the field groups of every collapsed path with children: one per
-field that holds a value per level (codewords, light-edge weights, entries,
+Encoding is word-level, and on the native kernel tier it runs in C.
+:meth:`FreedmanScheme.encode_stream` asks the selected kernel backend
+first: ``_kernels.c`` computes the whole chain above from the tree's rows
+and writes every label's bits, in chunks of whole labels, each as the
+big-endian bytes of its word (the label behind a leading ``1`` bit).  The
+python tier runs :meth:`FreedmanScheme._python_encode_stream`, the
+reference those bytes are held to.  It computes the shared structure once
+as integer rows indexed by collapsed path id (light codewords, light-edge
+weights, fragment refs, each hanging subtree's entry already serialised,
+one accumulator per parent path).  From them it builds, top-down, the
+field groups of every collapsed path with children: one per field that
+holds a value per level (codewords, light-edge weights, entries,
 accumulator prefixes, and the code of the fragment refs, memoised per
-distinct sequence).  Every label's own path is childless and hangs off such
-a path, so each label is shifted straight into one integer from its parent
-path's groups plus one level, with no walk of its collapsed root path.
-The label it yields is *lazy*: it holds only that word, which
-:meth:`FreedmanLabel.to_bits` packs as it is, and the first read of a field
-parses the word with :meth:`FreedmanLabel.read` (the one parser) and drops
-it.  A label built from fields (or read once) is serialised by
+distinct sequence).  Every label's own path is childless and hangs off
+such a path, so each label is shifted straight into one integer from its
+parent path's groups plus one level, with no walk of its collapsed root
+path.  Either way the label yielded is *lazy*: it holds only that word,
+which :meth:`FreedmanLabel.to_bits` packs as it is, and the first read of
+a field parses the word with :meth:`FreedmanLabel.read` (the one parser)
+and drops it.  A label built from fields (or read once) is serialised by
 :meth:`FreedmanLabel.write`, the mirror of ``read``, on the one
 :class:`~repro.encoding.bitio.BitWriter`; the encoder shifts its two
 monotone sequences with the writer's own
@@ -309,6 +315,34 @@ class FreedmanScheme(DistanceLabelingScheme):
     def encode_stream(self, tree: RootedTree):
         """Yield each original node's label in node order, one at a time.
 
+        The selected kernel backend encodes first, as on the query path:
+        the native tier's C encoder writes every label's bits from the
+        tree's rows, in chunks of whole labels, and each label yielded is
+        the lazy word read from its bytes.  The python tier (and a subclass
+        of this scheme) runs :meth:`_python_encode_stream`, the reference
+        the C encoder is held to.  Either way the store's payload loop
+        (:func:`repro.store.label_store.pack_labels`) never materialises
+        the full label dict.
+        """
+        from repro import kernels
+
+        encoded = kernels.backend().encode_freedman(self, tree)
+        if encoded is None:
+            yield from self._python_encode_stream(tree)
+            return
+        self.encoding_stats, chunks = encoded
+        from_bytes = int.from_bytes
+        for buffer, ends in chunks:
+            start = 0
+            for end in ends:
+                label = _new_label(FreedmanLabel)
+                label.__dict__["_word"] = from_bytes(buffer[start:end], "big")
+                start = end
+                yield label
+
+    def _python_encode_stream(self, tree: RootedTree):
+        """The Python encoder: every label of ``tree``, in node order.
+
         Section 3's shared structure is computed once, as integer rows
         indexed by collapsed path id.  Every label's levels are those of its
         own collapsed path's parent plus one, so the field groups (light
@@ -317,9 +351,7 @@ class FreedmanScheme(DistanceLabelingScheme):
         are built once per collapsed path with children, top-down.  A label
         is then its three identity fields, its parent path's groups each
         extended by its own path's level, and the fragment distances,
-        shifted into its word in :meth:`FreedmanLabel.write` order; the
-        store's payload loop (:func:`repro.store.label_store.pack_labels`)
-        never materialises the full label dict.
+        shifted into its word in :meth:`FreedmanLabel.write` order.
         """
         transform = prepare_for_leaf_queries(tree, binarize_tree=self._binarize)
         working = transform.tree

@@ -1,15 +1,20 @@
-"""Tiered decode/distance kernels: native C → packed Python.
+"""Tiered kernels: native C → packed Python.
 
-The query path's hot loops (batched distance, matrix fill) have two
-interchangeable implementations:
+The query path's hot loops (batched distance, matrix fill) and the
+Freedman encoder have two interchangeable implementations:
 
 - **native** — ``_kernels.c`` compiled at build/first-use and loaded via
-  cffi (:mod:`repro.kernels.native`); fused decode+distance for hld-fixed
-  and Freedman labels straight from ``LabelStore.buffers()``.
+  cffi (:mod:`repro.kernels.native`): fused decode+distance for hld-fixed
+  and Freedman labels straight from ``LabelStore.buffers()``, and the
+  Freedman encoder, which computes Section 2/3's shared structure from
+  the tree's rows and writes every label's bits in chunks of whole labels
+  (``NativeBackend.encode_freedman``).
 - **python** — the packed-Python paths, always available
   (:mod:`repro.kernels.python_tier`): ``scheme.parse_many``, which reads
   every label through its class's one ``read`` on a
-  :class:`~repro.encoding.bitio.BitReader`, then ``scheme.query``.
+  :class:`~repro.encoding.bitio.BitReader`, then ``scheme.query``; and
+  the scheme's own Python encoder, the reference the C encoder's bytes
+  are held to (``tests/test_freedman_native_encoder.py``).
 
 Availability is probed once per process (quisk-style graceful degradation:
 a tier that fails to build/import is recorded and skipped, never fatal) and
@@ -18,7 +23,9 @@ forces a tier; if the forced tier is unavailable the next one down is used
 and the probe records why.  Every backend accelerates only what it
 supports — a fused call returning ``None`` sends the caller down the
 packed-Python path, so results (and error behaviour) are identical across
-tiers by construction, which the differential suites assert.
+tiers by construction, which the differential suites assert.  The encoder
+never declines a tree: it accepts every tree ``RootedTree`` accepts, and
+only a failed allocation (``MemoryError``) stops it.
 
 The native backend owns the decoded labels of the schemes it supports:
 each :class:`~repro.store.QueryEngine` binds one decoded-label arena in C

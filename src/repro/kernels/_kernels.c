@@ -1,4 +1,5 @@
-/* Native decode/distance kernels for the repro label store.
+/* Native kernels for the repro label store: decode/distance, and the
+ * Freedman encoder.
  *
  * Compiled into a tiny shared library (no Python.h — loaded through cffi's
  * ABI mode, dlopen-style) and called with raw pointers into
@@ -30,6 +31,10 @@
  *   a worker thread never touches an arena.  ``repro_checksum`` folds the
  *   decoder's full-width fields and makes no record at all.
  *
+ * The Freedman encoder (``repro_fr_encoder_*``, at the end of the file) is
+ * the one routine with no fallback: it writes the labels the Python
+ * encoder would, for every tree, and fails only when memory runs out.
+ *
  * Bit layout contract (matching repro.encoding.bitio): MSB-first within the
  * packed stream; label i starts at bit offset offs[i] * 8 and is lens[i]
  * bits long.  Codes: unary 0^k 1; Elias gamma = unary(zeros) + zeros bits,
@@ -38,6 +43,7 @@
  * low parts, count unary-coded high-part differences.
  */
 
+#include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -55,7 +61,7 @@
 #define MAX_VALUE_BITS 56
 #define MAX_LABEL_BITS 0xFFFFFFFFull
 
-#define ABI_VERSION 4
+#define ABI_VERSION 5
 
 #define KIND_HLD 0
 #define KIND_FREEDMAN 1
@@ -990,4 +996,661 @@ int repro_checksum(int kind, const uint8_t *payload, uint64_t nbytes,
     dec_free(&d);
     if (rc == E_OK) *out = h;
     return rc;
+}
+
+/* -- the Freedman encoder -------------------------------------------------- */
+
+/* The Section 2/3 chain of ``FreedmanScheme``'s Python encoder, from the
+ * tree's rows to every label's bits: ``repro_fr_encoder_new`` computes the
+ * shared structure once, ``repro_fr_encoder_next`` writes whole labels into
+ * a caller's bounded buffer.  Each pass mirrors one Python pass exactly —
+ * the same node and path numbering, the same sibling order, the same
+ * ``log2``/``ceil`` arithmetic — so the bytes are the Python encoder's,
+ * which the differential tests and the sha256 pins hold it to.  Unlike the
+ * decoders it has no fallback: it encodes every tree ``RootedTree``
+ * accepts, and only an allocation failure stops it. */
+
+#define FR_BINARIZE 1
+#define FR_FRAGMENTS 2
+#define FR_ACCUMULATORS 4
+
+/* a hanging subtree is thin when it is at most 1/256 of its branch node's
+ * subtree (``repro.core.freedman.THIN_FACTOR``) */
+#define THIN_FACTOR 256
+
+/* a light child holds under half its path head's subtree, so a collapsed
+ * root path is shorter than log2 of the (int32) node count */
+#define FR_MAX_DEPTH 64
+
+static inline uint32_t bitlen64(uint64_t x) {
+    return x ? 64 - (uint32_t)__builtin_clzll(x) : 0;
+}
+
+/* -- bit writer ------------------------------------------------------------- */
+
+/* An MSB-first writer into a growable buffer.  Pending bits sit MSB-aligned
+ * in ``acc`` (fewer than 32 between writes) and leave four bytes at a time;
+ * ``bw_reserve`` makes room beforehand, so the writes never check. */
+typedef struct {
+    uint8_t *buf;
+    size_t cap;
+    size_t pos; /* bytes flushed */
+    uint64_t acc;
+    uint32_t fill;
+} bw_t;
+
+static int bw_reserve(bw_t *w, uint64_t bits) {
+    size_t need = w->pos + (size_t)(bits >> 3) + 16;
+    size_t cap;
+    uint8_t *grown;
+    if (need <= w->cap) return E_OK;
+    cap = w->cap ? w->cap : 256;
+    while (cap < need) cap *= 2;
+    grown = (uint8_t *)realloc(w->buf, cap);
+    if (!grown) return E_FALLBACK;
+    w->buf = grown;
+    w->cap = cap;
+    return E_OK;
+}
+
+static inline uint64_t bw_bits(const bw_t *w) { return (uint64_t)w->pos * 8 + w->fill; }
+
+/* Append the low ``n <= 32`` bits of ``v`` (``v < 2^n``). */
+static inline void bw_put(bw_t *w, uint64_t v, uint32_t n) {
+    if (!n) return;
+    w->acc |= v << (64 - w->fill - n);
+    w->fill += n;
+    if (w->fill >= 32) {
+        uint8_t *out = w->buf + w->pos;
+        out[0] = (uint8_t)(w->acc >> 56);
+        out[1] = (uint8_t)(w->acc >> 48);
+        out[2] = (uint8_t)(w->acc >> 40);
+        out[3] = (uint8_t)(w->acc >> 32);
+        w->pos += 4;
+        w->acc <<= 32;
+        w->fill -= 32;
+    }
+}
+
+static inline void bw_put64(bw_t *w, uint64_t v, uint32_t n) {
+    if (n > 32) {
+        bw_put(w, v >> 32, n - 32);
+        v &= 0xFFFFFFFFull;
+        n = 32;
+    }
+    bw_put(w, v, n);
+}
+
+static inline void bw_zeros(bw_t *w, uint64_t n) {
+    for (; n > 32; n -= 32) bw_put(w, 0, 32);
+    bw_put(w, 0, (uint32_t)n);
+}
+
+/* Elias gamma of ``x < 2^64 - 1``: ``x + 1`` in ``2 * bitlen - 1`` bits. */
+static inline void bw_gamma(bw_t *w, uint64_t x) {
+    uint64_t y = x + 1;
+    uint32_t b = bitlen64(y);
+    if (b <= 16) {
+        bw_put(w, y, 2 * b - 1);
+        return;
+    }
+    bw_zeros(w, b - 1);
+    bw_put64(w, y, b);
+}
+
+/* Elias delta of ``x < 2^64 - 1``: gamma(width), then the ``width`` bits of
+ * ``x + 1`` below its leading one. */
+static inline void bw_delta(bw_t *w, uint64_t x) {
+    uint64_t y = x + 1;
+    uint32_t width = bitlen64(y) - 1;
+    bw_gamma(w, width);
+    bw_put64(w, y ^ (1ull << width), width);
+}
+
+/* Lemma 2.2 monotone sequence (``repro.encoding.bitio.append_monotone``):
+ * gamma count, gamma low width, the low parts, the high parts as unary
+ * differences.  The encoder's sequences are non-decreasing by construction. */
+static void bw_monotone(bw_t *w, const uint64_t *values, uint64_t count) {
+    uint64_t i, high = 0, mask;
+    uint32_t low_width = 0;
+    bw_gamma(w, count);
+    if (!count) return;
+    if (bitlen64(values[count - 1]) > bitlen64(count))
+        low_width = bitlen64(values[count - 1]) - bitlen64(count);
+    bw_gamma(w, low_width);
+    mask = (1ull << low_width) - 1; /* values are below 2^63 */
+    if (low_width)
+        for (i = 0; i < count; i++) bw_put64(w, values[i] & mask, low_width);
+    for (i = 0; i < count; i++) {
+        uint64_t part = values[i] >> low_width;
+        bw_zeros(w, part - high);
+        bw_put(w, 1, 1);
+        high = part;
+    }
+}
+
+/* Write out the pending bits, zero-padded to a whole byte. */
+static void bw_flush(bw_t *w) {
+    while (w->fill) {
+        w->buf[w->pos++] = (uint8_t)(w->acc >> 56);
+        w->acc <<= 8;
+        w->fill = w->fill > 8 ? w->fill - 8 : 0;
+    }
+    w->acc = 0;
+}
+
+/* The ``1 <= n <= 32`` bits at bit ``off`` of a flushed buffer that has 8
+ * readable bytes past its last bit. */
+static inline uint64_t bits_at(const uint8_t *buf, uint64_t off, uint32_t n) {
+    uint64_t word;
+    memcpy(&word, buf + (off >> 3), 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    word = __builtin_bswap64(word);
+#endif
+    return (word << (off & 7)) >> (64 - n);
+}
+
+/* -- precompute -------------------------------------------------------------- */
+
+/* One collapsed path, with everything a label reads at its level. */
+typedef struct {
+    uint64_t code;      /* light codeword of the edge into the path */
+    uint64_t weight;    /* weight of that light edge */
+    int64_t head_dist;  /* root distance of the head */
+    uint64_t kept;      /* the entry's kept bits (its full value until the
+                           entries pass) */
+    uint64_t acc_off;   /* bit offset of the parent's accumulator */
+    uint64_t prefix;    /* accumulator bits pushed before this path's turn */
+    int32_t parent;     /* parent path, -1 for the root path */
+    int32_t dom;        /* postorder (domination) number */
+    uint8_t code_len, kept_len, pushed, skip, frag_ref, depth;
+} fr_path_t;
+
+typedef struct repro_fr_encoder {
+    int64_t n;
+    int64_t next;      /* the next original node to emit */
+    int pending;       /* node ``next``'s label is rendered in ``label`` */
+    int32_t *own;      /* per original node: its pendant leaf's path */
+    int64_t *dist;     /* per original node: its root distance */
+    fr_path_t *path;
+    bw_t acc;          /* every parent path's accumulator, flushed */
+    bw_t label;        /* a sentinel 1 bit and the label, flushed */
+    uint64_t label_bits;
+} repro_fr_encoder;
+
+void repro_fr_encoder_free(repro_fr_encoder *e) {
+    if (!e) return;
+    free(e->own);
+    free(e->dist);
+    free(e->path);
+    free(e->acc.buf);
+    free(e->label.buf);
+    free(e);
+}
+
+/* A sibling and its order key: branch position on the parent path, then
+ * head size; ties by id. */
+typedef struct {
+    uint64_t key;
+    int32_t id;
+} fr_keyed_t;
+
+static int cmp_keyed(const void *x, const void *y) {
+    const fr_keyed_t *a = (const fr_keyed_t *)x, *b = (const fr_keyed_t *)y;
+    if (a->key != b->key) return a->key < b->key ? -1 : 1;
+    return (a->id > b->id) - (a->id < b->id);
+}
+
+/* CSR children of a parent row (-1: none), ascending by id.  ``start`` has
+ * ``count + 2`` slots; afterwards ``p``'s children are
+ * ``data[start[p] .. start[p + 1])``. */
+static void csr_children(const int32_t *parent, int64_t count, int32_t *start,
+                         int32_t *data) {
+    int64_t v;
+    memset(start, 0, (size_t)(count + 2) * sizeof(int32_t));
+    for (v = 0; v < count; v++)
+        if (parent[v] >= 0) start[parent[v] + 2]++;
+    for (v = 2; v < count + 2; v++) start[v] += start[v - 1];
+    for (v = 0; v < count; v++)
+        if (parent[v] >= 0) data[start[parent[v] + 1]++] = (int32_t)v;
+}
+
+#define FR_ALLOC(ptr, count)                                                  \
+    do {                                                                      \
+        (ptr) = malloc(((size_t)(count) ? (size_t)(count) : 1) * sizeof(*(ptr))); \
+        if (!(ptr)) goto done;                                                \
+    } while (0)
+
+/* The encoder of an ``n``-node ``RootedTree`` given by its rows, or NULL
+ * when memory runs out.  ``stats`` receives the pushed bits and the fat,
+ * thin and skipped subtree counts. */
+repro_fr_encoder *repro_fr_encoder_new(int64_t n, const int32_t *parents,
+                                       const int64_t *weights,
+                                       const int32_t *child_start,
+                                       const int32_t *child_data, int flags,
+                                       uint64_t *stats) {
+    repro_fr_encoder *e;
+    int32_t *par = NULL, *start = NULL, *data = NULL, *order = NULL;
+    int32_t *size = NULL, *path_of = NULL, *position = NULL, *head = NULL;
+    int32_t *length = NULL, *stack = NULL, *row = NULL;
+    uint8_t *light_depth = NULL;
+    int64_t *weight = NULL, *dist = NULL, *last_boundary = NULL;
+    fr_keyed_t *keyed = NULL;
+    fr_path_t *path = NULL;
+    int64_t total = 2 * n, v, i, paths = 0, block;
+    int32_t root = -1;
+    uint64_t pushed_total = 0, fat = 0, thin = 0, skipped = 0;
+    int ok = 0;
+
+    if (n < 1) return NULL;
+    if (flags & FR_BINARIZE)
+        for (v = 0; v < n; v++) {
+            int64_t degree = child_start[v + 1] - child_start[v];
+            if (degree > 1) total += degree - 1;
+        }
+    if (total > INT32_MAX - 2) return NULL;
+    e = (repro_fr_encoder *)calloc(1, sizeof(*e));
+    if (!e) return NULL;
+    e->n = n;
+
+    /* Section 2 transform (``prepare_for_leaf_queries``): pendant leaf
+     * n + v hangs last under v, at weight 0; with binarization a node with
+     * m + 1 > 2 children keeps its first and hangs the others, one each, on
+     * a chain of m - 1 dummies, numbered in node order after the leaves */
+    FR_ALLOC(par, total);
+    FR_ALLOC(weight, total);
+    memcpy(par, parents, (size_t)n * sizeof(int32_t));
+    memcpy(weight, weights, (size_t)n * sizeof(int64_t));
+    memset(weight + n, 0, (size_t)(total - n) * sizeof(int64_t));
+    for (v = 0; v < n; v++) {
+        par[n + v] = (int32_t)v;
+        if (parents[v] < 0) root = (int32_t)v;
+    }
+    if (flags & FR_BINARIZE) {
+        int32_t next = (int32_t)(2 * n);
+        for (v = 0; v < n; v++) {
+            int32_t first = child_start[v], end = child_start[v + 1], last, k;
+            if (end - first < 2) continue;
+            last = next + (end - first) - 2;
+            par[next] = (int32_t)v;
+            for (k = next + 1; k <= last; k++) par[k] = k - 1;
+            for (k = first + 1; k < end; k++) par[child_data[k]] = next + (k - first - 1);
+            par[n + v] = last;
+            next = last + 1;
+        }
+    }
+
+    /* the working tree: children ascending by id, a breadth-first order,
+     * root distances and subtree sizes */
+    FR_ALLOC(start, total + 2);
+    FR_ALLOC(data, total);
+    csr_children(par, total, start, data);
+    FR_ALLOC(order, total);
+    FR_ALLOC(dist, total);
+    order[0] = root;
+    dist[root] = 0;
+    {
+        int64_t tail = 1;
+        for (i = 0; i < tail; i++) {
+            int32_t node = order[i], k;
+            for (k = start[node]; k < start[node + 1]; k++) {
+                dist[data[k]] = dist[node] + weight[data[k]];
+                order[tail++] = data[k];
+            }
+        }
+    }
+    FR_ALLOC(size, total);
+    for (v = 0; v < total; v++) size[v] = 1;
+    for (i = total - 1; i > 0; i--) size[par[order[i]]] += size[order[i]];
+    free(order);
+    order = NULL;
+
+    /* paper-variant heavy paths (``HeavyPathDecomposition._decompose``): a
+     * path descends to the first child holding half its head's subtree;
+     * paths are numbered as their heads leave a stack that receives each
+     * path's light children in child order, head first */
+    FR_ALLOC(path_of, total);
+    FR_ALLOC(position, total);
+    FR_ALLOC(head, total);
+    FR_ALLOC(length, total);
+    FR_ALLOC(light_depth, total);
+    FR_ALLOC(stack, total);
+    {
+        int64_t top = 0;
+        stack[top++] = root;
+        while (top) {
+            int32_t node = stack[--top], offset = 0;
+            int64_t threshold = size[node];
+            light_depth[paths] =
+                par[node] >= 0 ? (uint8_t)(light_depth[path_of[par[node]]] + 1) : 0;
+            head[paths] = node;
+            for (;;) {
+                int32_t heavy = -1, k;
+                path_of[node] = (int32_t)paths;
+                position[node] = offset;
+                for (k = start[node]; k < start[node + 1]; k++) {
+                    int32_t child = data[k];
+                    if (heavy < 0 && 2 * (int64_t)size[child] >= threshold)
+                        heavy = child;
+                    else
+                        stack[top++] = child;
+                }
+                if (heavy < 0) break;
+                node = heavy;
+                offset++;
+            }
+            length[paths++] = offset + 1;
+        }
+    }
+    free(stack);
+    stack = NULL;
+    path = (fr_path_t *)calloc((size_t)paths, sizeof(fr_path_t));
+    if (!path) goto done;
+    e->path = path;
+    FR_ALLOC(row, paths);
+    for (i = 0; i < paths; i++) {
+        int32_t h = head[i];
+        path[i].depth = light_depth[i];
+        path[i].parent = row[i] = par[h] >= 0 ? path_of[par[h]] : -1;
+        path[i].weight = (uint64_t)weight[h];
+        path[i].head_dist = dist[h];
+    }
+    free(weight);
+    weight = NULL;
+    free(light_depth);
+    light_depth = NULL;
+
+    /* the collapsed tree (``CollapsedTree._build``): siblings ordered by
+     * branch position on the parent path, then head size, ties by id; the
+     * working tree's CSR rows are reused for its children */
+    csr_children(row, paths, start, data);
+    FR_ALLOC(keyed, paths);
+    for (i = 0; i < paths; i++) {
+        int32_t first = start[i], end = start[i + 1], k;
+        if (end - first < 2) continue;
+        for (k = first; k < end; k++) {
+            int32_t h = head[data[k]];
+            keyed[k].key = (uint64_t)position[par[h]] << 32 | (uint64_t)size[h];
+            keyed[k].id = data[k];
+        }
+        qsort(keyed + first, (size_t)(end - first), sizeof(*keyed), cmp_keyed);
+        for (k = first; k < end; k++) data[k] = keyed[k].id;
+    }
+    free(keyed);
+    keyed = NULL;
+    free(position);
+    position = NULL;
+
+    /* domination numbers: the postorder over the ordered children; ``row``
+     * becomes each open path's next child */
+    {
+        int64_t top = 0;
+        int32_t counter = 0;
+        FR_ALLOC(stack, paths);
+        stack[top++] = 0;
+        row[0] = start[0];
+        while (top) {
+            int32_t p = stack[top - 1];
+            if (row[p] < start[p + 1]) {
+                int32_t child = data[row[p]++];
+                row[child] = start[child];
+                stack[top++] = child;
+            } else {
+                path[p].dom = counter++;
+                top--;
+            }
+        }
+    }
+
+    /* light codes (``LightDepthLabeling._build_codes``): a child weighted
+     * by its head's subtree out of the parent's head subtree minus the
+     * parent path gets ``bitlen(max(1, ceil(total / w) - 1)) + 1`` bits;
+     * canonical values by increasing length, ties in child order */
+    for (i = 0; i < paths; i++) {
+        int32_t first = start[i], end = start[i + 1], k;
+        int64_t whole = size[head[i]] - length[i];
+        uint64_t present = 0, next = 0;
+        uint32_t len, previous = 0;
+        for (k = first; k < end; k++) {
+            int64_t w = size[head[data[k]]];
+            int64_t quotient = (whole + w - 1) / w - 1;
+            len = bitlen64((uint64_t)(quotient > 1 ? quotient : 1)) + 1;
+            path[data[k]].code_len = (uint8_t)len;
+            present |= 1ull << len;
+        }
+        while (present) {
+            len = (uint32_t)__builtin_ctzll(present);
+            present &= present - 1;
+            for (k = first; k < end; k++) {
+                fr_path_t *child = &path[data[k]];
+                if (child->code_len != len) continue;
+                child->code = next << (len - previous);
+                next = child->code + 1;
+                previous = len;
+            }
+        }
+    }
+
+    /* fragment boundaries (``_compute_fragments``): a path's are its
+     * parent's, extended by its own head distance while its head subtree
+     * is small enough; ``row`` holds each path's boundary count and
+     * ``last_boundary`` its last boundary; a parent's id is below its
+     * children's, so id order is top-down */
+    {
+        double lg = log2((double)(total > 2 ? total : 2));
+        block = (int64_t)ceil(sqrt(lg > 1.0 ? lg : 1.0));
+        if (block < 1) block = 1;
+    }
+    FR_ALLOC(last_boundary, paths);
+    row[0] = 1;
+    last_boundary[0] = path[0].head_dist;
+    for (i = 1; i < paths; i++) {
+        int32_t parent = path[i].parent, count = row[parent];
+        if (flags & FR_FRAGMENTS) {
+            int64_t hanging = size[head[i]];
+            while (count * block < 63 && hanging <= (total >> (count * block))) count++;
+        }
+        path[i].frag_ref = (uint8_t)(count - 1);
+        if (count == row[parent]) {
+            path[i].kept = (uint64_t)(path[i].head_dist - last_boundary[parent]);
+            last_boundary[i] = last_boundary[parent];
+        } else {
+            path[i].kept = 0; /* the head is its own last boundary */
+            last_boundary[i] = path[i].head_dist;
+        }
+        row[i] = count;
+    }
+
+    /* entries and accumulators (``_compute_entries``): per parent path, each
+     * child but the last keeps its entry's top bits and pushes the rest
+     * onto the parent's accumulator; the last (exceptional) one is skipped */
+    for (i = 0; i < paths; i++) {
+        int32_t first = start[i], end = start[i + 1], k;
+        uint64_t offset = bw_bits(&e->acc), accumulated = 0;
+        if (first == end) continue;
+        for (k = first; k < end; k++) {
+            fr_path_t *child = &path[data[k]];
+            int32_t h = head[data[k]];
+            int64_t hanging = size[h], branch = size[par[h]];
+            uint64_t value = child->kept;
+            uint32_t full = bitlen64(value), kept = full;
+            child->acc_off = offset;
+            child->prefix = accumulated;
+            if (k == end - 1) {
+                child->skip = 1;
+                child->kept = 0;
+                skipped++;
+                break;
+            }
+            if (hanging * THIN_FACTOR <= branch) {
+                thin++;
+            } else if (flags & FR_ACCUMULATORS) {
+                double slack = 0.5 * log2((double)branch / (double)hanging) *
+                               log2((double)(branch > 2 ? branch : 2));
+                int64_t limit = (int64_t)ceil(slack) + 1;
+                fat++;
+                if ((int64_t)full > limit) kept = (uint32_t)limit;
+            }
+            child->kept_len = (uint8_t)kept;
+            child->pushed = (uint8_t)(full - kept);
+            child->kept = value >> child->pushed;
+            if (child->pushed) {
+                if (bw_reserve(&e->acc, 64)) goto done;
+                bw_put64(&e->acc, value & ((1ull << child->pushed) - 1), child->pushed);
+                accumulated += child->pushed;
+                pushed_total += child->pushed;
+            }
+        }
+    }
+    bw_flush(&e->acc);
+    if (bw_reserve(&e->acc, 64)) goto done;
+    memset(e->acc.buf + e->acc.pos, 0, 8);
+
+    /* per original node: its pendant leaf's path and root distance */
+    FR_ALLOC(e->own, n);
+    FR_ALLOC(e->dist, n);
+    for (v = 0; v < n; v++) {
+        e->own[v] = path_of[n + v];
+        e->dist[v] = dist[n + v];
+    }
+    stats[0] = pushed_total;
+    stats[1] = fat;
+    stats[2] = thin;
+    stats[3] = skipped;
+    ok = 1;
+done:
+    free(par);
+    free(weight);
+    free(start);
+    free(data);
+    free(order);
+    free(dist);
+    free(size);
+    free(path_of);
+    free(position);
+    free(head);
+    free(length);
+    free(light_depth);
+    free(stack);
+    free(row);
+    free(last_boundary);
+    free(keyed);
+    if (ok) return e;
+    repro_fr_encoder_free(e);
+    return NULL;
+}
+
+/* -- writing labels ------------------------------------------------------------ */
+
+/* Render node ``v``'s label into ``e->label`` behind a sentinel 1 bit, in
+ * ``FreedmanLabel.write`` order.  1 only when memory runs out. */
+static int fr_render(repro_fr_encoder *e, int64_t v) {
+    const fr_path_t *path = e->path;
+    const fr_path_t *level[FR_MAX_DEPTH];
+    uint64_t values[FR_MAX_DEPTH + 1];
+    bw_t *w = &e->label;
+    int32_t p = e->own[v];
+    uint32_t depth = path[p].depth, d;
+    uint64_t count, bound = 6000 + 512 * (uint64_t)depth;
+    const fr_path_t *own = &path[p];
+
+    if (depth > FR_MAX_DEPTH) return E_FALLBACK;
+    for (d = depth; d > 0; d--) {
+        level[d - 1] = &path[p];
+        bound += path[p].prefix;
+        p = path[p].parent;
+    }
+    w->pos = 0;
+    w->acc = 0;
+    w->fill = 0;
+    if (bw_reserve(w, bound)) return E_FALLBACK;
+    bw_put(w, 1, 1);
+    bw_delta(w, (uint64_t)v);
+    bw_delta(w, (uint64_t)e->dist[v]);
+    bw_delta(w, (uint64_t)own->dom);
+    bw_gamma(w, depth);
+    for (d = 0; d < depth; d++) {
+        bw_gamma(w, level[d]->code_len);
+        bw_put64(w, level[d]->code, level[d]->code_len);
+    }
+    for (d = 0; d < depth; d++) bw_gamma(w, level[d]->weight);
+    for (d = 0; d < depth; d++) values[d] = level[d]->frag_ref;
+    bw_monotone(w, values, depth);
+    /* the fragment distances: the root path's head, then each level's head
+     * once per boundary it adds */
+    values[0] = (uint64_t)path[0].head_dist;
+    count = 1;
+    for (d = 0; d < depth; d++)
+        while (count < (uint64_t)level[d]->frag_ref + 1) values[count++] = (uint64_t)level[d]->head_dist;
+    bw_monotone(w, values, count);
+    for (d = 0; d < depth; d++) {
+        const fr_path_t *q = level[d];
+        if (q->skip) {
+            bw_put(w, 1, 1);
+            continue;
+        }
+        bw_put(w, 0, 1);
+        bw_gamma(w, q->kept_len);
+        bw_put64(w, q->kept, q->kept_len);
+        bw_gamma(w, q->pushed);
+    }
+    for (d = 0; d < depth; d++) {
+        uint64_t off = level[d]->acc_off, left = level[d]->prefix;
+        bw_gamma(w, left);
+        for (; left; ) {
+            uint32_t take = left > 32 ? 32 : (uint32_t)left;
+            bw_put(w, bits_at(e->acc.buf, off, take), take);
+            off += take;
+            left -= take;
+        }
+    }
+    e->label_bits = bw_bits(w);
+    bw_flush(w);
+    return E_OK;
+}
+
+/* Copy the rendered label to ``out`` right-aligned in ``bytes`` bytes: the
+ * big-endian bytes of the integer ``1 << length | label``. */
+static void fr_place(const repro_fr_encoder *e, uint8_t *out, uint64_t bytes) {
+    const uint8_t *src = e->label.buf;
+    uint32_t pad = (uint32_t)(bytes * 8 - e->label_bits), k;
+    uint64_t i;
+    if (!pad) {
+        memcpy(out, src, (size_t)bytes);
+        return;
+    }
+    k = 8 - pad;
+    out[0] = (uint8_t)(src[0] >> pad);
+    for (i = 1; i < bytes; i++) out[i] = (uint8_t)(src[i - 1] << k | src[i] >> pad);
+}
+
+/* Write the next whole labels, each as the big-endian bytes of its word
+ * (see ``fr_place``), into ``buf``, at most ``cap`` bytes and ``max_labels``
+ * labels; ``ends[i]`` is the end offset of the i-th.  Returns the number
+ * written, 0 once every label is out, -1 when memory runs out, and -2 when
+ * the next label alone needs more than ``cap`` bytes: ``ends[0]`` then
+ * holds its size, and it is written by the next call with room for it. */
+int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
+                              uint64_t *ends, int64_t max_labels) {
+    uint64_t used = 0;
+    int64_t count = 0;
+    while (count < max_labels && e->next < e->n) {
+        uint64_t bytes;
+        if (!e->pending) {
+            if (fr_render(e, e->next)) return -1;
+            e->pending = 1;
+        }
+        bytes = (e->label_bits + 7) >> 3;
+        if (bytes > cap - used) {
+            if (count) break;
+            ends[0] = bytes;
+            return -2;
+        }
+        fr_place(e, buf + used, bytes);
+        used += bytes;
+        ends[count++] = used;
+        e->pending = 0;
+        e->next++;
+    }
+    return count;
 }

@@ -40,7 +40,7 @@ from struct import error as StructError, pack
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _CDEF = """
 int repro_kernels_abi(void);
@@ -55,6 +55,15 @@ int repro_arena_batch(repro_arena *arena, const void *pairs, int64_t n_pairs,
                       void *out);
 int64_t repro_arena_pair(repro_arena *arena, int64_t u, int64_t v);
 void repro_arena_stats(repro_arena *arena, uint64_t *out);
+typedef struct repro_fr_encoder repro_fr_encoder;
+repro_fr_encoder *repro_fr_encoder_new(int64_t n, const int32_t *parents,
+                                       const int64_t *weights,
+                                       const int32_t *child_start,
+                                       const int32_t *child_data, int flags,
+                                       uint64_t *stats);
+int64_t repro_fr_encoder_next(repro_fr_encoder *enc, uint8_t *buf, uint64_t cap,
+                              uint64_t *ends, int64_t max_labels);
+void repro_fr_encoder_free(repro_fr_encoder *enc);
 int repro_matrix(int kind, const uint8_t *payload, uint64_t nbytes,
                  const uint64_t *offs, const uint64_t *lens, int64_t n_total,
                  const int64_t *nodes, int64_t n_nodes, int64_t *out);
@@ -70,6 +79,18 @@ _DECLINED = -(1 << 63)
 #: the ``kind`` argument of the C entry points
 _KIND_HLD = 0
 _KIND_FREEDMAN = 1
+
+#: the ``flags`` bits of ``repro_fr_encoder_new``
+_FR_BINARIZE = 1
+_FR_FRAGMENTS = 2
+_FR_ACCUMULATORS = 4
+
+#: the encoder's output chunk: whole labels, at most this many bytes (a
+#: label larger than that travels alone in a buffer of its own size)
+ENCODE_CHUNK_BYTES = 1 << 16
+
+#: ``encoding_stats`` keys, in the order of the C encoder's counters
+_ENCODING_STATS = ("pushed_bits", "fat_subtrees", "thin_subtrees", "skipped_entries")
 
 #: guard against absurd matrices: m*m int64 results; above this the Python
 #: path is just as memory-bound and the fused fill buys nothing
@@ -147,6 +168,7 @@ def ensure_built(verbose: bool = False) -> str:
                 "-o",
                 scratch,
                 source_path(),
+                "-lm",
             ]
             result = subprocess.run(
                 command, capture_output=True, text=True, timeout=120
@@ -233,7 +255,15 @@ class NativeBackend:
     def tier_for(self, scheme) -> str:
         return "python" if self._kind(scheme) is None else "native"
 
-    # -- store marshalling ---------------------------------------------------
+    # -- marshalling -----------------------------------------------------------
+
+    def _c_view(self, ctype: str, sequence):
+        """``sequence`` (a buffer) mapped in place as a C ``ctype`` array; a
+        one-element dummy when it is empty."""
+        if len(sequence):
+            return self.ffi.from_buffer(ctype + "[]", sequence)
+        return self.ffi.new(ctype + "[]", 1)
+
 
     def _store_args(self, store) -> tuple:
         """``(payload, payload bytes, offsets, lengths, n)`` C views, built once.
@@ -247,13 +277,7 @@ class NativeBackend:
         if cached is not None:
             return cached
         view, offsets, lengths = store.buffers()
-        ffi = self.ffi
-
-        def c_view(ctype, sequence):
-            if len(sequence):
-                return ffi.from_buffer(ctype + "[]", sequence)
-            return ffi.new(ctype + "[]", 1)
-
+        c_view = self._c_view
         arrays = (
             c_view("uint8_t", view),
             len(view),
@@ -313,6 +337,73 @@ class NativeBackend:
         out = self.ffi.new("uint64_t[5]")
         self.lib.repro_arena_stats(arena, out)
         return tuple(out)
+
+    # -- encoding --------------------------------------------------------------
+
+    def encode_freedman(self, scheme, tree):
+        """``(encoding_stats, chunks)`` of ``scheme``'s labels of ``tree``.
+
+        The C encoder computes Section 2/3's shared structure from the
+        tree's rows at once; ``chunks`` then yields ``(buffer, ends)``
+        pairs, each of whole labels in node order, at most
+        :data:`ENCODE_CHUNK_BYTES` bytes unless one label alone is larger:
+        label ``i`` of a chunk is ``buffer[ends[i - 1]:ends[i]]`` (from 0
+        for the first), the big-endian bytes of its word, the label behind
+        a leading ``1`` bit.  A buffer is reused by the next chunk.  ``None`` for a scheme
+        the C side does not encode (a subclass); a failed allocation
+        raises ``MemoryError``.
+        """
+        if self._kind(scheme) != _KIND_FREEDMAN:
+            return None
+        ffi, lib = self.ffi, self.lib
+        params = scheme.params()
+        flags = (
+            (_FR_BINARIZE if params["binarize"] else 0)
+            | (_FR_FRAGMENTS if params["use_fragments"] else 0)
+            | (_FR_ACCUMULATORS if params["use_accumulators"] else 0)
+        )
+        c_view = self._c_view
+        stats = ffi.new("uint64_t[4]")
+        handle = lib.repro_fr_encoder_new(
+            tree.n,
+            c_view("int32_t", tree._parents),
+            c_view("int64_t", tree._weights),
+            c_view("int32_t", tree._child_start),
+            c_view("int32_t", tree._child_data),
+            flags,
+            stats,
+        )
+        if handle == ffi.NULL:
+            raise MemoryError(f"native Freedman encoder of a {tree.n}-node tree")
+        handle = ffi.gc(handle, lib.repro_fr_encoder_free)
+        return dict(zip(_ENCODING_STATS, stats)), self._encoded_chunks(handle)
+
+    def _encoded_chunks(self, handle):
+        """Drain an encoder handle in chunks; free it once drained or closed."""
+        ffi, lib = self.ffi, self.lib
+        step = lib.repro_fr_encoder_next
+        buffer = bytearray(ENCODE_CHUNK_BYTES)
+        ends = array("Q", bytes(8 * (ENCODE_CHUNK_BYTES // 8 + 1)))
+        c_buffer = ffi.from_buffer("uint8_t[]", buffer)
+        c_ends = ffi.from_buffer("uint64_t[]", ends)
+        try:
+            while True:
+                count = step(handle, c_buffer, len(buffer), c_ends, len(ends))
+                if count > 0:
+                    yield buffer, ends[:count]
+                elif count == 0:
+                    return
+                elif count == -2:
+                    # one label larger than the chunk: a buffer of its own
+                    alone = bytearray(ends[0])
+                    c_alone = ffi.from_buffer("uint8_t[]", alone)
+                    if step(handle, c_alone, len(alone), c_ends, 1) != 1:
+                        raise MemoryError("native Freedman encoder")
+                    yield alone, ends[:1]
+                else:
+                    raise MemoryError("native Freedman encoder")
+        finally:
+            ffi.release(handle)
 
     # -- transient decodes ---------------------------------------------------
 

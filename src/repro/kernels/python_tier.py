@@ -28,3 +28,7 @@ class PythonBackend:
 
     def varint_many(self, data, start, count):
         return None
+
+    def encode_freedman(self, scheme, tree):
+        """No native encoder: the scheme's Python encoder writes the labels."""
+        return None

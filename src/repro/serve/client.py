@@ -436,10 +436,35 @@ class AsyncLabelClient:
             endpoint = member_endpoint(self._route_table, name)
         if endpoint is None:
             return None
-        leaf = self._route_pool.get(endpoint)
-        if leaf is None:
-            leaf = self._route_pool[endpoint] = await self._make_leaf(*endpoint)
+        leaf = await self._pooled_leaf(endpoint)
         leaf._route_stamp = self._route_stamp
+        return leaf
+
+    async def _pooled_leaf(self, endpoint: tuple[str, int]) -> "AsyncLabelClient":
+        """The pooled connection to ``endpoint``, opened on first use.
+
+        A failed connect is retried ``reconnect_retries`` times with the
+        reconnect backoff, as a dropped connection is: during a rolling
+        reload the endpoint's slot may be between two workers.  The last
+        failure is raised.
+        """
+        leaf = self._route_pool.get(endpoint)
+        attempt = 0
+        while leaf is None:
+            try:
+                leaf = await self._make_leaf(*endpoint)
+            except OSError:
+                attempt += 1
+                if attempt > self.reconnect_retries:
+                    raise
+                await asyncio.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
+                leaf = self._route_pool.get(endpoint)
+                continue
+            # a concurrent caller may have pooled one meanwhile: keep theirs
+            pooled = self._route_pool.setdefault(endpoint, leaf)
+            if pooled is not leaf:
+                await leaf.close()
+                leaf = pooled
         return leaf
 
     def _apply_moved(self, moved: ServerMoved) -> None:
@@ -455,13 +480,17 @@ class AsyncLabelClient:
 
         Falls back to the shared address — with an *unstamped* leaf, which a
         sharded worker always serves in place — when there is no table, no
-        owner endpoint, or the redirect budget is spent (a pathological
-        routing loop must degrade to the legacy path, not fail).
+        owner endpoint, the owner cannot be connected to, or the redirect
+        budget is spent (a pathological routing loop must degrade to the
+        legacy path, not fail).
         """
         await self._ensure_routing()
         redirects = 0
         while redirects <= self.route_retries:
-            leaf = await self._leaf_for(name)
+            try:
+                leaf = await self._leaf_for(name)
+            except OSError:
+                break
             if leaf is None:
                 break
             try:
@@ -473,11 +502,7 @@ class AsyncLabelClient:
             raise ConnectionError(
                 "routed requests need an address-aware client (use connect())"
             )
-        fallback = self._route_pool.get(self._remote)
-        if fallback is None:
-            fallback = self._route_pool[self._remote] = await self._make_leaf(
-                *self._remote
-            )
+        fallback = await self._pooled_leaf(self._remote)
         fallback._route_stamp = None
         return await call(fallback)
 

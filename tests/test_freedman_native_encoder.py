@@ -1,0 +1,160 @@
+"""The native Freedman encoder against the Python one, byte for byte.
+
+``FreedmanScheme.encode_stream`` asks the selected kernel backend first: on
+the native tier ``_kernels.c`` computes the whole Section 2/3 chain from the
+tree's rows and writes every label's bits; on the python tier the Python
+encoder runs, and it stays the reference.  Hypothesis trees of every
+generator family, unweighted and with weights up to 2^40, under all four
+Freedman specs must give the same store payload, bit lengths and
+``encoding_stats`` on both tiers, and the C encoder's chunked output must
+not depend on the chunk size.  Skipped when the native tier is unavailable.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_kernels import available_tiers, forced_tier
+
+from repro import kernels
+from repro.core.registry import make_scheme
+from repro.generators.random_trees import (
+    random_binary_tree,
+    random_caterpillar,
+    random_prufer_tree,
+    random_weighted_tree,
+)
+from repro.generators.structured import path_tree, star_tree
+from repro.kernels import native
+from repro.store import LabelStore
+from repro.trees.tree import RootedTree
+
+
+pytestmark = pytest.mark.skipif(
+    "native" not in available_tiers(), reason="native kernel tier unavailable"
+)
+
+SPECS = [
+    "freedman",
+    "freedman-no-binarize",
+    "freedman-no-fragments",
+    "freedman-no-accumulators",
+]
+
+FAMILIES = {
+    "prufer": random_prufer_tree,
+    "binary": random_binary_tree,
+    "caterpillar": random_caterpillar,
+    "star": lambda n, seed: star_tree(n),
+    "path": lambda n, seed: path_tree(n),
+}
+
+sizes = st.integers(min_value=1, max_value=400)
+seeds = st.integers(min_value=0, max_value=2**31)
+
+#: a family, then a size and seed for it
+family_trees = st.sampled_from(sorted(FAMILIES)).flatmap(
+    lambda family: st.tuples(sizes, seeds).map(lambda args: FAMILIES[family](*args))
+)
+
+#: a family tree, then one weight per node (the root's is ignored)
+weighted_trees = family_trees.flatmap(
+    lambda tree: st.lists(
+        st.integers(min_value=0, max_value=2**40), min_size=tree.n, max_size=tree.n
+    ).map(tree.reweighted)
+)
+
+trees = st.one_of(family_trees, weighted_trees)
+
+
+def _no_python_encoder(tree):
+    raise AssertionError("the native tier ran the Python encoder")
+
+
+def encode_on(name: str, spec: str, tree: RootedTree):
+    """``(payload, bit lengths, encoding_stats)`` of ``tree`` on tier ``name``."""
+    scheme = make_scheme(spec)
+    if name == "native":
+        scheme._python_encode_stream = _no_python_encoder
+    with forced_tier(name):
+        assert kernels.backend_name() == name
+        store = LabelStore.from_labels(scheme, scheme.encode(tree))
+    view, _, lengths = store.buffers()
+    return bytes(view), lengths.tolist(), scheme.encoding_stats
+
+
+def assert_tiers_agree(spec: str, tree: RootedTree) -> None:
+    assert encode_on("native", spec, tree) == encode_on("python", spec, tree)
+
+
+@given(trees, st.sampled_from(SPECS))
+@settings(max_examples=120, deadline=None)
+def test_native_encoder_matches_python_encoder(tree, spec):
+    assert_tiers_agree(spec, tree)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize(
+    "tree",
+    [
+        RootedTree([None]),
+        RootedTree([None, 0]),
+        RootedTree([None, 0, 0]),
+        # int64 weights near the top of the range
+        RootedTree([None, 0, 1, 0, 3, 3, 3], [0, 2**62, 2**62 - 7, 5, 2**61, 3, 2**62]),
+        # children in a non-ascending order: binarization follows it
+        random_prufer_tree(300, seed=2).with_child_order(
+            {
+                node: list(reversed(random_prufer_tree(300, seed=2).children(node)))
+                for node in range(300)
+            }
+        ),
+    ],
+    ids=["single", "two", "three", "int64-weights", "reordered"],
+)
+def test_edge_trees_match(spec, tree):
+    assert_tiers_agree(spec, tree)
+
+
+def _native_words(spec: str, tree: RootedTree):
+    """The C encoder's labels (the bytes of each word) and chunk sizes."""
+    stats, chunks = kernels.get_backend("native").encode_freedman(make_scheme(spec), tree)
+    words, per_chunk = [], []
+    for buffer, ends in chunks:
+        start = 0
+        for end in ends:
+            words.append(bytes(buffer[start:end]))
+            start = end
+        per_chunk.append(len(ends))
+    return words, per_chunk, stats
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_chunked_output_matches_one_shot(spec, monkeypatch):
+    """Chunk boundaries never move a byte: small chunks of several labels,
+    and labels larger than the chunk, which travel alone."""
+    tree = random_weighted_tree(400, 2**40, seed=5)
+    monkeypatch.setattr(native, "ENCODE_CHUNK_BYTES", 1 << 24)
+    one_shot, per_chunk, stats = _native_words(spec, tree)
+    assert per_chunk == [tree.n]
+    label_bytes = sorted(map(len, one_shot))
+    smallest, median, largest = label_bytes[0], label_bytes[len(label_bytes) // 2], label_bytes[-1]
+    for budget in (1, smallest, median, 4 * largest // 3):
+        monkeypatch.setattr(native, "ENCODE_CHUNK_BYTES", budget)
+        words, per_chunk, chunk_stats = _native_words(spec, tree)
+        assert words == one_shot
+        assert chunk_stats == stats
+        assert sum(per_chunk) == tree.n
+        if budget < largest:
+            assert any(len(word) > budget for word in words)
+        if budget > 2 * smallest:
+            assert max(per_chunk) > 1
+
+
+def test_native_words_are_the_python_words():
+    """Each yielded label holds the Python encoder's word."""
+    tree = random_prufer_tree(250, seed=8)
+    scheme = make_scheme("freedman")
+    expected = [label._word for label in scheme._python_encode_stream(tree)]
+    words, _, _ = _native_words("freedman", tree)
+    assert [int.from_bytes(word, "big") for word in words] == expected

@@ -377,6 +377,58 @@ def test_stale_table_pipeline_converges_with_one_redirect(tree, catalog_file):
     asyncio.run(main())
 
 
+def test_routed_query_retries_a_failed_leaf_connect(tree, catalog_file):
+    """A connect to the owner's slot that is reset (as while a reload
+    replaces the slot's worker) is retried under ``reconnect_retries``, and
+    the routed query still answers, from the owner."""
+    import asyncio
+
+    from repro.serve.client import AsyncLabelClient
+    from repro.serve.server import LabelServer
+
+    index = DistanceIndex.build(tree, "freedman")
+    target = MEMBERS[0]
+
+    async def main():
+        shared = LabelServer(IndexCatalog.load(catalog_file), slot=0)
+        owner = LabelServer(IndexCatalog.load(catalog_file), slot=1)
+        host0, port0 = await shared.start("127.0.0.1", 0)
+        host1, port1 = await owner.start("127.0.0.1", 0)
+        table = {
+            "version": 1,
+            "replication": 1,
+            "generation": None,
+            "members": {name: [1] for name in MEMBERS},
+            "slots": {"0": [host0, port0], "1": [host1, port1]},
+        }
+        shared.set_routing(table)
+        owner.set_routing(table)
+        client = await AsyncLabelClient.connect(host0, port0, route=True)
+        make_leaf = client._make_leaf
+        attempts = []
+
+        async def reset_once(host, port):
+            attempts.append(port)
+            if len(attempts) == 1:
+                raise ConnectionResetError(104, f"Connect call failed ('{host}', {port})")
+            return await make_leaf(host, port)
+
+        client._make_leaf = reset_once
+        try:
+            answer = await client.query(3, 42, name=target, raw=True)
+            served = owner.stats()["queries"]
+        finally:
+            await client.close()
+            await owner.stop()
+            await shared.stop()
+        return answer, attempts, port1, served
+
+    answer, attempts, owner_port, served = asyncio.run(main())
+    assert answer == index.query(3, 42, raw=True)
+    assert attempts == [owner_port, owner_port]  # one reset, one retry
+    assert served == 1
+
+
 def test_moved_exception_carries_the_hint():
     moved = ServerMoved(4, "acl", "10.1.2.3", 4117)
     assert (moved.version, moved.member, moved.host, moved.port) == (

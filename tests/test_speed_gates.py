@@ -10,7 +10,10 @@ native tier and ``REPRO_KERNELS=python``:
 * packed HLD ``QueryEngine.batch_query`` >= 3x the string-backed reference
   pipeline of ``tests/bitio_reference.py``;
 * ``scheme.encode`` + ``LabelStore.from_labels`` >= 1.5x the reference
-  serialisation, with the identical packed payload.
+  serialisation, with the identical packed payload;
+* on the native tier, ``FreedmanScheme().encode`` +
+  ``LabelStore.from_labels`` >= 3x the same pipeline on the python tier's
+  encoder, with the identical payload (skipped without the native tier).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import time
 import pytest
 
 import bitio_reference as ref
+from test_kernels import available_tiers, forced_tier
+from repro import kernels
 from repro.api import DistanceIndex
 from repro.core.freedman import FreedmanScheme
 from repro.core.hld import HLDScheme
@@ -96,6 +101,22 @@ def packed_encode_speedup() -> float:
     return reference_time / packed_time
 
 
+def native_encode_speedup() -> float:
+    """Python-tier encode+pack time over the native tier's, same payload."""
+    tree = make_tree("random", 4096, seed=23)
+    times, payloads = {}, {}
+    for tier in ("native", "python"):
+        with forced_tier(tier):
+            assert kernels.backend_name() == tier
+            scheme = FreedmanScheme()
+            times[tier], store = best_of(
+                lambda: LabelStore.from_labels(scheme, scheme.encode(tree))
+            )
+        payloads[tier] = bytes(store.buffers()[0])
+    assert payloads["native"] == payloads["python"]
+    return times["python"] / times["native"]
+
+
 def test_batched_speedup():
     speedup = batched_speedup()
     assert speedup >= 2.0, f"batched speedup only {speedup:.2f}x"
@@ -109,6 +130,12 @@ def test_packed_vs_reference_batch_query():
 def test_packed_vs_reference_encode_pack():
     speedup = packed_encode_speedup()
     assert speedup >= 1.5, f"packed encode+pack only {speedup:.2f}x over reference"
+
+
+@pytest.mark.skipif("native" not in available_tiers(), reason="native kernel tier unavailable")
+def test_native_vs_python_freedman_encode_pack():
+    speedup = native_encode_speedup()
+    assert speedup >= 3.0, f"native Freedman encode+pack only {speedup:.2f}x over python"
 
 
 # -- the baselines themselves are correct ------------------------------------
