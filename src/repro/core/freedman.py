@@ -34,23 +34,19 @@ and writes every label's bits, in chunks of whole labels, each as the
 big-endian bytes of its word (the label behind a leading ``1`` bit).  The
 python tier runs :meth:`FreedmanScheme._python_encode_stream`, the
 reference those bytes are held to.  It computes the shared structure once
-as integer rows indexed by collapsed path id (light codewords, light-edge
-weights, fragment refs, each hanging subtree's entry already serialised,
-one accumulator per parent path).  From them it builds, top-down, the
-field groups of every collapsed path with children: one per field that
-holds a value per level (codewords, light-edge weights, entries,
-accumulator prefixes, and the code of the fragment refs, memoised per
-distinct sequence).  Every label's own path is childless and hangs off
-such a path, so each label is shifted straight into one integer from its
-parent path's groups plus one level, with no walk of its collapsed root
-path.  Either way the label yielded is *lazy*: it holds only that word,
-which :meth:`FreedmanLabel.to_bits` packs as it is, and the first read of
-a field parses the word with :meth:`FreedmanLabel.read` (the one parser)
-and drops it.  A label built from fields (or read once) is serialised by
-:meth:`FreedmanLabel.write`, the mirror of ``read``, on the one
-:class:`~repro.encoding.bitio.BitWriter`; the encoder shifts its two
-monotone sequences with the writer's own
-:func:`~repro.encoding.bitio.append_monotone`.
+as rows indexed by collapsed path id (light codewords, light-edge
+weights, fragment refs, each hanging subtree's entry fields and
+accumulator prefix) and shares, top-down, the levels of every collapsed
+path with children: one tuple of field values per light edge.  Every
+label's own path is childless and hangs off such a path, so a label's
+fields are its parent path's levels plus its own, with no walk of its
+collapsed root path, and :meth:`FreedmanLabel.write` serialises them: the
+only Python code that lays out a label.  Either way the label yielded is *lazy*: it holds only
+its word, which :meth:`FreedmanLabel.to_bits` packs as it is, and the
+first read of a field parses the word with :meth:`FreedmanLabel.read`
+(the one parser) and drops it.  ``write`` and ``read`` are mirrors on the
+one :class:`~repro.encoding.bitio.BitWriter` and
+:class:`~repro.encoding.bitio.BitReader`.
 ``tests/freedman_reference.py`` keeps the field-by-field encoder and codec
 the differential tests compare with.
 """
@@ -63,7 +59,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.core.base import DistanceLabelingScheme, Label
 from repro.encoding.alphabetic import common_codeword_prefix
-from repro.encoding.bitio import GAMMA_WIDTH, BitReader, BitWriter, Bits, append_monotone
+from repro.encoding.bitio import BitReader, BitWriter, Bits
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
@@ -277,6 +273,12 @@ class FreedmanLabel(Label):
 
 _FIELD_NAMES = frozenset(item.name for item in fields(FreedmanLabel))
 
+#: the fields that hold one value per light edge, in :meth:`FreedmanLabel.write` order
+_LEVEL_FIELDS = (
+    "codewords", "light_weights", "fragment_refs", "entry_skip", "entry_kept",
+    "entry_pushed", "accumulators",
+)
+
 _new_label = object.__new__
 
 _EMPTY = Bits._pack(0, 0)
@@ -343,35 +345,31 @@ class FreedmanScheme(DistanceLabelingScheme):
     def _python_encode_stream(self, tree: RootedTree):
         """The Python encoder: every label of ``tree``, in node order.
 
-        Section 3's shared structure is computed once, as integer rows
-        indexed by collapsed path id.  Every label's levels are those of its
-        own collapsed path's parent plus one, so the field groups (light
-        codewords, light-edge weights, the code of the fragment refs,
-        entries and accumulator prefixes, each behind a leading ``1`` bit)
-        are built once per collapsed path with children, top-down.  A label
-        is then its three identity fields, its parent path's groups each
-        extended by its own path's level, and the fragment distances,
-        shifted into its word in :meth:`FreedmanLabel.write` order.
+        Section 3's shared structure is computed once, as rows indexed by
+        collapsed path id: light codewords and light-edge weights, the
+        fragment rows of :meth:`_compute_fragments` and the entry rows of
+        :meth:`_compute_entries`.  A path's *level* is its own value of
+        every field that holds one per light edge; a label's levels are
+        its own collapsed path's parent's plus its own path's, so they are
+        shared top-down by every collapsed path with children.  A label is
+        its three identity fields, its levels and its fragment distances,
+        serialised by :meth:`FreedmanLabel.write`.
         """
         transform = prepare_for_leaf_queries(tree, binarize_tree=self._binarize)
         working = transform.tree
         decomposition = HeavyPathDecomposition(working, variant="paper")
         collapsed = CollapsedTree(decomposition)
         light = LightDepthLabeling(working, collapsed)
-        codeword_value = light.codeword_value
-        codeword_length = light.codeword_length
+        codeword_value, codeword_length = light.codeword_value, light.codeword_length
+        light_weight = array("q", map(working._weights.__getitem__, collapsed._head))
         head_distance = array("q", map(working._root_distance.__getitem__, collapsed._head))
         boundaries, fragment_ref, entry_value = self._compute_fragments(
             working, collapsed, head_distance
         )
-        entry_segment, entry_width, prefix_length, accumulator = self._compute_entries(
+        skip, kept_value, kept_length, pushed, prefixes = self._compute_entries(
             working, collapsed, entry_value
         )
         del entry_value
-        # the gamma code of the light-edge weight into every path
-        light_weights = map(working._weights.__getitem__, collapsed._head)
-        weight_code = array("Q", map((1).__add__, light_weights))
-        weight_width = array("B", (2 * code.bit_length() - 1 for code in weight_code))
 
         # only these rows are read from here on: dropping the trees behind
         # them keeps the generator from holding them for the whole stream
@@ -384,89 +382,58 @@ class FreedmanScheme(DistanceLabelingScheme):
         root_path = collapsed.root
         del transform, working, decomposition, collapsed, light
 
-        table = GAMMA_WIDTH
-        limit = len(table)
-        # the monotone code of each distinct fragment refs sequence, behind
-        # a leading ``1`` bit: its sequence, and the code one ref longer
-        no_refs = append_monotone(1, ())
-        refs_sequence = {no_refs: ()}
-        refs_extended: dict = {}
+        def level(path: int) -> tuple:
+            """``path``'s own value of each field in ``_LEVEL_FIELDS``."""
+            return (
+                Bits._pack(codeword_value[path], codeword_length[path]),
+                light_weight[path],
+                fragment_ref[path],
+                bool(skip[path]),
+                Bits._pack(kept_value[path], kept_length[path]),
+                pushed[path],
+                prefixes.get(path, _EMPTY),
+            )
 
-        def extend(state: tuple, path: int) -> tuple:
-            """The field groups of ``path``: its parent path's ``state``
-            plus one level."""
-            depth, codewords, weights, refs, entries, acc = state
-            length = codeword_length[path]
-            codeword = (length + 1) << length | codeword_value[path]
-            codewords = codewords << table[length] + length | codeword
-            weights = weights << weight_width[path] | weight_code[path]
-            ref = fragment_ref[path]
-            extended = refs_extended.get((refs, ref))
-            if extended is None:
-                sequence = refs_sequence[refs] + (ref,)
-                extended = refs_extended[refs, ref] = append_monotone(1, sequence)
-                refs_sequence[extended] = sequence
-            refs = extended
-            entries = entries << entry_width[path] | entry_segment[path]
-            length = prefix_length[path]
-            if length:
-                value, total = accumulator[collapsed_parent[path]]
-                code = table[length] if length < limit else 2 * (length + 1).bit_length() - 1
-                acc = ((acc << code | length + 1) << length) | value >> total - length
-            else:
-                acc = acc << 1 | 1
-            return depth + 1, codewords, weights, refs, entries, acc
-
-        # held only for the root path and paths with children: a label's
-        # own path is childless (its pendant leaf is its own path, or the
-        # tail of a two-node path whose head is an original leaf), so its
-        # groups are built when it is emitted; a parent path's id is below
-        # its children's, so id order is top-down
-        path_count = len(collapsed_parent)
-        states: list = [None] * path_count
-        states[root_path] = (0, 1, 1, no_refs, 1, 1)
-        # few paths differ in their weight and accumulator groups: one
-        # shared object per value
-        share = {}.setdefault
-        for path in range(path_count):
+        # the levels of the root path and of every path with children: a
+        # label's own path is childless (its pendant leaf is its own path,
+        # or the tail of a two-node path whose head is an original leaf), so
+        # its levels are built when it is emitted; a parent path's id is
+        # below its children's, so id order is top-down
+        states: list = [None] * len(collapsed_parent)
+        states[root_path] = ()
+        for path in range(len(states)):
             if path != root_path and child_start[path] != child_start[path + 1]:
-                depth, codewords, weights, refs, entries, acc = extend(
-                    states[collapsed_parent[path]], path
-                )
-                weights = share(weights, weights)
-                states[path] = depth, codewords, weights, refs, entries, share(acc, acc)
+                states[path] = states[collapsed_parent[path]] + (level(path),)
 
+        # one label holding fields, refilled per node and never yielded
+        staged = _new_label(FreedmanLabel)
+        state = staged.__dict__
         for original in range(tree.n):
             leaf = query_node[original]
             own_path = path_of[leaf]
-            word = 1
-            for value in (original, root_distance[leaf], domination_number[own_path]):
-                # Elias delta: gamma(width), then the low ``width`` bits
-                shifted = value + 1
-                width = shifted.bit_length() - 1
-                word = ((word << table[width] | width + 1) << width) | (shifted ^ (1 << width))
-            state = states[own_path]
+            levels = states[own_path]
             distances = boundaries[own_path]
-            if state is None:
+            if levels is None:
                 parent = collapsed_parent[own_path]
-                state = extend(states[parent], own_path)
+                levels = states[parent] + (level(own_path),)
                 # a path without children: its parent's boundaries, then
                 # its own head distance once per boundary it added
                 distances = boundaries[parent]
                 added = fragment_ref[own_path] + 1 - len(distances)
                 if added:
                     distances += (head_distance[own_path],) * added
-            depth, codewords, weights, refs, entries, acc = state
-            word = word << table[depth] | depth + 1
-            for group in (codewords, weights, refs):
-                width = group.bit_length() - 1
-                word = word << width | group ^ 1 << width
-            word = append_monotone(word, distances)
-            for group in (entries, acc):
-                width = group.bit_length() - 1
-                word = word << width | group ^ 1 << width
+            columns = zip(*levels) if levels else ((),) * len(_LEVEL_FIELDS)
+            state.update(
+                zip(_LEVEL_FIELDS, columns),
+                node_id=original,
+                root_distance=root_distance[leaf],
+                domination=domination_number[own_path],
+                fragment_distances=distances,
+            )
+            writer = BitWriter()
+            staged.write(writer)
             label = _new_label(FreedmanLabel)
-            label.__dict__["_word"] = word
+            label.__dict__["_word"] = writer._word
             yield label
 
     def _compute_fragments(
@@ -524,33 +491,23 @@ class FreedmanScheme(DistanceLabelingScheme):
                 boundaries[path] = blist
         return boundaries, fragment_ref, entry_value
 
-    def _compute_entries(
-        self,
-        working: RootedTree,
-        collapsed: CollapsedTree,
-        entry_value,
-    ) -> tuple:
-        """Per hanging subtree: its serialised entry and accumulator prefix.
+    def _compute_entries(self, working: RootedTree, collapsed: CollapsedTree, entry_value):
+        """Per hanging subtree: its entry's fields and accumulator prefix.
 
-        Rows indexed by collapsed path id.  ``segment``/``width`` is the
-        entry as serialised: the bit ``1`` for the skipped exceptional
-        child, else a ``0`` bit, the gamma-coded kept length, the kept bits
-        and the gamma-coded pushed count (an ``array('Q')``, or a list once
-        some entry is wider than 64 bits).  ``accumulator`` maps a parent
-        path that received pushed bits to its *full* accumulator
-        ``(value, length)``; a child's prefix (what its dominating siblings
-        pushed before its turn) is its top ``prefix_length[child]`` bits.
+        Rows indexed by collapsed path id: ``skip`` marks the exceptional
+        (last-ordered) child, whose entry is skipped; otherwise the entry
+        keeps the top ``kept_length`` bits of its value, ``kept_value``,
+        and pushes its ``pushed`` low bits to the parent path's
+        accumulator.  ``prefixes`` maps a child whose dominating siblings
+        pushed bits before its turn to those bits, its accumulator.
         """
         path_count = len(collapsed)
-        segment = array("Q", bytes(8 * path_count))
-        # a skipped entry is the single bit 1
-        width = array("B", [1]) * path_count
-        prefix_length = array("i", bytes(4 * path_count))
-        accumulator: dict = {}
-        total_pushed = 0
-        fat = 0
-        thin = 0
-        skipped = 0
+        skip = bytearray(path_count)
+        kept_value = array("q", bytes(8 * path_count))
+        kept_length = bytearray(path_count)
+        pushed_row = bytearray(path_count)
+        prefixes: dict = {}
+        total_pushed = fat = thin = 0
         start, data = collapsed._child_start, collapsed._child_data
         heads, branches = collapsed._head, collapsed._branch_node
         size = working._subtree_size
@@ -562,9 +519,14 @@ class FreedmanScheme(DistanceLabelingScheme):
                 continue
             accumulated = 0
             accumulated_bits = 0
-            for index in range(first, last):
+            for index in range(first, last + 1):
                 child = data[index]
-                prefix_length[child] = accumulated_bits
+                if accumulated_bits:
+                    prefixes[child] = Bits._pack(accumulated, accumulated_bits)
+                if index == last:
+                    # the last (exceptional) child's entry is skipped
+                    skip[child] = 1
+                    break
                 value = entry_value[child]
                 full_bits = value.bit_length()
                 hanging_size = size[heads[child]]
@@ -580,34 +542,21 @@ class FreedmanScheme(DistanceLabelingScheme):
                     )
                     length = min(full_bits, int(math.ceil(slack)) + 1)
                 pushed = full_bits - length
-                # flag bit 0, gamma(length), the kept bits, gamma(pushed)
-                pushed_width = GAMMA_WIDTH[pushed]
-                bits = 1 + GAMMA_WIDTH[length] + length + pushed_width
-                if bits > 64 and not isinstance(segment, list):
-                    segment = segment.tolist()
-                segment[child] = (
-                    ((length + 1) << length | value >> pushed) << pushed_width
-                ) | pushed + 1
-                width[child] = bits
+                kept_value[child] = value >> pushed
+                kept_length[child] = length
+                pushed_row[child] = pushed
                 if pushed:
                     accumulated = accumulated << pushed | value & ((1 << pushed) - 1)
                     accumulated_bits += pushed
                     total_pushed += pushed
-            # the last (exceptional) child's entry is skipped
-            child = data[last]
-            prefix_length[child] = accumulated_bits
-            segment[child] = 1
-            skipped += 1
-            if accumulated_bits:
-                accumulator[parent_path] = (accumulated, accumulated_bits)
 
         self.encoding_stats = {
             "pushed_bits": total_pushed,
             "fat_subtrees": fat,
             "thin_subtrees": thin,
-            "skipped_entries": skipped,
+            "skipped_entries": skip.count(1),
         }
-        return segment, width, prefix_length, accumulator
+        return skip, kept_value, kept_length, pushed_row, prefixes
 
     # -- decoding ------------------------------------------------------------
 
@@ -638,8 +587,10 @@ class FreedmanScheme(DistanceLabelingScheme):
                     "labels are inconsistent: accumulator is shorter than expected"
                 )
             value = (value << pushed) | segment.to_int()
-        reference = dominating.fragment_distances[dominating.fragment_refs[level]]
-        nca_distance = reference + value - dominating.light_weights[level]
+        refs, distances = dominating.fragment_refs, dominating.fragment_distances
+        if level >= len(refs) or not 0 <= refs[level] < len(distances):
+            raise ValueError("labels are inconsistent: the fragment ref is out of range")
+        nca_distance = distances[refs[level]] + value - dominating.light_weights[level]
         return (
             label_u.root_distance + label_v.root_distance - 2 * nca_distance
         )

@@ -181,31 +181,22 @@ _ZERO = Bits._pack(0, 1)
 _ONE = Bits._pack(1, 1)
 
 
-#: width of the Elias gamma code of every small value: ``gamma(v)`` is
-#: ``v + 1`` written in ``GAMMA_WIDTH[v]`` bits (its leading zeros are the
-#: unary part)
-GAMMA_WIDTH = tuple(2 * (value + 1).bit_length() - 1 for value in range(256))
-
-
 def append_monotone(word: int, values: list[int]) -> int:
     """Shift one Lemma 2.2 monotone sequence onto ``word``; return the word.
 
-    The one copy of the encoder (:meth:`BitWriter.write_monotone` and the
-    Freedman label encoder both call it): gamma count, gamma low width,
-    the fixed-width low parts, then the high parts as unary differences
-    ``0^d 1``.  Raises ``ValueError`` for a decreasing or negative
-    sequence, before any unary run longer than the last element's high
-    part is built.
+    The one copy of the encoder, behind :meth:`BitWriter.write_monotone`:
+    gamma count, gamma low width, the fixed-width low parts, then the high
+    parts as unary differences ``0^d 1``.  Raises ``ValueError`` for a
+    decreasing or negative sequence, before any unary run longer than the
+    last element's high part is built.
     """
     count = len(values)
-    code = GAMMA_WIDTH[count] if count < 256 else 2 * (count + 1).bit_length() - 1
-    word = word << code | count + 1
+    word = word << 2 * (count + 1).bit_length() - 1 | count + 1
     if not count:
         return word
     last = values[-1]
     low_width = max(0, last.bit_length() - count.bit_length())
-    code = GAMMA_WIDTH[low_width] if low_width < 256 else 2 * (low_width + 1).bit_length() - 1
-    word = word << code | low_width + 1
+    word = word << 2 * (low_width + 1).bit_length() - 1 | low_width + 1
     if low_width:
         mask = (1 << low_width) - 1
         for value in values:

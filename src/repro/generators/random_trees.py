@@ -91,18 +91,3 @@ def random_caterpillar(n: int, seed: int | random.Random | None = 0) -> RootedTr
     for node in range(spine_length, n):
         parents.append(rng.randrange(spine_length))
     return RootedTree(parents)
-
-
-def random_weighted_tree(
-    n: int,
-    max_weight: int,
-    seed: int | random.Random | None = 0,
-) -> RootedTree:
-    """A random recursive tree with uniform edge weights in ``[0, max_weight]``."""
-    rng = _rng(seed)
-    tree = random_recursive_tree(n, rng)
-    weights = [0] + [rng.randint(0, max_weight) for _ in range(n - 1)]
-    ordered = [0] * n
-    for node in tree.nodes():
-        ordered[node] = weights[node] if node != tree.root else 0
-    return tree.reweighted(ordered)

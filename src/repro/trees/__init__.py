@@ -10,7 +10,7 @@ This package provides:
 * :class:`~repro.trees.tree.RootedTree` — an immutable rooted tree with
   optional non-negative integer edge weights, its depths, subtree sizes
   and preorder/postorder orders,
-* builders from parent arrays, edge lists and networkx graphs,
+* builders from parent arrays and edge lists,
 * the Section 2 transform (leaf attachment + binarization),
 * the heavy path decomposition in the paper's ``>= |T|/2`` variant and the
   classical largest-child variant,
@@ -19,11 +19,7 @@ This package provides:
 """
 
 from repro.trees.tree import RootedTree
-from repro.trees.builder import (
-    tree_from_edges,
-    tree_from_parents,
-    tree_from_networkx,
-)
+from repro.trees.builder import tree_from_edges, tree_from_parents
 from repro.trees.transform import TransformResult, attach_leaves, binarize, prepare_for_leaf_queries
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.collapsed import CollapsedTree
@@ -32,7 +28,6 @@ __all__ = [
     "RootedTree",
     "tree_from_parents",
     "tree_from_edges",
-    "tree_from_networkx",
     "TransformResult",
     "attach_leaves",
     "binarize",

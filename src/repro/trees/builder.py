@@ -1,8 +1,6 @@
 """Constructors for :class:`~repro.trees.tree.RootedTree`.
 
-Trees can be built from parent arrays, from (undirected or directed) edge
-lists, or from a networkx graph (optional dependency, used by the example
-applications that extract spanning trees of larger networks).
+Trees can be built from parent arrays or from undirected edge lists.
 """
 
 from __future__ import annotations
@@ -63,36 +61,3 @@ def tree_from_edges(
     if visited != n:
         raise TreeError("edge list is disconnected")
     return RootedTree(parents, weights)
-
-
-def tree_from_networkx(graph, root=None) -> tuple[RootedTree, dict]:
-    """Build a tree from a networkx tree or from a BFS spanning tree.
-
-    Returns the tree plus a mapping from original graph nodes to the integer
-    node identifiers used by :class:`RootedTree`.
-    """
-    import networkx as nx  # local import: optional dependency
-
-    if root is None:
-        root = next(iter(graph.nodes))
-    if not nx.is_tree(graph):
-        graph = nx.bfs_tree(graph, root).to_undirected()
-    mapping = {node: index for index, node in enumerate(graph.nodes)}
-    edges = []
-    for u, v, data in graph.edges(data=True):
-        weight = int(data.get("weight", 1))
-        edges.append((mapping[u], mapping[v], weight))
-    tree = tree_from_edges(len(mapping), edges, root=mapping[root])
-    return tree, mapping
-
-
-def path_tree(n: int) -> RootedTree:
-    """A path on ``n`` nodes rooted at one end."""
-    parents: list[int | None] = [None] + [i for i in range(n - 1)]
-    return RootedTree(parents)
-
-
-def star_tree(n: int) -> RootedTree:
-    """A star on ``n`` nodes rooted at the centre."""
-    parents: list[int | None] = [None] + [0] * (n - 1)
-    return RootedTree(parents)

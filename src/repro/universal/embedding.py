@@ -55,49 +55,3 @@ def embeds_as_rooted_subtree(small: RootedTree, big: RootedTree) -> bool:
         return True
 
     return any(can_map(small.root, t_node) for t_node in big.nodes())
-
-
-def embedding_map(small: RootedTree, big: RootedTree) -> dict[int, int] | None:
-    """An explicit embedding (small node -> big node), or ``None``.
-
-    Used by tests that want to double-check an embedding rather than just a
-    boolean answer.  Exponential in the worst case; intended for small trees.
-    """
-    small_children = {node: small.children(node) for node in small.nodes()}
-    big_children = {node: big.children(node) for node in big.nodes()}
-
-    def try_map(s_node: int, t_node: int) -> dict[int, int] | None:
-        s_kids = small_children[s_node]
-        if not s_kids:
-            return {s_node: t_node}
-        t_kids = big_children[t_node]
-        if len(t_kids) < len(s_kids):
-            return None
-
-        def backtrack(index: int, used: set[int], acc: dict[int, int]) -> dict[int, int] | None:
-            if index == len(s_kids):
-                return dict(acc)
-            for t_kid in t_kids:
-                if t_kid in used:
-                    continue
-                sub = try_map(s_kids[index], t_kid)
-                if sub is None:
-                    continue
-                used.add(t_kid)
-                acc.update(sub)
-                result = backtrack(index + 1, used, acc)
-                if result is not None:
-                    return result
-                used.remove(t_kid)
-                for key in sub:
-                    acc.pop(key, None)
-            return None
-
-        result = backtrack(0, set(), {s_node: t_node})
-        return result
-
-    for t_node in big.nodes():
-        mapping = try_map(small.root, t_node)
-        if mapping is not None:
-            return mapping
-    return None

@@ -1,12 +1,11 @@
 """Reference encoder and codec for Freedman labels, in the object-building form.
 
-``FreedmanScheme.encode_stream`` shifts each label straight into one
-integer from per-path rows, ``FreedmanLabel.write`` writes the fields of
-a label with the field encoders of ``BitWriter``, and
-``FreedmanLabel.read`` decodes it with the field decoders of
-``BitReader``.  This module keeps straightforward
-forms of all three, so the differential tests can hold the word-level code
-to them, bit for bit and exception type for exception type:
+``FreedmanScheme.encode_stream`` builds each label's fields from per-path
+rows, ``FreedmanLabel.write`` writes the fields of a label with the field
+encoders of ``BitWriter``, and ``FreedmanLabel.read`` decodes it with the
+field decoders of ``BitReader``.  This module keeps straightforward forms
+of all three, so the differential tests can hold the library's code to
+them, bit for bit and exception type for exception type:
 
 * :func:`reference_encode` builds every label field by field — a
   :class:`Bits` per codeword, kept entry and accumulator slice — from the

@@ -24,7 +24,6 @@ from repro.generators.random_trees import (
     random_binary_tree,
     random_caterpillar,
     random_prufer_tree,
-    random_weighted_tree,
 )
 from repro.generators.structured import path_tree, star_tree
 from repro.lowerbounds.hm_trees import (
@@ -34,6 +33,7 @@ from repro.lowerbounds.hm_trees import (
 )
 from repro.store import LabelStore, write_store
 from repro.trees.tree import RootedTree
+from tree_extras import random_weighted_tree
 
 TREES = {
     "prufer": lambda: random_prufer_tree(300, seed=3),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_kernels import available_tiers, forced_tier
+from tree_extras import random_weighted_tree
 
 from repro import kernels
 from repro.core.registry import make_scheme
@@ -22,7 +23,6 @@ from repro.generators.random_trees import (
     random_binary_tree,
     random_caterpillar,
     random_prufer_tree,
-    random_weighted_tree,
 )
 from repro.generators.structured import path_tree, star_tree
 from repro.kernels import native

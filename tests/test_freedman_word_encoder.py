@@ -1,15 +1,18 @@
-"""The word-level Freedman encoder against the field-by-field reference encoder.
+"""The Freedman encoder against the field-by-field reference encoder.
 
-``FreedmanScheme.encode_stream`` shifts each label straight into one
-integer from per-path rows and yields a label that holds only that word;
+``FreedmanScheme.encode_stream`` builds each label's fields from per-path
+rows, serialises them with ``FreedmanLabel.write`` (``_kernels.c`` does
+both on the native tier) and yields a label that holds only that word;
 ``tests/freedman_reference.reference_encode`` builds the same labels field
-by field.  The two must agree field for field and bit for bit on every pin
-tree under every ablation, and on a 10⁴-node Prüfer tree under
-``default`` and ``no-binarize``.  The encoder's premise, that every query
-leaf's collapsed path is childless, must hold on the same trees.  The lazy
-label must keep its contract: it serialises without parsing, parses once
-on the first field access, and compares, prints, pickles and copies the
-same whether or not it was read.
+by field from its own rows.  The two must agree field for field and bit
+for bit on every pin tree under every ablation, on a 10⁴-node Prüfer tree
+under ``default`` and ``no-binarize``, and, on the python tier, on
+hypothesis trees of every generator family, unweighted and weighted.
+The encoder's premise, that every query leaf's collapsed path is
+childless, must hold on the pin trees.  The lazy label must keep its
+contract: it serialises without parsing, parses once on the first field
+access, and compares, prints, pickles and copies the same whether or not
+it was read.
 """
 
 from __future__ import annotations
@@ -22,16 +25,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitio_reference import gamma_length
 from freedman_reference import reference_encode, reference_to_bits
 from repro.core.freedman import FreedmanLabel, FreedmanScheme
-from repro.generators.random_trees import random_prufer_tree, random_weighted_tree
+from repro.generators.random_trees import random_prufer_tree
 from repro.store import LabelStore, write_store
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.transform import prepare_for_leaf_queries
 from test_freedman_encode_pins import LARGE, LARGE_DIGESTS, SCHEMES, TREES
+from test_freedman_native_encoder import trees
+from test_kernels import forced_tier
+from tree_extras import random_weighted_tree
 
 #: edge weights near 2^55: some serialised entries are wider than 64 bits
 WIDE = lambda: random_weighted_tree(60, 1 << 55, seed=11)  # noqa: E731
@@ -47,9 +54,7 @@ def _tree(family):
     return {**TREES, "wide": WIDE, "large": LARGE}[family]()
 
 
-@pytest.mark.parametrize("family,scheme_name", CASES)
-def test_encoder_matches_reference_encoder(family, scheme_name):
-    tree = _tree(family)
+def assert_matches_reference(tree, scheme_name):
     scheme = FreedmanScheme(**SCHEMES[scheme_name])
     labels = scheme.encode(tree)
     reference, stats = reference_encode(FreedmanScheme(**SCHEMES[scheme_name]), tree)
@@ -67,9 +72,23 @@ def test_encoder_matches_reference_encoder(family, scheme_name):
 
 
 @pytest.mark.parametrize("family,scheme_name", CASES)
+def test_encoder_matches_reference_encoder(family, scheme_name):
+    assert_matches_reference(_tree(family), scheme_name)
+
+
+@given(trees, st.sampled_from(sorted(SCHEMES)))
+@settings(max_examples=60, deadline=None)
+def test_encoder_matches_reference_encoder_on_random_trees(tree, scheme_name):
+    """The python tier's encoder on hypothesis trees of every generator
+    family, unweighted and with weights up to 2^40."""
+    with forced_tier("python"):
+        assert_matches_reference(tree, scheme_name)
+
+
+@pytest.mark.parametrize("family,scheme_name", CASES)
 def test_query_leaf_paths_are_childless(family, scheme_name):
-    """The encoder keeps field groups only for the root path and paths
-    with children, and builds each label's from its own path's parent: so
+    """The encoder keeps levels only for the root path and paths with
+    children, and builds each label's from its own path's parent: so
     every query leaf's collapsed path must be childless, and below the root
     path unless the tree is a single node.  (A pendant leaf joins a heavy
     path only when the path's head has a subtree of at most two nodes: an
@@ -102,7 +121,7 @@ def test_large_tree_has_labels_that_add_no_boundary(scheme_name):
 
 
 def test_wide_tree_has_entries_wider_than_a_word():
-    """The ``wide`` cases reach the encoder's list row of entry segments."""
+    """The ``wide`` cases serialise entries wider than 64 bits."""
     labels = FreedmanScheme(use_accumulators=False).encode(WIDE())
     widest = max(
         1 + gamma_length(len(kept)) + len(kept) + gamma_length(pushed)

@@ -12,7 +12,10 @@ with a small memory peak.  Per label format three kinds of crafted label:
   raised before anything is allocated for the count);
 * every strict prefix of a valid label (:class:`BitError`);
 * for hld-fixed, a header of zero-width fields with a large level count
-  (:class:`BitError`, where nothing else would bound the loop).
+  (:class:`BitError`, where nothing else would bound the loop);
+* for freedman, a fragment ref past the fragment distances, or missing:
+  the label parses, and every query with it raises the ``ValueError`` of
+  inconsistent labels.
 
 The crafted labels are spliced on the printable bit string, with the field
 offsets found by the string-backed decoders of ``bitio_reference``; where a
@@ -29,6 +32,7 @@ import bitio_reference as ref
 from freedman_reference import reference_from_bits
 from label_reference import alstrup_from_bits, kdistance_from_bits
 from repro.core.registry import make_scheme_from_spec
+from repro.encoding.alphabetic import common_codeword_prefix
 from repro.encoding.bitio import BitError, Bits
 from repro.generators.workloads import make_tree
 from repro.store import LabelStore, QueryEngine
@@ -198,3 +202,50 @@ def test_the_decreasing_sequence_decodes_as_crafted():
     with pytest.raises(ValueError):
         ref.decode_monotone(reader)
     assert reader.remaining() == 0
+
+
+def _dominated_partner(labels, node) -> int:
+    """A node whose query with ``node`` reads ``node``'s fragment ref: ``node``
+    dominates it and has a kept entry at their critical level."""
+    label = labels[node]
+    for other, partner in sorted(labels.items()):
+        level = common_codeword_prefix(label.codewords, partner.codewords)
+        if (
+            label.domination < partner.domination
+            and level < min(label.light_depth, partner.light_depth)
+            and not label.entry_skip[level]
+        ):
+            return other
+    raise AssertionError("no node is dominated by the crafted one")
+
+
+@pytest.mark.parametrize("fault", ["ref-past-distances", "refs-too-short"])
+def test_fragment_ref_out_of_range(fault):
+    """A label whose fragment ref at the critical level points past its
+    fragment distances (or is missing) parses, and every query path raises
+    the ``ValueError`` of inconsistent labels."""
+    scheme, labels, node = _setup("freedman")
+    other = _dominated_partner(labels, node)
+    crafted = scheme.parse(labels[node].to_bits())
+    if fault == "ref-past-distances":
+        crafted.fragment_refs = [len(crafted.fragment_distances)] * crafted.light_depth
+    else:
+        crafted.fragment_refs = []
+    bits = crafted.to_bits()
+    store = LabelStore.from_labels(scheme, {**labels, node: _Raw(bits.data)})
+    calls = {
+        "parse": lambda: scheme.distance(scheme.parse(bits), labels[other]),
+        "reference": lambda: scheme.distance(reference_from_bits(bits), labels[other]),
+        "parse_many": lambda: scheme.distance(*scheme.parse_many(store, [node, other]).values()),
+    }
+    for tier in available_tiers():
+        with forced_tier(tier):
+            engine = QueryEngine(store, scheme=scheme)
+            engine.query(other, other)  # binds the tier (and any arena) first
+            calls[f"engine/{tier}"] = lambda engine=engine: engine.query(other, node)
+            calls[f"engine/{tier}/batch"] = lambda engine=engine: engine.batch_query(
+                [(node, other), (other, other)]
+            )
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="labels are inconsistent: the fragment ref"):
+            call()

@@ -11,7 +11,6 @@ from repro.generators.random_trees import (
     random_caterpillar,
     random_prufer_tree,
     random_recursive_tree,
-    random_weighted_tree,
 )
 from repro.generators.structured import (
     balanced_binary_tree,
@@ -38,6 +37,7 @@ from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.trees.tree import RootedTree
 
 from strategies import weighted_trees
+from tree_extras import random_weighted_tree
 
 
 class TestDistanceMatrix:

@@ -129,7 +129,7 @@ class TestBuilders:
     def test_from_networkx_spanning_tree(self):
         networkx = pytest.importorskip("networkx")
         graph = networkx.cycle_graph(6)
-        from repro.trees.builder import tree_from_networkx
+        from tree_extras import tree_from_networkx
 
         tree, mapping = tree_from_networkx(graph, root=0)
         assert tree.n == 6

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import CLASSIC_VARIANT, PAPER_VARIANT, HeavyPathDecomposition
 from repro.trees.tree import RootedTree
-from repro.trees.validation import (
+from tree_extras import (
     check_collapsed_height_bound,
     check_heavy_path_rule,
     check_light_depth_bound,

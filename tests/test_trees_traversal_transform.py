@@ -15,7 +15,6 @@ from repro.generators.random_trees import (
     random_binary_tree,
     random_caterpillar,
     random_prufer_tree,
-    random_weighted_tree,
 )
 from repro.generators.structured import path_tree, star_tree
 from repro.nca.lca_oracle import euler_tour
@@ -25,6 +24,7 @@ from repro.trees.transform import attach_leaves, binarize, prepare_for_leaf_quer
 from repro.trees.tree import RootedTree
 
 from strategies import parent_array_trees, weighted_trees
+from tree_extras import random_weighted_tree
 
 
 class TestTraversals:

@@ -6,7 +6,8 @@ from repro.core.level_ancestor import LevelAncestorScheme
 from repro.generators.random_trees import random_prufer_tree
 from repro.generators.structured import balanced_binary_tree, caterpillar_tree, path_tree, star_tree
 from repro.trees.tree import RootedTree
-from repro.universal.embedding import embedding_map, embeds_as_rooted_subtree
+from repro.universal.embedding import embeds_as_rooted_subtree
+from tree_extras import embedding_map
 from repro.universal.goldberg import (
     goldberg_livshits_log2_size,
     lemma_3_6_size_bound,
