@@ -7,10 +7,14 @@ This is the scheme the paper improves on.  Structure of a label:
 * the weighted root distance of the node,
 * the distance array ``D(u)``, stored as one Elias-coded *offset* per light
   edge on the root path: the distance from the head of the i-th heavy path
-  to the node where ``u``'s path leaves it, plus the weight of the light
+  to the node where ``u``'s path leaves it (the branch node of the next
+  path, or ``u`` itself on its own path), plus the weight of the light
   edge taken.  Because hanging subtrees halve in size along the root path,
   the i-th offset needs about ``log(n / 2^i)`` bits and the array totals
   ``1/2 log² n + O(log n log log n)`` bits.
+
+Codewords, offsets and light weights all come from one root-path walk,
+:meth:`~repro.trees.collapsed.CollapsedTree.root_path_levels`.
 
 The decoder finds the deepest common heavy path from the light codes,
 reconstructs the two exit depths by prefix-summing the offsets, and applies
@@ -97,33 +101,20 @@ class AlstrupScheme(DistanceLabelingScheme):
     name = "alstrup"
     label_type = AlstrupLabel
 
-    def __init__(self, variant: str = "paper") -> None:
-        self._variant = variant
-
     def encode(self, tree: RootedTree) -> dict[int, AlstrupLabel]:
-        decomposition = HeavyPathDecomposition(tree, variant=self._variant)
-        collapsed = CollapsedTree(decomposition)
+        collapsed = CollapsedTree(HeavyPathDecomposition(tree))
         light = LightDepthLabeling(tree, collapsed)
+        rd = tree.root_distance
 
         labels: dict[int, AlstrupLabel] = {}
         for node in tree.nodes():
-            sequence = collapsed.root_path_sequence(node)
-            codewords = light.codewords_for(node)
-            offsets: list[int] = []
-            light_weights: list[int] = []
-            for index, path in enumerate(sequence):
-                head = collapsed.head(path)
-                if index + 1 < len(sequence):
-                    branch = collapsed.branch_node(sequence[index + 1])
-                    offsets.append(tree.root_distance(branch) - tree.root_distance(head))
-                    light_weights.append(collapsed.light_edge_weight(sequence[index + 1]))
-                else:
-                    offsets.append(tree.root_distance(node) - tree.root_distance(head))
+            levels = collapsed.root_path_levels(node)
+            below = [path for path, _ in levels[1:]]
             labels[node] = AlstrupLabel(
-                root_distance=tree.root_distance(node),
-                codewords=codewords,
-                offsets=offsets,
-                light_weights=light_weights,
+                root_distance=rd(node),
+                codewords=[light.codeword(path) for path in below],
+                offsets=[rd(exit_node) - rd(collapsed.head(path)) for path, exit_node in levels],
+                light_weights=[collapsed.light_edge_weight(path) for path in below],
             )
         return labels
 

@@ -110,26 +110,25 @@ class ApproximateScheme(ApproximateDistanceLabelingScheme):
         self.base = 1.0 + epsilon / 2.0
 
     def encode(self, tree: RootedTree) -> dict[int, ApproximateLabel]:
-        decomposition = HeavyPathDecomposition(tree, variant="paper")
-        collapsed = CollapsedTree(decomposition)
+        collapsed = CollapsedTree(HeavyPathDecomposition(tree))
         light = LightDepthLabeling(tree, collapsed)
 
         labels: dict[int, ApproximateLabel] = {}
         for node in tree.nodes():
-            sequence = collapsed.root_path_sequence(node)
-            # significant ancestors above `node`: the branch nodes of the
-            # heavy paths on the root path, from the deepest one upwards
-            exponents: list[int] = []
-            for path in reversed(sequence[1:]):
-                branch = collapsed.branch_node(path)
-                distance = tree.root_distance(node) - tree.root_distance(branch)
-                exponents.append(rounded_exponent(distance, self.base))
+            levels = collapsed.root_path_levels(node)
+            distance = tree.root_distance(node)
+            # significant ancestors above `node`: the exits of the heavy
+            # paths above its own, from the deepest one upwards
+            exponents = [
+                rounded_exponent(distance - tree.root_distance(exit_node), self.base)
+                for _, exit_node in reversed(levels[:-1])
+            ]
             labels[node] = ApproximateLabel(
                 preorder=tree.preorder_index(node),
                 subtree_size=tree.subtree_size(node),
-                root_distance=tree.root_distance(node),
-                domination=collapsed.domination_number(sequence[-1]),
-                codewords=light.codewords_for(node),
+                root_distance=distance,
+                domination=collapsed.domination_number(levels[-1][0]),
+                codewords=[light.codeword(path) for path, _ in levels[1:]],
                 exponents=exponents,
             )
         return labels

@@ -357,7 +357,7 @@ class FreedmanScheme(DistanceLabelingScheme):
         """
         transform = prepare_for_leaf_queries(tree, binarize_tree=self._binarize)
         working = transform.tree
-        decomposition = HeavyPathDecomposition(working, variant="paper")
+        decomposition = HeavyPathDecomposition(working)
         collapsed = CollapsedTree(decomposition)
         light = LightDepthLabeling(working, collapsed)
         codeword_value, codeword_length = light.codeword_value, light.codeword_length

@@ -2,7 +2,10 @@
 
 The label of ``u`` stores, for every heavy path on its root path, the
 preorder number of the path's head (a path identifier) and the weighted root
-distance of the node where ``u``'s path leaves it (its *exit*).  Given two
+distance of the node where ``u``'s path leaves it (its *exit*: the branch
+node of the next path, or ``u`` itself on its own path), both read from
+the one root-path walk
+:meth:`~repro.trees.collapsed.CollapsedTree.root_path_levels`.  Given two
 labels the decoder finds the deepest common heavy path ``t`` and applies
 
     rd(NCA(u, v)) = min(exit_u[t], exit_v[t]),
@@ -186,8 +189,7 @@ class HLDScheme(DistanceLabelingScheme):
     name = "hld-fixed"
     label_type = HLDLabel
 
-    def __init__(self, variant: str = "paper") -> None:
-        self._variant = variant
+    def __init__(self) -> None:
         # ``query`` is definitionally ``distance`` for exact schemes, so
         # when neither hook is overridden, binding the bound method as an
         # instance attribute saves the base class's dispatch frame on the
@@ -206,31 +208,21 @@ class HLDScheme(DistanceLabelingScheme):
         """Yield each node's label in node order, one at a time.
 
         The decomposition/collapsed-tree precompute is shared; each label
-        is an independent assembly over the node's root-path sequence, so
+        is an independent assembly over the node's root-path levels, so
         the store's payload loop (:func:`repro.store.label_store.pack_labels`)
         holds one label at a time instead of the whole ``dict``.
         """
-        decomposition = HeavyPathDecomposition(tree, variant=self._variant)
-        collapsed = CollapsedTree(decomposition)
+        collapsed = CollapsedTree(HeavyPathDecomposition(tree))
         id_width = max(1, (tree.n - 1).bit_length())
         max_distance = max(tree.root_distance(v) for v in tree.nodes())
         distance_width = max(1, max_distance.bit_length())
 
         for node in tree.nodes():
-            sequence = collapsed.root_path_sequence(node)
-            path_ids: list[int] = []
-            exits: list[int] = []
-            for index, path in enumerate(sequence):
-                path_ids.append(tree.preorder_index(collapsed.head(path)))
-                if index + 1 < len(sequence):
-                    branch = collapsed.branch_node(sequence[index + 1])
-                    exits.append(tree.root_distance(branch))
-                else:
-                    exits.append(tree.root_distance(node))
+            levels = collapsed.root_path_levels(node)
             yield HLDLabel(
                 root_distance=tree.root_distance(node),
-                path_ids=path_ids,
-                exits=exits,
+                path_ids=[tree.preorder_index(collapsed.head(path)) for path, _ in levels],
+                exits=[tree.root_distance(exit_node) for _, exit_node in levels],
                 id_width=id_width,
                 distance_width=distance_width,
             )

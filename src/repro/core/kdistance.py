@@ -97,10 +97,6 @@ class KDistanceLabel(Label):
         """Index of the top significant ancestor (the last one with a distance)."""
         return len(self.distances) - 1
 
-    def entry_lightdepth(self, index: int) -> int:
-        """Light depth of the ``index``-th significant ancestor."""
-        return self.light_depth - index
-
     def entry_identifier(self, index: int) -> int:
         """``id(L)`` of the ``index``-th significant ancestor."""
         return range_identifier(self.pre, self.heights[index])
@@ -199,7 +195,7 @@ class KDistanceScheme(BoundedDistanceLabelingScheme):
             raise ValueError("KDistanceScheme expects an unweighted (unit-weight) tree")
         k = self.k
         mode = self._resolve_mode(tree.n)
-        decomposition = HeavyPathDecomposition(tree, variant="paper")
+        decomposition = HeavyPathDecomposition(tree)
 
         order = decomposition.preorder_with_heavy_child_last()
         pre = [0] * tree.n

@@ -84,26 +84,19 @@ class LevelAncestorScheme:
         """Assign a hierarchical label to every node of a unit-weight tree."""
         if not tree.is_unit_weighted():
             raise ValueError("LevelAncestorScheme expects a unit-weight tree")
-        decomposition = HeavyPathDecomposition(tree, variant="paper")
-        collapsed = CollapsedTree(decomposition)
+        collapsed = CollapsedTree(HeavyPathDecomposition(tree))
         light = LightDepthLabeling(tree, collapsed)
+        depth = tree.depth
 
         labels: dict[int, LevelAncestorLabel] = {}
         for node in tree.nodes():
-            sequence = collapsed.root_path_sequence(node)
-            codewords = tuple(light.codewords_for(node))
-            offsets: list[int] = []
-            for index, path in enumerate(sequence):
-                head = collapsed.head(path)
-                if index + 1 < len(sequence):
-                    branch = collapsed.branch_node(sequence[index + 1])
-                    offsets.append(tree.depth(branch) - tree.depth(head))
-                else:
-                    offsets.append(tree.depth(node) - tree.depth(head))
+            levels = collapsed.root_path_levels(node)
             labels[node] = LevelAncestorLabel(
-                depth=tree.depth(node),
-                codewords=codewords,
-                offsets=tuple(offsets),
+                depth=depth(node),
+                codewords=tuple(light.codeword(path) for path, _ in levels[1:]),
+                offsets=tuple(
+                    depth(exit_node) - depth(collapsed.head(path)) for path, exit_node in levels
+                ),
             )
         return labels
 

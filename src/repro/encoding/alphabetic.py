@@ -49,10 +49,6 @@ class SizeWeightedCode:
         """All codewords, in child order."""
         return [Bits._pack(value, length) for value, length in self.words]
 
-    def total_length(self, index: int) -> int:
-        """Length in bits of the ``index``-th codeword."""
-        return self.words[index][1]
-
 
 def codeword_length_bound(total: int, weight: int) -> int:
     """Length of the codeword of a child of ``weight`` out of ``total``."""

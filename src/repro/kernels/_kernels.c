@@ -526,8 +526,9 @@ static void pack(const dec_t *d, int64_t node, rec_t *rec) {
             const fr_level_t *lv = &d->levels[level];
             uint64_t flags = lv->skip ? FR_SKIP : 0;
             int64_t reference = 0;
-            /* Python: fragment_distances[fragment_refs[level]], IndexError
-             * past either sequence */
+            /* Python: fragment_distances[fragment_refs[level]]; past either
+             * sequence FreedmanScheme.distance raises the "fragment ref is
+             * out of range" ValueError, so the pair is declined here */
             if (level >= d->frag_ref_count) {
                 flags |= FR_BAD_REF;
             } else {

@@ -12,6 +12,13 @@ decide which endpoint *dominates* the other.  This package provides
 * :class:`~repro.nca.nca_labeling.NCALabeling` — a labeling scheme that
   returns the (canonical) label of the NCA itself, mirroring how Section 3.6
   reconstructs ancestors from label prefixes.
+
+Both label families read their levels from one root-path walk,
+:meth:`~repro.trees.collapsed.CollapsedTree.root_path_levels`: the heavy
+paths on a node's root path and, for each, its exit (the branch node of the
+next path, or the node itself on its own path).  Light-depth labels keep one
+codeword per path below the root path; NCA labels add each exit's root
+distance.
 """
 
 from repro.nca.lca_oracle import LCAOracle

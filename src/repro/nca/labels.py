@@ -113,18 +113,13 @@ class LightDepthLabeling:
         """The collapsed tree the codes were built over."""
         return self._collapsed
 
-    def codewords_for(self, tree_node: int) -> list[Bits]:
-        """Per-level codewords identifying ``tree_node``'s collapsed path."""
-        sequence = self._collapsed.root_path_sequence(tree_node)
-        return [self.codeword(path) for path in sequence[1:]]
-
     def label(self, tree_node: int) -> LightDepthLabel:
         """Build the label of one node."""
-        path = self._collapsed.collapsed_node_of(tree_node)
+        levels = self._collapsed.root_path_levels(tree_node)
         return LightDepthLabel(
-            light_depth=self._collapsed.depth(path),
-            codewords=self.codewords_for(tree_node),
-            domination=self._collapsed.domination_number(path),
+            light_depth=len(levels) - 1,
+            codewords=[self.codeword(path) for path, _ in levels[1:]],
+            domination=self._collapsed.domination_number(levels[-1][0]),
         )
 
     def encode(self) -> dict[int, LightDepthLabel]:

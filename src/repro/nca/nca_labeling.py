@@ -84,18 +84,11 @@ class NCALabeling:
 
     def label(self, node: int) -> NCALabel:
         """Build the label of one node."""
-        collapsed = self._collapsed
-        tree = self._tree
-        sequence = collapsed.root_path_sequence(node)
-        codewords = self._light.codewords_for(node)
-        exits: list[int] = []
-        for index, path in enumerate(sequence):
-            if index + 1 < len(sequence):
-                branch = collapsed.branch_node(sequence[index + 1])
-                exits.append(tree.root_distance(branch))
-            else:
-                exits.append(tree.root_distance(node))
-        return NCALabel(codewords, exits)
+        levels = self._collapsed.root_path_levels(node)
+        return NCALabel(
+            codewords=[self._light.codeword(path) for path, _ in levels[1:]],
+            exit_distances=[self._tree.root_distance(exit_node) for _, exit_node in levels],
+        )
 
     def encode(self) -> dict[int, NCALabel]:
         """Labels for every node."""

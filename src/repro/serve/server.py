@@ -778,6 +778,17 @@ class LabelServer(ServingCore):
         self._server: asyncio.AbstractServer | None = None
         self._direct_server: asyncio.AbstractServer | None = None
 
+    async def _listen(
+        self, host: str, port: int, reuse_port: bool, sock=None
+    ) -> asyncio.AbstractServer:
+        """One listener feeding this core: on ``sock``, else on ``(host, port)``."""
+        loop = asyncio.get_running_loop()
+        if sock is not None:
+            return await loop.create_server(lambda: _Connection(self), sock=sock)
+        return await loop.create_server(
+            lambda: _Connection(self), host=host, port=port, reuse_port=reuse_port
+        )
+
     async def start(
         self,
         host: str = "127.0.0.1",
@@ -787,52 +798,19 @@ class LabelServer(ServingCore):
         sock=None,
     ) -> tuple[str, int]:
         """Bind and start accepting; returns the actual ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        if sock is not None:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), sock=sock
-            )
-        elif reuse_port:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port, reuse_port=True
-            )
-        else:
-            self._server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port
-            )
-        sockname = self._server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        self._server = await self._listen(host, port, reuse_port, sock)
+        return self._server.sockets[0].getsockname()[:2]
 
-    async def start_direct(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        reuse_port: bool = False,
-        sock=None,
-    ) -> tuple[str, int]:
-        """Bind this worker's *direct* (per-slot) listener.
+    async def start_direct(self, host: str, port: int) -> tuple[str, int]:
+        """Bind this worker's *direct* (per-slot) ``SO_REUSEPORT`` listener.
 
         A sharded worker serves two addresses: the fleet-shared
         ``SO_REUSEPORT`` address (kernel-balanced, the fallback path) and its
         own direct port that routed clients pin per-member connections to.
         Both feed the same :class:`ServingCore`.
         """
-        loop = asyncio.get_running_loop()
-        if sock is not None:
-            self._direct_server = await loop.create_server(
-                lambda: _Connection(self), sock=sock
-            )
-        elif reuse_port:
-            self._direct_server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port, reuse_port=True
-            )
-        else:
-            self._direct_server = await loop.create_server(
-                lambda: _Connection(self), host=host, port=port
-            )
-        sockname = self._direct_server.sockets[0].getsockname()
-        return sockname[0], sockname[1]
+        self._direct_server = await self._listen(host, port, True)
+        return self._direct_server.sockets[0].getsockname()[:2]
 
     async def serve_forever(self) -> None:
         """Run until :meth:`stop` (or task cancellation)."""

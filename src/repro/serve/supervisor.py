@@ -208,7 +208,7 @@ def _worker_main(path: str, config: dict, listen, conn) -> None:
             # the port was reserved by the supervisor's per-slot anchor, so
             # the routing table knew it before this process even forked
             direct_host, direct_port = direct_listen
-            await server.start_direct(direct_host, direct_port, reuse_port=True)
+            await server.start_direct(direct_host, direct_port)
         conn.send(("ready", os.getpid(), address))
 
         def on_control() -> None:

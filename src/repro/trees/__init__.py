@@ -12,10 +12,10 @@ This package provides:
   and preorder/postorder orders,
 * builders from parent arrays and edge lists,
 * the Section 2 transform (leaf attachment + binarization),
-* the heavy path decomposition in the paper's ``>= |T|/2`` variant and the
-  classical largest-child variant,
-* the collapsed tree C(T) with child ordering, exceptional edges and the
-  domination order used by Lemma 3.1.
+* the heavy path decomposition under the paper's ``>= |T|/2`` rule,
+* the collapsed tree C(T) with child ordering, exceptional edges, the
+  domination order used by Lemma 3.1 and the one root-path walk every
+  heavy-path label reads its levels from.
 """
 
 from repro.trees.tree import RootedTree

@@ -10,8 +10,13 @@ all the distance-array machinery of Section 3:
   branching at the same node the largest subtree comes last (the
   *exceptional* edge),
 * the **domination order** of Lemma 3.1 is realised as the postorder number
-  of a node's collapsed node under this child ordering (DESIGN.md §3.1
-  explains why postorder implements the paper's domination relation).
+  of a node's collapsed node under this child ordering,
+* the **exit rule** of Section 3.1 lives in one place,
+  :meth:`CollapsedTree.root_path_levels`: for each heavy path on a node's
+  root path, the node where the walk leaves it is the branch node of the
+  next path, or the node itself on its own path.  The HLD, Alstrup,
+  approximate, level-ancestor, NCA and light-depth labels all take their
+  per-level fields from that one walk.
 """
 
 from __future__ import annotations
@@ -168,15 +173,23 @@ class CollapsedTree:
         """Collapsed node (heavy path id) containing a tree node."""
         return self._hpd.path_of(tree_node)
 
-    def root_path_sequence(self, tree_node: int) -> list[int]:
-        """Collapsed nodes on the path from the collapsed root to ``tree_node``'s path."""
-        sequence = []
-        current = self._hpd.path_of(tree_node)
-        while current >= 0:
-            sequence.append(current)
-            current = self._parent[current]
-        sequence.reverse()
-        return sequence
+    def root_path_levels(self, tree_node: int) -> list[tuple[int, int]]:
+        """``(path, exit)`` for every heavy path on ``tree_node``'s root path.
+
+        Paths run from the collapsed root down to ``tree_node``'s own path.
+        A path's *exit* is the tree node where the root path leaves it: the
+        branch node of the next path, or ``tree_node`` itself on the last.
+        Every heavy-path label reads its per-level fields from this walk.
+        """
+        levels = []
+        exit_node = tree_node
+        path = self._hpd._path_of[tree_node]
+        while path >= 0:
+            levels.append((path, exit_node))
+            exit_node = self._branch_node[path]
+            path = self._parent[path]
+        levels.reverse()
+        return levels
 
     def dominates(self, tree_node_a: int, tree_node_b: int) -> bool:
         """Whether ``tree_node_a`` dominates ``tree_node_b`` (Lemma 3.1 sense)."""

@@ -1,15 +1,13 @@
 """Heavy path decompositions (Section 2, Fig. 1 left).
 
-The paper uses a specific variant: starting from the root of the (sub)tree
+The paper uses a specific rule: starting from the root of the (sub)tree
 ``T`` being decomposed, repeatedly descend to the unique child whose subtree
 has size at least ``|T| / 2``, stopping as soon as no such child exists.
 This differs from the classical Sleator-Tarjan decomposition (descend to the
 largest child until a leaf) — the paper's slack analysis (Lemmas 3.3/3.4)
 depends on the ``|T| / 2`` threshold being measured against the size of the
-tree at the *start* of the path.
-
-Both variants are provided; the classical one is used for comparisons and by
-some baselines.
+tree at the *start* of the path.  Only the paper's rule is implemented;
+every scheme in the library decomposes with it.
 """
 
 from __future__ import annotations
@@ -18,18 +16,12 @@ from array import array
 
 from repro.trees.tree import RootedTree
 
-PAPER_VARIANT = "paper"
-CLASSIC_VARIANT = "classic"
-
 
 class HeavyPathDecomposition:
     """Decomposition of a rooted tree into disjoint heavy paths."""
 
-    def __init__(self, tree: RootedTree, variant: str = PAPER_VARIANT) -> None:
-        if variant not in (PAPER_VARIANT, CLASSIC_VARIANT):
-            raise ValueError(f"unknown heavy path variant: {variant!r}")
+    def __init__(self, tree: RootedTree) -> None:
         self._tree = tree
-        self._variant = variant
         # per-node rows are array('i') and paths are CSR (flat node array
         # plus per-path start offsets): 20 bytes/node plus 4 per path, 23.4
         # bytes/node under tracemalloc for the transform of a 10^5-node
@@ -51,10 +43,9 @@ class HeavyPathDecomposition:
 
         Paths are numbered in the order their heads leave a stack that
         receives each path's light children in child order, path by path
-        from the head down.  The paper variant's heavy child is the first
-        child ``c`` with ``2 * size(c) >= size(head)`` (there is at most
-        one); the classic variant's is the largest child, ties to the
-        smaller id.  A head's light depth is its parent's plus one.
+        from the head down.  The heavy child is the first child ``c`` with
+        ``2 * size(c) >= size(head)`` (there is at most one).  A head's
+        light depth is its parent's plus one.
         """
         tree = self._tree
         parents = tree._parents
@@ -64,7 +55,6 @@ class HeavyPathDecomposition:
         path_data = self._path_data
         append = path_data.append
         path_starts = self._path_start.append
-        paper = self._variant == PAPER_VARIANT
         stack = [tree.root]
         pop = stack.pop
         push = stack.append
@@ -73,7 +63,7 @@ class HeavyPathDecomposition:
             node = pop()
             parent = parents[node]
             depth = light_depth[parent] + 1 if parent >= 0 else 0
-            # a child is heavy in the paper variant when 2 * size >= this
+            # a child is heavy when 2 * size >= this
             threshold = size[node]
             offset = 0
             while True:
@@ -81,25 +71,13 @@ class HeavyPathDecomposition:
                 path_of[node] = path_id
                 position[node] = offset
                 light_depth[node] = depth
-                first, end = start[node], start[node + 1]
                 heavy = -1
-                if paper:
-                    for index in range(first, end):
-                        child = data[index]
-                        if heavy < 0 and 2 * size[child] >= threshold:
-                            heavy = child
-                        else:
-                            push(child)
-                elif first != end:
-                    best = -1
-                    for index in range(first, end):
-                        child = data[index]
-                        if size[child] > best or size[child] == best and child < heavy:
-                            best = size[child]
-                            heavy = child
-                    for index in range(first, end):
-                        if data[index] != heavy:
-                            push(data[index])
+                for index in range(start[node], start[node + 1]):
+                    child = data[index]
+                    if heavy < 0 and 2 * size[child] >= threshold:
+                        heavy = child
+                    else:
+                        push(child)
                 heavy_child[node] = heavy
                 if heavy < 0:
                     break
@@ -114,11 +92,6 @@ class HeavyPathDecomposition:
     def tree(self) -> RootedTree:
         """The decomposed tree."""
         return self._tree
-
-    @property
-    def variant(self) -> str:
-        """Which decomposition rule was used."""
-        return self._variant
 
     def paths(self) -> list[list[int]]:
         """All heavy paths, each listed from head (closest to root) down."""

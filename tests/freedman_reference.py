@@ -46,7 +46,7 @@ def reference_encode(
     params = scheme.params()
     transform = prepare_for_leaf_queries(tree, binarize_tree=params["binarize"])
     working = transform.tree
-    collapsed = CollapsedTree(HeavyPathDecomposition(working, variant="paper"))
+    collapsed = CollapsedTree(HeavyPathDecomposition(working))
     light = LightDepthLabeling(working, collapsed)
     boundaries, fragment_ref, entry_value = _reference_fragments(
         params["use_fragments"], working, collapsed
@@ -57,7 +57,7 @@ def reference_encode(
     labels = {}
     for original in range(tree.n):
         leaf = transform.query_node[original]
-        sequence = collapsed.root_path_sequence(leaf)
+        sequence = [path for path, _ in collapsed.root_path_levels(leaf)]
         own_path = sequence[-1]
         codewords, light_weights, fragment_refs = [], [], []
         entry_skip, entry_kept, entry_pushed, accumulators = [], [], [], []

@@ -96,7 +96,7 @@ def test_query_leaf_paths_are_childless(family, scheme_name):
     tree = _tree(family)
     binarize = FreedmanScheme(**SCHEMES[scheme_name]).params()["binarize"]
     transform = prepare_for_leaf_queries(tree, binarize_tree=binarize)
-    decomposition = HeavyPathDecomposition(transform.tree, variant="paper")
+    decomposition = HeavyPathDecomposition(transform.tree)
     collapsed = CollapsedTree(decomposition)
     for original in range(tree.n):
         own_path = decomposition.path_of(transform.query_node[original])

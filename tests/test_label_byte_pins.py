@@ -9,6 +9,12 @@ Prüfer tree (every registered scheme, with ``k-distance`` and
 ``to_bits().to_bytes()`` of a label family that no store holds (NCA,
 light-depth, level-ancestor and adjacency labels).  The digests were recorded before the encoders moved
 onto the one bit writer, so any change in the bytes fails here.
+
+The heavy-path labels are pinned on two more trees: a weighted one (light
+edge weights and weighted exits) and the Prüfer tree with every child list
+reversed (path numbering, light codes and domination follow child order).
+Those digests were recorded before the heavy-path encoders moved onto the
+one root-path walk of ``CollapsedTree.root_path_levels``.
 """
 
 from __future__ import annotations
@@ -25,10 +31,23 @@ from repro.core.registry import ALL_SCHEME_NAMES, parse_spec
 from repro.generators.random_trees import random_prufer_tree
 from repro.nca.labels import LightDepthLabeling
 from repro.nca.nca_labeling import NCALabeling
+from tree_extras import random_weighted_tree
 
 
 def _tree():
     return random_prufer_tree(300, seed=27)
+
+
+def _reordered_tree():
+    tree = _tree()
+    return tree.with_child_order({node: tree.children(node)[::-1] for node in tree.nodes()})
+
+
+TREES = {
+    "prufer": _tree,
+    "weighted": lambda: random_weighted_tree(300, 1000, seed=31),
+    "reordered": _reordered_tree,
+}
 
 
 STORE_DIGESTS = {
@@ -59,6 +78,21 @@ STORE_DIGESTS = {
         "0f14bfd2ea1deb23859d09c81927f611379095bf96fa2c82446994f95b8c44b3",
 }
 
+MORE_STORE_DIGESTS = {
+    ("weighted", "alstrup"):
+        "79b34d34754b6ab0d36831334f65e194bcedfbbaa80380e85bcfdfa20b6267a2",
+    ("weighted", "approximate:epsilon=0.5"):
+        "51ac2fcf4da894ccee8e0c376ebc0c99720608c99a3808b3bbe4555c40bd187e",
+    ("weighted", "hld-fixed"):
+        "7dc6bd7c6cfc769db854d779ceaa9d7acf4f1872f0aa7d74cbc5a75091dd5b81",
+    ("reordered", "alstrup"):
+        "94b431f4d38fabe02f473d130fbed87ecaeff600902c75748cbb2dd6389b158e",
+    ("reordered", "approximate:epsilon=0.5"):
+        "b66f903db1ad5fcdceeb9735f66a9011482d7b8d337420ebe809b639855674e9",
+    ("reordered", "hld-fixed"):
+        "c3e85480986198e9b8a8b1bb8f96fc18c96373d50f5cc71c3067e944ad049394",
+}
+
 LABEL_FAMILIES = {
     "nca": lambda tree: NCALabeling(tree).encode(),
     "light-depth": lambda tree: LightDepthLabeling(tree).encode(),
@@ -77,9 +111,39 @@ LABEL_DIGESTS = {
         "3210337585c38af16ec31233a8e334d502f1a70472dac2e713d67d6c57a71ef7",
 }
 
+#: level-ancestor labels take unit weights only, so no weighted pin
+MORE_LABEL_DIGESTS = {
+    ("weighted", "nca"):
+        "1dec6da21591d391ee4eb97e1962c5107cd00fe87da75a295277d2956068f4f0",
+    ("weighted", "light-depth"):
+        "ba1eb3b57f21d421ea2149afaaaa073341ec8ee4ee093b71596698f2dd21a955",
+    ("reordered", "nca"):
+        "d9d5514fe44452430862f7b733aca522b61a2287f1a2d34235b96e74c4d93dec",
+    ("reordered", "light-depth"):
+        "92e5b428e51fac87f6c91ddbd44434663bdd9ba73fc816eddfbc17f4672a3fa2",
+    ("reordered", "level-ancestor"):
+        "32552639725179e19f0df46d37be1e2641e1017ddefcc842927662fd81103603",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _cases(digests: dict, more: dict) -> dict:
+    """Every ``(tree, name) -> digest`` pin; the Prüfer cases keep bare ids."""
+    return {("prufer", name): digest for name, digest in digests.items()} | more
+
+
+def _params(cases: dict) -> list:
+    return [
+        pytest.param(tree, name, id=name if tree == "prufer" else f"{name}@{tree}")
+        for tree, name in sorted(cases)
+    ]
+
+
+STORE_CASES = _cases(STORE_DIGESTS, MORE_STORE_DIGESTS)
+LABEL_CASES = _cases(LABEL_DIGESTS, MORE_LABEL_DIGESTS)
 
 
 def test_every_registered_scheme_is_pinned():
@@ -95,14 +159,14 @@ def test_kdistance_pins_cover_both_layouts():
     assert layouts == {True, False}
 
 
-@pytest.mark.parametrize("spec", sorted(STORE_DIGESTS))
-def test_store_bytes_are_pinned(spec):
-    data = DistanceIndex.build(_tree(), spec).to_bytes()
-    assert _digest(data) == STORE_DIGESTS[spec]
+@pytest.mark.parametrize("tree, spec", _params(STORE_CASES))
+def test_store_bytes_are_pinned(tree, spec):
+    data = DistanceIndex.build(TREES[tree](), spec).to_bytes()
+    assert _digest(data) == STORE_CASES[tree, spec]
 
 
-@pytest.mark.parametrize("family", sorted(LABEL_DIGESTS))
-def test_label_bytes_are_pinned(family):
-    labels = LABEL_FAMILIES[family](_tree())
+@pytest.mark.parametrize("tree, family", _params(LABEL_CASES))
+def test_label_bytes_are_pinned(tree, family):
+    labels = LABEL_FAMILIES[family](TREES[tree]())
     data = b"".join(labels[node].to_bits().to_bytes() for node in range(len(labels)))
-    assert _digest(data) == LABEL_DIGESTS[family]
+    assert _digest(data) == LABEL_CASES[tree, family]

@@ -5,7 +5,7 @@ of ``RootedTree``, ``HeavyPathDecomposition``, ``CollapsedTree``, the light
 codes and the Section 2 transform.  Here every row the row-level code
 builds is compared with it, on hypothesis trees (relabelled, so parent
 arrays are not increasing), on the structured families, and through the
-transform with and without binarization, for both decomposition variants.
+transform with and without binarization.
 The tests also pin the fused validation of ``RootedTree`` and the
 ``array`` typecode of every row.
 """
@@ -28,13 +28,11 @@ from repro.generators.structured import (
 )
 from repro.nca.labels import LightDepthLabeling
 from repro.trees.collapsed import CollapsedTree
-from repro.trees.heavy_path import CLASSIC_VARIANT, PAPER_VARIANT, HeavyPathDecomposition
+from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.transform import attach_leaves, binarize, prepare_for_leaf_queries
 from repro.trees.tree import RootedTree, TreeError
 
 from strategies import STRUCTURED_FAMILIES, parent_array_trees, weighted_trees
-
-VARIANTS = (PAPER_VARIANT, CLASSIC_VARIANT)
 
 #: the documented typecode of every row, per class
 TREE_ROWS = {
@@ -114,22 +112,21 @@ def _assert_tree_rows(tree: RootedTree) -> None:
 
 
 def _assert_layer_rows(tree: RootedTree) -> None:
-    """The tree, both decompositions, their collapsed trees and light codes."""
+    """The tree, its decomposition, the collapsed tree and the light codes."""
     _assert_tree_rows(tree)
-    for variant in VARIANTS:
-        decomposition = HeavyPathDecomposition(tree, variant)
-        expected = ref.heavy_path_rows(tree, variant)
-        for name in DECOMPOSITION_ROWS:
-            assert getattr(decomposition, name) == expected[name[1:]], (variant, name)
-        collapsed = CollapsedTree(decomposition)
-        expected = ref.collapsed_rows(decomposition)
-        assert collapsed.root == expected["root"]
-        for name in COLLAPSED_ROWS:
-            if name != "_head":
-                assert getattr(collapsed, name) == expected[name[1:]], (variant, name)
-        assert list(collapsed._head) == [decomposition.head(p) for p in range(len(collapsed))]
-        light = LightDepthLabeling(tree, collapsed)
-        assert (light.codeword_value, light.codeword_length) == ref.light_code_rows(collapsed)
+    decomposition = HeavyPathDecomposition(tree)
+    expected = ref.heavy_path_rows(tree)
+    for name in DECOMPOSITION_ROWS:
+        assert getattr(decomposition, name) == expected[name[1:]], name
+    collapsed = CollapsedTree(decomposition)
+    expected = ref.collapsed_rows(decomposition)
+    assert collapsed.root == expected["root"]
+    for name in COLLAPSED_ROWS:
+        if name != "_head":
+            assert getattr(collapsed, name) == expected[name[1:]], name
+    assert list(collapsed._head) == [decomposition.head(p) for p in range(len(collapsed))]
+    light = LightDepthLabeling(tree, collapsed)
+    assert (light.codeword_value, light.codeword_length) == ref.light_code_rows(collapsed)
 
 
 def _assert_same_transform(result, expected) -> None:
@@ -192,11 +189,10 @@ class TestDifferential:
         for name in TREE_ROWS:
             if name[1:] in expected:
                 assert getattr(clone, name) == expected[name[1:]], name
-        for variant in VARIANTS:
-            decomposition = HeavyPathDecomposition(clone, variant)
-            expected = ref.heavy_path_rows(clone, variant)
-            for name in DECOMPOSITION_ROWS:
-                assert getattr(decomposition, name) == expected[name[1:]], (variant, name)
+        decomposition = HeavyPathDecomposition(clone)
+        expected = ref.heavy_path_rows(clone)
+        for name in DECOMPOSITION_ROWS:
+            assert getattr(decomposition, name) == expected[name[1:]], name
 
 
 class TestValidation:
@@ -288,9 +284,8 @@ class TestRowTypes:
         self._assert_rows(transform, TRANSFORM_ROWS)
         tree = transform.tree
         self._assert_rows(tree, TREE_ROWS)
-        for variant in VARIANTS:
-            decomposition = HeavyPathDecomposition(tree, variant)
-            self._assert_rows(decomposition, DECOMPOSITION_ROWS)
-            collapsed = CollapsedTree(decomposition)
-            self._assert_rows(collapsed, COLLAPSED_ROWS)
-            self._assert_rows(LightDepthLabeling(tree, collapsed), LIGHT_ROWS)
+        decomposition = HeavyPathDecomposition(tree)
+        self._assert_rows(decomposition, DECOMPOSITION_ROWS)
+        collapsed = CollapsedTree(decomposition)
+        self._assert_rows(collapsed, COLLAPSED_ROWS)
+        self._assert_rows(LightDepthLabeling(tree, collapsed), LIGHT_ROWS)

@@ -2,11 +2,10 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings
 
 from repro.trees.collapsed import CollapsedTree
-from repro.trees.heavy_path import CLASSIC_VARIANT, PAPER_VARIANT, HeavyPathDecomposition
+from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.tree import RootedTree
 from tree_extras import (
     check_collapsed_height_bound,
@@ -19,17 +18,6 @@ from strategies import parent_array_trees
 
 
 class TestHeavyPathDecomposition:
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            HeavyPathDecomposition(RootedTree([None]), variant="bogus")
-
-    def test_path_graph_classic_single_heavy_path(self):
-        tree = RootedTree([None] + list(range(9)))
-        decomposition = HeavyPathDecomposition(tree, variant=CLASSIC_VARIANT)
-        assert decomposition.path_count() == 1
-        assert decomposition.max_light_depth() == 0
-        assert decomposition.path_nodes(0) == list(range(10))
-
     def test_path_graph_paper_variant_halves(self):
         """The paper's rule stops a path once the remaining subtree is < |T|/2,
         so a path graph is split into O(log n) heavy paths, all chained by
@@ -66,12 +54,10 @@ class TestHeavyPathDecomposition:
                 assert decomposition.is_light_edge(child)
 
     def test_structural_invariants(self, any_tree):
-        for variant in (PAPER_VARIANT, CLASSIC_VARIANT):
-            decomposition = HeavyPathDecomposition(any_tree, variant=variant)
-            check_partition_into_paths(decomposition)
-        paper = HeavyPathDecomposition(any_tree, variant=PAPER_VARIANT)
-        check_light_depth_bound(paper)
-        check_heavy_path_rule(paper)
+        decomposition = HeavyPathDecomposition(any_tree)
+        check_partition_into_paths(decomposition)
+        check_light_depth_bound(decomposition)
+        check_heavy_path_rule(decomposition)
 
     @given(parent_array_trees(max_nodes=60))
     @settings(max_examples=60, deadline=None)
@@ -168,11 +154,18 @@ class TestCollapsedTree:
                     assert collapsed.dominates(v, u)
 
     def test_root_path_sequence(self, any_tree):
+        """``root_path_levels``: the collapsed root path and each path's exit."""
         collapsed = CollapsedTree(HeavyPathDecomposition(any_tree))
         for node in any_tree.nodes():
-            sequence = collapsed.root_path_sequence(node)
+            levels = collapsed.root_path_levels(node)
+            sequence = [path for path, _ in levels]
             assert sequence[0] == collapsed.root
             assert sequence[-1] == collapsed.collapsed_node_of(node)
             assert len(sequence) == collapsed.depth(sequence[-1]) + 1
             for earlier, later in zip(sequence, sequence[1:]):
                 assert collapsed.parent(later) == earlier
+            # a path's exit is the deepest node of the tree root path on it
+            root_path = any_tree.path_to_root(node)
+            for path, exit_node in levels:
+                on_path = [v for v in root_path if collapsed.collapsed_node_of(v) == path]
+                assert exit_node == on_path[0]

@@ -36,7 +36,7 @@ def check_partition_into_paths(decomposition: HeavyPathDecomposition) -> None:
 
 
 def check_light_depth_bound(decomposition: HeavyPathDecomposition) -> None:
-    """Light depth is at most log2 n for the paper's decomposition variant."""
+    """Light depth is at most log2 n under the paper's decomposition rule."""
     n = decomposition.tree.n
     bound = max(1, int(math.floor(math.log2(n)))) if n > 1 else 0
     worst = decomposition.max_light_depth()
@@ -55,8 +55,6 @@ def check_collapsed_height_bound(collapsed: CollapsedTree) -> None:
 
 def check_heavy_path_rule(decomposition: HeavyPathDecomposition) -> None:
     """The paper's rule: each path step keeps at least half the decomposition size."""
-    if decomposition.variant != "paper":
-        return
     tree = decomposition.tree
     for path in decomposition.paths():
         decomposition_size = tree.subtree_size(path[0])

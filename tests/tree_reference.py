@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from array import array
 
-from repro.trees.heavy_path import PAPER_VARIANT
 from repro.trees.transform import TransformResult
 from repro.trees.tree import RootedTree, TreeError
 
@@ -154,24 +153,16 @@ def compute_orders(n: int, root: int, start, data, weights) -> dict:
 # -- HeavyPathDecomposition ------------------------------------------------------
 
 
-def _select_heavy_child(
-    tree: RootedTree, variant: str, node: int, decomposition_size: int
-) -> int | None:
-    children = tree.children(node)
-    if not children:
-        return None
-    if variant == PAPER_VARIANT:
-        threshold = decomposition_size / 2
-        for child in children:
-            if tree.subtree_size(child) >= threshold:
-                return child
-        return None
-    # classic: largest child, ties broken by node id for determinism
-    return max(children, key=lambda c: (tree.subtree_size(c), -c))
+def _select_heavy_child(tree: RootedTree, node: int, decomposition_size: int) -> int | None:
+    threshold = decomposition_size / 2
+    for child in tree.children(node):
+        if tree.subtree_size(child) >= threshold:
+            return child
+    return None
 
 
-def heavy_path_rows(tree: RootedTree, variant: str = PAPER_VARIANT) -> dict:
-    """Every row of ``HeavyPathDecomposition(tree, variant)``."""
+def heavy_path_rows(tree: RootedTree) -> dict:
+    """Every row of ``HeavyPathDecomposition(tree)``."""
     zeros = bytes(4 * tree.n)
     path_of = array("i", zeros)
     position = array("i", zeros)
@@ -192,7 +183,7 @@ def heavy_path_rows(tree: RootedTree, variant: str = PAPER_VARIANT) -> dict:
             path_of[node] = path_id
             position[node] = pos
             light_depth[node] = depth
-            heavy = _select_heavy_child(tree, variant, node, decomposition_size)
+            heavy = _select_heavy_child(tree, node, decomposition_size)
             heavy_child[node] = -1 if heavy is None else heavy
             for child in tree.children(node):
                 if child != heavy:
