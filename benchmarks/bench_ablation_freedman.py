@@ -1,4 +1,4 @@
-"""Experiment A-ablation: the design-choice ablations called out in DESIGN.md.
+"""Experiment A-ablation: the ``freedman-no-*`` specs of README "Scheme specs".
 
 Compares the full Freedman scheme against variants with fragments,
 accumulators or the binarization transform disabled, on both a random tree

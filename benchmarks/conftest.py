@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark exercises one row of the DESIGN.md experiment index and
-attaches the quantities the paper reports (label sizes in bits, the matching
+Every benchmark regenerates one table or figure of the paper, or one
+measurement README "Benchmarks and CI" lists, and attaches the quantities the paper reports (label sizes in bits, the matching
 bound formula) to ``benchmark.extra_info`` so they appear in the
 pytest-benchmark JSON/therminal output alongside the timings.
 """

@@ -25,7 +25,8 @@ serialiser, ``write(writer)``, over the field encoders of
 ``read(reader)``, over the field decoders of
 :class:`~repro.encoding.bitio.BitReader` (Elias gamma/delta,
 length-prefixed bits, Lemma 2.2 monotone sequences); ``to_bits``,
-``from_bits`` and ``bit_length`` are defined once, on :class:`Label`.
+``from_bits``, ``bit_length`` and ``packed`` (the store's payload
+layout) are defined once, on :class:`Label`.
 A scheme names its label class in ``label_type``; the base class's
 :meth:`LabelingScheme.parse` (one bit string) and
 :meth:`LabelingScheme.parse_many` (the store's packed words) both end in
@@ -85,6 +86,19 @@ class Label:
         writer = BitWriter()
         self.write(writer)
         return len(writer)
+
+    def packed(self) -> tuple[int, bytes]:
+        """``(bit_length, payload)``: the label as a store holds it, its bits
+        MSB-first and zero-padded to a byte.
+
+        The one hook of the store's payload loop
+        (:func:`repro.store.label_store.pack_labels`), equal to
+        ``(bit_length(), to_bits().to_bytes())``.  A label that holds its
+        serialised bytes already returns them as they are.
+        """
+        writer = BitWriter()
+        self.write(writer)
+        return writer.packed()
 
 
 class LabelingScheme(ABC):

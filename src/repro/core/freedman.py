@@ -27,26 +27,28 @@ Ablation switches (`use_fragments`, `use_accumulators`, `binarize`) let the
 benchmarks quantify each ingredient's contribution to the label size (the
 ``freedman-no-*`` specs of README "Scheme specs").
 
-Encoding is word-level, and on the native kernel tier it runs in C.
+Both encoders write one format, the store's payload layout: a label's
+bits MSB-first, zero-padded to a byte, beside its bit length.
 :meth:`FreedmanScheme.encode_stream` asks the selected kernel backend
-first: ``_kernels.c`` computes the whole chain above from the tree's rows
-and writes every label's bits, in chunks of whole labels, each as the
-big-endian bytes of its word (the label behind a leading ``1`` bit).  The
-python tier runs :meth:`FreedmanScheme._python_encode_stream`, the
-reference those bytes are held to.  It computes the shared structure once
-as rows indexed by collapsed path id (light codewords, light-edge
-weights, fragment refs, each hanging subtree's entry fields and
-accumulator prefix) and shares, top-down, the levels of every collapsed
-path with children: one tuple of field values per light edge.  Every
-label's own path is childless and hangs off such a path, so a label's
-fields are its parent path's levels plus its own, with no walk of its
-collapsed root path, and :meth:`FreedmanLabel.write` serialises them: the
-only Python code that lays out a label.  Either way the label yielded is *lazy*: it holds only
-its word, which :meth:`FreedmanLabel.to_bits` packs as it is, and the
-first read of a field parses the word with :meth:`FreedmanLabel.read`
-(the one parser) and drops it.  ``write`` and ``read`` are mirrors on the
-one :class:`~repro.encoding.bitio.BitWriter` and
-:class:`~repro.encoding.bitio.BitReader`.
+first: on the native tier ``_kernels.c`` computes the whole chain above
+from the tree's rows and writes every label in that layout, in chunks of
+whole labels.  The python tier runs
+:meth:`FreedmanScheme._python_encode_stream`, the reference those bytes
+are held to.  It computes the shared structure once as rows indexed by
+collapsed path id (light codewords, light-edge weights, fragment refs,
+each hanging subtree's entry fields and accumulator prefix) and shares,
+top-down, the levels of every collapsed path with children: one tuple of
+field values per light edge.  Every label's own path is childless and
+hangs off such a path, so a label's fields are its parent path's levels
+plus its own, with no walk of its collapsed root path, and
+:meth:`FreedmanLabel.write` serialises them into one word, the only
+Python code that lays out a label; the word becomes the payload once.
+Either way the label yielded is *lazy*: it holds only ``(bit_length,
+payload)``, which :meth:`FreedmanLabel.packed` hands the store's payload
+loop as it is, and the first read of a field parses the payload with
+:meth:`FreedmanLabel.read` (the one parser) and drops it.  ``write`` and
+``read`` are mirrors on the one :class:`~repro.encoding.bitio.BitWriter`
+and :class:`~repro.encoding.bitio.BitReader`.
 ``tests/freedman_reference.py`` keeps the field-by-field encoder and codec
 the differential tests compare with.
 """
@@ -76,8 +78,9 @@ class FreedmanLabel(Label):
 
     All per-level lists are indexed by the light-edge index ``0 .. L-1``
     where ``L`` is the light depth of the node's pendant leaf in the
-    transformed tree.  A label the encoder yields is only its word until
-    the first read (or assignment) of a field parses it and drops it.
+    transformed tree.  A label the encoder yields is only its serialised
+    payload until the first read (or assignment) of a field parses it and
+    drops it.
     """
 
     node_id: int
@@ -92,36 +95,38 @@ class FreedmanLabel(Label):
     entry_pushed: list[int]
     accumulators: list[Bits] = field(default_factory=list)
 
-    #: the serialised label behind a leading ``1`` bit while no field has
-    #: been read (an instance attribute then); ``None`` once it holds fields
-    _word = None
+    #: ``(bit_length, payload)``, the serialised label in the store's
+    #: payload layout, while no field has been read (an instance attribute
+    #: then); ``None`` once it holds fields
+    _packed = None
 
     def __getattr__(self, name: str):
         # reached only for attributes the instance lacks: the fields of a
-        # label that is still its word, or was until another thread's
+        # label that is still its payload, or was until another thread's
         # first read replaced it
         if name in _FIELD_NAMES:
-            self._fields_from_word()
+            self._fields_from_packed()
             state = self.__dict__
             if name in state:
                 return state[name]
         raise AttributeError(name)
 
     def __setattr__(self, name: str, value) -> None:
-        if "_word" in self.__dict__:
-            self._fields_from_word()
+        if "_packed" in self.__dict__:
+            self._fields_from_packed()
         object.__setattr__(self, name, value)
 
-    def _fields_from_word(self) -> None:
-        """Replace the word, if still held, by its fields (fields first, so a
-        reader in another thread always finds one of the two)."""
+    def _fields_from_packed(self) -> None:
+        """Replace the payload, if still held, by its fields (fields first,
+        so a reader in another thread always finds one of the two)."""
         state = self.__dict__
-        word = state.get("_word")
-        if word is not None:
-            # the reader never looks above ``length``: the sentinel stays
-            reader = BitReader.from_word(word, word.bit_length() - 1)
-            state.update(FreedmanLabel.read(reader).__dict__)
-            state.pop("_word", None)
+        packed = state.get("_packed")
+        if packed is not None:
+            length, payload = packed
+            # the padding bits below the label are shifted out
+            value = int.from_bytes(payload, "big") >> (-length & 7)
+            state.update(FreedmanLabel.read(BitReader.from_word(value, length)).__dict__)
+            state.pop("_packed", None)
 
     @property
     def light_depth(self) -> int:
@@ -131,20 +136,27 @@ class FreedmanLabel(Label):
     # -- serialisation ------------------------------------------------------
 
     def to_bits(self) -> Bits:
-        """Serialise the label: the encoder's word as it is while the label
-        holds one, else through :meth:`write`."""
-        word = self._word
-        if word is None:
+        """Serialise the label: the encoder's payload as it is while the
+        label holds one, else through :meth:`write`."""
+        packed = self._packed
+        if packed is None:
             return super().to_bits()
-        length = word.bit_length() - 1
-        return Bits._pack(word ^ (1 << length), length)
+        return Bits.from_bytes(packed[1], packed[0])
 
     def bit_length(self) -> int:
-        """Size of the serialised label in bits (no writer for a word)."""
-        word = self._word
-        if word is None:
+        """Size of the serialised label in bits (no writer for a payload)."""
+        packed = self._packed
+        if packed is None:
             return super().bit_length()
-        return word.bit_length() - 1
+        return packed[0]
+
+    def packed(self) -> tuple[int, bytes]:
+        """``(bit_length, payload)``: the encoder's pair as it is while the
+        label holds it, else through :meth:`write`."""
+        packed = self._packed
+        if packed is None:
+            return super().packed()
+        return packed
 
     def write(self, writer: BitWriter) -> None:
         """Append the label to ``writer``: the mirror of :meth:`read`.
@@ -281,6 +293,10 @@ _LEVEL_FIELDS = (
 
 _new_label = object.__new__
 
+#: sets an attribute of a fresh label past ``FreedmanLabel.__setattr__``
+#: (and without materialising the instance ``__dict__``)
+_hold = object.__setattr__
+
 _EMPTY = Bits._pack(0, 0)
 
 
@@ -318,11 +334,12 @@ class FreedmanScheme(DistanceLabelingScheme):
         """Yield each original node's label in node order, one at a time.
 
         The selected kernel backend encodes first, as on the query path:
-        the native tier's C encoder writes every label's bits from the
-        tree's rows, in chunks of whole labels, and each label yielded is
-        the lazy word read from its bytes.  The python tier (and a subclass
-        of this scheme) runs :meth:`_python_encode_stream`, the reference
-        the C encoder is held to.  Either way the store's payload loop
+        the native tier's C encoder writes every label from the tree's
+        rows, in chunks of whole labels, and each label yielded is lazy,
+        its bit length and its bytes sliced from the chunk.  The python
+        tier (and a subclass of this scheme) runs
+        :meth:`_python_encode_stream`, the reference the C encoder is held
+        to.  Either way the store's payload loop
         (:func:`repro.store.label_store.pack_labels`) never materialises
         the full label dict.
         """
@@ -333,12 +350,11 @@ class FreedmanScheme(DistanceLabelingScheme):
             yield from self._python_encode_stream(tree)
             return
         self.encoding_stats, chunks = encoded
-        from_bytes = int.from_bytes
-        for buffer, ends in chunks:
+        for payload, ends, bit_lengths in chunks:
             start = 0
-            for end in ends:
+            for end, length in zip(ends, bit_lengths):
                 label = _new_label(FreedmanLabel)
-                label.__dict__["_word"] = from_bytes(buffer[start:end], "big")
+                _hold(label, "_packed", (length, payload[start:end]))
                 start = end
                 yield label
 
@@ -433,7 +449,7 @@ class FreedmanScheme(DistanceLabelingScheme):
             writer = BitWriter()
             staged.write(writer)
             label = _new_label(FreedmanLabel)
-            label.__dict__["_word"] = writer._word
+            _hold(label, "_packed", writer.packed())
             yield label
 
     def _compute_fragments(

@@ -19,7 +19,7 @@ Label contents (Section 4.3), per node ``u``:
   the top ancestor's position modulo ``k`` and the forward/backward
   2-approximation tables of the id differences along the path.
 
-Implementation additions (DESIGN.md §3.5, asymptotically free): the label
+Implementation additions beyond Section 4 (asymptotically free): the label
 also stores the light-range height of *one* significant ancestor beyond the
 distance cutoff and the trie heights of the child-subtree ranges along the
 chain.  They let the decoder distinguish every query configuration

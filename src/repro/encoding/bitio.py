@@ -319,6 +319,15 @@ class BitWriter:
         length = word.bit_length() - 1
         return Bits._pack(word ^ 1 << length, length)
 
+    def packed(self) -> tuple[int, bytes]:
+        """``(bit_length, payload)`` of everything written so far: the bits
+        MSB-first, zero-padded at the end to a byte, as
+        ``getvalue().to_bytes()`` packs them and a label store holds them."""
+        word = self._word
+        length = word.bit_length() - 1
+        count = (length + 7) >> 3
+        return length, ((word ^ 1 << length) << (count * 8 - length)).to_bytes(count, "big")
+
 
 class BitReader:
     """Sequential reader over one packed integer: the one label decoder.

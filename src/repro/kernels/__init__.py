@@ -7,7 +7,8 @@ Freedman encoder have two interchangeable implementations:
   cffi (:mod:`repro.kernels.native`): fused decode+distance for hld-fixed
   and Freedman labels straight from ``LabelStore.buffers()``, and the
   Freedman encoder, which computes Section 2/3's shared structure from
-  the tree's rows and writes every label's bits in chunks of whole labels
+  the tree's rows and writes every label in the store's payload layout, in
+  chunks of whole labels
   (``NativeBackend.encode_freedman``).
 - **python** — the packed-Python paths, always available
   (:mod:`repro.kernels.python_tier`): ``scheme.parse_many``, which reads

@@ -61,7 +61,7 @@
 #define MAX_VALUE_BITS 56
 #define MAX_LABEL_BITS 0xFFFFFFFFull
 
-#define ABI_VERSION 5
+#define ABI_VERSION 6
 
 #define KIND_HLD 0
 #define KIND_FREEDMAN 1
@@ -1175,7 +1175,7 @@ typedef struct repro_fr_encoder {
     int64_t *dist;     /* per original node: its root distance */
     fr_path_t *path;
     bw_t acc;          /* every parent path's accumulator, flushed */
-    bw_t label;        /* a sentinel 1 bit and the label, flushed */
+    bw_t label;        /* the rendered label, flushed */
     uint64_t label_bits;
 } repro_fr_encoder;
 
@@ -1543,8 +1543,8 @@ done:
 
 /* -- writing labels ------------------------------------------------------------ */
 
-/* Render node ``v``'s label into ``e->label`` behind a sentinel 1 bit, in
- * ``FreedmanLabel.write`` order.  1 only when memory runs out. */
+/* Render node ``v``'s label into ``e->label`` in ``FreedmanLabel.write``
+ * order.  1 only when memory runs out. */
 static int fr_render(repro_fr_encoder *e, int64_t v) {
     const fr_path_t *path = e->path;
     const fr_path_t *level[FR_MAX_DEPTH];
@@ -1565,7 +1565,6 @@ static int fr_render(repro_fr_encoder *e, int64_t v) {
     w->acc = 0;
     w->fill = 0;
     if (bw_reserve(w, bound)) return E_FALLBACK;
-    bw_put(w, 1, 1);
     bw_delta(w, (uint64_t)v);
     bw_delta(w, (uint64_t)e->dist[v]);
     bw_delta(w, (uint64_t)own->dom);
@@ -1610,29 +1609,15 @@ static int fr_render(repro_fr_encoder *e, int64_t v) {
     return E_OK;
 }
 
-/* Copy the rendered label to ``out`` right-aligned in ``bytes`` bytes: the
- * big-endian bytes of the integer ``1 << length | label``. */
-static void fr_place(const repro_fr_encoder *e, uint8_t *out, uint64_t bytes) {
-    const uint8_t *src = e->label.buf;
-    uint32_t pad = (uint32_t)(bytes * 8 - e->label_bits), k;
-    uint64_t i;
-    if (!pad) {
-        memcpy(out, src, (size_t)bytes);
-        return;
-    }
-    k = 8 - pad;
-    out[0] = (uint8_t)(src[0] >> pad);
-    for (i = 1; i < bytes; i++) out[i] = (uint8_t)(src[i - 1] << k | src[i] >> pad);
-}
-
-/* Write the next whole labels, each as the big-endian bytes of its word
- * (see ``fr_place``), into ``buf``, at most ``cap`` bytes and ``max_labels``
- * labels; ``ends[i]`` is the end offset of the i-th.  Returns the number
- * written, 0 once every label is out, -1 when memory runs out, and -2 when
- * the next label alone needs more than ``cap`` bytes: ``ends[0]`` then
- * holds its size, and it is written by the next call with room for it. */
+/* Write the next whole labels into ``buf`` in the store's payload layout
+ * (each label's bits MSB-first, zero-padded to a byte), at most ``cap``
+ * bytes and ``max_labels`` labels; ``ends[i]`` is the end offset of the
+ * i-th and ``bits[i]`` its length in bits.  Returns the number written, 0
+ * once every label is out, -1 when memory runs out, and -2 when the next
+ * label alone needs more than ``cap`` bytes: ``ends[0]`` then holds its
+ * size, and it is written by the next call with room for it. */
 int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
-                              uint64_t *ends, int64_t max_labels) {
+                              uint64_t *ends, uint64_t *bits, int64_t max_labels) {
     uint64_t used = 0;
     int64_t count = 0;
     while (count < max_labels && e->next < e->n) {
@@ -1647,8 +1632,9 @@ int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
             ends[0] = bytes;
             return -2;
         }
-        fr_place(e, buf + used, bytes);
+        memcpy(buf + used, e->label.buf, (size_t)bytes);
         used += bytes;
+        bits[count] = e->label_bits;
         ends[count++] = used;
         e->pending = 0;
         e->next++;

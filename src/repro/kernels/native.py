@@ -40,7 +40,7 @@ from struct import error as StructError, pack
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 _CDEF = """
 int repro_kernels_abi(void);
@@ -62,7 +62,7 @@ repro_fr_encoder *repro_fr_encoder_new(int64_t n, const int32_t *parents,
                                        const int32_t *child_data, int flags,
                                        uint64_t *stats);
 int64_t repro_fr_encoder_next(repro_fr_encoder *enc, uint8_t *buf, uint64_t cap,
-                              uint64_t *ends, int64_t max_labels);
+                              uint64_t *ends, uint64_t *bits, int64_t max_labels);
 void repro_fr_encoder_free(repro_fr_encoder *enc);
 int repro_matrix(int kind, const uint8_t *payload, uint64_t nbytes,
                  const uint64_t *offs, const uint64_t *lens, int64_t n_total,
@@ -344,14 +344,14 @@ class NativeBackend:
         """``(encoding_stats, chunks)`` of ``scheme``'s labels of ``tree``.
 
         The C encoder computes Section 2/3's shared structure from the
-        tree's rows at once; ``chunks`` then yields ``(buffer, ends)``
-        pairs, each of whole labels in node order, at most
-        :data:`ENCODE_CHUNK_BYTES` bytes unless one label alone is larger:
-        label ``i`` of a chunk is ``buffer[ends[i - 1]:ends[i]]`` (from 0
-        for the first), the big-endian bytes of its word, the label behind
-        a leading ``1`` bit.  A buffer is reused by the next chunk.  ``None`` for a scheme
-        the C side does not encode (a subclass); a failed allocation
-        raises ``MemoryError``.
+        tree's rows at once; ``chunks`` then yields ``(payload, ends,
+        bit_lengths)`` triples, each of whole labels in node order, at most
+        :data:`ENCODE_CHUNK_BYTES` bytes unless one label alone is larger.
+        ``payload`` is immutable ``bytes`` in the store's payload layout:
+        label ``i`` of a chunk is ``payload[ends[i - 1]:ends[i]]`` (from 0
+        for the first), its ``bit_lengths[i]`` bits MSB-first, zero-padded
+        to a byte.  ``None`` for a scheme the C side does not encode (a
+        subclass); a failed allocation raises ``MemoryError``.
         """
         if self._kind(scheme) != _KIND_FREEDMAN:
             return None
@@ -383,23 +383,27 @@ class NativeBackend:
         ffi, lib = self.ffi, self.lib
         step = lib.repro_fr_encoder_next
         buffer = bytearray(ENCODE_CHUNK_BYTES)
-        ends = array("Q", bytes(8 * (ENCODE_CHUNK_BYTES // 8 + 1)))
+        slots = ENCODE_CHUNK_BYTES // 8 + 1
+        ends = array("Q", bytes(8 * slots))
+        bits = array("Q", bytes(8 * slots))
         c_buffer = ffi.from_buffer("uint8_t[]", buffer)
         c_ends = ffi.from_buffer("uint64_t[]", ends)
+        c_bits = ffi.from_buffer("uint64_t[]", bits)
+        view = memoryview(buffer)
         try:
             while True:
-                count = step(handle, c_buffer, len(buffer), c_ends, len(ends))
+                count = step(handle, c_buffer, len(buffer), c_ends, c_bits, slots)
                 if count > 0:
-                    yield buffer, ends[:count]
+                    yield bytes(view[: ends[count - 1]]), ends[:count], bits[:count]
                 elif count == 0:
                     return
                 elif count == -2:
                     # one label larger than the chunk: a buffer of its own
                     alone = bytearray(ends[0])
                     c_alone = ffi.from_buffer("uint8_t[]", alone)
-                    if step(handle, c_alone, len(alone), c_ends, 1) != 1:
+                    if step(handle, c_alone, len(alone), c_ends, c_bits, 1) != 1:
                         raise MemoryError("native Freedman encoder")
-                    yield alone, ends[:1]
+                    yield bytes(alone), ends[:1], bits[:1]
                 else:
                     raise MemoryError("native Freedman encoder")
         finally:

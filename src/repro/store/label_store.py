@@ -119,17 +119,18 @@ def read_header(view) -> tuple[str, dict, int, int]:
 def pack_labels(labels, n: int, write, progress=None) -> array:
     """Serialise ``n`` labels in node order; returns their bit lengths.
 
-    The one payload loop: each label's packed bytes go to ``write`` as it
-    arrives and only its length is kept, in an ``array('Q')`` (8 bytes per
-    node).  ``progress(done, n)`` is called every 65536 labels and once at
-    the end.
+    The one payload loop: each label's bytes, from its
+    :meth:`~repro.core.base.Label.packed` hook, go to ``write`` as it
+    arrives and only its bit length is kept, in an ``array('Q')`` (8 bytes
+    per node).  ``progress(done, n)`` is called every 65536 labels and once
+    at the end.
     """
     lengths = array("Q")
     append = lengths.append
     for label in labels:
-        bits = label.to_bits()
-        append(len(bits))
-        write(bits.to_bytes())
+        bits, payload = label.packed()
+        append(bits)
+        write(payload)
         if progress is not None and not len(lengths) % _PROGRESS_EVERY:
             progress(len(lengths), n)
     if len(lengths) != n:

@@ -137,11 +137,6 @@ class CollapsedTree:
         """Index of a collapsed node among its parent's ordered children."""
         return self._child_index[collapsed_node]
 
-    def branch_node(self, collapsed_node: int) -> int | None:
-        """Tree node on the parent heavy path from which this path hangs."""
-        branch = self._branch_node[collapsed_node]
-        return None if branch < 0 else branch
-
     def head(self, collapsed_node: int) -> int:
         """Head (in T) of the heavy path behind a collapsed node."""
         return self._head[collapsed_node]
@@ -168,10 +163,6 @@ class CollapsedTree:
         if parent < 0:
             return False
         return self._child_data[self._child_start[parent + 1] - 1] == collapsed_node
-
-    def collapsed_node_of(self, tree_node: int) -> int:
-        """Collapsed node (heavy path id) containing a tree node."""
-        return self._hpd.path_of(tree_node)
 
     def root_path_levels(self, tree_node: int) -> list[tuple[int, int]]:
         """``(path, exit)`` for every heavy path on ``tree_node``'s root path.

@@ -141,24 +141,6 @@ class HeavyPathDecomposition:
         """Maximum light depth over all nodes (at most log2 n)."""
         return max(self._light_depth)
 
-    def light_edges_on_root_path(self, node: int) -> list[int]:
-        """Children (lower endpoints) of the light edges on the root path.
-
-        Returned from the topmost light edge down to the one closest to
-        ``node``; the list has length ``light_depth(node)``.
-        """
-        edges: list[int] = []
-        current = node
-        while True:
-            parent = self._tree.parent(current)
-            if parent is None:
-                break
-            if self._heavy_child[parent] != current:
-                edges.append(current)
-            current = parent
-        edges.reverse()
-        return edges
-
     def preorder_with_heavy_child_last(self) -> list[int]:
         """Preorder numbering that visits the heavy child of a node last.
 

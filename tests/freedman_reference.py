@@ -31,6 +31,7 @@ from repro.trees.collapsed import CollapsedTree
 from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.transform import prepare_for_leaf_queries
 from repro.trees.tree import RootedTree
+from tree_reference import branch_node
 
 
 def reference_encode(
@@ -137,7 +138,7 @@ def _reference_entries(use_accumulators, working, collapsed, entry_value):
             value = entry_value[child]
             full_bits = value.bit_length()
             hanging_size = working.subtree_size(collapsed.head(child))
-            branch_size = working.subtree_size(collapsed.branch_node(child))
+            branch_size = working.subtree_size(branch_node(collapsed, child))
             is_thin = hanging_size * THIN_FACTOR <= branch_size
             if is_thin or not use_accumulators:
                 length = full_bits

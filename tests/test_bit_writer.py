@@ -221,7 +221,8 @@ class TestFieldProperties:
     @given(st.lists(valid_fields, max_size=8))
     def test_writes_match_reference_and_read_back(self, items):
         """Each ``write_x`` equals the reference encoder bit for bit, and
-        ``read_x`` inverts it, field after field in one stream."""
+        ``read_x`` inverts it, field after field in one stream; ``packed``
+        is the stream's length and its zero-padded bytes."""
         writer = BitWriter()
         reference = ref.BitWriter()
         for kind, value in items:
@@ -231,6 +232,7 @@ class TestFieldProperties:
             assert len(writer) == len(reference), kind
         bits = writer.getvalue()
         assert bits.data == reference.getvalue().data
+        assert writer.packed() == (len(bits), bits.to_bytes())
         reader = BitReader(bits)
         for kind, value in items:
             assert FIELDS[kind][2](reader) == value, kind

@@ -117,14 +117,18 @@ def test_edge_trees_match(spec, tree):
 
 
 def _native_words(spec: str, tree: RootedTree):
-    """The C encoder's labels (the bytes of each word) and chunk sizes."""
+    """The C encoder's labels (``(bit_length, payload)`` each) and chunk sizes."""
     stats, chunks = kernels.get_backend("native").encode_freedman(make_scheme(spec), tree)
     words, per_chunk = [], []
-    for buffer, ends in chunks:
+    for payload, ends, bit_lengths in chunks:
+        assert isinstance(payload, bytes)
+        assert len(ends) == len(bit_lengths)
         start = 0
-        for end in ends:
-            words.append(bytes(buffer[start:end]))
+        for end, length in zip(ends, bit_lengths):
+            assert end - start == (length + 7) // 8
+            words.append((length, payload[start:end]))
             start = end
+        assert start == len(payload)
         per_chunk.append(len(ends))
     return words, per_chunk, stats
 
@@ -137,7 +141,7 @@ def test_chunked_output_matches_one_shot(spec, monkeypatch):
     monkeypatch.setattr(native, "ENCODE_CHUNK_BYTES", 1 << 24)
     one_shot, per_chunk, stats = _native_words(spec, tree)
     assert per_chunk == [tree.n]
-    label_bytes = sorted(map(len, one_shot))
+    label_bytes = sorted(len(payload) for _, payload in one_shot)
     smallest, median, largest = label_bytes[0], label_bytes[len(label_bytes) // 2], label_bytes[-1]
     for budget in (1, smallest, median, 4 * largest // 3):
         monkeypatch.setattr(native, "ENCODE_CHUNK_BYTES", budget)
@@ -146,15 +150,15 @@ def test_chunked_output_matches_one_shot(spec, monkeypatch):
         assert chunk_stats == stats
         assert sum(per_chunk) == tree.n
         if budget < largest:
-            assert any(len(word) > budget for word in words)
+            assert any(len(payload) > budget for _, payload in words)
         if budget > 2 * smallest:
             assert max(per_chunk) > 1
 
 
 def test_native_words_are_the_python_words():
-    """Each yielded label holds the Python encoder's word."""
+    """Each yielded label holds the Python encoder's bit length and payload."""
     tree = random_prufer_tree(250, seed=8)
     scheme = make_scheme("freedman")
-    expected = [label._word for label in scheme._python_encode_stream(tree)]
+    expected = [label._packed for label in scheme._python_encode_stream(tree)]
     words, _, _ = _native_words("freedman", tree)
-    assert [int.from_bytes(word, "big") for word in words] == expected
+    assert words == expected

@@ -2,7 +2,8 @@
 
 ``FreedmanScheme.encode_stream`` builds each label's fields from per-path
 rows, serialises them with ``FreedmanLabel.write`` (``_kernels.c`` does
-both on the native tier) and yields a label that holds only that word;
+both on the native tier) and yields a label that holds only its bit length
+and payload bytes;
 ``tests/freedman_reference.reference_encode`` builds the same labels field
 by field from its own rows.  The two must agree field for field and bit
 for bit on every pin tree under every ablation, on a 10⁴-node Prüfer tree
@@ -37,7 +38,7 @@ from repro.trees.heavy_path import HeavyPathDecomposition
 from repro.trees.transform import prepare_for_leaf_queries
 from test_freedman_encode_pins import LARGE, LARGE_DIGESTS, SCHEMES, TREES
 from test_freedman_native_encoder import trees
-from test_kernels import forced_tier
+from test_kernels import available_tiers, forced_tier
 from tree_extras import random_weighted_tree
 
 #: edge weights near 2^55: some serialised entries are wider than 64 bits
@@ -62,7 +63,7 @@ def assert_matches_reference(tree, scheme_name):
     assert sorted(labels) == sorted(reference)
     for node, label in labels.items():
         expected = reference[node]
-        # the word first, before any field read replaces it
+        # the payload first, before any field read replaces it
         assert label.to_bits() == reference_to_bits(expected), node
         for item in fields(FreedmanLabel):
             assert getattr(label, item.name) == getattr(expected, item.name), (
@@ -163,7 +164,7 @@ def test_unread_labels_serialise_without_parsing(parse_calls):
     for label in labels.values():
         bits = label.to_bits()
         assert label.bit_length() == len(bits)
-        assert "_word" in vars(label)
+        assert "_packed" in vars(label)
     assert parse_calls == []
 
 
@@ -173,7 +174,7 @@ def test_first_field_read_parses_once_and_drops_the_word(parse_calls):
     assert parse_calls == []
     assert label.light_depth > 0
     assert len(parse_calls) == 1
-    assert "_word" not in vars(label)
+    assert "_packed" not in vars(label)
     for item in fields(FreedmanLabel):
         getattr(label, item.name)
     assert label.to_bits() == bits
@@ -200,7 +201,7 @@ def test_missing_attributes_do_not_parse(parse_calls):
 
 def _read():
     label = _unread()
-    label.node_id  # noqa: B018 - the first read replaces the word
+    label.node_id  # noqa: B018 - the first read replaces the payload
     return label
 
 
@@ -226,8 +227,8 @@ def test_pickle_and_copies(make, duplicate):
     original = make()
     twin = duplicate(original)
     assert twin is not original
-    # a copy keeps the form of its original: a word stays a word
-    assert ("_word" in vars(twin)) == ("_word" in vars(original))
+    # a copy keeps the form of its original: a payload stays a payload
+    assert ("_packed" in vars(twin)) == ("_packed" in vars(original))
     assert twin.to_bits() == bits
     assert twin == expected
     assert original == expected
@@ -239,6 +240,43 @@ def test_streaming_build_never_parses(parse_calls, tmp_path):
     write_store(FreedmanScheme(), tree, path)
     assert parse_calls == []
     assert path.read_bytes() == LabelStore.encode_tree(FreedmanScheme(), tree).to_bytes()
+
+
+@pytest.mark.parametrize("tier", available_tiers())
+def test_builds_never_parse_on_either_tier(tier, parse_calls, tmp_path):
+    """``from_labels`` over ``encode``, ``encode_tree`` and ``write_store``
+    take each label's payload as the encoder wrote it: no label is parsed."""
+    tree = TREES["hm"]()
+    path = tmp_path / "hm.rls"
+    with forced_tier(tier):
+        scheme = FreedmanScheme()
+        built = LabelStore.from_labels(scheme, scheme.encode(tree)).to_bytes()
+        streamed = LabelStore.encode_tree(FreedmanScheme(), tree).to_bytes()
+        write_store(FreedmanScheme(), tree, path)
+    assert parse_calls == []
+    assert built == streamed == path.read_bytes()
+
+
+@pytest.mark.parametrize("tier", available_tiers())
+def test_unread_label_packs_copies_and_compares(tier, parse_calls):
+    """An unread label hands out its payload, pickles and copies as a
+    payload, and parses once, on its first field read (``==`` here)."""
+    with forced_tier(tier):
+        label = _unread()
+    bits = reference_to_bits(_expected())
+    packed = (len(bits), bits.to_bytes())
+    assert label.packed() == packed
+    assert label.packed() is label.packed()
+    for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
+        assert "_packed" in vars(twin)
+        assert twin.packed() == packed
+    assert parse_calls == []
+    assert label == _expected()
+    assert len(parse_calls) == 1
+    assert "_packed" not in vars(label)
+    assert label.packed() == packed
+    assert label == _expected()
+    assert len(parse_calls) == 1
 
 
 def test_concurrent_first_reads_all_see_the_fields():
@@ -259,7 +297,7 @@ def test_concurrent_first_reads_all_see_the_fields():
                 futures = [pool.submit(first_read) for _ in range(threads)]
                 for future in futures:
                     future.result(timeout=10)
-            assert "_word" not in vars(label)
+            assert "_packed" not in vars(label)
             assert label.to_bits() == expected
     finally:
         sys.setswitchinterval(interval)

@@ -1,4 +1,4 @@
-"""Query-configuration coverage for the k-distance decoder (DESIGN.md §8).
+"""Query-configuration coverage for the k-distance decoder (paper Section 4.3).
 
 Each test constructs a tree in which a specific decoder branch must fire and
 verifies the answer against the oracle.  The branches follow the case

@@ -106,6 +106,9 @@ class _Raw:
     def to_bits(self) -> Bits:
         return self._bits
 
+    def packed(self) -> tuple[int, bytes]:
+        return len(self._bits), self._bits.to_bytes()
+
 
 def _setup(family: str):
     """The scheme, its labels and the node with the longest label."""

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.approximate import ApproximateScheme
+from repro.core.base import Label
 from repro.core.freedman import FreedmanScheme
 from repro.core.kdistance import KDistanceScheme
-from repro.core.registry import SCHEMES, make_any_scheme
+from repro.core.registry import SCHEMES, make_any_scheme, make_scheme_from_spec
 from repro.encoding.bitio import BitError, Bits
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 from repro.generators.workloads import make_tree, random_pairs
@@ -18,6 +19,7 @@ from repro.oracles.exact_oracle import TreeDistanceOracle
 from repro.store import STORE_MAGIC, LabelStore, QueryEngine, StoreError
 from repro.store.label_store import read_header
 from strategies import parent_array_trees
+from test_kernels import ALL_SPECS, available_tiers, forced_tier
 
 # every registered scheme as a (factory, kind) pair: the full exact registry
 # (ablation aliases included) plus one bounded and one approximate instance
@@ -365,3 +367,25 @@ class TestBatchAgainstOracleHypothesis:
                 assert answer == 0
             else:
                 assert exact - 1e-9 <= answer <= (1 + epsilon) * exact + 1e-9
+
+
+# -- the payload hook -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("tier", available_tiers())
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_packed_is_the_serialised_label(spec, tier):
+    """``Label.packed()`` is ``(bit_length(), to_bits().to_bytes())`` for
+    every scheme's labels, as encoded (a Freedman label still lazy) and as
+    parsed back, and it is exactly what the store holds."""
+    tree = make_tree("random", 80, seed=2)
+    with forced_tier(tier):
+        scheme = make_scheme_from_spec(spec)
+        labels = scheme.encode(tree)
+    store = LabelStore.from_labels(scheme, labels)
+    for node, label in labels.items():
+        expected = (label.bit_length(), label.to_bits().to_bytes())
+        assert label.packed() == expected, node
+        assert Label.packed(label) == expected, node
+        assert scheme.parse(label.to_bits()).packed() == expected, node
+        assert (store.bit_length(node), bytes(store.raw(node))) == expected, node

@@ -13,6 +13,7 @@ from tree_extras import (
     check_light_depth_bound,
     check_partition_into_paths,
 )
+from tree_reference import branch_node, collapsed_node_of, light_edges_on_root_path
 
 from strategies import parent_array_trees
 
@@ -48,7 +49,7 @@ class TestHeavyPathDecomposition:
     def test_light_edges_on_root_path(self, any_tree):
         decomposition = HeavyPathDecomposition(any_tree)
         for node in any_tree.nodes():
-            edges = decomposition.light_edges_on_root_path(node)
+            edges = light_edges_on_root_path(decomposition, node)
             assert len(edges) == decomposition.light_depth(node)
             for child in edges:
                 assert decomposition.is_light_edge(child)
@@ -96,7 +97,7 @@ class TestCollapsedTree:
                 assert path == collapsed.root
                 continue
             assert path in collapsed.children(parent)
-            branch = collapsed.branch_node(path)
+            branch = branch_node(collapsed, path)
             assert any_tree.parent(collapsed.head(path)) == branch
             assert collapsed.decomposition.path_of(branch) == parent
 
@@ -106,7 +107,7 @@ class TestCollapsedTree:
         for path in range(len(collapsed)):
             children = collapsed.children(path)
             positions = [
-                decomposition.position_on_path(collapsed.branch_node(child))
+                decomposition.position_on_path(branch_node(collapsed, child))
                 for child in children
             ]
             assert positions == sorted(positions)
@@ -160,12 +161,12 @@ class TestCollapsedTree:
             levels = collapsed.root_path_levels(node)
             sequence = [path for path, _ in levels]
             assert sequence[0] == collapsed.root
-            assert sequence[-1] == collapsed.collapsed_node_of(node)
+            assert sequence[-1] == collapsed_node_of(collapsed, node)
             assert len(sequence) == collapsed.depth(sequence[-1]) + 1
             for earlier, later in zip(sequence, sequence[1:]):
                 assert collapsed.parent(later) == earlier
             # a path's exit is the deepest node of the tree root path on it
             root_path = any_tree.path_to_root(node)
             for path, exit_node in levels:
-                on_path = [v for v in root_path if collapsed.collapsed_node_of(v) == path]
+                on_path = [v for v in root_path if collapsed_node_of(collapsed, v) == path]
                 assert exit_node == on_path[0]

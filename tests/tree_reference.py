@@ -17,7 +17,9 @@ them:
   per-group tuple sort of siblings and a canonical light code built per
   collapsed node (:func:`size_weighted_words`);
 * :func:`attach_leaves`, :func:`binarize` and
-  :func:`prepare_for_leaf_queries` hang each node's ``children()`` list.
+  :func:`prepare_for_leaf_queries` hang each node's ``children()`` list;
+* :func:`light_edges_on_root_path`, :func:`branch_node` and
+  :func:`collapsed_node_of` are per-node accessors only the tests read.
 
 Each returns plain rows (or a :class:`TransformResult`), never an object
 of the class under test, so the row-level code is not checked against
@@ -201,7 +203,37 @@ def heavy_path_rows(tree: RootedTree) -> dict:
     }
 
 
+def light_edges_on_root_path(hpd, node: int) -> list[int]:
+    """Children (lower endpoints) of the light edges on ``node``'s root path.
+
+    Returned from the topmost light edge down to the one closest to
+    ``node``; the list has length ``hpd.light_depth(node)``.
+    """
+    tree = hpd.tree
+    edges: list[int] = []
+    current = node
+    parent = tree.parent(current)
+    while parent is not None:
+        if hpd.heavy_child(parent) != current:
+            edges.append(current)
+        current, parent = parent, tree.parent(parent)
+    edges.reverse()
+    return edges
+
+
 # -- CollapsedTree ---------------------------------------------------------------
+
+
+def branch_node(collapsed, path: int) -> int | None:
+    """Tree node on the parent heavy path from which ``path`` hangs (``None``
+    for the root path), as ``collapsed``'s branch-node row holds it."""
+    branch = collapsed._branch_node[path]
+    return None if branch < 0 else branch
+
+
+def collapsed_node_of(collapsed, tree_node: int) -> int:
+    """Collapsed node (heavy path id) containing a tree node."""
+    return collapsed.decomposition.path_of(tree_node)
 
 
 def collapsed_rows(hpd) -> dict:
