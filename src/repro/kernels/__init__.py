@@ -9,13 +9,18 @@ Freedman encoder have two interchangeable implementations:
   Freedman encoder, which computes Section 2/3's shared structure from
   the tree's rows and writes every label in the store's payload layout, in
   chunks of whole labels
-  (``NativeBackend.encode_freedman``).
+  (``NativeBackend.encode_freedman``), and the serving stack's RSP/1
+  codec for plain QUERY/RESULT frames (``NativeBackend.wire_codec``):
+  scanners that turn runs of them into ``int64`` columns and stop at any
+  other frame, and an encoder of exact RESULT frames.
 - **python** — the packed-Python paths, always available
   (:mod:`repro.kernels.python_tier`): ``scheme.parse_many``, which reads
   every label through its class's one ``read`` on a
   :class:`~repro.encoding.bitio.BitReader`, then ``scheme.query``; and
   the scheme's own Python encoder, the reference the C encoder's bytes
-  are held to (``tests/test_freedman_native_encoder.py``).
+  are held to (``tests/test_freedman_native_encoder.py``); and
+  :mod:`repro.serve.protocol`'s codec, the reference for the C one
+  (``tests/test_serve_fuzz.py``).
 
 Availability is probed once per process (quisk-style graceful degradation:
 a tier that fails to build/import is recorded and skipped, never fatal) and
@@ -31,7 +36,9 @@ only a failed allocation (``MemoryError``) stops it.
 The native backend owns the decoded labels of the schemes it supports:
 each :class:`~repro.store.QueryEngine` binds one decoded-label arena in C
 (``NativeBackend.arena``), every query crosses to it as one flat buffer
-of pairs, and the engine parses in Python only when the kernel declines.
+of pairs (the network server hands the engine that buffer already flat,
+as an ``array('q')``), and the engine parses in Python only when the
+kernel declines.
 That makes the C decoder the first reader of label bits, so it must
 decline on anything the Python parser or query would reject; a declined
 label then meets the same Python ``read`` on every tier

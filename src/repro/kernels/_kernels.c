@@ -1,5 +1,5 @@
-/* Native kernels for the repro label store: decode/distance, and the
- * Freedman encoder.
+/* Native kernels for the repro label store: decode/distance, the Freedman
+ * encoder, and the serving stack's RSP/1 QUERY/RESULT codec.
  *
  * Compiled into a tiny shared library (no Python.h — loaded through cffi's
  * ABI mode, dlopen-style) and called with raw pointers into
@@ -31,9 +31,12 @@
  *   a worker thread never touches an arena.  ``repro_checksum`` folds the
  *   decoder's full-width fields and makes no record at all.
  *
- * The Freedman encoder (``repro_fr_encoder_*``, at the end of the file) is
- * the one routine with no fallback: it writes the labels the Python
- * encoder would, for every tree, and fails only when memory runs out.
+ * The Freedman encoder (``repro_fr_encoder_*``) is the one routine with no
+ * fallback: it writes the labels the Python encoder would, for every tree,
+ * and fails only when memory runs out.  The RSP/1 codec (``repro_scan_*``
+ * and ``repro_encode_results``, at the end of the file) works on wire
+ * bytes, not labels: its scanners stop at any frame they do not take, and
+ * the Python decoder reads that frame.
  *
  * Bit layout contract (matching repro.encoding.bitio): MSB-first within the
  * packed stream; label i starts at bit offset offs[i] * 8 and is lens[i]
@@ -61,7 +64,7 @@
 #define MAX_VALUE_BITS 56
 #define MAX_LABEL_BITS 0xFFFFFFFFull
 
-#define ABI_VERSION 6
+#define ABI_VERSION 7
 
 #define KIND_HLD 0
 #define KIND_FREEDMAN 1
@@ -1640,4 +1643,196 @@ int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
         e->next++;
     }
     return count;
+}
+
+/* -- RSP/1 hot lane: plain QUERY/RESULT frames as int64 columns ---------- */
+
+/* The serving stack's wire codec for its one hot message shape (see
+ * repro.serve.protocol): a QUERY frame with no suffix and a single-value
+ * exact RESULT frame.  The scanners split a receive buffer into frames as
+ * ``FrameDecoder.frames`` does and turn the longest run of *plain* frames
+ * into columns; they never fail on bytes, they only stop, and the frame
+ * that stopped them goes through the Python decoder.  A plain frame's
+ * varints fit in 9 bytes (so below 2^63) and its body holds nothing after
+ * the last field. */
+
+#define RSP_OP_QUERY 0x01
+#define RSP_OP_RESULT 0x81
+#define RSP_MAX_FRAME ((uint64_t)64 * 1024 * 1024)
+
+/* Why a scan stopped (``info[3]``). */
+#define SCAN_MORE 0    /* the buffer ends inside (or right after) a frame */
+#define SCAN_FRAME 1   /* a frame that is not plain: body [info[4], info[5]) */
+#define SCAN_AGAIN 2   /* the run is full, or the next plain frame names
+                          another member: scan again from info[0] */
+#define SCAN_CORRUPT 3 /* a corrupt length prefix or an oversized frame */
+
+/* The frame at ``pos``: 0 with its body [*body, *end) when complete, 1 when
+ * the buffer ends first, 2 when its length prefix is corrupt (more than ten
+ * bytes) or over the limit — ``FrameDecoder.frames``'s three outcomes. */
+static int rsp_frame(const uint8_t *buf, uint64_t len, uint64_t pos,
+                     uint64_t *body, uint64_t *end) {
+    uint64_t value = 0;
+    int i;
+    for (i = 0;; i++) {
+        uint8_t byte;
+        if (pos + i >= len) return 1; /* fewer than ten bytes: wait */
+        byte = buf[pos + i];
+        if (i < 9)
+            value |= (uint64_t)(byte & 0x7f) << (7 * i);
+        else if (byte & 0xff) /* a tenth byte: too long, or >= 2^63 */
+            return 2;
+        if (!(byte & 0x80)) break;
+    }
+    if (value > RSP_MAX_FRAME) return 2;
+    *body = pos + i + 1;
+    if (value > len - *body) return 1;
+    *end = *body + value;
+    return 0;
+}
+
+/* A uvarint of at most 9 bytes inside [*pos, end). */
+static inline int rsp_uvarint(const uint8_t *buf, uint64_t end, uint64_t *pos,
+                              int64_t *out) {
+    uint64_t value = 0, p = *pos;
+    int i;
+    for (i = 0; i < 9 && p < end; i++) {
+        uint8_t byte = buf[p++];
+        value |= (uint64_t)(byte & 0x7f) << (7 * i);
+        if (!(byte & 0x80)) {
+            *pos = p;
+            *out = (int64_t)value;
+            return E_OK;
+        }
+    }
+    return E_FALLBACK;
+}
+
+/* A plain QUERY body: op, request id, name field, u, v and nothing else. */
+static int rsp_plain_query(const uint8_t *buf, uint64_t p, uint64_t end,
+                           uint64_t *name, uint64_t *name_len, int64_t *cols) {
+    int64_t length;
+    if (p >= end || buf[p] != RSP_OP_QUERY) return E_FALLBACK;
+    p++;
+    if (rsp_uvarint(buf, end, &p, &cols[0]) || rsp_uvarint(buf, end, &p, &length) ||
+        (uint64_t)length > end - p)
+        return E_FALLBACK;
+    *name = p;
+    *name_len = (uint64_t)length;
+    p += (uint64_t)length;
+    if (rsp_uvarint(buf, end, &p, &cols[1]) || rsp_uvarint(buf, end, &p, &cols[2]))
+        return E_FALLBACK;
+    return p == end ? E_OK : E_FALLBACK;
+}
+
+/* A plain RESULT body: op, request id, kind exact, count 1, one value. */
+static int rsp_plain_result(const uint8_t *buf, uint64_t p, uint64_t end,
+                            uint64_t *name, uint64_t *name_len, int64_t *cols) {
+    int64_t count;
+    if (p >= end || buf[p] != RSP_OP_RESULT) return E_FALLBACK;
+    p++;
+    if (rsp_uvarint(buf, end, &p, &cols[0]) || p >= end || buf[p] != 0) return E_FALLBACK;
+    p++;
+    if (rsp_uvarint(buf, end, &p, &count) || count != 1 ||
+        rsp_uvarint(buf, end, &p, &cols[1]))
+        return E_FALLBACK;
+    *name = p;
+    *name_len = 0;
+    return p == end ? E_OK : E_FALLBACK;
+}
+
+typedef int (*rsp_plain_fn)(const uint8_t *, uint64_t, uint64_t, uint64_t *,
+                            uint64_t *, int64_t *);
+
+/* The run of plain frames from ``pos``, at most ``max_frames``: ids[i] and
+ * ``width`` values per frame in vals.  ``info`` receives the position
+ * after the run, the run's name field (offset, length), the stop reason and
+ * a stopping frame's body bounds. */
+static int64_t rsp_scan(rsp_plain_fn plain, int width, const uint8_t *buf,
+                        uint64_t len, uint64_t pos, int64_t max_frames,
+                        int64_t *ids, int64_t *vals, uint64_t *info) {
+    int64_t count = 0, cols[3];
+    uint64_t body, end, name, name_len;
+    int status, k;
+    info[1] = info[2] = 0;
+    for (;;) {
+        if (count >= max_frames) {
+            status = SCAN_AGAIN;
+            break;
+        }
+        status = rsp_frame(buf, len, pos, &body, &end);
+        if (status) {
+            status = status == 1 ? SCAN_MORE : SCAN_CORRUPT;
+            break;
+        }
+        if (plain(buf, body, end, &name, &name_len, cols)) {
+            info[4] = body;
+            info[5] = end;
+            status = SCAN_FRAME;
+            break;
+        }
+        if (!count) {
+            info[1] = name;
+            info[2] = name_len;
+        } else if (name_len != info[2] || memcmp(buf + name, buf + info[1], name_len)) {
+            status = SCAN_AGAIN;
+            break;
+        }
+        ids[count] = cols[0];
+        for (k = 0; k < width; k++) vals[width * count + k] = cols[1 + k];
+        count++;
+        pos = end;
+    }
+    info[0] = pos;
+    info[3] = (uint64_t)status;
+    return count;
+}
+
+/* QUERY frames: request ids into ``ids``, (u, v) pairs flat into ``pairs``. */
+int64_t repro_scan_queries(const uint8_t *buf, uint64_t len, uint64_t pos,
+                           int64_t max_frames, int64_t *ids, int64_t *pairs,
+                           uint64_t *info) {
+    return rsp_scan(rsp_plain_query, 2, buf, len, pos, max_frames, ids, pairs, info);
+}
+
+/* RESULT frames: request ids into ``ids``, the exact values into ``values``. */
+int64_t repro_scan_results(const uint8_t *buf, uint64_t len, uint64_t pos,
+                           int64_t max_frames, int64_t *ids, int64_t *values,
+                           uint64_t *info) {
+    return rsp_scan(rsp_plain_result, 1, buf, len, pos, max_frames, ids, values, info);
+}
+
+static inline uint8_t *rsp_put_uvarint(uint8_t *p, uint64_t v) {
+    while (v >= 0x80) {
+        *p++ = (uint8_t)(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = (uint8_t)v;
+    return p;
+}
+
+/* ``count`` exact single-value RESULT frames, byte for byte those of
+ * ``protocol.encode_result_block``: uvarint(body length), then 0x81,
+ * uvarint(id), kind 0, count 1, uvarint(value).  ``out`` holds
+ * RSP_RESULT_BYTES bytes per frame.  Returns the bytes written, or -1 —
+ * writing nothing useful — when an id or value is negative (the Python
+ * encoder then raises as it would). */
+#define RSP_RESULT_BYTES 24
+int64_t repro_encode_results(const int64_t *ids, const int64_t *values,
+                             int64_t count, uint8_t *out) {
+    uint8_t *p = out;
+    int64_t i;
+    for (i = 0; i < count; i++) {
+        uint8_t *body = p + 1;
+        uint8_t *q = body;
+        if (ids[i] < 0 || values[i] < 0) return -1;
+        *q++ = RSP_OP_RESULT;
+        q = rsp_put_uvarint(q, (uint64_t)ids[i]);
+        *q++ = 0;
+        *q++ = 1;
+        q = rsp_put_uvarint(q, (uint64_t)values[i]);
+        *p = (uint8_t)(q - body); /* at most 22 bytes: a one-byte prefix */
+        p = q;
+    }
+    return (int64_t)(p - out);
 }

@@ -40,7 +40,7 @@ from struct import error as StructError, pack
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 6
+ABI_VERSION = 7
 
 _CDEF = """
 int repro_kernels_abi(void);
@@ -70,6 +70,14 @@ int repro_matrix(int kind, const uint8_t *payload, uint64_t nbytes,
 int repro_checksum(int kind, const uint8_t *payload, uint64_t nbytes,
                    const uint64_t *offs, const uint64_t *lens, int64_t n_total,
                    const int64_t *nodes, int64_t n_nodes, uint64_t *out);
+int64_t repro_scan_queries(const void *buf, uint64_t len, uint64_t pos,
+                           int64_t max_frames, int64_t *ids, int64_t *pairs,
+                           uint64_t *info);
+int64_t repro_scan_results(const void *buf, uint64_t len, uint64_t pos,
+                           int64_t max_frames, int64_t *ids, int64_t *values,
+                           uint64_t *info);
+int64_t repro_encode_results(const void *ids, const void *values, int64_t count,
+                             uint8_t *out);
 """
 
 #: ``repro_arena_pair``'s answer when it declines: INT64_MIN, which no
@@ -91,6 +99,17 @@ ENCODE_CHUNK_BYTES = 1 << 16
 
 #: ``encoding_stats`` keys, in the order of the C encoder's counters
 _ENCODING_STATS = ("pushed_bits", "fat_subtrees", "thin_subtrees", "skipped_entries")
+
+#: frames one scanner call turns into columns (a longer run takes more calls)
+SCAN_FRAMES = 1024
+
+#: why ``repro_scan_queries``/``repro_scan_results`` stopped (``info[3]``)
+_SCAN_MORE = 0
+_SCAN_FRAME = 1
+_SCAN_AGAIN = 2
+
+#: output bytes ``repro_encode_results`` may write per frame
+_RESULT_BYTES = 24
 
 #: guard against absurd matrices: m*m int64 results; above this the Python
 #: path is just as memory-bound and the fused fill buys nothing
@@ -306,23 +325,31 @@ class NativeBackend:
         return self.ffi.gc(arena, self.lib.repro_arena_free)
 
     def batch_query(self, arena, pairs):
-        """Distances for the ``(u, v)`` sequence ``pairs`` through ``arena``.
+        """Distances for ``pairs`` through ``arena``, or ``None``.
 
-        The pairs cross as one flat native ``int64`` buffer; C range-checks
-        and dedups the endpoints, counts them against the arena and writes
-        the answers into an output buffer.  ``None`` when the kernel
+        ``pairs`` is a sequence of ``(u, v)`` pairs, packed here into one
+        flat native ``int64`` buffer, or already such a buffer: an
+        ``array('q')`` of ``u0, v0, u1, v1, ...``.  C range-checks and
+        dedups the endpoints, counts them against the arena and writes the
+        answers into an output buffer, returned as a list for pairs and as
+        an ``array('q')`` for a flat buffer.  ``None`` when the kernel
         declines, including for anything that is not a sequence of integer
         pairs.
         """
-        count = len(pairs)
-        try:
-            flat = pack(f"{2 * count}q", *chain.from_iterable(pairs))
-        except (StructError, TypeError):
-            return None
+        ffi = self.ffi
+        if type(pairs) is array:
+            count = len(pairs) // 2
+            flat = ffi.from_buffer(pairs)
+        else:
+            count = len(pairs)
+            try:
+                flat = pack(f"{2 * count}q", *chain.from_iterable(pairs))
+            except (StructError, TypeError):
+                return None
         out = array("q", bytes(8 * count))
-        if self.lib.repro_arena_batch(arena, flat, count, self.ffi.from_buffer(out)):
+        if self.lib.repro_arena_batch(arena, flat, count, ffi.from_buffer(out)):
             return None
-        return out.tolist()
+        return out if type(pairs) is array else out.tolist()
 
     def pair_query(self, arena, u, v):
         """One pair's distance through ``arena`` (a batch of one), or ``None``."""
@@ -337,6 +364,12 @@ class NativeBackend:
         out = self.ffi.new("uint64_t[5]")
         self.lib.repro_arena_stats(arena, out)
         return tuple(out)
+
+    # -- the RSP/1 hot lane ------------------------------------------------------
+
+    def wire_codec(self) -> "WireCodec":
+        """A fresh :class:`WireCodec` (one per event loop: it owns scratch)."""
+        return WireCodec(self.ffi, self.lib)
 
     # -- encoding --------------------------------------------------------------
 
@@ -472,3 +505,96 @@ class NativeBackend:
         if rc:
             return None
         return ffi.unpack(out, count), int(end[0])
+
+
+class WireCodec:
+    """The C side of RSP/1's hot lane, with its own scratch columns.
+
+    ``scan_queries`` and ``scan_results`` split a receive buffer into
+    frames the way ``FrameDecoder.frames`` does.  A run of plain QUERY
+    (plain exact RESULT) frames comes back as one ``(name, ids, values)``
+    item — the run's member name field as bytes (empty for results), its
+    request ids, and its flat ``(u, v)`` pairs (result values) as
+    ``array('q')`` columns.  Every other complete frame comes back as its
+    body ``bytes`` for the Python decoder.  :mod:`repro.serve.protocol`
+    defines plain frames and holds the reference codec these must match.
+
+    One instance per event loop: calls share the scratch buffers, and cffi
+    releases the GIL around them.
+    """
+
+    __slots__ = ("_ffi", "_lib", "_ids", "_values", "_info", "_out", "_out_frames")
+
+    def __init__(self, ffi, lib) -> None:
+        self._ffi = ffi
+        self._lib = lib
+        self._ids = ffi.new("int64_t[]", SCAN_FRAMES)
+        self._values = ffi.new("int64_t[]", 2 * SCAN_FRAMES)
+        self._info = ffi.new("uint64_t[6]")
+        self._out = ffi.new("uint8_t[]", _RESULT_BYTES * SCAN_FRAMES)
+        self._out_frames = SCAN_FRAMES
+
+    def scan_queries(self, data):
+        """``(items, consumed, corrupt)`` of the QUERY-side scan of ``data``."""
+        return self._scan(self._lib.repro_scan_queries, 2, data)
+
+    def scan_results(self, data):
+        """``(items, consumed, corrupt)`` of the RESULT-side scan of ``data``."""
+        return self._scan(self._lib.repro_scan_results, 1, data)
+
+    def _scan(self, step, width, data):
+        """Items from the start of ``data`` up to the first incomplete frame.
+
+        ``consumed`` is where that frame starts; ``corrupt`` is true when
+        the scan stopped at a frame whose length prefix ``FrameDecoder``
+        rejects, and the items before it are then not to be acted on.
+        ``data`` is ``bytes`` or a ``bytearray``; a bytearray's buffer is
+        released before returning, so the caller may resize it.
+        """
+        ffi = self._ffi
+        ids, values, info = self._ids, self._values, self._info
+        view = data if type(data) is bytes else ffi.from_buffer("uint8_t[]", data)
+        total = len(data)
+        items = []
+        pos = 0
+        try:
+            while True:
+                count = step(view, total, pos, SCAN_FRAMES, ids, values, info)
+                if count:
+                    id_column = array("q")
+                    id_column.frombytes(ffi.buffer(ids, 8 * count))
+                    value_column = array("q")
+                    value_column.frombytes(ffi.buffer(values, 8 * width * count))
+                    name = bytes(data[info[1] : info[1] + info[2]]) if info[2] else b""
+                    items.append((name, id_column, value_column))
+                pos = info[0]
+                status = info[3]
+                if status == _SCAN_FRAME:
+                    items.append(bytes(data[info[4] : info[5]]))
+                    pos = info[5]
+                elif status != _SCAN_AGAIN:
+                    return items, pos, status != _SCAN_MORE
+        finally:
+            if view is not data:
+                ffi.release(view)
+
+    def encode_results(self, ids, values):
+        """The exact single-value RESULT frames of ``zip(ids, values)``.
+
+        Both are ``array('q')`` columns of one length.  Byte for byte what
+        ``protocol.encode_result_block`` writes for an exact kind, or
+        ``None`` when an id or a value is negative.
+        """
+        count = len(ids)
+        if ids.typecode != "q" or values.typecode != "q" or len(values) != count:
+            raise ValueError("encode_results takes two array('q') columns of one length")
+        if count > self._out_frames:
+            self._out = self._ffi.new("uint8_t[]", _RESULT_BYTES * count)
+            self._out_frames = count
+        ffi = self._ffi
+        written = self._lib.repro_encode_results(
+            ffi.from_buffer(ids), ffi.from_buffer(values), count, self._out
+        )
+        if written < 0:
+            return None
+        return ffi.buffer(self._out, written)[:]

@@ -29,6 +29,11 @@ class PythonBackend:
     def varint_many(self, data, start, count):
         return None
 
+    def wire_codec(self):
+        """No native wire codec: the server and client keep the reference
+        codec of :mod:`repro.serve.protocol`."""
+        return None
+
     def encode_freedman(self, scheme, tree):
         """No native encoder: the scheme's Python encoder writes the labels."""
         return None

@@ -21,7 +21,6 @@ enabling thread only.
 
 from __future__ import annotations
 
-import cProfile
 import os
 import signal
 
@@ -63,6 +62,8 @@ def install_profile_hook(
     spec = environ.get(ENV_VAR)
     if not spec or not hasattr(signal, "SIGUSR2"):
         return False
+    import cProfile  # only an armed process loads the profiler
+
     seconds, directory = parse_profile_spec(spec)
     state = {"profiler": None}
 

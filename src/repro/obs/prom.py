@@ -24,7 +24,6 @@ Two halves:
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.hist import Histogram, merge_histogram_dicts
 
@@ -164,6 +163,9 @@ class MetricsServer:
     """
 
     def __init__(self, source, host: str = "127.0.0.1", port: int = 0) -> None:
+        # imported here: only a process that exports metrics pays for http
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self._source = source
 
         outer = self

@@ -95,7 +95,22 @@ Response payloads::
   one double holding the guaranteed ratio bound ``1 + eps``.
 
 MATRIX results flatten row-major; the client reshapes (it knows the node
-count).  ERROR and BUSY responses are request-scoped — the connection stays
+count).
+
+The hot lane: on the native kernel tier both ends split their receive
+buffers in C (:class:`repro.kernels.native.WireCodec`).  A *plain* QUERY —
+no suffix, nothing after ``v``, every varint within 9 bytes — takes the
+lane: the server scans each run of them with one member name into
+``int64`` columns (request ids, flat pairs), queues the run as one
+coalescer entry, answers a member's runs with one flat
+``QueryEngine.batch_query`` call and writes each connection's exact
+RESULT frames from the answer column in C.  Plain exact single-value
+RESULT frames resolve the client's futures from columns the same way.
+Everything else — traced and routed QUERYs, BATCH, MATRIX, STATS, INFO,
+TRACE, non-exact kinds, and every frame on the python tier or under a
+``REPRO_FAULTS`` plan — goes through :mod:`repro.serve.protocol`'s
+decoder and encoder, which define the bytes; ``tests/test_serve_fuzz.py``
+holds both paths to the same responses.  ERROR and BUSY responses are request-scoped — the connection stays
 usable — while unparseable bytes close the connection.  BUSY is the
 additive ``"busy"`` capability of RSP/1 (advertised in the INFO payload's
 ``features`` list): an overloaded server sheds the request instead of
@@ -133,7 +148,20 @@ from repro.serve.protocol import ProtocolError
 from repro.serve.retry import RestartPolicy
 from repro.serve.routing import HashRing, build_routing_table
 from repro.serve.server import LabelServer, ServingCore, serve
-from repro.serve.supervisor import FleetCrashLoop, FleetSupervisor, store_generation
+
+#: names served by :mod:`repro.serve.supervisor`, imported on first use: a
+#: single-process server or a client never loads the fleet's
+#: ``multiprocessing`` machinery
+_SUPERVISOR_NAMES = ("FleetSupervisor", "FleetCrashLoop", "store_generation")
+
+
+def __getattr__(name: str):
+    if name in _SUPERVISOR_NAMES:
+        from repro.serve import supervisor
+
+        return getattr(supervisor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ServingCore",

@@ -59,6 +59,7 @@ import random
 import socket
 from operator import attrgetter
 
+from repro import kernels
 from repro.api.result import QueryResult
 from repro.serve import protocol
 from repro.serve.retry import backoff_delay as _backoff_delay
@@ -147,6 +148,9 @@ class AsyncLabelClient:
         self._reader = reader
         self._writer = writer
         self._decoder = protocol.FrameDecoder()
+        #: the native tier's wire codec: plain exact RESULT frames resolve
+        #: their futures from int64 columns (``None`` on the python tier)
+        self._codec = kernels.backend().wire_codec()
         #: request frames posted this loop tick, written by one ``_uncork``
         self._corked: list[bytes] = []
         self._ids = itertools.count(1)
@@ -288,15 +292,31 @@ class AsyncLabelClient:
     # -- plumbing ------------------------------------------------------------
 
     async def _read_loop(self) -> None:
+        codec = self._codec
+        waiting = self._waiting
         try:
             while True:
                 chunk = await self._reader.read(65536)
                 if not chunk:
                     raise ConnectionError("server closed the connection")
-                self._decoder.feed(chunk)
-                for body in self._decoder.frames():
-                    op, request_id, payload = protocol.decode_response(body)
-                    future = self._waiting.pop(request_id, None)
+                if codec is None:
+                    self._decoder.feed(chunk)
+                    items = self._decoder.frames()
+                else:
+                    items = self._decoder.scan(chunk, codec.scan_results)
+                for item in items:
+                    if type(item) is not bytes:
+                        # a run of plain exact RESULT frames, as int64 columns
+                        _, ids, values = item
+                        for request_id, value in zip(ids, values):
+                            future = waiting.pop(request_id, None)
+                            if future is not None and not future.done():
+                                future.set_result(
+                                    (protocol.OP_RESULT, (protocol.KIND_EXACT, None, [value]))
+                                )
+                        continue
+                    op, request_id, payload = protocol.decode_response(item)
+                    future = waiting.pop(request_id, None)
                     if future is not None and not future.done():
                         if op == protocol.OP_BUSY:
                             future.set_exception(ServerBusy(payload))

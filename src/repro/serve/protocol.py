@@ -11,6 +11,14 @@ Requests and responses are plain tuples/dataclass-free values so both ends
 stay allocation-light on the hot path: the server decodes a request body
 into ``(op, request_id, name, payload, trace_id, route_version)`` and the
 client decodes a response body into ``(op, request_id, payload)``.
+
+This module is also the reference for the native tier's hot lane
+(:class:`repro.kernels.native.WireCodec`), which takes *plain* frames as
+``int64`` columns without a Python object per frame: a plain QUERY has no
+suffix field and nothing after ``v``; a plain RESULT is exact-kind with
+one value and nothing after it; every varint of either fits in 9 bytes.
+``FrameDecoder.scan`` splits with it, and the C RESULT encoder writes the
+bytes :func:`encode_result_block` writes.
 """
 
 from __future__ import annotations
@@ -153,6 +161,32 @@ class FrameDecoder:
         if pos:
             del buffer[:pos]
         return out
+
+    def scan(self, data: bytes, scanner) -> list:
+        """Feed ``data`` and split every complete frame with ``scanner``.
+
+        ``scanner`` is a native hot lane's ``scan_queries`` or
+        ``scan_results`` (:class:`repro.kernels.native.WireCodec`): runs of
+        *plain* frames come back as ``(name, ids, values)`` column items,
+        every other frame as its body.  It raises :class:`ProtocolError`
+        on exactly the streams :meth:`frames` raises on, before any item of
+        this feed is returned, so the two splits are interchangeable.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        items, consumed, corrupt = scanner(data)
+        if corrupt:
+            if data is not buffer:
+                buffer += data
+            self.frames()  # raises the reference ProtocolError
+            raise ProtocolError("corrupt frame length prefix")
+        if data is buffer:
+            del buffer[:consumed]
+        elif consumed < len(data):
+            buffer += memoryview(data)[consumed:]
+        return items
 
 
 # -- request encoding --------------------------------------------------------

@@ -16,7 +16,9 @@ request path in every worker process:
     :mod:`repro.serve.supervisor` runs one per forked worker.
 
 The core's defining feature is the **micro-batching coalescer**: QUERY
-requests are not answered one at a time.  Each one is appended to a
+requests are not answered one at a time.  Each run of them from one
+connection (on the native tier a run of plain frames the C scanner turned
+into ``int64`` columns, otherwise one decoded QUERY) is appended to a
 per-member pending list and the flush is scheduled with ``loop.call_soon``,
 which runs *after* every ``data_received`` callback of the current event-loop
 tick — so all queries that arrived in this tick, across every connection,
@@ -24,8 +26,8 @@ are answered by **one** :meth:`QueryEngine.batch_query` call per member.
 That call decodes each distinct endpoint once (warming the engine's label
 cache for every future tick) and the responses are written back with one
 ``transport.write`` per connection instead of one per request.  Under a
-pipelined client the serving cost per query drops to an append, a shared
-batch slot and a shared write.
+pipelined client the serving cost per query drops to a share of one
+scan, one batch call, one C encode and one write.
 
 Two overload/latency features ride on the same structure:
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from array import array
 
 from repro import kernels
 from repro.api.catalog import CatalogError, IndexCatalog
@@ -62,7 +65,7 @@ from repro.store.label_store import StoreError
 class _Member:
     """One servable index plus the constants its responses need."""
 
-    __slots__ = ("name", "index", "kind_code", "ratio_bound", "pending")
+    __slots__ = ("name", "index", "kind_code", "ratio_bound", "pending", "queued")
 
     def __init__(self, name: str, index: DistanceIndex) -> None:
         self.name = name
@@ -73,10 +76,15 @@ class _Member:
             if index.kind == "approximate"
             else (1.0 if index.kind == "exact" else None)
         )
-        #: coalescer queue: (connection, request_id, u, v, enqueued_at, trace)
-        #: where ``trace`` is ``(trace_id, arrived, decoded)`` for requests
-        #: carrying the additive trace-id field and ``None`` otherwise
+        #: coalescer queue, one entry per run of QUERYs from one connection:
+        #: ``(connection, count, ids, pairs, enqueued_at, trace)``.  A run the
+        #: native hot lane scanned holds ``array('q')`` columns (request ids,
+        #: flat ``(u, v)`` pairs); a QUERY the Python decoder read is a run of
+        #: one with ``(request_id,)`` and ``(u, v)``.  ``trace`` is
+        #: ``(trace_id, arrived, decoded)`` for a request carrying the
+        #: additive trace-id field and ``None`` otherwise.
         self.pending: list[tuple] = []
+        self.queued = 0  #: QUERYs in ``pending``
 
 
 class ServingCore:
@@ -136,6 +144,11 @@ class ServingCore:
         #: this the server sheds load with BUSY instead of queueing
         self.max_pending = max_pending
         self.max_matrix_inflight = max_matrix_inflight
+        #: the native tier's wire codec for plain QUERY/RESULT frames, or
+        #: ``None``: the python tier, and a fault plan, which fires once per
+        #: request, take every frame through ``protocol.decode_request``
+        self._faults = faults.plan_for(slot)
+        self._codec = kernels.backend().wire_codec() if self._faults is None else None
         self._flush_scheduled = False
         self._dirty: list[_Member] = []
         self.matrix_inflight = 0  #: MATRIX requests on the executor right now
@@ -146,7 +159,6 @@ class ServingCore:
         self.slot = slot
         self.restarts = restarts
         self.generation = generation
-        self._faults = faults.plan_for(slot)
         #: open _Connection objects, so a draining worker can close them
         self._connections: set = set()
         #: member placement (the ``routing`` feature): the member names this
@@ -364,39 +376,59 @@ class ServingCore:
 
     # -- the micro-batching coalescer ----------------------------------------
 
-    def enqueue_query(
+    def enqueue(
         self,
         member: _Member,
         connection,
-        request_id: int,
-        u: int,
-        v: int,
+        count: int,
+        ids,
+        pairs,
         trace: tuple | None = None,
     ) -> None:
-        """Queue one QUERY for the next flush (or flush now when naive).
+        """Queue a run of ``count`` QUERYs for the next flush (or flush now).
 
-        When the pending queue is already at ``max_pending``, the request is
-        shed immediately with BUSY — bounded memory and bounded latency for
-        everything already queued, at the price of the client retrying.
-        ``trace`` is ``(trace_id, arrived, decoded)`` for requests carrying
-        the additive trace-id field.
+        ``ids`` and ``pairs`` are the run's request ids and flat ``(u, v)``
+        pairs (see :attr:`_Member.pending`).  The run is cut where the queue
+        reaches ``max_batch`` for the member (a flush) or ``max_pending``
+        in all, beyond which each request is shed immediately with BUSY —
+        bounded memory and bounded latency for everything already queued, at
+        the price of the client retrying.  Naive mode flushes every QUERY
+        alone.  ``trace`` is ``(trace_id, arrived, decoded)`` for a request
+        carrying the additive trace-id field.
         """
-        if self.pending_total >= self.max_pending:
-            self.busy_rejections += 1
-            connection.send(protocol.encode_busy(request_id, self._retry_hint_ms()))
-            return
-        pending = member.pending
-        if not pending:
-            self._dirty.append(member)
-        pending.append((connection, request_id, u, v, time.monotonic(), trace))
-        self.pending_total += 1
-        if not self.coalesce or len(pending) >= self.max_batch:
-            self._flush()
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            # call_soon runs after every data_received callback already queued
-            # in this event-loop tick: that is the coalescing window
-            asyncio.get_running_loop().call_soon(self._flush)
+        while count:
+            room = self.max_pending - self.pending_total
+            if room <= 0:
+                self.busy_rejections += count
+                hint = self._retry_hint_ms()
+                for request_id in ids:
+                    connection.send(protocol.encode_busy(request_id, hint))
+                return
+            take = (
+                1
+                if count == 1 or not self.coalesce
+                else min(count, room, self.max_batch - member.queued)
+            )
+            pending = member.pending
+            if not pending:
+                self._dirty.append(member)
+            if take == count:
+                pending.append((connection, count, ids, pairs, time.monotonic(), trace))
+            else:
+                pending.append(
+                    (connection, take, ids[:take], pairs[: 2 * take], time.monotonic(), trace)
+                )
+                ids, pairs = ids[take:], pairs[2 * take :]
+            count -= take
+            member.queued += take
+            self.pending_total += take
+            if not self.coalesce or member.queued >= self.max_batch:
+                self._flush()
+            elif not self._flush_scheduled:
+                self._flush_scheduled = True
+                # call_soon runs after every data_received callback already
+                # queued in this event-loop tick: that is the coalescing window
+                asyncio.get_running_loop().call_soon(self._flush)
 
     def _retry_hint_ms(self) -> int:
         """Backoff hint sent with BUSY: roughly one coalescer drain."""
@@ -405,11 +437,14 @@ class ServingCore:
     def _flush(self) -> None:
         """Answer every pending query with one batch call per member.
 
-        A batch call that raises (one out-of-range pair fails the whole
-        call) is retried pair by pair, so only the offending requests get
-        ``OP_ERROR``; the good ones take the same grouping, encode and
-        write path as an unpoisoned flush, which counts once in
-        ``flushes`` either way.
+        A member's runs join into one flat ``array('q')`` of pairs for
+        :meth:`QueryEngine.batch_query` (on the python tier, where every run
+        is one decoded QUERY, into a list of pairs).  A batch call that
+        raises (one out-of-range pair fails the whole call) is retried pair
+        by pair, so only the offending requests get ``OP_ERROR``; the good
+        ones take the same grouping, encode and write path as an unpoisoned
+        flush, which counts once in ``flushes`` either way.  Histograms take
+        one ``observe_many`` per run, whose QUERYs share their times.
         """
         self._flush_scheduled = False
         if not self._dirty:
@@ -424,62 +459,62 @@ class ServingCore:
             if not pending:
                 continue
             member.pending = []
-            self.pending_total -= len(pending)
+            self.pending_total -= member.queued
+            member.queued = 0
             flush_start = now()
             try:
-                answers = member.index.batch(
-                    [(item[2], item[3]) for item in pending], raw=True
-                )
-            except (StoreError, ValueError):
-                # one bad pair must not poison the whole coalesced batch:
-                # answer each pair alone; only the offenders get OP_ERROR
-                good, answers = [], []
-                for item in pending:
-                    try:
-                        answers.append(member.index.query(item[2], item[3], raw=True))
-                    except (StoreError, ValueError) as error:
-                        self.errors += 1
-                        item[0].send(protocol.encode_error(item[1], str(error)))
-                    else:
-                        good.append(item)
-                pending = good
+                if self._codec is None:
+                    # every entry is one decoded QUERY: its pair as is
+                    batch = [entry[3] for entry in pending]
+                else:
+                    batch = array("q")
+                    for entry in pending:
+                        batch.extend(entry[3])
+                answers = member.index.engine.batch_query(batch)
+            except (StoreError, ValueError, OverflowError):
+                # one bad pair must not poison the whole coalesced batch
+                pending, answers = self._answer_alone(member, pending)
             finished = now()
             self.flushes += 1
-            self.coalesced += len(pending)
-            self.queries += len(pending)
+            self.coalesced += len(answers)
+            self.queries += len(answers)
             self.stage_hist["batch"].observe((finished - flush_start) * 1000.0)
-            # group per connection, then build each connection's response
-            # frames in one encode_result_block call and one write
+            # group per connection, then encode each connection's response
+            # frames as one block and write it once
             answered: dict[object, list] = {}
             traced: list[tuple] = []
-            for item, answer in zip(pending, answers):
-                connection, request_id, u, v, enqueued, trace = item
+            start = 0
+            for connection, count, ids, pairs, enqueued, trace in pending:
+                run = answers[start : start + count]
+                start += count
                 total_ms = (finished - enqueued) * 1000.0
-                latency_hist.observe(total_ms)
-                queue_hist.observe((flush_start - enqueued) * 1000.0)
+                latency_hist.observe_many(total_ms, count)
+                queue_hist.observe_many((flush_start - enqueued) * 1000.0, count)
                 if slow_ms is not None and total_ms >= slow_ms:
-                    self.tracer.maybe_slow(
-                        total_ms,
-                        {
-                            "op": "query",
-                            "member": member.name,
-                            "u": u,
-                            "v": v,
-                            "trace_id": trace[0] if trace else None,
-                        },
-                    )
+                    for at in range(0, 2 * count, 2):
+                        self.tracer.maybe_slow(
+                            total_ms,
+                            {
+                                "op": "query",
+                                "member": member.name,
+                                "u": pairs[at],
+                                "v": pairs[at + 1],
+                                "trace_id": trace[0] if trace else None,
+                            },
+                        )
                 if trace is not None:
-                    traced.append((trace, connection, u, v, enqueued))
-                bucket = answered.get(connection)
-                if bucket is None:
-                    bucket = answered[connection] = []
-                bucket.append((request_id, answer))
+                    traced.append((trace, connection, pairs[0], pairs[1], enqueued))
+                runs = answered.get(connection)
+                if runs is None:
+                    answered[connection] = [(ids, run)]
+                else:
+                    runs.append((ids, run))
             kind = member.kind_code
             ratio = member.ratio_bound
             sent: dict[object, tuple] = {}
-            for connection, items in answered.items():
+            for connection, runs in answered.items():
                 sent[connection] = self._send_timed(
-                    connection, protocol.encode_result_block, items, kind, ratio
+                    connection, self._encode_runs, runs, kind, ratio
                 )
             # a traced query reports its connection's shared encode/write
             # spans: the one block it was answered in is what it waited for
@@ -496,6 +531,55 @@ class ServingCore:
                     u=u,
                     v=v,
                 )
+
+    def _answer_alone(self, member: _Member, pending: list) -> tuple[list, list]:
+        """Answer a poisoned flush pair by pair: ``(good runs, answers)``.
+
+        Each offender gets ``OP_ERROR`` now, in queue order; the good
+        requests of a run stay together as a run of their own.
+        """
+        good: list[tuple] = []
+        answers: list = []
+        for connection, count, ids, pairs, enqueued, trace in pending:
+            kept_ids: list[int] = []
+            kept_pairs: list[int] = []
+            for at in range(count):
+                u, v = pairs[2 * at], pairs[2 * at + 1]
+                try:
+                    answers.append(member.index.query(u, v, raw=True))
+                except (StoreError, ValueError) as error:
+                    self.errors += 1
+                    connection.send(protocol.encode_error(ids[at], str(error)))
+                else:
+                    kept_ids.append(ids[at])
+                    kept_pairs += (u, v)
+            if kept_ids:
+                good.append(
+                    (connection, len(kept_ids), kept_ids, kept_pairs, enqueued, trace)
+                )
+        return good, answers
+
+    def _encode_runs(self, runs: list, kind: int, ratio: float | None) -> bytes:
+        """One connection's RESULT frames for ``runs`` of ``(ids, answers)``.
+
+        Exact answers the kernel gave as ``array('q')`` columns go through
+        the native codec; anything else, or a value it refuses, through
+        :func:`protocol.encode_result_block` — the same bytes either way.
+        """
+        codec = self._codec
+        if codec is None or kind != protocol.KIND_EXACT:
+            return protocol.encode_result_block(
+                [pair for ids, answers in runs for pair in zip(ids, answers)], kind, ratio
+            )
+        blocks = []
+        for ids, answers in runs:
+            block = None
+            if type(ids) is array and type(answers) is array:
+                block = codec.encode_results(ids, answers)
+            if block is None:
+                block = protocol.encode_result_block(zip(ids, answers), kind, ratio)
+            blocks.append(block)
+        return blocks[0] if len(blocks) == 1 else b"".join(blocks)
 
     def _send_timed(self, connection, encode, *args) -> tuple:
         """Encode one response with ``encode(*args)`` and write it.
@@ -589,9 +673,8 @@ class ServingCore:
                 self.misroutes += 1
             if op == protocol.OP_QUERY:
                 member = self.member(name)
-                u, v = payload
                 trace = (trace_id, arrived, decoded) if trace_id is not None else None
-                self.enqueue_query(member, connection, request_id, u, v, trace)
+                self.enqueue(member, connection, 1, (request_id,), payload, trace)
                 return
             if op == protocol.OP_BATCH:
                 member = self.member(name)
@@ -677,6 +760,34 @@ class ServingCore:
             message = error.args[0] if error.args else str(error)
             connection.send(protocol.encode_error(request_id, str(message)))
 
+    def handle_run(self, connection, run: tuple, decode_ms: float) -> None:
+        """Dispatch a run of plain QUERY frames the hot lane scanned.
+
+        ``run`` is ``(name, ids, pairs)`` (see ``WireCodec``); the frames
+        carry no route suffix, so a non-owned member is served in place as
+        a misroute, and a member that fails to open answers each request
+        with ``OP_ERROR``, as :meth:`handle_request` does frame by frame.
+        ``decode_ms`` is the scan's time per frame.
+        """
+        name, ids, pairs = run
+        count = len(ids)
+        try:
+            name = name.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise protocol.ProtocolError(f"malformed request: {error}") from error
+        self.stage_hist["decode"].observe_many(decode_ms, count)
+        if self._assigned is not None and not self.owns(name):
+            self.misroutes += count
+        try:
+            member = self.member(name)
+        except (CatalogError, StoreError, KeyError, ValueError) as error:
+            self.errors += count
+            message = str(error.args[0] if error.args else error)
+            for request_id in ids:
+                connection.send(protocol.encode_error(request_id, message))
+            return
+        self.enqueue(member, connection, count, ids, pairs)
+
     # -- graceful drain (used by the supervisor's worker shutdown path) --------
 
     async def drain(self, timeout: float = 5.0) -> bool:
@@ -732,10 +843,25 @@ class _Connection(asyncio.Protocol):
         self._core._connections.discard(self)
 
     def data_received(self, data: bytes) -> None:
+        core = self._core
+        codec = core._codec
         try:
-            self._decoder.feed(data)
-            for body in self._decoder.frames():
-                self._core.handle_request(self, body)
+            if codec is None:
+                self._decoder.feed(data)
+                for body in self._decoder.frames():
+                    core.handle_request(self, body)
+                return
+            # the hot lane: runs of plain QUERY frames as int64 columns,
+            # every other frame through the Python decoder, in stream order
+            arrived = time.monotonic()
+            items = self._decoder.scan(data, codec.scan_queries)
+            frames = sum(1 if type(item) is bytes else len(item[1]) for item in items)
+            decode_ms = (time.monotonic() - arrived) * 1000.0 / max(frames, 1)
+            for item in items:
+                if type(item) is bytes:
+                    core.handle_request(self, item)
+                else:
+                    core.handle_run(self, item, decode_ms)
         except protocol.ProtocolError:
             # unparseable bytes: the stream cannot be resynchronised
             self.abort()

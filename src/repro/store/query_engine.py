@@ -5,7 +5,9 @@ a label dominates query cost, so decoded labels are kept in a cache of
 ``cache_size`` labels with one policy: a batch looks each distinct endpoint
 up once, a resident label is a hit (never promoted), misses are admitted in
 first-seen order, and the oldest entries are trimmed to budget after the
-batch.  A single query is a batch of one pair.  The cache is held by:
+batch.  A single query is a batch of one pair, and a batch may arrive as
+pairs or as one flat ``array('q')``, the network server's form.  The cache
+is held by:
 
 - a decoded-label arena in C, one per engine, on the native tier
   (hld-fixed and Freedman; see :mod:`repro.kernels`).  Every query
@@ -37,6 +39,7 @@ and the scheme's ``parse_many`` reads each through a
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
@@ -142,14 +145,21 @@ class QueryEngine:
         """Alias of :meth:`query` for the common exact-scheme case."""
         return self.query(u, v)
 
-    def batch_query(self, pairs: Sequence[tuple[int, int]]) -> list:
+    def batch_query(self, pairs: Sequence[tuple[int, int]] | array) -> list | array:
         """Answer many queries, looking each distinct endpoint up once.
 
-        With a native arena the kernel answers the whole batch; if it
+        ``pairs`` is a sequence of ``(u, v)`` pairs or one flat
+        ``array('q')`` of ``u0, v0, u1, v1, ...`` (the network server's
+        form).  With a native arena the kernel answers the whole batch, in
+        a list for pairs and in an ``array('q')`` for a flat array; if it
         declines, the arena has already counted the batch, which
-        :meth:`_answer_in_python` then answers or raises on.
+        :meth:`_answer_in_python` then answers (in a list) or raises on.
         """
-        pairs = list(pairs)
+        if type(pairs) is array:
+            if pairs.typecode != "q" or len(pairs) % 2:
+                raise ValueError("a flat batch is an array('q') of (u, v) pairs")
+        else:
+            pairs = list(pairs)
         if not pairs:
             return []
         backend, arena = self._bound or self._bind()
@@ -157,6 +167,8 @@ class QueryEngine:
             answers = backend.batch_query(arena, pairs)
             if answers is not None:
                 return answers
+        if type(pairs) is array:
+            pairs = list(zip(pairs[0::2], pairs[1::2]))
         return self._answer_in_python(pairs, arena)
 
     def _answer_in_python(self, pairs, arena) -> list:

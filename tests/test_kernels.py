@@ -13,6 +13,8 @@ it.  These tests force each tier through
 
 from __future__ import annotations
 
+from array import array
+
 import dataclasses
 import os
 import random
@@ -179,10 +181,17 @@ def test_forced_unavailable_tier_degrades_with_note(tmp_path, monkeypatch):
 
 
 def _answers_under(tier, store, spec, pairs, nodes):
+    """Batch answers for ``pairs`` as pairs and as one flat ``array('q')``
+    (the network server's form), and the matrix over ``nodes``."""
     with forced_tier(tier):
         scheme = make_scheme_from_spec(spec)
         engine = QueryEngine(store, scheme=scheme)
-        return engine.batch_query(pairs), engine.matrix_into(nodes)
+        flat = array("q", [node for pair in pairs for node in pair])
+        return (
+            engine.batch_query(pairs),
+            list(engine.batch_query(flat)),
+            engine.matrix_into(nodes),
+        )
 
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])

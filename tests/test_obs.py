@@ -39,7 +39,7 @@ from repro.obs.hist import DEFAULT_BOUNDS_MS, Histogram, merge_histogram_dicts
 from repro.obs.profile import install_profile_hook, parse_profile_spec, profile_path
 from repro.obs.prom import MetricsServer, render
 from repro.obs.trace import STAGES, Span, Trace, TraceRecorder
-from repro.serve import AsyncLabelClient, FleetSupervisor, LabelServer, protocol
+from repro.serve import AsyncLabelClient, FleetSupervisor, LabelServer, ServerError, protocol
 from repro.serve.loadgen import run_load
 from repro.serve.metrics import merge_fleet_stats
 
@@ -324,22 +324,42 @@ def test_untraced_queries_record_nothing(index, tree):
 
 
 def test_detailed_stats_carry_stage_histograms(index, tree):
+    """Histogram counts stay exact whichever path a request takes: plain
+    runs, traced frames, BUSY-shed retries and a flush poisoned by an
+    out-of-range pair."""
+
     async def handler(server, client, host, port):
         pairs = random_pairs(tree, 30, seed=4)
-        await client.pipeline(pairs, raw=True, window=8)
+        await client.pipeline(pairs, raw=True, window=8, trace_every=3)
+        # one tick: a bad pair poisons the flush its neighbours share
+        poisoned = [(0, tree.n + 5), (1, 2), (3, 4)]
+        outcomes = await asyncio.gather(
+            *(client.query(u, v, raw=True) for u, v in poisoned),
+            return_exceptions=True,
+        )
+        assert isinstance(outcomes[0], ServerError)
+        assert outcomes[1:] == index.batch(poisoned[1:], raw=True)
         plain = await client.stats()
         assert "stages" not in plain
         assert "histogram" not in plain["latency_ms"]
         detail = await client.stats(detail=True)
+        assert detail["busy_rejections"] >= 1 and client.busy_retried >= 1
+        assert detail["errors"] == 1
+        assert detail["traces"]["recorded"] >= 1
+        answered = len(pairs) + len(poisoned) - 1
+        assert detail["queries"] == answered
         latency = Histogram.from_dict(detail["latency_ms"]["histogram"])
-        assert latency.total == len(pairs)
+        assert latency.total == detail["latency_ms"]["samples"] == answered
         for stage in ("decode", "queue", "batch", "encode", "write"):
             hist = Histogram.from_dict(detail["stages"][stage])
             assert hist.total >= 1
-        # decode counts every request; queue/batch count per coalesced query
-        assert Histogram.from_dict(detail["stages"]["queue"]).total == len(pairs)
+        # decode counts every request received (each BUSY retry is one
+        # more, and so are both STATS); queue counts per answered query
+        received = len(pairs) + len(poisoned) + client.busy_retried + 2
+        assert Histogram.from_dict(detail["stages"]["decode"]).total == received
+        assert Histogram.from_dict(detail["stages"]["queue"]).total == answered
 
-    _run(_with_server(index, handler))
+    _run(_with_server(index, handler, max_pending=4))
 
 
 # -- Prometheus exposition ----------------------------------------------------
