@@ -7,21 +7,19 @@ call and one response write per connection.  This runner measures what that
 is worth end to end: a real ``repro-labels serve`` subprocess on loopback,
 driven by the shared load generator (:mod:`repro.serve.loadgen`) under
 uniform and Zipf-skewed workloads, against the same server started with
-``--no-coalesce`` (the naive one-request-per-batch path).  Three further
+``--no-coalesce`` (the naive one-request-per-batch path).  Two further
 sections cover the scale-out features: ``multi_worker`` runs the same
 workload against ``--workers 1/2/4`` fleets (SO_REUSEPORT shard-per-core
-supervisor), ``observability`` records the throughput cost of
+supervisor), and ``observability`` records the throughput cost of
 request tracing at a 1% sample rate (advisory <= 5% gate — recorded, never
-raising), and ``sharded_catalog`` measures routed vs unrouted loadgen
-against a ``--workers 2 --shard-members`` member-sharded fleet.
+raising).
 
 ``python benchmarks/bench_serve_throughput.py`` writes
 ``BENCH_serve_throughput.json`` at the repo root; the recorded gates are
 coalesced >= 2x naive on the 10k-pair uniform workload, ``--workers 4``
 >= 1.8x the single process (asserted on hosts with >= 4 CPUs — a fleet
 cannot out-run its core count, and the CPU count is recorded next to the
-measurement), and routed >= 1.3x unrouted on the sharded catalog (asserted
-on hosts with >= 2 CPUs).  ``--quick`` runs everything at smoke sizes
+measurement).  ``--quick`` runs everything at smoke sizes
 tagged ``mode: "quick"``; the pytest entry points below only smoke the
 plumbing (tiny sizes, no timing assertions) so CI machine noise cannot
 flake them.
@@ -38,7 +36,7 @@ import tempfile
 
 import perf_common  # the src/ path shim, REPO_ROOT and write_json
 
-from repro.api import DistanceIndex, IndexCatalog
+from repro.api import DistanceIndex
 from repro.generators.workloads import make_tree
 from repro.serve.loadgen import run_load
 
@@ -51,14 +49,12 @@ def spawn_server(
     coalesce: bool,
     port: int = 0,
     workers: int = 1,
-    extra_args: list[str] | None = None,
 ):
     """Start ``repro-labels serve`` on loopback; returns ``(process, host, port)``.
 
     The server picks an ephemeral port (``--port 0``) and we parse the
     actual address from its ready line.  ``workers > 1`` starts the
-    shard-per-core fleet supervisor; ``extra_args`` append verbatim (e.g.
-    ``["--shard-members"]``).
+    shard-per-core fleet supervisor.
     """
     command = [
         sys.executable,
@@ -75,8 +71,6 @@ def spawn_server(
     ]
     if not coalesce:
         command.append("--no-coalesce")
-    if extra_args:
-        command.extend(extra_args)
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.path.join(perf_common.REPO_ROOT, "src") + (
         os.pathsep + environment["PYTHONPATH"] if environment.get("PYTHONPATH") else ""
@@ -111,28 +105,20 @@ def shutdown_server(process) -> str:
 def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
              connections: int, window: int, skew: float = 1.1, seed: int = 0,
              warmup: int = 0, repeats: int = 1, workers: int = 1,
-             trace_every: int = 0,
-             extra_args: list[str] | None = None,
-             members: list[str] | None = None, member_skew: float = 0.0,
-             route: bool = False) -> dict:
+             trace_every: int = 0) -> dict:
     """Drive one server mode; optional warmup pass and best-of-``repeats``.
 
     The warmup pass parses every touched label into the engine's LRU before
     the timed runs, so both modes are measured at the steady state the
     server actually serves from (cold-start cost is the store's concern and
-    is measured by perfbench's ``query-cold`` workload).  ``members`` spreads
-    the workload over catalog members and ``route=True`` lets the loadgen
-    consult the fleet's routing table (sharded servers; see ``extra_args``).
+    is measured by perfbench's ``query-cold`` workload).
     """
-    process, host, port = spawn_server(
-        store_path, coalesce=coalesce, workers=workers, extra_args=extra_args,
-    )
+    process, host, port = spawn_server(store_path, coalesce=coalesce, workers=workers)
     try:
         if warmup:
             run_load(
                 host, port, pairs=warmup, workload=workload, skew=skew,
                 connections=connections, window=window, seed=seed,
-                members=members, member_skew=member_skew, route=route,
             )
         report = None
         for _ in range(max(1, repeats)):
@@ -146,9 +132,6 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
                 window=window,
                 seed=seed,
                 trace_every=trace_every,
-                members=members,
-                member_skew=member_skew,
-                route=route,
             )
             if report is None or candidate["qps"] > report["qps"]:
                 report = candidate
@@ -156,7 +139,7 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
         shutdown = shutdown_server(process)
     server = report["server"]
     index_stats = server.get("index", {})
-    row = {
+    return {
         "qps": report["qps"],
         "seconds": report["seconds"],
         "checksum": report["checksum"],
@@ -171,12 +154,6 @@ def _measure(store_path: str, *, coalesce: bool, workload: str, pairs: int,
         "tracing": report.get("tracing"),
         "shutdown": shutdown,
     }
-    if members is not None:
-        row["route"] = route
-        row["route_redirects"] = report.get("route_redirects", 0)
-        row["misroutes"] = server.get("misroutes", 0)
-        row["moved_redirects"] = server.get("moved_redirects", 0)
-    return row
 
 
 # -- pytest smoke entry points (no timing assertions) -------------------------
@@ -244,37 +221,6 @@ def test_multi_worker_fleet_round_trip(tmp_path):
     assert rows[2]["workers"] >= 1  # distinct workers reached by loadgen
 
 
-def test_sharded_fleet_routed_round_trip(tmp_path):
-    """A ``--workers 2 --shard-members`` fleet answers a multi-member
-    workload with the same checksum routed and unrouted, and the routed run
-    causes zero misroutes (every stamped request reached an owner)."""
-    catalog = IndexCatalog()
-    names = [f"t{i}" for i in range(4)]
-    for rank, name in enumerate(names):
-        tree = make_tree("random", 120, seed=40 + rank)
-        catalog.add(name, DistanceIndex.build(tree, "freedman"))
-    catalog_path = str(tmp_path / "bench_shard.cat")
-    catalog.save(catalog_path)
-    rows = {}
-    for label, route in (("unrouted", False), ("routed", True)):
-        rows[label] = _measure(
-            catalog_path,
-            coalesce=True,
-            workload="uniform",
-            pairs=400,
-            connections=2,
-            window=32,
-            workers=2,
-            extra_args=["--shard-members"],
-            members=names,
-            member_skew=0.9,
-            route=route,
-        )
-    assert rows["unrouted"]["checksum"] == rows["routed"]["checksum"]
-    assert rows["routed"]["misroutes"] == 0
-    assert rows["routed"]["shutdown"].startswith("shutdown:")
-
-
 def test_traced_loadgen_round_trip(tmp_path):
     """A 1-in-50 traced run answers identically and folds a per-stage
     breakdown of real sampled requests into the report."""
@@ -305,18 +251,16 @@ def run_perf_json(
     smoke: bool = False, out: str | None = None, quick: bool = False
 ) -> dict:
     """Measure coalesced-vs-naive serving, multi-worker scaling and
-    sharded-catalog routing; write the JSON trajectory.
+    tracing overhead; write the JSON trajectory.
 
-    Three gates (recorded, and asserted when this file runs as a script):
+    Two gates (recorded, and asserted when this file runs as a script):
 
     * micro-batched serving >= 2x the naive one-request-per-batch path on
       the 10k-pair uniform workload (as since PR 4);
     * ``--workers 4`` aggregate throughput >= 1.8x the single-process path
       on the same workload.  Shard-per-core scaling needs cores to shard
       over, so this gate is asserted only when the host has >= 4 CPUs; the
-      measured ratio and the CPU count are recorded either way;
-    * routed >= 1.3x unrouted on the sharded-catalog workload at 2 workers
-      (asserted on hosts with >= 2 CPUs, full mode only).
+      measured ratio and the CPU count are recorded either way.
 
     ``quick=True`` runs every section at smoke sizes but tags the payload
     ``mode: "quick"`` — a fast local iteration lane whose rows are never
@@ -423,79 +367,6 @@ def run_perf_json(
             "pass": overhead_pct <= 5.0,
         }
 
-        # -- sharded catalog: routed vs unrouted on a member-sharded fleet -
-        # Both runs hit the SAME server shape (--workers 2 --shard-members);
-        # the only variable is whether the loadgen consults the routing
-        # table.  Unrouted traffic lands on whichever worker SO_REUSEPORT
-        # picks, so ~half the requests are served by a non-owner through the
-        # lazy fallback open (double-opened members, cold caches); routed
-        # traffic goes straight to each member's owning shard.
-        member_count = 4 if small else 8
-        member_n = 256 if small else 2048
-        shard_pairs = 1200 if small else 8000
-        member_names = [f"tree{i:02d}" for i in range(member_count)]
-        shard_catalog = IndexCatalog()
-        for rank, member_name in enumerate(member_names):
-            shard_catalog.add(
-                member_name,
-                DistanceIndex.build(
-                    make_tree("random", member_n, seed=100 + rank), "freedman"
-                ),
-            )
-        catalog_path = os.path.join(scratch, "serve_bench_sharded.cat")
-        shard_catalog.save(catalog_path)
-        sharded_json: dict = {
-            "members": member_count,
-            "member_n": member_n,
-            "member_skew": 0.9,
-            "workers": 2,
-            "mode": mode,
-        }
-        for label, routed in (("unrouted", False), ("routed", True)):
-            sharded_json[label] = _measure(
-                catalog_path,
-                coalesce=True,
-                workload="uniform",
-                pairs=shard_pairs,
-                connections=connections,
-                window=window,
-                warmup=warmup,
-                repeats=repeats,
-                workers=2,
-                extra_args=["--shard-members"],
-                members=member_names,
-                member_skew=0.9,
-                route=routed,
-            )
-        if sharded_json["unrouted"]["checksum"] != sharded_json["routed"]["checksum"]:
-            raise AssertionError("routed serving changed query answers")
-        routed_speedup = round(
-            sharded_json["routed"]["qps"] / sharded_json["unrouted"]["qps"], 2
-        )
-        required_routing = 1.3
-        sharded_json["gate"] = {
-            "description": (
-                "routed loadgen (per-member direct connections from the "
-                "fleet's consistent-hash table) vs the same workload through "
-                "the shared SO_REUSEPORT address, both against a --workers 2 "
-                f"--shard-members fleet over {member_count} catalog members"
-            ),
-            "routed_qps": sharded_json["routed"]["qps"],
-            "unrouted_qps": sharded_json["unrouted"]["qps"],
-            "speedup": routed_speedup,
-            "required_speedup": required_routing,
-            "cpus": cpus,
-            "enforced": cpus >= 2 and not small,
-            "pass": routed_speedup >= required_routing,
-        }
-        if not sharded_json["gate"]["enforced"]:
-            sharded_json["gate"]["note"] = (
-                f"host has {cpus} CPU(s) and mode={mode!r}; shard placement "
-                "pays off when owners run on their own cores, so the 1.3x "
-                "gate is recorded but only enforced in full mode on hosts "
-                "with >= 2 CPUs"
-            )
-
     speedup = workloads_json["uniform"]["speedup"]
     top_workers = str(worker_counts[-1])
     scaling_speedup = scaling_json["workers"][top_workers]["speedup_vs_1"]
@@ -532,7 +403,6 @@ def run_perf_json(
         "workloads": workloads_json,
         "multi_worker": dict(scaling_json, gate=scaling_gate),
         "observability": obs_json,
-        "sharded_catalog": sharded_json,
         "gate": {
             "description": (
                 "repro-labels serve (micro-batched coalescer) vs the same "
@@ -562,21 +432,10 @@ def run_perf_json(
         f"tracing overhead at 1% sampling: {overhead_pct}% "
         f"(advisory <= 5%, pass={obs_json['gate']['pass']})"
     )
-    print(
-        f"sharded catalog: routed {routed_speedup}x unrouted over "
-        f"{member_count} members on {cpus} CPU(s) (required "
-        f"{required_routing}x, enforced={sharded_json['gate']['enforced']}, "
-        f"pass={sharded_json['gate']['pass']})"
-    )
     if scaling_gate["enforced"] and not scaling_gate["pass"]:
         raise AssertionError(
             f"multi-worker scaling {scaling_speedup}x below the "
             f"{required_scaling}x gate"
-        )
-    if sharded_json["gate"]["enforced"] and not sharded_json["gate"]["pass"]:
-        raise AssertionError(
-            f"routed serving {routed_speedup}x below the "
-            f"{required_routing}x gate"
         )
     return payload
 

@@ -242,18 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet mode: sliding window (seconds) for the crash-loop "
         "restart budget; deaths older than this are forgotten",
     )
-    serve.add_argument(
-        "--shard-members", action="store_true",
-        help="catalog targets: place members on worker slots via a "
-        "consistent-hash routing table; each worker opens only its "
-        "assigned members and routed clients pin member traffic to the "
-        "owning shard's direct port (requires SO_REUSEPORT)",
-    )
-    serve.add_argument(
-        "--replication", type=int, default=1,
-        help="worker slots owning each member under --shard-members "
-        "(capped at the worker count); >1 spreads a hot member's load",
-    )
 
     status = commands.add_parser(
         "fleet-status",
@@ -322,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--member-skew", type=float, default=0.0,
         help="Zipf exponent for the per-member traffic split (0 = uniform)",
-    )
-    loadgen.add_argument(
-        "--route", action="store_true",
-        help="consult the fleet's routing table and pin each member's "
-        "traffic to the owning shard's direct port (sharded fleets; "
-        "MOVED redirects and the shared address remain as fallback)",
     )
 
     trace = commands.add_parser(
@@ -649,8 +631,6 @@ def _serve_fleet(args, server_config: dict) -> str:
         restart_policy=RestartPolicy(
             max_restarts=args.max_restarts, window_seconds=args.restart_window
         ),
-        shard_members=getattr(args, "shard_members", False),
-        replication=getattr(args, "replication", 1),
         **server_config,
     )
     host, port = supervisor.start()
@@ -663,14 +643,6 @@ def _serve_fleet(args, server_config: dict) -> str:
         f"generation={supervisor.generation['generation']}]",
         flush=True,
     )
-    if supervisor.routing_table is not None:
-        placement = supervisor.routing_table["members"]
-        print(
-            f"sharded: {len(placement)} member(s) over {args.workers} slot(s), "
-            f"replication {supervisor.replication}, "
-            f"routing table v{supervisor.routing_version}",
-            flush=True,
-        )
     if args.metrics_port is not None:
         metrics_host, metrics_bound = supervisor.start_metrics(
             args.metrics_port, args.host
@@ -756,7 +728,7 @@ def _serve(args) -> str:
         "slow_ms": args.slow_ms,
         "trace_ring": args.trace_ring,
     }
-    if args.workers == 1 and not args.shard_members:
+    if args.workers == 1:
         return _serve_single(args, server_config)
     return _serve_fleet(args, server_config)
 
@@ -798,40 +770,12 @@ def _fleet_status(args) -> str:
         + (",".join(generations) if generations else "(not reported)"),
     ]
     for row in sorted(merged.get("per_worker", ()), key=lambda r: r.get("slot", 0)):
-        assigned = row.get("members_assigned")
-        placement = (
-            f", members [{', '.join(assigned) or '-'}]" if assigned is not None else ""
-        )
         lines.append(
             f"  slot {row.get('slot', 0)} pid {row['worker']}: "
             f"{row.get('restarts', 0)} restart(s), "
             f"up {row.get('uptime_seconds', 0.0):.1f}s, "
             f"{row['queries']} queries, p99 {row['p99_ms']:.3f}ms"
-            + placement
         )
-    routing = next(
-        (info["routing"] for info in infos.values() if info.get("routing")), None
-    )
-    if routing:
-        lines.append(
-            f"routing: table v{routing.get('version', 0)}, "
-            f"replication {routing.get('replication', 1)}, "
-            f"{len(routing.get('members', {}))} member(s) over "
-            f"{len(routing.get('slots', {}))} slot(s)"
-        )
-        slots = routing.get("slots", {})
-        members = routing.get("members", {})
-        for slot_key in sorted(slots, key=int):
-            owned = sorted(
-                name
-                for name, owners in members.items()
-                if int(slot_key) in owners
-            )
-            host, port = slots[slot_key]
-            lines.append(
-                f"  slot {slot_key} @ {host}:{port}: "
-                f"[{', '.join(owned) or '-'}]"
-            )
     return "\n".join(lines)
 
 
@@ -910,7 +854,6 @@ def _loadgen(args) -> str:
         trace_every=args.trace_every,
         members=args.members,
         member_skew=args.member_skew,
-        route=args.route,
     )
     server = report["server"]
     latency = server["latency_ms"]
@@ -935,14 +878,7 @@ def _loadgen(args) -> str:
     if report.get("members"):
         lines.insert(
             1,
-            f"members: {len(report['members'])} "
-            f"(skew {report['member_skew']:g}), "
-            + ("routed" if report["route"] else "unrouted")
-            + (
-                f", {report['route_redirects']} MOVED redirect(s)"
-                if report["route"]
-                else ""
-            ),
+            f"members: {len(report['members'])} (skew {report['member_skew']:g})",
         )
     if report.get("restarts_observed"):
         lines.append(

@@ -124,28 +124,15 @@ def render(merged: dict, *, supervisor: dict | None = None) -> str:
             _family(out, "repro_label_cache_hit_rate", "gauge",
                     "Decoded-label cache hit rate", [({}, cache.get("hit_rate", 0.0))])
 
-    routing_help = "Newest routing-table version any worker reports"
-    if merged.get("routing_version"):
-        _family(out, "repro_routing_table_version", "gauge", routing_help,
-                [({}, merged["routing_version"])])
-
     rows = [(str(row.get("slot", 0)), row) for row in merged.get("per_worker", ())]
     _family(out, "repro_worker_queries", "gauge", "QUERY answers per worker slot",
             [({"slot": slot}, row.get("queries", 0)) for slot, row in rows])
     _family(out, "repro_worker_restarts", "gauge", "Restart count per worker slot",
             [({"slot": slot}, row.get("restarts", 0)) for slot, row in rows])
-    _family(out, "repro_worker_members", "gauge",
-            "Catalog members assigned to the worker slot",
-            [({"slot": slot}, len(row["members_assigned"]))
-             for slot, row in rows if "members_assigned" in row])
 
     if supervisor is not None:
         _family(out, "repro_fleet_reloads_total", "counter", "Completed rolling reloads",
                 [({}, supervisor.get("reloads", 0))])
-        routing = supervisor.get("routing")
-        if routing and not merged.get("routing_version"):
-            _family(out, "repro_routing_table_version", "gauge", routing_help,
-                    [({}, routing.get("version", 0))])
         _family(out, "repro_worker_up", "gauge",
                 "1 while the slot's worker process is alive",
                 [({"slot": str(row.get("slot", 0))}, 1 if row.get("alive") else 0)

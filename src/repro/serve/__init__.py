@@ -24,7 +24,7 @@ the missing network surface on top of the ``LabelStore`` → ``parse_many`` →
   propagates a drain-then-exit shutdown with fleet-merged statistics;
 * :class:`AsyncLabelClient` (:mod:`repro.serve.client`) — the one
   client: connection reuse, request pipelining (every request frame of
-  one event-loop tick leaves in a single corked write), member routing,
+  one event-loop tick leaves in a single corked write),
   transparent BUSY retry-with-jitter and reconnect-on-EOF (a dropped
   worker is a retryable event, not an error), returning the same typed
   :class:`~repro.api.QueryResult` values as in-process queries;
@@ -73,7 +73,7 @@ empty selects the sole index of a single-store server)::
     TRACE  (0x06)  limit:uvarint slow:u8  -- recent traces + slow log
 
     suffix :=  (tag:u8 value:uvarint)*    -- optional trailing fields in
-               -- ascending tag order: 0x01 trace_id, 0x02 route_version
+               -- ascending tag order: 0x01 trace_id (0x02 is retired)
 
 Response payloads::
 
@@ -81,8 +81,6 @@ Response payloads::
     STATS_RESULT (0x83)  len:uvarint json-utf8
     INFO_RESULT  (0x84)  len:uvarint json-utf8
     TRACE_RESULT (0x85)  len:uvarint json-utf8
-    MOVED        (0xFD)  version:uvarint name host:len-utf8 port:uvarint
-                         -- member owned elsewhere; retry there
     BUSY         (0xFE)  retry_after_ms:uvarint   -- backpressure shed
     ERROR        (0xFF)  len:uvarint utf8-message
 
@@ -106,12 +104,18 @@ coalescer entry, answers a member's runs with one flat
 ``QueryEngine.batch_query`` call and writes each connection's exact
 RESULT frames from the answer column in C.  Plain exact single-value
 RESULT frames resolve the client's futures from columns the same way.
-Everything else — traced and routed QUERYs, BATCH, MATRIX, STATS, INFO,
+Everything else — traced QUERYs, BATCH, MATRIX, STATS, INFO,
 TRACE, non-exact kinds, and every frame on the python tier or under a
 ``REPRO_FAULTS`` plan — goes through :mod:`repro.serve.protocol`'s
 decoder and encoder, which define the bytes; ``tests/test_serve_fuzz.py``
-holds both paths to the same responses.  ERROR and BUSY responses are request-scoped — the connection stays
-usable — while unparseable bytes close the connection.  BUSY is the
+holds both paths to the same responses.
+
+Every worker of a fleet serves every member: a catalog member opens lazily
+in whichever worker its first query lands on, since two labels are all an
+answer needs.
+
+ERROR and BUSY responses are request-scoped — the connection stays usable
+— while unparseable bytes close the connection.  BUSY is the
 additive ``"busy"`` capability of RSP/1 (advertised in the INFO payload's
 ``features`` list): an overloaded server sheds the request instead of
 queueing it, and the clients retry with jittered backoff.  The additive
@@ -122,17 +126,10 @@ field, so rolling reloads are observable over the wire.  The additive
 field on QUERY/BATCH (servers that predate it ignore trailing request
 bytes, so stamped requests degrade to untraced ones) and the TRACE
 opcode; a request without suffix fields is byte-identical to its
-pre-suffix encoding.  The additive ``"routing"`` capability means a
-sharded fleet (``serve --shard-members``) publishes its consistent-hash
-routing table in the INFO payload's ``routing`` block (version,
-replication, member → owning slots, slot → direct ``(host, port)``);
-clients that fetch it pin each member's traffic to the owning shard's
-direct port and stamp requests with the ``0x02 route_version`` suffix
-field.  A sharded worker answers a *stamped* request for a member it
-does not own with MOVED naming the owner — Redis-cluster style — which
-the clients follow (bounded, then shared-address fallback); unstamped
-legacy requests are served in place via a lazy fallback open, so old
-clients keep byte-identical behaviour.
+pre-suffix encoding.  Response opcode ``0xFD`` and suffix tag ``0x02``
+belonged to a withdrawn member-routing capability and are never reused; a
+request from an old client still carrying the ``0x02`` field is served in
+place, as any unknown suffix field is.
 """
 
 from __future__ import annotations
@@ -142,11 +139,9 @@ from repro.serve.client import (
     LabelClient,
     ServerBusy,
     ServerError,
-    ServerMoved,
 )
 from repro.serve.protocol import ProtocolError
 from repro.serve.retry import RestartPolicy
-from repro.serve.routing import HashRing, build_routing_table
 from repro.serve.server import LabelServer, ServingCore, serve
 
 #: names served by :mod:`repro.serve.supervisor`, imported on first use: a
@@ -175,8 +170,5 @@ __all__ = [
     "AsyncLabelClient",
     "ServerError",
     "ServerBusy",
-    "ServerMoved",
     "ProtocolError",
-    "HashRing",
-    "build_routing_table",
 ]

@@ -12,8 +12,8 @@ One implementation, two ways to call it:
 
 :class:`LabelClient`
     a blocking façade for scripts, REPLs and tests.  It runs one
-    :class:`AsyncLabelClient` on a private event loop, so routing, BUSY
-    retry, reconnect and pipelining behave exactly as in the async client.
+    :class:`AsyncLabelClient` on a private event loop, so BUSY retry,
+    reconnect and pipelining behave exactly as in the async client.
     ``timeout`` is one deadline per call.  A blocking call cannot run in a
     thread whose event loop is already running; use
     :class:`AsyncLabelClient` there.
@@ -78,26 +78,6 @@ class ServerBusy(ServerError):
         self.retry_after_ms = retry_after_ms
 
 
-class ServerMoved(ServerError):
-    """An :data:`repro.serve.protocol.OP_MOVED` redirect hint.
-
-    A routed request named a member the answering worker does not own; the
-    hint carries the owning slot's direct endpoint and the authoritative
-    routing-table version.  Routed clients apply the hint and re-issue the
-    request (queries are read-only, so the re-send is always safe).
-    """
-
-    def __init__(self, version: int, member: str, host: str, port: int) -> None:
-        super().__init__(
-            f"member {member!r} is owned elsewhere: {host}:{port} "
-            f"(routing table v{version})"
-        )
-        self.version = version
-        self.member = member
-        self.host = host
-        self.port = port
-
-
 _BEYOND = QueryResult(None, False, False, None)
 
 
@@ -142,8 +122,6 @@ class AsyncLabelClient:
         busy_retries: int = 8,
         busy_base_delay: float = 0.002,
         reconnect_retries: int = 8,
-        route: bool = False,
-        route_retries: int = 3,
     ) -> None:
         self._reader = reader
         self._writer = writer
@@ -163,23 +141,6 @@ class AsyncLabelClient:
         self.busy_retries = busy_retries
         self.busy_base_delay = busy_base_delay
         self.reconnect_retries = reconnect_retries
-        #: member-aware routing (the ``routing`` feature): with ``route=True``
-        #: the client fetches the fleet's routing table from INFO and pins
-        #: per-member requests straight to the owning shard's direct port,
-        #: applying ``MOVED`` redirect hints when its table goes stale and
-        #: falling back to the shared address when routing cannot help
-        self.route = route
-        self.route_retries = route_retries
-        self.route_redirects = 0
-        self._route_table: dict | None = None
-        self._route_checked = False
-        self._route_pool: dict[tuple[str, int], "AsyncLabelClient"] = {}
-        self._route_overrides: dict[str, tuple[str, int]] = {}
-        #: when set, QUERY/BATCH frames carry the route-version suffix — the
-        #: marker that lets a sharded worker answer MOVED instead of serving
-        #: a member it does not own (routed leaf connections set this)
-        self._route_stamp: int | None = None
-        self._route_fetch: asyncio.Future | None = None
         #: lifetime count of BUSY responses this client retried
         self.busy_retried = 0
         #: lifetime count of connections re-established after a drop; it is
@@ -272,15 +233,12 @@ class AsyncLabelClient:
             pass
 
     async def close(self) -> None:
-        """Cancel the reader task and close the connection (pool included).
+        """Cancel the reader task and close the connection.
 
         Frames still corked are dropped unsent.
         """
         self._closed = True
         self._corked = []
-        pool, self._route_pool = self._route_pool, {}
-        for leaf in pool.values():
-            await leaf.close()
         await self._hang_up()
 
     async def __aenter__(self) -> "AsyncLabelClient":
@@ -322,8 +280,6 @@ class AsyncLabelClient:
                             future.set_exception(ServerBusy(payload))
                         elif op == protocol.OP_ERROR:
                             future.set_exception(ServerError(payload))
-                        elif op == protocol.OP_MOVED:
-                            future.set_exception(ServerMoved(*payload))
                         else:
                             future.set_result((op, payload))
         except asyncio.CancelledError:
@@ -406,126 +362,6 @@ class AsyncLabelClient:
                     raise
                 await self._reconnect(drops, generation)
 
-    # -- member-aware routing --------------------------------------------------
-
-    async def _ensure_routing(self) -> None:
-        """Fetch the fleet's routing table once (no table ⇒ shared address).
-
-        Concurrent callers (``asyncio.gather`` of routed requests) await the
-        in-flight fetch instead of falling back unrouted — otherwise every
-        gather but the first would miss the table and go unstamped through
-        the shared address.
-        """
-        if self._route_checked:
-            if self._route_fetch is not None:
-                await asyncio.shield(self._route_fetch)
-            return
-        self._route_checked = True
-        fetch = self._route_fetch = asyncio.get_running_loop().create_future()
-        try:
-            try:
-                self._route_table = (await self.info()).get("routing")
-            except ServerError:  # pragma: no cover - defensive
-                self._route_table = None
-            if self._route_table is not None:
-                self._route_stamp = int(self._route_table.get("version", 0))
-        finally:
-            self._route_fetch = None
-            fetch.set_result(None)
-
-    async def routing_table(self) -> dict | None:
-        """The routing table this client is working from (fetched lazily)."""
-        await self._ensure_routing()
-        return self._route_table
-
-    async def _make_leaf(self, host: str, port: int) -> "AsyncLabelClient":
-        return await AsyncLabelClient.connect(
-            host,
-            port,
-            busy_retries=self.busy_retries,
-            busy_base_delay=self.busy_base_delay,
-            reconnect_retries=self.reconnect_retries,
-        )
-
-    async def _leaf_for(self, name: str) -> "AsyncLabelClient | None":
-        """The pooled connection pinned to ``name``'s owning shard."""
-        from repro.serve.routing import member_endpoint
-
-        endpoint = self._route_overrides.get(name)
-        if endpoint is None and self._route_table is not None:
-            endpoint = member_endpoint(self._route_table, name)
-        if endpoint is None:
-            return None
-        leaf = await self._pooled_leaf(endpoint)
-        leaf._route_stamp = self._route_stamp
-        return leaf
-
-    async def _pooled_leaf(self, endpoint: tuple[str, int]) -> "AsyncLabelClient":
-        """The pooled connection to ``endpoint``, opened on first use.
-
-        A failed connect is retried ``reconnect_retries`` times with the
-        reconnect backoff, as a dropped connection is: during a rolling
-        reload the endpoint's slot may be between two workers.  The last
-        failure is raised.
-        """
-        leaf = self._route_pool.get(endpoint)
-        attempt = 0
-        while leaf is None:
-            try:
-                leaf = await self._make_leaf(*endpoint)
-            except OSError:
-                attempt += 1
-                if attempt > self.reconnect_retries:
-                    raise
-                await asyncio.sleep(_backoff_delay(attempt, 1, self.busy_base_delay))
-                leaf = self._route_pool.get(endpoint)
-                continue
-            # a concurrent caller may have pooled one meanwhile: keep theirs
-            pooled = self._route_pool.setdefault(endpoint, leaf)
-            if pooled is not leaf:
-                await leaf.close()
-                leaf = pooled
-        return leaf
-
-    def _apply_moved(self, moved: ServerMoved) -> None:
-        """Adopt a MOVED hint: pin the member, advance the table version."""
-        self.route_redirects += 1
-        self._route_overrides[moved.member] = (moved.host, moved.port)
-        if self._route_stamp is None or moved.version > self._route_stamp:
-            self._route_stamp = moved.version
-
-    async def _routed_call(self, name: str, call):
-        """Run ``await call(client)`` against ``name``'s owner, following
-        redirects.
-
-        Falls back to the shared address — with an *unstamped* leaf, which a
-        sharded worker always serves in place — when there is no table, no
-        owner endpoint, the owner cannot be connected to, or the redirect
-        budget is spent (a pathological routing loop must degrade to the
-        legacy path, not fail).
-        """
-        await self._ensure_routing()
-        redirects = 0
-        while redirects <= self.route_retries:
-            try:
-                leaf = await self._leaf_for(name)
-            except OSError:
-                break
-            if leaf is None:
-                break
-            try:
-                return await call(leaf)
-            except ServerMoved as moved:
-                self._apply_moved(moved)
-                redirects += 1
-        if self._remote is None:
-            raise ConnectionError(
-                "routed requests need an address-aware client (use connect())"
-            )
-        fallback = await self._pooled_leaf(self._remote)
-        fallback._route_stamp = None
-        return await call(fallback)
-
     # -- requests ------------------------------------------------------------
 
     async def query(
@@ -537,14 +373,9 @@ class AsyncLabelClient:
         ``trace_id`` stamps the request with the additive trace field (see
         :meth:`trace`); old servers ignore it.
         """
-        if self.route:
-            return await self._routed_call(
-                name, lambda c: c.query(u, v, name=name, raw=raw, trace_id=trace_id)
-            )
         _, payload = await self._request(
             lambda request_id: protocol.encode_query(
-                request_id, u, v, name, trace_id=trace_id,
-                route_version=self._route_stamp,
+                request_id, u, v, name, trace_id=trace_id
             )
         )
         return _unwrap(payload, raw)[0]
@@ -555,25 +386,15 @@ class AsyncLabelClient:
     ) -> list:
         """Answer many pairs with a single BATCH request."""
         pairs = list(pairs)
-        if self.route:
-            return await self._routed_call(
-                name,
-                lambda c: c.batch(pairs, name=name, raw=raw, trace_id=trace_id),
-            )
         _, payload = await self._request(
             lambda request_id: protocol.encode_batch(
-                request_id, pairs, name, trace_id=trace_id,
-                route_version=self._route_stamp,
+                request_id, pairs, name, trace_id=trace_id
             )
         )
         return _unwrap(payload, raw)
 
     async def matrix(self, nodes=None, *, name: str = "", raw: bool = False) -> list[list]:
         """All pairwise answers over ``nodes`` (default: every node)."""
-        if self.route:
-            return await self._routed_call(
-                name, lambda c: c.matrix(nodes, name=name, raw=raw)
-            )
         if nodes is not None:
             nodes = list(nodes)
             size = len(nodes)
@@ -594,20 +415,6 @@ class AsyncLabelClient:
             lambda request_id: protocol.encode_stats(request_id, name, detail=detail)
         )
         return payload
-
-    async def stats_all(self, *, detail: bool = False) -> list[dict]:
-        """STATS from this connection plus every pooled routed connection.
-
-        Routed clients spread work over per-shard connections; a single
-        :meth:`stats` only reflects whichever worker this socket landed on.
-        """
-        rows = [await self.stats(detail=detail)]
-        for leaf in list(self._route_pool.values()):
-            try:
-                rows.append(await leaf.stats(detail=detail))
-            except (ServerError, ConnectionError, OSError):
-                continue
-        return rows
 
     async def trace(self, *, limit: int = 32, slow: bool = True) -> dict:
         """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
@@ -651,17 +458,6 @@ class AsyncLabelClient:
         pairs = list(pairs)
         if window < 1:
             raise ValueError("window must be at least 1")
-        if self.route:
-            # the whole window goes to one member's owner; on a stale-table
-            # MOVED the full (read-only) run re-executes on the corrected
-            # connection, so each member costs at most one redirect
-            return await self._routed_call(
-                name,
-                lambda c: c.pipeline(
-                    pairs, name=name, raw=raw, window=window,
-                    trace_every=trace_every,
-                ),
-            )
         outcomes: list = [None] * len(pairs)
         todo = list(range(len(pairs)))
         attempt = 0
@@ -735,7 +531,6 @@ class AsyncLabelClient:
         waiting = self._waiting
         ids = self._ids
         post = self._post
-        route_stamp = self._route_stamp
         create_future = loop.create_future
         futures: list[asyncio.Future] = []
         head = 0  # oldest future not yet awaited
@@ -756,12 +551,7 @@ class AsyncLabelClient:
                 if trace_every and index % trace_every == 0
                 else None
             )
-            post(
-                protocol.encode_query(
-                    request_id, u, v, name, trace_id=trace_id,
-                    route_version=route_stamp,
-                )
-            )
+            post(protocol.encode_query(request_id, u, v, name, trace_id=trace_id))
             future = create_future()
             waiting[request_id] = future
             futures.append(future)
@@ -809,8 +599,6 @@ class LabelClient:
         busy_retries: int = 8,
         busy_base_delay: float = 0.002,
         reconnect_retries: int = 8,
-        route: bool = False,
-        route_retries: int = 3,
     ) -> None:
         self._timeout = timeout
         self._loop = asyncio.new_event_loop()
@@ -822,8 +610,6 @@ class LabelClient:
                 busy_retries=busy_retries,
                 busy_base_delay=busy_base_delay,
                 reconnect_retries=reconnect_retries,
-                route=route,
-                route_retries=route_retries,
             )
         except BaseException:
             self._loop.close()
@@ -841,7 +627,6 @@ class LabelClient:
     #: lifetime counters of the underlying client (read-only)
     busy_retried = property(attrgetter("_core.busy_retried"))
     reconnects = property(attrgetter("_core.reconnects"))
-    route_redirects = property(attrgetter("_core.route_redirects"))
     traced_ids = property(attrgetter("_core.traced_ids"))
 
     def __enter__(self) -> "LabelClient":
@@ -851,8 +636,7 @@ class LabelClient:
         self.close()
 
     def close(self) -> None:
-        """Close the connection (routed ones included), then the loop;
-        idempotent."""
+        """Close the connection, then the loop; idempotent."""
         if self._loop.is_closed():
             return
         try:
@@ -902,10 +686,6 @@ class LabelClient:
         """Server statistics; see :meth:`AsyncLabelClient.stats`."""
         return self._call(self._core.stats, name, detail=detail)
 
-    def stats_all(self, *, detail: bool = False) -> list[dict]:
-        """STATS from this connection plus every routed leaf connection."""
-        return self._call(self._core.stats_all, detail=detail)
-
     def trace(self, *, limit: int = 32, slow: bool = True) -> dict:
         """The worker's recent-trace ring and slow-query log (OP_TRACE)."""
         return self._call(self._core.trace, limit=limit, slow=slow)
@@ -913,7 +693,3 @@ class LabelClient:
     def info(self) -> dict:
         """Member listing: ``{"members": {name: {spec, kind, n, open}}}``."""
         return self._call(self._core.info)
-
-    def routing_table(self) -> dict | None:
-        """The routing table this client is working from (fetched lazily)."""
-        return self._call(self._core.routing_table)

@@ -82,8 +82,8 @@ def member_pair_counts(count: int, members: int, member_skew: float) -> list[int
     """Split ``count`` pairs over ``members`` by Zipf rank weight.
 
     ``member_skew=0`` is a uniform split; larger skews concentrate traffic
-    on the first-ranked members (the shape the sharded bench uses to model
-    hot catalog members).  Counts always sum to ``count``.
+    on the first-ranked members (hot catalog members).  Counts always sum
+    to ``count``.
     """
     if members < 1:
         raise ValueError("need at least one member")
@@ -113,7 +113,6 @@ async def _run_load_async(
     trace_every: int,
     members: list[str] | None,
     member_skew: float,
-    route: bool,
 ) -> dict:
     if connections < 1:
         raise ValueError("connections must be at least 1")
@@ -124,10 +123,7 @@ async def _run_load_async(
     if trace_every and mode != "pipeline":
         raise ValueError("tracing requires mode='pipeline'")
     chaos_plan = parse_chaos(chaos) if chaos else None
-    clients = [
-        await AsyncLabelClient.connect(host, port, route=route)
-        for _ in range(connections)
-    ]
+    clients = [await AsyncLabelClient.connect(host, port) for _ in range(connections)]
     try:
         info = await clients[0].info()
         served = info["members"]
@@ -219,34 +215,16 @@ async def _run_load_async(
                     pass
         elapsed = max(time.perf_counter() - started, 1e-9)
         # every connection may face a different worker: collect all STATS
-        # payloads and fold them into one fleet view (histograms merged).
-        # Routed clients additionally poll their per-shard pooled
-        # connections, so the merge sees every worker the run touched.
-        if route:
-            per_connection = await asyncio.gather(
-                *(client.stats_all(detail=True) for client in clients)
-            )
-            rows = [stats for group in per_connection for stats in group]
-        else:
-            rows = list(
-                await asyncio.gather(
-                    *(client.stats(name, detail=True) for client in clients)
-                )
-            )
+        # payloads and fold them into one fleet view (histograms merged)
+        rows = await asyncio.gather(
+            *(client.stats(name, detail=True) for client in clients)
+        )
         stats = merge_fleet_stats(rows)
-        # routed runs do the real work on pooled per-shard connections, so
-        # fold their retry counters into the client-side totals too
-        conns = [
-            peer
-            for client in clients
-            for peer in (client, *client._route_pool.values())
-        ]
-        busy_retried = sum(peer.busy_retried for peer in conns)
-        reconnects = sum(peer.reconnects for peer in conns)
-        route_redirects = sum(client.route_redirects for client in clients)
+        busy_retried = sum(client.busy_retried for client in clients)
+        reconnects = sum(client.reconnects for client in clients)
         tracing = None
         if trace_every:
-            tracing = await _collect_traces(conns, trace_every)
+            tracing = await _collect_traces(clients, trace_every)
     finally:
         for client in clients:
             await client.close()
@@ -259,8 +237,6 @@ async def _run_load_async(
         "member": name,
         "members": targets if members else None,
         "member_skew": member_skew if members else None,
-        "route": route,
-        "route_redirects": route_redirects,
         "workload": workload,
         "skew": skew if workload == "zipf" else None,
         "mode": mode,
@@ -355,7 +331,6 @@ def run_load(
     trace_every: int = 0,
     members: list[str] | None = None,
     member_skew: float = 0.0,
-    route: bool = False,
 ) -> dict:
     """Drive a serve endpoint and return a metrics dict.
 
@@ -374,13 +349,9 @@ def run_load(
     breakdown as ``report["tracing"]``.
 
     ``members=[...]`` spreads the workload over several catalog members
-    (pairs split by Zipf rank weight, ``member_skew=0`` uniform), and
-    ``route=True`` lets clients consult the fleet's routing table and pin
-    per-member traffic to the owning shard (see
-    :class:`repro.serve.client.AsyncLabelClient`).  Fleet STATS are then
-    collected from every pooled per-shard connection and merged by
-    ``(slot, pid)``, so ``report["restarts_observed"]`` counts workers
-    that were replaced mid-run.
+    (pairs split by Zipf rank weight, ``member_skew=0`` uniform).  Fleet
+    STATS are merged by ``(slot, pid)``, so ``report["restarts_observed"]``
+    counts workers that were replaced mid-run.
     """
     return asyncio.run(
         _run_load_async(
@@ -401,6 +372,5 @@ def run_load(
             trace_every=trace_every,
             members=members,
             member_skew=member_skew,
-            route=route,
         )
     )

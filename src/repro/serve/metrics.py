@@ -66,11 +66,6 @@ SERIES: tuple[Series, ...] = (
            "repro_connections_total", "counter", "Client connections accepted"),
     Series("restarts", sum, "restarts",
            "repro_worker_restarts_total", "counter", "Worker processes restarted after a crash"),
-    Series("misroutes", sum, "misroutes",
-           "repro_misroutes_total", "counter",
-           "Member requests served by a non-owning shard (legacy clients)"),
-    Series("moved_redirects", sum, "moved_redirects",
-           "repro_moved_redirects_total", "counter", "OP_MOVED redirects sent to routed clients"),
     Series("connections_open", sum, "connections_open",
            "repro_connections_open", "gauge", "Client connections currently open"),
     Series("pending", sum, "pending_total",
@@ -102,12 +97,11 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
     drop the dead incarnation's counters.
 
     The result keeps every key of a worker's STATS payload but these:
-    ``worker`` and ``slot`` identify a snapshot and ``members_open`` and
-    ``members_assigned`` are per-worker state, so they go to
-    ``per_worker`` (one compact row per snapshot); ``traces`` is the
-    worker's own trace-ring state and is dropped.  ``routing_version``,
-    ``kernel``, ``store_generation``, ``stages`` and ``index`` appear only
-    when some worker reports them.  Added on top: ``workers`` (distinct
+    ``worker`` and ``slot`` identify a snapshot and ``members_open`` is
+    per-worker state, so they go to ``per_worker`` (one compact row per
+    snapshot); ``traces`` is the worker's own trace-ring state and is
+    dropped.  ``kernel``, ``store_generation``, ``stages`` and ``index``
+    appear only when some worker reports them.  Added on top: ``workers`` (distinct
     snapshot count), ``slots`` (distinct slot count) and
     ``restarts_observed`` (snapshots beyond one per slot — i.e. how many
     worker replacements the collection itself witnessed).
@@ -153,16 +147,6 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
         merged["store_generation"] = (
             generations[0] if len(generations) == 1 else ",".join(generations)
         )
-    # routing table version: the fleet is "at" the newest table any worker
-    # reports (mid-reload the retiring workers still carry the old one)
-    versions = [
-        stats["routing_version"]
-        for stats in workers
-        if stats.get("routing_version")
-    ]
-    if versions:
-        merged["routing_version"] = max(versions)
-
     # fleet latency: merge histogram buckets (exact — every worker weighted
     # by its true sample count); payloads without one add no samples
     histograms = [
@@ -210,11 +194,6 @@ def merge_fleet_stats(stats_list: list[dict]) -> dict:
             **(
                 {"members_open": stats["members_open"]}
                 if "members_open" in stats
-                else {}
-            ),
-            **(
-                {"members_assigned": stats["members_assigned"]}
-                if "members_assigned" in stats
                 else {}
             ),
         }

@@ -9,7 +9,7 @@ the byte-level encoders/decoders shared by :mod:`repro.serve.server` and
 
 Requests and responses are plain tuples/dataclass-free values so both ends
 stay allocation-light on the hot path: the server decodes a request body
-into ``(op, request_id, name, payload, trace_id, route_version)`` and the
+into ``(op, request_id, name, payload, trace_id)`` and the
 client decodes a response body into ``(op, request_id, payload)``.
 
 This module is also the reference for the native tier's hot lane
@@ -42,15 +42,7 @@ PROTOCOL_VERSION = 1
 #: (flag byte ``0x01`` + uvarint) and the server answers :data:`OP_TRACE`
 #: with its recent-trace ring and slow-query log; servers without the
 #: feature ignore the trailing bytes and serve the query unchanged.
-#: ``routing`` means INFO publishes the fleet's member→slot routing table
-#: (version, member owners, per-slot direct endpoints), QUERY/BATCH accept
-#: an optional route-version suffix field (tag byte ``0x02`` + uvarint),
-#: and a routed request for a member this worker does not own is answered
-#: with :data:`OP_MOVED` (the owning slot's endpoint + the authoritative
-#: table version) instead of being served — Redis-cluster-style redirect
-#: hints.  Requests without the suffix are always served in place, so
-#: pre-routing clients keep working byte-identically.
-PROTOCOL_FEATURES = ("busy", "generation", "tracing", "routing")
+PROTOCOL_FEATURES = ("busy", "generation", "tracing")
 
 #: hard ceiling on one frame's body, server- and client-side (a matrix
 #: response over a few thousand nodes fits comfortably; anything larger is
@@ -70,7 +62,9 @@ OP_RESULT = 0x81  #: answers to QUERY / BATCH / MATRIX
 OP_STATS_RESULT = 0x83  #: JSON statistics blob
 OP_INFO_RESULT = 0x84  #: JSON member listing
 OP_TRACE_RESULT = 0x85  #: JSON trace ring / slow-query log
-OP_MOVED = 0xFD  #: redirect hint: another slot owns the member (``routing``)
+# retired, never to be reused: response opcode 0xFD and request suffix tag
+# 0x02 (the MOVED redirect and route-version field of the withdrawn member
+# routing; a stray 0x02 suffix is ignored like any unknown tag)
 OP_BUSY = 0xFE  #: backpressure: the request was shed, retry after a delay
 OP_ERROR = 0xFF  #: request-scoped failure (connection stays usable)
 
@@ -83,7 +77,6 @@ RESPONSE_OPS = frozenset(
         OP_STATS_RESULT,
         OP_INFO_RESULT,
         OP_TRACE_RESULT,
-        OP_MOVED,
         OP_BUSY,
         OP_ERROR,
     }
@@ -199,26 +192,20 @@ def _encode_name(name: str) -> bytes:
 
 #: tags of the additive tagged suffix fields a QUERY/BATCH payload may carry
 SUFFIX_TRACE = 0x01
-SUFFIX_ROUTE = 0x02
 
 
-def _request_suffix(trace_id: int | None, route_version: int | None) -> bytes:
+def _request_suffix(trace_id: int | None) -> bytes:
     """The additive tagged suffix fields: ``tag byte + uvarint`` each.
 
-    Appended after a QUERY/BATCH payload in ascending tag order:
-    :data:`SUFFIX_TRACE` carries the trace id (the ``tracing`` feature),
-    :data:`SUFFIX_ROUTE` the client's routing-table version (the
-    ``routing`` feature).  Servers that predate a field ignore trailing
-    request bytes, so a tagging client interoperates with an old server
-    unchanged; a request without either field is byte-identical to the
-    original encoding.
+    Appended after a QUERY/BATCH payload in ascending tag order; the one
+    field today is :data:`SUFFIX_TRACE`, the trace id (the ``tracing``
+    feature).  Servers that predate a field ignore trailing request bytes,
+    so a tagging client interoperates with an old server unchanged; a
+    request without a field is byte-identical to the original encoding.
     """
-    out = b""
-    if trace_id is not None:
-        out += bytes([SUFFIX_TRACE]) + encode_uvarint(trace_id)
-    if route_version is not None:
-        out += bytes([SUFFIX_ROUTE]) + encode_uvarint(route_version)
-    return out
+    if trace_id is None:
+        return b""
+    return bytes([SUFFIX_TRACE]) + encode_uvarint(trace_id)
 
 
 def encode_query(
@@ -227,9 +214,8 @@ def encode_query(
     v: int,
     name: str = "",
     trace_id: int | None = None,
-    route_version: int | None = None,
 ) -> bytes:
-    """A framed :data:`OP_QUERY` request (optionally trace-/route-tagged).
+    """A framed :data:`OP_QUERY` request (optionally trace-tagged).
 
     The hot request encoder, so the body is one join and its length
     prefix comes from the one-byte table whenever the body is short (it
@@ -242,8 +228,8 @@ def encode_query(
     else:
         name_field = b"\x00"
     parts = [_OP_QUERY_BYTE, uvarint(request_id), name_field, uvarint(u), uvarint(v)]
-    if trace_id is not None or route_version is not None:
-        parts.append(_request_suffix(trace_id, route_version))
+    if trace_id is not None:
+        parts.append(_request_suffix(trace_id))
     body = b"".join(parts)
     if len(body) < 128:
         return _ONE_BYTE[len(body)] + body
@@ -255,16 +241,15 @@ def encode_batch(
     pairs,
     name: str = "",
     trace_id: int | None = None,
-    route_version: int | None = None,
 ) -> bytes:
-    """A framed :data:`OP_BATCH` request (optionally trace-/route-tagged)."""
+    """A framed :data:`OP_BATCH` request (optionally trace-tagged)."""
     parts = [bytes([OP_BATCH]), encode_uvarint(request_id), _encode_name(name)]
     pairs = list(pairs)
     parts.append(encode_uvarint(len(pairs)))
     for u, v in pairs:
         parts.append(encode_uvarint(u))
         parts.append(encode_uvarint(v))
-    parts.append(_request_suffix(trace_id, route_version))
+    parts.append(_request_suffix(trace_id))
     return encode_frame(b"".join(parts))
 
 
@@ -330,38 +315,28 @@ def _decode_field(body: bytes, pos: int) -> tuple[str, int]:
     return body[pos:end].decode("utf-8"), end
 
 
-def _decode_request_suffix(body: bytes, pos: int) -> tuple[int | None, int | None]:
-    """The optional tagged suffix fields of a QUERY/BATCH request.
+def _decode_request_suffix(body: bytes, pos: int) -> int | None:
+    """The trace id of a QUERY/BATCH request's optional suffix, or ``None``.
 
-    Returns ``(trace_id, route_version)``.  Fields are ``tag byte +
-    uvarint`` in ascending tag order; an unknown tag stops the scan (it
-    belongs to a future feature this server does not speak — the remaining
-    bytes are ignored, per the additive-suffix contract).
+    Fields are ``tag byte + uvarint`` in ascending tag order; a field with
+    any other tag, and everything after it, is ignored per the
+    additive-suffix contract (a feature this server does not speak, or a
+    retired one).
     """
-    trace_id = None
-    route_version = None
-    while pos < len(body):
-        tag = body[pos]
-        if tag == SUFFIX_TRACE and trace_id is None:
-            trace_id, pos = decode_uvarint(body, pos + 1)
-        elif tag == SUFFIX_ROUTE and route_version is None:
-            route_version, pos = decode_uvarint(body, pos + 1)
-        else:
-            break
-    return trace_id, route_version
+    if pos < len(body) and body[pos] == SUFFIX_TRACE:
+        return decode_uvarint(body, pos + 1)[0]
+    return None
 
 
 def decode_request(body: bytes):
-    """Decode one request body into
-    ``(op, request_id, name, payload, trace_id, route_version)``.
+    """Decode one request body into ``(op, request_id, name, payload, trace_id)``.
 
     ``payload`` is op-specific: ``(u, v)`` for QUERY, a pair list for BATCH,
     a node list or ``None`` for MATRIX, ``None`` for INFO, for STATS
     ``True`` when the optional detail flag byte is present (else ``None``),
-    and ``(limit, include_slow)`` for TRACE.  ``trace_id`` and
-    ``route_version`` are the optional additive suffix tags of QUERY/BATCH
-    requests (``None`` otherwise — the ``tracing`` and ``routing`` features
-    of RSP/1).
+    and ``(limit, include_slow)`` for TRACE.  ``trace_id`` is the optional
+    additive suffix tag of QUERY/BATCH requests (``None`` otherwise — the
+    ``tracing`` feature of RSP/1).
     """
     if not body:
         raise ProtocolError("empty frame body")
@@ -371,20 +346,19 @@ def decode_request(body: bytes):
     try:
         request_id, pos = decode_uvarint(body, 1)
         if op == OP_INFO:
-            return op, request_id, "", None, None, None
+            return op, request_id, "", None, None
         if op == OP_TRACE:
             limit, pos = decode_uvarint(body, pos)
             include_slow = pos < len(body) and body[pos] == 1
-            return op, request_id, "", (limit, include_slow), None, None
+            return op, request_id, "", (limit, include_slow), None
         name, pos = _decode_field(body, pos)
         if op == OP_STATS:
             detail = pos < len(body) and body[pos] == 1
-            return op, request_id, name, True if detail else None, None, None
+            return op, request_id, name, True if detail else None, None
         if op == OP_QUERY:
             u, pos = decode_uvarint(body, pos)
             v, pos = decode_uvarint(body, pos)
-            trace_id, route_version = _decode_request_suffix(body, pos)
-            return op, request_id, name, (u, v), trace_id, route_version
+            return op, request_id, name, (u, v), _decode_request_suffix(body, pos)
         count, pos = decode_uvarint(body, pos)
         if op == OP_BATCH:
             pairs = []
@@ -392,20 +366,19 @@ def decode_request(body: bytes):
                 u, pos = decode_uvarint(body, pos)
                 v, pos = decode_uvarint(body, pos)
                 pairs.append((u, v))
-            trace_id, route_version = _decode_request_suffix(body, pos)
-            return op, request_id, name, pairs, trace_id, route_version
+            return op, request_id, name, pairs, _decode_request_suffix(body, pos)
         # OP_MATRIX: explicit-nodes flag distinguishes "all nodes" from []
         if pos >= len(body):
             raise ValueError("truncated matrix request")
         explicit = body[pos]
         pos += 1
         if not explicit:
-            return op, request_id, name, None, None, None
+            return op, request_id, name, None, None
         nodes = []
         for _ in range(count):
             node, pos = decode_uvarint(body, pos)
             nodes.append(node)
-        return op, request_id, name, nodes, None, None
+        return op, request_id, name, nodes, None
     except ValueError as error:
         raise ProtocolError(f"malformed request: {error}") from error
 
@@ -499,31 +472,6 @@ def encode_busy(request_id: int, retry_after_ms: int = 1) -> bytes:
     return encode_frame(body)
 
 
-def encode_moved(
-    request_id: int, version: int, name: str, host: str, port: int
-) -> bytes:
-    """A framed :data:`OP_MOVED` redirect hint (the ``routing`` feature).
-
-    Sent instead of an answer when a *routed* request (one carrying the
-    route-version suffix) names a member this worker does not own.  The
-    payload tells the client where to go and how stale it is: the
-    authoritative table version, the member name, and the owning slot's
-    direct ``host:port``.  Requests without the suffix are never redirected
-    — the worker serves them in place so pre-routing clients keep working.
-    """
-    encoded_host = host.encode("utf-8")
-    body = (
-        bytes([OP_MOVED])
-        + encode_uvarint(request_id)
-        + encode_uvarint(version)
-        + _encode_name(name)
-        + encode_uvarint(len(encoded_host))
-        + encoded_host
-        + encode_uvarint(port)
-    )
-    return encode_frame(body)
-
-
 def encode_error(request_id: int, message: str) -> bytes:
     """A framed :data:`OP_ERROR` response."""
     encoded = message.encode("utf-8")
@@ -548,8 +496,7 @@ def decode_response(body: bytes):
 
     ``payload`` is ``(kind, ratio_bound, values)`` for RESULT, a ``dict``
     for STATS_RESULT / INFO_RESULT, an error-message string for ERROR,
-    the retry-after hint in milliseconds (an ``int``) for BUSY and
-    ``(version, name, host, port)`` for MOVED.
+    and the retry-after hint in milliseconds (an ``int``) for BUSY.
     """
     if not body:
         raise ProtocolError("empty frame body")
@@ -561,12 +508,6 @@ def decode_response(body: bytes):
         if op == OP_BUSY:
             retry_after_ms, pos = decode_uvarint(body, pos)
             return op, request_id, retry_after_ms
-        if op == OP_MOVED:
-            version, pos = decode_uvarint(body, pos)
-            name, pos = _decode_field(body, pos)
-            host, pos = _decode_field(body, pos)
-            port, pos = decode_uvarint(body, pos)
-            return op, request_id, (version, name, host, port)
         if op == OP_ERROR:
             return op, request_id, _decode_field(body, pos)[0]
         if op in (OP_STATS_RESULT, OP_INFO_RESULT, OP_TRACE_RESULT):

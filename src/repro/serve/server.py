@@ -58,7 +58,6 @@ from repro.obs.trace import STAGES, Span, Trace, TraceRecorder
 from repro.scale.memory import current_rss_bytes
 from repro.serve import faults, protocol
 from repro.serve.metrics import SERIES
-from repro.serve.routing import member_endpoint, table_owners
 from repro.store.label_store import StoreError
 
 
@@ -109,8 +108,6 @@ class ServingCore:
         generation: dict | None = None,
         slow_ms: float | None = None,
         trace_ring: int = 256,
-        assigned_members=None,
-        routing_table: dict | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -161,20 +158,6 @@ class ServingCore:
         self.generation = generation
         #: open _Connection objects, so a draining worker can close them
         self._connections: set = set()
-        #: member placement (the ``routing`` feature): the member names this
-        #: worker owns and the fleet's current routing table.  ``None`` for
-        #: both means the worker is unsharded and serves everything.
-        self._routing: dict | None = None
-        self._assigned: set[str] | None = (
-            set(assigned_members) if assigned_members is not None else None
-        )
-        self.misroutes = 0  #: non-owned requests served in place (legacy path)
-        self.moved_redirects = 0  #: OP_MOVED hints sent to routed clients
-        if routing_table is not None:
-            if assigned_members is None:
-                self.set_routing(routing_table)  # derive ownership from slot
-            else:
-                self._routing = routing_table
 
         # -- serving statistics ------------------------------------------
         self.started_at = time.monotonic()
@@ -229,52 +212,6 @@ class ServingCore:
             self._members[name] = member
         return member
 
-    # -- member placement (the ``routing`` feature) ---------------------------
-
-    @property
-    def routing_version(self) -> int:
-        """The version of the routing table this worker serves under (0 = unsharded)."""
-        return int(self._routing.get("version", 0)) if self._routing else 0
-
-    def set_routing(self, table: dict | None) -> None:
-        """Adopt a new routing table (pushed by the supervisor after a reload)."""
-        self._routing = table
-        if table is not None:
-            owned = [
-                name
-                for name, owners in table.get("members", {}).items()
-                if self.slot in owners
-            ]
-            self._assigned = set(owned)
-
-    def owns(self, name: str) -> bool:
-        """Whether this worker is an assigned owner of member ``name``."""
-        return self._assigned is None or name in self._assigned
-
-    def _redirect(self, connection, request_id: int, name: str) -> bool:
-        """Answer a routed request for a non-owned member with ``OP_MOVED``.
-
-        Returns ``True`` when the hint was sent (the caller stops).  When the
-        table has no owner endpoint for ``name`` (unknown member, slot gone)
-        the request is served in place instead so the normal error/answer
-        path applies.
-        """
-        if not self._routing:
-            return False
-        owners = table_owners(self._routing, name)
-        if self.slot in owners:
-            return False
-        endpoint = member_endpoint(self._routing, name)
-        if endpoint is None:
-            return False
-        self.moved_redirects += 1
-        connection.send(
-            protocol.encode_moved(
-                request_id, self.routing_version, name, endpoint[0], endpoint[1]
-            )
-        )
-        return True
-
     def info(self) -> dict:
         """The INFO payload: one row per member name."""
         members: dict[str, dict] = {}
@@ -298,8 +235,6 @@ class ServingCore:
         }
         if self.generation is not None:
             payload["store"] = dict(self.generation)
-        if self._routing is not None:
-            payload["routing"] = self._routing
         return payload
 
     def stats(self, name: str = "", detail: bool = False) -> dict:
@@ -334,14 +269,11 @@ class ServingCore:
                 "samples": self.latency_hist.total,
             },
             "coalescing": self.coalesce,
-            "routing_version": self.routing_version,
             "members_open": sorted(self._members),
         }
         for series in SERIES:
             if series.attr is not None:
                 payload[series.key] = getattr(self, series.attr)
-        if self._assigned is not None:
-            payload["members_assigned"] = sorted(self._assigned)
         if self.generation is not None:
             payload["store_generation"] = self.generation.get("generation")
         if detail:
@@ -652,25 +584,10 @@ class ServingCore:
         arrived = time.monotonic()
         if self._faults is not None:
             self._faults.fire("dispatch")
-        op, request_id, name, payload, trace_id, route_version = (
-            protocol.decode_request(body)
-        )
+        op, request_id, name, payload, trace_id = protocol.decode_request(body)
         decoded = time.monotonic()
         self.stage_hist["decode"].observe((decoded - arrived) * 1000.0)
         try:
-            if (
-                self._assigned is not None
-                and op in (protocol.OP_QUERY, protocol.OP_BATCH, protocol.OP_MATRIX)
-                and not self.owns(name)
-            ):
-                # routed requests (route-version suffix present) get a MOVED
-                # hint pointing at the owner; legacy requests are served in
-                # place through the lazy fallback open, counted as misroutes
-                if route_version is not None and self._redirect(
-                    connection, request_id, name
-                ):
-                    return
-                self.misroutes += 1
             if op == protocol.OP_QUERY:
                 member = self.member(name)
                 trace = (trace_id, arrived, decoded) if trace_id is not None else None
@@ -763,10 +680,9 @@ class ServingCore:
     def handle_run(self, connection, run: tuple, decode_ms: float) -> None:
         """Dispatch a run of plain QUERY frames the hot lane scanned.
 
-        ``run`` is ``(name, ids, pairs)`` (see ``WireCodec``); the frames
-        carry no route suffix, so a non-owned member is served in place as
-        a misroute, and a member that fails to open answers each request
-        with ``OP_ERROR``, as :meth:`handle_request` does frame by frame.
+        ``run`` is ``(name, ids, pairs)`` (see ``WireCodec``); a member
+        that fails to open answers each request with ``OP_ERROR``, as
+        :meth:`handle_request` does frame by frame.
         ``decode_ms`` is the scan's time per frame.
         """
         name, ids, pairs = run
@@ -776,8 +692,6 @@ class ServingCore:
         except UnicodeDecodeError as error:
             raise protocol.ProtocolError(f"malformed request: {error}") from error
         self.stage_hist["decode"].observe_many(decode_ms, count)
-        if self._assigned is not None and not self.owns(name):
-            self.misroutes += count
         try:
             member = self.member(name)
         except (CatalogError, StoreError, KeyError, ValueError) as error:
@@ -902,18 +816,6 @@ class LabelServer(ServingCore):
     def __init__(self, target: DistanceIndex | IndexCatalog, **kwargs) -> None:
         super().__init__(target, **kwargs)
         self._server: asyncio.AbstractServer | None = None
-        self._direct_server: asyncio.AbstractServer | None = None
-
-    async def _listen(
-        self, host: str, port: int, reuse_port: bool, sock=None
-    ) -> asyncio.AbstractServer:
-        """One listener feeding this core: on ``sock``, else on ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        if sock is not None:
-            return await loop.create_server(lambda: _Connection(self), sock=sock)
-        return await loop.create_server(
-            lambda: _Connection(self), host=host, port=port, reuse_port=reuse_port
-        )
 
     async def start(
         self,
@@ -924,19 +826,14 @@ class LabelServer(ServingCore):
         sock=None,
     ) -> tuple[str, int]:
         """Bind and start accepting; returns the actual ``(host, port)``."""
-        self._server = await self._listen(host, port, reuse_port, sock)
+        loop = asyncio.get_running_loop()
+        if sock is not None:
+            self._server = await loop.create_server(lambda: _Connection(self), sock=sock)
+        else:
+            self._server = await loop.create_server(
+                lambda: _Connection(self), host=host, port=port, reuse_port=reuse_port
+            )
         return self._server.sockets[0].getsockname()[:2]
-
-    async def start_direct(self, host: str, port: int) -> tuple[str, int]:
-        """Bind this worker's *direct* (per-slot) ``SO_REUSEPORT`` listener.
-
-        A sharded worker serves two addresses: the fleet-shared
-        ``SO_REUSEPORT`` address (kernel-balanced, the fallback path) and its
-        own direct port that routed clients pin per-member connections to.
-        Both feed the same :class:`ServingCore`.
-        """
-        self._direct_server = await self._listen(host, port, True)
-        return self._direct_server.sockets[0].getsockname()[:2]
 
     async def serve_forever(self) -> None:
         """Run until :meth:`stop` (or task cancellation)."""
@@ -948,11 +845,7 @@ class LabelServer(ServingCore):
             pass
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket(s)."""
-        if self._direct_server is not None:
-            self._direct_server.close()
-            await self._direct_server.wait_closed()
-            self._direct_server = None
+        """Stop accepting and close the listening socket."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

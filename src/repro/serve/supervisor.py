@@ -72,7 +72,6 @@ from multiprocessing import connection as mp_connection
 from repro.serve import faults
 from repro.serve.metrics import merge_fleet_stats
 from repro.serve.retry import RestartPolicy
-from repro.serve.routing import build_routing_table
 
 #: seconds to wait for worker ready handshakes / final stats / joins
 _START_TIMEOUT = 60.0
@@ -137,21 +136,6 @@ def open_serve_target(path: str, cache_size: int = 4096, use_mmap: bool = False)
     return index, f"index {path} (scheme={index.spec}, n={index.n}, {via})"
 
 
-def read_member_names(path: str) -> list[str]:
-    """Member names of a catalog file (TOC-only read; ``[""]`` for a store).
-
-    This is what the supervisor partitions across worker slots — reading the
-    RLC1 table of contents never opens (parses) a member.
-    """
-    from repro.api import CATALOG_MAGIC, IndexCatalog
-
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-    if magic == CATALOG_MAGIC:
-        return IndexCatalog.load(path).names()
-    return [""]
-
-
 def _worker_main(path: str, config: dict, listen, conn) -> None:
     """One worker process: open the target, serve until SIGTERM, report stats.
 
@@ -180,7 +164,6 @@ def _worker_main(path: str, config: dict, listen, conn) -> None:
     cache_size = config.pop("cache_size", 4096)
     use_mmap = config.pop("use_mmap", False)
     drain_seconds = config.pop("drain_seconds", 5.0)
-    direct_listen = config.pop("direct_listen", None)
     plan = faults.plan_for(config.get("slot", 0))
     if plan is not None:
         # the pre-handshake crash point: the supervisor must attribute the
@@ -203,12 +186,6 @@ def _worker_main(path: str, config: dict, listen, conn) -> None:
         else:
             host, port = listen
             address = await server.start(host, port, reuse_port=True)
-        if direct_listen is not None:
-            # the worker's own routed endpoint, alongside the shared address;
-            # the port was reserved by the supervisor's per-slot anchor, so
-            # the routing table knew it before this process even forked
-            direct_host, direct_port = direct_listen
-            await server.start_direct(direct_host, direct_port)
         conn.send(("ready", os.getpid(), address))
 
         def on_control() -> None:
@@ -228,9 +205,6 @@ def _worker_main(path: str, config: dict, listen, conn) -> None:
                     )
                 except (BrokenPipeError, OSError):  # pragma: no cover - race
                     pass
-            elif message[0] == "routing" and len(message) > 1:
-                # post-reload routing-table swap, pushed by the supervisor
-                server.set_routing(message[1])
 
         loop.add_reader(conn.fileno(), on_control)
         if plan is not None:
@@ -309,14 +283,10 @@ class FleetSupervisor:
         use_mmap: bool = False,
         restart_policy: RestartPolicy | None = None,
         drain_seconds: float = 5.0,
-        shard_members: bool = False,
-        replication: int = 1,
         **server_kwargs,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if replication < 1:
-            raise ValueError("replication must be at least 1")
         self.path = str(path)
         self.workers = workers
         self.host = host
@@ -328,15 +298,6 @@ class FleetSupervisor:
             use_mmap=use_mmap,
             drain_seconds=drain_seconds,
         )
-        #: catalog-aware member placement: with ``shard_members`` every slot
-        #: gets its own direct port and a consistent-hash share of the
-        #: catalog's members; the versioned table is published through INFO
-        self.shard_members = bool(shard_members)
-        self.replication = int(replication)
-        self.routing_table: dict | None = None
-        self.routing_version = 0
-        self._member_names: list[str] = []
-        self._direct_anchors: dict[int, socket.socket] = {}
         self._slots: list[_WorkerSlot] = []
         self._context = None
         self._listen = None
@@ -394,24 +355,6 @@ class FleetSupervisor:
             self._listen = anchor
 
         self.generation = store_generation(self.path)
-        if self.shard_members:
-            if not self.reuse_port:  # pragma: no cover - non-REUSEPORT platform
-                raise RuntimeError(
-                    "--shard-members needs SO_REUSEPORT (per-slot direct ports "
-                    "must survive worker restarts)"
-                )
-            # one bound, non-listening anchor per slot pins that slot's
-            # direct port for the fleet's whole lifetime: the routing table
-            # is complete before the first fork, and a restarted or reloaded
-            # worker re-binds the same port with SO_REUSEPORT
-            for slot_index in range(self.workers):
-                anchor = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                anchor.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                anchor.bind((self.host, 0))
-                self._direct_anchors[slot_index] = anchor
-            self._member_names = read_member_names(self.path)
-            self.routing_version = 1
-            self.routing_table = self._build_routing_table()
         for slot_index in range(self.workers):
             slot = _WorkerSlot(slot_index)
             self._fork_into(slot)
@@ -425,21 +368,6 @@ class FleetSupervisor:
             raise RuntimeError(f"worker slot {slot.slot} (pid {pid}) {reason}")
         return self._address
 
-    def _build_routing_table(self) -> dict:
-        """The versioned member→slot table for the current fleet geometry."""
-        address_host = self._address[0] if self._address else self.host
-        endpoints = {
-            slot: (address_host, anchor.getsockname()[1])
-            for slot, anchor in self._direct_anchors.items()
-        }
-        return build_routing_table(
-            self._member_names,
-            endpoints,
-            version=self.routing_version,
-            replication=self.replication,
-            generation=(self.generation or {}).get("generation"),
-        )
-
     def _fork_into(self, slot: _WorkerSlot) -> None:
         """Fork a fresh worker process for ``slot`` (handshake awaited later)."""
         parent_conn, child_conn = self._context.Pipe()
@@ -449,10 +377,6 @@ class FleetSupervisor:
             restarts=slot.restarts,
             generation=dict(self.generation),
         )
-        if self.routing_table is not None:
-            anchor = self._direct_anchors[slot.slot]
-            config["routing_table"] = self.routing_table
-            config["direct_listen"] = anchor.getsockname()[:2]
         process = self._context.Process(
             target=_worker_main,
             args=(self.path, config, self._listen, child_conn),
@@ -616,18 +540,9 @@ class FleetSupervisor:
         if not self._slots:
             raise RuntimeError("fleet not running")
         previous = (self.path, self.generation)
-        previous_routing = (self.routing_table, self.routing_version, self._member_names)
         if path is not None:
             self.path = str(path)
         self.generation = store_generation(self.path)
-        if self.shard_members:
-            # a strictly increasing table version per reload: replacements
-            # fork with the new table (member set may have changed with the
-            # file); old workers keep the previous version until retired, so
-            # every member stays owned by at least one live slot throughout
-            self._member_names = read_member_names(self.path)
-            self.routing_version += 1
-            self.routing_table = self._build_routing_table()
         swapped = 0
         for slot in self._slots:
             replacement = _WorkerSlot(slot.slot)
@@ -644,11 +559,6 @@ class FleetSupervisor:
                     # future restarts must fork against the store the fleet
                     # is actually serving, not the one that failed to load
                     self.path, self.generation = previous
-                    (
-                        self.routing_table,
-                        self.routing_version,
-                        self._member_names,
-                    ) = previous_routing
                 raise RuntimeError(
                     f"rolling reload aborted: replacement for slot {slot.slot} "
                     f"{reason}; "
@@ -661,14 +571,6 @@ class FleetSupervisor:
             slot.started_at = replacement.started_at
             swapped += 1
         self.reloads += 1
-        if self.routing_table is not None:
-            # idempotent post-roll push: every live worker (replacements
-            # included) converges on the new table version
-            for slot in self._slots:
-                try:
-                    slot.conn.send(("routing", self.routing_table))
-                except (BrokenPipeError, OSError):  # pragma: no cover - race
-                    pass
         return dict(self.generation)
 
     def _retire(self, slot: _WorkerSlot) -> None:
@@ -766,7 +668,7 @@ class FleetSupervisor:
     def fleet_status(self) -> dict:
         """The supervisor-side control-plane view (no worker round-trips)."""
         now = time.monotonic()
-        status = {
+        return {
             "workers": len(self._slots),
             "address": list(self._address) if self._address else None,
             "path": self.path,
@@ -788,25 +690,6 @@ class FleetSupervisor:
                 for slot in self._slots
             ],
         }
-        if self.routing_table is not None:
-            table = self.routing_table
-            placement: dict[int, list[str]] = {}
-            for name, owners in table.get("members", {}).items():
-                for owner in owners:
-                    placement.setdefault(owner, []).append(name)
-            status["routing"] = {
-                "version": table.get("version"),
-                "replication": table.get("replication"),
-                "members": len(table.get("members", {})),
-                "slots": {
-                    slot_key: {
-                        "endpoint": list(endpoint),
-                        "members": sorted(placement.get(int(slot_key), [])),
-                    }
-                    for slot_key, endpoint in table.get("slots", {}).items()
-                },
-            }
-        return status
 
     def shutdown(self) -> dict:
         """SIGTERM every worker, collect final stats, return the fleet summary.
@@ -863,9 +746,6 @@ class FleetSupervisor:
         if self._anchor is not None:
             self._anchor.close()
             self._anchor = None
-        for anchor in self._direct_anchors.values():
-            anchor.close()
-        self._direct_anchors = {}
         self._retired_stats = []
         summary = merge_fleet_stats(stats) if stats else {}
         summary["exit_codes"] = exit_codes

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import os
 import socket
 import threading
 import time
@@ -55,60 +56,73 @@ def catalog(catalog_bytes):
 # -- protocol unit tests ------------------------------------------------------
 
 
+def _legacy_routed(frame: bytes, version: int = 4) -> bytes:
+    """``frame`` as an old routed client sent it: the retired ``0x02``
+    route-version suffix field appended as raw bytes, after any trace id."""
+    decoder = protocol.FrameDecoder()
+    decoder.feed(frame)
+    (body,) = decoder.frames()
+    return protocol.encode_frame(body + b"\x02" + protocol.encode_uvarint(version))
+
+
 def test_request_frames_round_trip():
     cases = [
         (
             protocol.encode_query(7, 3, 42, "m"),
-            (protocol.OP_QUERY, 7, "m", (3, 42), None, None),
+            (protocol.OP_QUERY, 7, "m", (3, 42), None),
         ),
         (
             protocol.encode_query(8, 3, 42, "m", trace_id=12345),
-            (protocol.OP_QUERY, 8, "m", (3, 42), 12345, None),
+            (protocol.OP_QUERY, 8, "m", (3, 42), 12345),
         ),
         (
-            protocol.encode_query(18, 3, 42, "m", route_version=4),
-            (protocol.OP_QUERY, 18, "m", (3, 42), None, 4),
+            _legacy_routed(protocol.encode_query(18, 3, 42, "m")),
+            (protocol.OP_QUERY, 18, "m", (3, 42), None),
         ),
         (
-            protocol.encode_query(19, 3, 42, "m", trace_id=9, route_version=4),
-            (protocol.OP_QUERY, 19, "m", (3, 42), 9, 4),
+            _legacy_routed(protocol.encode_query(19, 3, 42, "m", trace_id=9)),
+            (protocol.OP_QUERY, 19, "m", (3, 42), 9),
         ),
         (
             protocol.encode_batch(9, [(1, 2), (3, 4)], ""),
-            (protocol.OP_BATCH, 9, "", [(1, 2), (3, 4)], None, None),
+            (protocol.OP_BATCH, 9, "", [(1, 2), (3, 4)], None),
         ),
         (
             protocol.encode_batch(10, [(1, 2)], "", trace_id=7),
-            (protocol.OP_BATCH, 10, "", [(1, 2)], 7, None),
+            (protocol.OP_BATCH, 10, "", [(1, 2)], 7),
         ),
         (
-            protocol.encode_batch(20, [(1, 2)], "", route_version=2),
-            (protocol.OP_BATCH, 20, "", [(1, 2)], None, 2),
+            _legacy_routed(protocol.encode_batch(20, [(1, 2)], "")),
+            (protocol.OP_BATCH, 20, "", [(1, 2)], None),
+        ),
+        (
+            _legacy_routed(protocol.encode_batch(21, [(1, 2)], "", trace_id=7)),
+            (protocol.OP_BATCH, 21, "", [(1, 2)], 7),
         ),
         (
             protocol.encode_matrix(11, [5, 6], "x"),
-            (protocol.OP_MATRIX, 11, "x", [5, 6], None, None),
+            (protocol.OP_MATRIX, 11, "x", [5, 6], None),
         ),
         (
             protocol.encode_matrix(12, None, "x"),
-            (protocol.OP_MATRIX, 12, "x", None, None, None),
+            (protocol.OP_MATRIX, 12, "x", None, None),
         ),
         (
             protocol.encode_matrix(13, [], "x"),
-            (protocol.OP_MATRIX, 13, "x", [], None, None),
+            (protocol.OP_MATRIX, 13, "x", [], None),
         ),
         (
             protocol.encode_stats(14, "y"),
-            (protocol.OP_STATS, 14, "y", None, None, None),
+            (protocol.OP_STATS, 14, "y", None, None),
         ),
         (
             protocol.encode_stats(16, "y", detail=True),
-            (protocol.OP_STATS, 16, "y", True, None, None),
+            (protocol.OP_STATS, 16, "y", True, None),
         ),
-        (protocol.encode_info(15), (protocol.OP_INFO, 15, "", None, None, None)),
+        (protocol.encode_info(15), (protocol.OP_INFO, 15, "", None, None)),
         (
             protocol.encode_trace_request(17, limit=16, slow=False),
-            (protocol.OP_TRACE, 17, "", (16, False), None, None),
+            (protocol.OP_TRACE, 17, "", (16, False), None),
         ),
     ]
     decoder = protocol.FrameDecoder()
@@ -177,13 +191,7 @@ def test_protocol_rejects_malformed_input():
     with pytest.raises(ProtocolError):
         protocol.decode_response(bytes([protocol.OP_RESULT]))  # truncated
     # a length field that overruns the frame: never a silently shorter field
-    moved = protocol.encode_moved(3, 2, "member", "127.0.0.1", 7)
-    name_end = moved.index(b"member") + len(b"member")
-    overrun = [
-        protocol.encode_error(7, "boom happened")[1:-5],
-        moved[1 : name_end - 2],  # cut inside the member name
-        moved[1:-6],  # cut inside the host
-    ] + [
+    overrun = [protocol.encode_error(7, "boom happened")[1:-5]] + [
         protocol.encode_json_response(op, 8, {"qps": 1.5})[1:-3]
         for op in (
             protocol.OP_STATS_RESULT,
@@ -200,6 +208,121 @@ def test_protocol_rejects_malformed_input():
     decoder.feed(b"\xff" * 10)  # unterminated varint length prefix
     with pytest.raises(ProtocolError):
         decoder.frames()
+
+
+# -- in-process dispatch ------------------------------------------------------
+
+
+class _FakeTransport:
+    """Collects what a :class:`_Connection` writes."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _connected(core):
+    """A server-side connection of ``core`` over a :class:`_FakeTransport`."""
+    from repro.serve.server import _Connection
+
+    transport = _FakeTransport()
+    connection = _Connection(core)
+    connection.connection_made(transport)
+    return connection, transport
+
+
+def _taken(transport) -> bytes:
+    """The bytes written since the last call."""
+    data = bytes(transport.data)
+    transport.data.clear()
+    return data
+
+
+def _decoded(data: bytes) -> list[tuple]:
+    decoder = protocol.FrameDecoder()
+    decoder.feed(data)
+    return [protocol.decode_response(body) for body in decoder.frames()]
+
+
+@pytest.mark.parametrize("tier", ["native", "python"])
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("op", ["query", "batch"])
+def test_old_routed_client_frames_answer_like_their_twins(catalog_bytes, tier, traced, op):
+    """A QUERY/BATCH from an old routed client carries the retired ``0x02``
+    suffix field; it gets the bytes its unsuffixed twin gets, on both tiers
+    (the native lane takes the twin, the Python decoder the suffixed frame),
+    and a trace id in front of the field is still recorded."""
+    from test_kernels import available_tiers, forced_tier
+
+    from repro.serve.server import ServingCore
+
+    if tier not in available_tiers():
+        pytest.skip(f"{tier} kernel tier unavailable")
+    trace_id = 99 if traced else None
+    if op == "query":
+        twin = protocol.encode_query(5, 3, 42, "exact")
+        frame = protocol.encode_query(5, 3, 42, "exact", trace_id=trace_id)
+    else:
+        twin = protocol.encode_batch(5, [(3, 42), (0, 7)], "bounded")
+        frame = protocol.encode_batch(5, [(3, 42), (0, 7)], "bounded", trace_id=trace_id)
+
+    async def main():
+        core = ServingCore(IndexCatalog.from_bytes(catalog_bytes))
+        connection, transport = _connected(core)
+        connection.data_received(twin)
+        await asyncio.sleep(0)  # the coalescer's flush
+        expected = _taken(transport)
+        connection.data_received(_legacy_routed(frame))
+        await asyncio.sleep(0)
+        assert _taken(transport) == expected
+        assert not transport.closed
+        traces = core.tracer.snapshot(0, False)["traces"]
+        assert [trace["trace_id"] for trace in traces] == ([trace_id] if traced else [])
+        return expected
+
+    with forced_tier(tier):
+        expected = _run(main())
+    ((op, request_id, _),) = _decoded(expected)
+    assert (op, request_id) == (protocol.OP_RESULT, 5)
+
+
+def test_truncated_member_is_request_scoped_error(tree, tmp_path):
+    from repro.serve.server import ServingCore
+
+    catalog = IndexCatalog()
+    catalog.add("good", DistanceIndex.build(tree, "freedman"))
+    catalog.add("bad", DistanceIndex.build(tree, "alstrup"))
+    path = tmp_path / "torn.cat"
+    catalog.save(path)
+    # open while intact (TOC parses), then tear off the tail: the *last*
+    # member's blob is now short and fails at first lazy access
+    opened = IndexCatalog.load(path)
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - 64)
+
+    async def main():
+        core = ServingCore(opened)
+        connection, transport = _connected(core)
+        connection.data_received(protocol.encode_query(1, 0, 1, "bad"))
+        await asyncio.sleep(0)
+        ((op, _, message),) = _decoded(_taken(transport))
+        assert op == protocol.OP_ERROR
+        assert "bad" in message and "failed to open" in message
+        assert not transport.closed  # request-scoped, not connection-killing
+        # the same connection keeps serving the intact member
+        connection.data_received(protocol.encode_query(2, 0, 1, "good"))
+        await asyncio.sleep(0)
+        (answer,) = _decoded(_taken(transport))
+        assert answer[0] == protocol.OP_RESULT
+        assert core.errors == 1
+
+    _run(main())
 
 
 # -- async server round-trips -------------------------------------------------

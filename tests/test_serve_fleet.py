@@ -256,6 +256,40 @@ def test_merge_fleet_stats_generation_visibility():
     assert "store_generation" not in merge_fleet_stats([_stats_payload(1)])
 
 
+def test_merge_dedupes_by_slot_and_pid():
+    rows = [
+        _stats_payload(100, slot=0, queries=5),
+        _stats_payload(100, slot=0, queries=7),  # same incarnation, later snapshot
+        _stats_payload(200, slot=0, queries=3),  # slot 0 was restarted mid-run
+        _stats_payload(300, slot=1, queries=2),
+    ]
+    merged = merge_fleet_stats(rows)
+    assert merged["workers"] == 3  # distinct (slot, pid) incarnations
+    assert merged["slots"] == 2
+    assert merged["restarts_observed"] == 1
+    assert merged["queries"] == 7 + 3 + 2  # dead incarnation still counted
+
+
+def test_merge_same_pid_on_two_slots_is_not_conflated():
+    # pid reuse across slots (possible after heavy restarting): a pid-keyed
+    # dedupe would collapse these into one row
+    merged = merge_fleet_stats([_stats_payload(400, slot=0), _stats_payload(400, slot=1)])
+    assert merged["workers"] == 2
+    assert merged["slots"] == 2
+    assert merged["restarts_observed"] == 0
+
+
+def test_member_pair_counts_split():
+    from repro.serve.loadgen import member_pair_counts
+
+    assert member_pair_counts(100, 4, 0.0) == [25, 25, 25, 25]
+    skewed = member_pair_counts(100, 4, 1.0)
+    assert sum(skewed) == 100
+    assert skewed[0] > skewed[-1]  # rank-1 member gets the most traffic
+    with pytest.raises(ValueError):
+        member_pair_counts(10, 0, 1.0)
+
+
 # -- supervision: restart-on-crash ---------------------------------------------
 
 

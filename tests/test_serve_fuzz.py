@@ -5,7 +5,7 @@ lane (``WireCodec.scan_queries``): runs of plain QUERY frames become int64
 columns, answered through the arena and written by ``encode_results``.
 On the python tier every frame goes through ``FrameDecoder.frames`` and
 ``protocol.decode_request``, the reference.  Hypothesis streams mix plain,
-traced and routed QUERY frames with BATCH, STATS and INFO frames, ids and
+traced and old routed QUERY frames with BATCH, STATS and INFO frames, ids and
 nodes past ``int64``, non-canonical varints, invalid member names,
 oversized and corrupt length prefixes, and truncated or bit-flipped
 frames.  Each stream is cut into arbitrary chunks and fed to two fake
@@ -93,8 +93,17 @@ plain_queries = st.tuples(small_ids, nodes, nodes, names).map(
 traced_queries = st.tuples(small_ids, nodes, nodes, small_ids).map(
     lambda args: protocol.encode_query(args[0], args[1], args[2], trace_id=args[3])
 )
-routed_queries = st.tuples(small_ids, nodes, nodes, small_ids).map(
-    lambda args: protocol.encode_query(args[0], args[1], args[2], route_version=args[3])
+#: an old routed client's QUERY: the retired ``0x02 uvarint`` suffix field
+#: as raw bytes, alone or after a trace id; servers ignore it like any
+#: unknown tag
+routed_queries = st.tuples(
+    small_ids, nodes, nodes, st.one_of(st.none(), small_ids), small_ids
+).map(
+    lambda args: protocol.encode_frame(
+        protocol.encode_query(args[0], args[1], args[2], trace_id=args[3])[1:]
+        + b"\x02"
+        + protocol.encode_uvarint(args[4])
+    )
 )
 #: ids and nodes anywhere up to the decoder's 70-bit limit
 wide_queries = st.tuples(ints, ints, ints).map(
@@ -375,7 +384,7 @@ def _decoded_request(row):
     try:
         if type(row) is not bytes:
             name, request_id, (u, v) = row
-            return protocol.OP_QUERY, request_id, name.decode("utf-8"), (u, v), None, None
+            return protocol.OP_QUERY, request_id, name.decode("utf-8"), (u, v), None
         return protocol.decode_request(row)
     except (protocol.ProtocolError, UnicodeDecodeError):
         return "error"

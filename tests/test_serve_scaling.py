@@ -92,22 +92,8 @@ def test_stats_detail_flag_round_trips():
     decoder.feed(plain)
     decoder.feed(flagged)
     bodies = decoder.frames()
-    assert protocol.decode_request(bodies[0]) == (
-        protocol.OP_STATS,
-        3,
-        "m",
-        None,
-        None,
-        None,
-    )
-    assert protocol.decode_request(bodies[1]) == (
-        protocol.OP_STATS,
-        4,
-        "m",
-        True,
-        None,
-        None,
-    )
+    assert protocol.decode_request(bodies[0]) == (protocol.OP_STATS, 3, "m", None, None)
+    assert protocol.decode_request(bodies[1]) == (protocol.OP_STATS, 4, "m", True, None)
 
 
 def test_stats_detail_is_opt_in(tree, index):
@@ -416,20 +402,15 @@ def test_merge_dedupes_snapshots_by_worker_id():
 
 def test_merge_keeps_every_worker_key_but_identity_and_per_worker_state(index):
     """The merged view carries every key of a worker's detailed STATS;
-    only ``worker``/``slot``/``members_open``/``members_assigned`` (moved to
-    ``per_worker``) and ``traces`` (dropped) are left out, plus a
-    ``routing_version`` of 0 (unsharded: no table to report)."""
-    core = ServingCore(index, generation={"generation": "cafe1234"}, assigned_members=[""])
+    only ``worker``/``slot``/``members_open`` (moved to ``per_worker``) and
+    ``traces`` (dropped) are left out."""
+    core = ServingCore(index, generation={"generation": "cafe1234"})
     worker = core.stats(detail=True)
-    left_out = {"worker", "slot", "members_open", "members_assigned", "traces"}
-    assert set(worker) - set(merge_fleet_stats([worker])) == left_out | {"routing_version"}
-    worker["routing_version"] = 3
     merged = merge_fleet_stats([worker])
-    assert set(worker) - set(merged) == left_out
+    assert set(worker) - set(merged) == {"worker", "slot", "members_open", "traces"}
     (row,) = merged["per_worker"]
     assert (row["worker"], row["slot"]) == (worker["worker"], worker["slot"])
     assert row["members_open"] == worker["members_open"]
-    assert row["members_assigned"] == worker["members_assigned"]
 
 
 def test_merge_folds_member_index_cache_counters():

@@ -18,6 +18,7 @@ native tier and ``REPRO_KERNELS=python``:
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -49,12 +50,15 @@ def batched_speedup() -> float:
 
     A batch of 2000 random pairs on a 512-node tree touches each label many
     times, so parsing each label once per batch must win by a wide margin.
+    Each side is timed once; a collection before each keeps a full
+    collection of earlier tests' garbage out of the timed regions.
     """
     tree = make_tree("random", 512, seed=7)
     pairs = random_pairs(tree, 2000, seed=3)
     index = DistanceIndex.build(tree, FreedmanScheme())
     scheme, store = index.scheme, index.store
 
+    gc.collect()
     start = time.perf_counter()
     single = [
         scheme.query_from_bits(store.label_bits(u), store.label_bits(v))
@@ -62,6 +66,7 @@ def batched_speedup() -> float:
     ]
     single_seconds = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     batched = index.batch(pairs, raw=True)
     batch_seconds = time.perf_counter() - start

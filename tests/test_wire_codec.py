@@ -87,7 +87,7 @@ def test_negative_values_are_refused_alike():
         assert str(ours.value) == str(theirs.value)
 
 
-def _composed_query(request_id, u, v, name, trace_id, route_version):
+def _composed_query(request_id, u, v, name, trace_id):
     """The QUERY frame built field by field with the reference varints."""
     uvarint = reference_encode
     encoded = name.encode("utf-8")
@@ -101,8 +101,6 @@ def _composed_query(request_id, u, v, name, trace_id, route_version):
     )
     if trace_id is not None:
         body += bytes([protocol.SUFFIX_TRACE]) + uvarint(trace_id)
-    if route_version is not None:
-        body += bytes([protocol.SUFFIX_ROUTE]) + uvarint(route_version)
     return uvarint(len(body)) + body
 
 
@@ -121,18 +119,13 @@ _OPTIONAL = st.one_of(st.none(), st.integers(0, 2**64))
     v=st.integers(0, 2**32),
     name=_NAMES,
     trace_id=_OPTIONAL,
-    route_version=_OPTIONAL,
 )
-def test_encode_query_equals_the_composed_frame(
-    request_id, u, v, name, trace_id, route_version
-):
-    frame = protocol.encode_query(
-        request_id, u, v, name, trace_id=trace_id, route_version=route_version
-    )
-    assert frame == _composed_query(request_id, u, v, name, trace_id, route_version)
+def test_encode_query_equals_the_composed_frame(request_id, u, v, name, trace_id):
+    frame = protocol.encode_query(request_id, u, v, name, trace_id=trace_id)
+    assert frame == _composed_query(request_id, u, v, name, trace_id)
     decoder = protocol.FrameDecoder()
     decoder.feed(frame)
     (body,) = decoder.frames()
     assert protocol.decode_request(body) == (
-        protocol.OP_QUERY, request_id, name, (u, v), trace_id, route_version,
+        protocol.OP_QUERY, request_id, name, (u, v), trace_id,
     )
