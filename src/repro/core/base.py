@@ -51,6 +51,7 @@ equivalent scheme; together with ``name`` it forms the persistence spec that
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 
 from repro.encoding.bitio import BitReader, BitWriter, Bits
 from repro.trees.tree import RootedTree
@@ -114,8 +115,9 @@ class LabelingScheme(ABC):
     label_type: type
 
     @abstractmethod
-    def encode(self, tree: RootedTree) -> dict[int, Label]:
-        """Assign a label to every node of ``tree``."""
+    def encode(self, tree: RootedTree) -> Mapping[int, Label]:
+        """Assign a label to every node of ``tree``: a ``dict``, or (for
+        Freedman) a read-only mapping over the encoded store."""
 
     def parse(self, bits: Bits) -> Label:
         """Parse a label from its serialised bits."""
@@ -138,12 +140,14 @@ class LabelingScheme(ABC):
         }
 
     def encode_stream(self, tree: RootedTree):
-        """Yield each node's label in node order (``0 .. n-1``).
+        """Each node's label in node order (``0 .. n-1``), as an iterable.
 
         The supply side of every store build
         (:func:`repro.store.label_store.pack_labels`): a consumer that
         serialises and discards each label as it arrives never holds more
         than one label (plus the scheme's shared precompute) in memory.
+        Freedman's native encoder returns whole runs of labels instead
+        (:class:`repro.store.label_store.LabelRuns`).
         The default materialises :meth:`encode` — correct for every scheme
         but no cheaper; schemes whose encoder is "shared precompute, then
         an independent per-node assembly" (HLD, Freedman) override this to

@@ -31,8 +31,12 @@ Both encoders write one format, the store's payload layout: a label's
 bits MSB-first, zero-padded to a byte, beside its bit length.
 :meth:`FreedmanScheme.encode_stream` asks the selected kernel backend
 first: on the native tier ``_kernels.c`` computes the whole chain above
-from the tree's rows and writes every label in that layout, in chunks of
-whole labels.  The python tier runs
+from the tree's rows and writes every label in that layout, in runs of
+whole labels, and the bit lengths and byte offsets of the store's index
+beside them (a :class:`~repro.store.label_store.LabelRuns`), so a store
+is built with no Python step per label.  :meth:`FreedmanScheme.encode`
+returns that store as a read-only mapping of lazy labels
+(:class:`~repro.store.label_store.StoredLabels`).  The python tier runs
 :meth:`FreedmanScheme._python_encode_stream`, the reference those bytes
 are held to.  It computes the shared structure once as rows indexed by
 collapsed path id (light codewords, light-edge weights, fragment refs,
@@ -43,7 +47,7 @@ hangs off such a path, so a label's fields are its parent path's levels
 plus its own, with no walk of its collapsed root path, and
 :meth:`FreedmanLabel.write` serialises them into one word, the only
 Python code that lays out a label; the word becomes the payload once.
-Either way the label yielded is *lazy*: it holds only ``(bit_length,
+Either way a label handed out is *lazy*: it holds only ``(bit_length,
 payload)``, which :meth:`FreedmanLabel.packed` hands the store's payload
 loop as it is, and the first read of a field parses the payload with
 :meth:`FreedmanLabel.read` (the one parser) and drops it.  ``write`` and
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 from repro.core.base import DistanceLabelingScheme, Label
@@ -300,6 +305,13 @@ _hold = object.__setattr__
 _EMPTY = Bits._pack(0, 0)
 
 
+def _unread(length: int, payload: bytes) -> FreedmanLabel:
+    """A lazy label: the serialised ``(bit_length, payload)`` pair alone."""
+    label = _new_label(FreedmanLabel)
+    _hold(label, "_packed", (length, payload))
+    return label
+
+
 class FreedmanScheme(DistanceLabelingScheme):
     """The 1/4 log² n + o(log² n) exact distance labeling scheme."""
 
@@ -327,36 +339,39 @@ class FreedmanScheme(DistanceLabelingScheme):
 
     # -- encoding ------------------------------------------------------------
 
-    def encode(self, tree: RootedTree) -> dict[int, FreedmanLabel]:
-        return dict(enumerate(self.encode_stream(tree)))
+    def encode(self, tree: RootedTree) -> Mapping[int, FreedmanLabel]:
+        """Every node's label, as a read-only mapping over their store.
+
+        The labels are encoded into a :class:`~repro.store.LabelStore`
+        (:meth:`~repro.store.LabelStore.encode_tree`), and a label is made,
+        lazy, on its first access; ``LabelStore.from_labels`` returns the
+        store as it is while none has been.
+        """
+        from repro.store.label_store import LabelStore, StoredLabels
+
+        return StoredLabels(LabelStore.encode_tree(self, tree), _unread)
 
     def encode_stream(self, tree: RootedTree):
-        """Yield each original node's label in node order, one at a time.
+        """Each original node's label in node order.
 
         The selected kernel backend encodes first, as on the query path:
         the native tier's C encoder writes every label from the tree's
-        rows, in chunks of whole labels, and each label yielded is lazy,
-        its bit length and its bytes sliced from the chunk.  The python
+        rows in runs of whole labels, returned as a
+        :class:`~repro.store.label_store.LabelRuns` that the store's
+        payload loop (:func:`repro.store.label_store.pack_labels`) takes
+        run by run, and that yields lazy labels when iterated.  The python
         tier (and a subclass of this scheme) runs
         :meth:`_python_encode_stream`, the reference the C encoder is held
-        to.  Either way the store's payload loop
-        (:func:`repro.store.label_store.pack_labels`) never materialises
-        the full label dict.
+        to.  Either way the full label dict is never materialised.
         """
         from repro import kernels
+        from repro.store.label_store import LabelRuns
 
         encoded = kernels.backend().encode_freedman(self, tree)
         if encoded is None:
-            yield from self._python_encode_stream(tree)
-            return
-        self.encoding_stats, chunks = encoded
-        for payload, ends, bit_lengths in chunks:
-            start = 0
-            for end, length in zip(ends, bit_lengths):
-                label = _new_label(FreedmanLabel)
-                _hold(label, "_packed", (length, payload[start:end]))
-                start = end
-                yield label
+            return self._python_encode_stream(tree)
+        self.encoding_stats, lengths, offsets, drain = encoded
+        return LabelRuns(lengths, offsets, drain, _unread)
 
     def _python_encode_stream(self, tree: RootedTree):
         """The Python encoder: every label of ``tree``, in node order.
@@ -448,9 +463,7 @@ class FreedmanScheme(DistanceLabelingScheme):
             )
             writer = BitWriter()
             staged.write(writer)
-            label = _new_label(FreedmanLabel)
-            _hold(label, "_packed", writer.packed())
-            yield label
+            yield _unread(*writer.packed())
 
     def _compute_fragments(
         self, working: RootedTree, collapsed: CollapsedTree, head_distance: "array"

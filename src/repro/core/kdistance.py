@@ -315,6 +315,8 @@ class KDistanceScheme(BoundedDistanceLabelingScheme):
         self, label_u: KDistanceLabel, label_v: KDistanceLabel
     ) -> int | None:
         k = self.k
+        self._check_entries(label_u)
+        self._check_entries(label_v)
         if label_u.pre == label_v.pre:
             return 0
 
@@ -336,6 +338,23 @@ class KDistanceScheme(BoundedDistanceLabelingScheme):
         return None
 
     # .. helpers ..............................................................
+
+    @staticmethod
+    def _check_entries(label: KDistanceLabel) -> None:
+        """Raise the ``ValueError`` of inconsistent labels unless the entry
+        lists have the lengths every index below relies on: one distance
+        at least, one height per distance plus at most the extension's,
+        and one child height per entry above the node itself."""
+        entries = len(label.heights)
+        if not (
+            0 <= entries - len(label.distances) <= 1
+            and label.distances
+            and len(label.child_heights) == entries - 1
+        ):
+            raise ValueError(
+                "labels are inconsistent: the k-distance entry lists disagree "
+                "in length (were they produced by the same encoding?)"
+            )
 
     @staticmethod
     def _deepest_common_entry(

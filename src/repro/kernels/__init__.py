@@ -8,8 +8,9 @@ Freedman encoder have two interchangeable implementations:
   and Freedman labels straight from ``LabelStore.buffers()``, and the
   Freedman encoder, which computes Section 2/3's shared structure from
   the tree's rows and writes every label in the store's payload layout, in
-  chunks of whole labels
-  (``NativeBackend.encode_freedman``), and the serving stack's RSP/1
+  runs of whole labels whose bit lengths and byte ends land in the store's
+  index arrays (``NativeBackend.encode_freedman``), the store's index
+  decoder (``NativeBackend.decode_index``), and the serving stack's RSP/1
   codec for plain QUERY/RESULT frames (``NativeBackend.wire_codec``):
   scanners that turn runs of them into ``int64`` columns and stop at any
   other frame, and an encoder of exact RESULT frames.

@@ -31,9 +31,13 @@
  *   a worker thread never touches an arena.  ``repro_checksum`` folds the
  *   decoder's full-width fields and makes no record at all.
  *
- * The Freedman encoder (``repro_fr_encoder_*``) is the one routine with no
- * fallback: it writes the labels the Python encoder would, for every tree,
- * and fails only when memory runs out.  The RSP/1 codec (``repro_scan_*``
+ * Two routines have no fallback.  The Freedman encoder
+ * (``repro_fr_encoder_*``) writes the labels the Python encoder would, for
+ * every tree, in runs whose bit lengths and byte ends are the store's index
+ * arrays as they stand, and fails only when memory runs out.  The index
+ * decoder (``repro_decode_index``) reads a store's varint index straight
+ * into those arrays and says why it refuses a corrupt one;
+ * ``repro_encode_index`` writes it back.  The RSP/1 codec (``repro_scan_*``
  * and ``repro_encode_results``, at the end of the file) works on wire
  * bytes, not labels: its scanners stop at any frame they do not take, and
  * the Python decoder reads that frame.
@@ -64,7 +68,7 @@
 #define MAX_VALUE_BITS 56
 #define MAX_LABEL_BITS 0xFFFFFFFFull
 
-#define ABI_VERSION 7
+#define ABI_VERSION 8
 
 #define KIND_HLD 0
 #define KIND_FREEDMAN 1
@@ -267,31 +271,63 @@ static int br_monotone(br_t *r, vec_t *out, uint32_t *count_out) {
     return E_OK;
 }
 
-/* -- bulk varint decode (store index) ----------------------------------- */
+/* -- the store index --------------------------------------------------- */
 
-/* ``count`` LEB128 varints starting at byte ``start``; mirrors
- * repro.encoding.varint.decode_uvarint including its 64-bit-shift cap. */
-int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
-                      uint64_t count, uint64_t *out, uint64_t *end_pos) {
-    uint64_t pos = start;
+/* Why ``repro_decode_index`` refused an index (0 when it did not). */
+#define INDEX_TRUNCATED 1 /* the buffer ends inside a varint */
+#define INDEX_OVERLONG 2  /* a varint past 64 bits */
+#define INDEX_OVERFLOW 3  /* the label bytes add up past 2^64 */
+#define INDEX_MISMATCH 4  /* they do not add up to the payload's size */
+
+/* Decode a store's index in one pass: ``count`` LEB128 bit lengths from
+ * byte ``start`` into ``lengths``, and the byte offsets of every label into
+ * ``offsets`` (``count + 1`` of them, from 0), the two arrays a LabelStore
+ * serves from.  The payload is the rest of the buffer, from ``*end_pos``;
+ * the offsets must end at its size.  The varints are read as
+ * repro.encoding.varint.decode_uvarint reads them, up to 2^64 - 1. */
+int repro_decode_index(const uint8_t *buf, uint64_t buf_len, uint64_t start,
+                       uint64_t count, uint64_t *lengths, uint64_t *offsets,
+                       uint64_t *end_pos) {
+    uint64_t pos = start, total = 0;
     uint64_t i;
+    offsets[0] = 0;
     for (i = 0; i < count; i++) {
-        uint64_t value = 0;
+        uint64_t value = 0, bytes;
         uint32_t shift = 0;
         for (;;) {
             uint8_t byte;
-            if (pos >= buf_len) return E_FALLBACK;
+            if (pos >= buf_len) return INDEX_TRUNCATED;
             byte = buf[pos++];
-            if (shift == 63 && (byte & 0x7Eu)) return E_FALLBACK;
+            if (shift == 63 && (byte & 0x7Eu)) return INDEX_OVERLONG;
             value |= ((uint64_t)(byte & 0x7Fu)) << shift;
             if (!(byte & 0x80u)) break;
             shift += 7;
-            if (shift > 63) return E_FALLBACK;
+            if (shift > 63) return INDEX_OVERLONG;
         }
-        out[i] = value;
+        bytes = (value >> 3) + ((value & 7) != 0);
+        if (bytes > UINT64_MAX - total) return INDEX_OVERFLOW;
+        total += bytes;
+        lengths[i] = value;
+        offsets[i + 1] = total;
     }
     *end_pos = pos;
-    return E_OK;
+    return total == buf_len - pos ? 0 : INDEX_MISMATCH;
+}
+
+/* The inverse: ``count`` bit lengths as LEB128 varints into ``out``, which
+ * has room for ten bytes each.  Returns the bytes written. */
+uint64_t repro_encode_index(const uint64_t *lengths, uint64_t count, uint8_t *out) {
+    uint8_t *at = out;
+    uint64_t i;
+    for (i = 0; i < count; i++) {
+        uint64_t value = lengths[i];
+        while (value >= 0x80u) {
+            *at++ = (uint8_t)(value | 0x80u);
+            value >>= 7;
+        }
+        *at++ = (uint8_t)value;
+    }
+    return (uint64_t)(at - out);
 }
 
 /* -- decoding one label -------------------------------------------------- */
@@ -1614,13 +1650,16 @@ static int fr_render(repro_fr_encoder *e, int64_t v) {
 
 /* Write the next whole labels into ``buf`` in the store's payload layout
  * (each label's bits MSB-first, zero-padded to a byte), at most ``cap``
- * bytes and ``max_labels`` labels; ``ends[i]`` is the end offset of the
- * i-th and ``bits[i]`` its length in bits.  Returns the number written, 0
- * once every label is out, -1 when memory runs out, and -2 when the next
- * label alone needs more than ``cap`` bytes: ``ends[0]`` then holds its
- * size, and it is written by the next call with room for it. */
+ * bytes and ``max_labels`` labels: a run.  ``bits[i]`` is the i-th label's
+ * length in bits and ``ends[i]`` its end, ``base`` plus its end in ``buf``,
+ * so with ``base`` the bytes written before, the ends are the store's byte
+ * offsets as they stand.  Returns the number written, 0 once every label
+ * is out, -1 when memory runs out, and -2 when the next label alone needs
+ * more than ``cap`` bytes: ``ends[0]`` then holds its size, and it is
+ * written by the next call with room for it. */
 int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
-                              uint64_t *ends, uint64_t *bits, int64_t max_labels) {
+                              uint64_t base, uint64_t *ends, uint64_t *bits,
+                              int64_t max_labels) {
     uint64_t used = 0;
     int64_t count = 0;
     while (count < max_labels && e->next < e->n) {
@@ -1638,7 +1677,7 @@ int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
         memcpy(buf + used, e->label.buf, (size_t)bytes);
         used += bytes;
         bits[count] = e->label_bits;
-        ends[count++] = used;
+        ends[count++] = base + used;
         e->pending = 0;
         e->next++;
     }

@@ -40,12 +40,14 @@ from struct import error as StructError, pack
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 7
+ABI_VERSION = 8
 
 _CDEF = """
 int repro_kernels_abi(void);
-int repro_varint_many(const uint8_t *buf, uint64_t buf_len, uint64_t start,
-                      uint64_t count, uint64_t *out, uint64_t *end_pos);
+int repro_decode_index(const uint8_t *buf, uint64_t buf_len, uint64_t start,
+                       uint64_t count, uint64_t *lengths, uint64_t *offsets,
+                       uint64_t *end_pos);
+uint64_t repro_encode_index(const uint64_t *lengths, uint64_t count, uint8_t *out);
 typedef struct repro_arena repro_arena;
 repro_arena *repro_arena_new(int kind, const uint8_t *payload, uint64_t nbytes,
                              const uint64_t *offs, const uint64_t *lens,
@@ -62,7 +64,8 @@ repro_fr_encoder *repro_fr_encoder_new(int64_t n, const int32_t *parents,
                                        const int32_t *child_data, int flags,
                                        uint64_t *stats);
 int64_t repro_fr_encoder_next(repro_fr_encoder *enc, uint8_t *buf, uint64_t cap,
-                              uint64_t *ends, uint64_t *bits, int64_t max_labels);
+                              uint64_t base, uint64_t *ends, uint64_t *bits,
+                              int64_t max_labels);
 void repro_fr_encoder_free(repro_fr_encoder *enc);
 int repro_matrix(int kind, const uint8_t *payload, uint64_t nbytes,
                  const uint64_t *offs, const uint64_t *lens, int64_t n_total,
@@ -93,9 +96,17 @@ _FR_BINARIZE = 1
 _FR_FRAGMENTS = 2
 _FR_ACCUMULATORS = 4
 
-#: the encoder's output chunk: whole labels, at most this many bytes (a
-#: label larger than that travels alone in a buffer of its own size)
+#: the encoder's output buffer: a run is whole labels, at most this many
+#: bytes (a label larger than that is a run alone, in a buffer of its size)
 ENCODE_CHUNK_BYTES = 1 << 16
+
+#: why ``repro_decode_index`` refused an index, by its return code
+_INDEX_ERRORS = {
+    1: "truncated uvarint in the index",
+    2: "uvarint too long in the index (corrupt stream?)",
+    3: "the index's label sizes overflow 64 bits",
+    4: "the index does not describe the payload",
+}
 
 #: ``encoding_stats`` keys, in the order of the C encoder's counters
 _ENCODING_STATS = ("pushed_bits", "fat_subtrees", "thin_subtrees", "skipped_entries")
@@ -374,17 +385,21 @@ class NativeBackend:
     # -- encoding --------------------------------------------------------------
 
     def encode_freedman(self, scheme, tree):
-        """``(encoding_stats, chunks)`` of ``scheme``'s labels of ``tree``.
+        """``(encoding_stats, lengths, offsets, drain)`` of ``scheme``'s labels.
 
         The C encoder computes Section 2/3's shared structure from the
-        tree's rows at once; ``chunks`` then yields ``(payload, ends,
-        bit_lengths)`` triples, each of whole labels in node order, at most
+        tree's rows at once.  ``drain(every)`` then writes the labels in
+        runs, each yielded as ``(payload, done)``: the run's bytes in the
+        store's payload layout (each label's bits MSB-first, zero-padded to
+        a byte), a view valid until the next item, and the number of labels
+        written so far, which stops at each multiple of ``every``.  As it
+        goes, C writes label ``i``'s bit length to ``lengths[i]`` and the
+        end of its bytes in the whole payload to ``offsets[i + 1]``: the
+        two index arrays of a :class:`~repro.store.LabelStore`, both
+        ``array('Q')``, with no Python step per label.  A run is at most
         :data:`ENCODE_CHUNK_BYTES` bytes unless one label alone is larger.
-        ``payload`` is immutable ``bytes`` in the store's payload layout:
-        label ``i`` of a chunk is ``payload[ends[i - 1]:ends[i]]`` (from 0
-        for the first), its ``bit_lengths[i]`` bits MSB-first, zero-padded
-        to a byte.  ``None`` for a scheme the C side does not encode (a
-        subclass); a failed allocation raises ``MemoryError``.
+        ``None`` for a scheme the C side does not encode (a subclass); a
+        failed allocation raises ``MemoryError``.
         """
         if self._kind(scheme) != _KIND_FREEDMAN:
             return None
@@ -409,36 +424,45 @@ class NativeBackend:
         if handle == ffi.NULL:
             raise MemoryError(f"native Freedman encoder of a {tree.n}-node tree")
         handle = ffi.gc(handle, lib.repro_fr_encoder_free)
-        return dict(zip(_ENCODING_STATS, stats)), self._encoded_chunks(handle)
+        lengths = array("Q", bytes(8 * tree.n))
+        offsets = array("Q", bytes(8 * (tree.n + 1)))
 
-    def _encoded_chunks(self, handle):
-        """Drain an encoder handle in chunks; free it once drained or closed."""
-        ffi, lib = self.ffi, self.lib
-        step = lib.repro_fr_encoder_next
+        def drain(every: int):
+            return self._runs(handle, lengths, offsets, every)
+
+        return dict(zip(_ENCODING_STATS, stats)), lengths, offsets, drain
+
+    def _runs(self, handle, lengths, offsets, every):
+        """Drain an encoder handle in runs; free it once drained or closed."""
+        ffi = self.ffi
+        step = self.lib.repro_fr_encoder_next
+        n = len(lengths)
         buffer = bytearray(ENCODE_CHUNK_BYTES)
-        slots = ENCODE_CHUNK_BYTES // 8 + 1
-        ends = array("Q", bytes(8 * slots))
-        bits = array("Q", bytes(8 * slots))
         c_buffer = ffi.from_buffer("uint8_t[]", buffer)
-        c_ends = ffi.from_buffer("uint64_t[]", ends)
-        c_bits = ffi.from_buffer("uint64_t[]", bits)
+        c_bits = self._c_view("uint64_t", lengths)
+        c_ends = ffi.from_buffer("uint64_t[]", offsets) + 1
         view = memoryview(buffer)
+        done = 0
         try:
-            while True:
-                count = step(handle, c_buffer, len(buffer), c_ends, c_bits, slots)
+            while done < n:
+                base = offsets[done]
+                room = every - done % every
+                count = step(
+                    handle, c_buffer, len(buffer), base, c_ends + done, c_bits + done, room
+                )
                 if count > 0:
-                    yield bytes(view[: ends[count - 1]]), ends[:count], bits[:count]
-                elif count == 0:
-                    return
+                    run = view[: offsets[done + count] - base]
                 elif count == -2:
-                    # one label larger than the chunk: a buffer of its own
-                    alone = bytearray(ends[0])
-                    c_alone = ffi.from_buffer("uint8_t[]", alone)
-                    if step(handle, c_alone, len(alone), c_ends, c_bits, 1) != 1:
+                    # one label larger than the buffer: a run of its own
+                    run = bytearray(offsets[done + 1])
+                    c_run = ffi.from_buffer("uint8_t[]", run)
+                    count = step(handle, c_run, len(run), base, c_ends + done, c_bits + done, 1)
+                    if count != 1:
                         raise MemoryError("native Freedman encoder")
-                    yield bytes(alone), ends[:1], bits[:1]
                 else:
                     raise MemoryError("native Freedman encoder")
+                done += count
+                yield run, done
         finally:
             ffi.release(handle)
 
@@ -491,20 +515,46 @@ class NativeBackend:
             return None
         return int(out[0])
 
-    # -- bulk codec primitives ----------------------------------------------
+    # -- the store index ------------------------------------------------------
 
-    def varint_many(self, data, start, count):
-        """Decode ``count`` LEB128 varints; ``(values, end_offset)`` or ``None``."""
-        if count >= 1 << 31:
-            return None
+    def decode_index(self, data, start, count):
+        """``(lengths, offsets, payload_start)`` of a store's index.
+
+        C reads the ``count`` varint bit lengths at ``start`` of ``data``
+        straight into the two ``array('Q')`` index arrays of a
+        :class:`~repro.store.LabelStore` (``offsets`` holds ``count + 1``
+        byte offsets, from 0), with no Python step per label.  A truncated
+        or overlong varint, label sizes past 2^64, or offsets that do not
+        end at the size of the payload (the rest of ``data``) raise
+        ``ValueError``.
+        """
         ffi = self.ffi
-        buf = ffi.from_buffer("uint8_t[]", data) if len(data) else ffi.new("uint8_t[]", 1)
-        out = ffi.new("uint64_t[]", max(count, 1))
+        lengths = array("Q", bytes(8 * count))
+        offsets = array("Q", bytes(8 * (count + 1)))
         end = ffi.new("uint64_t*")
-        rc = self.lib.repro_varint_many(buf, len(data), start, count, out, end)
+        with ffi.from_buffer("uint8_t[]", data) as buf:
+            rc = self.lib.repro_decode_index(
+                buf, len(data), start, count, self._c_view("uint64_t", lengths),
+                ffi.from_buffer("uint64_t[]", offsets), end,
+            )
         if rc:
+            raise ValueError(_INDEX_ERRORS[rc])
+        return lengths, offsets, int(end[0])
+
+    def encode_index(self, lengths):
+        """``lengths``, an ``array('Q')``, as the store's varint index bytes;
+        ``None`` for any other sequence."""
+        if type(lengths) is not array or lengths.typecode != "Q":
             return None
-        return ffi.unpack(out, count), int(end[0])
+        if not lengths:
+            return b""
+        out = bytearray(10 * len(lengths))
+        with self.ffi.from_buffer("uint8_t[]", out) as c_out:
+            written = self.lib.repro_encode_index(
+                self.ffi.from_buffer("uint64_t[]", lengths), len(lengths), c_out
+            )
+        del out[written:]
+        return out
 
 
 class WireCodec:

@@ -26,7 +26,12 @@ class PythonBackend:
     def matrix_flat(self, store, scheme, targets):
         return None
 
-    def varint_many(self, data, start, count):
+    def decode_index(self, data, start, count):
+        """No native index decoder: the store's Python loop reads the index."""
+        return None
+
+    def encode_index(self, lengths):
+        """No native index encoder: the store joins Python varints."""
         return None
 
     def wire_codec(self):

@@ -6,6 +6,15 @@ serialises the header and index, :func:`read_header` parses them,
 :func:`pack_labels` is the payload loop, and :func:`write_store` encodes a
 tree straight to a file.
 
+An encoder hands the payload loop either labels, one at a time, or a
+:class:`LabelRuns`: on the native tier the C Freedman encoder writes whole
+runs of labels, and as it goes the bit lengths and byte offsets of the
+store's index, so the loop only appends (or writes) each run's bytes and
+no Python step runs per label.  ``FreedmanScheme.encode`` returns such a
+store behind a read-only :class:`StoredLabels` mapping, which
+:meth:`LabelStore.from_labels` takes back as it is while it has handed out
+no label.
+
 A store never copies the payload it is handed: ``__init__`` wraps any
 buffer-protocol object (``bytes``, ``bytearray``, ``memoryview``,
 ``mmap.mmap``) in a ``memoryview`` and keeps a reference to the backing
@@ -13,7 +22,11 @@ object, so :meth:`LabelStore.from_bytes` over a catalog slice and
 :meth:`LabelStore.open_mmap` over a mapped file both serve straight from
 the original storage.  The offset index is reconstructed at load time into
 compact ``array('Q')`` words (8 bytes per label instead of a Python ``int``
-object each), which is what keeps a 10⁷-label index affordable.
+object each), which is what keeps a 10⁷-label index affordable: on the
+native tier C decodes the varint index straight into those arrays
+(``NativeBackend.decode_index``); the python tier's loop over
+:func:`~repro.encoding.varint.decode_uvarint` and
+:meth:`LabelStore.__init__`'s offsets loop are the reference.
 """
 
 from __future__ import annotations
@@ -24,8 +37,10 @@ import os
 import shutil
 import tempfile
 from array import array
+from collections.abc import Mapping
 from functools import cached_property
 
+from repro import kernels
 from repro.encoding.bitio import Bits
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 
@@ -64,8 +79,9 @@ def write_header(handle, name: str, params: dict, bit_lengths) -> int:
     """Write the RLS1 header and varint index to ``handle``; returns the bytes.
 
     The one serialiser of everything before the payload.  The index is
-    joined and written in batches of varints, so a 10⁷-label index never
-    exists as one ``bytes`` object.
+    written in batches of varints, so a 10⁷-label index never exists as one
+    ``bytes`` object; on the native tier C writes each batch
+    (``NativeBackend.encode_index``).
     """
     name_bytes = name.encode("utf-8")
     params_bytes = json.dumps(params, sort_keys=True).encode("utf-8")
@@ -81,9 +97,13 @@ def write_header(handle, name: str, params: dict, bit_lengths) -> int:
             )
         )
     )
+    encode_index = kernels.backend().encode_index
     for start in range(0, len(bit_lengths), _VARINT_BATCH):
         batch = bit_lengths[start : start + _VARINT_BATCH]
-        written += handle.write(b"".join(map(encode_uvarint, batch)))
+        index = encode_index(batch)
+        if index is None:
+            index = b"".join(map(encode_uvarint, batch))
+        written += handle.write(index)
     return written
 
 
@@ -116,15 +136,103 @@ def read_header(view) -> tuple[str, dict, int, int]:
     return name, params, n, pos
 
 
+class LabelRuns:
+    """Labels an encoder wrote as whole runs, with the store's index.
+
+    What ``FreedmanScheme.encode_stream`` returns on the native tier.
+    ``drain(every)`` yields ``(payload, done)`` per run: the run's bytes in
+    the store's payload layout, valid until the next item, and the number
+    of labels written so far, which stops at each multiple of ``every``.
+    As the runs come, the encoder fills ``lengths`` (each label's bit
+    length) and ``offsets`` (the ``n + 1`` byte offsets of the labels in
+    the whole payload), the two ``array('Q')`` index arrays of a
+    :class:`LabelStore`.  Iterating yields the labels one at a time
+    instead, each made by ``make(bit_length, payload)``, for a consumer
+    that wants label objects.  Either way it is drained once.
+    """
+
+    __slots__ = ("lengths", "offsets", "drain", "_make")
+
+    def __init__(self, lengths: array, offsets: array, drain, make) -> None:
+        self.lengths = lengths
+        self.offsets = offsets
+        self.drain = drain
+        self._make = make
+
+    def __iter__(self):
+        lengths, offsets, make = self.lengths, self.offsets, self._make
+        start = 0
+        for run, done in self.drain(_PROGRESS_EVERY):
+            base = offsets[start]
+            for node in range(start, done):
+                label = run[offsets[node] - base : offsets[node + 1] - base]
+                yield make(lengths[node], bytes(label))
+            start = done
+
+
+class StoredLabels(Mapping):
+    """A read-only ``Mapping`` from node to label over a :class:`LabelStore`.
+
+    What ``FreedmanScheme.encode`` returns: the labels are the store's
+    bytes, and label ``i`` is made by ``make(bit_length, payload)`` on its
+    first access and kept, so a label handed out and then changed stays
+    changed.  :meth:`LabelStore.from_labels` returns ``store`` as it is
+    while no label has been handed out, and packs label by label after.
+    """
+
+    __slots__ = ("store", "_make", "_made")
+
+    def __init__(self, store: "LabelStore", make) -> None:
+        self.store = store
+        self._make = make
+        self._made: dict = {}
+
+    def __len__(self) -> int:
+        return self.store.n
+
+    def __iter__(self):
+        return iter(range(self.store.n))
+
+    def __contains__(self, node) -> bool:
+        return isinstance(node, int) and 0 <= node < self.store.n
+
+    def __getitem__(self, node):
+        label = self._made.get(node)
+        if label is None:
+            if node not in self:
+                raise KeyError(node)
+            store = self.store
+            label = self._made.setdefault(
+                node, self._make(store.bit_length(node), bytes(store.raw(node)))
+            )
+        return label
+
+    @property
+    def handed_out(self) -> bool:
+        """Whether any label has been made (and may have been changed)."""
+        return bool(self._made)
+
+
 def pack_labels(labels, n: int, write, progress=None) -> array:
     """Serialise ``n`` labels in node order; returns their bit lengths.
 
     The one payload loop: each label's bytes, from its
     :meth:`~repro.core.base.Label.packed` hook, go to ``write`` as it
     arrives and only its bit length is kept, in an ``array('Q')`` (8 bytes
-    per node).  ``progress(done, n)`` is called every 65536 labels and once
-    at the end.
+    per node).  A :class:`LabelRuns` goes to ``write`` run by run instead,
+    and its lengths are the encoder's.  ``progress(done, n)`` is called
+    every 65536 labels and once at the end.
     """
+    if isinstance(labels, LabelRuns):
+        if len(labels.lengths) != n:
+            raise StoreError(f"packed {len(labels.lengths)} labels for a {n}-node tree")
+        for run, done in labels.drain(_PROGRESS_EVERY):
+            write(run)
+            if progress is not None and done < n and not done % _PROGRESS_EVERY:
+                progress(done, n)
+        if progress is not None:
+            progress(n, n)
+        return labels.lengths
     lengths = array("Q")
     append = lengths.append
     for label in labels:
@@ -143,11 +251,11 @@ def pack_labels(labels, n: int, write, progress=None) -> array:
 def write_store(scheme, tree, path: str | os.PathLike, *, progress=None) -> int:
     """Encode ``tree`` with ``scheme`` straight to the store file at ``path``.
 
-    The one file writer.  Labels stream from ``scheme.encode_stream``
-    through :func:`pack_labels` into a buffered temp file beside ``path``;
-    then the header is written and the payload appended.  Memory holds the
-    scheme's shared precompute, one label and the length index, never the
-    payload, and the file is byte-identical to
+    The one file writer.  Labels (or runs of them) stream from
+    ``scheme.encode_stream`` through :func:`pack_labels` into a buffered
+    temp file beside ``path``; then the header is written and the payload
+    appended.  Memory holds the scheme's shared precompute, one label (or
+    run) and the index, never the payload, and the file is byte-identical to
     ``LabelStore.encode_tree(scheme, tree).save(path)``.  ``progress`` is
     passed to :func:`pack_labels`.  Returns the number of bytes written.
     """
@@ -182,13 +290,6 @@ class LabelStore:
         bit_lengths,
         payload,
     ) -> None:
-        self.scheme_name = scheme_name
-        self.scheme_params = dict(scheme_params)
-        # the payload is *wrapped*, never copied: the memoryview pins the
-        # backing object (bytes, a catalog slice, an mmap) for its lifetime
-        self._backing = payload
-        self._view = _as_byte_view(payload)
-
         lengths = array("Q")
         offsets = array("Q", (0,))
         total = 0
@@ -199,10 +300,36 @@ class LabelStore:
                 offsets.append(total)
         except (OverflowError, TypeError) as error:
             raise StoreError(f"negative or invalid label bit length: {error}") from error
-        if total != self._view.nbytes:
+        self._adopt(scheme_name, scheme_params, lengths, offsets, payload)
+
+    @classmethod
+    def _from_index(
+        cls, scheme_name: str, scheme_params: dict, lengths: array, offsets: array, payload
+    ) -> "LabelStore":
+        """A store over index arrays built elsewhere (by C): no loop runs."""
+        store = cls.__new__(cls)
+        store._adopt(scheme_name, scheme_params, lengths, offsets, payload)
+        return store
+
+    def _adopt(self, scheme_name, scheme_params, lengths, offsets, payload) -> None:
+        """The one constructor: wrap ``payload`` and take the two index
+        arrays, ``n`` bit lengths and ``n + 1`` byte offsets from 0, once
+        they agree with each other's size and the payload's."""
+        self.scheme_name = scheme_name
+        self.scheme_params = dict(scheme_params)
+        # the payload is *wrapped*, never copied: the memoryview pins the
+        # backing object (bytes, a catalog slice, an mmap) for its lifetime
+        self._backing = payload
+        self._view = _as_byte_view(payload)
+        if len(offsets) != len(lengths) + 1 or offsets[0]:
+            raise StoreError(
+                f"an index of {len(lengths)} labels needs {len(lengths) + 1} "
+                f"offsets from 0, not {len(offsets)}"
+            )
+        if offsets[-1] != self._view.nbytes:
             raise StoreError(
                 f"payload is {self._view.nbytes} bytes but the index "
-                f"describes {total}"
+                f"describes {offsets[-1]}"
             )
         self._bit_lengths = lengths
         self._offsets = offsets
@@ -210,8 +337,16 @@ class LabelStore:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_labels(cls, scheme, labels: dict[int, object]) -> "LabelStore":
-        """Pack the labels ``scheme.encode`` produced for nodes ``0..n-1``."""
+    def from_labels(cls, scheme, labels) -> "LabelStore":
+        """Pack the labels ``scheme.encode`` produced for nodes ``0..n-1``.
+
+        A :class:`StoredLabels` of the same scheme spec that has handed out
+        no label is its store already, which is returned as it is.
+        """
+        if type(labels) is StoredLabels and not labels.handed_out:
+            store = labels.store
+            if store.scheme_name == scheme.name and store.scheme_params == scheme.params():
+                return store
         n = len(labels)
         if set(labels) != set(range(n)):
             raise StoreError("labels must be keyed by the nodes 0..n-1")
@@ -222,7 +357,7 @@ class LabelStore:
         """Encode ``tree`` with ``scheme`` and pack the result.
 
         Labels stream from ``scheme.encode_stream`` into the payload one at
-        a time; no label dict is built.
+        a time, or run by run; no label dict is built.
         """
         return cls._pack(scheme, scheme.encode_stream(tree), tree.n)
 
@@ -230,6 +365,10 @@ class LabelStore:
     def _pack(cls, scheme, labels, n: int) -> "LabelStore":
         payload = bytearray()
         lengths = pack_labels(labels, n, payload.extend)
+        if isinstance(labels, LabelRuns):
+            return cls._from_index(
+                scheme.name, scheme.params(), lengths, labels.offsets, payload
+            )
         return cls(scheme.name, scheme.params(), lengths, payload)
 
     # -- lookups -------------------------------------------------------------
@@ -397,26 +536,18 @@ class LabelStore:
                 raise ValueError(
                     f"index claims {n} labels but only {len(view) - pos} bytes follow"
                 )
-            bit_lengths = None
-            if n >= 256:
-                # bulk index decode through the native kernel tier when it
-                # is loaded; a decline (unavailable, or a stream the C side
-                # refuses) falls back to the Python loop, which raises the
-                # proper error for genuinely corrupt input
-                from repro import kernels
-
-                decoded = kernels.backend().varint_many(view, pos, n)
-                if decoded is not None:
-                    values, pos = decoded
-                    bit_lengths = values
-            if bit_lengths is None:
+            decoded = kernels.backend().decode_index(view, pos, n)
+            if decoded is None:
                 bit_lengths = []
                 for _ in range(n):
                     bits, pos = decode_uvarint(view, pos)
                     bit_lengths.append(bits)
         except ValueError as error:
             raise StoreError(f"corrupt store header: {error}") from error
-        return cls(name, params, bit_lengths, view[pos:])
+        if decoded is None:
+            return cls(name, params, bit_lengths, view[pos:])
+        lengths, offsets, pos = decoded
+        return cls._from_index(name, params, lengths, offsets, view[pos:])
 
     def save(self, path: str | os.PathLike) -> int:
         """Write the store to ``path``; returns the number of bytes written."""

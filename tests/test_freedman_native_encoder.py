@@ -6,8 +6,9 @@ tree's rows and writes every label's bits; on the python tier the Python
 encoder runs, and it stays the reference.  Hypothesis trees of every
 generator family, unweighted and with weights up to 2^40, under all four
 Freedman specs must give the same store payload, bit lengths and
-``encoding_stats`` on both tiers, and the C encoder's chunked output must
-not depend on the chunk size.  Skipped when the native tier is unavailable.
+``encoding_stats`` on both tiers, and the C encoder's runs must not depend
+on the buffer size or on where a run is cut.  Skipped when the native tier
+is unavailable.
 """
 
 from __future__ import annotations
@@ -116,20 +117,26 @@ def test_edge_trees_match(spec, tree):
     assert_tiers_agree(spec, tree)
 
 
-def _native_words(spec: str, tree: RootedTree):
-    """The C encoder's labels (``(bit_length, payload)`` each) and chunk sizes."""
-    stats, chunks = kernels.get_backend("native").encode_freedman(make_scheme(spec), tree)
+def _native_words(spec: str, tree: RootedTree, every: int = 1 << 62):
+    """The C encoder's labels (``(bit_length, payload)`` each) and run sizes,
+    its runs cut at each multiple of ``every`` labels."""
+    backend = kernels.get_backend("native")
+    stats, lengths, offsets, drain = backend.encode_freedman(make_scheme(spec), tree)
+    assert len(lengths) == tree.n and len(offsets) == tree.n + 1
     words, per_chunk = [], []
-    for payload, ends, bit_lengths in chunks:
-        assert isinstance(payload, bytes)
-        assert len(ends) == len(bit_lengths)
-        start = 0
-        for end, length in zip(ends, bit_lengths):
-            assert end - start == (length + 7) // 8
-            words.append((length, payload[start:end]))
-            start = end
-        assert start == len(payload)
-        per_chunk.append(len(ends))
+    start = 0
+    for payload, done in drain(every):
+        assert start < done <= tree.n
+        assert start // every == (done - 1) // every  # no run crosses a cut
+        base = offsets[start]
+        assert len(payload) == offsets[done] - base
+        for node in range(start, done):
+            end = offsets[node + 1]
+            assert end - offsets[node] == (lengths[node] + 7) // 8
+            words.append((lengths[node], bytes(payload[offsets[node] - base : end - base])))
+        per_chunk.append(done - start)
+        start = done
+    assert start == tree.n and offsets[0] == 0
     return words, per_chunk, stats
 
 
@@ -153,6 +160,10 @@ def test_chunked_output_matches_one_shot(spec, monkeypatch):
             assert any(len(payload) > budget for _, payload in words)
         if budget > 2 * smallest:
             assert max(per_chunk) > 1
+    monkeypatch.setattr(native, "ENCODE_CHUNK_BYTES", 1 << 24)
+    words, per_chunk, _ = _native_words(spec, tree, every=7)
+    assert words == one_shot
+    assert per_chunk == [7] * (tree.n // 7) + [tree.n % 7]
 
 
 def test_native_words_are_the_python_words():

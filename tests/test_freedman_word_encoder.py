@@ -257,6 +257,91 @@ def test_builds_never_parse_on_either_tier(tier, parse_calls, tmp_path):
     assert built == streamed == path.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_every_build_entry_gives_one_store(name, tmp_path):
+    """Every way to build a store gives the same bytes, under every
+    ablation: ``from_labels`` over an untouched ``encode`` (the store it
+    holds), and over one whose labels were handed out, one read and one
+    set to its own value (packed label by label); ``encode_tree``;
+    ``write_store``; and the python tier's encoder.  A label set to a new
+    value is packed as it now is, never as it was encoded."""
+    tree = random_prufer_tree(700, seed=12)
+    path = tmp_path / "written.rls"
+    stores = {}
+    for tier in available_tiers():
+        with forced_tier(tier):
+            scheme = FreedmanScheme(**SCHEMES[name])
+            labels = scheme.encode(tree)
+            stores[f"{tier}/from_labels"] = LabelStore.from_labels(scheme, labels)
+            labels[3].node_id  # noqa: B018 - a read parses the label
+            labels[5].root_distance = labels[5].root_distance
+            generic = LabelStore.from_labels(scheme, labels)
+            assert generic is not labels.store
+            stores[f"{tier}/handed-out"] = generic
+            stores[f"{tier}/encode_tree"] = LabelStore.encode_tree(scheme, tree)
+            write_store(scheme, tree, path)
+            stores[f"{tier}/write_store"] = LabelStore.load(path)
+            labels[7].root_distance += 1
+            changed = LabelStore.from_labels(scheme, labels)
+            assert bytes(changed.raw(7)) == labels[7].packed()[1]
+            assert bytes(changed.raw(7)) != bytes(labels.store.raw(7))
+    images = {key: store.to_bytes() for key, store in stores.items()}
+    assert len(set(images.values())) == 1, sorted(images)
+
+
+def test_native_builds_run_no_python_per_label(monkeypatch, tmp_path):
+    """On the native tier, ``encode_tree``, ``from_labels(encode)``,
+    ``write_store`` and ``from_bytes`` make no label object and run no
+    payload loop, and the Python calls they make do not grow with ``n``."""
+    if "native" not in available_tiers():
+        pytest.skip("native kernel tier unavailable")
+    from repro.core import freedman
+    from repro.store import label_store
+
+    made, packed = [], []
+    new_label, pack_labels = freedman._new_label, label_store.pack_labels
+    monkeypatch.setattr(freedman, "_new_label", lambda cls: made.append(1) or new_label(cls))
+
+    def counting_pack(labels, *args, **kwargs):
+        packed.append(type(labels).__name__)
+        return pack_labels(labels, *args, **kwargs)
+
+    monkeypatch.setattr(label_store, "pack_labels", counting_pack)
+
+    def builds(tree):
+        scheme = FreedmanScheme()
+        path = tmp_path / "built.rls"
+        encoded = scheme.encode(tree)
+        assert LabelStore.from_labels(scheme, encoded) is encoded.store
+        LabelStore.encode_tree(scheme, tree)
+        write_store(scheme, tree, path)
+        LabelStore.from_bytes(path.read_bytes())
+
+    def python_calls(tree) -> int:
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            builds(tree)
+        finally:
+            sys.setprofile(None)
+        return calls[0]
+
+    with forced_tier("native"):
+        builds(random_prufer_tree(50, seed=3))  # imports and first-use setup
+        small = python_calls(random_prufer_tree(1000, seed=3))
+        large = python_calls(random_prufer_tree(16000, seed=3))
+    assert made == []
+    # the payload loop takes every label set as runs, never label by label
+    assert set(packed) == {"LabelRuns"}
+    # the extra calls are a few per run of encoder output, not per label
+    assert large - small < 15000 // 100, (small, large)
+
+
 @pytest.mark.parametrize("tier", available_tiers())
 def test_unread_label_packs_copies_and_compares(tier, parse_calls):
     """An unread label hands out its payload, pickles and copies as a

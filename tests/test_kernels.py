@@ -424,8 +424,8 @@ def test_parse_checksums_agree_across_tiers(spec):
 
 
 def test_store_roundtrip_identical_across_tiers():
-    """The bulk-varint header fast path decodes exactly like the loop."""
-    tree = make_tree("random", 400, seed=61)  # n >= 256 engages the fast path
+    """The C index decoder reads a store exactly like the Python loop."""
+    tree = make_tree("random", 400, seed=61)
     scheme = make_scheme_from_spec("hld-fixed")
     data = LabelStore.encode_tree(scheme, tree).to_bytes()
     blobs = set()

@@ -15,7 +15,9 @@ with a small memory peak.  Per label format three kinds of crafted label:
   (:class:`BitError`, where nothing else would bound the loop);
 * for freedman, a fragment ref past the fragment distances, or missing:
   the label parses, and every query with it raises the ``ValueError`` of
-  inconsistent labels.
+  inconsistent labels;
+* for k-distance, entry lists whose lengths disagree (no distance, a child
+  height short, heights past the distances and the extension): likewise.
 
 The crafted labels are spliced on the printable bit string, with the field
 offsets found by the string-backed decoders of ``bitio_reference``; where a
@@ -251,4 +253,46 @@ def test_fragment_ref_out_of_range(fault):
             )
     for name, call in calls.items():
         with pytest.raises(ValueError, match="labels are inconsistent: the fragment ref"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "fault", ["no-distances", "child-heights-short", "heights-past-extension"]
+)
+def test_kdistance_entry_lists_out_of_step(fault):
+    """A k-distance label whose entry lists disagree in length parses, and
+    every query path raises the ``ValueError`` of inconsistent labels, where
+    the decoder used to index past a list (``IndexError``)."""
+    scheme, labels, node = _setup("k-distance")
+    crafted = scheme.parse(labels[node].to_bits())
+    if fault == "no-distances":
+        crafted.distances = []
+    elif fault == "child-heights-short":
+        crafted.child_heights = crafted.child_heights[:-1]
+    else:
+        crafted.heights = crafted.heights + [crafted.heights[-1]] * 2
+    bits = crafted.to_bits()
+    assert bits != labels[node].to_bits()
+    store = LabelStore.from_labels(scheme, {**labels, node: _Raw(bits.data)})
+    others = [other for other in labels if other != node]
+    calls = {
+        "parse": lambda: [scheme.query(scheme.parse(bits), labels[o]) for o in others],
+        "reference": lambda: [
+            scheme.query(kdistance_from_bits(bits), labels[o]) for o in others
+        ],
+        "parse_many": lambda: [
+            scheme.query(*scheme.parse_many(store, [o, node]).values()) for o in others
+        ],
+    }
+    for tier in available_tiers():
+        with forced_tier(tier):
+            engine = QueryEngine(store, scheme=scheme)
+            calls[f"engine/{tier}"] = lambda engine=engine: [
+                engine.query(node, o) for o in others
+            ]
+            calls[f"engine/{tier}/batch"] = lambda engine=engine: engine.batch_query(
+                [(o, node) for o in others]
+            )
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="labels are inconsistent: the k-distance"):
             call()

@@ -427,12 +427,15 @@ def test_metrics_server_serves_and_reports_errors():
             assert response.status == 200
             assert response.headers["Content-Type"].startswith("text/plain")
             assert response.read() == b"repro_up 1\n"
+        # an HTTPError holds the response and its socket: close each one
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(f"http://{host}:{port}/metrics")
-        assert caught.value.code == 500
+        with caught.value:
+            assert caught.value.code == 500
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(f"http://{host}:{port}/other")
-        assert caught.value.code == 404
+        with caught.value:
+            assert caught.value.code == 404
     finally:
         server.stop()
 

@@ -187,14 +187,17 @@ def test_async_client_retries_busy_until_answered(tree, index):
 async def _always_busy_connection(reader, writer):
     """A server that sheds every request: the retry-budget worst case."""
     decoder = protocol.FrameDecoder()
-    while True:
-        data = await reader.read(65536)
-        if not data:
-            break
-        decoder.feed(data)
-        for body in decoder.frames():
-            request_id = protocol.decode_request(body)[1]
-            writer.write(protocol.encode_busy(request_id, 1))
+    try:
+        while True:
+            data = await reader.read(65536)
+            if not data:
+                break
+            decoder.feed(data)
+            for body in decoder.frames():
+                request_id = protocol.decode_request(body)[1]
+                writer.write(protocol.encode_busy(request_id, 1))
+    finally:
+        writer.close()
 
 
 def test_busy_retry_budget_exhausts_against_dead_overload():

@@ -175,7 +175,8 @@ class TestLabelStoreErrors:
 
     def test_bad_label_keys(self):
         scheme = FreedmanScheme()
-        labels = scheme.encode(make_tree("path", 5))
+        # ``encode`` returns a read-only mapping: edit a copy
+        labels = dict(scheme.encode(make_tree("path", 5)))
         labels[99] = labels.pop(0)
         with pytest.raises(StoreError):
             LabelStore.from_labels(scheme, labels)
@@ -389,3 +390,67 @@ def test_packed_is_the_serialised_label(spec, tier):
         assert Label.packed(label) == expected, node
         assert scheme.parse(label.to_bits()).packed() == expected, node
         assert (store.bit_length(node), bytes(store.raw(node))) == expected, node
+
+
+# -- the index decoder ------------------------------------------------------------
+
+#: a 10-byte varint of 2^64 - 1, the largest bit length an index holds
+_MAX_VARINT = b"\xff" * 9 + b"\x01"
+
+
+def _store_image(n: int, index: bytes, payload: bytes) -> bytes:
+    """A store file whose header claims ``n`` labels, then ``index`` and ``payload``."""
+    return (
+        STORE_MAGIC + encode_uvarint(8) + b"freedman" + encode_uvarint(2) + b"{}"
+        + encode_uvarint(n) + index + payload
+    )
+
+
+@pytest.mark.parametrize("tier", available_tiers())
+@pytest.mark.parametrize(
+    "image",
+    [
+        # the buffer ends inside the second bit length
+        _store_image(2, b"\x08\x80", b""),
+        # ten bytes with the high bit set: past 64 bits
+        _store_image(1, b"\xff" * 10 + b"\x01", b"\x00" * 4),
+        # a tenth byte whose value passes 2^64
+        _store_image(1, b"\xff" * 9 + b"\x02", b"\x00" * 4),
+        # the lengths (1 + 2 bytes) describe less than the payload, and more
+        _store_image(2, b"\x08\x09", b"\x00" * 4),
+        _store_image(2, b"\x08\x09", b"\x00" * 2),
+        # more labels than bytes follow
+        _store_image(50, b"\x08" * 9, b"\x00"),
+        # eight labels of 2^64 - 1 bits add up to 2^64 bytes, which wraps
+        # to 0 in 64 bits: a ninth of 16 bytes would match the payload
+        _store_image(9, _MAX_VARINT * 8 + encode_uvarint(128), b"\x00" * 16),
+    ],
+    ids=[
+        "truncated", "overlong", "past-uint64", "short-index", "long-index",
+        "more-labels-than-bytes", "sum-overflows",
+    ],
+)
+def test_corrupt_index_is_a_store_error(image, tier):
+    """Every tier refuses a corrupt index with :class:`StoreError`, never an
+    ``IndexError`` or a store over the wrong bytes."""
+    with forced_tier(tier):
+        with pytest.raises(StoreError):
+            LabelStore.from_bytes(image)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_index_arrays_agree_across_tiers(n):
+    """The C index decoder builds the Python loop's two arrays exactly."""
+    tree = make_tree("random", n, seed=4)
+    data = LabelStore.encode_tree(FreedmanScheme(), tree).to_bytes()
+    found = set()
+    for tier in available_tiers():
+        with forced_tier(tier):
+            _, offsets, lengths = LabelStore.from_bytes(data).buffers()
+        found.add((tuple(offsets), tuple(lengths)))
+    assert len(found) == 1
+    (offsets, lengths), = found
+    assert len(offsets) == n + 1 and offsets[0] == 0
+    assert all(
+        offsets[i + 1] - offsets[i] == (lengths[i] + 7) // 8 for i in range(n)
+    )
