@@ -1126,6 +1126,9 @@ static inline void bw_zeros(bw_t *w, uint64_t n) {
     bw_put(w, 0, (uint32_t)n);
 }
 
+/* The width of gamma(x): ``x + 1`` in ``2 * bitlen - 1`` bits. */
+static inline uint32_t gamma_bits(uint64_t x) { return 2 * bitlen64(x + 1) - 1; }
+
 /* Elias gamma of ``x < 2^64 - 1``: ``x + 1`` in ``2 * bitlen - 1`` bits. */
 static inline void bw_gamma(bw_t *w, uint64_t x) {
     uint64_t y = x + 1;
@@ -1162,9 +1165,13 @@ static void bw_monotone(bw_t *w, const uint64_t *values, uint64_t count) {
     if (low_width)
         for (i = 0; i < count; i++) bw_put64(w, values[i] & mask, low_width);
     for (i = 0; i < count; i++) {
-        uint64_t part = values[i] >> low_width;
-        bw_zeros(w, part - high);
-        bw_put(w, 1, 1);
+        uint64_t part = values[i] >> low_width, gap = part - high;
+        if (gap < 32) {
+            bw_put(w, 1, (uint32_t)gap + 1);
+        } else {
+            bw_zeros(w, gap);
+            bw_put(w, 1, 1);
+        }
         high = part;
     }
 }
@@ -1192,18 +1199,28 @@ static inline uint64_t bits_at(const uint8_t *buf, uint64_t off, uint32_t n) {
 
 /* -- precompute -------------------------------------------------------------- */
 
-/* One collapsed path, with everything a label reads at its level. */
+/* One collapsed path, with everything a label reads at its level.  The
+ * last precompute pass folds a level's codeword and entry into the words a
+ * label writes for them, so ``fr_render`` writes each with one put:
+ *
+ * - ``code`` becomes gamma(code_len) then the codeword, and ``code_len``
+ *   that word's width (at most 11 + 32 bits);
+ * - ``kept`` becomes 0, gamma(kept_len), the kept bits, gamma(pushed) —
+ *   or the skip bit, 1 — and ``entry_len`` its width.  An entry wider than
+ *   64 bits (root-distance gaps of about 2^51 and up, which only weighted
+ *   trees reach) keeps its fields, with ``entry_len`` 0. */
 typedef struct {
-    uint64_t code;      /* light codeword of the edge into the path */
+    uint64_t code;      /* light codeword of the edge into the path, then
+                           its level word */
     uint64_t weight;    /* weight of that light edge */
     int64_t head_dist;  /* root distance of the head */
     uint64_t kept;      /* the entry's kept bits (its full value until the
-                           entries pass) */
+                           entries pass, its level word after the fold) */
     uint64_t acc_off;   /* bit offset of the parent's accumulator */
     uint64_t prefix;    /* accumulator bits pushed before this path's turn */
     int32_t parent;     /* parent path, -1 for the root path */
     int32_t dom;        /* postorder (domination) number */
-    uint8_t code_len, kept_len, pushed, skip, frag_ref, depth;
+    uint8_t code_len, kept_len, pushed, entry_len, frag_ref, depth;
 } fr_path_t;
 
 typedef struct repro_fr_encoder {
@@ -1517,8 +1534,8 @@ repro_fr_encoder *repro_fr_encoder_new(int64_t n, const int32_t *parents,
             child->acc_off = offset;
             child->prefix = accumulated;
             if (k == end - 1) {
-                child->skip = 1;
-                child->kept = 0;
+                child->kept = 1; /* the skip bit, already its word */
+                child->entry_len = 1;
                 skipped++;
                 break;
             }
@@ -1545,6 +1562,19 @@ repro_fr_encoder *repro_fr_encoder_new(int64_t n, const int32_t *parents,
     bw_flush(&e->acc);
     if (bw_reserve(&e->acc, 64)) goto done;
     memset(e->acc.buf + e->acc.pos, 0, 8);
+
+    /* the level words (see ``fr_path_t``); the root path is no level */
+    for (i = 1; i < paths; i++) {
+        fr_path_t *q = &path[i];
+        uint32_t kept_gamma = gamma_bits(q->kept_len), pushed_gamma = gamma_bits(q->pushed);
+        uint32_t width = 1 + kept_gamma + q->kept_len + pushed_gamma;
+        q->code |= (uint64_t)(q->code_len + 1) << q->code_len;
+        q->code_len = (uint8_t)(gamma_bits(q->code_len) + q->code_len);
+        if (q->entry_len || width > 64) continue;
+        q->kept = ((uint64_t)(q->kept_len + 1) << q->kept_len | q->kept) << pushed_gamma |
+                  (uint64_t)(q->pushed + 1);
+        q->entry_len = (uint8_t)width;
+    }
 
     /* per original node: its pendant leaf's path and root distance */
     FR_ALLOC(e->own, n);
@@ -1583,7 +1613,9 @@ done:
 /* -- writing labels ------------------------------------------------------------ */
 
 /* Render node ``v``'s label into ``e->label`` in ``FreedmanLabel.write``
- * order.  1 only when memory runs out. */
+ * order: each level's codeword field and entry is one folded word of its
+ * path (see ``fr_path_t``), so a level costs one put for each.  1 only when
+ * memory runs out. */
 static int fr_render(repro_fr_encoder *e, int64_t v) {
     const fr_path_t *path = e->path;
     const fr_path_t *level[FR_MAX_DEPTH];
@@ -1608,10 +1640,7 @@ static int fr_render(repro_fr_encoder *e, int64_t v) {
     bw_delta(w, (uint64_t)e->dist[v]);
     bw_delta(w, (uint64_t)own->dom);
     bw_gamma(w, depth);
-    for (d = 0; d < depth; d++) {
-        bw_gamma(w, level[d]->code_len);
-        bw_put64(w, level[d]->code, level[d]->code_len);
-    }
+    for (d = 0; d < depth; d++) bw_put64(w, level[d]->code, level[d]->code_len);
     for (d = 0; d < depth; d++) bw_gamma(w, level[d]->weight);
     for (d = 0; d < depth; d++) values[d] = level[d]->frag_ref;
     bw_monotone(w, values, depth);
@@ -1624,11 +1653,11 @@ static int fr_render(repro_fr_encoder *e, int64_t v) {
     bw_monotone(w, values, count);
     for (d = 0; d < depth; d++) {
         const fr_path_t *q = level[d];
-        if (q->skip) {
-            bw_put(w, 1, 1);
+        if (q->entry_len) {
+            bw_put64(w, q->kept, q->entry_len);
             continue;
         }
-        bw_put(w, 0, 1);
+        bw_put(w, 0, 1); /* an entry wider than one word, field by field */
         bw_gamma(w, q->kept_len);
         bw_put64(w, q->kept, q->kept_len);
         bw_gamma(w, q->pushed);

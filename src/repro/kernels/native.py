@@ -7,7 +7,7 @@ with the reason — missing cffi, no C compiler, a failed build, a corrupt
 or ABI-incompatible library — and the dispatch layer degrades to the
 packed-Python tier.
 
-The library is compiled at first use (``cc -O2 -shared -fPIC``) into a
+The library is compiled at first use (``cc -O3 -shared -fPIC``) into a
 cache directory, named by a hash of the C source so stale builds are never
 picked up after the source changes.  ``python setup.py build_py`` attempts
 the same build at package-build time (see ``setup.py``), which simply
@@ -192,7 +192,7 @@ def ensure_built(verbose: bool = False) -> str:
             scratch = path + f".tmp{os.getpid()}"
             command = [
                 *compiler,
-                "-O2",
+                "-O3",
                 "-shared",
                 "-fPIC",
                 "-o",

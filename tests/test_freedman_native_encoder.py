@@ -117,6 +117,74 @@ def test_edge_trees_match(spec, tree):
     assert_tiers_agree(spec, tree)
 
 
+# -- the folded level words ----------------------------------------------------
+#
+# The C encoder writes a level's codeword field, gamma(length) then the
+# codeword, and its entry, 0 gamma(kept length) kept gamma(pushed) or the
+# skip bit 1, each as one word of its path; an entry over 64 bits is written
+# field by field.  Each fixed tree below checks that it takes the branch it
+# is here for, from the Python encoder's labels.
+
+
+def _gamma_bits(x: int) -> int:
+    return 2 * (x + 1).bit_length() - 1
+
+
+def _entry_widths(spec: str, tree: RootedTree) -> list[list[int]]:
+    """Per label, each level's entry width in bits: 1 for a skip bit."""
+    widths = []
+    for label in make_scheme(spec)._python_encode_stream(tree):
+        widths.append(
+            [
+                1
+                if skip
+                else 1 + _gamma_bits(len(kept)) + len(kept) + _gamma_bits(pushed)
+                for skip, kept, pushed in zip(
+                    label.entry_skip, label.entry_kept, label.entry_pushed
+                )
+            ]
+        )
+    return widths
+
+
+@pytest.mark.parametrize(
+    "weight, width", [(2**51 - 1, 64), (2**51, 65)], ids=["one-word", "wide"]
+)
+def test_entry_at_the_word_boundary(weight, width):
+    """A 64-bit entry is the last that folds into one word; the next goes
+    field by field."""
+    tree = RootedTree([None, 0, 0], [0, weight, 5])
+    widest = [max(level) for level in _entry_widths("freedman-no-accumulators", tree)]
+    assert widest.count(width) == 1 and max(widest) == width
+    for spec in SPECS:
+        assert_tiers_agree(spec, tree)
+
+
+def test_longest_light_codeword_for_the_size():
+    """Unbinarized, a star's root path is the root alone, and the root's own
+    pendant leaf is a light child of size 1 beside 2n - 2 other nodes below
+    it: a codeword of bitlen(2n - 2) + 1 bits, the longest any unbinarized
+    n-node tree gets."""
+    tree = star_tree(1025)
+    for spec in SPECS:
+        labels = make_scheme(spec)._python_encode_stream(tree)
+        longest = max(len(code) for label in labels for code in label.codewords)
+        if spec == "freedman-no-binarize":
+            assert longest == (2 * tree.n - 2).bit_length() + 1
+        assert_tiers_agree(spec, tree)
+
+
+def test_label_mixing_skipped_folded_and_wide_entries():
+    """One label's levels take all three entry writes.  Its wide entry (72
+    bits) would not fit one word even without its leading zero bits, six
+    at this kept length, so a fold that cut it short would show."""
+    tree = random_weighted_tree(20, 2**60, seed=0)
+    widths = _entry_widths("freedman-no-accumulators", tree)
+    assert any(1 in row and any(1 < w <= 64 for w in row) and max(row) > 70 for row in widths)
+    for spec in SPECS:
+        assert_tiers_agree(spec, tree)
+
+
 def _native_words(spec: str, tree: RootedTree, every: int = 1 << 62):
     """The C encoder's labels (``(bit_length, payload)`` each) and run sizes,
     its runs cut at each multiple of ``every`` labels."""

@@ -16,14 +16,14 @@ from __future__ import annotations
 from array import array
 
 import dataclasses
+import functools
 import os
-import random
 import sys
 import threading
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.api import DistanceIndex
@@ -325,19 +325,31 @@ def test_native_batch_skips_the_python_parse(spec, monkeypatch):
         )
 
 
+def _label_bits(store, node):
+    """``node``'s label in ``store`` as ``(value, bit length)``, MSB first."""
+    view, offsets, lengths = store.buffers()
+    length = lengths[node]
+    label = bytes(view[offsets[node] : offsets[node] + (length + 7) // 8])
+    return int.from_bytes(label, "big") >> (-length % 8), length
+
+
+def _with_label(store, node, value, length):
+    """A copy of ``store`` in which ``node``'s label is the ``length`` bits of
+    ``value``."""
+    view, offsets, lengths = store.buffers()
+    start = offsets[node]
+    end = start + (lengths[node] + 7) // 8
+    label = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
+    bit_lengths = list(lengths)
+    bit_lengths[node] = length
+    payload = bytes(view[:start]) + label + bytes(view[end:])
+    return LabelStore(store.scheme_name, store.scheme_params, bit_lengths, payload)
+
+
 def _truncated(store, node, bits):
     """A copy of ``store`` in which ``node``'s label keeps its first ``bits``."""
-    view, offsets, lengths = store.buffers()
-    payload = bytearray()
-    bit_lengths = []
-    for other in range(store.n):
-        length = bits if other == node else lengths[other]
-        label = bytearray(view[offsets[other] : offsets[other] + (length + 7) // 8])
-        if length % 8:
-            label[-1] &= 0xFF << (8 - length % 8) & 0xFF
-        payload += label
-        bit_lengths.append(length)
-    return LabelStore(store.scheme_name, store.scheme_params, bit_lengths, bytes(payload))
+    value, length = _label_bits(store, node)
+    return _with_label(store, node, value >> (length - bits), bits)
 
 
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
@@ -474,36 +486,68 @@ def test_describe_and_cache_info_report_active_tier():
 
 # -- mutated label bits: the C decoder against the Python reference ----------
 
-#: seeded flips per scheme; with the kernel answering before any Python
-#: parse, these labels reach the C decoder first
-MUTATIONS = 400
+#: the mutation differentials compare the two tiers
+NATIVE_ONLY = pytest.mark.skipif(
+    "native" not in available_tiers(), reason="native tier not available in this environment"
+)
+
+#: generated mutations per scheme; with the kernel answering before any
+#: Python parse, these labels reach the C decoder first
+MUTATIONS = 300
+
+#: mutated labels that share one long-lived engine, per example
+LONG_LIVED_CASES = 100
 
 
-def _flip_bits(store, node, positions):
-    """A copy of ``store`` with bits ``positions`` of ``node``'s label flipped."""
-    view, offsets, lengths = store.buffers()
-    payload = bytearray(view)
-    for bit in positions:
-        at = offsets[node] * 8 + bit
-        payload[at >> 3] ^= 0x80 >> (at & 7)
-    return LabelStore(store.scheme_name, store.scheme_params, lengths, bytes(payload))
-
-
-def _mutated_cases(spec, scheme, tree, seed):
-    """``(store, node, pairs)`` cases: ``node``'s label is mutated in ``store``
-    and every pair touches it."""
-    rng = random.Random(seed)
+@functools.lru_cache(maxsize=None)
+def _clean(spec):
+    """The mutation tests' tree, its labels and their store under ``spec``."""
+    scheme = make_scheme_from_spec(spec)
+    tree = make_tree("random_binary", 200, seed=71)
     labels = scheme.encode(tree)
-    store = LabelStore.from_labels(scheme, labels)
-    others = list(range(tree.n))
-    cases = []
-    for _ in range(MUTATIONS):
-        node = rng.randrange(tree.n)
-        length = store.bit_length(node)
-        flips = rng.sample(range(length), min(length, rng.randint(1, 4)))
-        partners = rng.sample(others, 24)
-        pairs = [(node, w) if k % 2 else (w, node) for k, w in enumerate(partners)]
-        cases.append((_flip_bits(store, node, flips), node, pairs))
+    return tree, labels, LabelStore.from_labels(scheme, labels)
+
+
+def _edits(value, length):
+    """``(value, length)`` edits of a ``length``-bit label: 1-4 bits flipped,
+    cut to a shorter length, or extended by zero or random bits."""
+    flips = st.lists(
+        st.integers(0, length - 1), min_size=1, max_size=min(4, length), unique=True
+    ).map(lambda bits: (value ^ sum(1 << (length - 1 - bit) for bit in bits), length))
+    cuts = st.integers(0, length - 1).map(lambda kept: (value >> (length - kept), kept))
+    extensions = st.integers(1, 64).flatmap(
+        lambda extra: st.one_of(st.just(0), st.integers(0, (1 << extra) - 1)).map(
+            lambda tail: (value << extra | tail, length + extra)
+        )
+    )
+    return st.one_of(flips, cuts, extensions)
+
+
+def mutated_cases(spec):
+    """``(store, node, pairs)``: a copy of ``spec``'s clean store with one
+    label edited, and 24 pairs that each touch it."""
+    tree, _, store = _clean(spec)
+
+    def at(node):
+        edits = _edits(*_label_bits(store, node))
+        partners = st.randoms(use_true_random=True).map(
+            lambda rng: rng.sample(range(tree.n), 24)
+        )
+        return st.tuples(edits, partners).map(
+            lambda drawn: (
+                _with_label(store, node, *drawn[0]),
+                node,
+                [(node, w) if k % 2 else (w, node) for k, w in enumerate(drawn[1])],
+            )
+        )
+
+    return st.integers(0, tree.n - 1).flatmap(at)
+
+
+def _edited_case(spec):
+    """The hand-edited case: a label whose fields no bit mutation reaches."""
+    tree, labels, _ = _clean(spec)
+    scheme = make_scheme_from_spec(spec)
     edited = dict(labels)
     if spec == "freedman":
         # a label that lost all but its first fragment ref: Python raises
@@ -524,9 +568,8 @@ def _mutated_cases(spec, scheme, tree, seed):
             id_width=label.id_width,
             distance_width=label.distance_width,
         )
-    pairs = [(node, w) for w in others if w != node]
-    cases.append((LabelStore.from_labels(scheme, edited), node, pairs))
-    return cases
+    pairs = [(node, w) for w in range(tree.n) if w != node]
+    return LabelStore.from_labels(scheme, edited), node, pairs
 
 
 def _outcomes(tier, spec, cases):
@@ -543,19 +586,7 @@ def _outcomes(tier, spec, cases):
     return results
 
 
-@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
-def test_mutated_labels_answer_alike_on_native_and_python(spec):
-    """Corrupt label bits get the Python answer or the Python exception.
-
-    Every batch touches one mutated label, and the C kernel sees it before
-    any Python parse; it must decline wherever the Python parser or query
-    would raise or differ.
-    """
-    if "native" not in available_tiers():
-        pytest.skip("native tier not available in this environment")
-    scheme = make_scheme_from_spec(spec)
-    tree = make_tree("random_binary", 200, seed=71)
-    cases = _mutated_cases(spec, scheme, tree, seed=73)
+def _assert_tiers_answer_alike(spec, cases):
     native = _outcomes("native", spec, cases)
     python = _outcomes("python", spec, cases)
     diverged = [
@@ -564,6 +595,27 @@ def test_mutated_labels_answer_alike_on_native_and_python(spec):
         if native[index] != python[index]
     ]
     assert not diverged, f"{len(diverged)} of {len(cases)} diverged: {diverged[:3]}"
+
+
+@NATIVE_ONLY
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+@settings(max_examples=MUTATIONS, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_labels_answer_alike_on_native_and_python(spec, data):
+    """Corrupt label bits get the Python answer or the Python exception.
+
+    Every batch touches one mutated label, and the C kernel sees it before
+    any Python parse; it must decline wherever the Python parser or query
+    would raise or differ.
+    """
+    _assert_tiers_answer_alike(spec, [data.draw(mutated_cases(spec))])
+
+
+@NATIVE_ONLY
+@pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
+def test_hand_edited_label_answers_alike_on_native_and_python(spec):
+    """A label whose fields were edited, not its bits, is declined alike."""
+    _assert_tiers_answer_alike(spec, [_edited_case(spec)])
 
 
 def _one_store(clean, cases):
@@ -603,8 +655,11 @@ def _long_lived_steps(tier, spec, store, steps):
     return results
 
 
+@NATIVE_ONLY
 @pytest.mark.parametrize("spec", ["hld-fixed", "freedman"])
-def test_mutated_labels_answer_alike_through_one_long_lived_engine(spec):
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_labels_answer_alike_through_one_long_lived_engine(spec, data):
     """The mutation differential through one engine per tier, with eviction.
 
     All mutated cases and clean batches run through a single 32-label
@@ -615,12 +670,14 @@ def test_mutated_labels_answer_alike_through_one_long_lived_engine(spec):
     the C decoder also declines labels Python parses, such as an hld-fixed
     label whose widths differ from the store's.)
     """
-    if "native" not in available_tiers():
-        pytest.skip("native tier not available in this environment")
     scheme = make_scheme_from_spec(spec)
-    tree = make_tree("random_binary", 200, seed=71)
-    cases = _mutated_cases(spec, scheme, tree, seed=73)
-    store, moved = _one_store(LabelStore.encode_tree(scheme, tree), cases)
+    tree, _, clean = _clean(spec)
+    cases = data.draw(
+        st.lists(mutated_cases(spec), min_size=LONG_LIVED_CASES, max_size=LONG_LIVED_CASES)
+    )
+    # the hand-edited label, and one cut to 3 bits, which never decodes
+    cases += [_edited_case(spec), (_truncated(clean, 7, 3), 7, [(7, w) for w in range(24)])]
+    store, moved = _one_store(clean, cases)
     steps = []
     undecodable = []
     for index, (extra, pairs) in enumerate(moved):
