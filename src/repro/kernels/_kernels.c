@@ -37,10 +37,13 @@
  * arrays as they stand, and fails only when memory runs out.  The index
  * decoder (``repro_decode_index``) reads a store's varint index straight
  * into those arrays and says why it refuses a corrupt one;
- * ``repro_encode_index`` writes it back.  The RSP/1 codec (``repro_scan_*``
- * and ``repro_encode_results``, at the end of the file) works on wire
- * bytes, not labels: its scanners stop at any frame they do not take, and
- * the Python decoder reads that frame.
+ * ``repro_encode_index`` writes it back.  The RSP/1 codec (``repro_scan_*``,
+ * ``repro_encode_results`` and ``repro_encode_queries``, at the end of the
+ * file) works on wire bytes, not labels: its scanners stop at any frame
+ * they do not take, and the Python decoder reads that frame; its encoders
+ * write the plain frames (the server's RESULTs, the client's corked
+ * QUERYs) and refuse only a negative value, which the Python encoder
+ * then rejects as it always has.
  *
  * Bit layout contract (matching repro.encoding.bitio): MSB-first within the
  * packed stream; label i starts at bit offset offs[i] * 8 and is lens[i]
@@ -68,7 +71,7 @@
 #define MAX_VALUE_BITS 56
 #define MAX_LABEL_BITS 0xFFFFFFFFull
 
-#define ABI_VERSION 8
+#define ABI_VERSION 9
 
 #define KIND_HLD 0
 #define KIND_FREEDMAN 1
@@ -1720,9 +1723,10 @@ int64_t repro_fr_encoder_next(repro_fr_encoder *e, uint8_t *buf, uint64_t cap,
  * exact RESULT frame.  The scanners split a receive buffer into frames as
  * ``FrameDecoder.frames`` does and turn the longest run of *plain* frames
  * into columns; they never fail on bytes, they only stop, and the frame
- * that stopped them goes through the Python decoder.  A plain frame's
- * varints fit in 9 bytes (so below 2^63) and its body holds nothing after
- * the last field. */
+ * that stopped them goes through the Python decoder.  The encoders write
+ * the same two shapes from columns: the server's RESULT runs and the
+ * client's corked QUERY runs.  A plain frame's varints fit in 9 bytes (so
+ * below 2^63) and its body holds nothing after the last field. */
 
 #define RSP_OP_QUERY 0x01
 #define RSP_OP_RESULT 0x81
@@ -1901,6 +1905,48 @@ int64_t repro_encode_results(const int64_t *ids, const int64_t *values,
         q = rsp_put_uvarint(q, (uint64_t)values[i]);
         *p = (uint8_t)(q - body); /* at most 22 bytes: a one-byte prefix */
         p = q;
+    }
+    return (int64_t)(p - out);
+}
+
+static inline uint64_t rsp_uvarint_len(uint64_t v) {
+    uint64_t n = 1;
+    while (v >= 0x80) {
+        v >>= 7;
+        n++;
+    }
+    return n;
+}
+
+/* ``count`` plain QUERY frames for one member, byte for byte those of
+ * ``protocol.encode_query(ids[i], pairs[2i], pairs[2i + 1], name)``:
+ * uvarint(body length), then 0x01, uvarint(id), uvarint(name_len), the
+ * name's bytes, uvarint(u), uvarint(v).  A long name takes a longer length
+ * prefix, as ``encode_frame`` writes it.  ``out`` holds RSP_QUERY_BYTES +
+ * name_len bytes per frame.  Returns the bytes written, or -1 — writing
+ * nothing useful — when an id, u or v is negative. */
+#define RSP_QUERY_BYTES 48
+int64_t repro_encode_queries(const int64_t *ids, const int64_t *pairs,
+                             int64_t count, const uint8_t *name,
+                             uint64_t name_len, uint8_t *out) {
+    uint8_t *p = out;
+    uint64_t fixed = 1 + rsp_uvarint_len(name_len) + name_len;
+    int64_t i;
+    for (i = 0; i < count; i++) {
+        int64_t id = ids[i], u = pairs[2 * i], v = pairs[2 * i + 1];
+        if (id < 0 || u < 0 || v < 0) return -1;
+        p = rsp_put_uvarint(p, fixed + rsp_uvarint_len((uint64_t)id) +
+                                   rsp_uvarint_len((uint64_t)u) +
+                                   rsp_uvarint_len((uint64_t)v));
+        *p++ = RSP_OP_QUERY;
+        p = rsp_put_uvarint(p, (uint64_t)id);
+        p = rsp_put_uvarint(p, name_len);
+        if (name_len) {
+            memcpy(p, name, (size_t)name_len);
+            p += name_len;
+        }
+        p = rsp_put_uvarint(p, (uint64_t)u);
+        p = rsp_put_uvarint(p, (uint64_t)v);
     }
     return (int64_t)(p - out);
 }

@@ -40,7 +40,7 @@ from struct import error as StructError, pack
 
 #: bumped in ``_kernels.c`` whenever a signature changes; a library that
 #: reports anything else is stale or foreign and is rejected
-ABI_VERSION = 8
+ABI_VERSION = 9
 
 _CDEF = """
 int repro_kernels_abi(void);
@@ -81,6 +81,8 @@ int64_t repro_scan_results(const void *buf, uint64_t len, uint64_t pos,
                            uint64_t *info);
 int64_t repro_encode_results(const void *ids, const void *values, int64_t count,
                              uint8_t *out);
+int64_t repro_encode_queries(const void *ids, const void *pairs, int64_t count,
+                             const void *name, uint64_t name_len, uint8_t *out);
 """
 
 #: ``repro_arena_pair``'s answer when it declines: INT64_MIN, which no
@@ -121,6 +123,9 @@ _SCAN_AGAIN = 2
 
 #: output bytes ``repro_encode_results`` may write per frame
 _RESULT_BYTES = 24
+
+#: output bytes ``repro_encode_queries`` may write per frame, besides the name
+_QUERY_BYTES = 48
 
 #: guard against absurd matrices: m*m int64 results; above this the Python
 #: path is just as memory-bound and the fused fill buys nothing
@@ -566,14 +571,17 @@ class WireCodec:
     item — the run's member name field as bytes (empty for results), its
     request ids, and its flat ``(u, v)`` pairs (result values) as
     ``array('q')`` columns.  Every other complete frame comes back as its
-    body ``bytes`` for the Python decoder.  :mod:`repro.serve.protocol`
-    defines plain frames and holds the reference codec these must match.
+    body ``bytes`` for the Python decoder.  ``encode_results`` (the
+    server's answers) and ``encode_queries`` (the client's corked
+    requests) write such columns back as plain frames.
+    :mod:`repro.serve.protocol` defines plain frames and holds the
+    reference codec these must match.
 
     One instance per event loop: calls share the scratch buffers, and cffi
     releases the GIL around them.
     """
 
-    __slots__ = ("_ffi", "_lib", "_ids", "_values", "_info", "_out", "_out_frames")
+    __slots__ = ("_ffi", "_lib", "_ids", "_values", "_info", "_out", "_out_bytes")
 
     def __init__(self, ffi, lib) -> None:
         self._ffi = ffi
@@ -581,8 +589,8 @@ class WireCodec:
         self._ids = ffi.new("int64_t[]", SCAN_FRAMES)
         self._values = ffi.new("int64_t[]", 2 * SCAN_FRAMES)
         self._info = ffi.new("uint64_t[6]")
-        self._out = ffi.new("uint8_t[]", _RESULT_BYTES * SCAN_FRAMES)
-        self._out_frames = SCAN_FRAMES
+        self._out_bytes = _RESULT_BYTES * SCAN_FRAMES
+        self._out = ffi.new("uint8_t[]", self._out_bytes)
 
     def scan_queries(self, data):
         """``(items, consumed, corrupt)`` of the QUERY-side scan of ``data``."""
@@ -628,6 +636,13 @@ class WireCodec:
             if view is not data:
                 ffi.release(view)
 
+    def _scratch(self, nbytes: int):
+        """The output buffer, grown to at least ``nbytes``."""
+        if nbytes > self._out_bytes:
+            self._out = self._ffi.new("uint8_t[]", nbytes)
+            self._out_bytes = nbytes
+        return self._out
+
     def encode_results(self, ids, values):
         """The exact single-value RESULT frames of ``zip(ids, values)``.
 
@@ -638,13 +653,35 @@ class WireCodec:
         count = len(ids)
         if ids.typecode != "q" or values.typecode != "q" or len(values) != count:
             raise ValueError("encode_results takes two array('q') columns of one length")
-        if count > self._out_frames:
-            self._out = self._ffi.new("uint8_t[]", _RESULT_BYTES * count)
-            self._out_frames = count
         ffi = self._ffi
+        out = self._scratch(_RESULT_BYTES * count)
         written = self._lib.repro_encode_results(
-            ffi.from_buffer(ids), ffi.from_buffer(values), count, self._out
+            ffi.from_buffer(ids), ffi.from_buffer(values), count, out
         )
         if written < 0:
             return None
-        return ffi.buffer(self._out, written)[:]
+        return ffi.buffer(out, written)[:]
+
+    def encode_queries(self, ids, pairs, name: bytes = b""):
+        """The plain QUERY frames of ``ids`` and the flat ``(u, v)`` ``pairs``.
+
+        ``ids`` and ``pairs`` are ``array('q')`` columns, ``pairs`` twice
+        as long; ``name`` is the member name's UTF-8 bytes.  Byte for byte
+        what ``protocol.encode_query(id, u, v, name)`` writes, frame after
+        frame, or ``None`` when an id, ``u`` or ``v`` is negative.
+        """
+        count = len(ids)
+        if ids.typecode != "q" or pairs.typecode != "q" or len(pairs) != 2 * count:
+            raise ValueError(
+                "encode_queries takes array('q') ids and pairs, pairs twice as long"
+            )
+        if not count:
+            return b""
+        ffi = self._ffi
+        out = self._scratch((_QUERY_BYTES + len(name)) * count)
+        written = self._lib.repro_encode_queries(
+            ffi.from_buffer(ids), ffi.from_buffer(pairs), count, name, len(name), out
+        )
+        if written < 0:
+            return None
+        return ffi.buffer(out, written)[:]

@@ -103,7 +103,10 @@ lane: the server scans each run of them with one member name into
 coalescer entry, answers a member's runs with one flat
 ``QueryEngine.batch_query`` call and writes each connection's exact
 RESULT frames from the answer column in C.  Plain exact single-value
-RESULT frames resolve the client's futures from columns the same way.
+RESULT frames resolve the client's futures from columns the same way, and
+the client corks its plain QUERYs as columns that one C encode per loop
+tick writes as the frames :func:`repro.serve.protocol.encode_query`
+would.
 Everything else — traced QUERYs, BATCH, MATRIX, STATS, INFO,
 TRACE, non-exact kinds, and every frame on the python tier or under a
 ``REPRO_FAULTS`` plan — goes through :mod:`repro.serve.protocol`'s

@@ -23,14 +23,23 @@ in-process :class:`DistanceIndex` — the wire carries the result *kind* and
 ratio bound, so exact, k-distance and approximate schemes round-trip with
 their semantics intact.  Pass ``raw=True`` for the native values.
 
-Writes: every request frame leaves through one path, a per-connection cork.
-A request appends its frame to the connection's list; the first frame of
+Writes: every request leaves through one path, a per-connection cork.
+A request appends its frame to the connection's list; the first request of
 a loop tick schedules one ``loop.call_soon`` flush, which writes the whole
 list with a single ``write``.  Any number of concurrent callers (and a
 whole :meth:`AsyncLabelClient.pipeline` window) thus cost one socket send
 per tick, as the server's answers do, and the bytes on the wire are the
-same frames in request-id order.  A reconnect drops frames corked for the
-dead connection (their requests already failed and are re-issued).
+same frames in request-id order.  A reconnect drops requests corked for
+the dead connection (they already failed and are re-issued).
+
+On the native tier a *plain* QUERY — untraced, ``u`` and ``v`` ints in
+[0, 2⁶³), a member name of at most :data:`LANE_NAME_CHARS` characters —
+builds no frame: its request id and ``(u, v)`` go into the cork's
+``array('q')`` columns, and the flush writes the whole run with one C
+encode (``WireCodec.encode_queries``), byte for byte the frames
+:func:`repro.serve.protocol.encode_query` writes.  A run holds one member
+name; a plain query for another name, or any other frame, first encodes
+the run into the list, so the stream keeps request order exactly.
 
 Backpressure: an overloaded server sheds QUERY/MATRIX requests with
 ``OP_BUSY`` instead of queueing them.  The client retries busy requests
@@ -57,6 +66,7 @@ import asyncio
 import itertools
 import random
 import socket
+from array import array
 from operator import attrgetter
 
 from repro import kernels
@@ -79,6 +89,14 @@ class ServerBusy(ServerError):
 
 
 _BEYOND = QueryResult(None, False, False, None)
+
+#: the largest ``u`` and ``v`` (and request id) the corked columns hold
+_INT63 = (1 << 63) - 1
+
+#: the longest member name (in characters) a plain QUERY may carry into the
+#: corked columns; longer names take the Python encoder, so the encoder's
+#: scratch stays small and every column frame stays far under the frame limit
+LANE_NAME_CHARS = 1024
 
 
 def wrap_values(kind: int, ratio_bound: float | None, values: list) -> list:
@@ -126,11 +144,19 @@ class AsyncLabelClient:
         self._reader = reader
         self._writer = writer
         self._decoder = protocol.FrameDecoder()
+        self._loop = asyncio.get_running_loop()
         #: the native tier's wire codec: plain exact RESULT frames resolve
-        #: their futures from int64 columns (``None`` on the python tier)
+        #: their futures from int64 columns, and plain QUERYs are corked as
+        #: columns (``None`` on the python tier)
         self._codec = kernels.backend().wire_codec()
         #: request frames posted this loop tick, written by one ``_uncork``
         self._corked: list[bytes] = []
+        #: the tick's latest run of plain QUERYs, behind every frame in
+        #: ``_corked``: request ids, flat ``(u, v)`` pairs, one member name
+        self._cork_ids = array("q")
+        self._cork_pairs = array("q")
+        self._cork_name = ""
+        self._cork_name_bytes = b""
         self._ids = itertools.count(1)
         self._waiting: dict[int, asyncio.Future] = {}
         self._broken: Exception | None = None
@@ -152,7 +178,7 @@ class AsyncLabelClient:
         #: clients against one fleet don't collide
         self._trace_ids = itertools.count(random.getrandbits(48))
         self.traced_ids: list[int] = []
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
+        self._reader_task = self._loop.create_task(self._read_loop())
 
     def next_trace_id(self) -> int:
         """A fresh client-unique trace id (also remembered in ``traced_ids``)."""
@@ -211,9 +237,9 @@ class AsyncLabelClient:
                 break
             # in-flight futures were already failed by the dying read loop;
             # anything still registered or corked belongs to the dead
-            # connection (a fresh cork list also orphans its pending flush)
+            # connection
             self._fail_waiting(ConnectionError("connection was replaced"))
-            self._corked = []
+            self._drop_cork()
             self._decoder = protocol.FrameDecoder()
             self._broken = None
             self.reconnects += 1
@@ -235,10 +261,10 @@ class AsyncLabelClient:
     async def close(self) -> None:
         """Cancel the reader task and close the connection.
 
-        Frames still corked are dropped unsent.
+        Requests still corked are dropped unsent.
         """
         self._closed = True
-        self._corked = []
+        self._drop_cork()
         await self._hang_up()
 
     async def __aenter__(self) -> "AsyncLabelClient":
@@ -302,21 +328,64 @@ class AsyncLabelClient:
             raise self._broken or ConnectionError("client connection is closed")
 
     def _post(self, frame: bytes) -> None:
-        """Cork ``frame``: the first frame of a tick schedules the flush."""
+        """Cork ``frame`` behind every request corked before it; the first
+        request of a tick schedules the flush."""
+        if self._cork_ids:
+            self._flush_columns()
         corked = self._corked
         if not corked:
-            asyncio.get_running_loop().call_soon(self._uncork, corked)
+            self._loop.call_soon(self._uncork, corked)
         corked.append(frame)
 
-    def _uncork(self, corked: list) -> None:
-        """Write one tick's frames in one call (the only request write).
+    def _cork_query(self, request_id: int, u: int, v: int, name: str) -> None:
+        """Cork a plain QUERY into the columns; the first request of a tick
+        schedules the flush.
 
-        A flush scheduled for a replaced connection's list does nothing.
-        It never raises out of the loop callback: a closing or failing
-        writer fails the outstanding requests instead.
+        The caller has checked that ``request_id``, ``u`` and ``v`` are ints
+        in [0, 2⁶³) and ``name`` a str of at most :data:`LANE_NAME_CHARS`
+        characters.  A name the run does not carry first encodes the run
+        into the list (raising, with nothing corked, where
+        ``protocol.encode_query`` would raise on the name).
+        """
+        ids = self._cork_ids
+        if name != self._cork_name:
+            encoded = name.encode("utf-8")
+            if ids:
+                self._flush_columns()
+            self._cork_name, self._cork_name_bytes = name, encoded
+        if not ids and not self._corked:
+            self._loop.call_soon(self._uncork, self._corked)
+        ids.append(request_id)
+        pairs = self._cork_pairs
+        pairs.append(u)
+        pairs.append(v)
+
+    def _flush_columns(self) -> None:
+        """Encode the column run into the list, in its place in the order."""
+        ids, pairs = self._cork_ids, self._cork_pairs
+        self._corked.append(self._codec.encode_queries(ids, pairs, self._cork_name_bytes))
+        del ids[:]
+        del pairs[:]
+
+    def _drop_cork(self) -> None:
+        """Forget every corked request; a fresh list also orphans the
+        pending flush."""
+        self._corked = []
+        del self._cork_ids[:]
+        del self._cork_pairs[:]
+
+    def _uncork(self, corked: list) -> None:
+        """Write one tick's requests in one call (the only request write).
+
+        A column run still open is encoded first, with one C call.  A flush
+        scheduled for a replaced connection's list does nothing.  It never
+        raises out of the loop callback: a closing or failing writer fails
+        the outstanding requests instead.
         """
         if corked is not self._corked:
             return
+        if self._cork_ids:
+            self._flush_columns()
         self._corked = []
         try:
             if self._writer.is_closing():
@@ -326,41 +395,58 @@ class AsyncLabelClient:
             self._fail_waiting(error)
 
     def _send(self, frame_for_id) -> asyncio.Future:
-        """Register a fresh request id, post its frame, return the future."""
+        """Take a fresh request id, post its frame, register and return the
+        future (nothing is registered when the frame cannot be built)."""
         self._check_open()
         request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
+        frame = frame_for_id(request_id)
+        future = self._loop.create_future()
         self._waiting[request_id] = future
-        self._post(frame_for_id(request_id))
+        self._post(frame)
         return future
 
     async def _request(self, frame_for_id):
-        """One request with BUSY retry: fresh id and frame per attempt.
+        """One request with BUSY retry and reconnect (see :meth:`_retry`)."""
+        generation = self.reconnects
+        try:
+            return await self._send(frame_for_id)
+        except (ServerBusy, ConnectionError, OSError) as error:
+            return await self._retry(frame_for_id, error, generation)
 
-        For address-aware clients (built via :meth:`connect`) a dropped
-        connection is retried too — reconnect, fresh id, re-send.
+    async def _retry(self, frame_for_id, error: Exception, generation: int):
+        """Carry a request on after its first attempt failed with ``error``.
+
+        A BUSY is retried after a jittered backoff.  For address-aware
+        clients (built via :meth:`connect`) a dropped connection is retried
+        too: reconnect, then re-send.  Each retry takes a fresh id and frame
+        from ``frame_for_id``.  ``generation`` is the ``reconnects`` count
+        the failed attempt was sent under.  The budgets, ``busy_retries``
+        and ``reconnect_retries``, count from the first attempt, whichever
+        way it was sent; exhausting one raises the last failure.
         """
         attempt = 0
         drops = 0
         while True:
+            if isinstance(error, ServerBusy):
+                attempt += 1
+                if attempt > self.busy_retries:
+                    raise error
+                self.busy_retried += 1
+                await asyncio.sleep(
+                    _backoff_delay(attempt, error.retry_after_ms, self.busy_base_delay)
+                )
+            else:
+                if self._remote is None or self._closed:
+                    raise error
+                drops += 1
+                if drops > self.reconnect_retries:
+                    raise error
+                await self._reconnect(drops, generation)
             generation = self.reconnects
             try:
                 return await self._send(frame_for_id)
-            except ServerBusy as busy:
-                attempt += 1
-                if attempt > self.busy_retries:
-                    raise
-                self.busy_retried += 1
-                await asyncio.sleep(
-                    _backoff_delay(attempt, busy.retry_after_ms, self.busy_base_delay)
-                )
-            except (ConnectionError, OSError):
-                if self._remote is None or self._closed:
-                    raise
-                drops += 1
-                if drops > self.reconnect_retries:
-                    raise
-                await self._reconnect(drops, generation)
+            except (ServerBusy, ConnectionError, OSError) as failure:
+                error = failure
 
     # -- requests ------------------------------------------------------------
 
@@ -372,12 +458,43 @@ class AsyncLabelClient:
 
         ``trace_id`` stamps the request with the additive trace field (see
         :meth:`trace`); old servers ignore it.
+
+        On the native tier a plain query (untraced, ``u`` and ``v`` ints in
+        [0, 2⁶³), a name of at most :data:`LANE_NAME_CHARS` characters) is
+        corked as columns and awaited right here: no frame, no coroutine
+        per attempt.  A BUSY or a dropped connection carries on in
+        :meth:`_retry` like any request.  Every other query is built by
+        :func:`repro.serve.protocol.encode_query` and raises what it raises.
         """
-        _, payload = await self._request(
-            lambda request_id: protocol.encode_query(
-                request_id, u, v, name, trace_id=trace_id
+        if (
+            trace_id is None
+            and self._codec is not None
+            and type(u) is int
+            and type(v) is int
+            and 0 <= u <= _INT63
+            and 0 <= v <= _INT63
+            and type(name) is str
+            and len(name) <= LANE_NAME_CHARS
+        ):
+            generation = self.reconnects
+            try:
+                self._check_open()
+                request_id = next(self._ids)
+                self._cork_query(request_id, u, v, name)
+                future = self._waiting[request_id] = self._loop.create_future()
+                _, payload = await future
+            except (ServerBusy, ConnectionError, OSError) as error:
+                _, payload = await self._retry(
+                    lambda request_id: protocol.encode_query(request_id, u, v, name),
+                    error,
+                    generation,
+                )
+        else:
+            _, payload = await self._request(
+                lambda request_id: protocol.encode_query(
+                    request_id, u, v, name, trace_id=trace_id
+                )
             )
-        )
         return _unwrap(payload, raw)[0]
 
     async def batch(
@@ -444,10 +561,11 @@ class AsyncLabelClient:
         This is the client half of the server's micro-batching story, so it
         is deliberately allocation-light: one future per request (no task),
         and the window enforced by awaiting the oldest outstanding response.
-        Frames go out through the same cork as every other request: those
-        posted before each wait leave in one ``write``, and no other write
-        path exists.  Answers come back in ``pairs`` order regardless of
-        the server's completion order.
+        Requests go out through the same cork as every other request (plain
+        ones as its columns, see :meth:`query`): those posted before each
+        wait leave in one ``write``, and no other write path exists.
+        Answers come back in ``pairs`` order regardless of the server's
+        completion order.
         Requests shed with BUSY are re-issued (only those) in later rounds
         with jittered backoff.
 
@@ -527,11 +645,16 @@ class AsyncLabelClient:
     ) -> list:
         """One windowed pass over ``pairs``; returns the settled futures."""
         self._check_open()
-        loop = asyncio.get_running_loop()
         waiting = self._waiting
         ids = self._ids
         post = self._post
-        create_future = loop.create_future
+        cork = self._cork_query
+        create_future = self._loop.create_future
+        lane = (
+            self._codec is not None
+            and type(name) is str
+            and len(name) <= LANE_NAME_CHARS
+        )
         futures: list[asyncio.Future] = []
         head = 0  # oldest future not yet awaited
         for index, (u, v) in enumerate(pairs):
@@ -551,7 +674,17 @@ class AsyncLabelClient:
                 if trace_every and index % trace_every == 0
                 else None
             )
-            post(protocol.encode_query(request_id, u, v, name, trace_id=trace_id))
+            if (
+                lane
+                and trace_id is None
+                and type(u) is int
+                and type(v) is int
+                and 0 <= u <= _INT63
+                and 0 <= v <= _INT63
+            ):
+                cork(request_id, u, v, name)
+            else:
+                post(protocol.encode_query(request_id, u, v, name, trace_id=trace_id))
             future = create_future()
             waiting[request_id] = future
             futures.append(future)

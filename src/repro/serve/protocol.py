@@ -17,8 +17,9 @@ This module is also the reference for the native tier's hot lane
 ``int64`` columns without a Python object per frame: a plain QUERY has no
 suffix field and nothing after ``v``; a plain RESULT is exact-kind with
 one value and nothing after it; every varint of either fits in 9 bytes.
-``FrameDecoder.scan`` splits with it, and the C RESULT encoder writes the
-bytes :func:`encode_result_block` writes.
+``FrameDecoder.scan`` splits with it, the C RESULT encoder writes the
+bytes :func:`encode_result_block` writes, and the C QUERY encoder the
+bytes :func:`encode_query` writes.
 """
 
 from __future__ import annotations
@@ -217,9 +218,11 @@ def encode_query(
 ) -> bytes:
     """A framed :data:`OP_QUERY` request (optionally trace-tagged).
 
-    The hot request encoder, so the body is one join and its length
-    prefix comes from the one-byte table whenever the body is short (it
-    always is, barring a long member name).
+    The reference for every QUERY frame, and the python tier's hot request
+    encoder, so the body is one join and its length prefix comes from the
+    one-byte table whenever the body is short (it always is, barring a long
+    member name).  On the native tier the client writes plain QUERYs from
+    columns in C (``WireCodec.encode_queries``), byte for byte as here.
     """
     uvarint = encode_uvarint
     if name:

@@ -22,22 +22,29 @@ with a small memory peak.  Per label format three kinds of crafted label:
 The crafted labels are spliced on the printable bit string, with the field
 offsets found by the string-backed decoders of ``bitio_reference``; where a
 reference parser exists it must raise the same error type too.
+
+Last, the bit-flip experiment of the ROADMAP's item 13 runs as a
+fixed-seed test for every scheme: 300 single payload bit flips of a whole
+store end in an answer or a typed error, alike on every kernel tier.
 """
 
 from __future__ import annotations
 
+import random
 import tracemalloc
+from bisect import bisect_right
 
 import pytest
 
 import bitio_reference as ref
 from freedman_reference import reference_from_bits
 from label_reference import alstrup_from_bits, kdistance_from_bits
+from repro.api import DistanceIndex
 from repro.core.registry import make_scheme_from_spec
 from repro.encoding.alphabetic import common_codeword_prefix
 from repro.encoding.bitio import BitError, Bits
 from repro.generators.workloads import make_tree
-from repro.store import LabelStore, QueryEngine
+from repro.store import LabelStore, QueryEngine, StoreError
 from test_kernels import available_tiers, forced_tier
 
 #: a count no label of these trees comes near: gamma(2**24) is 49 bits
@@ -296,3 +303,65 @@ def test_kdistance_entry_lists_out_of_step(fault):
     for name, call in calls.items():
         with pytest.raises(ValueError, match="labels are inconsistent: the k-distance"):
             call()
+
+
+# -- single payload bit flips of a whole store ----------------------------------
+
+#: every spec of the ROADMAP's bit-flip experiment (item 13)
+FLIP_SPECS = (
+    "freedman",
+    "alstrup",
+    "hld-fixed",
+    "separator",
+    "naive-list",
+    "k-distance:k=4",
+    "approximate:epsilon=0.5",
+)
+FLIP_TREE_N = 300
+FLIP_TRIALS = 300
+FLIP_PAIRS = 43
+
+
+def _flip_outcomes(blob: bytes, flips: list[int], offsets: list[int]) -> list:
+    """Per flipped payload bit: the 43 raw answers of pairs that each read
+    the flipped bit's label, or the type of the typed error raised."""
+    start = len(blob) - offsets[-1]
+    outcomes = []
+    for bit in flips:
+        node = bisect_right(offsets, bit // 8) - 1
+        partners = random.Random(bit)
+        pairs = [
+            (node, partners.randrange(FLIP_TREE_N))
+            if i % 2
+            else (partners.randrange(FLIP_TREE_N), node)
+            for i in range(FLIP_PAIRS)
+        ]
+        data = bytearray(blob)
+        data[start + bit // 8] ^= 0x80 >> (bit % 8)
+        try:
+            outcomes.append(DistanceIndex.from_bytes(bytes(data)).batch(pairs, raw=True))
+        except (BitError, StoreError, ValueError) as error:
+            outcomes.append(type(error))
+    return outcomes
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS)
+def test_payload_bit_flips_end_typed_and_alike_on_every_tier(spec):
+    """300 seeded single-bit flips of a store's payload (Prüfer tree, n=300,
+    seed 3), each queried on 43 pairs through the flipped label: every
+    outcome is an answer, ``BitError``, ``StoreError`` or ``ValueError``
+    (any other exception fails the test), and every tier gives the same
+    outcome trial by trial.  Wrong answers are still possible: a flip that
+    leaves a well-formed label is invisible to the decoder (item 13(b))."""
+    blob = DistanceIndex.build(make_tree("random", FLIP_TREE_N, seed=3), spec).to_bytes()
+    offsets = list(DistanceIndex.from_bytes(blob).store.buffers()[1])
+    rng = random.Random(1)
+    flips = [rng.randrange(8 * offsets[-1]) for _ in range(FLIP_TRIALS)]
+    by_tier = {}
+    for tier in available_tiers():
+        with forced_tier(tier):
+            by_tier[tier] = _flip_outcomes(blob, flips, offsets)
+    first, *others = by_tier.values()
+    for tier, outcomes in by_tier.items():
+        assert outcomes == first, tier
+    assert any(isinstance(outcome, type) for outcome in first)  # flips do bite

@@ -587,6 +587,105 @@ def test_pipeline_bytes_are_the_frames_in_order(catalog, tree):
     _run(_with_server(catalog, handler))
 
 
+async def _answering_server():
+    """A scripted server that answers every QUERY/BATCH with ``u + v`` per
+    pair and records the raw bytes it reads; ``(server, received)``."""
+    received = bytearray()
+
+    async def serve(reader, writer):
+        decoder = protocol.FrameDecoder()
+        try:
+            while data := await reader.read(65536):
+                received.extend(data)
+                decoder.feed(data)
+                for body in decoder.frames():
+                    op, request_id, _, payload, _ = protocol.decode_request(body)
+                    pairs = [payload] if op == protocol.OP_QUERY else payload
+                    writer.write(
+                        protocol.encode_result(
+                            request_id, protocol.KIND_EXACT, [u + v for u, v in pairs]
+                        )
+                    )
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(serve, "127.0.0.1", 0), received
+
+
+def _mixed_tick(tier: str):
+    """One loop tick of plain, named, traced, invalid and out-of-lane
+    queries, a BATCH and a 1-pair pipeline against the answering server:
+    ``(what each call gave, the one write, the bytes the server read,
+    the first request id)``."""
+    from test_kernels import forced_tier
+
+    async def main():
+        server, received = await _answering_server()
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            client = await AsyncLabelClient.connect(host, port)
+            try:
+                writes = _count_writes(client)
+                first = next(client._ids) + 1
+                calls = [
+                    client.query(0, 1, raw=True),
+                    client.query(0, 2, raw=True),
+                    client.query(3, 4, name="named", raw=True),
+                    client.query(5, 6, name="named", raw=True, trace_id=77),
+                    client.query(-1, 2, raw=True),
+                    client.batch([(1, 2), (3, 4)], name="named", raw=True),
+                    client.query(7, 8, raw=True),
+                    client.pipeline([(9, 10)], raw=True),
+                    client.query(2**63, 1, raw=True),
+                    client.query(11, 12, name="n" * 200, raw=True),
+                ]
+                outcomes = await asyncio.gather(*calls, return_exceptions=True)
+                return outcomes, writes[0], bytes(received), first
+            finally:
+                await client.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    with forced_tier(tier):
+        return _run(main())
+
+
+def test_one_tick_of_mixed_requests_writes_the_reference_stream():
+    """The native tier's columns and the python tier write the same bytes:
+    the ``protocol.encode_*`` frames in call order, in one write; a
+    negative ``u`` raises the reference ``ValueError`` on both."""
+    from test_kernels import available_tiers
+
+    runs = {tier: _mixed_tick(tier) for tier in available_tiers()}
+    for tier, (outcomes, written, received, first) in runs.items():
+        error = outcomes[4]
+        assert isinstance(error, ValueError), tier
+        with pytest.raises(ValueError) as reference:
+            protocol.encode_query(first + 4, -1, 2)
+        assert str(error) == str(reference.value)
+        assert outcomes[:4] + outcomes[5:] == [
+            1, 2, 7, 11, [3, 7], 15, [19], 2**63 + 1, 23,
+        ], tier
+        expected = b"".join(
+            [
+                protocol.encode_query(first, 0, 1),
+                protocol.encode_query(first + 1, 0, 2),
+                protocol.encode_query(first + 2, 3, 4, "named"),
+                protocol.encode_query(first + 3, 5, 6, "named", trace_id=77),
+                # first + 4 (u = -1) is taken but never written
+                protocol.encode_batch(first + 5, [(1, 2), (3, 4)], "named"),
+                protocol.encode_query(first + 6, 7, 8),
+                protocol.encode_query(first + 7, 9, 10),
+                protocol.encode_query(first + 8, 2**63, 1),
+                protocol.encode_query(first + 9, 11, 12, "n" * 200),
+            ]
+        )
+        assert written == expected, tier
+        assert received == expected, tier
+    assert len({run[2] for run in runs.values()}) == 1
+
+
 def _quiet_loop() -> list[dict]:
     """Collect what the running loop would log as callback exceptions."""
     seen: list[dict] = []
@@ -612,7 +711,8 @@ def test_connection_dropped_before_the_flush_heals(catalog, tree):
             asyncio.ensure_future(client.query(0, v, name="exact")) for v in nodes
         ]
         await asyncio.sleep(0)  # every caller corks; the flush queues behind us
-        assert len(client._corked) == len(nodes)
+        # corked frames, plus the native tier's plain QUERY columns
+        assert len(client._corked) + len(client._cork_ids) == len(nodes)
         dead.close()
         assert await asyncio.gather(*callers) == expected
         assert writes == []  # nothing was written to the dropped connection

@@ -226,6 +226,76 @@ def test_busy_retry_budget_exhausts_against_dead_overload():
     _run(main())
 
 
+def _busy_then_answer(k: int):
+    """``(server handler, requests seen)``: BUSY to the first ``k`` requests
+    of the connection, then each QUERY answered with ``u + v``."""
+    seen: list[tuple] = []
+
+    async def serve(reader, writer):
+        decoder = protocol.FrameDecoder()
+        try:
+            while data := await reader.read(65536):
+                decoder.feed(data)
+                for body in decoder.frames():
+                    _, request_id, _, (u, v), _ = protocol.decode_request(body)
+                    seen.append((request_id, u, v))
+                    if len(seen) <= k:
+                        writer.write(protocol.encode_busy(request_id, 1))
+                    else:
+                        writer.write(
+                            protocol.encode_result(request_id, protocol.KIND_EXACT, [u + v])
+                        )
+        finally:
+            writer.close()
+
+    return serve, seen
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+def test_query_busy_budget_is_the_same_on_both_tiers(k):
+    """A query shed ``k`` times, with ``busy_retries=3``: answered with
+    ``k`` retries while the budget holds, ``ServerBusy`` after 3 beyond it;
+    each attempt a fresh id for the same pair, alike on both tiers (the
+    native tier's first attempt goes out through the corked columns)."""
+    from test_kernels import available_tiers, forced_tier
+
+    retries = 3
+
+    async def main():
+        serve, seen = _busy_then_answer(k)
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            client = await AsyncLabelClient.connect(
+                host, port, busy_retries=retries, busy_base_delay=0.0005
+            )
+            try:
+                try:
+                    outcome = await client.query(20, 22, raw=True)
+                except ServerBusy:
+                    outcome = "busy"
+                return outcome, client.busy_retried, seen
+            finally:
+                await client.close()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    outcomes = {}
+    for tier in available_tiers():
+        with forced_tier(tier):
+            outcomes[tier] = _run(main())
+    for outcome, busy_retried, seen in outcomes.values():
+        if k <= retries:
+            assert (outcome, busy_retried) == (42, k)
+        else:
+            assert (outcome, busy_retried) == ("busy", retries)
+        attempts = min(k, retries) + 1
+        assert [pair for _, *pair in seen] == [[20, 22]] * attempts
+        assert len({request_id for request_id, _, _ in seen}) == attempts
+    assert len({repr(outcome) for outcome in outcomes.values()}) == 1
+
+
 # -- sync client retry against a thread-hosted overloaded server --------------
 
 

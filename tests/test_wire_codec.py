@@ -2,16 +2,21 @@
 
 ``encode_uvarint``/``decode_uvarint`` are held to the loop-only LEB128
 codec in ``tests/varint_reference.py`` (same bytes, same values, same
-``ValueError`` text), and ``protocol.encode_query`` to the frame composed
-field by field, as the request grammar spells it out.
+``ValueError`` text), ``protocol.encode_query`` to the frame composed
+field by field, as the request grammar spells it out, and the native
+tier's ``WireCodec.encode_queries`` (the client's corked QUERY runs) to
+``protocol.encode_query``.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 from repro.serve import protocol
 from varint_reference import reference_decode, reference_encode
@@ -129,3 +134,59 @@ def test_encode_query_equals_the_composed_frame(request_id, u, v, name, trace_id
     assert protocol.decode_request(body) == (
         protocol.OP_QUERY, request_id, name, (u, v), trace_id,
     )
+
+
+# -- the client's corked QUERY columns ------------------------------------------
+
+_native = kernels.get_backend("native")
+needs_native = pytest.mark.skipif(_native is None, reason="native kernel tier unavailable")
+
+_INT63 = st.one_of(
+    st.sampled_from([b for b in BOUNDARIES if b < 2**63]), st.integers(0, 2**63 - 1)
+)
+_COLUMN_NAMES = st.one_of(
+    st.just(""),
+    st.text(max_size=12),
+    # long enough that the body needs a two-byte length prefix
+    st.text(alphabet="abcdefghij-_.0123456789", min_size=120, max_size=300),
+    st.text(min_size=32, max_size=75),
+)
+
+
+@needs_native
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=st.lists(st.tuples(_INT63, _INT63, _INT63), min_size=1, max_size=40),
+    count=st.integers(1, 1100),
+    name=_COLUMN_NAMES,
+)
+def test_encode_queries_equals_encode_query(frames, count, name):
+    """A run of 1-1100 frames (enough to grow the scratch buffer) is byte
+    for byte the reference frames, one after another."""
+    run = [frames[i % len(frames)] for i in range(count)]
+    ids = array("q", [request_id for request_id, _, _ in run])
+    pairs = array("q", [value for _, u, v in run for value in (u, v)])
+    codec = _native.wire_codec()
+    encoded = name.encode("utf-8")
+    assert codec.encode_queries(ids, pairs, encoded) == b"".join(
+        protocol.encode_query(request_id, u, v, name) for request_id, u, v in run
+    )
+    # the grown scratch serves a short run after it
+    assert codec.encode_queries(ids[:1], pairs[:2], encoded) == protocol.encode_query(
+        *run[0], name
+    )
+
+
+@needs_native
+def test_encode_queries_takes_any_name_length_and_refuses_negatives():
+    codec = _native.wire_codec()
+    name = "m" * 20000  # a three-byte length prefix
+    ids, pairs = array("q", [1, 2**63 - 1]), array("q", [0, 5, 2**62, 7])
+    assert codec.encode_queries(ids, pairs, name.encode()) == (
+        protocol.encode_query(1, 0, 5, name) + protocol.encode_query(2**63 - 1, 2**62, 7, name)
+    )
+    assert codec.encode_queries(array("q"), array("q")) == b""
+    for bad in ((-1, 0, 0), (0, -1, 0), (0, 0, -(2**63))):
+        assert codec.encode_queries(array("q", bad[:1]), array("q", bad[1:])) is None
+    with pytest.raises(ValueError):
+        codec.encode_queries(array("q", [1]), array("q", [1]))
